@@ -3,10 +3,13 @@
 
     Runs the identical seeded workload on both scheduler backends for a
     fixed budget of live events, measures wall-clock dispatch rate,
-    simulated cells forwarded per second and simulated payload bytes
-    per second, and checks that (a) the two backends agree on every
-    traffic counter and the final clock and (b) neither scheduler
-    retains memory proportional to the number of dispatched events. *)
+    simulated cells forwarded per second, simulated payload bytes per
+    second and payload delivered per CPU second, and checks that (a)
+    the two backends agree on every traffic counter and the final
+    clock, (b) the workload runs below capacity (no switch overflow
+    drop, no reassembly error, PDUs delivered) and (c) neither
+    scheduler retains memory proportional to the number of dispatched
+    events. *)
 
 type outcome = {
   backend : Osiris_sim.Engine.backend;
@@ -21,9 +24,20 @@ type outcome = {
   bytes_per_s : float;  (** forwarded cell payload bytes per wall second *)
   delivered_pdus : int;
   delivered_bytes : int;
+  delivered_kb_per_s : float;
+      (** payload KB delivered to the sink per user CPU second, best
+          segment: unlike events/s it compares across commits that
+          change how much work one event carries *)
+  events_per_kb : float;
+      (** live events per delivered KB over all timed segments *)
+  minor_words_per_kb : float;
+      (** minor-heap words per delivered KB over all timed segments: the
+          allocation figure that stays comparable when events shrink *)
+  stalled_segments : int;  (** timed segments that delivered nothing *)
   final_clock : Osiris_sim.Time.t;
   cells_in : int;
-  dropped : int;
+  dropped : int;  (** cells dropped at the switch *)
+  reassembly_errors : int;  (** at the receiver's board *)
   live_words_growth : int;
       (** major-heap words retained across all timed segments of both
           backends (they share the process heap, so retention is
@@ -42,9 +56,12 @@ val run :
   ?seed:int ->
   unit ->
   outcome * outcome * string list
-(** One measurement at a given event budget (default 1M): the timer
-    wheel outcome, the binary heap outcome, and the violations —
-    cross-backend divergence or a live-words leak. *)
+(** One measurement at a given event budget (default 1M), each sender
+    offering one PDU every 400 us (four 2 KB senders: ~164 Mb/s, below
+    the ~200 Mb/s the receiving host sustains): the timer wheel
+    outcome, the binary heap outcome, and the violations —
+    cross-backend divergence, a dropped cell, a reassembly error, a
+    timed segment that delivered nothing, or a live-words leak. *)
 
 val figure : unit -> Report.figure
 (** The BENCH.json figure: both backends' events/s over the event-budget

@@ -141,7 +141,8 @@ let all =
     {
       id = "engine_speed";
       description =
-        "simulator: engine events/sec on a 1M-event star workload, timer \
+        "simulator: engine events/sec and delivered KB per CPU second on \
+         a 1M-event star workload below the receiver's capacity, timer \
          wheel vs binary heap, identical dispatch enforced";
       kind = Figure (fun () -> Engine_speed.figure ());
     };

@@ -20,6 +20,7 @@ type t = {
   mutable stopping : bool;
   mutable dispatched : int;
   mutable chooser : chooser option;
+  mutable horizon : Time.t; (* the running [run]'s [until]; -1 outside [run] *)
   events : events;
 }
 
@@ -34,7 +35,7 @@ let create ?(backend = Timer_wheel) () =
     | Binary_heap -> E_heap (Heap.create ())
   in
   { clock = Time.zero; seq = 0; stopping = false; dispatched = 0;
-    chooser = None; events }
+    chooser = None; horizon = -1; events }
 
 let set_chooser t c = t.chooser <- c
 
@@ -124,6 +125,22 @@ let reschedule t ~delay h =
 
 let cancel h = h.cancelled <- true
 
+(* A callback scheduled now at [time] would be the very next one [run]
+   dispatches, and before [run] returns, exactly when [time] is inside
+   the horizon, strictly before every queued key (a queued event at
+   [time] has the lower seq) and no stop or chooser can intervene. Then
+   running its work inline at [time] is the same dispatch order. *)
+let skip_to t time =
+  if
+    time <= t.horizon && time >= t.clock && (not t.stopping)
+    && (match t.chooser with None -> true | Some _ -> false)
+    && time < ev_next_key t
+  then begin
+    t.clock <- time;
+    true
+  end
+  else false
+
 (* Pop every live (non-cancelled) event scheduled at [key], in seq order.
    Cancelled entries are dropped on the way — they must not count as
    schedulable alternatives. *)
@@ -195,6 +212,8 @@ let stop t = t.stopping <- true
 
 let run ?until ?max_events t =
   t.stopping <- false;
+  let outer = t.horizon in
+  t.horizon <- (match until with Some u -> u | None -> max_int);
   let executed = ref 0 in
   let continue () =
     (not t.stopping)
@@ -204,11 +223,14 @@ let run ?until ?max_events t =
     | None -> pending t > 0
     | Some u -> ev_next_key t <= u (* max_int when empty: never <= u *)
   in
-  while continue () do
-    match step_live t with
-    | `Dispatched -> incr executed
-    | `Skipped | `Empty -> ()
-  done;
+  Fun.protect
+    ~finally:(fun () -> t.horizon <- outer)
+    (fun () ->
+      while continue () do
+        match step_live t with
+        | `Dispatched -> incr executed
+        | `Skipped | `Empty -> ()
+      done);
   (* When stopping because of [until], advance the clock to the horizon
      so repeated bounded runs observe monotonic time — including when
      the queue drained mid-run — but never past a still-pending event

@@ -70,7 +70,10 @@ val pending : t -> int
 
 val events_dispatched : t -> int
 (** Total live (non-cancelled) callbacks executed over the engine's
-    lifetime — the event count the speed benchmarks report. *)
+    lifetime — the event count the speed benchmarks report. It counts
+    dispatched callbacks only: a {!Process.sleep} that merely moves the
+    clock with {!skip_to} is not one, so one event can carry several
+    sleeps' worth of work. *)
 
 val step : t -> bool
 (** Execute the single next event. Returns [false] when the queue is
@@ -79,11 +82,25 @@ val step : t -> bool
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Run events in order until the queue drains, the clock passes [until],
     or [max_events] {e live} callbacks have executed — popping a
-    cancelled handle does not consume budget. Events scheduled exactly
+    cancelled handle does not consume budget, and neither does a sleep
+    that only advances the clock ({!skip_to}). Events scheduled exactly
     at [until] still run. On return from a bounded run the clock is at
     [until] unless events at or before [until] remain unfired (a
     [max_events] budget can leave some), in which case it stays at the
     last dispatch so time never runs backwards. *)
+
+val skip_to : t -> Time.t -> bool
+(** [skip_to t time] is the run-horizon query behind {!Process.sleep}:
+    would a callback scheduled now at [time] be the next one the
+    current {!run} dispatches, before that run returns? That holds when
+    [time] is not in the past, not past the run's [until], strictly
+    earlier than every queued event (one queued at [time] itself has a
+    lower seq and fires first), no {!stop} is pending and no chooser is
+    installed. If so the clock moves to [time] and the answer is
+    [true]: the caller runs that callback's work inline, in the same
+    dispatch order, without an event. Otherwise nothing changes, and
+    outside {!run} (for example under {!step}) the answer is always
+    [false]. *)
 
 exception Stopped
 

@@ -30,11 +30,33 @@ val suspend : Engine.t -> ((resumer -> unit) -> unit)
     blocking constructs are built. *)
 
 val sleep : Engine.t -> Time.t -> unit
-(** Suspend the calling process for the given simulated duration. *)
+(** [sleep eng d] pauses the calling process for [d] of simulated time.
+
+    It costs the engine zero, one or two events. Written out, a sleep
+    is a timer at [now + d] whose callback schedules the process's
+    resume at that same instant, which runs after every callback already
+    queued there. Each step is taken only when something could run in
+    between:
+    - zero: the wake instant is earlier than every pending event and
+      within the current {!Engine.run}'s [until], no {!Engine.stop} is
+      pending and no chooser is installed. The timer and the resume
+      would be the next two dispatches, so the process does not suspend
+      at all: the clock moves ({!Engine.skip_to}) and it runs on.
+    - one: the process suspends on a timer; when the timer fires and
+      nothing else is queued at that instant, the resume would be the
+      next dispatch, so the timer continues the process itself.
+    - two: otherwise the timer schedules the resume, like any
+      {!resumer}.
+
+    Each shortcut runs exactly the work the skipped dispatch would have
+    run next, so every callback still runs in the same (time, seq)
+    order and simulated results do not change. What does change is
+    {!Engine.events_dispatched} and what a [max_events] budget buys.
+    Raises [Not_in_process] outside a process, on every path. *)
 
 val yield : Engine.t -> unit
-(** Suspend and immediately reschedule at the same simulated time, letting
-    other events at this instant run first. *)
+(** [sleep eng 0]: let the other events due at this instant run first.
+    With none queued it returns at once. *)
 
 exception Process_failure of string * exn
 (** Raised out of the engine loop when a named process dies with an

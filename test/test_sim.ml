@@ -508,6 +508,200 @@ let test_differential_dispatch_chooser () =
     (dispatch_trace ~chooser:11 Engine.Binary_heap)
     (dispatch_trace ~chooser:11 Engine.Timer_wheel)
 
+(* ------------------------------------------------------------------ *)
+(* Process-level differential oracle. [Process.sleep] wakes a sleeper
+   with one engine event or none; the reference below always pays two,
+   a timer and then [suspend]'s zero-delay resume hop: sleep written
+   out, kept only here. A seeded scenario of processes and plain
+   callbacks runs once with each sleep, and every resume logs (id,
+   time). The scenario draws from its RNG inside the callbacks, so one
+   reordered dispatch derails the whole log. *)
+
+let reference_sleep eng d =
+  Process.suspend eng (fun resume ->
+      ignore (Engine.schedule eng ~delay:d (fun () -> resume ())))
+
+type drive =
+  | Unbounded  (** [run] until drained; stops end a run early *)
+  | Slices  (** [run ~until] slices of 1 ns to 1 ms *)
+  | Budgets  (** [run ~max_events] with small budgets *)
+  | Sliced_budgets  (** both bounds at once *)
+  | Chooser  (** a seeded same-instant chooser, which disables skipping *)
+
+let drive_name = function
+  | Unbounded -> "unbounded"
+  | Slices -> "until slices"
+  | Budgets -> "max_events budgets"
+  | Sliced_budgets -> "sliced budgets"
+  | Chooser -> "chooser"
+
+let process_log ~reference ~drive backend =
+  let eng = Engine.create ~backend () in
+  let rng = Osiris_util.Rng.create ~seed:2024 in
+  let int n = Osiris_util.Rng.int rng n in
+  let sleep = if reference then reference_sleep else Process.sleep in
+  let log = Buffer.create 16384 in
+  let note id =
+    Buffer.add_string log (Printf.sprintf "%d@%d;" id (Engine.now eng))
+  in
+  let delay () =
+    match int 4 with
+    | 0 -> 0
+    | 1 -> 1 + int 50
+    | 2 -> Time.us (1 + int 50)
+    | _ -> Time.ms (1 + int 2)
+  in
+  let signals = Array.init 2 (fun _ -> Signal.create eng) in
+  let mb = Mailbox.create eng ~capacity:2 () in
+  let res = Resource.create eng ~capacity:2 in
+  (* [Resource.use] is acquire, the real sleep, release. *)
+  let use d =
+    if reference then begin
+      Resource.acquire res;
+      sleep eng d;
+      Resource.release res
+    end
+    else Resource.use res ~duration:d
+  in
+  let next_id = ref 0 in
+  let rec proc ~steps =
+    incr next_id;
+    let id = !next_id in
+    Process.spawn eng ~name:(string_of_int id) (fun () ->
+        note id;
+        for _ = 1 to steps do
+          (match int 12 with
+          | 0 | 1 | 2 | 3 -> sleep eng (delay ())
+          | 4 -> Signal.wait signals.(int 2)
+          | 5 -> Signal.broadcast signals.(int 2)
+          | 6 -> Mailbox.send mb id
+          | 7 -> ignore (Mailbox.recv mb)
+          | 8 -> use (delay ())
+          | 9 -> if !next_id < 40 then proc ~steps:(2 + int 6)
+          | 10 ->
+              (* A stop pending at the sleep: the run must end before
+                 the sleeper moves on. *)
+              Engine.stop eng;
+              sleep eng (int 3)
+          | _ -> sleep eng 0);
+          note id
+        done)
+  in
+  for _ = 1 to 20 do
+    proc ~steps:(10 + int 20)
+  done;
+  (* Plain callbacks: a ticker that re-arms its own handle, unblocks the
+     mailbox and signals, and cancels or re-arms one-shot timers. *)
+  let oneshots = ref [] in
+  let ticks = ref 0 in
+  let ticker = ref None in
+  let tick () =
+    incr ticks;
+    note (-1);
+    Signal.broadcast signals.(int 2);
+    if int 2 = 0 then ignore (Mailbox.try_send mb 0)
+    else ignore (Mailbox.try_recv mb);
+    (match int 3 with
+    | 0 ->
+        let k = 1000 + !ticks in
+        oneshots :=
+          Engine.schedule eng ~delay:(delay ()) (fun () -> note k) :: !oneshots
+    | 1 -> (
+        match !oneshots with
+        | h :: rest ->
+            Engine.cancel h;
+            oneshots := rest
+        | [] -> ())
+    | _ -> ());
+    if !ticks < 400 then
+      Engine.reschedule eng
+        ~delay:(if int 10 = 0 then 0 else Time.us (1 + int 80))
+        (Option.get !ticker)
+  in
+  ticker := Some (Engine.schedule eng ~delay:(Time.us 3) tick);
+  (* Between runs the driver schedules a callback relative to the clock
+     it finds, so a sleeper that ran past a stop or a slice horizon
+     would show. Budgeted runs stop at different points by design (a
+     skipped sleep costs no budget), so nothing is injected there. *)
+  let injected = ref 0 in
+  let inject () =
+    if !injected < 300 then begin
+      incr injected;
+      let k = 5000 + !injected in
+      ignore (Engine.schedule eng ~delay:(!injected mod 3) (fun () -> note k))
+    end
+  in
+  let slices = [| 1; 2; 50; 999; 1_000; 20_000; 250_000; Time.ms 1 |] in
+  let budgets = [| 1; 2; 3; 5; 8; 13; 100 |] in
+  let round = ref 0 in
+  if drive = Chooser then begin
+    let crng = Osiris_util.Rng.create ~seed:5 in
+    Engine.set_chooser eng
+      (Some (fun ~now:_ ~count -> Osiris_util.Rng.int crng count))
+  end;
+  while Engine.pending eng > 0 do
+    let slice = slices.(!round mod Array.length slices)
+    and budget = budgets.(!round mod Array.length budgets) in
+    incr round;
+    match drive with
+    | Unbounded ->
+        Engine.run eng;
+        inject ()
+    | Slices ->
+        Engine.run ~until:(Engine.now eng + slice) eng;
+        inject ()
+    | Budgets -> Engine.run ~max_events:budget eng
+    | Sliced_budgets ->
+        Engine.run ~until:(Engine.now eng + slice) ~max_events:budget eng
+    | Chooser -> Engine.run eng
+  done;
+  (Buffer.contents log, Engine.events_dispatched eng)
+
+let test_sleep_matches_two_event_reference () =
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun drive ->
+          let real, real_events = process_log ~reference:false ~drive backend
+          and oracle, oracle_events =
+            process_log ~reference:true ~drive backend
+          in
+          let what =
+            Printf.sprintf "%s, %s"
+              (match backend with
+              | Engine.Timer_wheel -> "wheel"
+              | Engine.Binary_heap -> "heap")
+              (drive_name drive)
+          in
+          Alcotest.(check string) ("resume log: " ^ what) oracle real;
+          if drive <> Chooser && real_events >= oracle_events then
+            Alcotest.failf "%s: sleep dispatched %d events, reference %d" what
+              real_events oracle_events)
+        [ Unbounded; Slices; Budgets; Sliced_budgets; Chooser ])
+    [ Engine.Timer_wheel; Engine.Binary_heap ]
+
+(* The skip path moves the clock without suspending, so it must not
+   skip the in-process check: here nothing else is queued, the case it
+   would otherwise take. Neither a failed process nor a run that raised
+   may leave the check or the run horizon behind. *)
+let test_sleep_in_plain_callback () =
+  let eng = Engine.create () in
+  let plain_sleep () = Process.sleep eng 10 in
+  ignore (Engine.schedule eng ~delay:5 plain_sleep);
+  Alcotest.check_raises "sleep from a plain callback" Process.Not_in_process
+    (fun () -> Engine.run eng);
+  Process.spawn eng ~name:"boom" (fun () ->
+      Process.sleep eng 1;
+      failwith "bang");
+  Alcotest.check_raises "process fails"
+    (Process.Process_failure ("boom", Failure "bang"))
+    (fun () -> Engine.run eng);
+  ignore (Engine.schedule eng ~delay:5 plain_sleep);
+  Alcotest.check_raises "still not in a process" Process.Not_in_process
+    (fun () -> Engine.run eng);
+  Alcotest.(check bool) "no horizon outside run" false
+    (Engine.skip_to eng (Engine.now eng + 1))
+
 (* Heap property: popping returns keys in nondecreasing order. *)
 let heap_prop =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
@@ -576,6 +770,10 @@ let suite =
       test_differential_dispatch;
     Alcotest.test_case "differential: wheel vs heap with chooser" `Quick
       test_differential_dispatch_chooser;
+    Alcotest.test_case "differential: sleep vs two-event reference" `Quick
+      test_sleep_matches_two_event_reference;
+    Alcotest.test_case "process: sleep in a plain callback" `Quick
+      test_sleep_in_plain_callback;
     QCheck_alcotest.to_alcotest heap_prop;
     QCheck_alcotest.to_alcotest wheel_model_prop;
     QCheck_alcotest.to_alcotest heap_model_prop;
