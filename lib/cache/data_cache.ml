@@ -15,8 +15,6 @@ type config = {
   invalidate_cycles_per_word : int;
 }
 
-type line = { mutable tag : int; mutable valid : bool; data : Bytes.t }
-
 type stats = {
   mutable hits : int;
   mutable misses : int;
@@ -39,11 +37,14 @@ type t = {
   mem : Phys_mem.t;
   bus : Tc.t;
   cfg : config;
-  lines : line array;
   nlines : int;
+  tags : int array; (* tag of the line held at each index; -1 = invalid *)
+  data : Bytes.t; (* line [i]'s bytes at [i * line_size] *)
   mutable pressure_cursor : int;
   m : m;
 }
+
+let invalid = -1
 
 let create eng ~mem ~bus cfg =
   if cfg.size <= 0 || cfg.line_size <= 0 || cfg.size mod cfg.line_size <> 0
@@ -56,9 +57,8 @@ let create eng ~mem ~bus cfg =
     cfg;
     nlines;
     pressure_cursor = 0;
-    lines =
-      Array.init nlines (fun _ ->
-          { tag = -1; valid = false; data = Bytes.create cfg.line_size });
+    tags = Array.make nlines invalid;
+    data = Bytes.create cfg.size;
     m =
       {
         m_hits = Metrics.counter "cache.hits";
@@ -75,30 +75,33 @@ let cpu_cycles_ns t cycles =
   (* Round up so a nonzero cost never vanishes. *)
   ((cycles * 1_000_000_000) + t.cfg.cpu_hz - 1) / t.cfg.cpu_hz
 
-let line_index t addr = addr / t.cfg.line_size mod t.nlines
 let line_tag addr line_size = addr / line_size
+let line_index t addr = line_tag addr t.cfg.line_size mod t.nlines
 let line_base tag line_size = tag * line_size
 
+let fill_line t i tag =
+  Phys_mem.blit_to_bytes t.mem
+    ~src:(line_base tag t.cfg.line_size)
+    ~dst:t.data ~dst_off:(i * t.cfg.line_size) ~len:t.cfg.line_size;
+  t.tags.(i) <- tag
+
 (* Ensure the line containing [addr] is resident; charge fill cost on miss
-   and hit cost for consuming [words_used] words. *)
+   and hit cost for consuming [words_used] words. Returns the line's
+   index. *)
 let touch_line t addr ~words_used =
   let tag = line_tag addr t.cfg.line_size in
-  let line = t.lines.(line_index t addr) in
-  if line.valid && line.tag = tag then Metrics.incr t.m.m_hits
+  let i = line_index t addr in
+  if t.tags.(i) = tag then Metrics.incr t.m.m_hits
   else begin
     Metrics.incr t.m.m_misses;
     (* Fill from main memory across the bus (contends on a shared bus). *)
     Tc.cpu_access t.bus ~bytes:t.cfg.line_size
       ~overhead_cycles:t.cfg.fill_overhead_cycles;
-    Phys_mem.blit_to_bytes t.mem
-      ~src:(line_base tag t.cfg.line_size)
-      ~dst:line.data ~dst_off:0 ~len:t.cfg.line_size;
-    line.tag <- tag;
-    line.valid <- true
+    fill_line t i tag
   end;
   Process.sleep t.eng
     (cpu_cycles_ns t (words_used * t.cfg.hit_cycles_per_word));
-  line
+  i
 
 let read_into t ~addr ~len ~dst ~dst_off =
   if len < 0 then invalid_arg "Data_cache.read_into: negative length";
@@ -107,8 +110,10 @@ let read_into t ~addr ~len ~dst ~dst_off =
     let in_line = t.cfg.line_size - (!pos mod t.cfg.line_size) in
     let chunk = min !remaining in_line in
     let words = (chunk + 3) / 4 in
-    let line = touch_line t !pos ~words_used:words in
-    Bytes.blit line.data (!pos mod t.cfg.line_size) dst !out chunk;
+    let i = touch_line t !pos ~words_used:words in
+    Bytes.blit t.data
+      ((i * t.cfg.line_size) + (!pos mod t.cfg.line_size))
+      dst !out chunk;
     pos := !pos + chunk;
     out := !out + chunk;
     remaining := !remaining - chunk
@@ -131,10 +136,11 @@ let write t ~addr ~src =
   while !remaining > 0 do
     let in_line = t.cfg.line_size - (!pos mod t.cfg.line_size) in
     let chunk = min !remaining in_line in
-    let tag = line_tag !pos t.cfg.line_size in
-    let line = t.lines.(line_index t !pos) in
-    if line.valid && line.tag = tag then
-      Bytes.blit src !off line.data (!pos mod t.cfg.line_size) chunk;
+    let i = line_index t !pos in
+    if t.tags.(i) = line_tag !pos t.cfg.line_size then
+      Bytes.blit src !off t.data
+        ((i * t.cfg.line_size) + (!pos mod t.cfg.line_size))
+        chunk;
     pos := !pos + chunk;
     off := !off + chunk;
     remaining := !remaining - chunk
@@ -143,60 +149,50 @@ let write t ~addr ~src =
      the write buffer into a burst. *)
   Tc.cpu_access t.bus ~bytes:len ~overhead_cycles:1
 
-let iter_lines t ~addr ~len f =
-  if len > 0 then begin
-    let first = line_tag addr t.cfg.line_size in
-    let last = line_tag (addr + len - 1) t.cfg.line_size in
-    for tag = first to last do
-      f tag t.lines.(line_index t (line_base tag t.cfg.line_size))
-    done
-  end
-
 let invalidate t ~addr ~len =
   let words = (len + 3) / 4 in
   Process.sleep t.eng
     (cpu_cycles_ns t (words * t.cfg.invalidate_cycles_per_word));
-  iter_lines t ~addr ~len (fun tag line ->
-      if line.valid && line.tag = tag then begin
-        line.valid <- false;
+  if len > 0 then
+    for tag = line_tag addr t.cfg.line_size
+        to line_tag (addr + len - 1) t.cfg.line_size do
+      let i = tag mod t.nlines in
+      if t.tags.(i) = tag then begin
+        t.tags.(i) <- invalid;
         Metrics.incr t.m.m_invalidated_lines
-      end)
+      end
+    done
 
 let invalidate_all t =
-  Array.iter
-    (fun line ->
-      if line.valid then begin
-        line.valid <- false;
-        Metrics.incr t.m.m_invalidated_lines
-      end)
-    t.lines
+  for i = 0 to t.nlines - 1 do
+    if t.tags.(i) <> invalid then begin
+      t.tags.(i) <- invalid;
+      Metrics.incr t.m.m_invalidated_lines
+    end
+  done
 
 let pressure t ~lines =
   for _ = 1 to lines do
-    let line = t.lines.(t.pressure_cursor) in
-    line.valid <- false;
+    t.tags.(t.pressure_cursor) <- invalid;
     t.pressure_cursor <- (t.pressure_cursor + 1) mod t.nlines
   done
 
 let dma_wrote t ~addr ~len =
-  iter_lines t ~addr ~len (fun tag line ->
+  if len > 0 then
+    for tag = line_tag addr t.cfg.line_size
+        to line_tag (addr + len - 1) t.cfg.line_size do
+      let i = tag mod t.nlines in
       match t.cfg.coherence with
       | Hardware_update ->
           (* The 3000/600's second-level cache is updated (and, as modelled
              here, allocated) by DMA writes, so arriving network data can
              be read back at cache speed (paper §2.7/§4). *)
-          Phys_mem.blit_to_bytes t.mem
-            ~src:(line_base tag t.cfg.line_size)
-            ~dst:line.data ~dst_off:0 ~len:t.cfg.line_size;
-          line.tag <- tag;
-          line.valid <- true
+          fill_line t i tag
       | Software ->
-          if line.valid && line.tag = tag then
-            Metrics.incr t.m.m_stale_overlaps)
+          if t.tags.(i) = tag then Metrics.incr t.m.m_stale_overlaps
+    done
 
-let resident t ~addr =
-  let line = t.lines.(line_index t addr) in
-  line.valid && line.tag = line_tag addr t.cfg.line_size
+let resident t ~addr = t.tags.(line_index t addr) = line_tag addr t.cfg.line_size
 
 let stats t : stats =
   {

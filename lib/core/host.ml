@@ -86,9 +86,7 @@ let install_memory_load cpu bus cache fraction =
         (* The same activity displaces cached network data ("these accesses
            are likely to evict all previously cached data", §2.3). *)
         let line_size = (Cache.config cache).Cache.line_size in
-        if Sys.getenv_opt "OSIRIS_NOPRESSURE" = None then
-          Cache.pressure cache
-            ~lines:(min 4096 (total_cycles * 4 / line_size)))
+        Cache.pressure cache ~lines:(min 4096 (total_cycles * 4 / line_size)))
 
 let create eng (machine : Machine.t) ~addr cfg =
   let rng = Rng.create ~seed:cfg.seed in

@@ -1,9 +1,26 @@
+(* Storage is one slot per frame. A slot holds [unwritten] until the
+   frame's first write puts a zero-filled page there, so a host costs
+   memory for the frames its run writes, not for its whole image.
+
+   The free frames form a doubly linked list over frame indices. Its
+   order is part of the model, since it fixes every physical address:
+   [alloc_frame] takes the first frame, [free_frame] pushes in front,
+   and [alloc_contiguous] unlinks its run where it sits. [free_prev]
+   doubles as the free map: an allocated frame's slot holds [taken]. *)
+
+let unwritten = Bytes.empty
+let taken = -2
+let none = -1
+
 type t = {
-  data : Bytes.t;
+  pages : Bytes.t array;
   page_size : int;
   nframes : int;
-  mutable free : int list; (* frame indices *)
-  free_set : (int, unit) Hashtbl.t;
+  free_next : int array;
+  free_prev : int array;
+  mutable free_first : int;
+  mutable free_count : int;
+  mutable resident : int;
 }
 
 let create ?scramble ~size ~page_size () =
@@ -12,94 +29,168 @@ let create ?scramble ~size ~page_size () =
   let nframes = size / page_size in
   let order = Array.init nframes (fun i -> i) in
   (match scramble with Some rng -> Osiris_util.Rng.shuffle rng order | None -> ());
-  let free = Array.to_list order in
-  let free_set = Hashtbl.create nframes in
-  List.iter (fun f -> Hashtbl.replace free_set f ()) free;
-  { data = Bytes.make size '\000'; page_size; nframes; free; free_set }
+  let free_next = Array.make nframes none and free_prev = Array.make nframes none in
+  for i = 0 to nframes - 1 do
+    if i > 0 then free_prev.(order.(i)) <- order.(i - 1);
+    if i < nframes - 1 then free_next.(order.(i)) <- order.(i + 1)
+  done;
+  {
+    pages = Array.make nframes unwritten;
+    page_size;
+    nframes;
+    free_next;
+    free_prev;
+    free_first = order.(0);
+    free_count = nframes;
+    resident = 0;
+  }
 
-let size t = Bytes.length t.data
+let size t = t.nframes * t.page_size
 let page_size t = t.page_size
 let frames t = t.nframes
-let free_frames t = Hashtbl.length t.free_set
+let free_frames t = t.free_count
+let resident_frames t = t.resident
+let is_free t f = t.free_prev.(f) <> taken
+
+let unlink t f =
+  let p = t.free_prev.(f) and n = t.free_next.(f) in
+  if p = none then t.free_first <- n else t.free_next.(p) <- n;
+  if n <> none then t.free_prev.(n) <- p;
+  t.free_prev.(f) <- taken;
+  t.free_count <- t.free_count - 1
 
 let alloc_frame t =
-  match t.free with
-  | [] -> raise Out_of_memory
-  | f :: rest ->
-      t.free <- rest;
-      Hashtbl.remove t.free_set f;
-      f * t.page_size
+  let f = t.free_first in
+  if f = none then raise Out_of_memory;
+  unlink t f;
+  f * t.page_size
+
+(* Lowest base whose [nframes] frames are all free, or [none]. Frames
+   [base, base + i) are known free; a taken frame at [base + i] rules
+   out every base up to it. *)
+let rec first_fit t ~nframes base i =
+  if i = nframes then base
+  else if base + nframes > t.nframes then none
+  else if is_free t (base + i) then first_fit t ~nframes base (i + 1)
+  else first_fit t ~nframes (base + i + 1) 0
 
 let alloc_contiguous t ~nframes =
   if nframes <= 0 then invalid_arg "Phys_mem.alloc_contiguous";
-  let is_free f = Hashtbl.mem t.free_set f in
-  let rec find base =
-    if base + nframes > t.nframes then None
-    else begin
-      let rec run i = i = nframes || (is_free (base + i) && run (i + 1)) in
-      if run 0 then Some base else find (base + 1)
-    end
-  in
-  match find 0 with
-  | None -> None
-  | Some base ->
-      for i = base to base + nframes - 1 do
-        Hashtbl.remove t.free_set i
-      done;
-      t.free <- List.filter (fun f -> f < base || f >= base + nframes) t.free;
-      Some (base * t.page_size)
+  let base = first_fit t ~nframes 0 0 in
+  if base = none then None
+  else begin
+    for f = base to base + nframes - 1 do
+      unlink t f
+    done;
+    Some (base * t.page_size)
+  end
 
 let free_frame t addr =
   if addr mod t.page_size <> 0 then
     invalid_arg "Phys_mem.free_frame: unaligned address";
   let f = addr / t.page_size in
   if f < 0 || f >= t.nframes then invalid_arg "Phys_mem.free_frame: bad frame";
-  if Hashtbl.mem t.free_set f then
-    invalid_arg "Phys_mem.free_frame: double free";
-  Hashtbl.replace t.free_set f ();
-  t.free <- f :: t.free
+  if is_free t f then invalid_arg "Phys_mem.free_frame: double free";
+  t.free_prev.(f) <- none;
+  t.free_next.(f) <- t.free_first;
+  if t.free_first <> none then t.free_prev.(t.free_first) <- f;
+  t.free_first <- f;
+  t.free_count <- t.free_count + 1
 
 let check t addr len =
-  if addr < 0 || len < 0 || addr + len > Bytes.length t.data then
-    invalid_arg
-      (Printf.sprintf "Phys_mem: access [%#x,+%d) out of bounds" addr len)
+  if addr < 0 || len < 0 || addr + len > size t then
+    (invalid_arg
+       (Printf.sprintf "Phys_mem: access [%#x,+%d) out of bounds" addr len)
+    [@osiris.alloc_ok "cold error path: raises, never returns"])
+
+let check_bytes b off len =
+  if off < 0 || off + len > Bytes.length b then
+    (invalid_arg "Phys_mem: byte range out of bounds"
+    [@osiris.alloc_ok "cold error path: raises, never returns"])
+
+(* The page backing frame [f], materialised on its first write. *)
+let writable t f =
+  let page = Array.unsafe_get t.pages f in
+  if page != unwritten then page
+  else begin
+    let page =
+      (Bytes.make t.page_size '\000'
+      [@osiris.alloc_ok
+        "first write to a frame: one page per frame the run ever writes, \
+         then reused"])
+    in
+    t.pages.(f) <- page;
+    t.resident <- t.resident + 1;
+    page
+  end
+
+(* The copy loops below split a range at frame boundaries. They are
+   tail-recursive top-level functions rather than local closures, so a
+   call allocates nothing beyond first-write pages. *)
+
+let rec copy_in t ~src ~src_off ~dst ~len =
+  if len > 0 then begin
+    let off = dst mod t.page_size in
+    let n = min len (t.page_size - off) in
+    Bytes.blit src src_off (writable t (dst / t.page_size)) off n;
+    copy_in t ~src ~src_off:(src_off + n) ~dst:(dst + n) ~len:(len - n)
+  end
+
+let rec copy_out t ~src ~dst ~dst_off ~len =
+  if len > 0 then begin
+    let off = src mod t.page_size in
+    let n = min len (t.page_size - off) in
+    let page = Array.unsafe_get t.pages (src / t.page_size) in
+    if page == unwritten then Bytes.fill dst dst_off n '\000'
+    else Bytes.blit page off dst dst_off n;
+    copy_out t ~src:(src + n) ~dst ~dst_off:(dst_off + n) ~len:(len - n)
+  end
 
 let read_byte t addr =
   check t addr 1;
-  Char.code (Bytes.get t.data addr)
+  let page = Array.unsafe_get t.pages (addr / t.page_size) in
+  if page == unwritten then 0 else Char.code (Bytes.get page (addr mod t.page_size))
 
 let write_byte t addr v =
   check t addr 1;
-  Bytes.set t.data addr (Char.chr (v land 0xff))
-
-let read_u32 t addr =
-  check t addr 4;
-  Bytes.get_int32_be t.data addr
-
-let write_u32 t addr v =
-  check t addr 4;
-  Bytes.set_int32_be t.data addr v
+  Bytes.set (writable t (addr / t.page_size)) (addr mod t.page_size)
+    (Char.chr (v land 0xff))
 
 let blit_from_bytes t ~src ~src_off ~dst ~len =
   check t dst len;
-  Bytes.blit src src_off t.data dst len
+  check_bytes src src_off len;
+  copy_in t ~src ~src_off ~dst ~len
 
 let blit_to_bytes t ~src ~dst ~dst_off ~len =
   check t src len;
-  Bytes.blit t.data src dst dst_off len
+  check_bytes dst dst_off len;
+  copy_out t ~src ~dst ~dst_off ~len
 
-let blit t ~src ~dst ~len =
-  check t src len;
-  check t dst len;
-  Bytes.blit t.data src t.data dst len
+(* A word may straddle two frames; go through the byte-range copies. *)
+let read_u32 t addr =
+  let b = Bytes.create 4 in
+  blit_to_bytes t ~src:addr ~dst:b ~dst_off:0 ~len:4;
+  Bytes.get_int32_be b 0
 
-let fill t ~addr ~len c =
-  check t addr len;
-  Bytes.fill t.data addr len c
+let write_u32 t addr v =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 v;
+  blit_from_bytes t ~src:b ~src_off:0 ~dst:addr ~len:4
 
 let bytes_of_region t ~addr ~len =
   check t addr len;
-  Bytes.sub t.data addr len
+  let out = Bytes.create len in
+  copy_out t ~src:addr ~dst:out ~dst_off:0 ~len;
+  out
+
+(* Through a copy of the source, so overlapping ranges move like
+   [memmove]. *)
+let blit t ~src ~dst ~len =
+  blit_from_bytes t ~src:(bytes_of_region t ~addr:src ~len) ~src_off:0 ~dst ~len
+
+let fill t ~addr ~len c =
+  check t addr len;
+  blit_from_bytes t ~src:(Bytes.make len c) ~src_off:0 ~dst:addr ~len
 
 let bytes_of_pbufs t bufs =
   let total = Pbuf.total_len bufs in

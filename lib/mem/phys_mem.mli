@@ -1,12 +1,26 @@
 (** Host main memory.
 
-    A flat, byte-addressable store with a frame (physical page) allocator.
+    A byte-addressable store with a frame (physical page) allocator.
     The allocator hands out frames in a {e scrambled} order by default: this
     reproduces the central fact of paper §2.2 that virtually contiguous
     pages are generally not physically contiguous, so a multi-page PDU
     decomposes into one physical buffer per page. A best-effort contiguous
     allocation mode models the OS support the authors were experimenting
-    with. *)
+    with.
+
+    Storage is sparse: a frame costs host memory only once it is first
+    written, and bytes never written read as zero. A host's image is
+    therefore as large as what its run writes, not its configured size.
+
+    The allocation order is part of the model, not an implementation
+    detail: it fixes every physical address handed out, hence how many
+    physical buffers a PDU spans (the §2.2 buffer counts) and which
+    lines of the physically indexed data cache a buffer maps to. The
+    order is the one a list of free frames gives: [alloc_frame] takes
+    the first free frame, [free_frame] returns a frame to the front, and
+    [alloc_contiguous] removes its run and leaves the others in place.
+    [alloc_frame] and [free_frame] cost O(1); [alloc_contiguous] costs
+    one scan for the run plus O(1) per frame it takes. *)
 
 type t
 
@@ -23,14 +37,17 @@ val frames : t -> int
 
 val free_frames : t -> int
 
+val resident_frames : t -> int
+(** Frames written at least once: the frames that cost host memory. *)
+
 val alloc_frame : t -> int
 (** Allocate one frame; returns its physical base address. Raises
     [Out_of_memory] when exhausted. *)
 
 val alloc_contiguous : t -> nframes:int -> int option
 (** Best-effort allocation of [nframes] physically contiguous frames;
-    returns the base address of the run, or [None] if no such run is free.
-    Models dynamic contiguous allocation (paper §2.2). *)
+    returns the base address of the lowest-addressed such run, or [None]
+    if no run is free. Models dynamic contiguous allocation (paper §2.2). *)
 
 val free_frame : t -> int -> unit
 (** Return a frame (by base address) to the allocator. Raises [Invalid_arg]
@@ -38,7 +55,8 @@ val free_frame : t -> int -> unit
 
 (** Raw access. Reads and writes take physical addresses; bounds are
     checked. These are the operations DMA and the CPU model perform — cost
-    accounting lives in the bus/cache layers, not here. *)
+    accounting lives in the bus/cache layers, not here. Any range may span
+    frames; [blit] of overlapping ranges behaves like [memmove]. *)
 
 val read_byte : t -> int -> int
 val write_byte : t -> int -> int -> unit

@@ -29,7 +29,7 @@ let policy =
      own ent_tail lib/lb/reps.ml\n\
      own cached lib/lb/reps.ml\n\
      own cur lib/sim/wheel.ml\n\
-     own free lib/sim/wheel.ml lib/mem/phys_mem.ml\n\
+     own free lib/sim/wheel.ml\n\
      own c_count lib/classify/table.ml\n\
      own c_maxd lib/classify/table.ml\n\
      own c_lookups lib/classify/table.ml\n\

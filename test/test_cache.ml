@@ -123,6 +123,201 @@ let test_direct_mapped_eviction () =
       Alcotest.(check bool) "evicted by alias" false
         (Cache.resident cache ~addr:0))
 
+(* --- differential oracle: flat cache vs a record-per-line model ---- *)
+
+(* Reference: the cache's former layout, one record and one [Bytes] per
+   line, with no timing, over a flat copy of main memory. The real cache
+   must return the same bytes, count the same stats and hold the same
+   lines under any interleaving of its operations. *)
+module Ref_cache = struct
+  type line = { mutable tag : int; mutable valid : bool; data : Bytes.t }
+
+  type t = {
+    mem : Bytes.t;
+    ls : int;
+    lines : line array;
+    hw : bool;
+    mutable cursor : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable invalidated : int;
+    mutable overlaps : int;
+    mutable stale_reads : int;
+  }
+
+  let create ~mem_size ~size ~line_size ~hw =
+    {
+      mem = Bytes.make mem_size '\000';
+      ls = line_size;
+      lines =
+        Array.init (size / line_size) (fun _ ->
+            { tag = -1; valid = false; data = Bytes.create line_size });
+      hw;
+      cursor = 0;
+      hits = 0;
+      misses = 0;
+      invalidated = 0;
+      overlaps = 0;
+      stale_reads = 0;
+    }
+
+  let line t tag = t.lines.(tag mod Array.length t.lines)
+  let holds l tag = l.valid && l.tag = tag
+
+  let fill t l tag =
+    Bytes.blit t.mem (tag * t.ls) l.data 0 t.ls;
+    l.tag <- tag;
+    l.valid <- true
+
+  let iter_lines t ~addr ~len f =
+    if len > 0 then
+      for tag = addr / t.ls to (addr + len - 1) / t.ls do
+        f tag (line t tag)
+      done
+
+  let read t ~addr ~len =
+    let out = Bytes.create len in
+    let pos = ref addr in
+    while !pos < addr + len do
+      let tag = !pos / t.ls and off = !pos mod t.ls in
+      let n = min (addr + len - !pos) (t.ls - off) in
+      let l = line t tag in
+      if holds l tag then t.hits <- t.hits + 1
+      else begin
+        t.misses <- t.misses + 1;
+        fill t l tag
+      end;
+      Bytes.blit l.data off out (!pos - addr) n;
+      pos := !pos + n
+    done;
+    if out <> Bytes.sub t.mem addr len then t.stale_reads <- t.stale_reads + 1;
+    out
+
+  let write t ~addr ~src =
+    let len = Bytes.length src in
+    Bytes.blit src 0 t.mem addr len;
+    iter_lines t ~addr ~len (fun tag l ->
+        if holds l tag then begin
+          let lo = max addr (tag * t.ls)
+          and hi = min (addr + len) ((tag + 1) * t.ls) in
+          Bytes.blit src (lo - addr) l.data (lo - (tag * t.ls)) (hi - lo)
+        end)
+
+  let invalidate t ~addr ~len =
+    iter_lines t ~addr ~len (fun tag l ->
+        if holds l tag then begin
+          l.valid <- false;
+          t.invalidated <- t.invalidated + 1
+        end)
+
+  let invalidate_all t =
+    Array.iter
+      (fun l ->
+        if l.valid then begin
+          l.valid <- false;
+          t.invalidated <- t.invalidated + 1
+        end)
+      t.lines
+
+  let pressure t ~lines =
+    for _ = 1 to lines do
+      t.lines.(t.cursor).valid <- false;
+      t.cursor <- (t.cursor + 1) mod Array.length t.lines
+    done
+
+  let dma_wrote t ~addr ~len =
+    iter_lines t ~addr ~len (fun tag l ->
+        if t.hw then fill t l tag
+        else if holds l tag then t.overlaps <- t.overlaps + 1)
+
+  let resident t ~addr = holds (line t (addr / t.ls)) (addr / t.ls)
+end
+
+(* A 2 KB cache of 16-byte lines over 16 KB of memory: every address
+   aliases with seven others, so evictions, stale lines and refills are
+   frequent. *)
+let oracle_case coherence ~seed () =
+  let mem_size = 16 * 1024 and size = 2048 and line_size = 16 in
+  let eng = Engine.create () in
+  let mem = Phys_mem.create ~size:mem_size ~page_size:4096 () in
+  let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let cache =
+    Cache.create eng ~mem ~bus
+      {
+        Cache.size;
+        line_size;
+        coherence;
+        cpu_hz = 25_000_000;
+        hit_cycles_per_word = 1;
+        fill_overhead_cycles = 13;
+        invalidate_cycles_per_word = 1;
+      }
+  in
+  let model =
+    Ref_cache.create ~mem_size ~size ~line_size
+      ~hw:(coherence = Cache.Hardware_update)
+  in
+  let rng = Osiris_util.Rng.create ~seed in
+  let int n = Osiris_util.Rng.int rng n in
+  let range () =
+    let len = int 80 in
+    (int (mem_size - len + 1), len)
+  in
+  let bytes n = Bytes.init n (fun _ -> Char.chr (int 256)) in
+  let check_state step =
+    let st = Cache.stats cache and m = model in
+    if
+      (st.Cache.hits, st.Cache.misses, st.Cache.invalidated_lines,
+       st.Cache.stale_overlaps, st.Cache.stale_reads)
+      <> (m.Ref_cache.hits, m.misses, m.invalidated, m.overlaps, m.stale_reads)
+    then Alcotest.failf "step %d: stats differ from the reference" step;
+    for l = 0 to (mem_size / line_size) - 1 do
+      let addr = l * line_size in
+      if Cache.resident cache ~addr <> Ref_cache.resident model ~addr then
+        Alcotest.failf "step %d: residency of %#x differs" step addr
+    done
+  in
+  in_process eng (fun () ->
+      for step = 1 to 3000 do
+        (match int 12 with
+        | 0 | 1 | 2 | 3 ->
+            let addr, len = range () in
+            let got = Cache.read cache ~addr ~len in
+            let want = Ref_cache.read model ~addr ~len in
+            if got <> want then
+              Alcotest.failf "step %d: read %#x+%d differs" step addr len
+        | 4 | 5 ->
+            let addr, len = range () in
+            let src = bytes len in
+            Cache.write cache ~addr ~src;
+            Ref_cache.write model ~addr ~src
+        | 6 | 7 ->
+            (* DMA: memory changes behind the cache, then it is told. *)
+            let addr, len = range () in
+            let src = bytes len in
+            Phys_mem.blit_from_bytes mem ~src ~src_off:0 ~dst:addr ~len;
+            Bytes.blit src 0 model.Ref_cache.mem addr len;
+            Cache.dma_wrote cache ~addr ~len;
+            Ref_cache.dma_wrote model ~addr ~len
+        | 8 | 9 ->
+            let addr, len = range () in
+            Cache.invalidate cache ~addr ~len;
+            Ref_cache.invalidate model ~addr ~len
+        | 10 ->
+            let lines = int 40 in
+            Cache.pressure cache ~lines;
+            Ref_cache.pressure model ~lines
+        | _ ->
+            if int 10 = 0 then begin
+              Cache.invalidate_all cache;
+              Ref_cache.invalidate_all model
+            end);
+        if step mod 100 = 0 then check_state step
+      done;
+      check_state 3000;
+      Alcotest.(check bool) "stale reads exercised" true
+        (coherence = Cache.Hardware_update || model.Ref_cache.stale_reads > 0))
+
 let suite =
   [
     Alcotest.test_case "read returns memory" `Quick test_read_returns_memory;
@@ -137,4 +332,8 @@ let suite =
       test_invalidation_cost;
     Alcotest.test_case "direct-mapped eviction" `Quick
       test_direct_mapped_eviction;
+    Alcotest.test_case "software coherence = record-per-line reference" `Quick
+      (oracle_case Cache.Software ~seed:3);
+    Alcotest.test_case "hardware update = record-per-line reference" `Quick
+      (oracle_case Cache.Hardware_update ~seed:4);
   ]

@@ -390,6 +390,57 @@ let test_bulk_vc_setup () =
   Alcotest.(check int) "receiver demux entries" n
     (Board.demux_vcs recv.Host.board - baseline)
 
+(* Host memory is sparse: building hosts writes no frame, and a run
+   makes resident only the frames its buffers touch. A set-up step that
+   writes the whole image, or every buffer, fails here. *)
+let resident h = Osiris_mem.Phys_mem.resident_frames h.Host.mem
+
+let test_fresh_hosts_not_resident () =
+  List.iter
+    (fun machine ->
+      let h =
+        Host.create (Engine.create ()) machine ~addr:0x0a000001l
+          Host.default_config
+      in
+      Alcotest.(check int) (machine.Machine.name ^ ": resident frames") 0
+        (resident h))
+    Machine.all;
+  let _eng, topo = Network.star ~n:9 () in
+  for i = 0 to Network.nhosts topo - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "star host %d: resident frames" i)
+      0
+      (resident (Network.host topo i))
+  done
+
+let test_udp_exchange_residency () =
+  let eng, net = Network.pair () in
+  let a = net.Network.a and b = net.Network.b in
+  let n = 4 and size = 8192 in
+  let got = ref 0 in
+  Udp.bind b.Host.udp ~port:7 (fun ~src:_ ~src_port:_ msg ->
+      incr got;
+      Msg.dispose msg);
+  Process.spawn eng ~name:"tx" (fun () ->
+      for i = 1 to n do
+        let m = Msg.alloc a.Host.vs ~len:size () in
+        Msg.blit_into m ~off:0 ~src:(Bytes.make size (Char.chr i));
+        Udp.output a.Host.udp ~dst:b.Host.addr ~src_port:9 ~dst_port:7 m
+      done);
+  Engine.run ~until:(Time.ms 100) eng;
+  Alcotest.(check int) "all delivered" n !got;
+  let ps = a.Host.machine.Machine.page_size in
+  let pages len = (len + ps - 1) / ps in
+  (* Each datagram writes its payload's pages plus a UDP and an IP
+     header page on the sender, and lands in one receive buffer. *)
+  let tx_bound = n * (pages size + 2)
+  and rx_bound = n * pages b.Host.machine.Machine.rx_buffer_size in
+  let ra = resident a and rb = resident b in
+  if ra = 0 || ra > tx_bound then
+    Alcotest.failf "sender: %d resident frames, expected 1..%d" ra tx_bound;
+  if rb = 0 || rb > rx_bound then
+    Alcotest.failf "receiver: %d resident frames, expected 1..%d" rb rx_bound
+
 let suite =
   [
     Alcotest.test_case "udp end-to-end integrity" `Quick
@@ -418,4 +469,8 @@ let suite =
       test_full_cache_swap_policy;
     Alcotest.test_case "bulk VC setup is O(1) amortized" `Quick
       test_bulk_vc_setup;
+    Alcotest.test_case "fresh hosts write no memory" `Quick
+      test_fresh_hosts_not_resident;
+    Alcotest.test_case "a UDP exchange writes only its buffers" `Quick
+      test_udp_exchange_residency;
   ]

@@ -187,6 +187,282 @@ let test_sg_map () =
   let big = List.init 9 (fun i -> Pbuf.v ~addr:(i * 4096) ~len:4096) in
   Alcotest.(check bool) "overflow rejected" true (Sg_map.program sg big = None)
 
+(* --- differential oracles: sparse memory vs the dense original ----- *)
+
+(* Reference allocator: the free [int list] plus [Hashtbl] free set that
+   Phys_mem kept before its free list became linked arrays. The real
+   allocator must hand out exactly the same addresses in the same order,
+   because §2.2 buffer counts and cache indices are built on them. *)
+module Ref_alloc = struct
+  type t = {
+    page_size : int;
+    nframes : int;
+    mutable free : int list;
+    free_set : (int, unit) Hashtbl.t;
+  }
+
+  let create ?scramble ~nframes ~page_size () =
+    let order = Array.init nframes (fun i -> i) in
+    (match scramble with Some rng -> Rng.shuffle rng order | None -> ());
+    let free = Array.to_list order in
+    let free_set = Hashtbl.create nframes in
+    List.iter (fun f -> Hashtbl.replace free_set f ()) free;
+    { page_size; nframes; free; free_set }
+
+  let free_frames t = Hashtbl.length t.free_set
+
+  let alloc_frame t =
+    match t.free with
+    | [] -> raise Out_of_memory
+    | f :: rest ->
+        t.free <- rest;
+        Hashtbl.remove t.free_set f;
+        f * t.page_size
+
+  let alloc_contiguous t ~nframes =
+    if nframes <= 0 then invalid_arg "Phys_mem.alloc_contiguous";
+    let is_free f = Hashtbl.mem t.free_set f in
+    let rec find base =
+      if base + nframes > t.nframes then None
+      else begin
+        let rec run i = i = nframes || (is_free (base + i) && run (i + 1)) in
+        if run 0 then Some base else find (base + 1)
+      end
+    in
+    match find 0 with
+    | None -> None
+    | Some base ->
+        for i = base to base + nframes - 1 do
+          Hashtbl.remove t.free_set i
+        done;
+        t.free <- List.filter (fun f -> f < base || f >= base + nframes) t.free;
+        Some (base * t.page_size)
+
+  let free_frame t addr =
+    if addr mod t.page_size <> 0 then
+      invalid_arg "Phys_mem.free_frame: unaligned address";
+    let f = addr / t.page_size in
+    if f < 0 || f >= t.nframes then invalid_arg "Phys_mem.free_frame: bad frame";
+    if Hashtbl.mem t.free_set f then
+      invalid_arg "Phys_mem.free_frame: double free";
+    Hashtbl.replace t.free_set f ();
+    t.free <- f :: t.free
+end
+
+(* [Free i] frees the [i]-th address handed out so far (modulo their
+   number), so frees of live, already-freed and never-issued frames all
+   occur; [Free_addr a] frees a raw, possibly unaligned or out-of-range
+   address. *)
+type alloc_op = Alloc | Contig of int | Free of int | Free_addr of int
+
+let alloc_nframes = 24
+
+let alloc_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, return Alloc);
+        (2, map (fun n -> Contig n) (int_range 1 8));
+        (4, map (fun i -> Free i) (int_bound 1000));
+        (1, map (fun a -> Free_addr a) (int_range (-4096) ((alloc_nframes + 1) * 4096)));
+      ])
+
+let alloc_case_arb =
+  QCheck.make
+    ~print:(fun (seed, ops) ->
+      Printf.sprintf "scramble=%s ops=%s"
+        (match seed with None -> "none" | Some s -> string_of_int s)
+        (String.concat ";"
+           (List.map
+              (function
+                | Alloc -> "alloc"
+                | Contig n -> Printf.sprintf "contig %d" n
+                | Free i -> Printf.sprintf "free #%d" i
+                | Free_addr a -> Printf.sprintf "free %d" a)
+              ops)))
+    QCheck.Gen.(
+      pair (opt (int_bound 1_000_000)) (list_size (int_bound 300) alloc_op_gen))
+
+let outcome f =
+  match f () with
+  | a -> Printf.sprintf "= %d" a
+  | exception e -> Printexc.to_string e
+
+let allocator_matches_reference =
+  QCheck.Test.make ~name:"phys_mem: allocator = list+Hashtbl reference"
+    ~count:300 alloc_case_arb (fun (seed, ops) ->
+      let scramble () = Option.map (fun s -> Rng.create ~seed:s) seed in
+      let mem =
+        Phys_mem.create ?scramble:(scramble ()) ~size:(alloc_nframes * 4096)
+          ~page_size:4096 ()
+      in
+      let model =
+        Ref_alloc.create ?scramble:(scramble ()) ~nframes:alloc_nframes
+          ~page_size:4096 ()
+      in
+      let issued = ref [||] in
+      let remember a =
+        issued := Array.append !issued [| a |];
+        a
+      in
+      let free addr =
+        ( outcome (fun () -> Phys_mem.free_frame mem addr; addr),
+          outcome (fun () -> Ref_alloc.free_frame model addr; addr) )
+      in
+      let show = function None -> "none" | Some a -> Printf.sprintf "= %d" a in
+      List.iteri
+        (fun step op ->
+          let got, want =
+            match op with
+            | Alloc ->
+                ( outcome (fun () -> Phys_mem.alloc_frame mem),
+                  outcome (fun () -> remember (Ref_alloc.alloc_frame model)) )
+            | Contig n ->
+                ( show (Phys_mem.alloc_contiguous mem ~nframes:n),
+                  show
+                    (Option.map remember
+                       (Ref_alloc.alloc_contiguous model ~nframes:n)) )
+            | Free i ->
+                let n = Array.length !issued in
+                free (if n = 0 then 0 else !issued.(i mod n))
+            | Free_addr a -> free a
+          in
+          if got <> want then
+            QCheck.Test.fail_reportf "step %d: got %s, reference %s" step got want;
+          let gf = Phys_mem.free_frames mem and wf = Ref_alloc.free_frames model in
+          if gf <> wf then
+            QCheck.Test.fail_reportf "step %d: free_frames %d, reference %d" step gf wf)
+        ops;
+      (* Draining both allocators yields the same remaining order. *)
+      let rec drain alloc acc =
+        match alloc () with
+        | a -> drain alloc (a :: acc)
+        | exception Out_of_memory -> List.rev acc
+      in
+      drain (fun () -> Phys_mem.alloc_frame mem) []
+      = drain (fun () -> Ref_alloc.alloc_frame model) [])
+
+(* Reference contents: one flat, zero-initialised [Bytes]. Small frames
+   make 2–3-frame straddles common, and few writes leave most frames
+   never written. *)
+type mem_op =
+  | Write_byte of int * int
+  | Write_u32 of int * int32
+  | Blit_from of int * int * int  (** dst, len, pattern seed *)
+  | Fill of int * int * char
+  | Blit of int * int * int  (** src, dst, len *)
+
+let c_page = 64
+let c_frames = 16
+let c_size = c_page * c_frames
+
+let mem_op_gen =
+  QCheck.Gen.(
+    let len = int_bound (3 * c_page) in
+    let addr_for len = int_bound (c_size - len) in
+    frequency
+      [
+        (2, map2 (fun a v -> Write_byte (a, v)) (int_bound (c_size - 1)) (int_bound 255));
+        ( 2,
+          map2
+            (fun a v -> Write_u32 (a, Int32.of_int v))
+            (int_bound (c_size - 4))
+            (int_bound 0x3fff_ffff) );
+        ( 3,
+          len >>= fun n ->
+          map2 (fun a s -> Blit_from (a, n, s)) (addr_for n) (int_bound 1000) );
+        ( 2,
+          len >>= fun n ->
+          map2 (fun a c -> Fill (a, n, c)) (addr_for n) printable );
+        ( 3,
+          len >>= fun n ->
+          (* Half the blits overlap their source. *)
+          addr_for n >>= fun src ->
+          map
+            (fun d -> Blit (src, d, n))
+            (oneof
+               [
+                 addr_for n;
+                 map
+                   (fun delta -> max 0 (min (c_size - n) (src + delta)))
+                   (int_range (-n) n);
+               ]) );
+      ])
+
+let pattern n seed = Bytes.init n (fun i -> Char.chr ((i * 31 + seed) land 0xff))
+
+let contents_match_flat_model =
+  QCheck.Test.make ~name:"phys_mem: contents = flat zeroed Bytes model"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 40) mem_op_gen))
+    (fun ops ->
+      let mem = Phys_mem.create ~size:c_size ~page_size:c_page () in
+      let flat = Bytes.make c_size '\000' in
+      let written = Array.make c_frames false in
+      let wrote addr len =
+        if len > 0 then
+          for f = addr / c_page to (addr + len - 1) / c_page do
+            written.(f) <- true
+          done
+      in
+      List.iter
+        (function
+          | Write_byte (a, v) ->
+              Phys_mem.write_byte mem a v;
+              Bytes.set flat a (Char.chr v);
+              wrote a 1
+          | Write_u32 (a, v) ->
+              Phys_mem.write_u32 mem a v;
+              Bytes.set_int32_be flat a v;
+              wrote a 4
+          | Blit_from (a, n, seed) ->
+              let src = pattern (n + 3) seed in
+              Phys_mem.blit_from_bytes mem ~src ~src_off:3 ~dst:a ~len:n;
+              Bytes.blit src 3 flat a n;
+              wrote a n
+          | Fill (a, n, c) ->
+              Phys_mem.fill mem ~addr:a ~len:n c;
+              Bytes.fill flat a n c;
+              wrote a n
+          | Blit (src, dst, n) ->
+              Phys_mem.blit mem ~src ~dst ~len:n;
+              Bytes.blit flat src flat dst n;
+              wrote dst n)
+        ops;
+      for a = 0 to c_size - 1 do
+        if Phys_mem.read_byte mem a <> Char.code (Bytes.get flat a) then
+          QCheck.Test.fail_reportf "read_byte %d" a
+      done;
+      for a = 0 to c_size - 4 do
+        if Phys_mem.read_u32 mem a <> Bytes.get_int32_be flat a then
+          QCheck.Test.fail_reportf "read_u32 %d" a
+      done;
+      for a = 0 to c_size - 1 do
+        let n = min (c_size - a) (1 + (a * 7 mod (3 * c_page))) in
+        let dst = Bytes.make (n + 2) '?' in
+        Phys_mem.blit_to_bytes mem ~src:a ~dst ~dst_off:1 ~len:n;
+        if Bytes.sub dst 1 n <> Bytes.sub flat a n
+           || Bytes.get dst 0 <> '?' || Bytes.get dst (n + 1) <> '?'
+        then QCheck.Test.fail_reportf "blit_to_bytes %d+%d" a n
+      done;
+      let bufs = [ Pbuf.v ~addr:(c_size - 70) ~len:70; Pbuf.v ~addr:5 ~len:130 ] in
+      let want = Bytes.cat (Bytes.sub flat (c_size - 70) 70) (Bytes.sub flat 5 130) in
+      Phys_mem.bytes_of_region mem ~addr:0 ~len:c_size = flat
+      && Phys_mem.bytes_of_pbufs mem bufs = want
+      && Phys_mem.resident_frames mem
+         = Array.fold_left (fun n w -> if w then n + 1 else n) 0 written)
+
+let test_fresh_memory_is_not_resident () =
+  let mem = Phys_mem.create ~size:(64 * 1024 * 1024) ~page_size:4096 () in
+  Alcotest.(check int) "nothing resident" 0 (Phys_mem.resident_frames mem);
+  Alcotest.(check int) "unwritten reads zero" 0
+    (Phys_mem.read_byte mem (32 * 1024 * 1024));
+  Phys_mem.write_u32 mem (4096 - 2) 0x01020304l;
+  Alcotest.(check int) "a straddling word writes two frames" 2
+    (Phys_mem.resident_frames mem);
+  Alcotest.(check int32) "and reads back" 0x01020304l
+    (Phys_mem.read_u32 mem (4096 - 2))
+
 let suite =
   [
     Alcotest.test_case "phys_mem: alloc/free" `Quick test_alloc_free_cycle;
@@ -195,6 +471,10 @@ let suite =
     Alcotest.test_case "phys_mem: contiguous" `Quick test_contiguous_alloc;
     Alcotest.test_case "phys_mem: read/write" `Quick test_rw_roundtrip;
     Alcotest.test_case "phys_mem: bounds" `Quick test_bounds_checked;
+    QCheck_alcotest.to_alcotest allocator_matches_reference;
+    QCheck_alcotest.to_alcotest contents_match_flat_model;
+    Alcotest.test_case "phys_mem: fresh memory is not resident" `Quick
+      test_fresh_memory_is_not_resident;
     QCheck_alcotest.to_alcotest pbuf_split_preserves;
     QCheck_alcotest.to_alcotest pbuf_coalesce_inverse_of_split;
     Alcotest.test_case "pbuf: gaps stay split" `Quick test_coalesce_non_adjacent;
