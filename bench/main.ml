@@ -44,13 +44,13 @@ module Micro = struct
            done;
            Engine.run eng))
 
-  (* the engine_speed figure rests on the scheduler itself: the same
-     self-rescheduling timer spread, one test per backend, so the
-     wheel-vs-heap gap is visible without the datapath around it. *)
-  let bench_scheduler backend name =
-    Test.make ~name
+  (* the engine_speed figure rests on the event queue itself: a
+     self-rescheduling timer spread from 1 ns to 30 ms, without the
+     datapath around it. *)
+  let bench_dispatch =
+    Test.make ~name:"engine_speed:dispatch-4k"
       (Staged.stage (fun () ->
-           let eng = Engine.create ~backend () in
+           let eng = Engine.create () in
            let n = ref 0 in
            let rec tick d () =
              incr n;
@@ -60,12 +60,6 @@ module Micro = struct
              (fun d -> ignore (Engine.schedule eng ~delay:d (tick d)))
              [ 1; 3; 10; 123; 1_000; 50_000; 1_000_000; 30_000_000 ];
            Engine.run eng))
-
-  let bench_wheel =
-    bench_scheduler Engine.Timer_wheel "engine_speed:wheel-dispatch-4k"
-
-  let bench_heap =
-    bench_scheduler Engine.Binary_heap "engine_speed:heap-dispatch-4k"
 
   (* figures 2/3 rest on per-cell reassembly decisions. *)
   let bench_sar =
@@ -147,7 +141,7 @@ module Micro = struct
 
   let all =
     Test.make_grouped ~name:"micro" ~fmt:"%s %s"
-      [ bench_engine; bench_wheel; bench_heap; bench_sar; bench_queue;
+      [ bench_engine; bench_dispatch; bench_sar; bench_queue;
         bench_checksum; bench_crc; bench_cell; bench_pbufs; bench_ip_frag ]
 
   (* Print the estimates and return them as [(name, ns_per_run)]. *)

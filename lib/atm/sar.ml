@@ -191,13 +191,6 @@ let push_per_link t ~link (cell : Cell.t) =
   else begin
     let arrival = t.link_counts.(link) in
     let k = (arrival * nlinks) + link in
-    (if k <> cell.Cell.seq && Sys.getenv_opt "OSIRIS_SARDEBUG" <> None then
-       Printf.eprintf
-         "sar: misplaced seq=%d at k=%d (link=%d recv=%d total=%d)\n%!"
-         cell.Cell.seq k link t.received t.total_cells)
-    [@osiris.alloc_ok
-      "opt-in misplacement diagnostics behind an environment probe; \
-       never taken in benchmark runs"];
     t.link_counts.(link) <- arrival + 1;
     t.received <- t.received + 1;
     if cell.Cell.eom then t.link_eom.(link) <- true;

@@ -588,14 +588,15 @@ let try_load_pdu t ch =
                 false
               end
               else begin
-                Trace.emitf Trace.Board_tx ~now:(Engine.now t.eng)
-                  "ch%d load chain [%s]" ch.id
-                  (String.concat ";"
-                     (List.map
-                        (fun (d : Desc.t) ->
-                          Printf.sprintf "%d%s" d.Desc.len
-                            (if d.Desc.eop then "*" else ""))
-                        chain));
+                if Trace.enabled Trace.Board_tx then
+                  Trace.emitf Trace.Board_tx ~now:(Engine.now t.eng)
+                    "ch%d load chain [%s]" ch.id
+                    (String.concat ";"
+                       (List.map
+                          (fun (d : Desc.t) ->
+                            Printf.sprintf "%d%s" d.Desc.len
+                              (if d.Desc.eop then "*" else ""))
+                          chain));
                 ch.peek_ahead <- ch.peek_ahead + nchain;
                 let pbufs = List.map Desc.to_pbuf chain in
                 let pdu = Phys_mem.bytes_of_pbufs t.mem pbufs in

@@ -17,8 +17,9 @@
    capacity doubling, so the probe bound is a structural invariant, not
    a hope.
 
-   An optional {!Hashtbl} mirror (the differential oracle, same pattern
-   as [Binary_heap] backing [Wheel]) records every mutation; [check]
+   An optional {!Hashtbl} mirror (a differential oracle: the simple
+   structure checking the fast one, as the engine's queue is checked
+   against a sorted list in its tests) records every mutation; [check]
    compares the two directions and the structural invariants. *)
 
 type 'a t = {

@@ -401,14 +401,15 @@ let send t ~vci ?(from_user = false) msg =
     segs;
   let pbufs = Msg.pbufs msg in
   let descs = Desc.chain_of_pbufs ~vci pbufs in
-  Osiris_sim.Trace.emitf Osiris_sim.Trace.Driver ~now:(Engine.now t.eng)
-    "enqueue vci=%d chain=[%s]" vci
-    (String.concat ";"
-       (List.map
-          (fun (d : Desc.t) ->
-            Printf.sprintf "%d%s" d.Desc.len
-              (if d.Desc.eop then "*" else ""))
-          descs));
+  if Osiris_sim.Trace.enabled Osiris_sim.Trace.Driver then
+    Osiris_sim.Trace.emitf Osiris_sim.Trace.Driver ~now:(Engine.now t.eng)
+      "enqueue vci=%d chain=[%s]" vci
+      (String.concat ";"
+         (List.map
+            (fun (d : Desc.t) ->
+              Printf.sprintf "%d%s" d.Desc.len
+                (if d.Desc.eop then "*" else ""))
+            descs));
   let tx_q = Board.tx_queue t.channel in
   List.iter
     (fun d ->

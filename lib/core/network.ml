@@ -111,10 +111,10 @@ let make_endpoint eng machine config link rng sw sw_idx ~port ~index =
    a->b before b->a), then start every switch. The order is load-bearing:
    it reproduces the RNG stream and creation sequence of the historical
    hand-rolled star/chain constructors exactly. *)
-let instantiate ?backend ?(machine = Machine.ds5000_200)
+let instantiate ?(machine = Machine.ds5000_200)
     ?(config = Host.default_config) ?(link = Atm_link.default_config)
     ?trunk_link ?(switch = Switch.default_config) ?(seed = 7) fabric =
-  let eng = Osiris_sim.Engine.create ?backend () in
+  let eng = Osiris_sim.Engine.create () in
   let switches =
     Array.init (Builder.nswitches fabric) (fun s ->
         Switch.create eng
@@ -172,11 +172,11 @@ let instantiate ?backend ?(machine = Machine.ds5000_200)
       path_enums = 0;
     } )
 
-let star ?backend ?(n = 3) ?(machine = Machine.ds5000_200)
+let star ?(n = 3) ?(machine = Machine.ds5000_200)
     ?(config = Host.default_config) ?(link = Atm_link.default_config)
     ?(switch = Switch.default_config) ?(seed = 7) () =
   if n < 2 then invalid_arg "Network.star: need at least 2 hosts";
-  instantiate ?backend ~machine ~config ~link ~switch ~seed
+  instantiate ~machine ~config ~link ~switch ~seed
     (Builder.build (Spec.Star { hosts = n }))
 
 let chain ?(n = 4) ?(machine = Machine.ds5000_200)
@@ -186,18 +186,18 @@ let chain ?(n = 4) ?(machine = Machine.ds5000_200)
   instantiate ~machine ~config ~link ~switch ~seed
     (Builder.build (Spec.Chain { hosts = n }))
 
-let leaf_spine ?backend ?(leaves = 2) ?(spines = 2) ?(hosts_per_leaf = 2)
+let leaf_spine ?(leaves = 2) ?(spines = 2) ?(hosts_per_leaf = 2)
     ?(machine = Machine.ds5000_200) ?(config = Host.default_config)
     ?(link = Atm_link.default_config) ?trunk_link
     ?(switch = Switch.default_config) ?(seed = 7) () =
-  instantiate ?backend ~machine ~config ~link ?trunk_link ~switch ~seed
+  instantiate ~machine ~config ~link ?trunk_link ~switch ~seed
     (Builder.build (Spec.Leaf_spine { leaves; spines; hosts_per_leaf }))
 
-let fat_tree ?backend ?(k = 4) ?(hosts_per_edge = 1)
+let fat_tree ?(k = 4) ?(hosts_per_edge = 1)
     ?(machine = Machine.ds5000_200) ?(config = Host.default_config)
     ?(link = Atm_link.default_config) ?trunk_link
     ?(switch = Switch.default_config) ?(seed = 7) () =
-  instantiate ?backend ~machine ~config ~link ?trunk_link ~switch ~seed
+  instantiate ~machine ~config ~link ?trunk_link ~switch ~seed
     (Builder.build (Spec.Fat_tree { k; hosts_per_edge }))
 
 (* Program one path's per-hop routes, allocating a fresh VCI per hop;

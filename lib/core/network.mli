@@ -106,7 +106,6 @@ type mvc = {
     path's cells on the same VCI, keeping striped reassembly sound. *)
 
 val instantiate :
-  ?backend:Osiris_sim.Engine.backend ->
   ?machine:Machine.t ->
   ?config:Host.config ->
   ?link:Osiris_link.Atm_link.config ->
@@ -125,7 +124,6 @@ val instantiate :
     equal plans and seeds yield identical fabrics. *)
 
 val star :
-  ?backend:Osiris_sim.Engine.backend ->
   ?n:int ->
   ?machine:Machine.t ->
   ?config:Host.config ->
@@ -135,9 +133,7 @@ val star :
   unit ->
   Osiris_sim.Engine.t * topology
 (** [n] hosts (default 3, minimum 2) on the [n] ports of one switch —
-    [instantiate] of [Spec.Star]. [backend] selects the engine's event
-    queue (for the scheduler speed benchmark, which races both backends
-    over this topology). *)
+    [instantiate] of [Spec.Star]. *)
 
 val chain :
   ?n:int ->
@@ -153,7 +149,6 @@ val chain :
     0, the rest on switch 1, and each switch's last port is the trunk. *)
 
 val leaf_spine :
-  ?backend:Osiris_sim.Engine.backend ->
   ?leaves:int ->
   ?spines:int ->
   ?hosts_per_leaf:int ->
@@ -170,7 +165,6 @@ val leaf_spine :
     leaves. *)
 
 val fat_tree :
-  ?backend:Osiris_sim.Engine.backend ->
   ?k:int ->
   ?hosts_per_edge:int ->
   ?machine:Machine.t ->

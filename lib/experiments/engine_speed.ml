@@ -12,12 +12,10 @@
    topology — segmentation, link striping, switch contention, DMA,
    reassembly, demux — and the engine dispatches a fixed budget of live
    events. The offered load sits below what the receiver drains, and
-   the run fails on any dropped cell, any reassembly error or a
-   segment that delivers nothing: a speed measured on a collapsed
-   workload does not count. The identical seeded workload runs on both
-   scheduler backends; any divergence in final clock or traffic
-   counters is reported as a violation (the macro-scale companion to
-   the test suite's event-for-event differential check). *)
+   the run fails on any dropped cell, any reassembly error, any
+   delivered PDU whose bytes differ from what its sender sent, or a
+   segment that delivers nothing: a speed measured on a collapsed or
+   corrupting workload does not count. *)
 
 open Osiris_sim
 module Host = Osiris_core.Host
@@ -31,7 +29,6 @@ module Msg = Osiris_xkernel.Msg
 module Demux = Osiris_xkernel.Demux
 
 type outcome = {
-  backend : Engine.backend;
   events : int;  (** live events dispatched in the timed segment *)
   wall_s : float;
   cpu_s : float;  (** user CPU time; the rates below use this *)
@@ -41,6 +38,8 @@ type outcome = {
   bytes_per_s : float;  (** forwarded cell payload bytes per wall second *)
   delivered_pdus : int;
   delivered_bytes : int;
+  corrupt_pdus : int;
+      (** delivered PDUs whose bytes differ from the sender's *)
   delivered_kb_per_s : float;
       (** payload KB delivered to the sink per user CPU second, best
           segment: unlike events/s it compares across commits that
@@ -54,16 +53,15 @@ type outcome = {
   dropped : int;
   reassembly_errors : int;  (** at the receiver's board *)
   live_words_growth : int;
-      (** major-heap words retained across all timed segments of both
-          backends (they share the process heap) *)
+      (** major-heap words retained across all timed segments *)
   minor_words_per_event : float;
       (** minor-heap words allocated per dispatched event, best segment:
           the R5 hot-path allocation lint's rent, in numbers *)
 }
 
 (* Retained major-heap words after a full collection: the timed segment
-   must not grow this by more than in-flight state — a scheduler that
-   pins dead handles (as the first heap did) shows up here. *)
+   must not grow this by more than in-flight state — an event queue
+   that pins dead handles shows up here. *)
 let live_words () =
   Gc.full_major ();
   (Gc.stat ()).Gc.live_words
@@ -75,18 +73,14 @@ let growth_ceiling = 4_000_000
 
 let warmup_events = 20_000
 
-(* One backend's workload, built and warmed up, ready for timed
-   segments. Both backends are prepared before either is timed, and
-   their segments interleave (wheel, heap, wheel, heap, ...) so that
-   machine-load phases — a noisy neighbour, a slow disk sync — hit both
-   schedulers alike instead of biasing whichever ran second. *)
+(* The workload, built and warmed up, ready for timed segments. *)
 type setup = {
-  s_backend : Engine.backend;
   s_eng : Engine.t;
   s_stats : Switch.stats;
   s_board : Board.t;  (** the receiver's *)
   s_delivered : int ref;
   s_delivered_bytes : int ref;
+  s_corrupt : int ref;
 }
 
 (* Each sender offers one PDU per [gap], the senders staggered evenly
@@ -97,24 +91,30 @@ type setup = {
    and every PDU arrives. *)
 let gap = Time.us 400
 
-let prepare ~backend ~senders ~msg_size ~seed () =
+let prepare ~senders ~msg_size ~seed () =
   let cfg = { Host.default_config with Host.seed = 9000 + seed } in
   let switch = { Switch.default_config with Switch.queue_cells = 128 } in
   let eng, topo =
-    Network.star ~backend ~n:(senders + 1) ~config:cfg ~switch
+    Network.star ~n:(senders + 1) ~config:cfg ~switch
       ~seed:(200 + seed) ()
   in
   let recv = Network.host topo 0 in
   let vcs =
     Array.init senders (fun i -> Network.open_vc topo ~src:(i + 1) ~dst:0)
   in
-  let delivered = ref 0 and delivered_bytes = ref 0 in
-  Array.iter
-    (fun vc ->
+  (* Sender [i] sends [payloads.(i)] over and over; its sink checks
+     every delivered PDU against it, byte for byte. *)
+  let payloads =
+    Array.init senders (fun i -> Fault_soak.fill_pattern ~msg:i ~len:msg_size)
+  in
+  let delivered = ref 0 and delivered_bytes = ref 0 and corrupt = ref 0 in
+  Array.iteri
+    (fun i vc ->
       Demux.bind recv.Host.demux ~vci:vc.Network.dst_vci ~name:"speed-sink"
         (fun ~vci:_ m ->
           incr delivered;
           delivered_bytes := !delivered_bytes + Msg.length m;
+          if not (Bytes.equal (Msg.read_all m) payloads.(i)) then incr corrupt;
           Msg.dispose m))
     vcs;
   (* Senders stream forever (the event budget ends the run): one PDU
@@ -126,10 +126,9 @@ let prepare ~backend ~senders ~msg_size ~seed () =
         ~name:(Printf.sprintf "speed-tx%d" i)
         (fun () ->
           Process.sleep eng (gap * i / senders);
-          let payload = Fault_soak.fill_pattern ~msg:i ~len:msg_size in
           let rec loop () =
             let m = Msg.alloc sender.Host.vs ~len:msg_size () in
-            Msg.blit_into m ~off:0 ~src:payload;
+            Msg.blit_into m ~off:0 ~src:payloads.(i);
             Driver.send sender.Host.driver ~vci:vc.Network.src_vci m;
             Process.sleep eng gap;
             loop ()
@@ -139,12 +138,12 @@ let prepare ~backend ~senders ~msg_size ~seed () =
   (* Let the pipeline fill before measuring. *)
   Engine.run ~max_events:warmup_events eng;
   {
-    s_backend = backend;
     s_eng = eng;
     s_stats = Switch.stats topo.Network.switches.(0);
     s_board = recv.Host.board;
     s_delivered = delivered;
     s_delivered_bytes = delivered_bytes;
+    s_corrupt = corrupt;
   }
 
 (* One timed segment of [events] live events. Rate over user CPU time,
@@ -189,7 +188,6 @@ let outcome_of s ~events ~wall_s ~segments ~live_words_growth =
   let cpu = if best.cpu > 0. then best.cpu else 1e-9 in
   let st = s.s_stats in
   {
-    backend = s.s_backend;
     events;
     wall_s;
     cpu_s = best.cpu;
@@ -199,6 +197,7 @@ let outcome_of s ~events ~wall_s ~segments ~live_words_growth =
     bytes_per_s = float_of_int (best.fwd * Cell.data_size) /. cpu;
     delivered_pdus = !(s.s_delivered);
     delivered_bytes = !(s.s_delivered_bytes);
+    corrupt_pdus = !(s.s_corrupt);
     delivered_kb_per_s = best.kb /. cpu;
     events_per_kb =
       per_kb (float_of_int (events * List.length segments));
@@ -213,28 +212,9 @@ let outcome_of s ~events ~wall_s ~segments ~live_words_growth =
     minor_words_per_event = best_words.words /. float_of_int events;
   }
 
-(* The two backends ran the same seeded workload for the same event
-   budget: every simulation-side observable must match exactly. *)
-let compare_outcomes w h =
-  let d name f =
-    if f w <> f h then
-      [
-        Printf.sprintf
-          "engine_speed: %s diverges across backends (wheel %d, heap %d)"
-          name (f w) (f h);
-      ]
-    else []
-  in
-  d "final clock" (fun o -> o.final_clock)
-  @ d "cells into the switch" (fun o -> o.cells_in)
-  @ d "cells forwarded" (fun o -> o.cells_forwarded)
-  @ d "cells dropped" (fun o -> o.dropped)
-  @ d "delivered PDUs" (fun o -> o.delivered_pdus)
-  @ d "delivered bytes" (fun o -> o.delivered_bytes)
-  @ d "reassembly errors" (fun o -> o.reassembly_errors)
-
-(* The workload must run below capacity and deliver: one dropped cell
-   means a queue overflowed, and a timed segment that delivered nothing
+(* The workload must run below capacity and deliver what was sent: one
+   dropped cell means a queue overflowed, one corrupt PDU a datapath
+   that does not do its job, and a timed segment that delivered nothing
    measured a stalled datapath. *)
 let health_check o =
   let bad cond msg = if cond then [ "engine_speed: " ^ msg ] else [] in
@@ -244,6 +224,9 @@ let health_check o =
   @ bad (o.reassembly_errors > 0)
       (Printf.sprintf "%d reassembly errors at the receiver"
          o.reassembly_errors)
+  @ bad (o.corrupt_pdus > 0)
+      (Printf.sprintf "%d delivered PDUs differ from what their sender sent"
+         o.corrupt_pdus)
   @ bad (o.stalled_segments > 0)
       (Printf.sprintf "%d timed segments delivered no PDUs"
          o.stalled_segments)
@@ -253,113 +236,76 @@ let leak_check o =
     [
       Printf.sprintf
         "engine_speed: %d live words retained across the %d-event timed \
-         segments (ceiling %d) — a scheduler is pinning dead events"
+         segments (ceiling %d) — the engine is pinning dead events"
         o.live_words_growth o.events growth_ceiling;
     ]
   else []
 
 let run ?(events = 1_000_000) ?(senders = 4) ?(msg_size = 2048) ?(seed = 3)
     () =
-  let go backend = prepare ~backend ~senders ~msg_size ~seed () in
-  let w = go Engine.Timer_wheel in
-  let h = go Engine.Binary_heap in
+  let s = prepare ~senders ~msg_size ~seed () in
   let base_words = live_words () in
-  (* Each backend is rated on its best of [reps] segments — major-GC
-     slices land unevenly across segments, and the best one is the
-     least polluted look at the scheduler itself. Wall time (all of a
-     backend's segments) is still reported. *)
+  (* Rated on the best of [reps] segments — major-GC slices land
+     unevenly across segments, and the best one is the least polluted
+     look at the engine itself. Wall time (all segments) is still
+     reported. *)
   let reps = 3 in
-  let segs_w = ref [] and segs_h = ref [] in
-  let wall_w = ref 0. and wall_h = ref 0. in
-  let timed s segs wall =
-    let t0 = Unix.gettimeofday () in
-    segs := segment s ~events :: !segs;
-    wall := !wall +. (Unix.gettimeofday () -. t0)
+  let t0 = Unix.gettimeofday () in
+  let segments = List.init reps (fun _ -> segment s ~events) in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let o =
+    outcome_of s ~events ~wall_s ~segments
+      ~live_words_growth:(live_words () - base_words)
   in
-  for _ = 1 to reps do
-    timed w segs_w wall_w;
-    timed h segs_h wall_h
-  done;
-  (* Both engines share the process heap, so retention is measured once
-     across all segments of both: a scheduler pinning dead events at
-     either end shows up (both dispatched the same event count). *)
-  let growth = live_words () - base_words in
-  let wheel =
-    outcome_of w ~events ~wall_s:!wall_w ~segments:!segs_w
-      ~live_words_growth:growth
-  in
-  let heap =
-    outcome_of h ~events ~wall_s:!wall_h ~segments:!segs_h
-      ~live_words_growth:growth
-  in
-  let violations =
-    compare_outcomes wheel heap @ health_check wheel @ leak_check wheel
-  in
-  (wheel, heap, violations)
+  (o, health_check o @ leak_check o)
 
 let sweep_events = [ 250_000; 1_000_000 ]
 
 let figure () =
   let outs = List.map (fun n -> run ~events:n ()) sweep_events in
   List.iter
-    (fun (_, _, violations) ->
+    (fun (_, violations) ->
       if violations <> [] then
         failwith
           ("engine_speed: invariant violation: "
           ^ String.concat "; " violations))
     outs;
-  let kevents (w, _, _) = w.events / 1000 in
-  let pt f = List.map (fun o -> (kevents o, f o)) outs in
+  let pt f = List.map (fun (o, _) -> (o.events / 1000, f o)) outs in
   {
     Report.title =
       "engine_speed: live events dispatched and payload delivered per \
        CPU second, 4-sender star-topology datapath workload below the \
-       receiver's capacity, timer wheel vs binary heap (identical \
-       dispatch order enforced)";
+       receiver's capacity, every delivered byte checked";
     xlabel = "live events dispatched (thousands)";
     ylabel = "events/s, KB/s, cells/s, bytes/s, words (see series)";
     series =
       [
-        { Report.label = "events/s (timer wheel)";
-          points = pt (fun (w, _, _) -> w.events_per_s) };
-        { Report.label = "events/s (binary heap)";
-          points = pt (fun (_, h, _) -> h.events_per_s) };
+        { Report.label = "events/s"; points = pt (fun o -> o.events_per_s) };
         (* One event carries more or less work as the simulator
            changes (a sleep that only advances the clock is not an
            event), so delivered payload per CPU second is the rate that
            compares across commits. *)
-        { Report.label = "delivered KB per CPU second (timer wheel)";
-          points = pt (fun (w, _, _) -> w.delivered_kb_per_s) };
-        { Report.label = "delivered KB per CPU second (binary heap)";
-          points = pt (fun (_, h, _) -> h.delivered_kb_per_s) };
+        { Report.label = "delivered KB per CPU second";
+          points = pt (fun o -> o.delivered_kb_per_s) };
         { Report.label = "events per delivered KB";
-          points = pt (fun (w, _, _) -> w.events_per_kb) };
-        { Report.label = "wheel speedup over heap (pct)";
-          points =
-            pt (fun (w, h, _) ->
-                100. *. w.events_per_s /. h.events_per_s) };
-        { Report.label = "sim cells forwarded/s (wheel)";
-          points = pt (fun (w, _, _) -> w.cells_per_s) };
-        { Report.label = "sim payload bytes/s (wheel)";
-          points = pt (fun (w, _, _) -> w.bytes_per_s) };
-        { Report.label = "live-words growth (both backends)";
-          points = pt (fun (w, _, _) -> float_of_int w.live_words_growth) };
+          points = pt (fun o -> o.events_per_kb) };
+        { Report.label = "sim cells forwarded/s";
+          points = pt (fun o -> o.cells_per_s) };
+        { Report.label = "sim payload bytes/s";
+          points = pt (fun o -> o.bytes_per_s) };
+        { Report.label = "live-words growth";
+          points = pt (fun o -> float_of_int o.live_words_growth) };
         (* The R5 hot-path allocation lint's rent: minor-heap words per
-           dispatched event. The backends legitimately differ — the heap
-           boxes one entry per add — so both are reported, neither is
-           cross-checked. *)
-        { Report.label = "minor words per event (timer wheel)";
-          points = pt (fun (w, _, _) -> w.minor_words_per_event) };
-        { Report.label = "minor words per event (binary heap)";
-          points = pt (fun (_, h, _) -> h.minor_words_per_event) };
-        { Report.label = "minor words per delivered KB (timer wheel)";
-          points = pt (fun (w, _, _) -> w.minor_words_per_kb) };
+           dispatched event and per delivered KB. *)
+        { Report.label = "minor words per event";
+          points = pt (fun o -> o.minor_words_per_event) };
+        { Report.label = "minor words per delivered KB";
+          points = pt (fun o -> o.minor_words_per_kb) };
       ];
     paper_note =
       "self-benchmark, no paper counterpart: the engine must stay fast \
        enough that reproducing the paper's sweeps at testbed scale is \
-       cheap; both backends replay the identical seeded workload and \
-       must agree on every traffic counter and the final clock, and the \
-       run fails on any dropped cell, reassembly error or stalled \
+       cheap; the run fails on any dropped cell, reassembly error, \
+       delivered PDU that differs from what its sender sent, or stalled \
        segment";
   }

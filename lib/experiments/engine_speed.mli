@@ -1,18 +1,16 @@
-(** Engine macro-benchmark: events per wall-clock second over the full
-    star-topology datapath, timer wheel vs binary heap.
+(** Engine macro-benchmark: events and delivered payload per CPU second
+    over the full star-topology datapath.
 
-    Runs the identical seeded workload on both scheduler backends for a
-    fixed budget of live events, measures wall-clock dispatch rate,
-    simulated cells forwarded per second, simulated payload bytes per
-    second and payload delivered per CPU second, and checks that (a)
-    the two backends agree on every traffic counter and the final
-    clock, (b) the workload runs below capacity (no switch overflow
-    drop, no reassembly error, PDUs delivered) and (c) neither
-    scheduler retains memory proportional to the number of dispatched
+    Runs a seeded workload for a fixed budget of live events, measures
+    dispatch rate, simulated cells forwarded per second, simulated
+    payload bytes per second and payload delivered per CPU second, and
+    checks that (a) the workload runs below capacity (no switch
+    overflow drop, no reassembly error, PDUs delivered), (b) every
+    delivered PDU is byte for byte what its sender sent and (c) the
+    engine retains no memory proportional to the number of dispatched
     events. *)
 
 type outcome = {
-  backend : Osiris_sim.Engine.backend;
   events : int;  (** live events dispatched per timed segment *)
   wall_s : float;  (** wall time across all timed segments *)
   cpu_s : float;
@@ -24,6 +22,8 @@ type outcome = {
   bytes_per_s : float;  (** forwarded cell payload bytes per wall second *)
   delivered_pdus : int;
   delivered_bytes : int;
+  corrupt_pdus : int;
+      (** delivered PDUs whose bytes differ from the sender's pattern *)
   delivered_kb_per_s : float;
       (** payload KB delivered to the sink per user CPU second, best
           segment: unlike events/s it compares across commits that
@@ -39,14 +39,10 @@ type outcome = {
   dropped : int;  (** cells dropped at the switch *)
   reassembly_errors : int;  (** at the receiver's board *)
   live_words_growth : int;
-      (** major-heap words retained across all timed segments of both
-          backends (they share the process heap, so retention is
-          measured once and reported in both outcomes) *)
+      (** major-heap words retained across all timed segments *)
   minor_words_per_event : float;
       (** minor-heap words allocated per dispatched event, best
-          segment: the R5 hot-path allocation lint's rent, in numbers.
-          Not cross-checked between backends — the heap legitimately
-          boxes one entry per scheduled event. *)
+          segment: the R5 hot-path allocation lint's rent, in numbers *)
 }
 
 val run :
@@ -55,16 +51,16 @@ val run :
   ?msg_size:int ->
   ?seed:int ->
   unit ->
-  outcome * outcome * string list
+  outcome * string list
 (** One measurement at a given event budget (default 1M), each sender
     offering one PDU every 400 us (four 2 KB senders: ~164 Mb/s, below
-    the ~200 Mb/s the receiving host sustains): the timer wheel
-    outcome, the binary heap outcome, and the violations —
-    cross-backend divergence, a dropped cell, a reassembly error, a
-    timed segment that delivered nothing, or a live-words leak. *)
+    the ~200 Mb/s the receiving host sustains): the outcome and the
+    violations — a dropped cell, a reassembly error, a delivered PDU
+    that differs from what its sender sent, a timed segment that
+    delivered nothing, or a live-words leak. *)
 
 val figure : unit -> Report.figure
-(** The BENCH.json figure: both backends' events/s over the event-budget
-    sweep, the wheel's speedup, forwarded-cell and payload-byte rates,
-    and the wheel's live-words growth. Raises [Failure] on any
-    violation. *)
+(** The BENCH.json figure over the event-budget sweep: events/s,
+    delivered KB per CPU second, events and minor words per delivered
+    KB, forwarded-cell and payload-byte rates, minor words per event
+    and live-words growth. Raises [Failure] on any violation. *)

@@ -316,21 +316,7 @@ let run ?(k = 8) ?(mode = Spray.Reps) ?(workload = Permutation)
                  (fun p path ->
                    if Builder.path_uses_trunk fabric path target_trunk then begin
                      let last = Spray.last_send c p in
-                     if last > t_cut then begin
-                       if Sys.getenv_opt "OSIRIS_MP_DEBUG" <> None then
-                         Printf.eprintf
-                           "DBG conn %d->%d path %d last dead send +%.1fus \
-                            sends=%d frozen=%b rtos=%d rtx=%d\n%!"
-                           mv.Network.mv_src mv.Network.mv_dst p
-                           (Time.to_float_us (last - t_cut))
-                           (Spray.sends c p)
-                           (match Spray.reps c with
-                           | Some r -> Reps.frozen r
-                           | None -> false)
-                           (Sender.stats (Spray.sender c)).Sender.timeouts
-                           (Sender.stats (Spray.sender c)).Sender.retransmits;
-                       worst := max !worst (last - t_cut)
-                     end
+                     if last > t_cut then worst := max !worst (last - t_cut)
                    end)
                  mv.Network.mv_paths;
                !worst)

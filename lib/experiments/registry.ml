@@ -142,8 +142,8 @@ let all =
       id = "engine_speed";
       description =
         "simulator: engine events/sec and delivered KB per CPU second on \
-         a 1M-event star workload below the receiver's capacity, timer \
-         wheel vs binary heap, identical dispatch enforced";
+         a 1M-event star workload below the receiver's capacity, every \
+         delivered byte checked";
       kind = Figure (fun () -> Engine_speed.figure ());
     };
   ]

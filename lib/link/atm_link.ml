@@ -222,8 +222,9 @@ let send t cell =
   end
   else begin
     let l = t.live.(cell.Cell.seq mod nlive) in
-    Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-      "cell vci=%d seq=%d -> link %d" cell.Cell.vci cell.Cell.seq l;
+    if Trace.enabled Trace.Link then
+      Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+        "cell vci=%d seq=%d -> link %d" cell.Cell.vci cell.Cell.seq l;
     (* Backpressure: the channel's output FIFO lets us book at most
        [tx_fifo_cells] cell-times ahead of the present. *)
     let horizon () = Engine.now t.eng + (t.cfg.tx_fifo_cells * t.cell_time) in

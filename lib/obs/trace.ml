@@ -12,10 +12,10 @@
        every category;
      - arbitrary callbacks installed with [on_event].
 
-   The environment is consulted once, lazily; explicit enable/disable
-   calls force that initialization first, so tests can never race the
-   env latch ([reset_for_testing] restores a clean, env-independent
-   state). *)
+   The environment is consulted once, when this module is initialised,
+   so explicit configuration always comes after it and tests can never
+   race the env latch ([reset_for_testing] restores a clean,
+   env-independent state). *)
 
 type category = Board_tx | Board_rx | Driver | Protocol | Link | Fault
 
@@ -29,6 +29,14 @@ let category_name = function
 
 let all = [ Board_tx; Board_rx; Driver; Protocol; Link; Fault ]
 
+let index = function
+  | Board_tx -> 0
+  | Board_rx -> 1
+  | Driver -> 2
+  | Protocol -> 3
+  | Link -> 4
+  | Fault -> 5
+
 type event = { seq : int; t_ns : int; cat : category; msg : string }
 
 let ring_capacity = 1024
@@ -37,21 +45,34 @@ let ring_next = ref 0
 let total = ref 0
 
 (* Categories routed to the stderr pretty-printer. *)
-let stderr_cats : (category, unit) Hashtbl.t = Hashtbl.create 8
+let to_stderr = Array.make (List.length all) false
 let json_oc : out_channel option ref = ref None
 let sinks : (event -> unit) list ref = ref []
-let initialized = ref false
+
+(* Per category: would any sink observe an event? Recomputed by every
+   configuration change, so that [enabled] is one load. *)
+let observed = Array.make (List.length all) false
+
+let refresh () =
+  let any = !json_oc <> None || !sinks <> [] in
+  Array.iteri (fun i on -> observed.(i) <- on || any) to_stderr
 
 let close_json () =
   match !json_oc with
   | None -> ()
   | Some oc ->
       json_oc := None;
-      close_out_noerr oc
+      close_out_noerr oc;
+      refresh ()
 
 let open_json path =
   close_json ();
-  json_oc := Some (open_out path)
+  json_oc := Some (open_out path);
+  refresh ()
+
+let set_stderr c on =
+  to_stderr.(index c) <- on;
+  refresh ()
 
 let parse_spec spec enable1 =
   match spec with
@@ -63,49 +84,27 @@ let parse_spec spec enable1 =
                (fun c -> if category_name c = String.trim name then enable1 c)
                all)
 
-let apply_env () =
+let () =
   (match Sys.getenv_opt "OSIRIS_TRACE" with
   | None | Some "" -> ()
-  | Some spec -> parse_spec spec (fun c -> Hashtbl.replace stderr_cats c ()));
+  | Some spec -> parse_spec spec (fun c -> set_stderr c true));
   match Sys.getenv_opt "OSIRIS_TRACE_JSON" with
   | None | Some "" -> ()
   | Some path -> open_json path
 
-(* Explicit configuration forces env initialization first, so a later
-   first [enabled] probe can never override what a test set up. *)
-let ensure_init () =
-  if not !initialized then begin
-    initialized := true;
-    apply_env ()
-  end
-
-let enable c =
-  ensure_init ();
-  Hashtbl.replace stderr_cats c ()
-
-let disable c =
-  ensure_init ();
-  Hashtbl.remove stderr_cats c
-
+let enable c = set_stderr c true
+let disable c = set_stderr c false
 let enable_all () = List.iter enable all
 
 let set_json_path = function
-  | Some path ->
-      ensure_init ();
-      open_json path
-  | None ->
-      ensure_init ();
-      close_json ()
+  | Some path -> open_json path
+  | None -> close_json ()
 
 let on_event f =
-  ensure_init ();
-  sinks := f :: !sinks
+  sinks := f :: !sinks;
+  refresh ()
 
-let init_from_env () = ensure_init ()
-
-let enabled c =
-  ensure_init ();
-  Hashtbl.mem stderr_cats c || !json_oc <> None || !sinks <> []
+let enabled c = observed.(index c)
 
 let events_emitted () = !total
 
@@ -119,10 +118,10 @@ let recent () =
   List.rev !out
 
 let reset_for_testing () =
-  initialized := true;
-  Hashtbl.reset stderr_cats;
+  Array.fill to_stderr 0 (Array.length to_stderr) false;
   close_json ();
   sinks := [];
+  refresh ();
   Array.fill ring 0 ring_capacity None;
   ring_next := 0;
   total := 0
@@ -147,7 +146,7 @@ let emit c ~now msg =
     let ev = { seq = !total; t_ns = now; cat = c; msg } in
     ring.(!ring_next) <- Some ev;
     ring_next := (!ring_next + 1) mod ring_capacity;
-    if Hashtbl.mem stderr_cats c then
+    if to_stderr.(index c) then
       Printf.eprintf "[%10.2fus %s] %s\n%!"
         (float_of_int ev.t_ns /. 1e3)
         (category_name c) msg;

@@ -12,11 +12,12 @@
       {e every} category;
     - arbitrary callbacks installed with {!on_event}.
 
-    Tracing is off by default and costs one branch when disabled. The
-    environment is consulted once, lazily; explicit {!enable}/{!disable}
-    calls force that initialization first so tests cannot race the env
-    latch, and {!reset_for_testing} restores a clean, env-independent
-    state. *)
+    Tracing is off by default, and {!enabled} is one load: every
+    configuration change recomputes a per-category flag. The
+    environment is consulted once, when the module is initialised, so
+    explicit configuration always overrides it and tests cannot race
+    the env latch; {!reset_for_testing} restores a clean,
+    env-independent state. *)
 
 type category =
   | Board_tx  (** transmit processor: chain loads, completions *)
@@ -41,8 +42,10 @@ val disable : category -> unit
 val enable_all : unit -> unit
 
 val enabled : category -> bool
-(** Cheap guard for call sites that would otherwise build strings: true
-    when any sink would observe an event of this category. *)
+(** Guard for call sites that would otherwise build strings: true when
+    any sink would observe an event of this category. One load, kept
+    current by {!enable}, {!disable}, {!set_json_path}, {!on_event},
+    {!reset_for_testing} and the environment. *)
 
 val emit : category -> now:int -> string -> unit
 (** Emit one event (no trailing newline needed in [msg]). *)
@@ -72,10 +75,6 @@ val pp_event : Format.formatter -> event -> unit
 val event_json : event -> Json.t
 
 (** {2 Lifecycle} *)
-
-val init_from_env : unit -> unit
-(** Parse [OSIRIS_TRACE] / [OSIRIS_TRACE_JSON]. Called lazily by the
-    first emit or configuration call; idempotent. *)
 
 val reset_for_testing : unit -> unit
 (** Disable every category, close the JSONL sink, drop callback sinks and

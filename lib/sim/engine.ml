@@ -6,14 +6,23 @@ type handle = {
 
 type chooser = now:Time.t -> count:int -> int
 
-type backend = Timer_wheel | Binary_heap
+(* The event queue is two structures that together dispatch in
+   (time, seq) order:
 
-(* Both queues implement the same (key, seq) contract; the wheel is the
-   default, the heap is kept for differential testing (and as the
-   fallback should a workload ever need to schedule below the wheel's
-   pop floor — the engine itself never does). *)
-type events = E_wheel of handle Wheel.t | E_heap of handle Heap.t
+   - a 4-ary min-heap on (time, seq), held in three parallel arrays so
+     an entry costs no allocation;
+   - a FIFO ring of the events due at exactly [clock], in seq order.
 
+   An event scheduled for the current instant goes to the FIFO, any
+   later one to the heap. Every heap entry due now was added before the
+   clock reached its time, so its seq is lower than any FIFO entry's:
+   serving the heap's entries at [clock] first, then the FIFO, is
+   exactly (time, seq) order. The FIFO only ever holds one instant,
+   because the clock never moves while it is non-empty: [take] serves
+   it before any later heap entry, and [run ~until] and [skip_to] only
+   move the clock strictly before the next queued time. Vacated slots
+   of both are overwritten with [dummy], so a fired event's closure is
+   never pinned. *)
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
@@ -21,21 +30,35 @@ type t = {
   mutable dispatched : int;
   mutable chooser : chooser option;
   mutable horizon : Time.t; (* the running [run]'s [until]; -1 outside [run] *)
-  events : events;
+  mutable heap_time : int array;
+  mutable heap_seq : int array;
+  mutable heap_ev : handle array;
+  mutable heap_len : int;
+  mutable fifo : handle array; (* ring; length a power of two *)
+  mutable fifo_first : int;
+  mutable fifo_len : int;
 }
 
 exception Stopped
 
-let dummy_handle = { cancelled = true; queued = false; fn = ignore }
+let dummy = { cancelled = true; queued = false; fn = ignore }
 
-let create ?(backend = Timer_wheel) () =
-  let events =
-    match backend with
-    | Timer_wheel -> E_wheel (Wheel.create ~dummy:dummy_handle)
-    | Binary_heap -> E_heap (Heap.create ())
-  in
-  { clock = Time.zero; seq = 0; stopping = false; dispatched = 0;
-    chooser = None; horizon = -1; events }
+let create () =
+  {
+    clock = Time.zero;
+    seq = 0;
+    stopping = false;
+    dispatched = 0;
+    chooser = None;
+    horizon = -1;
+    heap_time = Array.make 64 0;
+    heap_seq = Array.make 64 0;
+    heap_ev = Array.make 64 dummy;
+    heap_len = 0;
+    fifo = Array.make 16 dummy;
+    fifo_first = 0;
+    fifo_len = 0;
+  }
 
 let set_chooser t c = t.chooser <- c
 
@@ -43,56 +66,125 @@ let now t = t.clock
 
 let events_dispatched t = t.dispatched
 
-let ev_add t ~key ~seq h =
-  h.queued <- true;
-  match t.events with
-  | E_wheel q -> Wheel.add q ~key ~seq h
-  | E_heap q ->
-      (Heap.add q ~key ~seq h
-      [@osiris.alloc_ok
-        "heap backend boxes one Entry per add; it exists for differential \
-         testing, the production backend is the wheel"])
+let pending t = t.heap_len + t.fifo_len
 
-(* Allocation-free dispatch primitives: [ev_take] raises [Not_found] on
-   an empty queue, and the popped entry's (time, seq) is read back
-   through [ev_last_key] — the option-returning [ev_pop]/[ev_peek]
-   remain for the chooser path, which allocates anyway. *)
-let ev_take t =
+(* Earliest queued time, [max_int] when empty: the FIFO's instant is
+   the clock, and no heap entry is earlier. *)
+let next_key t =
+  if t.fifo_len > 0 then t.clock
+  else if t.heap_len > 0 then t.heap_time.(0)
+  else max_int
+
+let grow_heap t =
+  let n = 2 * Array.length t.heap_time in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 t.heap_len;
+    b
+  in
+  t.heap_time <- extend t.heap_time 0;
+  t.heap_seq <- extend t.heap_seq 0;
+  t.heap_ev <- extend t.heap_ev dummy
+
+let grow_fifo t =
+  let cap = Array.length t.fifo in
+  let b = Array.make (2 * cap) dummy in
+  for i = 0 to t.fifo_len - 1 do
+    b.(i) <- t.fifo.((t.fifo_first + i) land (cap - 1))
+  done;
+  t.fifo <- b;
+  t.fifo_first <- 0
+
+let set_slot t i time seq h =
+  t.heap_time.(i) <- time;
+  t.heap_seq.(i) <- seq;
+  t.heap_ev.(i) <- h
+
+(* Sift loops move the hole rather than swapping, and live at top level:
+   defined inside [push]/[take] they would capture [t] and allocate a
+   closure per operation. *)
+let rec sift_up t i time seq h =
+  if i = 0 then set_slot t 0 time seq h
+  else begin
+    let p = (i - 1) / 4 in
+    let pt = t.heap_time.(p) in
+    if time < pt || (time = pt && seq < t.heap_seq.(p)) then begin
+      set_slot t i pt t.heap_seq.(p) t.heap_ev.(p);
+      sift_up t p time seq h
+    end
+    else set_slot t i time seq h
+  end
+
+let less t a b =
+  let ta = t.heap_time.(a) and tb = t.heap_time.(b) in
+  ta < tb || (ta = tb && t.heap_seq.(a) < t.heap_seq.(b))
+
+let rec sift_down t i time seq h =
+  let n = t.heap_len in
+  let c = (4 * i) + 1 in
+  if c >= n then set_slot t i time seq h
+  else begin
+    let m = c in
+    let m = if c + 1 < n && less t (c + 1) m then c + 1 else m in
+    let m = if c + 2 < n && less t (c + 2) m then c + 2 else m in
+    let m = if c + 3 < n && less t (c + 3) m then c + 3 else m in
+    let mt = t.heap_time.(m) in
+    if mt < time || (mt = time && t.heap_seq.(m) < seq) then begin
+      set_slot t i mt t.heap_seq.(m) t.heap_ev.(m);
+      sift_down t m time seq h
+    end
+    else set_slot t i time seq h
+  end
+
+(* Queue [h] at [time] (never before the clock) with a fresh seq. *)
+let push t ~time h =
+  h.queued <- true;
+  if time = t.clock then begin
+    if t.fifo_len = Array.length t.fifo then
+      (grow_fifo t
+      [@osiris.alloc_ok
+        "ring doubling: once per doubling of the deepest same-instant \
+         backlog, then reused"]);
+    t.fifo.((t.fifo_first + t.fifo_len) land (Array.length t.fifo - 1)) <- h;
+    t.fifo_len <- t.fifo_len + 1
+  end
+  else begin
+    if t.heap_len = Array.length t.heap_time then
+      (grow_heap t
+      [@osiris.alloc_ok
+        "heap doubling: once per doubling of the deepest queue, then \
+         reused"]);
+    t.heap_len <- t.heap_len + 1;
+    sift_up t (t.heap_len - 1) time t.seq h
+  end;
+  t.seq <- t.seq + 1
+
+(* Remove the next event in (time, seq) order and move the clock to its
+   time. The caller guarantees the queue is non-empty. *)
+let take t =
   let h =
-    match t.events with E_wheel q -> Wheel.take q | E_heap q -> Heap.take q
+    if t.fifo_len > 0 && (t.heap_len = 0 || t.heap_time.(0) > t.clock)
+    then begin
+      let i = t.fifo_first in
+      let h = t.fifo.(i) in
+      t.fifo.(i) <- dummy;
+      t.fifo_first <- (i + 1) land (Array.length t.fifo - 1);
+      t.fifo_len <- t.fifo_len - 1;
+      h
+    end
+    else begin
+      let h = t.heap_ev.(0) in
+      t.clock <- t.heap_time.(0);
+      let n = t.heap_len - 1 in
+      t.heap_len <- n;
+      let last = t.heap_ev.(n) in
+      t.heap_ev.(n) <- dummy;
+      if n > 0 then sift_down t 0 t.heap_time.(n) t.heap_seq.(n) last;
+      h
+    end
   in
   h.queued <- false;
   h
-
-let ev_last_key t =
-  match t.events with
-  | E_wheel q -> Wheel.last_key q
-  | E_heap q -> Heap.last_key q
-
-let ev_next_key t =
-  match t.events with
-  | E_wheel q -> Wheel.next_key q
-  | E_heap q -> Heap.next_key q
-
-let ev_last_seq t =
-  match t.events with
-  | E_wheel q -> Wheel.last_seq q
-  | E_heap q -> Heap.last_seq q
-
-let ev_pop t =
-  match ev_take t with
-  | exception Not_found -> None
-  | h -> Some (ev_last_key t, ev_last_seq t, h)
-
-let ev_peek t =
-  match t.events with
-  | E_wheel q -> Wheel.peek_key q
-  | E_heap q -> Heap.peek_key q
-
-let pending t =
-  match t.events with
-  | E_wheel q -> Wheel.length q
-  | E_heap q -> Heap.length q
 
 let check_time t time =
   if time < t.clock then
@@ -103,8 +195,7 @@ let check_time t time =
 let schedule_at t ~time fn =
   check_time t time;
   let h = { cancelled = false; queued = false; fn } in
-  ev_add t ~key:time ~seq:t.seq h;
-  t.seq <- t.seq + 1;
+  push t ~time h;
   h
 
 let schedule t ~delay fn =
@@ -116,8 +207,7 @@ let reschedule_at t ~time h =
     invalid_arg "Engine.reschedule_at: handle is still queued";
   check_time t time;
   h.cancelled <- false;
-  ev_add t ~key:time ~seq:t.seq h;
-  t.seq <- t.seq + 1
+  push t ~time h
 
 let reschedule t ~delay h =
   if delay < 0 then invalid_arg "Engine.reschedule: negative delay";
@@ -134,77 +224,75 @@ let skip_to t time =
   if
     time <= t.horizon && time >= t.clock && (not t.stopping)
     && (match t.chooser with None -> true | Some _ -> false)
-    && time < ev_next_key t
+    && time < next_key t
   then begin
     t.clock <- time;
     true
   end
   else false
 
-(* Pop every live (non-cancelled) event scheduled at [key], in seq order.
-   Cancelled entries are dropped on the way — they must not count as
-   schedulable alternatives. *)
-let pop_instant t key =
+(* Pop every live (non-cancelled) event due at the next instant, in seq
+   order; cancelled entries are dropped on the way — they must not count
+   as schedulable alternatives. *)
+let pop_instant t =
+  let key = next_key t in
   let rec go acc =
-    match ev_peek t with
-    | Some k when k = key -> (
-        match ev_pop t with
-        | Some (_, seq, h) ->
-            go (if h.cancelled then acc else (seq, h) :: acc)
-        | None -> acc)
-    | _ -> acc
+    if pending t > 0 && next_key t = key then
+      let h = take t in
+      go (if h.cancelled then acc else h :: acc)
+    else List.rev acc
   in
-  List.rev (go [])
+  go []
 
 (* One scheduling decision. [`Skipped] is a dispatch that consumed only
    cancelled handles — it advances the clock (matching the historical
    behaviour) but must not count against a [run ~max_events] budget. *)
 let step_live t =
-  match t.chooser with
-  | None -> (
-      match ev_take t with
-      | exception Not_found -> `Empty
-      | h ->
-          t.clock <- ev_last_key t;
-          if h.cancelled then `Skipped
-          else begin
+  if pending t = 0 then `Empty
+  else
+    match t.chooser with
+    | None ->
+        let h = take t in
+        if h.cancelled then `Skipped
+        else begin
+          t.dispatched <- t.dispatched + 1;
+          (h.fn ()
+          [@osiris.alloc_ok
+            "dispatch: what the callback allocates is the callback's \
+             budget, not the engine's"]);
+          `Dispatched
+        end
+    | Some choose -> (
+        let clock = t.clock in
+        match pop_instant t with
+        | [] ->
+            (* Only cancelled events at this instant: under a chooser
+               the clock moves on dispatch only. *)
+            t.clock <- clock;
+            `Skipped
+        | [ h ] ->
             t.dispatched <- t.dispatched + 1;
-            (h.fn ()
-            [@osiris.alloc_ok
-              "dispatch: what the callback allocates is the callback's \
-               budget, not the engine's"]);
+            h.fn ();
             `Dispatched
-          end)
-  | Some choose ->
-      ((match ev_peek t with
-       | None -> `Empty
-       | Some key -> (
-           match pop_instant t key with
-           | [] -> `Skipped (* only cancelled events at this instant *)
-           | [ (_, h) ] ->
-               t.clock <- key;
-               t.dispatched <- t.dispatched + 1;
-               h.fn ();
-               `Dispatched
-           | candidates ->
-               let n = List.length candidates in
-               let i = choose ~now:key ~count:n in
-               if i < 0 || i >= n then
-                 invalid_arg
-                   (Printf.sprintf
-                      "Engine: chooser picked %d of %d candidates" i n);
-               let _, h = List.nth candidates i in
-               List.iteri
-                 (fun j (seq, h') -> if j <> i then ev_add t ~key ~seq h')
-                 candidates;
-               t.clock <- key;
-               t.dispatched <- t.dispatched + 1;
-               h.fn ();
-               `Dispatched))
-      [@osiris.alloc_ok
-        "schedule-explorer path: a chooser is installed only by \
-         Osiris_check interleaving searches, never in production or \
-         benchmark runs"])
+        | candidates ->
+            let n = List.length candidates in
+            let i = choose ~now:t.clock ~count:n in
+            if i < 0 || i >= n then
+              invalid_arg
+                (Printf.sprintf "Engine: chooser picked %d of %d candidates"
+                   i n);
+            (* The instant is empty now, so the others go back to the
+               FIFO in seq order, ahead of anything the pick schedules. *)
+            List.iteri (fun j h -> if j <> i then push t ~time:t.clock h)
+              candidates;
+            let h = List.nth candidates i in
+            t.dispatched <- t.dispatched + 1;
+            h.fn ();
+            `Dispatched)
+        [@osiris.alloc_ok
+          "schedule-explorer path: a chooser is installed only by \
+           Osiris_check interleaving searches, never in production or \
+           benchmark runs"]
 
 let step t = step_live t <> `Empty
 
@@ -221,7 +309,7 @@ let run ?until ?max_events t =
     &&
     match until with
     | None -> pending t > 0
-    | Some u -> ev_next_key t <= u (* max_int when empty: never <= u *)
+    | Some u -> next_key t <= u (* max_int when empty: never <= u *)
   in
   Fun.protect
     ~finally:(fun () -> t.horizon <- outer)
@@ -239,5 +327,5 @@ let run ?until ?max_events t =
      backwards). *)
   match until with
   | Some u when (not t.stopping) && t.clock < u ->
-      if ev_next_key t > u then t.clock <- u
+      if next_key t > u then t.clock <- u
   | _ -> ()

@@ -13,11 +13,19 @@
     is built on). Without a chooser the engine keeps its historical FIFO
     tie-break, bit-for-bit.
 
-    The queue behind the engine is pluggable too ({!backend}): the
-    default hierarchical timer wheel and the original binary heap
-    implement the identical [(time, seq)] dispatch order — the test
-    suite proves it event for event — so the choice affects wall-clock
-    speed only, never simulation outcomes. *)
+    {b The queue.} Every scheduled callback gets a fresh sequence number
+    and dispatch is in [(time, seq)] order. A callback due at exactly
+    the current instant goes to a FIFO ring; any later one to a 4-ary
+    min-heap on [(time, seq)] held in parallel arrays. A heap entry due
+    at the current instant was queued before the clock reached that
+    instant, so its seq is lower than that of every FIFO entry: serving
+    the heap's entries at the current instant first and the FIFO after
+    them is exactly [(time, seq)] order. An event costs one handle
+    record (none for {!reschedule}) and no other allocation: a
+    zero-delay event is O(1) and a later one O(log n) moves within the
+    arrays, and only doubling an array allocates. Vacated slots are
+    cleared, so a fired callback's closure is never pinned by the
+    queue. *)
 
 type t
 
@@ -25,18 +33,8 @@ type handle
 (** Identifies a scheduled event so it can be cancelled or, once it has
     fired, rescheduled. *)
 
-type backend =
-  | Timer_wheel
-      (** Hierarchical timer wheel (default): O(1) for imminent events,
-          no per-event allocation in steady state. *)
-  | Binary_heap
-      (** The original array heap: O(log n) per operation. Kept for
-          differential testing against the wheel. *)
-
-val create : ?backend:backend -> unit -> t
-(** A fresh engine with the clock at {!Time.zero}. [backend] (default
-    [Timer_wheel]) selects the event-queue implementation; dispatch
-    order is identical across backends. *)
+val create : unit -> t
+(** A fresh engine with the clock at {!Time.zero}. *)
 
 val now : t -> Time.t
 (** Current simulated time. *)

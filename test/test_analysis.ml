@@ -28,8 +28,9 @@ let policy =
      own ent_head lib/lb/reps.ml\n\
      own ent_tail lib/lb/reps.ml\n\
      own cached lib/lb/reps.ml\n\
-     own cur lib/sim/wheel.ml\n\
-     own free lib/sim/wheel.ml\n\
+     own heap_len lib/sim/engine.ml\n\
+     own fifo_first lib/sim/engine.ml\n\
+     own fifo_len lib/sim/engine.ml\n\
      own c_count lib/classify/table.ml\n\
      own c_maxd lib/classify/table.ml\n\
      own c_lookups lib/classify/table.ml\n\
@@ -126,14 +127,16 @@ let test_exemptions_need_justification () =
   Alcotest.(check bool) "uncovered parsed" true (Policy.uncovered_ok ok "x.y")
 
 let test_hot_directive () =
-  let p = Policy.of_string "hot lib/sim/wheel.ml:add\nhot lib/atm/sar.ml:push\n" in
+  let p =
+    Policy.of_string "hot lib/sim/engine.ml:push\nhot lib/atm/sar.ml:push\n"
+  in
   Alcotest.(check (list (pair string string)))
     "hot entries"
-    [ ("lib/sim/wheel.ml", "add"); ("lib/atm/sar.ml", "push") ]
+    [ ("lib/sim/engine.ml", "push"); ("lib/atm/sar.ml", "push") ]
     p.Policy.hot;
   Alcotest.(check bool) "is_hot" true
-    (Policy.is_hot p ~file:"lib/sim/wheel.ml" ~fn:"add");
-  match Policy.of_string "hot lib/sim/wheel.ml\n" with
+    (Policy.is_hot p ~file:"lib/sim/engine.ml" ~fn:"push");
+  match Policy.of_string "hot lib/sim/engine.ml\n" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "hot without :function accepted"
 
@@ -155,7 +158,7 @@ let test_check_tree_over_fixtures () =
   let vs = Lint.check_tree policy [ fixture_root ] in
   let count r = List.length (List.filter (fun v -> v.Lint.rule = r) vs) in
   Alcotest.(check int) "one R0" 1 (count "R0");
-  Alcotest.(check int) "R1 per foreign write" 11 (count "R1");
+  Alcotest.(check int) "R1 per foreign write" 12 (count "R1");
   Alcotest.(check int) "one R2" 1 (count "R2");
   Alcotest.(check int) "two R3" 2 (count "R3");
   Alcotest.(check int) "R4 for every .mli-less fixture .ml" 9 (count "R4");

@@ -226,6 +226,42 @@ let test_sar_overflow_rejected () =
         reason
   | _ -> Alcotest.fail "overflow went unnoticed"
 
+(* ------------------------------------------------------------------ *)
+(* Trace guard: [enabled] is a cached flag, so every configuration
+   change must update it. *)
+
+let test_trace_enabled_follows_configuration () =
+  let module Trace = Osiris_obs.Trace in
+  let expect what want =
+    List.iter
+      (fun c ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s" what (Trace.category_name c))
+          (want c) (Trace.enabled c))
+      Trace.all
+  in
+  let none _ = false and every _ = true in
+  Trace.reset_for_testing ();
+  expect "after reset" none;
+  Trace.enable Trace.Driver;
+  Trace.enable Trace.Link;
+  expect "stderr for two categories" (fun c ->
+      c = Trace.Driver || c = Trace.Link);
+  Trace.disable Trace.Driver;
+  expect "one disabled" (fun c -> c = Trace.Link);
+  let path = Filename.temp_file "osiris_trace" ".jsonl" in
+  Trace.set_json_path (Some path);
+  expect "JSONL sink open" every;
+  Trace.set_json_path None;
+  Sys.remove path;
+  expect "JSONL sink closed" (fun c -> c = Trace.Link);
+  Trace.reset_for_testing ();
+  expect "reset clears stderr" none;
+  Trace.on_event ignore;
+  expect "callback sink" every;
+  Trace.reset_for_testing ();
+  expect "reset drops the callback" none
+
 let suite =
   [
     Alcotest.test_case "counter aggregation & reset" `Quick
@@ -245,4 +281,6 @@ let suite =
       test_sar_duplicate_rejected;
     Alcotest.test_case "sar per-link overflow rejected" `Quick
       test_sar_overflow_rejected;
+    Alcotest.test_case "trace: enabled follows configuration" `Quick
+      test_trace_enabled_follows_configuration;
   ]

@@ -302,148 +302,346 @@ let test_reschedule_after_cancel () =
   check "re-armed handle is live again" 1 !fired
 
 (* ------------------------------------------------------------------ *)
-(* Space-leak regressions: popped entries must not pin their values.  *)
+(* Space-leak regressions: a fired event's closure must not stay pinned
+   by the slot it was queued in. *)
 
-(* Build outside the caller's frame so no stack root keeps [v] alive. *)
-let[@inline never] weak_after_pop add_pop =
+(* Schedule outside the caller's frame so no stack root keeps [v]
+   alive; the returned weak pointer watches the closure's capture. *)
+let[@inline never] schedule_watched eng ~delay =
   let v = Bytes.make 64 'x' in
   let w = Weak.create 1 in
   Weak.set w 0 (Some v);
-  add_pop v;
+  ignore
+    (Engine.schedule eng ~delay (fun () -> ignore (Sys.opaque_identity v)));
   w
 
-let test_heap_releases_popped_values () =
-  let h = Heap.create () in
-  let w =
-    weak_after_pop (fun v ->
-        Heap.add h ~key:1 ~seq:0 v;
-        match Heap.pop_min h with
-        | Some (1, 0, _) -> ()
-        | _ -> Alcotest.fail "heap pop mismatch")
-  in
+let released_after_fire ~delay =
+  let eng = Engine.create () in
+  let w = schedule_watched eng ~delay in
+  Engine.run eng;
   Gc.full_major ();
-  Alcotest.(check bool) "popped heap value collected (heap still alive)"
+  check "fired" 1 (Engine.events_dispatched eng);
+  Weak.get w 0 = None
+
+let test_heap_slot_released () =
+  Alcotest.(check bool) "closure of a later event collected (engine alive)"
     true
-    (Weak.get w 0 = None)
+    (released_after_fire ~delay:10)
 
-let test_wheel_releases_popped_values () =
-  let wh = Wheel.create ~dummy:Bytes.empty in
-  let w =
-    weak_after_pop (fun v ->
-        Wheel.add wh ~key:1 ~seq:0 v;
-        match Wheel.pop_min wh with
-        | Some (1, 0, _) -> ()
-        | _ -> Alcotest.fail "wheel pop mismatch")
-  in
-  Gc.full_major ();
-  Alcotest.(check bool) "popped wheel value collected (wheel still alive)"
-    true
-    (Weak.get w 0 = None)
+let test_fifo_slot_released () =
+  Alcotest.(check bool)
+    "closure of a same-instant event collected (engine alive)" true
+    (released_after_fire ~delay:0)
 
-(* ------------------------------------------------------------------ *)
-(* Timer wheel unit behaviour. *)
-
-let test_wheel_cascade () =
-  let wh = Wheel.create ~dummy:(-1) in
-  (* Keys spanning many levels, including same-key FIFO runs. *)
-  let keys = [ 0; 5; 5; 31; 32; 1_000; 33_554_432; 1_000_000_000; 7 ] in
-  List.iteri (fun seq k -> Wheel.add wh ~key:k ~seq seq) keys;
-  Alcotest.(check (option int)) "peek" (Some 0) (Wheel.peek_key wh);
-  let popped = ref [] in
-  let rec drain () =
-    match Wheel.pop_min wh with
-    | None -> ()
-    | Some (k, s, v) ->
-        Alcotest.(check int) "value is its own seq" s v;
-        popped := (k, s) :: !popped;
-        drain ()
-  in
-  drain ();
+(* Keys spanning every scale, with same-key runs, come out in (time,
+   seq) order. *)
+let test_keys_across_scales () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let keys = [ 0; 5; 5; 31; 32; 1_000; 33_554_432; 1_000_000_000; 7; 0 ] in
+  List.iteri
+    (fun i k ->
+      ignore
+        (Engine.schedule_at eng ~time:k (fun () ->
+             log := (Engine.now eng, i) :: !log)))
+    keys;
+  Engine.run eng;
   Alcotest.(check (list (pair int int)))
-    "keys ascend, ties in seq order"
-    [ (0, 0); (5, 1); (5, 2); (7, 8); (31, 3); (32, 4); (1_000, 5);
+    "keys ascend, ties in schedule order"
+    [ (0, 0); (0, 9); (5, 1); (5, 2); (7, 8); (31, 3); (32, 4); (1_000, 5);
       (33_554_432, 6); (1_000_000_000, 7) ]
-    (List.rev !popped)
-
-let test_wheel_floor_rejects_past () =
-  let wh = Wheel.create ~dummy:0 in
-  Wheel.add wh ~key:100 ~seq:0 0;
-  ignore (Wheel.pop_min wh);
-  check "floor follows pops" 100 (Wheel.floor wh);
-  Alcotest.check_raises "below the floor"
-    (Invalid_argument "Wheel.add: key 99 below the pop floor 100")
-    (fun () -> Wheel.add wh ~key:99 ~seq:1 0)
+    (List.rev !log)
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler vs naive model: random add/pop sequences against a sorted
-   association list, identical for both backends. *)
+(* The engine against a sorted-list model. A generated script drives
+   one engine and one model through the same [schedule],
+   [schedule_at] now, [cancel], [reschedule] and [reschedule_at] calls,
+   between runs and from inside callbacks, under [run], [run ~until]
+   and [run ~max_events]. The model is a list of queued (time, seq, id)
+   entries kept sorted, and a [run] written out over it. Both sides
+   log every dispatch as (id, now) and, after every run, [now],
+   [pending] and [events_dispatched]; the logs must be equal. *)
 
-let scheduler_model_prop name add pop peek fresh =
-  QCheck.Test.make ~name ~count:200
-    QCheck.(list (pair (int_bound 4) (int_bound 1000)))
-    (fun ops ->
-      let q = fresh () in
-      let model = ref [] in
-      let seq = ref 0 and floor = ref 0 in
-      let fail = ref None in
-      let insert e l =
-        let le (k, s) (k', s') = k < k' || (k = k' && s <= s') in
-        let rec go = function
-          | [] -> [ e ]
-          | x :: tl -> if le x e then x :: go tl else e :: x :: tl
+type act =
+  | Sched of int  (** schedule a new event this far ahead *)
+  | Sched_now  (** [schedule_at] the current instant *)
+  | Cancel of int  (** cancel handle [k mod count] *)
+  | Resched of int * int  (** re-arm handle [k mod count] this far ahead *)
+  | Resched_now of int  (** [reschedule_at] it at the current instant *)
+  | Resched_self of int  (** a callback re-arming its own handle *)
+  | Stop
+
+type bound = Run | Until of int | Max of int | Until_max of int * int
+
+type script = {
+  top : (act list * bound) list;  (** calls made between runs, then a run *)
+  inner : act list array;  (** event [id]'s callback runs [inner.(id mod n)] *)
+}
+
+(* Delays: the current instant, a few ns (same-time collisions), up to
+   50 ns, microseconds and milliseconds. *)
+let gen_delay =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return 0);
+        (2, int_range 1 4);
+        (2, int_range 1 50);
+        (2, map Time.us (int_range 1 3));
+        (1, map Time.ms (int_range 1 2));
+      ])
+
+let gen_act ~inner =
+  QCheck.Gen.(
+    frequency
+      ([
+         (4, map (fun d -> Sched d) gen_delay);
+         (2, return Sched_now);
+         (2, map (fun k -> Cancel k) small_nat);
+         (2, map2 (fun k d -> Resched (k, d)) small_nat gen_delay);
+         (1, map (fun k -> Resched_now k) small_nat);
+       ]
+      @
+      if inner then
+        [ (2, map (fun d -> Resched_self d) gen_delay); (1, return Stop) ]
+      else []))
+
+let gen_bound =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Run);
+        (2, map (fun d -> Until d) gen_delay);
+        (2, map (fun n -> Max n) (int_range 1 6));
+        (1, map2 (fun d n -> Until_max (d, n)) gen_delay (int_range 1 6));
+      ])
+
+let gen_script =
+  QCheck.Gen.(
+    map2
+      (fun top inner -> { top; inner = Array.of_list inner })
+      (list_size (int_range 1 25)
+         (pair (list_size (int_range 0 6) (gen_act ~inner:false)) gen_bound))
+      (list_size (int_range 1 8)
+         (list_size (int_range 0 3) (gen_act ~inner:true))))
+
+let pp_act = function
+  | Sched d -> Printf.sprintf "sched %d" d
+  | Sched_now -> "sched_now"
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Resched (k, d) -> Printf.sprintf "resched %d %d" k d
+  | Resched_now k -> Printf.sprintf "resched_now %d" k
+  | Resched_self d -> Printf.sprintf "resched_self %d" d
+  | Stop -> "stop"
+
+let pp_bound = function
+  | Run -> "run"
+  | Until d -> Printf.sprintf "until +%d" d
+  | Max n -> Printf.sprintf "max %d" n
+  | Until_max (d, n) -> Printf.sprintf "until +%d max %d" d n
+
+let pp_script s =
+  let acts l = "[" ^ String.concat "; " (List.map pp_act l) ^ "]" in
+  String.concat "\n"
+    (List.map (fun (a, d) -> acts a ^ " " ^ pp_bound d) s.top
+    @ Array.to_list
+        (Array.mapi
+           (fun i l -> Printf.sprintf "inner %d: %s" i (acts l))
+           s.inner))
+
+(* Either side of the comparison: the operations a script needs. Ids
+   are handle indices in creation order. [Some d] schedules [d] ahead
+   ([schedule], [reschedule]), [None] at the current instant
+   ([schedule_at], [reschedule_at]). [arm] returns false when the
+   handle is still queued (the engine raises [Invalid_argument]). *)
+type side = {
+  now : unit -> int;
+  pending : unit -> int;
+  dispatched : unit -> int;
+  create : int option -> (int -> unit) -> unit;
+  arm : int -> int option -> bool;
+  cancel : int -> unit;
+  stop : unit -> unit;
+  run : ?until:int -> ?max_events:int -> unit -> unit;
+}
+
+let engine_side () =
+  let eng = Engine.create () in
+  let handles = ref [||] in
+  {
+    now = (fun () -> Engine.now eng);
+    pending = (fun () -> Engine.pending eng);
+    dispatched = (fun () -> Engine.events_dispatched eng);
+    create =
+      (fun delay fire ->
+        let id = Array.length !handles in
+        let fn () = fire id in
+        let h =
+          match delay with
+          | Some delay -> Engine.schedule eng ~delay fn
+          | None -> Engine.schedule_at eng ~time:(Engine.now eng) fn
         in
-        go l
-      in
-      List.iter
-        (fun (op, d) ->
-          (if op = 0 then
-             match (pop q, !model) with
-             | Some (k, s, ()), (mk, ms) :: tl when k = mk && s = ms ->
-                 model := tl;
-                 floor := max !floor k
-             | None, [] -> ()
-             | _ -> fail := Some "pop diverged from model"
-           else begin
-             let key = !floor + d in
-             add q ~key ~seq:!seq ();
-             model := insert (key, !seq) !model;
-             incr seq
-           end);
-          let want = match !model with [] -> None | (k, _) :: _ -> Some k in
-          if peek q <> want then fail := Some "peek diverged from model")
-        ops;
-      let rec drain () =
-        match (pop q, !model) with
-        | None, [] -> ()
-        | Some (k, s, ()), (mk, ms) :: tl when k = mk && s = ms ->
-            model := tl;
-            drain ()
-        | _ -> fail := Some "drain diverged from model"
-      in
-      drain ();
-      match !fail with None -> true | Some m -> QCheck.Test.fail_report m)
+        handles := Array.append !handles [| h |]);
+    arm =
+      (fun id delay ->
+        let h = !handles.(id) in
+        match
+          match delay with
+          | Some delay -> Engine.reschedule eng ~delay h
+          | None -> Engine.reschedule_at eng ~time:(Engine.now eng) h
+        with
+        | () -> true
+        | exception Invalid_argument _ -> false);
+    cancel = (fun id -> Engine.cancel !handles.(id));
+    stop = (fun () -> Engine.stop eng);
+    run = (fun ?until ?max_events () -> Engine.run ?until ?max_events eng);
+  }
 
-let wheel_model_prop =
-  scheduler_model_prop "wheel matches sorted-list model"
-    (fun q ~key ~seq v -> Wheel.add q ~key ~seq v)
-    Wheel.pop_min Wheel.peek_key
-    (fun () -> Wheel.create ~dummy:())
+type mh = {
+  mutable m_cancelled : bool;
+  mutable m_queued : bool;
+  m_fire : int -> unit;
+}
 
-let heap_model_prop =
-  scheduler_model_prop "heap matches sorted-list model"
-    (fun q ~key ~seq v -> Heap.add q ~key ~seq v)
-    Heap.pop_min Heap.peek_key
-    (fun () -> Heap.create ())
+let model_side () =
+  let clock = ref 0 and seq = ref 0 and dispatched = ref 0 in
+  let stopping = ref false in
+  let queue = ref [] (* (time, seq, id), sorted *) in
+  let handles = ref [||] in
+  let insert e =
+    let rec go = function
+      | [] -> [ e ]
+      | x :: tl -> if compare x e < 0 then x :: go tl else e :: x :: tl
+    in
+    queue := go !queue
+  in
+  let enqueue id delay =
+    !handles.(id).m_queued <- true;
+    insert (!clock + Option.value delay ~default:0, !seq, id);
+    incr seq
+  in
+  let next_time () = match !queue with [] -> max_int | (t, _, _) :: _ -> t in
+  let run ?until ?max_events () =
+    stopping := false;
+    let executed = ref 0 in
+    let continue () =
+      (not !stopping)
+      && (match max_events with None -> true | Some m -> !executed < m)
+      &&
+      match until with None -> !queue <> [] | Some u -> next_time () <= u
+    in
+    while continue () do
+      match !queue with
+      | [] -> assert false
+      | (time, _, id) :: rest ->
+          queue := rest;
+          clock := time;
+          let h = !handles.(id) in
+          h.m_queued <- false;
+          if not h.m_cancelled then begin
+            incr dispatched;
+            incr executed;
+            h.m_fire id
+          end
+    done;
+    match until with
+    | Some u when (not !stopping) && !clock < u && next_time () > u ->
+        clock := u
+    | _ -> ()
+  in
+  {
+    now = (fun () -> !clock);
+    pending = (fun () -> List.length !queue);
+    dispatched = (fun () -> !dispatched);
+    create =
+      (fun delay fire ->
+        let id = Array.length !handles in
+        handles :=
+          Array.append !handles
+            [| { m_cancelled = false; m_queued = false; m_fire = fire } |];
+        enqueue id delay);
+    arm =
+      (fun id delay ->
+        let h = !handles.(id) in
+        if h.m_queued then false
+        else begin
+          h.m_cancelled <- false;
+          enqueue id delay;
+          true
+        end);
+    cancel = (fun id -> !handles.(id).m_cancelled <- true);
+    stop = (fun () -> stopping := true);
+    run;
+  }
+
+(* Play [script] on [side]; the log of what it observed. Scheduling is
+   capped so that self-re-arming callbacks terminate. *)
+let play script side =
+  let log = Buffer.create 1024 in
+  let arms = ref 0 and count = ref 0 in
+  let budget () = !arms < 400 in
+  let rec act ~self a =
+    match a with
+    | Sched d -> create (Some d)
+    | Sched_now -> create None
+    | Cancel k -> if !count > 0 then side.cancel (k mod !count)
+    | Resched (k, d) -> if !count > 0 then arm (k mod !count) (Some d)
+    | Resched_now k -> if !count > 0 then arm (k mod !count) None
+    | Resched_self d -> Option.iter (fun id -> arm id (Some d)) self
+    | Stop -> side.stop ()
+  and create delay =
+    if budget () then begin
+      incr arms;
+      incr count;
+      side.create delay fire
+    end
+  and arm id delay =
+    if budget () then begin
+      incr arms;
+      if not (side.arm id delay) then Buffer.add_string log "queued;"
+    end
+  and fire id =
+    Buffer.add_string log (Printf.sprintf "%d@%d;" id (side.now ()));
+    List.iter (act ~self:(Some id))
+      script.inner.(id mod Array.length script.inner)
+  in
+  List.iter
+    (fun (acts, bound) ->
+      List.iter (act ~self:None) acts;
+      (match bound with
+      | Run -> side.run ()
+      | Until d -> side.run ~until:(side.now () + d) ()
+      | Max n -> side.run ~max_events:n ()
+      | Until_max (d, n) -> side.run ~until:(side.now () + d) ~max_events:n ());
+      Buffer.add_string log
+        (Printf.sprintf "|now:%d pending:%d dispatched:%d|\n" (side.now ())
+           (side.pending ()) (side.dispatched ())))
+    script.top;
+  side.run ();
+  Buffer.add_string log
+    (Printf.sprintf "|end now:%d pending:%d dispatched:%d|" (side.now ())
+       (side.pending ()) (side.dispatched ()));
+  Buffer.contents log
+
+let engine_model_prop =
+  QCheck.Test.make ~name:"engine matches sorted-list model" ~count:500
+    (QCheck.make ~print:pp_script gen_script)
+    (fun script ->
+      let real = play script (engine_side ())
+      and model = play script (model_side ()) in
+      real = model
+      || QCheck.Test.fail_reportf "engine:\n%s\nmodel:\n%s" real model)
 
 (* ------------------------------------------------------------------ *)
-(* Differential dispatch order: the same seeded workload must dispatch
-   event for event identically on both backends. The workload draws its
-   delays, cancellations and fan-out from an RNG consumed inside the
-   callbacks, so the streams only stay aligned if every dispatch (and
-   every bounded-run clock adjustment) matches exactly. *)
+(* Pinned dispatch order: a seeded workload whose callbacks draw their
+   delays, cancellations and fan-out from an RNG, so the stream only
+   stays aligned if every dispatch (and every bounded-run clock
+   adjustment) matches exactly. The digests were recorded on the
+   hierarchical timer wheel this engine's queue replaced; plain and
+   under a seeded chooser, the trace must not move. *)
 
-let dispatch_trace ?chooser backend =
-  let eng = Engine.create ~backend () in
+let dispatch_trace ?chooser () =
+  let eng = Engine.create () in
   (match chooser with
   | None -> ()
   | Some seed ->
@@ -497,16 +695,16 @@ let dispatch_trace ?chooser backend =
        (Engine.events_dispatched eng));
   Buffer.contents buf
 
-let test_differential_dispatch () =
-  Alcotest.(check string) "wheel and heap dispatch identically"
-    (dispatch_trace Engine.Binary_heap)
-    (dispatch_trace Engine.Timer_wheel)
+let digest s = Digest.to_hex (Digest.string s)
 
-let test_differential_dispatch_chooser () =
-  Alcotest.(check string)
-    "wheel and heap agree under a randomized chooser"
-    (dispatch_trace ~chooser:11 Engine.Binary_heap)
-    (dispatch_trace ~chooser:11 Engine.Timer_wheel)
+let test_dispatch_trace_pinned () =
+  Alcotest.(check string) "trace digest" "6d279ae189c7286097a2d760ee27b9d9"
+    (digest (dispatch_trace ()))
+
+let test_dispatch_trace_pinned_chooser () =
+  Alcotest.(check string) "trace digest under chooser 11"
+    "b898e08907a561b54373668b661c28ef"
+    (digest (dispatch_trace ~chooser:11 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Process-level differential oracle. [Process.sleep] wakes a sleeper
@@ -535,8 +733,8 @@ let drive_name = function
   | Sliced_budgets -> "sliced budgets"
   | Chooser -> "chooser"
 
-let process_log ~reference ~drive backend =
-  let eng = Engine.create ~backend () in
+let process_log ~reference ~drive =
+  let eng = Engine.create () in
   let rng = Osiris_util.Rng.create ~seed:2024 in
   let int n = Osiris_util.Rng.int rng n in
   let sleep = if reference then reference_sleep else Process.sleep in
@@ -657,28 +855,29 @@ let process_log ~reference ~drive backend =
   done;
   (Buffer.contents log, Engine.events_dispatched eng)
 
+(* Per drive: the resume log's digest and the events each sleep
+   dispatches, recorded on the timer wheel this engine's queue
+   replaced. *)
+let pinned_logs =
+  [
+    (Unbounded, "2e411bf0848910b0de2925030edad6ed", 1195, 1531);
+    (Slices, "5a284636b4f8346016a8450ea2a4f6a3", 1198, 1531);
+    (Budgets, "b3c5f7805debae1b67c06ac39912e657", 877, 1231);
+    (Sliced_budgets, "b3c5f7805debae1b67c06ac39912e657", 882, 1231);
+    (Chooser, "d80b1b76753eaa2bebabd31250f2115d", 1232, 1232);
+  ]
+
 let test_sleep_matches_two_event_reference () =
   List.iter
-    (fun backend ->
-      List.iter
-        (fun drive ->
-          let real, real_events = process_log ~reference:false ~drive backend
-          and oracle, oracle_events =
-            process_log ~reference:true ~drive backend
-          in
-          let what =
-            Printf.sprintf "%s, %s"
-              (match backend with
-              | Engine.Timer_wheel -> "wheel"
-              | Engine.Binary_heap -> "heap")
-              (drive_name drive)
-          in
-          Alcotest.(check string) ("resume log: " ^ what) oracle real;
-          if drive <> Chooser && real_events >= oracle_events then
-            Alcotest.failf "%s: sleep dispatched %d events, reference %d" what
-              real_events oracle_events)
-        [ Unbounded; Slices; Budgets; Sliced_budgets; Chooser ])
-    [ Engine.Timer_wheel; Engine.Binary_heap ]
+    (fun (drive, pinned, pinned_real, pinned_oracle) ->
+      let real, real_events = process_log ~reference:false ~drive
+      and oracle, oracle_events = process_log ~reference:true ~drive in
+      let what = drive_name drive in
+      Alcotest.(check string) ("resume log: " ^ what) oracle real;
+      Alcotest.(check string) ("pinned digest: " ^ what) pinned (digest real);
+      check ("sleep events: " ^ what) pinned_real real_events;
+      check ("reference events: " ^ what) pinned_oracle oracle_events)
+    pinned_logs
 
 (* The skip path moves the clock without suspending, so it must not
    skip the in-process check: here nothing else is queued, the case it
@@ -701,23 +900,6 @@ let test_sleep_in_plain_callback () =
     (fun () -> Engine.run eng);
   Alcotest.(check bool) "no horizon outside run" false
     (Engine.skip_to eng (Engine.now eng + 1))
-
-(* Heap property: popping returns keys in nondecreasing order. *)
-let heap_prop =
-  QCheck.Test.make ~name:"heap pops sorted" ~count:200
-    QCheck.(list (pair small_nat small_nat))
-    (fun entries ->
-      let h = Heap.create () in
-      List.iteri (fun i (k, v) -> Heap.add h ~key:k ~seq:i v) entries;
-      let rec drain last acc =
-        match Heap.pop_min h with
-        | None -> List.rev acc
-        | Some (k, _, v) ->
-            if k < last then raise Exit;
-            drain k (v :: acc)
-      in
-      let popped = try drain min_int [] with Exit -> [] in
-      List.length popped = List.length entries)
 
 let suite =
   [
@@ -758,23 +940,19 @@ let suite =
       test_reschedule_queued_rejected;
     Alcotest.test_case "engine: reschedule revives cancelled handle" `Quick
       test_reschedule_after_cancel;
-    Alcotest.test_case "heap: popped values are released" `Quick
-      test_heap_releases_popped_values;
-    Alcotest.test_case "wheel: popped values are released" `Quick
-      test_wheel_releases_popped_values;
-    Alcotest.test_case "wheel: multi-level cascade order" `Quick
-      test_wheel_cascade;
-    Alcotest.test_case "wheel: floor rejects past keys" `Quick
-      test_wheel_floor_rejects_past;
-    Alcotest.test_case "differential: wheel vs heap dispatch" `Quick
-      test_differential_dispatch;
-    Alcotest.test_case "differential: wheel vs heap with chooser" `Quick
-      test_differential_dispatch_chooser;
+    Alcotest.test_case "engine: heap slot releases closure" `Quick
+      test_heap_slot_released;
+    Alcotest.test_case "engine: FIFO slot releases closure" `Quick
+      test_fifo_slot_released;
+    Alcotest.test_case "engine: keys across all scales" `Quick
+      test_keys_across_scales;
+    Alcotest.test_case "dispatch trace: parent digest" `Quick
+      test_dispatch_trace_pinned;
+    Alcotest.test_case "dispatch trace: chooser digest" `Quick
+      test_dispatch_trace_pinned_chooser;
     Alcotest.test_case "differential: sleep vs two-event reference" `Quick
       test_sleep_matches_two_event_reference;
     Alcotest.test_case "process: sleep in a plain callback" `Quick
       test_sleep_in_plain_callback;
-    QCheck_alcotest.to_alcotest heap_prop;
-    QCheck_alcotest.to_alcotest wheel_model_prop;
-    QCheck_alcotest.to_alcotest heap_model_prop;
+    QCheck_alcotest.to_alcotest engine_model_prop;
   ]
