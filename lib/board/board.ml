@@ -140,15 +140,22 @@ let make_board_metrics () =
       Metrics.histogram "board.rx.dma_span_bytes" ~lo:0. ~hi:128. ~buckets:16;
   }
 
+(* A loaded PDU. Its DMA plan is cut once, at load: [piece_off] holds
+   the data offset where each fetchable piece starts — at every
+   descriptor and every page boundary (the §2.5.2 boundary stop) —
+   followed by [data_len]. A fetch of cells [k, k+n) is one bus
+   transaction per piece that [k*44, (k+n)*44) touches. *)
 type tx_pdu = {
   cells : Cell.t array;
   data_len : int;
-  chain : Desc.t list;
   nchain : int;
-  mutable next : int;
+  tx_ch : channel;
+  piece_off : int array;
+  mutable next : int; (* next cell the i960 hands to the DMA engine *)
+  mutable cursor : int; (* first piece a later fetch can still touch *)
 }
 
-type channel = {
+and channel = {
   id : int;
   tx_q : Desc_queue.t;
   free_q : Desc_queue.t;
@@ -216,20 +223,23 @@ type vc_state = {
          the current PDU already finished; replayed after completion *)
 }
 
+(* Receive-side DMA work for one cell: write its payload to host memory
+   piece by piece, then post the buffers it completed. The payload is the
+   cell's own data, read at DMA time: nothing mutates a payload after
+   [Cell.make] ([Cell.corrupt] copies). *)
 type dma_cmd = {
-  spans : (int * Bytes.t) list; (* (phys addr, data) per bus transaction *)
-  ncells : int;
-  post : unit -> unit;
+  payload : Bytes.t;
+  pieces : int array; (* addr, len of each bus transaction, flattened *)
+  rx_vc : vc_state;
+  rx_ch : channel; (* the VC's channel when the placement was decided *)
+  posts : Desc.t list; (* filled-buffer descriptors, in posting order *)
 }
 
-(* Transmit-side DMA work: fetch these spans from host memory, then emit
-   these cells. Queued so the i960's per-cell work overlaps the DMA engine
-   (they are separate units on the board). *)
-type tx_fetch_cmd = {
-  f_spans : (int * int) list; (* (phys addr, len) per bus transaction *)
-  f_cells : Cell.t list;
-  f_done : (unit -> unit) option; (* runs after the data is fetched *)
-}
+(* Transmit-side DMA work: fetch cells [f_first, f_first + f_count) of
+   the PDU from host memory, then emit them. Queued so the i960's
+   per-cell work overlaps the DMA engine (they are separate units on the
+   board). *)
+type tx_fetch_cmd = { f_pdu : tx_pdu; f_first : int; f_count : int }
 
 type t = {
   eng : Engine.t;
@@ -488,41 +498,44 @@ let demux_check t =
   List.map (fun s -> "board demux: " ^ s) (Ctable.check t.vcs)
 
 (* ------------------------------------------------------------------ *)
-(* Span arithmetic: cut a byte range of a PDU into the DMA transactions
-   the controller actually issues — one per physical buffer crossing and
-   one per page boundary (the §2.5.2 boundary-stop behaviour). *)
+(* Transmit DMA plans: the transactions the controller actually issues
+   for a byte range of a PDU — one per physical buffer crossing and one
+   per page boundary (the §2.5.2 boundary-stop behaviour). *)
 
-let split_at_pages page_size (addr, len) =
-  let rec go addr len acc =
-    if len = 0 then List.rev acc
-    else begin
-      let to_boundary = page_size - (addr mod page_size) in
-      let chunk = min len to_boundary in
-      go (addr + chunk) (len - chunk) ((addr, chunk) :: acc)
-    end
-  in
-  go addr len []
-
-(* Map [off, off+len) of the PDU data (laid out along the descriptor
-   chain) to physical (addr, len) spans. *)
-let chain_spans chain ~off ~len =
-  let rec go chain off len acc =
-    if len = 0 then List.rev acc
+(* Cut a descriptor chain into plan pieces; see [tx_pdu]. *)
+let dma_plan ~page_size chain =
+  let rec cut addr len off acc =
+    if len = 0 then acc
     else
-      match chain with
-      | [] -> invalid_arg "Board: range beyond descriptor chain"
-      | (d : Desc.t) :: rest ->
-          if off >= d.Desc.len then go rest (off - d.Desc.len) len acc
-          else begin
-            let avail = d.Desc.len - off in
-            let chunk = min len avail in
-            go ((d : Desc.t) :: rest) (off + chunk) (len - chunk)
-              ((d.Desc.addr + off, chunk) :: acc)
-          end
+      let chunk = min len (page_size - (addr mod page_size)) in
+      cut (addr + chunk) (len - chunk) (off + chunk) (off :: acc)
   in
-  (* A span ending exactly at a descriptor's end advances naturally on the
-     next call because off becomes >= d.len. *)
-  go chain off len []
+  let rec go off acc = function
+    | [] -> Array.of_list (List.rev (off :: acc))
+    | (d : Desc.t) :: rest ->
+        go (off + d.Desc.len) (cut d.Desc.addr d.Desc.len off acc) rest
+  in
+  go 0 [] chain
+
+let rec plan_seek pdu lo =
+  if pdu.piece_off.(pdu.cursor + 1) <= lo then begin
+    pdu.cursor <- pdu.cursor + 1;
+    plan_seek pdu lo
+  end
+
+let rec plan_count pdu i hi n =
+  if pdu.piece_off.(i) < hi then plan_count pdu (i + 1) hi (n + 1) else n
+
+(* The span counter: the number of bus transactions that fetch data
+   bytes [lo, hi), counted from [pdu.cursor] once it has moved past the
+   pieces that end at or before [lo]. Fetches of one PDU run in order,
+   so the cursor only moves forward. *)
+let plan_spans pdu ~lo ~hi =
+  if hi <= lo then 0
+  else begin
+    plan_seek pdu lo;
+    plan_count pdu pdu.cursor hi 0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Transmit side. *)
@@ -610,25 +623,17 @@ let try_load_pdu t ch =
                     {
                       cells;
                       data_len = Bytes.length pdu;
-                      chain;
                       nchain;
+                      tx_ch = ch;
+                      piece_off = dma_plan ~page_size:t.cfg.page_size chain;
                       next = 0;
+                      cursor = 0;
                     };
                 true
               end))
 
-(* Physical spans behind cells [k, k+n) of a PDU: what the DMA engine
-   must fetch from host memory. *)
-let fetch_spans t (pdu : tx_pdu) ~k ~n =
-  let lo = k * Cell.data_size in
-  let hi = min ((k + n) * Cell.data_size) pdu.data_len in
-  if hi > lo then
-    List.concat_map
-      (split_at_pages t.cfg.page_size)
-      (chain_spans pdu.chain ~off:lo ~len:(hi - lo))
-  else []
-
-let finish_pdu t ch (pdu : tx_pdu) () =
+let finish_pdu t (pdu : tx_pdu) =
+  let ch = pdu.tx_ch in
   (* Update peek_ahead BEFORE the tail advance: board_advance suspends for
      its dual-port accesses after moving the tail, and a transmit-processor
      chain scan overlapping that window must err on the side of reading
@@ -666,64 +671,68 @@ let tx_emit t ch =
         else t.cfg.tx_cycles_per_cell
       in
       i960_work t cycles;
-      let cells = Array.to_list (Array.sub pdu.cells k n) in
       pdu.next <- k + n;
-      let last = pdu.next >= Array.length pdu.cells in
-      if last then ch.txst <- None;
-      Mailbox.send t.tx_fetch_q
-        {
-          f_spans = fetch_spans t pdu ~k ~n;
-          f_cells = cells;
-          f_done = (if last then Some (finish_pdu t ch pdu) else None);
-        }
+      if pdu.next >= Array.length pdu.cells then ch.txst <- None;
+      Mailbox.send t.tx_fetch_q { f_pdu = pdu; f_first = k; f_count = n }
 
 let tx_dma_engine t () =
   let rec loop () =
-    let cmd = Mailbox.recv t.tx_fetch_q in
-    let nspans = List.length cmd.f_spans in
+    let { f_pdu = pdu; f_first = k; f_count = n } = Mailbox.recv t.tx_fetch_q in
+    let lo = k * Cell.data_size in
+    let hi = min ((k + n) * Cell.data_size) pdu.data_len in
+    let nspans = plan_spans pdu ~lo ~hi in
     Metrics.add t.m.m_dma_tx nspans;
     if nspans > 1 then
       Metrics.add t.m.m_boundary_splits (nspans - 1);
-    List.iter (fun (_addr, len) -> Tc.dma_read t.bus ~bytes:len) cmd.f_spans;
-    List.iter
-      (fun cell ->
-        Mailbox.send t.tx_out cell;
-        Metrics.incr t.m.m_cells_sent)
-      cmd.f_cells;
-    (match cmd.f_done with Some f -> f () | None -> ());
+    for i = pdu.cursor to pdu.cursor + nspans - 1 do
+      let from = max lo pdu.piece_off.(i) in
+      Tc.dma_read t.bus ~bytes:(min hi pdu.piece_off.(i + 1) - from)
+    done;
+    for i = k to k + n - 1 do
+      Mailbox.send t.tx_out pdu.cells.(i);
+      Metrics.incr t.m.m_cells_sent
+    done;
+    if k + n >= Array.length pdu.cells then finish_pdu t pdu;
     loop ()
   in
   loop ()
 
-(* Strict priority, round-robin within a priority level. Under coarse
-   multiplexing ([Pdu_at_once]) an in-progress PDU is always finished
-   first, regardless of what else is queued. *)
+let rec last_loaded t i =
+  if i < 0 || t.channels.(i).txst <> None then i else last_loaded t (i - 1)
+
+(* A channel [try_load_pdu] would pass over without touching dual-port
+   memory: one never opened, or one with no PDU loaded and nothing queued
+   past the chains already in flight. *)
+let tx_quiet t ch =
+  ch.id >= t.n_open
+  || (ch.txst = None && Desc_queue.count ch.tx_q <= ch.peek_ahead)
+
+(* The index of the channel to serve next, or -1: strict priority,
+   round-robin within a priority level, scanning once around from the
+   cursor. Under coarse multiplexing ([Pdu_at_once]) an in-progress PDU
+   is always finished first, regardless of what else is queued. *)
 let pick_tx_channel t =
+  let n = t.cfg.n_channels in
   let in_progress =
     match t.cfg.tx_mux with
-    | Cell_interleave -> None
-    | Pdu_at_once ->
-        Array.fold_left
-          (fun acc ch -> if ch.txst <> None then Some ch else acc)
-          None t.channels
+    | Cell_interleave -> -1
+    | Pdu_at_once -> last_loaded t (n - 1)
   in
-  match in_progress with
-  | Some ch -> Some ch
-  | None ->
-  let best = ref None in
-  for i = 0 to t.cfg.n_channels - 1 do
-    let idx = (t.rr_cursor + i) mod t.cfg.n_channels in
-    let ch = t.channels.(idx) in
-    if try_load_pdu t ch then
-      match !best with
-      | Some (b, _) when t.channels.(b).priority <= ch.priority -> ()
-      | _ -> best := Some (idx, ch)
-  done;
-  match !best with
-  | None -> None
-  | Some (idx, ch) ->
-      t.rr_cursor <- (idx + 1) mod t.cfg.n_channels;
-      Some ch
+  if in_progress >= 0 then in_progress
+  else begin
+    let best = ref (-1) and idx = ref t.rr_cursor in
+    for _ = 1 to n do
+      let ch = t.channels.(!idx) in
+      if
+        (not (tx_quiet t ch))
+        && try_load_pdu t ch
+        && (!best < 0 || t.channels.(!best).priority > ch.priority)
+      then best := !idx;
+      idx := if !idx + 1 = n then 0 else !idx + 1
+    done;
+    if !best >= 0 then t.rr_cursor <- (if !best + 1 = n then 0 else !best + 1);
+    !best
+  end
 
 let tx_processor t () =
   let rec loop () =
@@ -731,9 +740,9 @@ let tx_processor t () =
        the scan's dual-port accesses are in progress, the counter moves and
        we rescan instead of sleeping through the (already fired) signal. *)
     let kicks = t.tx_kicks in
-    (match pick_tx_channel t with
-    | Some ch -> tx_emit t ch
-    | None -> if t.tx_kicks = kicks then Signal.wait t.tx_work);
+    let i = pick_tx_channel t in
+    if i >= 0 then tx_emit t t.channels.(i)
+    else if t.tx_kicks = kicks then Signal.wait t.tx_work;
     loop ()
   in
   loop ()
@@ -817,33 +826,34 @@ let deliver_desc t vc ch desc =
       Queue.add (Desc.v ~addr:desc.Desc.addr ~len:vc.buf_size ()) vc.fbufs
   end
 
+(* Mark buffer [idx] of the current PDU posted, if it exists and is not
+   yet, consing its descriptor onto [posts]. *)
+let post_buffer vc idx ~eop ~marked ~len posts =
+  match bufs_get vc.bufs idx with
+  | Some b when not b.posted ->
+      b.posted <- true;
+      Desc.v ~addr:b.bdesc.Desc.addr ~len ~vci:vc.vci ~eop ~marked () :: posts
+  | _ -> posts
+
+(* The in-order prefix of buffers that are now full, newest first. *)
+let rec post_filled vc posts =
+  match bufs_get vc.bufs vc.next_post with
+  | Some b when vc.buf_size > 0 && b.filled >= vc.buf_size ->
+      let posts =
+        post_buffer vc vc.next_post ~eop:false ~marked:false ~len:vc.buf_size
+          posts
+      in
+      vc.next_post <- vc.next_post + 1;
+      post_filled vc posts
+  | _ -> posts
+
 (* Decide, at reassembly-decision time, which buffer descriptors the
    current DMA command must post once its data has landed: the in-order
    prefix of buffers that are now full and, on PDU completion, all the
    rest. Completion also resets the VC for the next PDU. *)
 let collect_posts t vc ~completed_total =
-  let posts = ref [] in
-  let push_desc idx ~eop ~marked ~len =
-    match bufs_get vc.bufs idx with
-    | None -> ()
-    | Some b ->
-        if not b.posted then begin
-          b.posted <- true;
-          posts :=
-            Desc.v ~addr:b.bdesc.Desc.addr ~len ~vci:vc.vci ~eop ~marked ()
-            :: !posts
-        end
-  in
-  (match completed_total with
-  | None ->
-      let continue = ref true in
-      while !continue do
-        match bufs_get vc.bufs vc.next_post with
-        | Some b when vc.buf_size > 0 && b.filled >= vc.buf_size ->
-            push_desc vc.next_post ~eop:false ~marked:false ~len:vc.buf_size;
-            vc.next_post <- vc.next_post + 1
-        | _ -> continue := false
-      done
+  match completed_total with
+  | None -> List.rev (post_filled vc [])
   | Some total ->
       Metrics.incr t.m.m_pdus_received;
       (* The PDU's congestion bit, read before [reset_vc] clears the
@@ -852,71 +862,75 @@ let collect_posts t vc ~completed_total =
       let pdu_marked = Sar.marked_seen vc.sar in
       let bs = vc.buf_size in
       let nbufs = if bs = 0 then 0 else (total + bs - 1) / bs in
+      let posts = ref [] in
       for idx = vc.next_post to nbufs - 1 do
         let len = min bs (total - (idx * bs)) in
         let eop = idx = nbufs - 1 in
-        push_desc idx ~eop ~marked:(eop && pdu_marked) ~len
+        posts :=
+          post_buffer vc idx ~eop ~marked:(eop && pdu_marked) ~len !posts
       done;
       recycle_buffers vc;
-      reset_vc vc);
-  List.rev !posts
+      reset_vc vc;
+      List.rev !posts
 
-(* Target spans in host memory for a placement at framed-PDU [offset]. *)
-let placement_spans vc ~offset ~len =
-  let rec go offset len acc =
-    if len = 0 then Some (List.rev acc)
-    else if vc.buf_size = 0 then
-      (* The first buffer taken for a PDU fixes its buffer size. *)
-      if ensure_buffers vc 0 then go offset len acc else None
-    else begin
-      let bs = vc.buf_size in
-      let idx = offset / bs in
-      if not (ensure_buffers vc idx) then None
-      else begin
-        let b =
-          match bufs_get vc.bufs idx with
-          | Some b -> b
-          | None -> assert false (* ensure_buffers just filled it *)
-        in
-        let in_buf = offset mod bs in
-        let chunk = min len (bs - in_buf) in
-        go (offset + chunk) (len - chunk)
-          ((idx, b.bdesc.Desc.addr + in_buf, chunk) :: acc)
-      end
-    end
+(* Make sure the buffers behind [len] bytes at framed-PDU [offset]
+   exist, taking them in index order; false on buffer exhaustion. The
+   first buffer taken for a PDU fixes its buffer size. *)
+let ensure_placement vc ~offset ~len =
+  (vc.buf_size > 0 || ensure_buffers vc 0)
+  && ensure_buffers vc ((offset + len - 1) / vc.buf_size)
+
+(* Host address of framed-PDU byte [off]; its buffer exists. *)
+let buffer_addr vc off =
+  match bufs_get vc.bufs (off / vc.buf_size) with
+  | Some b -> b.bdesc.Desc.addr + (off mod vc.buf_size)
+  | None ->
+      (invalid_arg "Board: placement beyond the ensured buffers"
+      [@osiris.alloc_ok "cold error path: raises, never returns"])
+
+(* Length of the piece at [off]: it ends at [stop], its buffer's end or
+   the next page boundary, whichever comes first. *)
+let piece_len vc ~page_size off stop =
+  let addr = buffer_addr vc off in
+  min (stop - off)
+    (min (vc.buf_size - (off mod vc.buf_size)) (page_size - (addr mod page_size)))
+
+let rec count_pieces vc ~page_size off stop n =
+  if off >= stop then n
+  else
+    count_pieces vc ~page_size (off + piece_len vc ~page_size off stop) stop
+      (n + 1)
+
+let rec fill_pieces vc ~page_size pieces j off stop =
+  if off < stop then begin
+    let len = piece_len vc ~page_size off stop in
+    pieces.(j) <- buffer_addr vc off;
+    pieces.(j + 1) <- len;
+    (match bufs_get vc.bufs (off / vc.buf_size) with
+    | Some b -> b.filled <- b.filled + len
+    | None -> ());
+    fill_pieces vc ~page_size pieces (j + 2) (off + len) stop
+  end
+
+(* The placement-piece walk: the bus transactions that write [len] bytes
+   at framed-PDU [offset] — one per buffer crossing and per page
+   boundary — as flattened (addr, len) pairs, each credited to its
+   buffer. Run after [ensure_placement]. *)
+let placement_pieces vc ~page_size ~offset ~len =
+  let stop = offset + len in
+  let n = count_pieces vc ~page_size offset stop 0 in
+  let pieces =
+    (Array.make (2 * n) 0
+    [@osiris.alloc_ok "the DMA command's piece array: one per cell"])
   in
-  go offset len []
+  fill_pieces vc ~page_size pieces 0 offset stop;
+  pieces
 
-(* Handle a placement decision: update the reassembly bookkeeping
-   immediately (the receive processor owns this state) and build the DMA
-   command whose post step delivers any now-complete buffers. Returns None
-   when the PDU must be dropped for lack of buffers. *)
-let dma_cmd_of_placement t vc (p : Sar.placement) ~completed_total =
-  match placement_spans vc ~offset:p.Sar.offset ~len:Cell.data_size with
-  | None -> None
-  | Some spans ->
-      let page_spans =
-        List.concat_map
-          (fun (idx, addr, len) ->
-            List.map
-              (fun (a, l) -> (idx, a, l))
-              (split_at_pages t.cfg.page_size (addr, len)))
-          spans
-      in
-      let data = p.Sar.cell.Cell.data in
-      let pieces = ref [] and off = ref 0 in
-      List.iter
-        (fun (idx, addr, len) ->
-          pieces := (addr, Bytes.sub data !off len) :: !pieces;
-          (match bufs_get vc.bufs idx with
-          | Some b -> b.filled <- b.filled + len
-          | None -> ());
-          off := !off + len)
-        page_spans;
-      let posts = collect_posts t vc ~completed_total in
-      let ch = vc.channel in
-      let post () = List.iter (deliver_desc t vc ch) posts in
-      Some { spans = List.rev !pieces; ncells = 1; post }
+let submit_dma t cmd =
+  let n = Array.length cmd.pieces / 2 in
+  Metrics.add t.m.m_dma_rx n;
+  if n > 1 then Metrics.add t.m.m_boundary_splits (n - 1);
+  Mailbox.send t.rx_dma_q cmd
 
 let release_stash t vc = Queue.transfer vc.stash t.pending_cells
 
@@ -943,8 +957,29 @@ let drop_pdu t vc =
   abort_current_pdu t vc ~marker_addr:0;
   vc.dropping <- true
 
-(* Process one received cell: reassembly decision plus DMA submission.
-   Returns the placement when a further cell could be combined with it. *)
+(* Handle a placement decision: update the reassembly bookkeeping
+   immediately (the receive processor owns this state) and submit the DMA
+   command whose posts deliver any now-complete buffers, or drop the PDU
+   for lack of buffers. A completed PDU then releases its VC's held
+   next-PDU cells for reprocessing, in arrival order, ahead of new
+   arrivals. *)
+let place_cell t vc (p : Sar.placement) ~completed_total =
+  let offset = p.Sar.offset and len = Cell.data_size in
+  if ensure_placement vc ~offset ~len then begin
+    let pieces = placement_pieces vc ~page_size:t.cfg.page_size ~offset ~len in
+    let posts = collect_posts t vc ~completed_total in
+    let cmd =
+      { payload = p.Sar.cell.Cell.data; pieces; rx_vc = vc; rx_ch = vc.channel; posts }
+    in
+    if completed_total <> None then release_stash t vc;
+    submit_dma t cmd
+  end
+  else begin
+    drop_pdu t vc;
+    if completed_total <> None then release_stash t vc
+  end
+
+(* Process one received cell: reassembly decision plus DMA submission. *)
 let rx_handle_cell t (phys_link, cell) =
   Metrics.incr t.m.m_cells_received;
   i960_work t t.cfg.rx_cycles_per_cell;
@@ -958,24 +993,18 @@ let rx_handle_cell t (phys_link, cell) =
       t.rx_link_map.(phys_link)
     else phys_link
   in
-  if link < 0 then begin
-    Metrics.incr t.m.m_cells_dropped;
-    None
-  end
+  if link < 0 then Metrics.incr t.m.m_cells_dropped
   else
   (* The paper's on-board early demultiplexing (§3.1), now a hashed
      classification step whose probe count the experiments charge to the
      per-cell budget via the machine's cache-cost model. *)
   match Ctable.find_slot t.vcs cell.Cell.vci with
-  | -1 ->
-      Metrics.incr t.m.m_unknown_vci_cells;
-      None
+  | -1 -> Metrics.incr t.m.m_unknown_vci_cells
   | slot ->
       let vc = Ctable.slot_value t.vcs slot in
       if vc.dropping then begin
         Metrics.incr t.m.m_cells_dropped;
-        if cell.Cell.last_of_pdu then vc.dropping <- false;
-        None
+        if cell.Cell.last_of_pdu then vc.dropping <- false
       end
       else if Sar.in_progress vc.sar && Sar.link_finished vc.sar ~link then begin
         if Sar.all_links_finished vc.sar then begin
@@ -987,16 +1016,14 @@ let rx_handle_cell t (phys_link, cell) =
           abort_current_pdu t vc ~marker_addr:0;
           (* reprocess this cell against the fresh state, after the
              released stash *)
-          Queue.add (phys_link, cell) t.pending_cells;
-          None
+          Queue.add (phys_link, cell) t.pending_cells
         end
         else begin
           (* This link's share of the current PDU is done: the cell starts
              the next PDU. Hold it until the current one completes. *)
           Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
             "stash vci=%d seq=%d link=%d" cell.Cell.vci cell.Cell.seq link;
-          Queue.add (phys_link, cell) vc.stash;
-          None
+          Queue.add (phys_link, cell) vc.stash
         end
       end
       else begin
@@ -1008,78 +1035,63 @@ let rx_handle_cell t (phys_link, cell) =
               link reason;
             Metrics.incr t.m.m_reassembly_errors;
             Metrics.incr t.m.m_cells_dropped;
-            abort_current_pdu t vc ~marker_addr:0;
-            None
-        | Sar.Placed p -> (
+            abort_current_pdu t vc ~marker_addr:0
+        | Sar.Placed p ->
             (* Progress for the timeout sweeper: the timer is an
                inactivity bound, restarted by every placement. Wake the
                sweeper when this VC (re)enters reassembly. *)
             vc.last_progress <- Engine.now t.eng;
             if (not was_in_progress) && t.cfg.reassembly_timeout > 0 then
               Signal.broadcast t.sweep_work;
-            match dma_cmd_of_placement t vc p ~completed_total:None with
-            | None ->
-                drop_pdu t vc;
-                None
-            | Some cmd -> Some (vc, p, cmd, false))
-        | Sar.Completed (p, total) -> (
-            (* Release any held next-PDU cells for reprocessing, in
-               arrival order, ahead of new arrivals. *)
-            let release () = release_stash t vc in
-            match
-              dma_cmd_of_placement t vc p ~completed_total:(Some total)
-            with
-            | None ->
-                drop_pdu t vc;
-                release ();
-                None
-            | Some cmd ->
-                release ();
-                Some (vc, p, cmd, true))
+            place_cell t vc p ~completed_total:None
+        | Sar.Completed (p, total) ->
+            place_cell t vc p ~completed_total:(Some total)
       end
 
-(* Can a second cell's DMA be merged with the first's? Only when the two
-   payloads are physically consecutive and in the same page. *)
+(* Can a second cell's DMA be merged with the first's? Only when each
+   is one transaction and the two are physically consecutive and in the
+   same page. *)
 let combinable (cmd1 : dma_cmd) (cmd2 : dma_cmd) ~page_size =
-  match (cmd1.spans, cmd2.spans) with
-  | [ (a1, d1) ], [ (a2, _) ] ->
-      a2 = a1 + Bytes.length d1 && a1 / page_size = (a2 + 43) / page_size
-  | _ -> false
-
-let submit_dma t cmd =
-  Metrics.add t.m.m_dma_rx (List.length cmd.spans);
-  if List.length cmd.spans > 1 then
-    Metrics.add t.m.m_boundary_splits (List.length cmd.spans - 1);
-  Mailbox.send t.rx_dma_q cmd
+  Array.length cmd1.pieces = 2
+  && Array.length cmd2.pieces = 2
+  &&
+  let a1 = cmd1.pieces.(0) and a2 = cmd2.pieces.(0) in
+  a2 = a1 + cmd1.pieces.(1)
+  && a1 / page_size = (a2 + cmd2.pieces.(1) - 1) / page_size
 
 let rx_processor t () =
-  let recv () =
-    match Queue.take_opt t.pending_cells with
-    | Some c -> c
-    | None -> (
-        match t.recv_fn with
-        | Some f -> f ()
-        | None -> failwith "Board: receive side not attached")
-  in
   let rec loop () =
-    let c1 = recv () in
-    (match rx_handle_cell t c1 with
-    | None -> ()
-    | Some (_vc, _p, cmd, _done1) -> submit_dma t cmd);
+    rx_handle_cell t
+      (if Queue.is_empty t.pending_cells then
+         match t.recv_fn with
+         | Some f -> f ()
+         | None -> failwith "Board: receive side not attached"
+       else Queue.take t.pending_cells);
     loop ()
   in
   loop ()
 
-let exec_dma t (cmd : dma_cmd) =
-  List.iter
-    (fun (addr, data) ->
-      Hist.add t.m.m_dma_bytes (float_of_int (Bytes.length data));
-      Tc.dma_write t.bus ~bytes:(Bytes.length data);
-      Phys_mem.blit_from_bytes t.mem ~src:data ~src_off:0 ~dst:addr
-        ~len:(Bytes.length data);
-      t.on_dma_write ~addr ~len:(Bytes.length data))
-    cmd.spans;
-  cmd.post ()
+let rec post_all t vc ch = function
+  | [] -> ()
+  | desc :: rest ->
+      deliver_desc t vc ch desc;
+      post_all t vc ch rest
+
+let post t cmd = post_all t cmd.rx_vc cmd.rx_ch cmd.posts
+
+let exec_dma t cmd =
+  let pieces = cmd.pieces in
+  let src_off = ref 0 in
+  for j = 0 to (Array.length pieces / 2) - 1 do
+    let addr = pieces.(2 * j) and len = pieces.((2 * j) + 1) in
+    Hist.add t.m.m_dma_bytes (float_of_int len);
+    Tc.dma_write t.bus ~bytes:len;
+    Phys_mem.blit_from_bytes t.mem ~src:cmd.payload ~src_off:!src_off ~dst:addr
+      ~len;
+    t.on_dma_write ~addr ~len;
+    src_off := !src_off + len
+  done;
+  post t cmd
 
 let rx_dma_engine t () =
   let rec loop () =
@@ -1094,17 +1106,18 @@ let rx_dma_engine t () =
        else None
      with
     | Some cmd2 when combinable cmd1 cmd2 ~page_size:t.cfg.page_size ->
-        let a1, d1 = List.hd cmd1.spans in
-        let _, d2 = List.hd cmd2.spans in
-        let merged = Bytes.cat d1 d2 in
+        let addr = cmd1.pieces.(0) and len1 = cmd1.pieces.(1) in
+        let len = len1 + cmd2.pieces.(1) in
         Metrics.incr t.m.m_combined_dmas;
-        Hist.add t.m.m_dma_bytes (float_of_int (Bytes.length merged));
-        Tc.dma_write t.bus ~bytes:(Bytes.length merged);
-        Phys_mem.blit_from_bytes t.mem ~src:merged ~src_off:0 ~dst:a1
-          ~len:(Bytes.length merged);
-        t.on_dma_write ~addr:a1 ~len:(Bytes.length merged);
-        cmd1.post ();
-        cmd2.post ()
+        Hist.add t.m.m_dma_bytes (float_of_int len);
+        Tc.dma_write t.bus ~bytes:len;
+        Phys_mem.blit_from_bytes t.mem ~src:cmd1.payload ~src_off:0 ~dst:addr
+          ~len:len1;
+        Phys_mem.blit_from_bytes t.mem ~src:cmd2.payload ~src_off:0
+          ~dst:(addr + len1) ~len:(len - len1);
+        t.on_dma_write ~addr ~len;
+        post t cmd1;
+        post t cmd2
     | Some cmd2 ->
         exec_dma t cmd1;
         exec_dma t cmd2

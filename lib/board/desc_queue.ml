@@ -108,7 +108,13 @@ let create eng ?(metrics_prefix = "queue") ~size ~direction ~locking ~hooks ()
 
 let size t = t.size
 let direction t = t.direction
-let count t = (t.head - t.tail + t.size) mod t.size
+
+(* [head] and [tail] are in [0, size): a compare, not a division. The
+   board's transmit scan asks this of every open channel it passes. *)
+let count t =
+  let n = t.head - t.tail in
+  if n < 0 then n + t.size else n
+
 let total_enqueued t = t.n_enq
 let total_dequeued t = t.n_deq
 let is_empty t = t.head = t.tail

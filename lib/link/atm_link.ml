@@ -227,9 +227,9 @@ let send t cell =
         "cell vci=%d seq=%d -> link %d" cell.Cell.vci cell.Cell.seq l;
     (* Backpressure: the channel's output FIFO lets us book at most
        [tx_fifo_cells] cell-times ahead of the present. *)
-    let horizon () = Engine.now t.eng + (t.cfg.tx_fifo_cells * t.cell_time) in
-    if t.busy_until.(l) > horizon () then
-      Process.sleep t.eng (t.busy_until.(l) - horizon ());
+    let horizon = Engine.now t.eng + (t.cfg.tx_fifo_cells * t.cell_time) in
+    if t.busy_until.(l) > horizon then
+      Process.sleep t.eng (t.busy_until.(l) - horizon);
     let now = Engine.now t.eng in
     let start = max now t.busy_until.(l) in
     let finish = start + t.cell_time in

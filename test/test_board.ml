@@ -357,6 +357,355 @@ let test_double_cell_combines () =
     (sb.Board.combined_dmas * 2 > sb.Board.cells_received / 2);
   Alcotest.(check bool) "PDUs flowed" true (sb.Board.pdus_received > 10)
 
+(* Reference model for the board's DMA planning: the list-based span
+   arithmetic the board used before it cut a plan per PDU and a piece
+   array per cell. A DMA transaction never crosses a page boundary
+   (§2.5.2) nor a buffer's end. *)
+let split_at_pages page_size (addr, len) =
+  let rec go addr len acc =
+    if len = 0 then List.rev acc
+    else begin
+      let to_boundary = page_size - (addr mod page_size) in
+      let chunk = min len to_boundary in
+      go (addr + chunk) (len - chunk) ((addr, chunk) :: acc)
+    end
+  in
+  go addr len []
+
+(* Map [off, off+len) of the PDU data (laid out along the descriptor
+   chain) to physical (addr, len) spans. *)
+let chain_spans chain ~off ~len =
+  let rec go chain off len acc =
+    if len = 0 then List.rev acc
+    else
+      match chain with
+      | [] -> invalid_arg "model: range beyond descriptor chain"
+      | (d : Desc.t) :: rest ->
+          if off >= d.Desc.len then go rest (off - d.Desc.len) len acc
+          else begin
+            let chunk = min len (d.Desc.len - off) in
+            go (d :: rest) (off + chunk) (len - chunk)
+              ((d.Desc.addr + off, chunk) :: acc)
+          end
+  in
+  go chain off len []
+
+(* Target (buffer, addr, len) spans for a placement at framed-PDU
+   [offset], buffer [i] of size [bs] starting at [bufs.(i)]. *)
+let placement_spans ~bufs ~bs ~offset ~len =
+  let rec go offset len acc =
+    if len = 0 then List.rev acc
+    else begin
+      let idx = offset / bs and in_buf = offset mod bs in
+      let chunk = min len (bs - in_buf) in
+      go (offset + chunk) (len - chunk) ((idx, bufs.(idx) + in_buf, chunk) :: acc)
+    end
+  in
+  go offset len []
+
+type dma_shape = {
+  pdu_len : int;
+  frags : (int * int) list;  (** transmit chain: (addr, len) per descriptor *)
+  rx_bs : int;  (** uniform receive buffer size *)
+  rx_bufs : int array;  (** receive buffer addresses, in free-queue order *)
+  double : bool;  (** Double_cell rather than Single_cell *)
+}
+
+let page = 4096
+
+let rec gaps = function a :: (b :: _ as rest) -> (b - a) :: gaps rest | _ -> []
+
+let dma_shape_gen =
+  let open QCheck.Gen in
+  let* pdu_len = int_range 1 12_000 in
+  let* nfrag = int_range 1 6 in
+  let* cuts = list_repeat (nfrag - 1) (int_range 1 (max 1 (pdu_len - 1))) in
+  let cuts = List.sort_uniq compare (List.filter (fun c -> c < pdu_len) cuts) in
+  let lens = gaps ((0 :: cuts) @ [ pdu_len ]) in
+  (* Each descriptor in its own 64 KB slot at a random offset, so pieces
+     start anywhere in a page and straddle page boundaries. *)
+  let* offs = list_repeat (List.length lens) (int_range 0 8191) in
+  let frags =
+    List.mapi
+      (fun i (len, o) -> ((1 lsl 20) + (i * 65536) + o, len))
+      (List.combine lens offs)
+  in
+  let framed = Sar.framed_len pdu_len in
+  let* contiguous = bool in
+  let* rx_bs = int_range 256 (if contiguous then 16_384 else 4096) in
+  let nbufs = (framed + rx_bs - 1) / rx_bs in
+  (* Half the time a buffer starts so that one of its first cells ends
+     exactly on a page boundary: the only place where two one-piece
+     cells are contiguous but not in one page. *)
+  let start =
+    oneof
+      [
+        int_range 0 4095;
+        map (fun j -> (4096 - (44 * j)) land 4095) (int_range 1 60);
+      ]
+  in
+  let* base = start in
+  let* frag_offs = list_repeat nbufs start in
+  let rx_bufs =
+    if contiguous then
+      Array.init nbufs (fun i -> (4 lsl 20) + base + (i * rx_bs))
+    else
+      Array.of_list
+        (List.mapi (fun i o -> (4 lsl 20) + (i * 8192) + o) frag_offs)
+  in
+  let+ double = bool in
+  { pdu_len; frags; rx_bs; rx_bufs; double }
+
+let payload_of_shape s =
+  Bytes.init s.pdu_len (fun i -> Char.chr (((i * 7) + 3) land 0xff))
+
+let print_dma_shape s =
+  let hex a = Printf.sprintf "%#x" a in
+  Printf.sprintf "pdu_len=%d frags=[%s] rx_bs=%d rx_bufs=[%s] %s" s.pdu_len
+    (String.concat "; "
+       (List.map (fun (a, l) -> Printf.sprintf "%s+%d" (hex a) l) s.frags))
+    s.rx_bs
+    (String.concat "; " (Array.to_list (Array.map hex s.rx_bufs)))
+    (if s.double then "Double_cell" else "Single_cell")
+
+(* What the model expects of one PDU sent A -> B: the length of every
+   transmit fetch; per cell its receive pieces and the number of buffers
+   posted before its command runs; per buffer its descriptor. *)
+type dma_model = {
+  tx_spans : int list;
+  tx_splits : int;
+  cell_pieces : (int * int) list array;  (** (addr, len) per cell *)
+  posted_before : int array;
+  descs : (int * int * bool) list;  (** (addr, len, eop), posting order *)
+}
+
+let dma_model s =
+  let chain =
+    List.map (fun (addr, len) -> Desc.v ~addr ~len ~vci:7 ~eop:false ()) s.frags
+  in
+  let framed = Sar.framed_len s.pdu_len in
+  let ncells = framed / Cell.data_size in
+  let quantum = if s.double then 2 else 1 in
+  let tx_spans = ref [] and tx_splits = ref 0 in
+  let k = ref 0 in
+  while !k < ncells do
+    let n = min quantum (ncells - !k) in
+    let lo = !k * Cell.data_size in
+    let hi = min ((!k + n) * Cell.data_size) s.pdu_len in
+    if hi > lo then begin
+      let spans =
+        List.concat_map (split_at_pages page)
+          (chain_spans chain ~off:lo ~len:(hi - lo))
+      in
+      tx_spans := List.rev_append (List.map snd spans) !tx_spans;
+      let n = List.length spans in
+      if n > 1 then tx_splits := !tx_splits + n - 1
+    end;
+    k := !k + n
+  done;
+  let bs = s.rx_bs in
+  let nbufs = Array.length s.rx_bufs in
+  let filled = Array.make nbufs 0 in
+  let next_post = ref 0 and posted = ref 0 in
+  let posted_before = Array.make ncells 0 in
+  let cell_pieces =
+    Array.init ncells (fun c ->
+        posted_before.(c) <- !posted;
+        let spans =
+          placement_spans ~bufs:s.rx_bufs ~bs ~offset:(c * Cell.data_size)
+            ~len:Cell.data_size
+        in
+        let pieces =
+          List.concat_map
+            (fun (idx, addr, len) ->
+              filled.(idx) <- filled.(idx) + len;
+              split_at_pages page (addr, len))
+            spans
+        in
+        if c = ncells - 1 then posted := nbufs
+        else begin
+          while !next_post < nbufs && filled.(!next_post) >= bs do
+            incr next_post
+          done;
+          posted := !next_post
+        end;
+        pieces)
+  in
+  let descs =
+    List.init nbufs (fun i ->
+        (s.rx_bufs.(i), min bs (framed - (i * bs)), i = nbufs - 1))
+  in
+  {
+    tx_spans = List.rev !tx_spans;
+    tx_splits = !tx_splits;
+    cell_pieces;
+    posted_before;
+    descs;
+  }
+
+type dma_run = {
+  stats_a : Board.stats;
+  stats_b : Board.stats;
+  writes : (int * int * int) list;
+      (** every receive bus transaction: addr, len, buffers posted before *)
+  posted : (int * int * bool) list;  (** descriptors the host dequeued *)
+  landed : Bytes.t array;  (** each receive buffer's framed bytes *)
+  fetch_ns : int;  (** the sender's bus time spent on DMA reads *)
+  fetch_cost : int -> int;  (** the sender bus's time for one read *)
+}
+
+(* Send one PDU of the given shape between two boards. The sender's bus
+   time on DMA reads is its busy time after the host's descriptor
+   writes: the board fetches nothing before the chain is complete. *)
+let run_dma_shape s =
+  let eng = Engine.create () in
+  let mem = Phys_mem.create ~size:(8 lsl 20) ~page_size:page () in
+  let bus_a = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus_b = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let dma_mode = if s.double then Board.Double_cell else Board.Single_cell in
+  let cfg = { Board.default_config with Board.dma_mode } in
+  (* The sender's i960 takes one cycle per cell, so cells arrive at link
+     rate and the receive DMA queue backs up: the condition under which
+     double-cell DMA merges transactions. *)
+  let board_a =
+    Board.create eng ~bus:bus_a ~mem ~on_interrupt:ignore
+      { cfg with Board.tx_cycles_per_cell = 1; tx_combine_saving_cycles = 0 }
+  in
+  let rx_q = ref None in
+  let writes = ref [] in
+  let on_dma_write ~addr ~len =
+    let posted = Desc_queue.total_enqueued (Option.get !rx_q) in
+    writes := (addr, len, posted) :: !writes
+  in
+  let board_b =
+    Board.create eng ~bus:bus_b ~mem ~on_interrupt:ignore ~on_dma_write cfg
+  in
+  let rx_queue = Board.rx_queue (Board.kernel_channel board_b) in
+  rx_q := Some rx_queue;
+  let rng = Rng.create ~seed:8 in
+  let ab = Atm_link.create eng (Rng.split rng) Atm_link.default_config in
+  let ba = Atm_link.create eng (Rng.split rng) Atm_link.default_config in
+  Board.attach board_a ~tx_link:ab ~rx_link:ba;
+  Board.attach board_b ~tx_link:ba ~rx_link:ab;
+  Board.start board_a;
+  Board.start board_b;
+  Board.bind_vci board_b ~vci:7 (Board.kernel_channel board_b);
+  let payload = payload_of_shape s in
+  ignore
+    (List.fold_left
+       (fun off (addr, len) ->
+         Phys_mem.blit_from_bytes mem ~src:payload ~src_off:off ~dst:addr ~len;
+         off + len)
+       0 s.frags);
+  let nfrags = List.length s.frags in
+  let pio_ns = ref 0 in
+  Process.spawn eng ~name:"host" (fun () ->
+      Array.iter
+        (fun addr ->
+          assert (
+            Desc_queue.host_enqueue
+              (Board.free_queue (Board.kernel_channel board_b))
+              (Desc.v ~addr ~len:s.rx_bs ())))
+        s.rx_bufs;
+      List.iteri
+        (fun i (addr, len) ->
+          assert (
+            Desc_queue.host_enqueue
+              (Board.tx_queue (Board.kernel_channel board_a))
+              (Desc.v ~addr ~len ~vci:7 ~eop:(i = nfrags - 1) ())))
+        s.frags;
+      pio_ns := (Tc.busy_stats bus_a).Resource.busy_time);
+  Engine.run ~until:1_000_000_000 eng;
+  let fetch_ns = (Tc.busy_stats bus_a).Resource.busy_time - !pio_ns in
+  let posted = ref [] in
+  Process.spawn eng ~name:"drain" (fun () ->
+      let rec go () =
+        match Desc_queue.host_dequeue rx_queue with
+        | Some d ->
+            posted := (d.Desc.addr, d.Desc.len, d.Desc.eop) :: !posted;
+            go ()
+        | None -> ()
+      in
+      go ());
+  Engine.run ~until:2_000_000_000 eng;
+  let framed = Sar.framed_len s.pdu_len in
+  {
+    stats_a = Board.stats board_a;
+    stats_b = Board.stats board_b;
+    writes = List.rev !writes;
+    posted = List.rev !posted;
+    landed =
+      Array.mapi
+        (fun i addr ->
+          Phys_mem.bytes_of_region mem ~addr
+            ~len:(min s.rx_bs (framed - (i * s.rx_bs))))
+        s.rx_bufs;
+    fetch_ns;
+    fetch_cost = (fun bytes -> Tc.dma_transaction_ns bus_a ~dir:`Read ~bytes);
+  }
+
+let dma_plans_match_model =
+  QCheck.Test.make ~name:"board: DMA plans match the list model" ~count:150
+    (QCheck.make ~print:print_dma_shape dma_shape_gen)
+    (fun s ->
+      let m = dma_model s in
+      let r = run_dma_shape s in
+      let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
+      let expect what got want =
+        if got <> want then fail "%s %d, model %d" what got want
+      in
+      let ncells = Array.length m.cell_pieces in
+      (* Walk the observed transactions against the model's pieces: each
+         is the next piece of the next cell, or (double-cell DMA) two
+         consecutive one-piece cells merged in one page. *)
+      let rec walk c j merges = function
+        | [] ->
+            expect "cells written" c ncells;
+            merges
+        | (addr, len, posted) :: rest -> (
+            if c >= ncells then fail "extra transaction %#x+%d" addr len;
+            expect
+              (Printf.sprintf "cell %d: buffers posted before its DMA" c)
+              posted m.posted_before.(c);
+            let next = if c + 1 < ncells then m.cell_pieces.(c + 1) else [] in
+            match (m.cell_pieces.(c), next) with
+            | [ (a1, l1) ], [ (a2, l2) ]
+              when j = 0 && s.double && addr = a1 && len = l1 + l2
+                   && a2 = a1 + l1
+                   && a1 / page = (a2 + l2 - 1) / page ->
+                walk (c + 2) 0 (merges + 1) rest
+            | pieces, _ ->
+                let a', l' = List.nth pieces j in
+                if (addr, len) <> (a', l') then
+                  fail "cell %d piece %d: wrote %#x+%d, model %#x+%d" c j addr
+                    len a' l';
+                if j + 1 = List.length pieces then walk (c + 1) 0 merges rest
+                else walk c (j + 1) merges rest)
+      in
+      let merges = walk 0 0 0 r.writes in
+      let count f = Array.fold_left (fun n p -> n + f (List.length p)) 0 in
+      let framed = Sar.frame (payload_of_shape s) in
+      expect "dma_tx_transactions" r.stats_a.Board.dma_tx_transactions
+        (List.length m.tx_spans);
+      expect "transmit fetch bus time (ns)" r.fetch_ns
+        (List.fold_left (fun ns b -> ns + r.fetch_cost b) 0 m.tx_spans);
+      expect "transmit boundary_splits" r.stats_a.Board.boundary_splits
+        m.tx_splits;
+      expect "dma_rx_transactions" r.stats_b.Board.dma_rx_transactions
+        (count Fun.id m.cell_pieces);
+      expect "receive boundary_splits" r.stats_b.Board.boundary_splits
+        (count (fun n -> max 0 (n - 1)) m.cell_pieces);
+      expect "combined_dmas (against transactions merged)"
+        r.stats_b.Board.combined_dmas merges;
+      if r.posted <> m.descs then fail "posted descriptors differ from the model";
+      Array.iteri
+        (fun i got ->
+          let want = Bytes.sub framed (i * s.rx_bs) (Bytes.length got) in
+          if not (Bytes.equal got want) then
+            fail "receive buffer %d differs from the framed PDU" i)
+        r.landed;
+      true)
+
 (* The per-VCI preallocated buffer path (the board half of fbufs, §3.1):
    buffers supplied for a VCI are preferred over the generic free queue. *)
 let test_vci_buffer_preference () =
@@ -438,4 +787,5 @@ let suite =
       test_double_cell_combines;
     Alcotest.test_case "board: per-VCI buffers (fbuf fast path)" `Quick
       test_vci_buffer_preference;
+    QCheck_alcotest.to_alcotest dma_plans_match_model;
   ]
