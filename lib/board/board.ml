@@ -747,16 +747,16 @@ let tx_processor t () =
   in
   loop ()
 
-let tx_sender t () =
+(* The link sender is a callback agent: take the next cell, send it
+   (waiting out the link's backpressure), repeat. *)
+let tx_sender t =
+  let a = Process.agent t.eng ~name:"tx-sender" in
   match t.tx_link with
-  | None -> () (* transmit side unused (receive-only experiments) *)
+  | None -> Process.start a ignore (* transmit side unused (receive-only) *)
   | Some link ->
-      let rec loop () =
-        let cell = Mailbox.recv t.tx_out in
-        Atm_link.send link cell;
-        loop ()
-      in
-      loop ()
+      let rec next () = Mailbox.recv_then t.tx_out a send
+      and send cell = Atm_link.send_then link a cell next in
+      Process.start a next
 
 (* ------------------------------------------------------------------ *)
 (* Receive side. *)
@@ -1276,7 +1276,7 @@ let start t =
   t.started <- true;
   Process.spawn t.eng ~name:"tx-processor" (tx_processor t);
   Process.spawn t.eng ~name:"tx-dma" (tx_dma_engine t);
-  Process.spawn t.eng ~name:"tx-sender" (tx_sender t);
+  tx_sender t;
   if t.recv_fn <> None then begin
     Process.spawn t.eng ~name:"rx-processor" (rx_processor t);
     Process.spawn t.eng ~name:"rx-dma" (rx_dma_engine t);

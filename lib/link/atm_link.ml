@@ -71,6 +71,9 @@ type t = {
   cfg : config;
   cell_time : Time.t;
   mutable send_seq : int;
+  mutable tx_channel : int;
+      (* channel of the cell numbered [send_seq - 1] while it waits
+         between [send_wait] and [book]; -1 when none does *)
   mutable max_delivered_seq : int;
   busy_until : Time.t array; (* per-channel serializer booking *)
   last_delivery : Time.t array; (* per-channel FIFO enforcement *)
@@ -105,6 +108,7 @@ let create eng rng cfg =
     cfg;
     cell_time;
     send_seq = 0;
+    tx_channel = -1;
     max_delivered_seq = -1;
     busy_until = Array.make cfg.nlinks 0;
     last_delivery = Array.make cfg.nlinks 0;
@@ -202,7 +206,10 @@ let deliver t link seq ~dup cell =
             "rx fifo overflow link=%d trunk_seq=%d" link seq
         end
 
-let send t cell =
+(* Sending is split around its backpressure wait, so a fiber
+   ([Process.sleep]) and a callback agent ([send_then]) wait the same
+   way and book through the same code. *)
+let send_wait t cell =
   (* Cell k of a PDU travels on link k mod n (paper 2.6): the link choice
      is a deterministic function of the cell's AAL sequence number, so the
      receiver's per-link reassembly can reconstruct each cell's position
@@ -211,25 +218,38 @@ let send t cell =
      stripe narrows to the surviving channels (in ascending order), and
      the sender's segmentation is expected to use [nlive] for the stripe
      width so both ends agree. *)
+  if t.tx_channel >= 0 then
+    (invalid_arg "Atm_link.send_wait: the previous cell is not booked"
+    [@osiris.alloc_ok "cold error path: raises, never returns"]);
   let nlive = Array.length t.live in
   let seq = t.send_seq in
   t.send_seq <- seq + 1;
   Metrics.incr t.m.m_sent;
   if nlive = 0 then begin
     Metrics.incr t.m.m_dropped_link_down;
-    Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-      "cell lost: all links down trunk_seq=%d" seq
+    (Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+       "cell lost: all links down trunk_seq=%d" seq
+    [@osiris.alloc_ok "fault diagnostics: format value, never on a live link"]);
+    0
   end
   else begin
     let l = t.live.(cell.Cell.seq mod nlive) in
     if Trace.enabled Trace.Link then
-      Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-        "cell vci=%d seq=%d -> link %d" cell.Cell.vci cell.Cell.seq l;
+      (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+         "cell vci=%d seq=%d -> link %d" cell.Cell.vci cell.Cell.seq l
+      [@osiris.alloc_ok "trace message: built only when link tracing is on"]);
+    t.tx_channel <- l;
     (* Backpressure: the channel's output FIFO lets us book at most
        [tx_fifo_cells] cell-times ahead of the present. *)
     let horizon = Engine.now t.eng + (t.cfg.tx_fifo_cells * t.cell_time) in
-    if t.busy_until.(l) > horizon then
-      Process.sleep t.eng (t.busy_until.(l) - horizon);
+    if t.busy_until.(l) > horizon then t.busy_until.(l) - horizon else 0
+  end
+
+let book t cell =
+  let l = t.tx_channel in
+  if l >= 0 then begin
+    t.tx_channel <- -1;
+    let seq = t.send_seq - 1 in
     let now = Engine.now t.eng in
     let start = max now t.busy_until.(l) in
     let finish = start + t.cell_time in
@@ -301,6 +321,18 @@ let send t cell =
     end
   end
 
+let send_then t a cell k =
+  let wait = send_wait t cell in
+  if wait = 0 then begin
+    book t cell;
+    k ()
+  end
+  else
+    Process.sleep_then a wait (fun () ->
+        book t cell;
+        k ())
+
+let recv_then t a k = Mailbox.recv_then t.inbox a k
 let recv t = Mailbox.recv t.inbox
 let try_recv t = Mailbox.try_recv t.inbox
 let pending t = Mailbox.length t.inbox

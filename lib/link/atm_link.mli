@@ -8,7 +8,7 @@
     preserved within a link and arbitrary (within the configured bound)
     across links.
 
-    A link object is unidirectional. Sending blocks the calling process for
+    A link object is unidirectional. Sending waits for
     serialization backpressure (each channel transmits one 53-byte cell at a
     time, with a small on-board output FIFO of bookable slots); delivery
     pushes cells into the receiving adaptor's input FIFO, dropping (and
@@ -56,15 +56,36 @@ val create : Osiris_sim.Engine.t -> Osiris_util.Rng.t -> config -> t
 
 val config : t -> config
 
-val send : t -> Osiris_atm.Cell.t -> unit
-(** Transmit the next cell (striped round-robin over the live channels).
-    Blocks the calling process when the target channel's output FIFO is
-    fully booked. With every channel down the cell is counted as
-    [dropped_link_down] and vanishes. *)
+val send_then :
+  t -> Osiris_sim.Process.agent -> Osiris_atm.Cell.t -> (unit -> unit) -> unit
+(** [send_then t a cell k] transmits the next cell (striped round-robin
+    over the live channels) from callback agent [a], then runs [k]. When
+    the target channel's output FIFO is fully booked, [a] sleeps
+    ({!Osiris_sim.Process.sleep_then}) until a slot frees. With every
+    channel down the cell is counted as [dropped_link_down] and
+    vanishes. *)
+
+val send_wait : t -> Osiris_atm.Cell.t -> Osiris_sim.Time.t
+(** The first half of {!send_then}: number the cell on the trunk and
+    pick its channel, and return how long the sender must wait for a
+    slot in that channel's output FIFO (0: none). The sender then sleeps
+    that long and calls {!book}; a fiber does
+    [let w = send_wait t c in if w > 0 then Process.sleep eng w; book t c].
+    Raises
+    [Invalid_argument] while an earlier cell waits unbooked. *)
+
+val book : t -> Osiris_atm.Cell.t -> unit
+(** The second half: book the channel {!send_wait} picked and schedule
+    the cell's delivery (or its loss). A no-op for a cell {!send_wait}
+    counted lost to dead channels. *)
 
 val recv : t -> int * Osiris_atm.Cell.t
 (** Next arrived cell with the channel it arrived on, in arrival order.
-    Blocks when none is pending. *)
+    Blocks the calling process when none is pending. *)
+
+val recv_then :
+  t -> Osiris_sim.Process.agent -> (int * Osiris_atm.Cell.t -> unit) -> unit
+(** {!recv} for a callback agent ({!Osiris_sim.Mailbox.recv_then}). *)
 
 val try_recv : t -> (int * Osiris_atm.Cell.t) option
 

@@ -1,28 +1,48 @@
-type handle = {
-  mutable cancelled : bool;
-  mutable queued : bool; (* currently sitting in the event queue *)
-  fn : unit -> unit;
-}
+(* Where a handle is, in one immediate int so the record stays two
+   words: its slot in the hot heap ([>= 0], always live), or one of the
+   codes below. A cancelled entry keeps its queue position until its
+   (time, seq) comes up, in the FIFO or in the cold heap, so cancelling
+   never changes what the clock, [pending] or [reschedule] see. *)
+let idle = -1 (* not queued *)
+let idle_cancelled = -2 (* just taken, and it had been cancelled *)
+let in_fifo = -3
+let in_fifo_cancelled = -4
+let in_cold = -5 (* in the cold heap: cancelled *)
+
+type handle = { mutable place : int; fn : unit -> unit }
 
 type chooser = now:Time.t -> count:int -> int
 
-(* The event queue is two structures that together dispatch in
+(* A 4-ary min-heap on (time, seq), held in three parallel arrays so an
+   entry costs no allocation. The hot heap tracks each handle's slot in
+   [place], so [cancel] can lift the entry out; the cold heap does
+   not. *)
+type heap = {
+  mutable heap_time : int array;
+  mutable heap_seq : int array;
+  mutable heap_ev : handle array;
+  mutable heap_len : int;
+  tracked : bool;
+}
+
+(* The event queue is three structures that together dispatch in
    (time, seq) order:
 
-   - a 4-ary min-heap on (time, seq), held in three parallel arrays so
-     an entry costs no allocation;
+   - the hot heap of live future events;
+   - the cold heap, where [cancel] moves a heap entry with its key
+     unchanged, so the hot heap holds only events that will run;
    - a FIFO ring of the events due at exactly [clock], in seq order.
 
    An event scheduled for the current instant goes to the FIFO, any
-   later one to the heap. Every heap entry due now was added before the
-   clock reached its time, so its seq is lower than any FIFO entry's:
-   serving the heap's entries at [clock] first, then the FIFO, is
-   exactly (time, seq) order. The FIFO only ever holds one instant,
-   because the clock never moves while it is non-empty: [take] serves
-   it before any later heap entry, and [run ~until] and [skip_to] only
-   move the clock strictly before the next queued time. Vacated slots
-   of both are overwritten with [dummy], so a fired event's closure is
-   never pinned. *)
+   later one to the hot heap. Every heap entry due now was added before
+   the clock reached its time, so its seq is lower than any FIFO
+   entry's: serving the heaps' entries at [clock] first (the lower
+   (time, seq) of the two tops), then the FIFO, is exactly (time, seq)
+   order. The FIFO only ever holds one instant, because the clock never
+   moves while it is non-empty: [take] serves it before any later heap
+   entry, and [run ~until] and [skip_to] only move the clock strictly
+   before the next queued time. Vacated slots are overwritten with
+   [dummy], so a fired or drained event's closure is never pinned. *)
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
@@ -30,10 +50,8 @@ type t = {
   mutable dispatched : int;
   mutable chooser : chooser option;
   mutable horizon : Time.t; (* the running [run]'s [until]; -1 outside [run] *)
-  mutable heap_time : int array;
-  mutable heap_seq : int array;
-  mutable heap_ev : handle array;
-  mutable heap_len : int;
+  hot : heap;
+  cold : heap;
   mutable fifo : handle array; (* ring; length a power of two *)
   mutable fifo_first : int;
   mutable fifo_len : int;
@@ -41,7 +59,16 @@ type t = {
 
 exception Stopped
 
-let dummy = { cancelled = true; queued = false; fn = ignore }
+let dummy = { place = idle; fn = ignore }
+
+let create_heap ~tracked =
+  {
+    heap_time = Array.make 64 0;
+    heap_seq = Array.make 64 0;
+    heap_ev = Array.make 64 dummy;
+    heap_len = 0;
+    tracked;
+  }
 
 let create () =
   {
@@ -51,10 +78,8 @@ let create () =
     dispatched = 0;
     chooser = None;
     horizon = -1;
-    heap_time = Array.make 64 0;
-    heap_seq = Array.make 64 0;
-    heap_ev = Array.make 64 dummy;
-    heap_len = 0;
+    hot = create_heap ~tracked:true;
+    cold = create_heap ~tracked:false;
     fifo = Array.make 16 dummy;
     fifo_first = 0;
     fifo_len = 0;
@@ -66,25 +91,28 @@ let now t = t.clock
 
 let events_dispatched t = t.dispatched
 
-let pending t = t.heap_len + t.fifo_len
+let pending t = t.hot.heap_len + t.cold.heap_len + t.fifo_len
+
+let[@inline] top_time q = if q.heap_len > 0 then q.heap_time.(0) else max_int
 
 (* Earliest queued time, [max_int] when empty: the FIFO's instant is
    the clock, and no heap entry is earlier. *)
 let next_key t =
   if t.fifo_len > 0 then t.clock
-  else if t.heap_len > 0 then t.heap_time.(0)
-  else max_int
+  else
+    let h = top_time t.hot and c = top_time t.cold in
+    if h < c then h else c
 
-let grow_heap t =
-  let n = 2 * Array.length t.heap_time in
+let grow_heap q =
+  let n = 2 * Array.length q.heap_time in
   let extend a fill =
     let b = Array.make n fill in
-    Array.blit a 0 b 0 t.heap_len;
+    Array.blit a 0 b 0 q.heap_len;
     b
   in
-  t.heap_time <- extend t.heap_time 0;
-  t.heap_seq <- extend t.heap_seq 0;
-  t.heap_ev <- extend t.heap_ev dummy
+  q.heap_time <- extend q.heap_time 0;
+  q.heap_seq <- extend q.heap_seq 0;
+  q.heap_ev <- extend q.heap_ev dummy
 
 let grow_fifo t =
   let cap = Array.length t.fifo in
@@ -95,50 +123,76 @@ let grow_fifo t =
   t.fifo <- b;
   t.fifo_first <- 0
 
-let set_slot t i time seq h =
-  t.heap_time.(i) <- time;
-  t.heap_seq.(i) <- seq;
-  t.heap_ev.(i) <- h
+let[@inline] set_slot q i time seq h =
+  q.heap_time.(i) <- time;
+  q.heap_seq.(i) <- seq;
+  q.heap_ev.(i) <- h;
+  if q.tracked then h.place <- i
 
 (* Sift loops move the hole rather than swapping, and live at top level:
-   defined inside [push]/[take] they would capture [t] and allocate a
-   closure per operation. *)
-let rec sift_up t i time seq h =
-  if i = 0 then set_slot t 0 time seq h
+   defined inside [push]/[take] they would capture the heap and allocate
+   a closure per operation. *)
+let rec sift_up q i time seq h =
+  if i = 0 then set_slot q 0 time seq h
   else begin
     let p = (i - 1) / 4 in
-    let pt = t.heap_time.(p) in
-    if time < pt || (time = pt && seq < t.heap_seq.(p)) then begin
-      set_slot t i pt t.heap_seq.(p) t.heap_ev.(p);
-      sift_up t p time seq h
+    let pt = q.heap_time.(p) in
+    if time < pt || (time = pt && seq < q.heap_seq.(p)) then begin
+      set_slot q i pt q.heap_seq.(p) q.heap_ev.(p);
+      sift_up q p time seq h
     end
-    else set_slot t i time seq h
+    else set_slot q i time seq h
   end
 
-let less t a b =
-  let ta = t.heap_time.(a) and tb = t.heap_time.(b) in
-  ta < tb || (ta = tb && t.heap_seq.(a) < t.heap_seq.(b))
+let[@inline] less q a b =
+  let ta = q.heap_time.(a) and tb = q.heap_time.(b) in
+  ta < tb || (ta = tb && q.heap_seq.(a) < q.heap_seq.(b))
 
-let rec sift_down t i time seq h =
-  let n = t.heap_len in
+let rec sift_down q i time seq h =
+  let n = q.heap_len in
   let c = (4 * i) + 1 in
-  if c >= n then set_slot t i time seq h
+  if c >= n then set_slot q i time seq h
   else begin
     let m = c in
-    let m = if c + 1 < n && less t (c + 1) m then c + 1 else m in
-    let m = if c + 2 < n && less t (c + 2) m then c + 2 else m in
-    let m = if c + 3 < n && less t (c + 3) m then c + 3 else m in
-    let mt = t.heap_time.(m) in
-    if mt < time || (mt = time && t.heap_seq.(m) < seq) then begin
-      set_slot t i mt t.heap_seq.(m) t.heap_ev.(m);
-      sift_down t m time seq h
+    let m = if c + 1 < n && less q (c + 1) m then c + 1 else m in
+    let m = if c + 2 < n && less q (c + 2) m then c + 2 else m in
+    let m = if c + 3 < n && less q (c + 3) m then c + 3 else m in
+    let mt = q.heap_time.(m) in
+    if mt < time || (mt = time && q.heap_seq.(m) < seq) then begin
+      set_slot q i mt q.heap_seq.(m) q.heap_ev.(m);
+      sift_down q m time seq h
     end
-    else set_slot t i time seq h
+    else set_slot q i time seq h
+  end
+
+let[@inline] heap_add q time seq h =
+  if q.heap_len = Array.length q.heap_time then
+    (grow_heap q
+    [@osiris.alloc_ok
+      "heap doubling: once per doubling of the deepest queue, then reused"]);
+  q.heap_len <- q.heap_len + 1;
+  sift_up q (q.heap_len - 1) time seq h
+
+(* Take the entry at slot [i] out of [q]: the last entry fills the hole
+   and sifts whichever way its key says. *)
+let heap_remove q i =
+  let n = q.heap_len - 1 in
+  q.heap_len <- n;
+  let last = q.heap_ev.(n) in
+  q.heap_ev.(n) <- dummy;
+  if i < n then begin
+    let time = q.heap_time.(n) and seq = q.heap_seq.(n) in
+    let p = (i - 1) / 4 in
+    if
+      i > 0
+      && (time < q.heap_time.(p)
+         || (time = q.heap_time.(p) && seq < q.heap_seq.(p)))
+    then sift_up q i time seq last
+    else sift_down q i time seq last
   end
 
 (* Queue [h] at [time] (never before the clock) with a fresh seq. *)
 let push t ~time h =
-  h.queued <- true;
   if time = t.clock then begin
     if t.fifo_len = Array.length t.fifo then
       (grow_fifo t
@@ -146,45 +200,45 @@ let push t ~time h =
         "ring doubling: once per doubling of the deepest same-instant \
          backlog, then reused"]);
     t.fifo.((t.fifo_first + t.fifo_len) land (Array.length t.fifo - 1)) <- h;
-    t.fifo_len <- t.fifo_len + 1
+    t.fifo_len <- t.fifo_len + 1;
+    h.place <- in_fifo
   end
-  else begin
-    if t.heap_len = Array.length t.heap_time then
-      (grow_heap t
-      [@osiris.alloc_ok
-        "heap doubling: once per doubling of the deepest queue, then \
-         reused"]);
-    t.heap_len <- t.heap_len + 1;
-    sift_up t (t.heap_len - 1) time t.seq h
-  end;
+  else heap_add t.hot time t.seq h;
   t.seq <- t.seq + 1
 
+let[@inline] less_top a b =
+  let ta = a.heap_time.(0) and tb = b.heap_time.(0) in
+  ta < tb || (ta = tb && a.heap_seq.(0) < b.heap_seq.(0))
+
 (* Remove the next event in (time, seq) order and move the clock to its
-   time. The caller guarantees the queue is non-empty. *)
+   time; its [place] says whether it had been cancelled. The caller
+   guarantees the queue is non-empty. *)
 let take t =
-  let h =
-    if t.fifo_len > 0 && (t.heap_len = 0 || t.heap_time.(0) > t.clock)
-    then begin
-      let i = t.fifo_first in
-      let h = t.fifo.(i) in
-      t.fifo.(i) <- dummy;
-      t.fifo_first <- (i + 1) land (Array.length t.fifo - 1);
-      t.fifo_len <- t.fifo_len - 1;
-      h
-    end
-    else begin
-      let h = t.heap_ev.(0) in
-      t.clock <- t.heap_time.(0);
-      let n = t.heap_len - 1 in
-      t.heap_len <- n;
-      let last = t.heap_ev.(n) in
-      t.heap_ev.(n) <- dummy;
-      if n > 0 then sift_down t 0 t.heap_time.(n) t.heap_seq.(n) last;
-      h
-    end
+  let hot = t.hot and cold = t.cold in
+  let q =
+    if cold.heap_len > 0 && (hot.heap_len = 0 || less_top cold hot) then cold
+    else hot
   in
-  h.queued <- false;
-  h
+  if t.fifo_len > 0 && (q.heap_len = 0 || q.heap_time.(0) > t.clock) then begin
+    let i = t.fifo_first in
+    let h = t.fifo.(i) in
+    t.fifo.(i) <- dummy;
+    t.fifo_first <- (i + 1) land (Array.length t.fifo - 1);
+    t.fifo_len <- t.fifo_len - 1;
+    h.place <- (if h.place = in_fifo then idle else idle_cancelled);
+    h
+  end
+  else begin
+    let h = q.heap_ev.(0) in
+    t.clock <- q.heap_time.(0);
+    let n = q.heap_len - 1 in
+    q.heap_len <- n;
+    let last = q.heap_ev.(n) in
+    q.heap_ev.(n) <- dummy;
+    if n > 0 then sift_down q 0 q.heap_time.(n) q.heap_seq.(n) last;
+    h.place <- (if q.tracked then idle else idle_cancelled);
+    h
+  end
 
 let check_time t time =
   if time < t.clock then
@@ -194,7 +248,12 @@ let check_time t time =
 
 let schedule_at t ~time fn =
   check_time t time;
-  let h = { cancelled = false; queued = false; fn } in
+  let h =
+    ({ place = idle; fn }
+    [@osiris.alloc_ok
+      "the one handle per scheduled event: a fresh record keeps the \
+       major GC's write barrier off long-lived handles"])
+  in
   push t ~time h;
   h
 
@@ -202,18 +261,33 @@ let schedule t ~delay fn =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock + delay) fn
 
+let queued h = h.place >= 0 || h.place <= in_fifo
+
 let reschedule_at t ~time h =
-  if h.queued then
-    invalid_arg "Engine.reschedule_at: handle is still queued";
+  if queued h then invalid_arg "Engine.reschedule_at: handle is still queued";
   check_time t time;
-  h.cancelled <- false;
   push t ~time h
 
 let reschedule t ~delay h =
   if delay < 0 then invalid_arg "Engine.reschedule: negative delay";
   reschedule_at t ~time:(t.clock + delay) h
 
-let cancel h = h.cancelled <- true
+(* A live hot-heap entry moves to the cold heap under the same key; a
+   FIFO entry is only marked. Either way it still occupies its (time,
+   seq) until [take] drops it there. *)
+let cancel t h =
+  let i = h.place in
+  if i >= 0 then begin
+    let q = t.hot in
+    if q.heap_ev.(i) != h then
+      (invalid_arg "Engine.cancel: handle of another engine"
+      [@osiris.alloc_ok "cold error path: raises, never returns"]);
+    let time = q.heap_time.(i) and seq = q.heap_seq.(i) in
+    heap_remove q i;
+    heap_add t.cold time seq h;
+    h.place <- in_cold
+  end
+  else if i = in_fifo then h.place <- in_fifo_cancelled
 
 (* A callback scheduled now at [time] would be the very next one [run]
    dispatches, and before [run] returns, exactly when [time] is inside
@@ -239,7 +313,7 @@ let pop_instant t =
   let rec go acc =
     if pending t > 0 && next_key t = key then
       let h = take t in
-      go (if h.cancelled then acc else h :: acc)
+      go (if h.place = idle_cancelled then acc else h :: acc)
     else List.rev acc
   in
   go []
@@ -253,7 +327,7 @@ let step_live t =
     match t.chooser with
     | None ->
         let h = take t in
-        if h.cancelled then `Skipped
+        if h.place = idle_cancelled then `Skipped
         else begin
           t.dispatched <- t.dispatched + 1;
           (h.fn ()

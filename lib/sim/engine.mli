@@ -25,7 +25,16 @@
     zero-delay event is O(1) and a later one O(log n) moves within the
     arrays, and only doubling an array allocates. Vacated slots are
     cleared, so a fired callback's closure is never pinned by the
-    queue. *)
+    queue.
+
+    {b Cancelled events.} {!cancel} moves a heap entry, key unchanged,
+    into a second heap of cancelled entries, so the heap that every
+    schedule and dispatch sifts through holds only events that will
+    run. A cancelled entry still counts in {!pending}, still bounds
+    {!skip_to} and the end-of-run clock, still keeps its handle from
+    being {!reschedule}d, and still moves the clock to its time when
+    its turn comes, exactly as if it had stayed in place: cancelling
+    changes nothing observable but the callback not running. *)
 
 type t
 
@@ -58,13 +67,14 @@ val reschedule : t -> delay:Time.t -> handle -> unit
 val reschedule_at : t -> time:Time.t -> handle -> unit
 (** {!reschedule} at an absolute time. *)
 
-val cancel : handle -> unit
-(** Cancel a pending event. Cancelling an event that has already fired is a
-    no-op. *)
+val cancel : t -> handle -> unit
+(** [cancel t h] cancels a pending event of [t]. Cancelling an event
+    that has already fired, or twice, is a no-op. The entry stays
+    queued until its instant passes (see {e Cancelled events} above). *)
 
 val pending : t -> int
-(** Number of events still queued (including cancelled ones not yet
-    drained). *)
+(** Number of events still queued (including cancelled ones whose
+    instant has not passed yet). *)
 
 val events_dispatched : t -> int
 (** Total live (non-cancelled) callbacks executed over the engine's

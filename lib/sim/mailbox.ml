@@ -20,7 +20,7 @@ let length t = Queue.length t.items
 let is_empty t = Queue.is_empty t.items
 let is_full t = Queue.length t.items >= t.capacity
 
-let wake q = match Queue.take_opt q with None -> () | Some r -> r ()
+let wake q = if not (Queue.is_empty q) then (Queue.take q) ()
 
 let try_send t v =
   if is_full t then false
@@ -37,12 +37,13 @@ let rec send t v =
     send t v
   end
 
-let try_recv t =
-  match Queue.take_opt t.items with
-  | None -> None
-  | Some v ->
-      wake t.senders;
-      Some v
+(* The oldest item, which must exist; its slot frees a blocked sender. *)
+let take t =
+  let v = Queue.take t.items in
+  wake t.senders;
+  v
+
+let try_recv t = if Queue.is_empty t.items then None else Some (take t)
 
 let rec recv t =
   match try_recv t with
@@ -50,3 +51,10 @@ let rec recv t =
   | None ->
       Process.suspend t.eng (fun resume -> Queue.add resume t.receivers);
       recv t
+
+(* [recv]'s events without the fiber: an item at hand is taken now; else
+   the waker's [try_send] schedules one hop, which retries. *)
+let rec recv_then t a k =
+  if Queue.is_empty t.items then
+    Queue.add (Process.await a (fun () -> recv_then t a k)) t.receivers
+  else k (take t)

@@ -22,6 +22,12 @@ val recv : 'a t -> 'a
 (** Dequeue the oldest value, blocking the calling process while the mailbox
     is empty. *)
 
+val recv_then : 'a t -> Process.agent -> ('a -> unit) -> unit
+(** [recv_then t a k] is {!recv} for a callback agent: [k v] runs with
+    the oldest value, inline when one is queued, else in the one
+    zero-delay event the sender's wake-up schedules — the events a
+    fiber blocked in {!recv} costs. *)
+
 val try_recv : 'a t -> 'a option
 (** Non-blocking dequeue. Usable from any context. *)
 

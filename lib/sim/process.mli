@@ -61,3 +61,40 @@ val yield : Engine.t -> unit
 exception Process_failure of string * exn
 (** Raised out of the engine loop when a named process dies with an
     uncaught exception. *)
+
+(** {2 Callback agents}
+
+    An agent is a process written as engine callbacks instead of a
+    fiber: each step runs to its end and names the function that
+    continues it. The forms below schedule exactly the events their
+    fiber counterparts schedule, at the same instants and in the same
+    order, so a process converted to an agent dispatches identically;
+    what it saves is the fiber switch and the effect, continuation and
+    resume closure of every suspension. Use one for a per-cell actor
+    that never blocks mid-step ([Desc_queue], [Resource] or a bounded
+    {!Mailbox.send} still need a fiber). *)
+
+type agent
+(** A name, an engine, and the step to run at the agent's one pending
+    event. Its timer and wake-up callbacks are built once: a sleep that
+    needs a timer costs the engine handle, a wake-up one small closure
+    and a handle. *)
+
+val agent : Engine.t -> name:string -> agent
+
+val start : agent -> (unit -> unit) -> unit
+(** [start a k] runs [k] as [a] in one zero-delay event: the event
+    {!spawn} schedules. An exception escaping [k], or any later step of
+    [a], leaves the engine as [Process_failure (name, exn)]. *)
+
+val sleep_then : agent -> Time.t -> (unit -> unit) -> unit
+(** [sleep_then a d k] is {!sleep} followed by [k ()]: zero, one or two
+    events by the same rules, with [k] running inline when no event is
+    needed. Call it from [a]'s own step, in tail position. *)
+
+val await : agent -> (unit -> unit) -> resumer
+(** [await a k] makes [k] the step [a] runs next and returns [a]'s
+    resumer, for a waker to call: the call schedules one zero-delay
+    event running [k] as [a], the hop a suspended fiber's resumer
+    schedules. An agent waits on one thing at a time: the next
+    [await], [sleep_then] or [start] of [a] replaces [k]. *)

@@ -12,7 +12,6 @@ type config = {
   nports : int;
   queue_cells : int;
   forward_latency : Time.t;
-  drain_batch : int;
   mark_threshold : int;
   epd_reserve : int;
   route_oracle : bool;
@@ -20,8 +19,7 @@ type config = {
 
 let default_config =
   { nports = 4; queue_cells = 32; forward_latency = Time.us 2;
-    drain_batch = 8; mark_threshold = 0; epd_reserve = 0;
-    route_oracle = false }
+    mark_threshold = 0; epd_reserve = 0; route_oracle = false }
 
 (* Placeholder stored in vacated ring slots so forwarded cells are not
    pinned by the preallocated arrays. *)
@@ -30,18 +28,13 @@ let no_cell =
     (Bytes.make Cell.data_size '\000')
 
 (* The output queue is a preallocated ring: enqueue and dequeue allocate
-   nothing. [in_flight] counts cells the egress scheduler has pulled out
-   of the ring as a batch but whose drain instant has not arrived yet —
-   logically they are still queued, so occupancy and the overflow check
-   use [q_len + in_flight]. The ring itself never overflows: admission
-   is bounded by the same sum. *)
+   nothing, and admission never lets it overflow. *)
 type port = {
   mutable ingress : Atm_link.t option;
   mutable egress : Atm_link.t option;
   ring : Cell.t array;
   mutable q_head : int;
   mutable q_len : int;
-  mutable in_flight : int;
   mutable reserved : int;
       (* cells of queue capacity held back for PDUs already admitted in
          packet-discard mode; occupancy + reserved <= queue_cells always *)
@@ -101,7 +94,6 @@ let occupancy t = t.queued
 let create eng ?(name = "sw") cfg =
   if cfg.nports < 1 then invalid_arg "Switch.create: nports < 1";
   if cfg.queue_cells < 1 then invalid_arg "Switch.create: queue_cells < 1";
-  if cfg.drain_batch < 1 then invalid_arg "Switch.create: drain_batch < 1";
   if cfg.mark_threshold < 0 || cfg.mark_threshold > cfg.queue_cells then
     invalid_arg "Switch.create: mark_threshold out of range";
   if cfg.epd_reserve < 0 || cfg.epd_reserve > cfg.queue_cells then
@@ -114,7 +106,6 @@ let create eng ?(name = "sw") cfg =
           ring = Array.make cfg.queue_cells no_cell;
           q_head = 0;
           q_len = 0;
-          in_flight = 0;
           reserved = 0;
           up = true;
           out_nonempty = Signal.create eng;
@@ -198,8 +189,7 @@ let route_check t =
 
 let port_occupancy t ~port =
   check_port t "port_occupancy" port;
-  let p = t.ports.(port) in
-  p.q_len + p.in_flight
+  t.ports.(port).q_len
 
 let ring_push p cell =
   let cap = Array.length p.ring in
@@ -223,7 +213,7 @@ let enqueue t p ~out_vci cell =
      only leave forwarded, which is what [mark_conservation]
      checks. *)
   let mark =
-    t.cfg.mark_threshold > 0 && p.q_len + p.in_flight >= t.cfg.mark_threshold
+    t.cfg.mark_threshold > 0 && p.q_len >= t.cfg.mark_threshold
   in
   (* Cells are immutable records shared with in-flight deliveries
      (fault injection can alias one cell across two arrivals), so
@@ -304,7 +294,7 @@ let ingress_cell_epd t ~in_port ~out_port ~out_vci (cell : Cell.t) =
       | s -> Ctable.slot_value t.pdus s
   in
   let last = cell.Cell.last_of_pdu in
-  let occ = p.q_len + p.in_flight in
+  let occ = p.q_len in
   if state = min_int then begin
     (* First cell: admit or shed the whole PDU. *)
     if occ + p.reserved + t.cfg.epd_reserve <= t.cfg.queue_cells then begin
@@ -382,14 +372,14 @@ let ingress_cell t ~port cell =
         ingress_cell_epd t ~in_port:port ~out_port ~out_vci cell
       else begin
         let p = t.ports.(out_port) in
-        if p.q_len + p.in_flight >= t.cfg.queue_cells then
+        if p.q_len >= t.cfg.queue_cells then
           drop_overflow t out_port cell
         else enqueue t p ~out_vci cell
       end
 
 (* The per-cell forwarding commitment: this is the instant the cell
    stops being "queued" and becomes "forwarded" in the conservation
-   invariant, whether it is drained directly or as part of a batch. *)
+   invariant. *)
 let commit_forward t (cell : Cell.t) =
   t.queued <- t.queued - 1;
   t.stats.forwarded <- t.stats.forwarded + 1;
@@ -409,7 +399,7 @@ let drain_one t ~port =
     (Some cell
     [@osiris.alloc_ok
       "option box for the synchronous test/explorer surface; the egress \
-       loop spawned by start uses ring_take directly"])
+       agent started by start uses ring_take directly"])
   end
 
 (* Output-port carrier state (the fabric-fault dimension): a down port
@@ -431,70 +421,76 @@ let port_up t ~port =
   check_port t "port_up" port;
   t.ports.(port).up
 
-(* One consumer per ingress link: every arriving cell runs the routing +
+(* The ports are callback agents, not fibers: each step runs to its end
+   and names the function that continues it, and the engine events
+   are those the two fiber loops they replace scheduled.
+
+   One consumer per ingress link: every arriving cell runs the routing +
    output-enqueue step the instant the link delivers it (input queueing is
    the link's receive FIFO; contention lives in the output queues). *)
-let ingress_loop t port link () =
-  let rec loop () =
-    let _ch, cell = Atm_link.recv link in
+let ingress t port link =
+  let a = Process.agent t.eng ~name:(Printf.sprintf "%s.in%d" t.sw_name port) in
+  let rec on_cell (_ch, cell) =
     ingress_cell t ~port cell;
-    loop ()
+    Atm_link.recv_then link a on_cell
   in
-  loop ()
+  Process.start a (fun () -> Atm_link.recv_then link a on_cell)
 
-(* One scheduler per output port: dequeue, hold the cell for the fabric's
-   per-cell forwarding latency, then hand it to the egress link (whose
-   [send] models serialization backpressure and re-stripes by AAL seq).
+(* One scheduler per output port, one cell per step: dequeue, hold the
+   cell for the fabric's per-cell forwarding latency, then hand it to
+   the egress link (whose send models serialization backpressure and
+   re-stripes by AAL seq). A down port takes no next cell. The agent's
+   state is this record, and its two steps are built once, so a step
+   allocates nothing but its engine event. *)
+type egress = {
+  e_sw : t;
+  e_port : port;
+  e_link : Atm_link.t;
+  e_agent : Process.agent;
+  mutable e_cell : Cell.t; (* dequeued, in the forwarding latency *)
+  e_step : unit -> unit;
+  e_forward : unit -> unit;
+}
 
-   Cells are pulled from the ring up to [drain_batch] at a time to save
-   one queue round-trip per cell, but each one is committed (counted
-   forwarded, removed from the logical occupancy) only when its own
-   latency slot starts — exactly the instants a one-cell-per-wakeup
-   drain would commit them — so drop decisions, occupancy readings and
-   the conservation invariant are untouched by the batch size. *)
-let egress_loop t port link () =
-  let p = t.ports.(port) in
-  let batch = Array.make t.cfg.drain_batch no_cell in
-  let rec loop () =
-    let n = if p.up then min t.cfg.drain_batch p.q_len else 0 in
-    if n = 0 then begin
-      Signal.wait p.out_nonempty;
-      loop ()
-    end
-    else begin
-      for i = 0 to n - 1 do
-        batch.(i) <- ring_take p
-      done;
-      p.in_flight <- p.in_flight + n;
-      for i = 0 to n - 1 do
-        p.in_flight <- p.in_flight - 1;
-        commit_forward t batch.(i);
-        Process.sleep t.eng t.cfg.forward_latency;
-        Atm_link.send link batch.(i);
-        batch.(i) <- no_cell
-      done;
-      loop ()
-    end
+let egress_step e =
+  let p = e.e_port in
+  if p.up && p.q_len > 0 then begin
+    let cell = ring_take p in
+    commit_forward e.e_sw cell;
+    e.e_cell <- cell;
+    Process.sleep_then e.e_agent e.e_sw.cfg.forward_latency e.e_forward
+  end
+  else Signal.wait_then p.out_nonempty e.e_agent e.e_step
+
+let egress_forward e =
+  let cell = e.e_cell in
+  e.e_cell <- no_cell;
+  Atm_link.send_then e.e_link e.e_agent cell e.e_step
+
+let egress t port link =
+  let agent =
+    Process.agent t.eng ~name:(Printf.sprintf "%s.out%d" t.sw_name port)
   in
-  loop ()
+  let rec e =
+    {
+      e_sw = t;
+      e_port = t.ports.(port);
+      e_link = link;
+      e_agent = agent;
+      e_cell = no_cell;
+      e_step = (fun () -> egress_step e);
+      e_forward = (fun () -> egress_forward e);
+    }
+  in
+  Process.start agent e.e_step
 
 let start t =
   if t.started then invalid_arg "Switch.start: already started";
   t.started <- true;
   Array.iteri
     (fun i p ->
-      (match p.ingress with
-      | Some link ->
-          Process.spawn t.eng
-            ~name:(Printf.sprintf "%s.in%d" t.sw_name i)
-            (ingress_loop t i link)
-      | None -> ());
-      match p.egress with
-      | Some link ->
-          Process.spawn t.eng
-            ~name:(Printf.sprintf "%s.out%d" t.sw_name i)
-            (egress_loop t i link)
-      | None -> ())
+      Option.iter (ingress t i) p.ingress;
+      Option.iter (egress t i) p.egress)
     t.ports
 
 let conservation t =

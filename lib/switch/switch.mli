@@ -30,13 +30,6 @@ type config = {
   forward_latency : Osiris_sim.Time.t;
       (** per-cell switching latency: the output scheduler holds each
           dequeued cell this long before handing it to the egress link *)
-  drain_batch : int;
-      (** cells the output scheduler pulls from its queue per wakeup
-          (>= 1). Purely a simulator-speed knob: each batched cell is
-          still committed — counted forwarded, removed from the logical
-          occupancy — at the exact instant a one-cell-per-wakeup drain
-          would commit it, so drops, occupancy and timing are identical
-          for every value. *)
   mark_threshold : int;
       (** ECN-like congestion marking (DCTCP-style, queue-occupancy
           threshold): a cell admitted to an output queue whose occupancy
@@ -68,8 +61,8 @@ type config = {
 
 val default_config : config
 (** 4 ports, 32-cell output queues, 2 µs per-cell forwarding latency —
-    roughly one OC-3 cell time through the fabric — draining 8 cells
-    per scheduler wakeup, congestion marking off. *)
+    roughly one OC-3 cell time through the fabric — congestion marking
+    off. *)
 
 type t
 
@@ -119,17 +112,20 @@ val route_check : t -> string list
     is set. Empty = clean. *)
 
 val start : t -> unit
-(** Spawn the per-port forwarding processes (one ingress consumer and one
-    output scheduler per attached port). Idempotent per switch is {e not}
-    supported: starting twice raises [Invalid_argument]. *)
+(** Start the per-port forwarding agents (one ingress consumer and one
+    output scheduler per attached port), as engine callbacks
+    ({!Osiris_sim.Process.agent}) named [<name>.in<i>] and
+    [<name>.out<i>]. Idempotent per switch is {e not} supported:
+    starting twice raises [Invalid_argument]. *)
 
 val set_port_state : t -> port:int -> bool -> unit
 (** Raise ([true]) or cut ([false]) an output port's carrier — the
     fabric-level fault dimension ([portflap#N] plans). A down port stops
     draining: cells routed to it still enqueue, and once the queue
     stands full they are overflow-dropped, so the conservation law is
-    untouched. Cells already pulled into the egress pipe finish
-    serializing. Raising the port wakes its scheduler. Idempotent. *)
+    untouched. The one cell already in the forwarding latency finishes
+    and serializes; no further cell leaves the queue until the port is
+    raised, which wakes its scheduler. Idempotent. *)
 
 val port_up : t -> port:int -> bool
 
@@ -137,7 +133,7 @@ val port_up : t -> port:int -> bool
 
     The two halves of the datapath are exposed directly so tests and
     {!Osiris_check} scenarios can drive enqueue/dequeue interleavings
-    without links or processes. The port processes spawned by {!start} use
+    without links or processes. The port agents started by {!start} use
     exactly these functions. *)
 
 val ingress_cell : t -> port:int -> Osiris_atm.Cell.t -> unit

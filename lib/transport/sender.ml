@@ -135,7 +135,7 @@ and disarm t =
     t.timer_armed <- false;
     match t.timer with
     | Some h ->
-        Engine.cancel h;
+        Engine.cancel t.eng h;
         t.timer <- None
     | None -> ()
   end
@@ -188,7 +188,7 @@ and disarm_probe t =
     t.probe_armed <- false;
     match t.probe with
     | Some h ->
-        Engine.cancel h;
+        Engine.cancel t.eng h;
         t.probe <- None
     | None -> ()
   end

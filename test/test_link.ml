@@ -10,6 +10,14 @@ module Rng = Osiris_util.Rng
 let cells_of_pdu ?(n = 400) ?(nlinks = 4) () =
   Sar.segment ~vci:3 ~nlinks (Bytes.init n (fun i -> Char.chr (i land 0xff)))
 
+(* The library's link senders are callback agents; a test's fiber sends
+   through the same two halves and waits out backpressure with
+   [Process.sleep], the events a blocking send cost. *)
+let send eng link cell =
+  let wait = Atm_link.send_wait link cell in
+  if wait > 0 then Process.sleep eng wait;
+  Atm_link.book link cell
+
 let collect eng link n =
   let out = ref [] in
   Process.spawn eng ~name:"rx" (fun () ->
@@ -25,7 +33,7 @@ let test_no_skew_in_order () =
   in
   let cells = cells_of_pdu () in
   let out = collect eng link (List.length cells) in
-  Process.spawn eng ~name:"tx" (fun () -> List.iter (Atm_link.send link) cells);
+  Process.spawn eng ~name:"tx" (fun () -> List.iter (send eng link) cells);
   Engine.run eng;
   let seqs = List.map (fun (_, c) -> c.Cell.seq) (List.rev !out) in
   Alcotest.(check (list int)) "arrival order = send order"
@@ -43,7 +51,7 @@ let test_skew_reorders_across_links_only () =
   let link = Atm_link.create eng (Rng.create ~seed:1) cfg in
   let cells = cells_of_pdu () in
   let out = collect eng link (List.length cells) in
-  Process.spawn eng ~name:"tx" (fun () -> List.iter (Atm_link.send link) cells);
+  Process.spawn eng ~name:"tx" (fun () -> List.iter (send eng link) cells);
   Engine.run eng;
   let arrivals = List.rev !out in
   (* Global order is perturbed... *)
@@ -71,7 +79,7 @@ let test_aggregate_rate () =
   let pdu = Bytes.make 10000 'x' in
   let cells = Sar.segment ~vci:3 ~nlinks:4 pdu in
   let ncells = List.length cells in
-  Process.spawn eng ~name:"tx" (fun () -> List.iter (Atm_link.send link) cells);
+  Process.spawn eng ~name:"tx" (fun () -> List.iter (send eng link) cells);
   Engine.run eng;
   (* Serialization finished; expected: ceil(n/4) cell times + pipeline. *)
   let cell_time = 53 * 8 * 1_000_000_000 / 155_520_000 in
@@ -89,7 +97,7 @@ let test_fifo_overflow_drops () =
   let cfg = { Atm_link.default_config with Atm_link.rx_fifo_cells = 4 } in
   let link = Atm_link.create eng (Rng.create ~seed:1) cfg in
   let cells = cells_of_pdu ~n:4000 () in
-  Process.spawn eng ~name:"tx" (fun () -> List.iter (Atm_link.send link) cells);
+  Process.spawn eng ~name:"tx" (fun () -> List.iter (send eng link) cells);
   (* no receiver: the 4-cell FIFO overflows *)
   Engine.run eng;
   let st = Atm_link.stats link in
@@ -103,7 +111,7 @@ let test_corruption_injection () =
   let link = Atm_link.create eng (Rng.create ~seed:1) cfg in
   let cells = cells_of_pdu ~n:100 () in
   let out = collect eng link (List.length cells) in
-  Process.spawn eng ~name:"tx" (fun () -> List.iter (Atm_link.send link) cells);
+  Process.spawn eng ~name:"tx" (fun () -> List.iter (send eng link) cells);
   Engine.run eng;
   Alcotest.(check int) "all corrupted"
     (List.length cells)
@@ -119,7 +127,7 @@ let test_drop_injection () =
   let cfg = { Atm_link.default_config with Atm_link.drop_prob = 0.5 } in
   let link = Atm_link.create eng (Rng.create ~seed:4) cfg in
   let cells = cells_of_pdu ~n:4000 () in
-  Process.spawn eng ~name:"tx" (fun () -> List.iter (Atm_link.send link) cells);
+  Process.spawn eng ~name:"tx" (fun () -> List.iter (send eng link) cells);
   Engine.run ~until:1_000_000_000 eng;
   let st = Atm_link.stats link in
   let frac =

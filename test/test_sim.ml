@@ -29,7 +29,7 @@ let test_engine_cancel () =
   let eng = Engine.create () in
   let fired = ref false in
   let h = Engine.schedule eng ~delay:5 (fun () -> fired := true) in
-  Engine.cancel h;
+  Engine.cancel eng h;
   Engine.run eng;
   Alcotest.(check bool) "cancelled event silent" false !fired
 
@@ -242,7 +242,7 @@ let test_max_events_counts_live_only () =
   in
   (* Cancel events 0, 2 and 4: a budget of 2 must still buy two live
      dispatches, not be eaten by popped corpses. *)
-  List.iteri (fun i h -> if i mod 2 = 0 then Engine.cancel h) hs;
+  List.iteri (fun i h -> if i mod 2 = 0 then Engine.cancel eng h) hs;
   Engine.run ~max_events:2 eng;
   Alcotest.(check (list int)) "budget buys two live dispatches" [ 1; 3 ]
     (List.rev !fired);
@@ -294,7 +294,7 @@ let test_reschedule_after_cancel () =
   let eng = Engine.create () in
   let fired = ref 0 in
   let h = Engine.schedule eng ~delay:5 (fun () -> incr fired) in
-  Engine.cancel h;
+  Engine.cancel eng h;
   Engine.run eng;
   check "cancelled" 0 !fired;
   Engine.reschedule eng ~delay:5 h;
@@ -492,7 +492,7 @@ let engine_side () =
         with
         | () -> true
         | exception Invalid_argument _ -> false);
-    cancel = (fun id -> Engine.cancel !handles.(id));
+    cancel = (fun id -> Engine.cancel eng !handles.(id));
     stop = (fun () -> Engine.stop eng);
     run = (fun ?until ?max_events () -> Engine.run ?until ?max_events eng);
   }
@@ -675,7 +675,7 @@ let dispatch_trace ?chooser () =
       if Osiris_util.Rng.int rng 7 = 0 then
         match !cancellable with
         | h :: tl ->
-            Engine.cancel h;
+            Engine.cancel eng h;
             cancellable := tl
         | [] -> ()
     end
@@ -807,7 +807,7 @@ let process_log ~reference ~drive =
     | 1 -> (
         match !oneshots with
         | h :: rest ->
-            Engine.cancel h;
+            Engine.cancel eng h;
             oneshots := rest
         | [] -> ())
     | _ -> ());
@@ -901,6 +901,274 @@ let test_sleep_in_plain_callback () =
   Alcotest.(check bool) "no horizon outside run" false
     (Engine.skip_to eng (Engine.now eng + 1))
 
+(* ------------------------------------------------------------------ *)
+(* Callback agents against fibers. One seeded scenario is written twice:
+   as fibers ([Process.sleep], [Mailbox.recv], [Signal.wait]) and as
+   callback agents ([Process.sleep_then], [Mailbox.recv_then],
+   [Signal.wait_then]). Each actor draws its next step from the shared
+   RNG when it runs, so one dispatch out of place derails the log; the
+   resume logs and the dispatched-event counts must be equal under
+   every drive. *)
+
+let actors_log ~callbacks ~drive =
+  let eng = Engine.create () in
+  let rng = Osiris_util.Rng.create ~seed:77 in
+  let int n = Osiris_util.Rng.int rng n in
+  let log = Buffer.create 16384 in
+  let note id =
+    Buffer.add_string log (Printf.sprintf "%d@%d;" id (Engine.now eng))
+  in
+  let delay () =
+    match int 4 with
+    | 0 -> 0
+    | 1 -> 1 + int 50
+    | 2 -> Time.us (1 + int 50)
+    | _ -> Time.ms (1 + int 2)
+  in
+  let signals = Array.init 2 (fun _ -> Signal.create eng) in
+  let mb = Mailbox.create eng ~capacity:3 () in
+  let next_id = ref 0 in
+  let rec actor ~steps =
+    incr next_id;
+    let id = !next_id in
+    let name = string_of_int id in
+    if callbacks then begin
+      let a = Process.agent eng ~name in
+      let rec step n =
+        if n < steps then begin
+          let next () =
+            note id;
+            step (n + 1)
+          in
+          match int 11 with
+          | 0 | 1 | 2 | 3 -> Process.sleep_then a (delay ()) next
+          | 4 -> Signal.wait_then signals.(int 2) a next
+          | 5 ->
+              Signal.broadcast signals.(int 2);
+              next ()
+          | 6 ->
+              ignore (Mailbox.try_send mb id);
+              next ()
+          | 7 -> Mailbox.recv_then mb a (fun _ -> next ())
+          | 8 ->
+              if !next_id < 40 then actor ~steps:(2 + int 6);
+              next ()
+          | 9 ->
+              Engine.stop eng;
+              Process.sleep_then a (int 3) next
+          | _ -> Process.sleep_then a 0 next
+        end
+      in
+      Process.start a (fun () ->
+          note id;
+          step 0)
+    end
+    else
+      Process.spawn eng ~name (fun () ->
+          note id;
+          for _ = 1 to steps do
+            (match int 11 with
+            | 0 | 1 | 2 | 3 -> Process.sleep eng (delay ())
+            | 4 -> Signal.wait signals.(int 2)
+            | 5 -> Signal.broadcast signals.(int 2)
+            | 6 -> ignore (Mailbox.try_send mb id)
+            | 7 -> ignore (Mailbox.recv mb)
+            | 8 -> if !next_id < 40 then actor ~steps:(2 + int 6)
+            | 9 ->
+                Engine.stop eng;
+                Process.sleep eng (int 3)
+            | _ -> Process.sleep eng 0);
+            note id
+          done)
+  in
+  for _ = 1 to 20 do
+    actor ~steps:(10 + int 20)
+  done;
+  (* A plain ticker keeps the signals and the mailbox moving and
+     schedules one-shot timers that it sometimes cancels. *)
+  let ticks = ref 0 and oneshots = ref [] in
+  let rec tick () =
+    incr ticks;
+    note (-1);
+    Signal.broadcast signals.(int 2);
+    if int 2 = 0 then ignore (Mailbox.try_send mb 0)
+    else ignore (Mailbox.try_recv mb);
+    (match int 3 with
+    | 0 ->
+        let k = 1000 + !ticks in
+        oneshots :=
+          Engine.schedule eng ~delay:(delay ()) (fun () -> note k) :: !oneshots
+    | 1 -> (
+        match !oneshots with
+        | h :: rest ->
+            Engine.cancel eng h;
+            oneshots := rest
+        | [] -> ())
+    | _ -> ());
+    if !ticks < 400 then
+      ignore
+        (Engine.schedule eng
+           ~delay:(if int 10 = 0 then 0 else Time.us (1 + int 80))
+           tick)
+  in
+  ignore (Engine.schedule eng ~delay:(Time.us 3) tick);
+  if drive = Chooser then begin
+    let crng = Osiris_util.Rng.create ~seed:5 in
+    Engine.set_chooser eng
+      (Some (fun ~now:_ ~count -> Osiris_util.Rng.int crng count))
+  end;
+  let slices = [| 1; 2; 50; 999; 1_000; 20_000; 250_000; Time.ms 1 |] in
+  let budgets = [| 1; 2; 3; 5; 8; 13; 100 |] in
+  let round = ref 0 in
+  while Engine.pending eng > 0 do
+    let slice = slices.(!round mod Array.length slices)
+    and budget = budgets.(!round mod Array.length budgets) in
+    incr round;
+    match drive with
+    | Unbounded | Chooser -> Engine.run eng
+    | Slices -> Engine.run ~until:(Engine.now eng + slice) eng
+    | Budgets -> Engine.run ~max_events:budget eng
+    | Sliced_budgets ->
+        Engine.run ~until:(Engine.now eng + slice) ~max_events:budget eng
+  done;
+  (Buffer.contents log, Engine.events_dispatched eng)
+
+let test_callbacks_match_fibers () =
+  List.iter
+    (fun drive ->
+      let fibers, fiber_events = actors_log ~callbacks:false ~drive
+      and agents, agent_events = actors_log ~callbacks:true ~drive in
+      let what = drive_name drive in
+      Alcotest.(check bool)
+        (Printf.sprintf "a long log (%s, %d bytes)" what (String.length fibers))
+        true
+        (String.length fibers > 5000);
+      Alcotest.(check string) ("resume log: " ^ what) fibers agents;
+      check ("events: " ^ what) fiber_events agent_events)
+    [ Unbounded; Slices; Budgets; Sliced_budgets; Chooser ]
+
+(* An exception in a callback agent leaves the engine named, like a
+   fiber's, from its first step and from a later one. *)
+let test_agent_failure_named () =
+  let eng = Engine.create () in
+  let a = Process.agent eng ~name:"cb" in
+  Process.start a (fun () -> failwith "first");
+  Alcotest.check_raises "first step"
+    (Process.Process_failure ("cb", Failure "first"))
+    (fun () -> Engine.run eng);
+  let s = Signal.create eng in
+  Signal.wait_then s a (fun () ->
+      Process.sleep_then a 5 (fun () -> failwith "later"));
+  ignore (Engine.schedule eng ~delay:1 (fun () -> Signal.broadcast s));
+  ignore (Engine.schedule eng ~delay:2 ignore);
+  Alcotest.check_raises "after a wait and a sleep"
+    (Process.Process_failure ("cb", Failure "later"))
+    (fun () -> Engine.run eng)
+
+(* ------------------------------------------------------------------ *)
+(* Cancelled entries leave the hot heap but keep their place: they still
+   count in [pending], still bound [skip_to], still move the clock when
+   their instant comes, and still block [reschedule] until then. *)
+
+let test_cancelled_keeps_place () =
+  let eng = Engine.create () in
+  let fired = ref 0 in
+  let h = Engine.schedule eng ~delay:10 (fun () -> incr fired) in
+  let live = Engine.schedule eng ~delay:30 (fun () -> incr fired) in
+  Engine.cancel eng h;
+  Engine.cancel eng h;
+  check "cancelled entry still pending" 2 (Engine.pending eng);
+  let reschedule_rejected () =
+    match Engine.reschedule eng ~delay:1 h with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "rejected while its instant is ahead" true
+    (reschedule_rejected ());
+  let skipped = ref [] in
+  ignore
+    (Engine.schedule eng ~delay:5 (fun () ->
+         skipped := Engine.skip_to eng 12 :: Engine.skip_to eng 9 :: !skipped));
+  Engine.run ~until:9 eng;
+  Alcotest.(check (list bool)) "skip_to stops at the cancelled instant"
+    [ false; true ] !skipped;
+  Alcotest.(check bool) "still rejected before its instant" true
+    (reschedule_rejected ());
+  Alcotest.(check bool) "one step pops it" true (Engine.step eng);
+  check "the clock moved to it" 10 (Engine.now eng);
+  check "nothing ran" 0 !fired;
+  check "one entry left" 1 (Engine.pending eng);
+  Engine.reschedule eng ~delay:5 h;
+  Engine.run eng;
+  check "accepted once its instant passed; both ran" 2 !fired;
+  check "clock at the last event" 30 (Engine.now eng);
+  (* A same-instant (FIFO) entry cancelled, twice, never runs either. *)
+  ignore
+    (Engine.schedule eng ~delay:0 (fun () ->
+         let f = Engine.schedule eng ~delay:0 (fun () -> incr fired) in
+         Engine.cancel eng f;
+         Engine.cancel eng f));
+  Engine.run eng;
+  check "cancelled FIFO entry silent" 2 !fired;
+  Engine.cancel eng live;
+  check "cancelling a fired event is a no-op" 0 (Engine.pending eng)
+
+(* The same sorted-list model, driven by scripts made mostly of
+   cancellations and re-arms: heap and FIFO entries cancelled, often
+   twice, and re-arms that the engine must refuse while a cancelled
+   entry's instant is ahead and accept once it has passed. *)
+let gen_cancel_act ~inner =
+  QCheck.Gen.(
+    frequency
+      ([
+         (3, map (fun d -> Sched d) gen_delay);
+         (2, return Sched_now);
+         (5, map (fun k -> Cancel k) (int_range 0 7));
+         (3, map2 (fun k d -> Resched (k, d)) (int_range 0 7) gen_delay);
+         (1, map (fun k -> Resched_now k) (int_range 0 7));
+       ]
+      @ if inner then [ (2, map (fun d -> Resched_self d) gen_delay) ] else []))
+
+let gen_cancel_script =
+  QCheck.Gen.(
+    map2
+      (fun top inner -> { top; inner = Array.of_list inner })
+      (list_size (int_range 1 25)
+         (pair
+            (list_size (int_range 0 8) (gen_cancel_act ~inner:false))
+            gen_bound))
+      (list_size (int_range 1 8)
+         (list_size (int_range 0 4) (gen_cancel_act ~inner:true))))
+
+let cancel_model_prop =
+  QCheck.Test.make ~name:"cancel-heavy engine matches sorted-list model"
+    ~count:500
+    (QCheck.make ~print:pp_script gen_cancel_script)
+    (fun script ->
+      let real = play script (engine_side ())
+      and model = play script (model_side ()) in
+      real = model
+      || QCheck.Test.fail_reportf "engine:\n%s\nmodel:\n%s" real model)
+
+let test_cancelled_slot_released () =
+  let eng = Engine.create () in
+  let v = ref (Some (Bytes.make 64 'x')) in
+  let w = Weak.create 1 in
+  Weak.set w 0 !v;
+  let[@inline never] arm () =
+    let b = Option.get !v in
+    Engine.schedule eng ~delay:10 (fun () -> ignore (Sys.opaque_identity b))
+  in
+  let h = arm () in
+  v := None;
+  Engine.cancel eng h;
+  Engine.run ~until:20 eng;
+  Gc.full_major ();
+  check "nothing ran" 0 (Engine.events_dispatched eng);
+  Alcotest.(check bool)
+    "closure of a cancelled event collected once its instant passed" true
+    (Weak.get w 0 = None)
+
 let suite =
   [
     Alcotest.test_case "engine: timestamp order" `Quick test_engine_ordering;
@@ -955,4 +1223,13 @@ let suite =
     Alcotest.test_case "process: sleep in a plain callback" `Quick
       test_sleep_in_plain_callback;
     QCheck_alcotest.to_alcotest engine_model_prop;
+    Alcotest.test_case "agents: callbacks match fibers" `Quick
+      test_callbacks_match_fibers;
+    Alcotest.test_case "agents: failure carries the name" `Quick
+      test_agent_failure_named;
+    Alcotest.test_case "engine: cancelled entry keeps its place" `Quick
+      test_cancelled_keeps_place;
+    Alcotest.test_case "engine: cancelled slot releases closure" `Quick
+      test_cancelled_slot_released;
+    QCheck_alcotest.to_alcotest cancel_model_prop;
   ]

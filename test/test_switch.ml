@@ -1,14 +1,17 @@
 (* The cell-switch fabric: routing-table rewriting, overflow drop
    accounting against the always-on conservation equation, multi-host
    topologies (star and two-switch chain) delivering PDUs end to end,
-   the seeded incast contention run with every loss accounted, and the
-   switch datapath under explored enqueue/dequeue interleavings. *)
+   the seeded incast contention run with every loss accounted, the
+   switch datapath under explored enqueue/dequeue interleavings, a down
+   port's drain, and seeded scenarios pinned to digests. *)
 
 open Osiris_core
 module Engine = Osiris_sim.Engine
 module Process = Osiris_sim.Process
 module Time = Osiris_sim.Time
 module Cell = Osiris_atm.Cell
+module Atm_link = Osiris_link.Atm_link
+module Rng = Osiris_util.Rng
 module Switch = Osiris_switch.Switch
 module Msg = Osiris_xkernel.Msg
 module Demux = Osiris_xkernel.Demux
@@ -266,62 +269,285 @@ let test_explore_switch_datapath () =
         (Printf.sprintf "explored several schedules (%d)" runs)
         true (runs > 1)
 
-(* The egress drain batch is a simulator-speed knob only: the same
-   overloaded workload (small queue, bursty senders, real drops) must
-   produce bit-identical outcomes — deliveries with timestamps, every
-   switch counter, final clock and event count — for any batch size. *)
-let test_drain_batch_invisible () =
-  let outcome drain_batch =
-    let eng, topo =
-      Network.star ~n:3
-        ~switch:
-          {
-            Switch.default_config with
-            Switch.queue_cells = 24;
-            Switch.drain_batch = drain_batch;
-          }
-        ()
-    in
-    let dst = Network.host topo 0 in
-    let deliveries = ref [] in
-    List.iter
-      (fun src ->
-        let vc = Network.open_vc topo ~src ~dst:0 in
-        Demux.bind dst.Host.demux ~vci:vc.Network.dst_vci
-          ~name:(Printf.sprintf "sink%d" src) (fun ~vci:_ msg ->
-            deliveries := (src, Engine.now eng) :: !deliveries;
-            Msg.dispose msg);
-        let sender = Network.host topo src in
-        Process.spawn eng ~name:(Printf.sprintf "tx%d" src) (fun () ->
-            for _ = 1 to 5 do
-              let m = Msg.alloc sender.Host.vs ~len:4000 () in
-              Msg.blit_into m ~off:0
-                ~src:(Fault_soak.fill_pattern ~msg:src ~len:4000);
-              Driver.send sender.Host.driver ~vci:vc.Network.src_vci m;
-              Process.sleep eng (Time.us 150)
-            done))
-      [ 1; 2 ];
-    Engine.run ~until:(Time.ms 15) eng;
-    check_conservation topo.Network.switches.(0);
-    let s = Switch.stats topo.Network.switches.(0) in
-    ( List.rev !deliveries,
-      ( s.Switch.cells_in,
-        s.Switch.forwarded,
-        s.Switch.dropped_overflow,
-        s.Switch.max_occupancy ),
-      Engine.now eng,
-      Engine.events_dispatched eng )
+(* ------------------------------------------------------------------ *)
+(* Pinned switch behaviour. Each seed builds a random switch of 2 to 6
+   ports with random routes and VCIs, feeds bursts of PDUs into small
+   output queues (overflow drops, or EPD/PPD when packet discard is on),
+   with marking on or off, egress links whose output FIFO holds one
+   cell (so the port waits on backpressure), and random port flaps and
+   channel flips. The digest covers every delivered cell (time, port,
+   channel, VCI, seq, marked), every switch and link counter, and the
+   engine's event count. The digests were recorded on the fiber-based
+   ports, draining one cell per wakeup (the semantics the switch has
+   now): the callback ports must dispatch identically. *)
+
+(* The library's link senders are callback agents; the test's fiber
+   sources send through the same two halves and wait out backpressure
+   with [Process.sleep], the events a blocking send cost. *)
+let link_send eng link cell =
+  let wait = Atm_link.send_wait link cell in
+  if wait > 0 then Process.sleep eng wait;
+  Atm_link.book link cell
+
+let link_counters log l =
+  let s = Atm_link.stats l in
+  Buffer.add_string log
+    (Printf.sprintf "|link %d %d %d %d %d %d %d %d %d" s.Atm_link.cells_sent
+       s.Atm_link.cells_delivered s.Atm_link.dropped_fifo
+       s.Atm_link.dropped_net s.Atm_link.corrupted s.Atm_link.reordered
+       s.Atm_link.duplicated s.Atm_link.header_corrupted
+       s.Atm_link.dropped_link_down)
+
+let switch_scenario seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let eng = Engine.create () in
+  let nports = 2 + int 5 in
+  let queue_cells = 3 + int 10 in
+  let epd = int 3 = 0 in
+  let cfg =
+    {
+      Switch.default_config with
+      Switch.nports;
+      queue_cells;
+      forward_latency = 300 + int 3000;
+      mark_threshold = (if int 2 = 0 then 1 + int queue_cells else 0);
+      epd_reserve = (if epd then 1 + int queue_cells else 0);
+    }
   in
-  let base = outcome 1 in
-  let _, (_, _, dropped, _), _, _ = base in
-  Alcotest.(check bool)
-    (Printf.sprintf "workload overloads the queue (%d drops)" dropped)
-    true (dropped > 0);
+  let sw = Switch.create eng ~name:"psw" cfg in
+  let make_link i ~tx_fifo =
+    let nlinks = 1 + int 4 in
+    Atm_link.create eng
+      (Rng.create ~seed:((seed * 100) + i))
+      {
+        Atm_link.default_config with
+        Atm_link.nlinks;
+        skew = Array.init nlinks (fun _ -> int 800);
+        propagation_delay = 200 + int 2000;
+        jitter_mean = (if int 3 = 0 then 100 + int 500 else 0);
+        drop_prob = (if int 4 = 0 then 0.01 else 0.0);
+        tx_fifo_cells = tx_fifo;
+        rx_fifo_cells = 4 + int 28;
+      }
+  in
+  let ingress = Array.init nports (fun i -> make_link i ~tx_fifo:(1 + int 3)) in
+  let egress =
+    Array.init nports (fun i ->
+        make_link (50 + i) ~tx_fifo:(if int 2 = 0 then 1 else 2 + int 2))
+  in
+  Array.iteri
+    (fun port ing -> Switch.attach_port sw ~port ~ingress:ing ~egress:egress.(port))
+    ingress;
+  (* Routes: a few VCIs per input port, plus some left unrouted. *)
+  let vcis =
+    Array.init nports (fun in_port ->
+        Array.init (1 + int 4) (fun _ ->
+            let in_vci = 32 + int 2000 in
+            if int 6 > 0 then
+              Switch.add_route sw ~in_port ~in_vci ~out_port:(int nports)
+                ~out_vci:(32 + int 60000);
+            in_vci))
+  in
+  let log = Buffer.create 65536 in
+  Array.iteri
+    (fun port link ->
+      Process.spawn eng ~name:(Printf.sprintf "sink%d" port) (fun () ->
+          while true do
+            let ch, (c : Cell.t) = Atm_link.recv link in
+            Buffer.add_string log
+              (Printf.sprintf "%d:p%d c%d v%d s%d %b;" (Engine.now eng) port
+                 ch c.Cell.vci c.Cell.seq c.Cell.marked)
+          done))
+    egress;
+  let payload = Bytes.make Cell.data_size 'p' in
+  Array.iteri
+    (fun port link ->
+      let bursts = 8 + int 16 in
+      let plan =
+        List.init bursts (fun _ ->
+            let gap = if int 3 = 0 then 0 else int 40_000 in
+            let vci = vcis.(port).(int (Array.length vcis.(port))) in
+            let cells = 1 + int 16 in
+            (gap, vci, cells))
+      in
+      Process.spawn eng ~name:(Printf.sprintf "src%d" port) (fun () ->
+          List.iter
+            (fun (gap, vci, cells) ->
+              if gap > 0 then Process.sleep eng gap;
+              for seq = 0 to cells - 1 do
+                let last = seq = cells - 1 in
+                link_send eng link
+                  (Cell.make ~vci ~seq ~eom:last ~last_of_pdu:last payload)
+              done)
+            plan))
+    ingress;
+  (* Faults: output-port flaps and channel flips on either side, all
+     healed by 400 us so every queue can drain. *)
+  for _ = 1 to int 8 do
+    let port = int nports and at = int 300_000 in
+    ignore
+      (Engine.schedule_at eng ~time:at (fun () ->
+           Switch.set_port_state sw ~port false));
+    ignore
+      (Engine.schedule_at eng ~time:(at + 1 + int 60_000) (fun () ->
+           Switch.set_port_state sw ~port true))
+  done;
+  for _ = 1 to int 6 do
+    let side = if int 2 = 0 then ingress else egress in
+    let link = side.(int nports) in
+    let ch = int (Atm_link.config link).Atm_link.nlinks in
+    let at = int 300_000 in
+    ignore
+      (Engine.schedule_at eng ~time:at (fun () ->
+           Atm_link.set_link_state link ~link:ch false));
+    ignore
+      (Engine.schedule_at eng ~time:(at + 1 + int 80_000) (fun () ->
+           Atm_link.set_link_state link ~link:ch true))
+  done;
+  Switch.start sw;
+  Engine.run ~until:(Time.ms 3) eng;
+  let s = Switch.stats sw in
+  Buffer.add_string log
+    (Printf.sprintf "|sw %d %d %d %d %d %d %d %d occ %d"
+       s.Switch.cells_in s.Switch.forwarded s.Switch.dropped_overflow
+       s.Switch.dropped_no_route s.Switch.dropped_epd s.Switch.max_occupancy
+       s.Switch.marked s.Switch.marked_forwarded (Switch.occupancy sw));
+  Array.iter (link_counters log) (Array.append ingress egress);
+  Buffer.add_string log
+    (Printf.sprintf "|now %d events %d" (Engine.now eng)
+       (Engine.events_dispatched eng));
+  check_conservation sw;
+  (Buffer.contents log, s)
+
+(* The overloaded 3-host star: a 24-cell queue and two bursty senders,
+   so the hub's port drops cells; pinned on its deliveries with
+   timestamps, every switch counter, the final clock and the event
+   count. *)
+let overloaded_star () =
+  let eng, topo =
+    Network.star ~n:3
+      ~switch:
+        {
+          Switch.default_config with
+          Switch.queue_cells = 24;
+            }
+      ()
+  in
+  let dst = Network.host topo 0 in
+  let log = Buffer.create 1024 in
   List.iter
-    (fun b ->
-      if outcome b <> base then
-        Alcotest.failf "drain_batch=%d changed simulation outcomes" b)
-    [ 3; 8; 64 ]
+    (fun src ->
+      let vc = Network.open_vc topo ~src ~dst:0 in
+      Demux.bind dst.Host.demux ~vci:vc.Network.dst_vci
+        ~name:(Printf.sprintf "sink%d" src) (fun ~vci:_ msg ->
+          Buffer.add_string log (Printf.sprintf "%d@%d;" src (Engine.now eng));
+          Msg.dispose msg);
+      let sender = Network.host topo src in
+      Process.spawn eng ~name:(Printf.sprintf "tx%d" src) (fun () ->
+          for _ = 1 to 5 do
+            let m = Msg.alloc sender.Host.vs ~len:4000 () in
+            Msg.blit_into m ~off:0
+              ~src:(Fault_soak.fill_pattern ~msg:src ~len:4000);
+            Driver.send sender.Host.driver ~vci:vc.Network.src_vci m;
+            Process.sleep eng (Time.us 150)
+          done))
+    [ 1; 2 ];
+  Engine.run ~until:(Time.ms 15) eng;
+  let sw = topo.Network.switches.(0) in
+  check_conservation sw;
+  let s = Switch.stats sw in
+  Array.iter
+    (fun ep ->
+      link_counters log ep.Network.to_fabric;
+      link_counters log ep.Network.from_fabric)
+    topo.Network.endpoints;
+  Buffer.add_string log
+    (Printf.sprintf "|sw %d %d %d %d|now %d events %d" s.Switch.cells_in
+       s.Switch.forwarded s.Switch.dropped_overflow s.Switch.max_occupancy
+       (Engine.now eng) (Engine.events_dispatched eng));
+  (Buffer.contents log, s.Switch.dropped_overflow)
+
+
+(* A port that goes down stops draining: the cell already in the
+   forwarding latency still leaves, and nothing after it. (The egress
+   once pulled up to eight cells per wakeup and forwarded all of them
+   across the cut.) *)
+let test_port_down_stops_draining () =
+  let eng = Engine.create () in
+  let sw =
+    Switch.create eng { Switch.default_config with Switch.nports = 2 }
+  in
+  let link seed =
+    Atm_link.create eng (Rng.create ~seed) Atm_link.default_config
+  in
+  let egress = link 2 in
+  Switch.attach_port sw ~port:0 ~ingress:(link 1) ~egress:(link 3);
+  Switch.attach_port sw ~port:1 ~ingress:(link 4) ~egress;
+  Switch.add_route sw ~in_port:0 ~in_vci:10 ~out_port:1 ~out_vci:20;
+  for seq = 0 to 7 do
+    Switch.ingress_cell sw ~port:0 (cell ~vci:10 ~seq ())
+  done;
+  Switch.start sw;
+  ignore
+    (Engine.schedule eng ~delay:(Time.us 1) (fun () ->
+         Switch.set_port_state sw ~port:1 false));
+  Engine.run ~until:(Time.us 100) eng;
+  Alcotest.(check int) "one cell forwarded" 1 (Switch.stats sw).Switch.forwarded;
+  Alcotest.(check int) "seven still queued" 7 (Switch.port_occupancy sw ~port:1);
+  Alcotest.(check int) "one cell on the egress link" 1
+    (Atm_link.stats egress).Atm_link.cells_sent;
+  check_conservation sw;
+  Switch.set_port_state sw ~port:1 true;
+  Engine.run ~until:(Time.us 200) eng;
+  Alcotest.(check int) "raising the port drains the rest" 8
+    (Switch.stats sw).Switch.forwarded
+
+let pinned_scenarios =
+  [
+    (1, "40b781e870cf07eef699ee94b76caedc");
+    (2, "e3404b880dd3e2219d7a7cbd2cb44987");
+    (3, "939a5e950b53db22ee3d3fbc381f45fc");
+    (4, "d0461acc2eeca526a9caafe368d2fb55");
+    (5, "a71c9a80453b75fb12b8d010454b01cb");
+    (6, "62179cc3de4e16c0e3bf59807dd17df2");
+    (7, "693df5a8701c21fa06617f3fee5b6364");
+    (8, "7f99bf383047a47d4a158402b718fd1f");
+    (9, "27cc54940743cccf3ce23e516d6a6268");
+    (10, "4fa99a1bc63f1e767f0c826fb27fdd89");
+    (11, "3b17c9c44b6e5da4fcd3cad736c88b79");
+    (12, "de1575035293ed7605e11d1cd57a7fc5");
+  ]
+
+let test_pinned_scenarios () =
+  let seen = Array.make 5 0 in
+  List.iter
+    (fun (seed, pinned) ->
+      let log, s = switch_scenario seed in
+      Alcotest.(check string)
+        (Printf.sprintf "scenario %d digest" seed)
+        pinned
+        (Digest.to_hex (Digest.string log));
+      List.iteri
+        (fun i n -> seen.(i) <- seen.(i) + n)
+        [ s.Switch.dropped_overflow; s.Switch.dropped_epd; s.Switch.marked;
+          s.Switch.dropped_no_route; s.Switch.forwarded ])
+    pinned_scenarios;
+  List.iteri
+    (fun i what ->
+      Alcotest.(check bool)
+        (Printf.sprintf "the scenarios exercise %s (%d)" what seen.(i))
+        true (seen.(i) > 0))
+    [ "overflow drops"; "packet discard"; "marking"; "unrouted cells";
+      "forwarding" ]
+
+let test_pinned_overloaded_star () =
+  let log, drops = overloaded_star () in
+  Alcotest.(check bool)
+    (Printf.sprintf "workload overloads the queue (%d drops)" drops)
+    true (drops > 0);
+  Alcotest.(check string) "outcome digest" "5766508424a5740729c22b826276badf"
+    (Digest.to_hex (Digest.string log))
 
 let suite =
   [
@@ -339,6 +565,10 @@ let suite =
       test_incast_lossless_when_provisioned;
     Alcotest.test_case "explored switch datapath stays clean" `Quick
       test_explore_switch_datapath;
-    Alcotest.test_case "drain batch size is invisible to outcomes" `Quick
-      test_drain_batch_invisible;
+    Alcotest.test_case "a down port stops draining" `Quick
+      test_port_down_stops_draining;
+    Alcotest.test_case "pinned scenarios: callback ports match" `Quick
+      test_pinned_scenarios;
+    Alcotest.test_case "pinned overloaded star" `Quick
+      test_pinned_overloaded_star;
   ]
