@@ -83,12 +83,15 @@ module Micro = struct
                ~direction:Desc_queue.Host_to_board
                ~locking:Desc_queue.Lock_free ~hooks:Desc_queue.free_hooks ()
            in
+           (* The board side as the board's agent calls it: with free
+              hooks it completes inline. *)
+           let board = Process.agent eng ~name:"board" in
            Process.spawn eng ~name:"b" (fun () ->
                for i = 1 to 32 do
                  ignore
                    (Desc_queue.host_enqueue q
                       (Desc.v ~addr:(i * 4096) ~len:64 ()));
-                 ignore (Desc_queue.board_dequeue q)
+                 Desc_queue.board_dequeue_then q board ignore
                done);
            Engine.run eng))
 

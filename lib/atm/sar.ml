@@ -105,9 +105,12 @@ let marked_seen t = t.saw_marked
 
 let in_progress t = t.received > 0
 
+let rec all_set flags i =
+  i >= Array.length flags || (flags.(i) && all_set flags (i + 1))
+
 let all_links_finished t =
   match t.strategy with
-  | Per_link _ -> Array.for_all (fun b -> b) t.link_eom
+  | Per_link _ -> all_set t.link_eom 0
   | In_order | Seq_number -> false
 
 let link_finished t ~link =

@@ -12,6 +12,13 @@ module Ctable = Osiris_classify.Table
 
 type dma_mode = Single_cell | Double_cell
 
+(* Placeholders for the stages' records before their first cell. *)
+let no_cell =
+  Cell.make ~vci:0 ~seq:0 ~eom:false ~last_of_pdu:false
+    (Bytes.make Cell.data_size '\000')
+
+let no_desc = Desc.v ~addr:0 ~len:0 ()
+
 type tx_mux = Cell_interleave | Pdu_at_once
 
 type config = {
@@ -262,32 +269,36 @@ type t = {
   mutable rx_strategy : Sar.strategy; (* current (possibly narrowed) *)
   sweep_work : Signal.t; (* wakes the reassembly-timeout sweeper *)
   mutable irq_filter : (interrupt_reason -> bool) option;
-  mutable recv_fn : (unit -> int * Cell.t) option;
-  mutable try_recv_fn : (unit -> (int * Cell.t) option) option;
+  mutable recv_fn :
+    (Process.agent -> (int * Cell.t -> unit) -> unit) option;
+      (* the next arrival, for the receive processor *)
   pending_cells : (int * Cell.t) Queue.t;
   mutable rr_cursor : int;
   mutable started : bool;
   m : m;
+  (* Placeholders the stages' records start with. *)
+  no_vc : vc_state;
+  no_pdu : tx_pdu;
+  no_cmd : dma_cmd;
 }
 
 let i960_time t cycles =
   ((cycles * 1_000_000_000) + t.cfg.i960_hz - 1) / t.cfg.i960_hz
 
-let i960_work t cycles = Process.sleep t.eng (i960_time t cycles)
-
-let make_hooks eng bus cfg =
+(* The host's accesses are PIO transactions on its bus; the board's are
+   i960 cycles per dual-port word, which the board's agents sleep for. *)
+let make_hooks bus cfg =
   {
     Desc_queue.host_pio_read = (fun n -> Tc.pio_read_words bus ~words:n);
     host_pio_write = (fun n -> Tc.pio_write_words bus ~words:n);
     board_access =
       (fun n ->
-        Process.sleep eng
-          (((n * cfg.queue_word_cycles * 1_000_000_000) + cfg.i960_hz - 1)
-          / cfg.i960_hz));
+        ((n * cfg.queue_word_cycles * 1_000_000_000) + cfg.i960_hz - 1)
+        / cfg.i960_hz);
   }
 
 let make_channel eng bus cfg id =
-  let hooks = make_hooks eng bus cfg in
+  let hooks = make_hooks bus cfg in
   let mk metrics_prefix direction =
     Desc_queue.create eng ~metrics_prefix ~size:cfg.queue_size ~direction
       ~locking:cfg.locking ~hooks ()
@@ -352,11 +363,29 @@ let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ()
       sweep_work = Signal.create eng;
       irq_filter = None;
       recv_fn = None;
-      try_recv_fn = None;
       pending_cells = Queue.create ();
       rr_cursor = 0;
       started = false;
       m = make_board_metrics ();
+      no_vc = dummy_vc;
+      no_pdu =
+        {
+          cells = [||];
+          data_len = 0;
+          nchain = 0;
+          tx_ch = channels.(0);
+          piece_off = [||];
+          next = 0;
+          cursor = 0;
+        };
+      no_cmd =
+        {
+          payload = Bytes.empty;
+          pieces = [||];
+          rx_vc = dummy_vc;
+          rx_ch = channels.(0);
+          posts = [];
+        };
     }
   in
   t
@@ -537,6 +566,7 @@ let plan_spans pdu ~lo ~hi =
     plan_count pdu pdu.cursor hi 0
   end
 
+
 (* ------------------------------------------------------------------ *)
 (* Transmit side. *)
 
@@ -569,94 +599,192 @@ let tx_stripe_width t =
       if n > 0 then n else t.cfg.nlinks
   | None -> t.cfg.nlinks
 
-(* Read the next PDU chain from a channel's transmit queue (without
-   advancing the tail) and set up segmentation state. *)
-let try_load_pdu t ch =
-  match ch.txst with
-  | Some _ -> true
-  | None -> (
-      match Desc_queue.board_peek ch.tx_q ch.peek_ahead with
-      | None -> false
-      | Some _first ->
-          (* Collect descriptors up to eop. *)
-          let rec collect i acc =
-            match Desc_queue.board_peek ch.tx_q (ch.peek_ahead + i) with
-            | None -> None (* chain incomplete: host still writing it *)
-            | Some d ->
-                if d.Desc.eop then Some (List.rev (d :: acc))
-                else collect (i + 1) (d :: acc)
-          in
-          (match collect 0 [] with
-          | None ->
-              Trace.emitf Trace.Board_tx ~now:(Engine.now t.eng)
-                "ch%d chain incomplete (ahead=%d count=%d)" ch.id
-                ch.peek_ahead (Desc_queue.count ch.tx_q);
-              false
-          | Some chain ->
-              let nchain = List.length chain in
-              if not (validate_chain t ch chain) then begin
-                (* Faulted chains are discarded immediately; nothing is in
-                   flight for them. *)
-                Desc_queue.board_advance ch.tx_q nchain;
-                false
-              end
-              else begin
-                if Trace.enabled Trace.Board_tx then
-                  Trace.emitf Trace.Board_tx ~now:(Engine.now t.eng)
-                    "ch%d load chain [%s]" ch.id
-                    (String.concat ";"
-                       (List.map
-                          (fun (d : Desc.t) ->
-                            Printf.sprintf "%d%s" d.Desc.len
-                              (if d.Desc.eop then "*" else ""))
-                          chain));
-                ch.peek_ahead <- ch.peek_ahead + nchain;
-                let pbufs = List.map Desc.to_pbuf chain in
-                let pdu = Phys_mem.bytes_of_pbufs t.mem pbufs in
-                let vci = (List.hd chain).Desc.vci in
-                let cells =
-                  Array.of_list
-                    (Sar.segment ~vci ~nlinks:(tx_stripe_width t) pdu)
-                in
-                ch.txst <-
-                  Some
-                    {
-                      cells;
-                      data_len = Bytes.length pdu;
-                      nchain;
-                      tx_ch = ch;
-                      piece_off = dma_plan ~page_size:t.cfg.page_size chain;
-                      next = 0;
-                      cursor = 0;
-                    };
-                true
-              end))
+(* ------------------------------------------------------------------ *)
+(* The board's stages are callback agents ([Process.agent]), not fibers.
+   Each stage's loop is cut at every point where the fiber suspended —
+   an i960 sleep, a dual-port queue access, a bus transaction, a full
+   command queue — and each piece is a step that ends by naming the next.
+   A step does the work the fiber did between the same two suspension
+   points, in the same order, so every engine event keeps its instant
+   and its place (DESIGN §17). A per-cell stage keeps its state in a
+   record whose steps are built once, so a step allocates nothing but
+   the events of its suspensions and the command records it hands on. *)
 
-let finish_pdu t (pdu : tx_pdu) =
-  let ch = pdu.tx_ch in
-  (* Update peek_ahead BEFORE the tail advance: board_advance suspends for
-     its dual-port accesses after moving the tail, and a transmit-processor
-     chain scan overlapping that window must err on the side of reading
-     already-consumed (empty) slots — which makes it retry — rather than
-     reading slots beyond its chain, which would assemble garbage. *)
-  ch.peek_ahead <- ch.peek_ahead - pdu.nchain;
-  Desc_queue.board_advance ch.tx_q pdu.nchain;
-  Metrics.incr t.m.m_pdus_sent;
-  (* A transmit-processor scan can race this completion (board_advance
-     sleeps for its dual-port accesses while peek_ahead is still stale);
-     kick it so such a scan is retried with consistent state. *)
-  t.tx_kicks <- t.tx_kicks + 1;
-  Signal.broadcast t.tx_work;
-  if Desc_queue.board_test_waiting ch.tx_q then
-    raise_interrupt t (Tx_half_empty ch.id)
+(* The transmit processor: scan the channels (strict priority,
+   round-robin within a level, loading each busy channel's next chain
+   through dual-port peeks), emit one quantum from the channel picked,
+   or wait for work. *)
+type tx_proc = {
+  tp_t : t;
+  tp_a : Process.agent;
+  mutable kicks : int; (* [tx_kicks] when this pass began *)
+  mutable best : int; (* the scan's pick so far, or -1 *)
+  mutable idx : int; (* the channel the scan is at *)
+  mutable left : int; (* channels the scan has still to visit *)
+  mutable l_i : int; (* the chain being read: its next descriptor *)
+  mutable l_acc : Desc.t list; (* ... and those read so far, newest first *)
+  mutable e_pdu : tx_pdu; (* the quantum in the i960's hands *)
+  mutable e_first : int;
+  mutable e_count : int;
+  tp_pass : unit -> unit;
+  tp_peeked_first : Desc.t option -> unit;
+  tp_peeked : Desc.t option -> unit;
+  tp_rejected : unit -> unit;
+  tp_emitted : unit -> unit;
+}
 
-(* Emit one scheduling quantum (one cell, or a pair under double-cell DMA)
-   from the given channel: the i960 computes the DMA command and hands it
-   to the transmit DMA engine, overlapping with the previous fetch. *)
-let tx_emit t ch =
+let rec last_loaded t i =
+  if i < 0 || t.channels.(i).txst <> None then i else last_loaded t (i - 1)
+
+(* A channel the load would pass over without touching dual-port
+   memory: one never opened, or one with no PDU loaded and nothing queued
+   past the chains already in flight. *)
+let tx_quiet t ch =
+  ch.id >= t.n_open
+  || (ch.txst = None && Desc_queue.count ch.tx_q <= ch.peek_ahead)
+
+(* One pass of the loop. Snapshot the kick counter before scanning: if
+   an enqueue lands while the scan's dual-port accesses are in progress,
+   the counter moves and the pass rescans instead of waiting through
+   the (already fired) signal. Under coarse multiplexing
+   ([Pdu_at_once]) an in-progress PDU is always finished first,
+   regardless of what else is queued. *)
+let rec tx_pass p =
+  let t = p.tp_t in
+  p.kicks <- t.tx_kicks;
+  let in_progress =
+    match t.cfg.tx_mux with
+    | Cell_interleave -> -1
+    | Pdu_at_once -> last_loaded t (t.cfg.n_channels - 1)
+  in
+  if in_progress >= 0 then tx_emit p t.channels.(in_progress)
+  else begin
+    p.best <- -1;
+    p.idx <- t.rr_cursor;
+    p.left <- t.cfg.n_channels;
+    tx_scan p
+  end
+
+(* The scan visits each channel once, from the cursor. *)
+and tx_scan p =
+  let t = p.tp_t in
+  if p.left = 0 then tx_picked p
+  else begin
+    let ch = t.channels.(p.idx) in
+    if tx_quiet t ch then tx_scan_next p
+    else if ch.txst <> None then tx_loaded p true
+    else
+      (* Read the channel's next chain (without advancing the tail):
+         the first peek tells whether anything is queued past the
+         chains in flight, then the chain is read from that slot again,
+         one peek per descriptor, up to its eop. *)
+      Desc_queue.board_peek_then ch.tx_q p.tp_a ch.peek_ahead
+        p.tp_peeked_first
+  end
+
+and tx_loaded p ok =
+  let t = p.tp_t in
+  if
+    ok
+    && (p.best < 0
+       || t.channels.(p.best).priority > t.channels.(p.idx).priority)
+  then p.best <- p.idx;
+  tx_scan_next p
+
+and tx_scan_next p =
+  p.idx <- (if p.idx + 1 = p.tp_t.cfg.n_channels then 0 else p.idx + 1);
+  p.left <- p.left - 1;
+  tx_scan p
+
+and tx_picked p =
+  let t = p.tp_t in
+  if p.best >= 0 then begin
+    t.rr_cursor <- (if p.best + 1 = t.cfg.n_channels then 0 else p.best + 1);
+    tx_emit p t.channels.(p.best)
+  end
+  else if t.tx_kicks = p.kicks then Signal.wait_then t.tx_work p.tp_a p.tp_pass
+  else tx_pass p
+
+and tx_peeked_first p = function
+  | None -> tx_loaded p false
+  | Some _ ->
+      p.l_i <- 0;
+      p.l_acc <- [];
+      tx_peek_next p
+
+and tx_peek_next p =
+  let ch = p.tp_t.channels.(p.idx) in
+  Desc_queue.board_peek_then ch.tx_q p.tp_a (ch.peek_ahead + p.l_i)
+    p.tp_peeked
+
+and tx_peeked p = function
+  | None ->
+      let t = p.tp_t and ch = p.tp_t.channels.(p.idx) in
+      p.l_acc <- [];
+      Trace.emitf Trace.Board_tx ~now:(Engine.now t.eng)
+        "ch%d chain incomplete (ahead=%d count=%d)" ch.id ch.peek_ahead
+        (Desc_queue.count ch.tx_q);
+      tx_loaded p false
+  | Some d ->
+      if d.Desc.eop then begin
+        let chain = List.rev (d :: p.l_acc) in
+        p.l_acc <- [];
+        tx_load p chain
+      end
+      else begin
+        p.l_i <- p.l_i + 1;
+        p.l_acc <- d :: p.l_acc;
+        tx_peek_next p
+      end
+
+(* Set up the chain's segmentation state; a chain that fails the
+   protection check is discarded at once (nothing is in flight for it). *)
+and tx_load p chain =
+  let t = p.tp_t in
+  let ch = t.channels.(p.idx) in
+  let nchain = List.length chain in
+  if not (validate_chain t ch chain) then
+    Desc_queue.board_advance_then ch.tx_q p.tp_a nchain p.tp_rejected
+  else begin
+    if Trace.enabled Trace.Board_tx then
+      Trace.emitf Trace.Board_tx ~now:(Engine.now t.eng) "ch%d load chain [%s]"
+        ch.id
+        (String.concat ";"
+           (List.map
+              (fun (d : Desc.t) ->
+                Printf.sprintf "%d%s" d.Desc.len (if d.Desc.eop then "*" else ""))
+              chain));
+    ch.peek_ahead <- ch.peek_ahead + nchain;
+    let pbufs = List.map Desc.to_pbuf chain in
+    let pdu = Phys_mem.bytes_of_pbufs t.mem pbufs in
+    let vci = (List.hd chain).Desc.vci in
+    let cells =
+      Array.of_list (Sar.segment ~vci ~nlinks:(tx_stripe_width t) pdu)
+    in
+    ch.txst <-
+      Some
+        {
+          cells;
+          data_len = Bytes.length pdu;
+          nchain;
+          tx_ch = ch;
+          piece_off = dma_plan ~page_size:t.cfg.page_size chain;
+          next = 0;
+          cursor = 0;
+        };
+    tx_loaded p true
+  end
+
+(* Emit one scheduling quantum (one cell, or a pair under double-cell
+   DMA) from the given channel: the i960 computes the DMA command, then
+   hands it to the transmit DMA engine, overlapping with the previous
+   fetch. The quantum's cells are taken ([pdu.next]) only once the i960's
+   work is done. *)
+and tx_emit p ch =
   match ch.txst with
-  | None -> ()
+  | None -> tx_pass p
   | Some pdu ->
+      let t = p.tp_t in
       let k = pdu.next in
       let remaining = Array.length pdu.cells - k in
       let n =
@@ -670,85 +798,161 @@ let tx_emit t ch =
             ((2 * t.cfg.tx_cycles_per_cell) - t.cfg.tx_combine_saving_cycles)
         else t.cfg.tx_cycles_per_cell
       in
-      i960_work t cycles;
-      pdu.next <- k + n;
-      if pdu.next >= Array.length pdu.cells then ch.txst <- None;
-      Mailbox.send t.tx_fetch_q { f_pdu = pdu; f_first = k; f_count = n }
+      p.e_pdu <- pdu;
+      p.e_first <- k;
+      p.e_count <- n;
+      Process.sleep_then p.tp_a (i960_time t cycles) p.tp_emitted
 
-let tx_dma_engine t () =
-  let rec loop () =
-    let { f_pdu = pdu; f_first = k; f_count = n } = Mailbox.recv t.tx_fetch_q in
-    let lo = k * Cell.data_size in
-    let hi = min ((k + n) * Cell.data_size) pdu.data_len in
-    let nspans = plan_spans pdu ~lo ~hi in
-    Metrics.add t.m.m_dma_tx nspans;
-    if nspans > 1 then
-      Metrics.add t.m.m_boundary_splits (nspans - 1);
-    for i = pdu.cursor to pdu.cursor + nspans - 1 do
-      let from = max lo pdu.piece_off.(i) in
-      Tc.dma_read t.bus ~bytes:(min hi pdu.piece_off.(i + 1) - from)
-    done;
-    for i = k to k + n - 1 do
-      Mailbox.send t.tx_out pdu.cells.(i);
-      Metrics.incr t.m.m_cells_sent
-    done;
-    if k + n >= Array.length pdu.cells then finish_pdu t pdu;
-    loop ()
+and tx_emitted p =
+  let pdu = p.e_pdu and k = p.e_first and n = p.e_count in
+  pdu.next <- k + n;
+  if pdu.next >= Array.length pdu.cells then pdu.tx_ch.txst <- None;
+  Mailbox.send_then p.tp_t.tx_fetch_q
+    ({ f_pdu = pdu; f_first = k; f_count = n }
+    [@osiris.alloc_ok "the fetch command handed to the DMA engine: one per quantum"])
+    p.tp_a p.tp_pass
+
+let tx_processor t =
+  let rec p =
+    {
+      tp_t = t;
+      tp_a = Process.agent t.eng ~name:"tx-processor";
+      kicks = 0;
+      best = -1;
+      idx = 0;
+      left = 0;
+      l_i = 0;
+      l_acc = [];
+      e_pdu = t.no_pdu;
+      e_first = 0;
+      e_count = 0;
+      tp_pass = (fun () -> tx_pass p);
+      tp_peeked_first = (fun d -> tx_peeked_first p d);
+      tp_peeked = (fun d -> tx_peeked p d);
+      tp_rejected = (fun () -> tx_loaded p false);
+      tp_emitted = (fun () -> tx_emitted p);
+    }
   in
-  loop ()
+  Process.start p.tp_a p.tp_pass
 
-let rec last_loaded t i =
-  if i < 0 || t.channels.(i).txst <> None then i else last_loaded t (i - 1)
+(* The transmit DMA engine: take the next fetch command, read its bytes
+   one bus transaction per plan piece, hand its cells to the link
+   sender, and complete the PDU after its last cell. *)
+type tx_dma = {
+  td_t : t;
+  td_a : Process.agent;
+  mutable d_pdu : tx_pdu;
+  mutable d_first : int;
+  mutable d_count : int;
+  mutable d_lo : int; (* the fetch's data bytes [d_lo, d_hi) *)
+  mutable d_hi : int;
+  mutable d_piece : int; (* next plan piece to read *)
+  mutable d_pieces_end : int;
+  mutable d_cell : int; (* next cell to hand to the link sender *)
+  td_next : unit -> unit;
+  td_got : tx_fetch_cmd -> unit;
+  td_read : unit -> unit;
+  td_sent : unit -> unit;
+  td_advanced : unit -> unit;
+  td_tested : bool -> unit;
+}
 
-(* A channel [try_load_pdu] would pass over without touching dual-port
-   memory: one never opened, or one with no PDU loaded and nothing queued
-   past the chains already in flight. *)
-let tx_quiet t ch =
-  ch.id >= t.n_open
-  || (ch.txst = None && Desc_queue.count ch.tx_q <= ch.peek_ahead)
+let rec tx_dma_next d = Mailbox.recv_then d.td_t.tx_fetch_q d.td_a d.td_got
 
-(* The index of the channel to serve next, or -1: strict priority,
-   round-robin within a priority level, scanning once around from the
-   cursor. Under coarse multiplexing ([Pdu_at_once]) an in-progress PDU
-   is always finished first, regardless of what else is queued. *)
-let pick_tx_channel t =
-  let n = t.cfg.n_channels in
-  let in_progress =
-    match t.cfg.tx_mux with
-    | Cell_interleave -> -1
-    | Pdu_at_once -> last_loaded t (n - 1)
-  in
-  if in_progress >= 0 then in_progress
+and tx_dma_got d { f_pdu = pdu; f_first = k; f_count = n } =
+  let t = d.td_t in
+  let lo = k * Cell.data_size in
+  let hi = min ((k + n) * Cell.data_size) pdu.data_len in
+  let nspans = plan_spans pdu ~lo ~hi in
+  Metrics.add t.m.m_dma_tx nspans;
+  if nspans > 1 then Metrics.add t.m.m_boundary_splits (nspans - 1);
+  d.d_pdu <- pdu;
+  d.d_first <- k;
+  d.d_count <- n;
+  d.d_lo <- lo;
+  d.d_hi <- hi;
+  d.d_piece <- pdu.cursor;
+  d.d_pieces_end <- pdu.cursor + nspans;
+  tx_dma_read d
+
+and tx_dma_read d =
+  let i = d.d_piece in
+  if i < d.d_pieces_end then begin
+    let pdu = d.d_pdu in
+    let from = max d.d_lo pdu.piece_off.(i) in
+    d.d_piece <- i + 1;
+    Tc.dma_read_then d.td_t.bus d.td_a
+      ~bytes:(min d.d_hi pdu.piece_off.(i + 1) - from)
+      d.td_read
+  end
   else begin
-    let best = ref (-1) and idx = ref t.rr_cursor in
-    for _ = 1 to n do
-      let ch = t.channels.(!idx) in
-      if
-        (not (tx_quiet t ch))
-        && try_load_pdu t ch
-        && (!best < 0 || t.channels.(!best).priority > ch.priority)
-      then best := !idx;
-      idx := if !idx + 1 = n then 0 else !idx + 1
-    done;
-    if !best >= 0 then t.rr_cursor <- (if !best + 1 = n then 0 else !best + 1);
-    !best
+    d.d_cell <- d.d_first;
+    tx_dma_hand_off d
   end
 
-let tx_processor t () =
-  let rec loop () =
-    (* Snapshot the kick counter before scanning: if an enqueue lands while
-       the scan's dual-port accesses are in progress, the counter moves and
-       we rescan instead of sleeping through the (already fired) signal. *)
-    let kicks = t.tx_kicks in
-    let i = pick_tx_channel t in
-    if i >= 0 then tx_emit t t.channels.(i)
-    else if t.tx_kicks = kicks then Signal.wait t.tx_work;
-    loop ()
-  in
-  loop ()
+and tx_dma_hand_off d =
+  if d.d_cell < d.d_first + d.d_count then
+    Mailbox.send_then d.td_t.tx_out d.d_pdu.cells.(d.d_cell) d.td_a d.td_sent
+  else if d.d_first + d.d_count >= Array.length d.d_pdu.cells then
+    tx_finish_pdu d
+  else tx_dma_next d
 
-(* The link sender is a callback agent: take the next cell, send it
-   (waiting out the link's backpressure), repeat. *)
+and tx_dma_sent d =
+  Metrics.incr d.td_t.m.m_cells_sent;
+  d.d_cell <- d.d_cell + 1;
+  tx_dma_hand_off d
+
+(* The PDU's last cell is out: consume its chain. [peek_ahead] drops
+   BEFORE the tail advance: the advance sleeps for its dual-port access
+   after moving the tail, and a transmit-processor chain read overlapping
+   that window must err on the side of reading already-consumed (empty)
+   slots — which makes it retry — rather than reading slots beyond its
+   chain, which would assemble garbage. *)
+and tx_finish_pdu d =
+  let pdu = d.d_pdu in
+  let ch = pdu.tx_ch in
+  ch.peek_ahead <- ch.peek_ahead - pdu.nchain;
+  Desc_queue.board_advance_then ch.tx_q d.td_a pdu.nchain d.td_advanced
+
+(* A transmit-processor scan can race this completion (the advance
+   slept while [peek_ahead] was already lowered); kick it so such a scan
+   is retried with consistent state. *)
+and tx_dma_advanced d =
+  let t = d.td_t in
+  Metrics.incr t.m.m_pdus_sent;
+  t.tx_kicks <- t.tx_kicks + 1;
+  Signal.broadcast t.tx_work;
+  Desc_queue.board_test_waiting_then d.d_pdu.tx_ch.tx_q d.td_a d.td_tested
+
+and tx_dma_tested d waiting =
+  if waiting then raise_interrupt d.td_t (Tx_half_empty d.d_pdu.tx_ch.id);
+  tx_dma_next d
+
+let tx_dma_engine t =
+  let rec d =
+    {
+      td_t = t;
+      td_a = Process.agent t.eng ~name:"tx-dma";
+      d_pdu = t.no_pdu;
+      d_first = 0;
+      d_count = 0;
+      d_lo = 0;
+      d_hi = 0;
+      d_piece = 0;
+      d_pieces_end = 0;
+      d_cell = 0;
+      td_next = (fun () -> tx_dma_next d);
+      td_got = (fun cmd -> tx_dma_got d cmd);
+      td_read = (fun () -> tx_dma_read d);
+      td_sent = (fun () -> tx_dma_sent d);
+      td_advanced = (fun () -> tx_dma_advanced d);
+      td_tested = (fun w -> tx_dma_tested d w);
+    }
+  in
+  Process.start d.td_a d.td_next
+
+(* The link sender: take the next cell, send it (waiting out the link's
+   backpressure), repeat. *)
 let tx_sender t =
   let a = Process.agent t.eng ~name:"tx-sender" in
   match t.tx_link with
@@ -773,46 +977,40 @@ let reset_vc vc =
 let recycle_buffers vc =
   bufs_iter (fun b -> if not b.posted then Queue.add b.bdesc vc.fbufs) vc.bufs
 
-let take_free_buffer vc =
-  match Queue.take_opt vc.fbufs with
-  | Some d -> Some d
-  | None ->
-      (* A gated channel sees an empty free queue (the injected
-         starvation fault): descriptors the host enqueued stay put, so
-         buffer conservation still holds — the PDU is dropped for want
-         of a buffer, not leaked. *)
-      if vc.channel.free_gated then None
-      else Desc_queue.board_dequeue vc.channel.free_q
+(* Enqueuing filled-buffer descriptors to the host, from an agent: one
+   enqueue per descriptor, each waiting out its dual-port access, then
+   [po_k]. The receive processor, the receive DMA engine, the sweeper
+   and a restripe's abort task each own one. *)
+type poster = {
+  po_t : t;
+  po_a : Process.agent;
+  mutable po_vc : vc_state;
+  mutable po_ch : channel;
+  mutable po_desc : Desc.t;
+  mutable po_rest : Desc.t list;
+  mutable po_k : unit -> unit;
+  po_enqueued : bool -> unit;
+}
 
-(* Make sure buffers 0..idx exist for the current PDU; false on buffer
-   exhaustion. *)
-let ensure_buffers vc idx =
-  let rec go i =
-    if i > idx then true
-    else if bufs_get vc.bufs i <> None then go (i + 1)
-    else
-      match take_free_buffer vc with
-      | None -> false
-      | Some d ->
-          if vc.buf_size = 0 then vc.buf_size <- d.Desc.len
-          else if d.Desc.len <> vc.buf_size then
-            (* The model requires uniform buffer sizes per PDU; drivers
-               supply uniform pools, so treat mismatch as exhaustion. *)
-            failwith "Board: receive buffers of one PDU must be uniform";
-          bufs_set vc.bufs i { bdesc = d; filled = 0; posted = false };
-          go (i + 1)
-  in
-  go 0
+let rec post_next p =
+  match p.po_rest with
+  | [] ->
+      (p.po_k ()
+      [@osiris.alloc_ok "the continuation is the poster's caller's next step"])
+  | desc :: rest ->
+      p.po_rest <- rest;
+      p.po_desc <- desc;
+      Desc_queue.board_enqueue_then p.po_ch.rx_q p.po_a desc p.po_enqueued
 
-(* Enqueue one filled-buffer descriptor to the host. Runs in the DMA
-   engine, after the buffer's final bytes have landed in memory. An
-   interrupt is asserted only on the receive queue's empty -> non-empty
-   transition (paper 2.1.2). *)
-let deliver_desc t vc ch desc =
-  if Desc_queue.board_enqueue ch.rx_q desc then begin
+(* After an enqueue's access. An interrupt is asserted only on the
+   receive queue's empty -> non-empty transition (paper 2.1.2). *)
+and posted p ok =
+  let t = p.po_t and ch = p.po_ch in
+  if ok then begin
     (* Assert the interrupt iff ours is the only entry: the queue was empty
-       at the instant of insertion (checking afterwards avoids the lost
-       wake-up when the host drains while the enqueue is in progress). *)
+       at the instant of insertion (checking after the access avoids the
+       lost wake-up when the host drains while the enqueue is in
+       progress). *)
     if Desc_queue.count ch.rx_q = 1 then raise_interrupt t (Rx_nonempty ch.id);
     (* Under fault injection the assertion above may have been eaten; the
        watchdog (when configured) re-asserts while the queue is backed up. *)
@@ -821,10 +1019,37 @@ let deliver_desc t vc ch desc =
   else begin
     (* Receive-queue overflow: the host is hopelessly behind. The data (or
        abort marker) is lost; a real buffer returns to the VC's pool. *)
+    let desc = p.po_desc and vc = p.po_vc in
     Metrics.add t.m.m_cells_dropped (desc.Desc.len / Cell.data_size);
     if desc.Desc.len > 0 && vc.buf_size > 0 then
-      Queue.add (Desc.v ~addr:desc.Desc.addr ~len:vc.buf_size ()) vc.fbufs
-  end
+      (Queue.add (Desc.v ~addr:desc.Desc.addr ~len:vc.buf_size ()) vc.fbufs
+      [@osiris.alloc_ok "receive-queue overflow: the lost buffer's descriptor"])
+  end;
+  post_next p
+
+let poster t a =
+  let rec p =
+    {
+      po_t = t;
+      po_a = a;
+      po_vc = t.no_vc;
+      po_ch = t.channels.(0);
+      po_desc = no_desc;
+      po_rest = [];
+      po_k = ignore;
+      po_enqueued = (fun ok -> posted p ok);
+    }
+  in
+  p
+
+(* Post [descs], the descriptors of [vc]'s buffers on [ch], in order,
+   then run [k]. *)
+let post_then p vc ch descs k =
+  p.po_vc <- vc;
+  p.po_ch <- ch;
+  p.po_rest <- descs;
+  p.po_k <- k;
+  post_next p
 
 (* Mark buffer [idx] of the current PDU posted, if it exists and is not
    yet, consing its descriptor onto [posts]. *)
@@ -849,36 +1074,29 @@ let rec post_filled vc posts =
 
 (* Decide, at reassembly-decision time, which buffer descriptors the
    current DMA command must post once its data has landed: the in-order
-   prefix of buffers that are now full and, on PDU completion, all the
-   rest. Completion also resets the VC for the next PDU. *)
-let collect_posts t vc ~completed_total =
-  match completed_total with
-  | None -> List.rev (post_filled vc [])
-  | Some total ->
-      Metrics.incr t.m.m_pdus_received;
-      (* The PDU's congestion bit, read before [reset_vc] clears the
-         reassembly state, rides on the eop descriptor: one flag per
-         PDU, exactly what the host's transport needs to echo. *)
-      let pdu_marked = Sar.marked_seen vc.sar in
-      let bs = vc.buf_size in
-      let nbufs = if bs = 0 then 0 else (total + bs - 1) / bs in
-      let posts = ref [] in
-      for idx = vc.next_post to nbufs - 1 do
-        let len = min bs (total - (idx * bs)) in
-        let eop = idx = nbufs - 1 in
-        posts :=
-          post_buffer vc idx ~eop ~marked:(eop && pdu_marked) ~len !posts
-      done;
-      recycle_buffers vc;
-      reset_vc vc;
-      List.rev !posts
-
-(* Make sure the buffers behind [len] bytes at framed-PDU [offset]
-   exist, taking them in index order; false on buffer exhaustion. The
-   first buffer taken for a PDU fixes its buffer size. *)
-let ensure_placement vc ~offset ~len =
-  (vc.buf_size > 0 || ensure_buffers vc 0)
-  && ensure_buffers vc ((offset + len - 1) / vc.buf_size)
+   prefix of buffers that are now full and, when the cell completed the
+   PDU ([total], its framed length, is at least 0), all the rest.
+   Completion also resets the VC for the next PDU. *)
+let collect_posts t vc ~total =
+  if total < 0 then List.rev (post_filled vc [])
+  else begin
+    Metrics.incr t.m.m_pdus_received;
+    (* The PDU's congestion bit, read before [reset_vc] clears the
+       reassembly state, rides on the eop descriptor: one flag per
+       PDU, exactly what the host's transport needs to echo. *)
+    let pdu_marked = Sar.marked_seen vc.sar in
+    let bs = vc.buf_size in
+    let nbufs = if bs = 0 then 0 else (total + bs - 1) / bs in
+    let posts = ref [] in
+    for idx = vc.next_post to nbufs - 1 do
+      let len = min bs (total - (idx * bs)) in
+      let eop = idx = nbufs - 1 in
+      posts := post_buffer vc idx ~eop ~marked:(eop && pdu_marked) ~len !posts
+    done;
+    recycle_buffers vc;
+    reset_vc vc;
+    List.rev !posts
+  end
 
 (* Host address of framed-PDU byte [off]; its buffer exists. *)
 let buffer_addr vc off =
@@ -915,7 +1133,7 @@ let rec fill_pieces vc ~page_size pieces j off stop =
 (* The placement-piece walk: the bus transactions that write [len] bytes
    at framed-PDU [offset] — one per buffer crossing and per page
    boundary — as flattened (addr, len) pairs, each credited to its
-   buffer. Run after [ensure_placement]. *)
+   buffer. Run once the placement's buffers exist. *)
 let placement_pieces vc ~page_size ~offset ~len =
   let stop = offset + len in
   let n = count_pieces vc ~page_size offset stop 0 in
@@ -926,63 +1144,79 @@ let placement_pieces vc ~page_size ~offset ~len =
   fill_pieces vc ~page_size pieces 0 offset stop;
   pieces
 
-let submit_dma t cmd =
-  let n = Array.length cmd.pieces / 2 in
-  Metrics.add t.m.m_dma_rx n;
-  if n > 1 then Metrics.add t.m.m_boundary_splits (n - 1);
-  Mailbox.send t.rx_dma_q cmd
-
 let release_stash t vc = Queue.transfer vc.stash t.pending_cells
 
 (* Abandon the VC's in-progress PDU: recycle its buffers, reset the
    reassembly and, if the host already holds part of its chain, terminate
-   that chain with an abort marker (len 0, eop) so the driver discards it.
-   [marker_addr] distinguishes the marker's cause on the host side: 0 for
-   board-decision aborts (loss/reject/no-buffer), [timeout_marker_addr]
-   for reassembly-timeout sweeps. Must run in process context when a
-   marker may be emitted (the enqueue suspends). *)
+   that chain with an abort marker (len 0, eop) so the driver discards it,
+   then run [k]. [marker_addr] distinguishes the marker's cause on the
+   host side: 0 for board-decision aborts (loss/reject/no-buffer),
+   [timeout_marker_addr] for reassembly-timeout sweeps. *)
 let timeout_marker_addr = 1
 
-let abort_current_pdu t vc ~marker_addr =
+let abort_current_pdu_then p vc ~marker_addr k =
   let partially_posted = vc.next_post > 0 in
   recycle_buffers vc;
   reset_vc vc;
-  release_stash t vc;
+  release_stash p.po_t vc;
   if partially_posted then
-    deliver_desc t vc vc.channel
-      (Desc.v ~addr:marker_addr ~len:0 ~vci:vc.vci ~eop:true ())
+    post_then p vc vc.channel
+      [ Desc.v ~addr:marker_addr ~len:0 ~vci:vc.vci ~eop:true () ]
+      k
+    [@osiris.alloc_ok "the abort marker: one descriptor per abandoned PDU"]
+  else (k () [@osiris.alloc_ok "the continuation is the caller's next step"])
 
-let drop_pdu t vc =
-  Metrics.incr t.m.m_pdus_dropped_no_buffer;
-  abort_current_pdu t vc ~marker_addr:0;
-  vc.dropping <- true
+(* The receive processor: per cell, the i960's work, then the
+   reassembly decision — demultiplex, reassemble, make sure the
+   placement's buffers exist (taking a free buffer is a dual-port
+   access) and submit the DMA command, or drop. It owns the reassembly
+   bookkeeping, which it updates at decision time. *)
+type rx_proc = {
+  rp_t : t;
+  rp_a : Process.agent;
+  rp_post : poster;
+  mutable r_link : int; (* the cell's physical channel *)
+  mutable r_cell : Cell.t;
+  mutable r_vc : vc_state;
+  mutable r_place : Sar.placement;
+  mutable r_total : int; (* framed total if the cell completed the PDU, else -1 *)
+  mutable r_buf : int; (* the next buffer index to make sure of *)
+  mutable r_upto : int; (* ... up to this one *)
+  mutable r_first : bool; (* making sure of buffer 0, which fixes the size *)
+  rp_next : unit -> unit;
+  rp_handle : int * Cell.t -> unit;
+  rp_decide : unit -> unit;
+  rp_got_buf : Desc.t option -> unit;
+  rp_requeue : unit -> unit;
+  rp_dropped : unit -> unit;
+}
 
-(* Handle a placement decision: update the reassembly bookkeeping
-   immediately (the receive processor owns this state) and submit the DMA
-   command whose posts deliver any now-complete buffers, or drop the PDU
-   for lack of buffers. A completed PDU then releases its VC's held
-   next-PDU cells for reprocessing, in arrival order, ahead of new
-   arrivals. *)
-let place_cell t vc (p : Sar.placement) ~completed_total =
-  let offset = p.Sar.offset and len = Cell.data_size in
-  if ensure_placement vc ~offset ~len then begin
-    let pieces = placement_pieces vc ~page_size:t.cfg.page_size ~offset ~len in
-    let posts = collect_posts t vc ~completed_total in
-    let cmd =
-      { payload = p.Sar.cell.Cell.data; pieces; rx_vc = vc; rx_ch = vc.channel; posts }
-    in
-    if completed_total <> None then release_stash t vc;
-    submit_dma t cmd
-  end
-  else begin
-    drop_pdu t vc;
-    if completed_total <> None then release_stash t vc
-  end
+let no_placement = { Sar.offset = 0; cell = no_cell }
 
-(* Process one received cell: reassembly decision plus DMA submission. *)
-let rx_handle_cell t (phys_link, cell) =
+(* The next cell: one held for reprocessing, else the next arrival. *)
+let rec rx_next r =
+  let t = r.rp_t in
+  if Queue.is_empty t.pending_cells then
+    match t.recv_fn with
+    | Some recv ->
+        (recv r.rp_a r.rp_handle
+        [@osiris.alloc_ok
+          "the next arrival: the link's or the fictitious source's \
+           [recv_then], whose wait is one engine event"])
+    | None ->
+        (failwith "Board: receive side not attached"
+        [@osiris.alloc_ok "cold error path: raises, never returns"])
+  else rx_handle r (Queue.take t.pending_cells)
+
+and rx_handle r (phys_link, cell) =
+  let t = r.rp_t in
   Metrics.incr t.m.m_cells_received;
-  i960_work t t.cfg.rx_cycles_per_cell;
+  r.r_link <- phys_link;
+  r.r_cell <- cell;
+  Process.sleep_then r.rp_a (i960_time t t.cfg.rx_cycles_per_cell) r.rp_decide
+
+and rx_decide r =
+  let t = r.rp_t and phys_link = r.r_link and cell = r.r_cell in
   (* Physical channel -> logical stripe index. Identity while the trunk is
      healthy; narrowed after a carrier loss. -1 = the channel died while
      this cell sat in the input FIFO. Stashed/reprocessed cells keep the
@@ -993,60 +1227,197 @@ let rx_handle_cell t (phys_link, cell) =
       t.rx_link_map.(phys_link)
     else phys_link
   in
-  if link < 0 then Metrics.incr t.m.m_cells_dropped
+  if link < 0 then begin
+    Metrics.incr t.m.m_cells_dropped;
+    rx_next r
+  end
   else
-  (* The paper's on-board early demultiplexing (§3.1), now a hashed
-     classification step whose probe count the experiments charge to the
-     per-cell budget via the machine's cache-cost model. *)
-  match Ctable.find_slot t.vcs cell.Cell.vci with
-  | -1 -> Metrics.incr t.m.m_unknown_vci_cells
-  | slot ->
-      let vc = Ctable.slot_value t.vcs slot in
-      if vc.dropping then begin
-        Metrics.incr t.m.m_cells_dropped;
-        if cell.Cell.last_of_pdu then vc.dropping <- false
-      end
-      else if Sar.in_progress vc.sar && Sar.link_finished vc.sar ~link then begin
-        if Sar.all_links_finished vc.sar then begin
-          (* Every sub-stream has ended but the PDU did not complete: cells
-             were lost on the wire. Abandon it so the VC cannot wedge. *)
-          Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
-            "abandon incomplete PDU vci=%d (lost cells)" cell.Cell.vci;
-          Metrics.incr t.m.m_reassembly_errors;
-          abort_current_pdu t vc ~marker_addr:0;
-          (* reprocess this cell against the fresh state, after the
-             released stash *)
-          Queue.add (phys_link, cell) t.pending_cells
+    (* The paper's on-board early demultiplexing (§3.1), now a hashed
+       classification step whose probe count the experiments charge to
+       the per-cell budget via the machine's cache-cost model. *)
+    match Ctable.find_slot t.vcs cell.Cell.vci with
+    | -1 ->
+        Metrics.incr t.m.m_unknown_vci_cells;
+        rx_next r
+    | slot ->
+        let vc = Ctable.slot_value t.vcs slot in
+        if vc.dropping then begin
+          Metrics.incr t.m.m_cells_dropped;
+          if cell.Cell.last_of_pdu then vc.dropping <- false;
+          rx_next r
+        end
+        else if Sar.in_progress vc.sar && Sar.link_finished vc.sar ~link then begin
+          if Sar.all_links_finished vc.sar then begin
+            (* Every sub-stream has ended but the PDU did not complete:
+               cells were lost on the wire. Abandon it so the VC cannot
+               wedge, then reprocess this cell against the fresh state,
+               after the released stash. *)
+            (Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
+               "abandon incomplete PDU vci=%d (lost cells)" cell.Cell.vci
+            [@osiris.alloc_ok "loss diagnostics: format value, once per lost PDU"]);
+            Metrics.incr t.m.m_reassembly_errors;
+            (abort_current_pdu_then r.rp_post vc ~marker_addr:0 r.rp_requeue
+            [@osiris.alloc_ok
+              "a lost-cell abort: per abandoned PDU, not per cell; recycles \
+               its buffers"])
+          end
+          else begin
+            (* This link's share of the current PDU is done: the cell starts
+               the next PDU. Hold it until the current one completes. *)
+            (Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
+               "stash vci=%d seq=%d link=%d" cell.Cell.vci cell.Cell.seq link
+            [@osiris.alloc_ok "skew diagnostics: format value"]);
+            (Queue.add (phys_link, cell) vc.stash
+            [@osiris.alloc_ok
+              "skew: a held next-PDU cell, one tuple and queue cell each"]);
+            rx_next r
+          end
         end
         else begin
-          (* This link's share of the current PDU is done: the cell starts
-             the next PDU. Hold it until the current one completes. *)
-          Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
-            "stash vci=%d seq=%d link=%d" cell.Cell.vci cell.Cell.seq link;
-          Queue.add (phys_link, cell) vc.stash
+          let was_in_progress = Sar.in_progress vc.sar in
+          match Sar.push vc.sar ~link cell with
+          | Sar.Rejected reason ->
+              (Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
+                 "reject vci=%d seq=%d link=%d: %s" cell.Cell.vci cell.Cell.seq
+                 link reason
+              [@osiris.alloc_ok "reject diagnostics: format value"]);
+              Metrics.incr t.m.m_reassembly_errors;
+              Metrics.incr t.m.m_cells_dropped;
+              (abort_current_pdu_then r.rp_post vc ~marker_addr:0 r.rp_next
+              [@osiris.alloc_ok "a rejected cell's abort: per faulted PDU"])
+          | Sar.Placed p ->
+              (* Progress for the timeout sweeper: the timer is an
+                 inactivity bound, restarted by every placement. Wake the
+                 sweeper when this VC (re)enters reassembly. *)
+              vc.last_progress <- Engine.now t.eng;
+              if (not was_in_progress) && t.cfg.reassembly_timeout > 0 then
+                (Signal.broadcast t.sweep_work
+                [@osiris.alloc_ok
+                  "waking the sweeper: once per PDU, with the timeout on"]);
+              rx_place r vc p (-1)
+          | Sar.Completed (p, total) -> rx_place r vc p total
         end
-      end
-      else begin
-        let was_in_progress = Sar.in_progress vc.sar in
-        match Sar.push vc.sar ~link cell with
-        | Sar.Rejected reason ->
-            Trace.emitf Trace.Board_rx ~now:(Engine.now t.eng)
-              "reject vci=%d seq=%d link=%d: %s" cell.Cell.vci cell.Cell.seq
-              link reason;
-            Metrics.incr t.m.m_reassembly_errors;
-            Metrics.incr t.m.m_cells_dropped;
-            abort_current_pdu t vc ~marker_addr:0
-        | Sar.Placed p ->
-            (* Progress for the timeout sweeper: the timer is an
-               inactivity bound, restarted by every placement. Wake the
-               sweeper when this VC (re)enters reassembly. *)
-            vc.last_progress <- Engine.now t.eng;
-            if (not was_in_progress) && t.cfg.reassembly_timeout > 0 then
-              Signal.broadcast t.sweep_work;
-            place_cell t vc p ~completed_total:None
-        | Sar.Completed (p, total) ->
-            place_cell t vc p ~completed_total:(Some total)
-      end
+
+(* A placement decision: make sure the buffers behind the cell's bytes
+   exist, taking them in index order (the first buffer taken for a PDU
+   fixes its buffer size), then submit the DMA command whose posts
+   deliver any now-complete buffers, or drop the PDU for lack of
+   buffers. A completed PDU then releases its VC's held next-PDU cells
+   for reprocessing, in arrival order, ahead of new arrivals. *)
+and rx_place r vc p total =
+  r.r_vc <- vc;
+  r.r_place <- p;
+  r.r_total <- total;
+  if vc.buf_size > 0 then rx_ensure_upto r
+  else begin
+    r.r_first <- true;
+    r.r_buf <- 0;
+    r.r_upto <- 0;
+    rx_ensure r
+  end
+
+and rx_ensure_upto r =
+  r.r_first <- false;
+  r.r_buf <- 0;
+  r.r_upto <- (r.r_place.Sar.offset + Cell.data_size - 1) / r.r_vc.buf_size;
+  rx_ensure r
+
+and rx_ensure r =
+  let vc = r.r_vc in
+  if r.r_buf > r.r_upto then
+    if r.r_first then rx_ensure_upto r else rx_submit r
+  else if bufs_get vc.bufs r.r_buf <> None then begin
+    r.r_buf <- r.r_buf + 1;
+    rx_ensure r
+  end
+  else
+    match
+      (Queue.take_opt vc.fbufs
+      [@osiris.alloc_ok "a buffer from the VC's pool: per buffer, not per cell"])
+    with
+    | Some _ as d -> rx_got_buf r d
+    | None ->
+        (* A gated channel sees an empty free queue (the injected
+           starvation fault): descriptors the host enqueued stay put, so
+           buffer conservation still holds — the PDU is dropped for want
+           of a buffer, not leaked. *)
+        if vc.channel.free_gated then rx_got_buf r None
+        else Desc_queue.board_dequeue_then vc.channel.free_q r.rp_a r.rp_got_buf
+
+and rx_got_buf r = function
+  | None ->
+      Metrics.incr r.rp_t.m.m_pdus_dropped_no_buffer;
+      (abort_current_pdu_then r.rp_post r.r_vc ~marker_addr:0 r.rp_dropped
+      [@osiris.alloc_ok "a no-buffer drop's abort: per dropped PDU"])
+  | Some d ->
+      let vc = r.r_vc in
+      if vc.buf_size = 0 then vc.buf_size <- d.Desc.len
+      else if d.Desc.len <> vc.buf_size then
+        (* The model requires uniform buffer sizes per PDU; drivers
+           supply uniform pools, so treat mismatch as exhaustion. *)
+        (failwith "Board: receive buffers of one PDU must be uniform"
+        [@osiris.alloc_ok "cold error path: raises, never returns"]);
+      (bufs_set vc.bufs r.r_buf { bdesc = d; filled = 0; posted = false }
+      [@osiris.alloc_ok "the PDU's next buffer: per buffer, not per cell"]);
+      r.r_buf <- r.r_buf + 1;
+      rx_ensure r
+
+and rx_submit r =
+  let t = r.rp_t and vc = r.r_vc and p = r.r_place in
+  let pieces =
+    placement_pieces vc ~page_size:t.cfg.page_size ~offset:p.Sar.offset
+      ~len:Cell.data_size
+  in
+  let posts =
+    (collect_posts t vc ~total:r.r_total
+    [@osiris.alloc_ok
+      "the buffers this cell fills: a descriptor and a list cell per buffer \
+       posted, none for a cell that fills none"])
+  in
+  let cmd =
+    ({ payload = p.Sar.cell.Cell.data; pieces; rx_vc = vc; rx_ch = vc.channel; posts }
+    [@osiris.alloc_ok "the DMA command handed to the DMA engine: one per cell"])
+  in
+  if r.r_total >= 0 then release_stash t vc;
+  let n = Array.length pieces / 2 in
+  Metrics.add t.m.m_dma_rx n;
+  if n > 1 then Metrics.add t.m.m_boundary_splits (n - 1);
+  Mailbox.send_then t.rx_dma_q cmd r.rp_a r.rp_next
+
+(* The no-buffer drop's abort is done: skip the rest of the PDU. *)
+and rx_dropped r =
+  let vc = r.r_vc in
+  vc.dropping <- true;
+  if r.r_total >= 0 then release_stash r.rp_t vc;
+  rx_next r
+
+let rx_processor t =
+  let a = Process.agent t.eng ~name:"rx-processor" in
+  let rec r =
+    {
+      rp_t = t;
+      rp_a = a;
+      rp_post = poster t a;
+      r_link = 0;
+      r_cell = no_cell;
+      r_vc = t.no_vc;
+      r_place = no_placement;
+      r_total = -1;
+      r_buf = 0;
+      r_upto = 0;
+      r_first = false;
+      rp_next = (fun () -> rx_next r);
+      rp_handle = (fun arrival -> rx_handle r arrival);
+      rp_decide = (fun () -> rx_decide r);
+      rp_got_buf = (fun d -> rx_got_buf r d);
+      rp_requeue =
+        (fun () ->
+          Queue.add (r.r_link, r.r_cell) t.pending_cells;
+          rx_next r);
+      rp_dropped = (fun () -> rx_dropped r);
+    }
+  in
+  Process.start a r.rp_next
 
 (* Can a second cell's DMA be merged with the first's? Only when each
    is one transaction and the two are physically consecutive and in the
@@ -1059,75 +1430,124 @@ let combinable (cmd1 : dma_cmd) (cmd2 : dma_cmd) ~page_size =
   a2 = a1 + cmd1.pieces.(1)
   && a1 / page_size = (a2 + cmd2.pieces.(1) - 1) / page_size
 
-let rx_processor t () =
-  let rec loop () =
-    rx_handle_cell t
-      (if Queue.is_empty t.pending_cells then
-         match t.recv_fn with
-         | Some f -> f ()
-         | None -> failwith "Board: receive side not attached"
-       else Queue.take t.pending_cells);
-    loop ()
+(* The receive DMA engine: per command, one bus write per piece, then
+   the command's posts. Double-cell DMA (2.5.1): when the next queued
+   command's payload is physically consecutive with this one's (and in
+   the same page), the controller moves both in a single, longer bus
+   transaction. This is where "looking at two cell headers" pays off:
+   the command queue is non-empty whenever cells arrive as fast as they
+   are served. *)
+type rx_dma = {
+  rd_t : t;
+  rd_a : Process.agent;
+  rd_post : poster;
+  mutable x_cmd : dma_cmd; (* the command being written *)
+  mutable c2 : dma_cmd; (* a pair's second command *)
+  mutable pair : bool; (* [c2] runs after [x_cmd] *)
+  mutable x_piece : int; (* ... its next piece *)
+  mutable x_src : int; (* ... and that piece's payload offset *)
+  rd_next : unit -> unit;
+  rd_got : dma_cmd -> unit;
+  rd_wrote_piece : unit -> unit;
+  rd_wrote_pair : unit -> unit;
+  rd_post_second : unit -> unit;
+  rd_executed : unit -> unit;
+}
+
+let rec rx_dma_next d = Mailbox.recv_then d.rd_t.rx_dma_q d.rd_a d.rd_got
+
+and rx_dma_got d cmd1 =
+  let t = d.rd_t in
+  match
+    if t.cfg.dma_mode = Double_cell then Mailbox.try_recv t.rx_dma_q else None
+  with
+  | Some cmd2 when combinable cmd1 cmd2 ~page_size:t.cfg.page_size ->
+      let len = cmd1.pieces.(1) + cmd2.pieces.(1) in
+      Metrics.incr t.m.m_combined_dmas;
+      Hist.add t.m.m_dma_bytes (float_of_int len);
+      d.x_cmd <- cmd1;
+      d.c2 <- cmd2;
+      Tc.dma_write_then t.bus d.rd_a ~bytes:len d.rd_wrote_pair
+  | Some cmd2 ->
+      d.c2 <- cmd2;
+      d.pair <- true;
+      rx_dma_exec d cmd1
+  | None -> rx_dma_exec d cmd1
+
+and rx_dma_wrote_pair d =
+  let t = d.rd_t and cmd1 = d.x_cmd and cmd2 = d.c2 in
+  let addr = cmd1.pieces.(0) and len1 = cmd1.pieces.(1) in
+  let len = len1 + cmd2.pieces.(1) in
+  Phys_mem.blit_from_bytes t.mem ~src:cmd1.payload ~src_off:0 ~dst:addr
+    ~len:len1;
+  Phys_mem.blit_from_bytes t.mem ~src:cmd2.payload ~src_off:0
+    ~dst:(addr + len1) ~len:(len - len1);
+  t.on_dma_write ~addr ~len;
+  post_then d.rd_post cmd1.rx_vc cmd1.rx_ch cmd1.posts d.rd_post_second
+
+and rx_dma_post_second d =
+  let cmd2 = d.c2 in
+  post_then d.rd_post cmd2.rx_vc cmd2.rx_ch cmd2.posts d.rd_next
+
+(* [exec_dma]: write the command's pieces, then post its buffers. *)
+and rx_dma_exec d cmd =
+  d.x_cmd <- cmd;
+  d.x_piece <- 0;
+  d.x_src <- 0;
+  rx_dma_write d
+
+and rx_dma_write d =
+  let cmd = d.x_cmd in
+  let j = d.x_piece in
+  if j < Array.length cmd.pieces / 2 then begin
+    let len = cmd.pieces.((2 * j) + 1) in
+    (Hist.add d.rd_t.m.m_dma_bytes (float_of_int len)
+    [@osiris.alloc_ok "the DMA size histogram: its boxed float sample"]);
+    Tc.dma_write_then d.rd_t.bus d.rd_a ~bytes:len d.rd_wrote_piece
+  end
+  else post_then d.rd_post cmd.rx_vc cmd.rx_ch cmd.posts d.rd_executed
+
+and rx_dma_wrote_piece d =
+  let t = d.rd_t and cmd = d.x_cmd and j = d.x_piece in
+  let addr = cmd.pieces.(2 * j) and len = cmd.pieces.((2 * j) + 1) in
+  Phys_mem.blit_from_bytes t.mem ~src:cmd.payload ~src_off:d.x_src ~dst:addr
+    ~len;
+  t.on_dma_write ~addr ~len;
+  d.x_src <- d.x_src + len;
+  d.x_piece <- j + 1;
+  rx_dma_write d
+
+and rx_dma_executed d =
+  if d.pair then begin
+    d.pair <- false;
+    rx_dma_exec d d.c2
+  end
+  else rx_dma_next d
+
+let rx_dma_engine t =
+  let a = Process.agent t.eng ~name:"rx-dma" in
+  let rec d =
+    {
+      rd_t = t;
+      rd_a = a;
+      rd_post = poster t a;
+      x_cmd = t.no_cmd;
+      c2 = t.no_cmd;
+      pair = false;
+      x_piece = 0;
+      x_src = 0;
+      rd_next = (fun () -> rx_dma_next d);
+      rd_got = (fun cmd -> rx_dma_got d cmd);
+      rd_wrote_piece = (fun () -> rx_dma_wrote_piece d);
+      rd_wrote_pair = (fun () -> rx_dma_wrote_pair d);
+      rd_post_second = (fun () -> rx_dma_post_second d);
+      rd_executed = (fun () -> rx_dma_executed d);
+    }
   in
-  loop ()
-
-let rec post_all t vc ch = function
-  | [] -> ()
-  | desc :: rest ->
-      deliver_desc t vc ch desc;
-      post_all t vc ch rest
-
-let post t cmd = post_all t cmd.rx_vc cmd.rx_ch cmd.posts
-
-let exec_dma t cmd =
-  let pieces = cmd.pieces in
-  let src_off = ref 0 in
-  for j = 0 to (Array.length pieces / 2) - 1 do
-    let addr = pieces.(2 * j) and len = pieces.((2 * j) + 1) in
-    Hist.add t.m.m_dma_bytes (float_of_int len);
-    Tc.dma_write t.bus ~bytes:len;
-    Phys_mem.blit_from_bytes t.mem ~src:cmd.payload ~src_off:!src_off ~dst:addr
-      ~len;
-    t.on_dma_write ~addr ~len;
-    src_off := !src_off + len
-  done;
-  post t cmd
-
-let rx_dma_engine t () =
-  let rec loop () =
-    let cmd1 = Mailbox.recv t.rx_dma_q in
-    (* Double-cell DMA (2.5.1): when the next queued command's payload is
-       physically consecutive with this one's (and in the same page), the
-       controller moves both in a single, longer bus transaction. This is
-       where "looking at two cell headers" pays off: the command queue is
-       non-empty whenever cells arrive as fast as they are served. *)
-    (match
-       if t.cfg.dma_mode = Double_cell then Mailbox.try_recv t.rx_dma_q
-       else None
-     with
-    | Some cmd2 when combinable cmd1 cmd2 ~page_size:t.cfg.page_size ->
-        let addr = cmd1.pieces.(0) and len1 = cmd1.pieces.(1) in
-        let len = len1 + cmd2.pieces.(1) in
-        Metrics.incr t.m.m_combined_dmas;
-        Hist.add t.m.m_dma_bytes (float_of_int len);
-        Tc.dma_write t.bus ~bytes:len;
-        Phys_mem.blit_from_bytes t.mem ~src:cmd1.payload ~src_off:0 ~dst:addr
-          ~len:len1;
-        Phys_mem.blit_from_bytes t.mem ~src:cmd2.payload ~src_off:0
-          ~dst:(addr + len1) ~len:(len - len1);
-        t.on_dma_write ~addr ~len;
-        post t cmd1;
-        post t cmd2
-    | Some cmd2 ->
-        exec_dma t cmd1;
-        exec_dma t cmd2
-    | None -> exec_dma t cmd1);
-    loop ()
-  in
-  loop ()
+  Process.start a d.rd_next
 
 (* ------------------------------------------------------------------ *)
-(* Reassembly-timeout sweeper: a board process that bounds how long a VC
+(* Reassembly-timeout sweeper: a board agent that bounds how long a VC
    may sit mid-reassembly without progress. A cell lost on the wire on a
    quiet VC otherwise wedges that VC forever (no later traffic triggers
    the all-links-finished abandonment). Parks on a signal while nothing
@@ -1144,37 +1564,36 @@ let earliest_reassembly_deadline t =
       else acc)
     t.vcs None
 
-let sweep_stuck_reassemblies t =
-  let now = Engine.now t.eng in
-  let stuck =
-    Ctable.fold
-      (fun _ vc acc ->
-        if
-          Sar.in_progress vc.sar
-          && now - vc.last_progress >= t.cfg.reassembly_timeout
-        then vc :: acc
-        else acc)
-      t.vcs []
-  in
-  List.iter
-    (fun vc ->
-      Metrics.incr t.m.m_reassembly_timeouts;
-      Trace.emitf Trace.Fault ~now "reassembly timeout vci=%d (idle %d ns)"
-        vc.vci (now - vc.last_progress);
-      abort_current_pdu t vc ~marker_addr:timeout_marker_addr)
-    stuck
+let stuck_reassemblies t now =
+  Ctable.fold
+    (fun _ vc acc ->
+      if
+        Sar.in_progress vc.sar
+        && now - vc.last_progress >= t.cfg.reassembly_timeout
+      then vc :: acc
+      else acc)
+    t.vcs []
 
-let reassembly_sweeper t () =
+let reassembly_sweeper t =
+  let a = Process.agent t.eng ~name:"reassembly-sweeper" in
+  let p = poster t a in
   let rec loop () =
-    (match earliest_reassembly_deadline t with
-    | None -> Signal.wait t.sweep_work
+    match earliest_reassembly_deadline t with
+    | None -> Signal.wait_then t.sweep_work a loop
     | Some dl ->
         let now = Engine.now t.eng in
-        if dl > now then Process.sleep t.eng (dl - now)
-        else sweep_stuck_reassemblies t);
-    loop ()
+        if dl > now then Process.sleep_then a (dl - now) loop
+        else sweep now (stuck_reassemblies t now)
+  and sweep now = function
+    | [] -> loop ()
+    | vc :: rest ->
+        Metrics.incr t.m.m_reassembly_timeouts;
+        Trace.emitf Trace.Fault ~now "reassembly timeout vci=%d (idle %d ns)"
+          vc.vci (now - vc.last_progress);
+        abort_current_pdu_then p vc ~marker_addr:timeout_marker_addr (fun () ->
+            sweep now rest)
   in
-  loop ()
+  Process.start a loop
 
 (* ------------------------------------------------------------------ *)
 (* Carrier transition on the incoming trunk: narrow (or widen) the
@@ -1215,23 +1634,27 @@ let handle_rx_restripe t link =
   Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
     "restripe to %d live links (%d aborted reassemblies)" (List.length live)
     (List.length victims);
-  (* Abort-marker enqueues suspend for dual-port accesses, and carrier
-     callbacks may run from an engine callback: hand them to a process. *)
-  if victims <> [] then
-    Process.spawn t.eng ~name:"restripe-abort" (fun () ->
-        List.iter
-          (fun vc ->
-            deliver_desc t vc vc.channel
-              (Desc.v ~addr:0 ~len:0 ~vci:vc.vci ~eop:true ()))
-          victims)
+  (* Abort-marker enqueues wait for dual-port accesses, and carrier
+     callbacks may run from an engine callback: hand them to an agent. *)
+  if victims <> [] then begin
+    let a = Process.agent t.eng ~name:"restripe-abort" in
+    let p = poster t a in
+    let rec abort = function
+      | [] -> ()
+      | vc :: rest ->
+          post_then p vc vc.channel
+            [ Desc.v ~addr:0 ~len:0 ~vci:vc.vci ~eop:true () ]
+            (fun () -> abort rest)
+    in
+    Process.start a (fun () -> abort victims)
+  end
 
 (* ------------------------------------------------------------------ *)
 
 let attach t ~tx_link ~rx_link =
   t.tx_link <- Some tx_link;
   t.rx_link <- Some rx_link;
-  t.recv_fn <- Some (fun () -> Atm_link.recv rx_link);
-  t.try_recv_fn <- Some (fun () -> Atm_link.try_recv rx_link);
+  t.recv_fn <- Some (Atm_link.recv_then rx_link);
   Atm_link.on_link_change rx_link (fun () -> handle_rx_restripe t rx_link)
 
 let start_fictitious_source t ~pdus ?rate_mbps () =
@@ -1247,41 +1670,45 @@ let start_fictitious_source t ~pdus ?rate_mbps () =
     int_of_float
       (Float.round (float_of_int (Cell.data_size * 8) /. rate *. 1000.0))
   in
-  let cells =
+  (* Each cell with the channel it arrives on, built once. *)
+  let arrivals =
     Array.of_list
       (List.concat_map
-         (fun (vci, pdu) -> Sar.segment ~vci ~nlinks:t.cfg.nlinks pdu)
+         (fun (vci, pdu) ->
+           List.map
+             (fun (c : Cell.t) -> (c.Cell.seq mod t.cfg.nlinks, c))
+             (Sar.segment ~vci ~nlinks:t.cfg.nlinks pdu))
          pdus)
   in
   let mbox = Mailbox.create t.eng ~capacity:t.cfg.rx_fifo_cells () in
-  Process.spawn t.eng ~name:"fictitious-source" (fun () ->
-      (* Pace against an absolute schedule so transient FIFO backpressure
-         does not permanently lower the offered rate. *)
-      let rec loop i next =
-        let now = Engine.now t.eng in
-        if next > now then Process.sleep t.eng (next - now);
-        let cell = cells.(i) in
-        (* Blocks when the FIFO is full: "as fast as the receiving host
-           could absorb them". *)
-        Mailbox.send mbox (cell.Cell.seq mod t.cfg.nlinks, cell);
-        loop ((i + 1) mod Array.length cells)
-          (max next (Engine.now t.eng - (8 * inter_cell_ns)) + inter_cell_ns)
-      in
-      loop 0 (Engine.now t.eng));
-  t.recv_fn <- Some (fun () -> Mailbox.recv mbox);
-  t.try_recv_fn <- Some (fun () -> Mailbox.try_recv mbox)
+  let a = Process.agent t.eng ~name:"fictitious-source" in
+  (* Pace against an absolute schedule so transient FIFO backpressure
+     does not permanently lower the offered rate. *)
+  let i = ref 0 and next = ref (Engine.now t.eng) in
+  let rec pace () =
+    let now = Engine.now t.eng in
+    if !next > now then Process.sleep_then a (!next - now) emit else emit ()
+  (* Waits while the FIFO is full: "as fast as the receiving host could
+     absorb them". *)
+  and emit () = Mailbox.send_then mbox arrivals.(!i) a sent
+  and sent () =
+    i := (!i + 1) mod Array.length arrivals;
+    next := max !next (Engine.now t.eng - (8 * inter_cell_ns)) + inter_cell_ns;
+    pace ()
+  in
+  Process.start a pace;
+  t.recv_fn <- Some (Mailbox.recv_then mbox)
 
 let start t =
   if t.started then invalid_arg "Board.start: already started";
   t.started <- true;
-  Process.spawn t.eng ~name:"tx-processor" (tx_processor t);
-  Process.spawn t.eng ~name:"tx-dma" (tx_dma_engine t);
+  tx_processor t;
+  tx_dma_engine t;
   tx_sender t;
   if t.recv_fn <> None then begin
-    Process.spawn t.eng ~name:"rx-processor" (rx_processor t);
-    Process.spawn t.eng ~name:"rx-dma" (rx_dma_engine t);
-    if t.cfg.reassembly_timeout > 0 then
-      Process.spawn t.eng ~name:"reassembly-sweeper" (reassembly_sweeper t)
+    rx_processor t;
+    rx_dma_engine t;
+    if t.cfg.reassembly_timeout > 0 then reassembly_sweeper t
   end;
   (* Wake the transmit processor whenever any channel gets new work; the
      kick counter is bumped synchronously inside the enqueue so a kick can
@@ -1292,31 +1719,6 @@ let start t =
           t.tx_kicks <- t.tx_kicks + 1;
           Signal.broadcast t.tx_work))
     t.channels
-
-let debug_tx_state t =
-  let chs =
-    Array.to_list t.channels
-    |> List.filter_map (fun ch ->
-           let q = Desc_queue.count ch.tx_q in
-           let st =
-             match ch.txst with
-             | None -> "-"
-             | Some p -> Printf.sprintf "%d/%d" p.next (Array.length p.cells)
-           in
-           if q = 0 && ch.txst = None then None
-           else Some (Printf.sprintf "ch%d{q=%d ahead=%d pdu=%s}" ch.id q
-                        ch.peek_ahead st))
-  in
-  Printf.sprintf "kicks=%d fetch_q=%d out=%d %s" t.tx_kicks
-    (Mailbox.length t.tx_fetch_q)
-    (Mailbox.length t.tx_out)
-    (String.concat " " chs)
-
-let tx_idle t =
-  Array.for_all
-    (fun ch -> ch.txst = None && Desc_queue.is_empty ch.tx_q)
-    t.channels
-  && Mailbox.is_empty t.tx_fetch_q && Mailbox.is_empty t.tx_out
 
 (* ------------------------------------------------------------------ *)
 (* Accounting views for Osiris_core.Invariants (meaningful at
@@ -1347,4 +1749,5 @@ let oldest_reassembly_age t =
       end
       else acc)
     t.vcs None
+
 

@@ -1,7 +1,7 @@
 (** The OSIRIS network adaptor.
 
     Two mostly independent halves — send and receive — each controlled by an
-    Intel 80960 (modelled as a simulation process with a per-cell cycle
+    Intel 80960 (modelled as a callback agent with a per-cell cycle
     budget), communicating with the host through descriptor queues in
     dual-port memory and moving all network data by DMA ({!Osiris_bus}).
 
@@ -136,15 +136,25 @@ val attach : t -> tx_link:Osiris_link.Atm_link.t -> rx_link:Osiris_link.Atm_link
 (** Connect the board to its outgoing and incoming striped links. *)
 
 val start : t -> unit
-(** Spawn the transmit and receive processor pipelines. Call once, after
-    {!attach} (or before {!start_fictitious_source}). *)
+(** Start the transmit and receive pipelines: the transmit processor,
+    the transmit DMA engine and the link sender, and, once a receive
+    side is attached, the receive processor, the receive DMA engine and
+    (with [reassembly_timeout] set) the reassembly sweeper. Each is a
+    callback agent ({!Osiris_sim.Process.agent}); an exception in one
+    leaves the engine as [Process_failure] under its name ([tx-processor],
+    [tx-dma], [tx-sender], [rx-processor], [rx-dma],
+    [reassembly-sweeper]). Call once, after {!attach} (or after
+    {!start_fictitious_source}). *)
 
 val start_fictitious_source :
   t -> pdus:(int * Bytes.t) list -> ?rate_mbps:float -> unit -> unit
 (** Program the receive processor to synthesize the given (VCI, PDU) pairs,
     cyclically, at the given data rate (default: the 516 Mb/s payload rate
     of a striped OC-12), instead of reading the link — the paper's §4
-    receive-side experiment. Must be called instead of {!attach}. *)
+    receive-side experiment. The source is the callback agent
+    [fictitious-source], started at once; it waits while the board's
+    [rx_fifo_cells]-cell input FIFO is full. Must be called instead of
+    {!attach}. *)
 
 (** {2 Channels} *)
 
@@ -202,9 +212,6 @@ val demux_check : t -> string list
     with the [Hashtbl] mirror when [demux_oracle] is set. Empty =
     clean. *)
 
-val tx_idle : t -> bool
-(** True when no channel has transmit work pending or in progress. *)
-
 (** {2 Fault injection and recovery accounting} *)
 
 val set_irq_filter : t -> (interrupt_reason -> bool) option -> unit
@@ -240,7 +247,3 @@ val reassemblies_in_progress : t -> int
 val oldest_reassembly_age : t -> Osiris_sim.Time.t option
 (** Age (now - last placement) of the most-stale in-progress reassembly;
     [None] when all VCs are idle. *)
-
-val debug_tx_state : t -> string
-(** One-line dump of the transmit machinery (queue depths, in-progress
-    segmentation, staging FIFOs) for diagnosing stalls. *)

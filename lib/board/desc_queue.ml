@@ -8,14 +8,14 @@ type direction = Host_to_board | Board_to_host
 type hooks = {
   host_pio_read : int -> unit;
   host_pio_write : int -> unit;
-  board_access : int -> unit;
+  board_access : int -> Time.t;
 }
 
 let free_hooks =
   {
     host_pio_read = (fun _ -> ());
     host_pio_write = (fun _ -> ());
-    board_access = (fun _ -> ());
+    board_access = (fun _ -> 0);
   }
 
 type access_stats = {
@@ -139,9 +139,20 @@ let host_write t n =
   Metrics.add t.m.m_host_writes n;
   t.hooks.host_pio_write n
 
-let board_touch t n =
+(* The board's dual-port access: count the words, then sleep for their
+   access time; a free access (0) does not sleep at all. *)
+let board_touch_then t n a k =
   Metrics.add t.m.m_board_words n;
-  t.hooks.board_access n
+  let d =
+    (t.hooks.board_access n
+    [@osiris.alloc_ok "the access-time hook: arithmetic on the board's config"])
+  in
+  if d = 0 then
+    (k ()
+    [@osiris.alloc_ok
+      "the continuation is the caller's next step: what it allocates is \
+       that step's budget, checked where the step is"])
+  else Process.sleep_then a d k
 
 let with_host_lock t f =
   match t.lock with
@@ -154,16 +165,16 @@ let with_host_lock t f =
           Resource.release lock)
         f
 
-let with_board_lock t f =
-  match t.lock with
-  | None -> f ()
-  | Some lock ->
-      board_touch t 1;
-      Resource.acquire lock;
-      Fun.protect ~finally:(fun () ->
-          board_touch t 1;
-          Resource.release lock)
-        f
+(* The board side of the spin lock around [body]: touch, acquire, the
+   body, touch, release, then [k] with the body's result. Only the
+   ablation's [Spin_lock] queues pay its closures. *)
+let with_board_lock_then t lock a body k =
+  board_touch_then t 1 a (fun () ->
+      Resource.acquire_then lock a (fun () ->
+          body (fun r ->
+              board_touch_then t 1 a (fun () ->
+                  Resource.release lock;
+                  k r))))
 
 (* Host view of fullness: the host owns/caches head, shadows tail. Under
    the spin lock both pointers are re-read every time. *)
@@ -205,7 +216,8 @@ let host_sees_empty t =
 
 let require t dir what =
   if t.direction <> dir then
-    invalid_arg (Printf.sprintf "Desc_queue.%s: wrong direction" what)
+    (invalid_arg (Printf.sprintf "Desc_queue.%s: wrong direction" what)
+    [@osiris.alloc_ok "cold error path: raises, never returns"])
 
 let host_enqueue t d =
   require t Host_to_board "host_enqueue";
@@ -237,78 +249,119 @@ let host_dequeue t =
         d
       end)
 
-let board_enqueue t d =
-  require t Board_to_host "board_enqueue";
-  with_board_lock t (fun () ->
-      if is_full t then begin
-        board_touch t 1;
-        false
-      end
-      else begin
-        t.slots.(t.head) <- Some d;
-        t.head <- (t.head + 1) mod t.size;
-        t.n_enq <- t.n_enq + 1;
-        board_touch t (Desc.words + 2) (* descriptor + both pointers *);
+(* The board-side operations are callback forms for the board's agents
+   ([Process.agent]). Each does its work in the order the blocking form
+   did: the slots and pointers change first, then the access sleeps,
+   then the enqueue hook and the broadcast run, then [k] gets the
+   result. With free hooks and no lock contention, [k] runs inline. *)
+
+let enqueue_body t a d k =
+  if is_full t then
+    board_touch_then t 1 a (fun () -> k false)
+    [@osiris.alloc_ok "the step after the access's sleep: one closure"]
+  else begin
+    t.slots.(t.head) <-
+      (Some d [@osiris.alloc_ok "the slot's option box: one per descriptor"]);
+    t.head <- (t.head + 1) mod t.size;
+    t.n_enq <- t.n_enq + 1;
+    board_touch_then t (Desc.words + 2) (* descriptor + both pointers *) a
+      (fun () ->
         t.on_enqueue ();
         Signal.broadcast t.enqueued;
-        true
-      end)
+        k true)
+    [@osiris.alloc_ok
+      "the step after the access's sleep: one closure, which wakes the \
+       queue's waiters and runs the board's enqueue hook"]
+  end
 
-let board_dequeue t =
-  require t Host_to_board "board_dequeue";
-  with_board_lock t (fun () ->
-      if is_empty t then begin
-        board_touch t 1;
-        None
-      end
-      else begin
-        let d = t.slots.(t.tail) in
-        (match t.mutation with
-        | Torn_tail_publish ->
-            let slot = t.tail in
-            t.tail <- (t.tail + 1) mod t.size;
-            board_touch t (Desc.words + 2);
+let board_enqueue_then t a d k =
+  require t Board_to_host "board_enqueue";
+  match t.lock with
+  | None -> enqueue_body t a d k
+  | Some lock ->
+      (with_board_lock_then t lock a (enqueue_body t a d) k
+      [@osiris.alloc_ok "the spin-lock ablation: its steps' closures"])
+
+let dequeue_body t a k =
+  if is_empty t then
+    board_touch_then t 1 a (fun () -> k None)
+    [@osiris.alloc_ok "the step after the access's sleep: one closure"]
+  else begin
+    let d = t.slots.(t.tail) in
+    match t.mutation with
+    | Torn_tail_publish ->
+        let slot = t.tail in
+        t.tail <- (t.tail + 1) mod t.size;
+        board_touch_then t (Desc.words + 2) a (fun () ->
             ignore
               (Engine.schedule t.eng ~delay:0 (fun () ->
                    t.slots.(slot) <- None;
                    t.n_deq <- t.n_deq + 1;
-                   Signal.broadcast t.dequeued))
-        | _ ->
-            t.slots.(t.tail) <- None;
-            t.tail <- (t.tail + 1) mod t.size;
-            t.n_deq <- t.n_deq + 1;
-            board_touch t (Desc.words + 2);
-            Signal.broadcast t.dequeued);
-        d
-      end)
+                   Signal.broadcast t.dequeued));
+            k d)
+        [@osiris.alloc_ok "a checker-validation mutation, never in production"]
+    | _ ->
+        t.slots.(t.tail) <- None;
+        t.tail <- (t.tail + 1) mod t.size;
+        t.n_deq <- t.n_deq + 1;
+        board_touch_then t (Desc.words + 2) a (fun () ->
+            Signal.broadcast t.dequeued;
+            k d)
+        [@osiris.alloc_ok
+          "the step after the access's sleep: one closure, which wakes the \
+           queue's waiters"]
+  end
 
-let board_peek t i =
+let board_dequeue_then t a k =
+  require t Host_to_board "board_dequeue";
+  match t.lock with
+  | None -> dequeue_body t a k
+  | Some lock ->
+      (with_board_lock_then t lock a (dequeue_body t a) k
+      [@osiris.alloc_ok "the spin-lock ablation: its steps' closures"])
+
+let board_peek_then t a i k =
   require t Host_to_board "board_peek";
-  if i < 0 then invalid_arg "Desc_queue.board_peek: negative index";
-  if i >= count t then None
+  if i < 0 then
+    (invalid_arg "Desc_queue.board_peek: negative index"
+    [@osiris.alloc_ok "cold error path: raises, never returns"]);
+  if i >= count t then
+    (k None
+    [@osiris.alloc_ok "the continuation is the caller's next step"])
   else begin
     (* Snapshot before charging access time: the tail can advance during
        the suspension (a concurrent completion), and the slot address must
        correspond to the tail observed when the access was issued. *)
     let v = t.slots.((t.tail + i) mod t.size) in
-    board_touch t (Desc.words + 1);
-    v
+    board_touch_then t (Desc.words + 1) a (fun () -> k v)
+    [@osiris.alloc_ok "the step after the access's sleep: one closure"]
   end
 
-let board_advance t n =
+let advance_body t a n k =
+  for _ = 1 to n do
+    t.slots.(t.tail) <- None;
+    t.tail <- (t.tail + 1) mod t.size;
+    t.n_deq <- t.n_deq + 1
+  done;
+  if n > 0 then
+    board_touch_then t 1 a (fun () ->
+        Signal.broadcast t.dequeued;
+        k ())
+    [@osiris.alloc_ok
+      "the step after the access's sleep: one closure, which wakes the \
+       queue's waiters"]
+  else (k () [@osiris.alloc_ok "the continuation is the caller's next step"])
+
+let board_advance_then t a n k =
   require t Host_to_board "board_advance";
   if n < 0 || n > count t then
-    invalid_arg "Desc_queue.board_advance: advancing past the head";
-  with_board_lock t (fun () ->
-      for _ = 1 to n do
-        t.slots.(t.tail) <- None;
-        t.tail <- (t.tail + 1) mod t.size;
-        t.n_deq <- t.n_deq + 1
-      done;
-      if n > 0 then begin
-        board_touch t 1;
-        Signal.broadcast t.dequeued
-      end)
+    (invalid_arg "Desc_queue.board_advance: advancing past the head"
+    [@osiris.alloc_ok "cold error path: raises, never returns"]);
+  match t.lock with
+  | None -> advance_body t a n k
+  | Some lock ->
+      (with_board_lock_then t lock a (advance_body t a n) k
+      [@osiris.alloc_ok "the spin-lock ablation: its steps' closures"])
 
 let host_probe_full t =
   require t Host_to_board "host_probe_full";
@@ -319,14 +372,14 @@ let host_set_waiting t =
   t.host_waiting <- true;
   host_write t 1
 
-let board_test_waiting t =
+let board_test_waiting_then t a k =
   require t Host_to_board "board_test_waiting";
-  board_touch t 1;
-  if t.host_waiting && count t <= t.size / 2 then begin
-    t.host_waiting <- false;
-    true
-  end
-  else false
+  board_touch_then t 1 a (fun () ->
+      if t.host_waiting && count t <= t.size / 2 then begin
+        t.host_waiting <- false;
+        k true
+      end
+      else k false)
 
 (* ------------------------------------------------------------------ *)
 (* Cost-free inspection for Osiris_core.Invariants: neither function

@@ -30,11 +30,14 @@ type direction =
 type hooks = {
   host_pio_read : int -> unit;  (** host reads n dual-port words (blocking) *)
   host_pio_write : int -> unit;  (** host writes n dual-port words *)
-  board_access : int -> unit;  (** board touches n dual-port words *)
+  board_access : int -> Osiris_sim.Time.t;
+      (** the time the board takes to touch n dual-port words, which the
+          board's operation sleeps for; 0 means no sleep at all *)
 }
 
 val free_hooks : hooks
-(** No-cost hooks, for unit tests of the queue discipline itself. *)
+(** No-cost hooks, for unit tests of the queue discipline itself: no
+    host transaction, and board accesses that take no time. *)
 
 type t
 
@@ -66,9 +69,20 @@ val is_full : t -> bool
 (** {2 Writer/reader operations}
 
     Host operations are only legal on the side the direction gives the host,
-    and likewise for the board; violations raise [Invalid_argument]. All
-    operations may block (PIO transactions, lock acquisition) and must run
-    in process context. *)
+    and likewise for the board; violations raise [Invalid_argument]. Host
+    operations may block (PIO transactions, lock acquisition) and must
+    run in a fiber ({!Osiris_sim.Process}).
+
+    The board's processors are callback agents, so the board side exists
+    only in callback form: [board_*_then q a ... k] runs the operation
+    as agent [a] and passes its result to [k]. It does its work in the
+    order a blocking operation would: the slots and pointers change
+    first, then [a] sleeps for the dual-port access
+    ({!Osiris_sim.Process.sleep_then}), then the enqueue hook and the
+    broadcasts run, then [k]. Under [Spin_lock] the board touches the
+    lock word, acquires it ({!Osiris_sim.Resource.acquire_then}), runs
+    the operation, touches it again and releases it. With {!free_hooks}
+    and no contention, [k] runs before the call returns. *)
 
 val host_enqueue : t -> Desc.t -> bool
 (** [Host_to_board] writer. [false] when full (after refreshing the shadow
@@ -78,19 +92,25 @@ val host_dequeue : t -> Desc.t option
 (** [Board_to_host] reader. [None] when empty (after refreshing the shadow
     head). *)
 
-val board_enqueue : t -> Desc.t -> bool
-(** [Board_to_host] writer. *)
+val board_enqueue_then :
+  t -> Osiris_sim.Process.agent -> Desc.t -> (bool -> unit) -> unit
+(** [Board_to_host] writer: [k false] when full. *)
 
-val board_dequeue : t -> Desc.t option
-(** [Host_to_board] reader. *)
+val board_dequeue_then :
+  t -> Osiris_sim.Process.agent -> (Desc.t option -> unit) -> unit
+(** [Host_to_board] reader: [k None] when empty. *)
 
-val board_peek : t -> int -> Desc.t option
-(** [board_peek q i]: read the descriptor [i] entries past the tail without
-    consuming ([Host_to_board] side only). Used by the transmit processor to
-    read a whole PDU chain before advancing the tail. *)
+val board_peek_then :
+  t -> Osiris_sim.Process.agent -> int -> (Desc.t option -> unit) -> unit
+(** [board_peek_then q a i k]: read the descriptor [i] entries past the
+    tail without consuming ([Host_to_board] side only); [k None], with no
+    access, when fewer are queued. The slot is read when the access is
+    issued, before its sleep. Used by the transmit processor to read a
+    whole PDU chain before advancing the tail. *)
 
-val board_advance : t -> int -> unit
-(** Consume [n] entries previously examined with {!board_peek}. *)
+val board_advance_then :
+  t -> Osiris_sim.Process.agent -> int -> (unit -> unit) -> unit
+(** Consume [n] entries previously examined with {!board_peek_then}. *)
 
 (** {2 Transmit-full protocol (paper §2.1.2)} *)
 
@@ -103,9 +123,11 @@ val host_probe_full : t -> bool
 val host_set_waiting : t -> unit
 (** Host found the queue full and suspends transmission; one PIO write. *)
 
-val board_test_waiting : t -> bool
-(** Board-side check-and-clear: true when the host had set the waiting flag
-    and the queue has drained to half empty — time to interrupt. *)
+val board_test_waiting_then :
+  t -> Osiris_sim.Process.agent -> (bool -> unit) -> unit
+(** Board-side check-and-clear, after the access's sleep: [k true] when
+    the host had set the waiting flag and the queue has drained to half
+    empty — time to interrupt. *)
 
 (** {2 Events} *)
 
@@ -161,7 +183,7 @@ val check_invariants : ?name:string -> t -> string list
 type test_mutation =
   | No_mutation
   | Torn_tail_publish
-      (** [board_dequeue] publishes the advanced tail pointer first and
+      (** [board_dequeue_then] publishes the advanced tail pointer first and
           clears the slot (and counts the dequeue) in a separate
           same-instant engine event — a non-atomic two-word update. *)
   | Eager_shadow_tail

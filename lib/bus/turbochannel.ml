@@ -72,6 +72,20 @@ let dma_write t ~bytes =
   Resource.use t.io_port ~priority:dma_priority
     ~duration:(dma_transaction_ns t ~dir:`Write ~bytes)
 
+(* The callback forms pass the priority already boxed, so a transaction
+   does not allocate its option. *)
+let dma_priority_opt = Some dma_priority
+
+let dma_read_then t a ~bytes k =
+  Resource.use_then ?priority:dma_priority_opt t.io_port a
+    ~duration:(dma_transaction_ns t ~dir:`Read ~bytes)
+    k
+
+let dma_write_then t a ~bytes k =
+  Resource.use_then ?priority:dma_priority_opt t.io_port a
+    ~duration:(dma_transaction_ns t ~dir:`Write ~bytes)
+    k
+
 let cpu_access t ~bytes ~overhead_cycles =
   let duration = cycles_ns t (overhead_cycles + words_of_bytes t bytes) in
   Resource.use t.mem_port ~priority:cpu_priority ~duration

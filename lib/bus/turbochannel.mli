@@ -43,13 +43,24 @@ val cycle_ns : t -> int
 val peak_mbps : t -> float
 
 (** The transaction operations below block the calling process for the
-    transaction's duration, arbitrating per the topology. *)
+    transaction's duration, arbitrating per the topology. The adaptor's
+    DMA engines are callback agents and use the [_then] forms, which
+    schedule the same events ({!Osiris_sim.Resource.use_then}). *)
 
 val dma_read : t -> bytes:int -> unit
 (** Adaptor reads [bytes] from main memory (transmit direction). *)
 
 val dma_write : t -> bytes:int -> unit
 (** Adaptor writes [bytes] to main memory (receive direction). *)
+
+val dma_read_then :
+  t -> Osiris_sim.Process.agent -> bytes:int -> (unit -> unit) -> unit
+(** {!dma_read} for a callback agent: [k] runs once the transaction
+    ends. *)
+
+val dma_write_then :
+  t -> Osiris_sim.Process.agent -> bytes:int -> (unit -> unit) -> unit
+(** {!dma_write} for a callback agent. *)
 
 val cpu_access : t -> bytes:int -> overhead_cycles:int -> unit
 (** CPU-side memory transaction (cache fill or write-back of [bytes], with

@@ -10,9 +10,11 @@ module Receiver = Osiris_transport.Receiver
 
 type t = Explore.scenario
 
-(* Both processes yield after every attempt, so host and board steps are
-   always runnable at the same instant — every step of the protocol is a
-   choice point for the explorer. *)
+(* The host side is a fiber and the board side, as on the adaptor, a
+   callback agent ([Desc_queue]'s [board_*_then] forms). Both yield after
+   every attempt ([Process.yield], [Process.sleep_then a 0]), so host and
+   board steps are always runnable at the same instant — every step of
+   the protocol is a choice point for the explorer. *)
 let queue_scenario ~direction ~name ~locking ~size ~items ~mutation eng =
   let q =
     Desc_queue.create eng ~metrics_prefix:("check." ^ name) ~size ~direction
@@ -20,44 +22,56 @@ let queue_scenario ~direction ~name ~locking ~size ~items ~mutation eng =
   in
   Desc_queue.set_test_mutation q mutation;
   let produced = ref 0 and consumed = ref 0 in
-  let enqueue, dequeue =
-    match direction with
-    | Desc_queue.Host_to_board ->
-        (Desc_queue.host_enqueue, Desc_queue.board_dequeue)
-    | Desc_queue.Board_to_host ->
-        (Desc_queue.board_enqueue, Desc_queue.host_dequeue)
-  in
-  let writer_name, reader_name =
-    match direction with
-    | Desc_queue.Host_to_board -> ("host", "board")
-    | Desc_queue.Board_to_host -> ("board", "host")
-  in
   (* Retry caps keep every schedule terminating: a side that sees the
      queue full (resp. empty) this many times in a row gives up, the
      engine drains, and the stall surfaces as an at_end liveness
      violation instead of an event-budget cutoff. Any fair schedule
      finishes orders of magnitude below the cap. *)
   let max_stalls = (4 * items) + 16 in
-  Process.spawn eng ~name:writer_name (fun () ->
-      let fulls = ref 0 in
-      while !produced < items && !fulls <= max_stalls do
-        if enqueue q (Desc.v ~addr:(0x1000 + !produced) ~len:1 ()) then begin
-          incr produced;
-          fulls := 0
-        end
-        else incr fulls;
-        Process.yield eng
-      done);
-  Process.spawn eng ~name:reader_name (fun () ->
-      let empties = ref 0 in
-      while !consumed < items && !empties <= max_stalls do
-        (match dequeue q with
-        | Some _ ->
-            incr consumed;
-            empties := 0
-        | None -> incr empties);
-        Process.yield eng
-      done);
+  let fulls = ref 0 and empties = ref 0 in
+  let writing () = !produced < items && !fulls <= max_stalls in
+  let reading () = !consumed < items && !empties <= max_stalls in
+  let next_desc () = Desc.v ~addr:(0x1000 + !produced) ~len:1 () in
+  let produce ok =
+    if ok then begin
+      incr produced;
+      fulls := 0
+    end
+    else incr fulls
+  in
+  let consume = function
+    | Some _ ->
+        incr consumed;
+        empties := 0
+    | None -> incr empties
+  in
+  let host active attempt =
+    Process.spawn eng ~name:"host" (fun () ->
+        while active () do
+          attempt ();
+          Process.yield eng
+        done)
+  in
+  let board active attempt =
+    let a = Process.agent eng ~name:"board" in
+    let rec step () =
+      if active () then attempt a (fun () -> Process.sleep_then a 0 step)
+    in
+    Process.start a step
+  in
+  (match direction with
+  | Desc_queue.Host_to_board ->
+      host writing (fun () -> produce (Desc_queue.host_enqueue q (next_desc ())));
+      board reading (fun a k ->
+          Desc_queue.board_dequeue_then q a (fun d ->
+              consume d;
+              k ()))
+  | Desc_queue.Board_to_host ->
+      board writing (fun a k ->
+          Desc_queue.board_enqueue_then q a (next_desc ()) (fun ok ->
+              produce ok;
+              k ()));
+      host reading (fun () -> consume (Desc_queue.host_dequeue q)));
   let conservation () =
     Invariants.balance
       ~what:(name ^ " descriptor conservation")

@@ -20,12 +20,16 @@ let length t = Queue.length t.items
 let is_empty t = Queue.is_empty t.items
 let is_full t = Queue.length t.items >= t.capacity
 
-let wake q = if not (Queue.is_empty q) then (Queue.take q) ()
+let wake q =
+  if not (Queue.is_empty q) then
+    ((Queue.take q) ()
+    [@osiris.alloc_ok "a waiter's resumer: the one hop its wake-up is"])
 
 let try_send t v =
   if is_full t then false
   else begin
-    Queue.add v t.items;
+    (Queue.add v t.items
+    [@osiris.alloc_ok "the item's queue cell: the mailbox's storage"]);
     wake t.receivers;
     true
   end
@@ -36,6 +40,19 @@ let rec send t v =
     Process.suspend t.eng (fun resume -> Queue.add resume t.senders);
     send t v
   end
+
+(* [send]'s events without the fiber: a free slot is taken now; else
+   the receiver that frees one schedules one hop, which retries. *)
+let rec send_then t v a k =
+  if try_send t v then
+    (k ()
+    [@osiris.alloc_ok
+      "the continuation is the caller's next step: what it allocates is \
+       that step's budget, checked where the step is"])
+  else
+    (Queue.add (Process.await a (fun () -> send_then t v a k)) t.senders
+    [@osiris.alloc_ok
+      "a full mailbox: the retry step, the engine event a suspension is"])
 
 (* The oldest item, which must exist; its slot frees a blocked sender. *)
 let take t =
@@ -56,5 +73,11 @@ let rec recv t =
    the waker's [try_send] schedules one hop, which retries. *)
 let rec recv_then t a k =
   if Queue.is_empty t.items then
-    Queue.add (Process.await a (fun () -> recv_then t a k)) t.receivers
-  else k (take t)
+    (Queue.add (Process.await a (fun () -> recv_then t a k)) t.receivers
+    [@osiris.alloc_ok
+      "an empty mailbox: the retry step, the engine event a suspension is"])
+  else
+    (k (take t)
+    [@osiris.alloc_ok
+      "the continuation is the caller's next step: what it allocates is \
+       that step's budget, checked where the step is"])

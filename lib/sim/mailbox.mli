@@ -2,7 +2,9 @@
 
     A mailbox with capacity [c] blocks senders once [c] items are queued and
     blocks receivers while it is empty. With [c = max_int] it degenerates to
-    an unbounded queue. Blocked processes are served in FIFO order. *)
+    an unbounded queue. Blocked processes are served in FIFO order; a
+    callback agent waiting in {!send_then} or {!recv_then} queues with
+    the fibers. *)
 
 type 'a t
 
@@ -13,6 +15,13 @@ val create : Engine.t -> ?capacity:int -> unit -> 'a t
 val send : 'a t -> 'a -> unit
 (** Enqueue a value, blocking the calling process while the mailbox is
     full. *)
+
+val send_then : 'a t -> 'a -> Process.agent -> (unit -> unit) -> unit
+(** [send_then t v a k] is {!send} for a callback agent: [v] is queued
+    and [k] runs inline when there is room; else [a] waits among the
+    blocked senders, and the receiver that frees a slot schedules the
+    one zero-delay event that retries — the events a fiber blocked in
+    {!send} costs. *)
 
 val try_send : 'a t -> 'a -> bool
 (** Non-blocking enqueue; [false] if the mailbox is full. Usable from any

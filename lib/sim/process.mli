@@ -1,10 +1,11 @@
 (** Cooperative simulation processes.
 
     A process is an ordinary OCaml function run under an effect handler that
-    lets it suspend itself and be resumed later by the engine. Processes
-    model the concurrent actors of the simulated system: the host CPU
-    threads, the adaptor's transmit and receive microprocessors, the DMA
-    controller, link pipelines, and so on.
+    lets it suspend itself and be resumed later by the engine (a fiber), or
+    a chain of engine callbacks that schedule the same events (a callback
+    agent, below). Processes model the concurrent actors of the simulated
+    system: the host CPU threads, the adaptor's transmit and receive
+    microprocessors and DMA engines, the switch ports, and so on.
 
     All suspension primitives ({!sleep}, and the blocking operations of
     {!Mailbox}, {!Resource}, {!Signal}) may only be called from inside a
@@ -70,9 +71,13 @@ exception Process_failure of string * exn
     fiber counterparts schedule, at the same instants and in the same
     order, so a process converted to an agent dispatches identically;
     what it saves is the fiber switch and the effect, continuation and
-    resume closure of every suspension. Use one for a per-cell actor
-    that never blocks mid-step ([Desc_queue], [Resource] or a bounded
-    {!Mailbox.send} still need a fiber). *)
+    resume closure of every suspension. Every blocking primitive has a
+    callback form ({!sleep_then}, [Mailbox.recv_then] and
+    [Mailbox.send_then], [Signal.wait_then], [Resource.acquire_then] and
+    [Resource.use_then]); an agent that must wait in the middle of a
+    step ends the step there and names the rest as the continuation.
+    The switch ports and the adaptor's stages are agents; the host's
+    threads, which block inside the CPU model, stay fibers. *)
 
 type agent
 (** A name, an engine, and the step to run at the agent's one pending

@@ -45,7 +45,9 @@ let insert_waiter t w =
   in
   t.waiters <- ins t.waiters
 
-let try_acquire t =
+(* The grant rule, one for both forms: a unit is free and nobody waits
+   ahead. *)
+let grant t =
   if t.held < t.capacity && t.waiters = [] then begin
     account t;
     t.held <- t.held + 1;
@@ -54,21 +56,43 @@ let try_acquire t =
   end
   else false
 
+let try_acquire = grant
+
+(* A waiter joins in (priority, seq) order; [release] hands it the unit
+   and calls [resume], which schedules the waiter's one hop. *)
+let enqueue_waiter t ~priority resume =
+  let w = { priority; seq = t.wseq; resume } in
+  t.wseq <- t.wseq + 1;
+  insert_waiter t w
+
+(* Back from the wait, holding the unit [release] transferred. *)
+let granted t ~started =
+  t.stats.wait_time <- t.stats.wait_time + (Engine.now t.eng - started);
+  t.stats.acquisitions <- t.stats.acquisitions + 1
+
 let acquire ?(priority = 0) t =
-  if t.held < t.capacity && t.waiters = [] then begin
-    account t;
-    t.held <- t.held + 1;
-    t.stats.acquisitions <- t.stats.acquisitions + 1
+  if not (grant t) then begin
+    let started = Engine.now t.eng in
+    Process.suspend t.eng (enqueue_waiter t ~priority);
+    granted t ~started
   end
+
+let acquire_then ?priority t a k =
+  if grant t then
+    (k ()
+    [@osiris.alloc_ok
+      "the continuation is the caller's next step: what it allocates is \
+       that step's budget, checked where the step is"])
   else begin
     let started = Engine.now t.eng in
-    Process.suspend t.eng (fun resume ->
-        let w = { priority; seq = t.wseq; resume } in
-        t.wseq <- t.wseq + 1;
-        insert_waiter t w);
-    (* Woken by [release], which transferred the unit to us directly. *)
-    t.stats.wait_time <- t.stats.wait_time + (Engine.now t.eng - started);
-    t.stats.acquisitions <- t.stats.acquisitions + 1
+    let priority = match priority with Some p -> p | None -> 0 in
+    (enqueue_waiter t ~priority
+       (Process.await a (fun () ->
+            granted t ~started;
+            k ()))
+    [@osiris.alloc_ok
+      "a contended acquire: the waiter's record, its place in the queue \
+       and its step, the price of a suspension"])
   end
 
 let release t =
@@ -85,6 +109,16 @@ let use ?priority t ~duration =
   acquire ?priority t;
   Process.sleep t.eng duration;
   release t
+
+let use_then ?priority t a ~duration k =
+  acquire_then ?priority t a
+    (fun () ->
+      Process.sleep_then a duration (fun () ->
+          release t;
+          k ()))
+  [@osiris.alloc_ok
+    "a transaction's two steps, the hold and the release: the price of a \
+     shared bus, per transaction"]
 
 let in_use t = t.held
 let waiting t = List.length t.waiters

@@ -26,6 +26,16 @@ let in_process eng f =
   Engine.run eng;
   Option.get !r
 
+(* The board side of a queue, called from a test as the board's agent
+   would call it. With free hooks and no lock contention the callback
+   form completes inline, so its result is at hand when it returns. *)
+let board eng op =
+  let r = ref None in
+  op (Process.agent eng ~name:"board") (fun v -> r := Some v);
+  match !r with
+  | Some v -> v
+  | None -> failwith "board-side queue operation did not complete inline"
+
 let test_queue_fifo () =
   let eng, q = mk_queue Desc_queue.Host_to_board in
   in_process eng (fun () ->
@@ -33,7 +43,7 @@ let test_queue_fifo () =
         Alcotest.(check bool) "enqueue" true (Desc_queue.host_enqueue q (d i))
       done;
       for i = 1 to 5 do
-        match Desc_queue.board_dequeue q with
+        match board eng (Desc_queue.board_dequeue_then q) with
         | Some x -> Alcotest.(check int) "FIFO order" i x.Desc.vci
         | None -> Alcotest.fail "missing element"
       done;
@@ -48,7 +58,7 @@ let test_queue_full_empty () =
       Alcotest.(check bool) "3" true (Desc_queue.host_enqueue q (d 3));
       Alcotest.(check bool) "full" false (Desc_queue.host_enqueue q (d 4));
       Alcotest.(check bool) "is_full" true (Desc_queue.is_full q);
-      ignore (Desc_queue.board_dequeue q);
+      ignore (board eng (Desc_queue.board_dequeue_then q));
       Alcotest.(check bool) "space again" true (Desc_queue.host_enqueue q (d 4)))
 
 let test_queue_counters () =
@@ -58,7 +68,7 @@ let test_queue_counters () =
         ignore (Desc_queue.host_enqueue q (d i))
       done;
       for _ = 1 to 3 do
-        ignore (Desc_queue.board_dequeue q)
+        ignore (board eng (Desc_queue.board_dequeue_then q))
       done;
       Alcotest.(check int) "enqueued" 5 (Desc_queue.total_enqueued q);
       Alcotest.(check int) "dequeued" 3 (Desc_queue.total_dequeued q);
@@ -70,13 +80,13 @@ let test_queue_peek_advance () =
       for i = 1 to 4 do
         ignore (Desc_queue.host_enqueue q (d i))
       done;
-      (match Desc_queue.board_peek q 2 with
+      (match board eng (fun a -> Desc_queue.board_peek_then q a 2) with
       | Some x -> Alcotest.(check int) "peek third" 3 x.Desc.vci
       | None -> Alcotest.fail "peek failed");
       Alcotest.(check int) "peek does not consume" 4 (Desc_queue.count q);
-      Desc_queue.board_advance q 3;
+      board eng (fun a -> Desc_queue.board_advance_then q a 3);
       Alcotest.(check int) "advance consumes" 1 (Desc_queue.count q);
-      match Desc_queue.board_dequeue q with
+      match board eng (Desc_queue.board_dequeue_then q) with
       | Some x -> Alcotest.(check int) "remaining" 4 x.Desc.vci
       | None -> Alcotest.fail "lost element")
 
@@ -97,13 +107,14 @@ let test_queue_waiting_protocol () =
       done;
       Desc_queue.host_set_waiting q;
       Alcotest.(check bool) "not yet half empty" false
-        (Desc_queue.board_test_waiting q);
+        (board eng (Desc_queue.board_test_waiting_then q));
       for _ = 1 to 3 do
-        ignore (Desc_queue.board_dequeue q)
+        ignore (board eng (Desc_queue.board_dequeue_then q))
       done;
       Alcotest.(check bool) "half empty: interrupt now" true
-        (Desc_queue.board_test_waiting q);
-      Alcotest.(check bool) "one-shot" false (Desc_queue.board_test_waiting q))
+        (board eng (Desc_queue.board_test_waiting_then q));
+      Alcotest.(check bool) "one-shot" false
+        (board eng (Desc_queue.board_test_waiting_then q)))
 
 (* PIO accounting: the lock-free discipline's shadow pointers save reads. *)
 let test_queue_shadow_saves_reads () =
@@ -154,7 +165,7 @@ let test_queue_invariants_locking_modes () =
             (Desc_queue.check_invariants ~name:"spin" q)
         done;
         for _ = 1 to 3 do
-          ignore (Desc_queue.board_dequeue q);
+          ignore (board eng (Desc_queue.board_dequeue_then q));
           Alcotest.(check (list string)) "clean after dequeue" []
             (Desc_queue.check_invariants ~name:"spin" q)
         done
@@ -194,7 +205,7 @@ let queue_linearizable =
       Process.spawn eng ~name:"consumer" (fun () ->
           let consumed = ref 0 in
           while !consumed < n do
-            (match Desc_queue.board_dequeue q with
+            (match board eng (Desc_queue.board_dequeue_then q) with
             | Some x ->
                 got := x.Desc.vci :: !got;
                 incr consumed
@@ -760,6 +771,437 @@ let test_vci_buffer_preference () =
   Alcotest.(check int) "one private buffer consumed" 1
     (Board.vci_buffer_count board_b ~vci)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned board scenarios. Each runs a seeded host workload through the
+   loopback harness above (two boards, one link each way, two buses) and
+   folds what it observes into one MD5: every descriptor the receiving
+   host dequeues, with its time and an MD5 of the bytes it names; every
+   interrupt; both boards' stats; every used queue's access counters;
+   both buses' busy stats; both links' stats; and the engine's
+   dispatched events. The digests were recorded when the board's stages
+   were fibers: a stage that runs one step at a different instant, or
+   in a different order against the hosts, moves at least one of them. *)
+
+type pin = {
+  pin_seed : int;
+  pin_cfg : Board.config;
+  nch : int; (* channels in use on each board, the kernel's included *)
+  npdus : int;
+  max_len : int;
+  rx_buf : int; (* receive buffer size *)
+  gate_free : bool; (* gate B's kernel free queue for a window *)
+  lossy : bool; (* drop some last cells, so the sweeper fires *)
+  restripe : bool; (* cut one channel of A -> B mid-run, then restore it *)
+  tx_wait : bool; (* A's host sets the waiting flag on a full queue *)
+  late_drain : bool; (* B's host starts draining late: rx overflow *)
+  one_bus : bool; (* both boards on one bus, so its waiters queue up *)
+}
+
+let pin_default =
+  {
+    pin_seed = 1;
+    pin_cfg = Board.default_config;
+    nch = 3;
+    npdus = 60;
+    max_len = 6000;
+    rx_buf = 2048;
+    gate_free = false;
+    lossy = false;
+    restripe = false;
+    tx_wait = false;
+    late_drain = false;
+    one_bus = false;
+  }
+
+let irq_name = function
+  | Board.Rx_nonempty c -> Printf.sprintf "rx%d" c
+  | Board.Tx_half_empty c -> Printf.sprintf "tx%d" c
+  | Board.Protection_violation c -> Printf.sprintf "pv%d" c
+
+let pin_horizon = Time.ms 12
+
+(* The receiving host: stock every free queue (and, for [late_drain],
+   the per-VCI pools, so more buffers are out than the receive queue
+   holds), then poll the receive queues until [pin_horizon], logging
+   each descriptor and returning its buffer. *)
+let pin_receiver p eng mem rng log board chans =
+  let size = p.pin_cfg.Board.queue_size in
+  let buf_addr i k = (8 lsl 20) + (i lsl 20) + (k * (p.rx_buf + 256)) in
+  Process.spawn eng ~name:"host-b" (fun () ->
+      Array.iteri
+        (fun i ch ->
+          for k = 0 to size - 2 do
+            assert (
+              Desc_queue.host_enqueue (Board.free_queue ch)
+                (Desc.v ~addr:(buf_addr i k) ~len:p.rx_buf ()))
+          done;
+          if p.late_drain then
+            for k = size to (2 * size) - 1 do
+              ignore
+                (Board.supply_vci_buffer board ~vci:(100 + i)
+                   (Desc.v ~addr:(buf_addr i k) ~len:p.rx_buf ()))
+            done)
+        chans;
+      if p.late_drain then Process.sleep eng (Time.ms 2);
+      let rec drain_ch i ch =
+        match Desc_queue.host_dequeue (Board.rx_queue ch) with
+        | Some d ->
+            let data =
+              if d.Desc.len = 0 then ""
+              else
+                Digest.to_hex
+                  (Digest.bytes
+                     (Phys_mem.bytes_of_region mem ~addr:d.Desc.addr
+                        ~len:d.Desc.len))
+            in
+            Printf.bprintf log "desc %d ch%d vci%d %#x+%d%s%s %s\n"
+              (Engine.now eng) i
+              d.Desc.vci d.Desc.addr d.Desc.len
+              (if d.Desc.eop then " eop" else "")
+              (if d.Desc.marked then " marked" else "")
+              data;
+            if d.Desc.len > 0 then
+              ignore
+                (Desc_queue.host_enqueue (Board.free_queue ch)
+                   (Desc.v ~addr:d.Desc.addr ~len:p.rx_buf ()));
+            drain_ch i ch
+        | None -> ()
+      in
+      let rec poll () =
+        Array.iteri drain_ch chans;
+        if Engine.now eng < pin_horizon then begin
+          Process.sleep eng (Time.us (10 + Rng.int rng 40));
+          poll ()
+        end
+      in
+      poll ())
+
+let pin_digest eng log boards chans buses links =
+  let b = Buffer.create 4096 in
+  Buffer.add_buffer b log;
+  List.iter
+    (fun board ->
+      let s = Board.stats board in
+      Printf.bprintf b
+        "stats %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n"
+        s.Board.cells_sent s.cells_received s.pdus_sent s.pdus_received
+        s.dma_tx_transactions s.dma_rx_transactions s.combined_dmas
+        s.boundary_splits s.pdus_dropped_no_buffer s.cells_dropped
+        s.reassembly_errors s.protection_faults s.unknown_vci_cells
+        s.reassembly_timeouts s.restripe_aborts s.interrupts_suppressed
+        s.irq_reasserts)
+    boards;
+  List.iter
+    (Array.iter (fun ch ->
+         List.iter
+           (fun q ->
+             let a = Desc_queue.access_stats q in
+             Printf.bprintf b "queue %d %d %d %d %d %d\n" a.Desc_queue.host_reads
+               a.host_writes a.board_words a.shadow_hits
+               (Desc_queue.total_enqueued q)
+               (Desc_queue.total_dequeued q))
+           [ Board.tx_queue ch; Board.free_queue ch; Board.rx_queue ch ]))
+    chans;
+  List.iter
+    (fun bus ->
+      let s = Tc.busy_stats bus in
+      Printf.bprintf b "bus %d %d %d\n" s.Resource.busy_time s.acquisitions
+        s.wait_time)
+    buses;
+  List.iter
+    (fun l ->
+      let s = Atm_link.stats l in
+      Printf.bprintf b "link %d %d %d %d %d %d %d %d %d\n" s.Atm_link.cells_sent
+        s.cells_delivered s.dropped_fifo s.dropped_net s.corrupted s.reordered
+        s.duplicated s.header_corrupted s.dropped_link_down)
+    links;
+  Printf.bprintf b "events %d at %d\n" (Engine.events_dispatched eng)
+    (Engine.now eng);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Two boards: A's host sends [npdus] PDUs of 1-3 descriptors over
+   random channels, B's host receives them. *)
+let pin_run p =
+  let eng = Engine.create () in
+  let mem = Phys_mem.create ~size:(16 lsl 20) ~page_size:page () in
+  let bus_a = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus_b =
+    if p.one_bus then bus_a
+    else Tc.create eng (Tc.turbochannel_config Tc.Shared_bus)
+  in
+  let log = Buffer.create 16384 in
+  let note fmt = Printf.bprintf log fmt in
+  let rng = Rng.create ~seed:p.pin_seed in
+  let rng_a = Rng.split rng and rng_b = Rng.split rng in
+  let rng_f = Rng.split rng in
+  let irq_a = Signal.create eng and half_empty = ref 0 in
+  let on_interrupt side r =
+    note "irq %s %s %d\n" side (irq_name r) (Engine.now eng);
+    if side = "a" then begin
+      (match r with Board.Tx_half_empty _ -> incr half_empty | _ -> ());
+      Signal.broadcast irq_a
+    end
+  in
+  let board_a = Board.create eng ~bus:bus_a ~mem ~on_interrupt:(on_interrupt "a") p.pin_cfg in
+  let board_b = Board.create eng ~bus:bus_b ~mem ~on_interrupt:(on_interrupt "b") p.pin_cfg in
+  let ab = Atm_link.create eng (Rng.split rng) Atm_link.default_config in
+  let ba = Atm_link.create eng (Rng.split rng) Atm_link.default_config in
+  Board.attach board_a ~tx_link:ab ~rx_link:ba;
+  Board.attach board_b ~tx_link:ba ~rx_link:ab;
+  let chans board =
+    Array.init p.nch (fun i ->
+        if i = 0 then Board.kernel_channel board
+        else Board.open_channel board ~priority:(1 + (i mod 2)) ())
+  in
+  let ch_a = chans board_a and ch_b = chans board_b in
+  Array.iteri (fun i ch -> Board.bind_vci board_b ~vci:(100 + i) ch) ch_b;
+  Board.start board_a;
+  Board.start board_b;
+  if p.lossy then
+    Atm_link.set_cell_filter ab
+      (Some (fun _ c -> not (c.Cell.last_of_pdu && Rng.int rng_f 4 = 0)));
+  if p.restripe then begin
+    ignore
+      (Engine.schedule eng ~delay:(Time.us 1500) (fun () ->
+           Atm_link.set_link_state ab ~link:2 false));
+    ignore
+      (Engine.schedule eng ~delay:(Time.us 4000) (fun () ->
+           Atm_link.set_link_state ab ~link:2 true))
+  end;
+  if p.gate_free then begin
+    ignore
+      (Engine.schedule eng ~delay:(Time.us 800) (fun () ->
+           Board.set_free_gate board_b ~ch:0 true));
+    ignore
+      (Engine.schedule eng ~delay:(Time.us 2500) (fun () ->
+           Board.set_free_gate board_b ~ch:0 false))
+  end;
+  Process.spawn eng ~name:"host-a" (fun () ->
+      for j = 0 to p.npdus - 1 do
+        let c = Rng.int rng_a p.nch in
+        let q = Board.tx_queue ch_a.(c) in
+        let len = 1 + Rng.int rng_a p.max_len in
+        let src = (1 lsl 20) + ((j mod 32) * 16384) + Rng.int rng_a 4096 in
+        Phys_mem.fill mem ~addr:src ~len (Char.chr (j land 0xff));
+        let nd = 1 + Rng.int rng_a (min 3 len) in
+        let rec put d =
+          if not (Desc_queue.host_enqueue q d) then begin
+            (* The interrupt fires only once the flag is set and the
+               queue is half empty, so a queue still full after the
+               flag's write cannot have fired it yet. *)
+            if p.tx_wait then begin
+              Desc_queue.host_set_waiting q;
+              if Desc_queue.is_full q then Signal.wait irq_a
+            end
+            else Process.sleep eng (Time.us (1 + Rng.int rng_a 20));
+            put d
+          end
+        in
+        let rec cut k off =
+          let piece = if k = nd - 1 then len - off else (len - off) / (nd - k) in
+          put
+            (Desc.v ~addr:(src + off) ~len:piece ~vci:(100 + c)
+               ~eop:(k = nd - 1) ());
+          if k < nd - 1 then cut (k + 1) (off + piece)
+        in
+        cut 0 0;
+        if not p.tx_wait then
+          match Rng.int rng_a 3 with
+          | 0 -> ()
+          | 1 -> Process.sleep eng (Time.us (Rng.int rng_a 30))
+          | _ -> Process.sleep eng (Time.us (Rng.int rng_a 300))
+      done);
+  pin_receiver p eng mem rng_b log board_b ch_b;
+  Engine.run ~until:(Time.ms 40) eng;
+  let digest =
+    pin_digest eng log [ board_a; board_b ] [ ch_a; ch_b ] [ bus_a; bus_b ]
+      [ ab; ba ]
+  in
+  (digest, (Board.stats board_a, Board.stats board_b, !half_empty))
+
+(* One board fed by the fictitious cell source (§4's receive-side
+   experiment) at the striped OC-12 payload rate, above what it can
+   absorb, so the source blocks on the full input FIFO. *)
+let pin_fictitious () =
+  let eng = Engine.create () in
+  let mem = Phys_mem.create ~size:(16 lsl 20) ~page_size:page () in
+  let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let log = Buffer.create 16384 in
+  let note fmt = Printf.bprintf log fmt in
+  let p =
+    {
+      pin_default with
+      pin_cfg = { Board.default_config with Board.dma_mode = Board.Double_cell };
+      nch = 2;
+      rx_buf = 4096;
+    }
+  in
+  let board =
+    Board.create eng ~bus ~mem
+      ~on_interrupt:(fun r -> note "irq %s %d\n" (irq_name r) (Engine.now eng))
+      p.pin_cfg
+  in
+  let chans =
+    [| Board.kernel_channel board; Board.open_channel board ~priority:1 () |]
+  in
+  Array.iteri (fun i ch -> Board.bind_vci board ~vci:(100 + i) ch) chans;
+  let pdu n = Bytes.init n (fun i -> Char.chr ((i * 5) land 0xff)) in
+  Board.start_fictitious_source board
+    ~pdus:[ (100, pdu 9000); (101, pdu 700); (100, pdu 3000) ]
+    ();
+  Board.start board;
+  pin_receiver p eng mem (Rng.create ~seed:3) log board chans;
+  Engine.run ~until:(Time.ms 3) eng;
+  (pin_digest eng log [ board ] [ chans ] [ bus ] [], Board.stats board)
+
+let pin_cfg ?(dma_mode = Board.Single_cell) ?(tx_mux = Board.Cell_interleave)
+    ?(locking = Desc_queue.Lock_free) ?(queue_size = 64)
+    ?(reassembly_timeout = 0) () =
+  {
+    Board.default_config with
+    Board.dma_mode;
+    tx_mux;
+    locking;
+    queue_size;
+    reassembly_timeout;
+  }
+
+(* (name, scenario, what it must exercise given both boards' stats and
+   the half-empty interrupts A's host got, pinned digest) *)
+let pins =
+  let any _ = true in
+  [
+    ( "single-cell, cell interleave, lock-free, 3 channels",
+      { pin_default with pin_seed = 11; pin_cfg = pin_cfg () },
+      any,
+      "34f53c8306ccd8a94d140b3d1249859d" );
+    ( "double-cell, PDU at once, lock-free, 4 channels",
+      {
+        pin_default with
+        pin_seed = 12;
+        nch = 4;
+        pin_cfg =
+          pin_cfg ~dma_mode:Board.Double_cell ~tx_mux:Board.Pdu_at_once ();
+      },
+      any,
+      "6c387a84a0eae7682e6e2e66718e65e0" );
+    ( "double-cell, cell interleave, spin lock, 3 channels",
+      {
+        pin_default with
+        pin_seed = 13;
+        pin_cfg =
+          pin_cfg ~dma_mode:Board.Double_cell ~locking:Desc_queue.Spin_lock ();
+      },
+      any,
+      "f25fe465c13c12d20e437608680b98c6" );
+    ( "single-cell, PDU at once, spin lock, 2 channels",
+      {
+        pin_default with
+        pin_seed = 14;
+        nch = 2;
+        pin_cfg =
+          pin_cfg ~tx_mux:Board.Pdu_at_once ~locking:Desc_queue.Spin_lock ();
+      },
+      any,
+      "dfd0b1ef8d4fe5a6b56c8b2f92de5d41" );
+    ( "free-buffer starvation",
+      {
+        pin_default with
+        pin_seed = 15;
+        gate_free = true;
+        pin_cfg = pin_cfg ~dma_mode:Board.Double_cell ();
+      },
+      (fun (_, b, _) -> b.Board.pdus_dropped_no_buffer > 0),
+      "665195de8a763be1863f3857458f095c" );
+    ( "reassembly-timeout sweeper",
+      {
+        pin_default with
+        pin_seed = 16;
+        lossy = true;
+        pin_cfg = pin_cfg ~reassembly_timeout:(Time.us 200) ();
+      },
+      (fun (_, b, _) -> b.Board.reassembly_timeouts > 0),
+      "ea2f6759fcf07a27cd7fc8ae5f1a9744" );
+    ( "restripe mid-PDU",
+      {
+        pin_default with
+        pin_seed = 17;
+        restripe = true;
+        max_len = 12000;
+        pin_cfg = pin_cfg ~dma_mode:Board.Double_cell ();
+      },
+      (fun (_, b, _) -> b.Board.restripe_aborts > 0),
+      "7d5a54c77b7c644145617ae4128240a5" );
+    ( "transmit queue full, host waits for half empty",
+      {
+        pin_default with
+        pin_seed = 18;
+        tx_wait = true;
+        rx_buf = 8192;
+        pin_cfg = pin_cfg ~queue_size:8 ();
+      },
+      (fun (_, _, half_empty) -> half_empty > 0),
+      "e81e52e1c859ba7df20de620276791dd" );
+    ( "both boards and hosts on one bus",
+      {
+        pin_default with
+        pin_seed = 20;
+        one_bus = true;
+        pin_cfg = pin_cfg ~dma_mode:Board.Double_cell ();
+      },
+      (fun (_, b, _) -> b.Board.pdus_received > 0),
+      "5411ea6cd08a322abe6505722097b335" );
+    ( "receive-queue overflow",
+      {
+        pin_default with
+        pin_seed = 19;
+        late_drain = true;
+        max_len = 1500;
+        pin_cfg = pin_cfg ~queue_size:8 ();
+      },
+      (fun (_, b, _) -> b.Board.cells_dropped > 0),
+      "edd953d8088e2375318e6275e810f4e1" );
+  ]
+
+let test_board_pins () =
+  List.iter
+    (fun (name, p, exercised, want) ->
+      let digest, seen = pin_run p in
+      Alcotest.(check bool) (name ^ ": exercises its case") true
+        (exercised seen);
+      Alcotest.(check string) (name ^ ": digest") want digest)
+    pins
+
+let test_fictitious_pin () =
+  let digest, s = pin_fictitious () in
+  Alcotest.(check bool) "PDUs received" true (s.Board.pdus_received > 5);
+  Alcotest.(check string) "digest" "b865ad235826f6de0cc8f8f816d13d85" digest
+
+(* A stage's exception leaves the engine named after the stage: here
+   the receive processor meets free buffers of two sizes in one PDU. *)
+let test_stage_failure_named () =
+  let eng = Engine.create () in
+  let mem = Phys_mem.create ~size:(8 lsl 20) ~page_size:page () in
+  let board =
+    Board.create eng
+      ~bus:(Tc.create eng (Tc.turbochannel_config Tc.Shared_bus))
+      ~mem ~on_interrupt:ignore Board.default_config
+  in
+  Board.bind_vci board ~vci:7 (Board.kernel_channel board);
+  Board.start_fictitious_source board ~pdus:[ (7, Bytes.make 3000 'x') ] ();
+  Board.start board;
+  let free_q = Board.free_queue (Board.kernel_channel board) in
+  Process.spawn eng ~name:"host" (fun () ->
+      List.iter
+        (fun (addr, len) ->
+          ignore (Desc_queue.host_enqueue free_q (Desc.v ~addr ~len ())))
+        [ (2 lsl 20, 1024); (3 lsl 20, 2048) ]);
+  Alcotest.check_raises "named after the stage"
+    (Process.Process_failure
+       ( "rx-processor",
+         Failure "Board: receive buffers of one PDU must be uniform" ))
+    (fun () -> Engine.run ~until:(Time.ms 1) eng)
+
 let suite =
   [
     Alcotest.test_case "desc_queue: FIFO" `Quick test_queue_fifo;
@@ -788,4 +1230,10 @@ let suite =
     Alcotest.test_case "board: per-VCI buffers (fbuf fast path)" `Quick
       test_vci_buffer_preference;
     QCheck_alcotest.to_alcotest dma_plans_match_model;
+    Alcotest.test_case "board: pinned two-board scenarios" `Quick
+      test_board_pins;
+    Alcotest.test_case "board: pinned fictitious-source scenario" `Quick
+      test_fictitious_pin;
+    Alcotest.test_case "board: a failing stage is named" `Quick
+      test_stage_failure_named;
   ]

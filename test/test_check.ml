@@ -149,10 +149,75 @@ let test_eager_shadow_caught () =
       Alcotest.(check bool) "violations non-empty" true
         (f.Explore.violations <> [])
 
+(* Pinned explorer outcomes at depth 10 and seed 7: how many schedules
+   the exhaustive DFS enumerates for each clean queue scenario, and the
+   counterexample (schedule, location and violations) DFS and the
+   random walks return for each seeded mutation. They were recorded
+   when both sides of the queue scenarios were fibers; the choice points
+   a scenario offers are its engine events, so any change in the events
+   either side schedules moves them. *)
+let failure_string = function
+  | None -> "none"
+  | Some f -> Format.asprintf "%a" Explore.pp_failure f
+
+let test_pinned_outcomes () =
+  List.iter
+    (fun (name, scenario, want) ->
+      match Explore.dfs ~max_depth:10 ~max_runs:4096 scenario with
+      | Some f, _ ->
+          Alcotest.failf "%s: unexpected counterexample %s" name
+            (failure_string (Some f))
+      | None, runs -> Alcotest.(check int) (name ^ ": DFS runs") want runs)
+    [
+      ("h2b lock-free", Scenarios.host_to_board (), 1024);
+      ("b2h lock-free", Scenarios.board_to_host (), 1024);
+      ("h2b spin-lock", Scenarios.host_to_board ~locking:Desc_queue.Spin_lock (), 1024);
+      ("b2h spin-lock", Scenarios.board_to_host ~locking:Desc_queue.Spin_lock (), 1024);
+    ];
+  List.iter
+    (fun (name, mutation, want_dfs, want_walk) ->
+      let scenario = Scenarios.host_to_board ~mutation () in
+      Alcotest.(check string) (name ^ ": DFS counterexample") want_dfs
+        (failure_string
+           (fst (Explore.dfs ~max_depth:10 ~max_runs:2048 scenario)));
+      Alcotest.(check string) (name ^ ": random-walk counterexample") want_walk
+        (failure_string (fst (Explore.random_walks ~seed:7 ~runs:256 scenario))))
+    [
+      ( "torn tail publish",
+        Desc_queue.Torn_tail_publish,
+        "schedule 0.0 (choice point 2):\n\
+         h2b: enq/deq totals (1/0) disagree with occupancy 0\n\
+         h2b: slot 0 populated outside [tail,head)",
+        "schedule 1.0.0.1 (choice point 4):\n\
+         h2b: enq/deq totals (1/0) disagree with occupancy 0\n\
+         h2b: slot 0 populated outside [tail,head)" );
+      ( "eager shadow tail",
+        Desc_queue.Eager_shadow_tail,
+        "schedule 0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.\
+         0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.\
+         0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.\
+         0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.\
+         0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.\
+         0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.\
+         0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.\
+         0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0 (at end):\n\
+         h2b liveness: consumed 3 of 8",
+        "schedule 1.0.0.1.0.0.1.0.1.0.0.0.1.0.0.1.1.0.1.1.0.0.1.1.\
+         1.0.1.0.1.1.1.0.1.0.0.0.0.0.0.1.0.1.0.1.1.0.1.1.0.1.1.1.\
+         1.0.0.1.0.0.0.1.0.1.0.0.0.1.1.0.0.0.0.0.0.1.1.0.0.0.0.1.\
+         1.0.0.0.1.1.0.1.1.1.0.0.0.1.1.1.0.1.0.0.0.1.1.1.0.1.1.0.\
+         0.0.1.1.0.0.0.0.0.0.1.0.1.1.0.1.0.1.0.1.1.0.1.0.0.0.0.1.\
+         0.1.0.0.0.0.0.1.1.1.1.1.0.1.0.1.0.1.0.1.1.1.0.1.1.1.1.0.\
+         0.1.0.0.1.0.1.0.0.0.0.0.1.0.0.0.0.0.0.0.0.0.0.1.0.1.1.0.\
+         0.0.0.0.0.0.0.0.1.0.0.0.0.0.1.0.1.1.1.0 (at end):\n\
+         h2b liveness: consumed 3 of 8" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "schedule strings round-trip" `Quick
       test_schedule_roundtrip;
+    Alcotest.test_case "pinned explorer outcomes" `Quick test_pinned_outcomes;
     Alcotest.test_case "clean scenarios explore clean" `Quick
       test_clean_scenarios_explore_clean;
     Alcotest.test_case "transport state machine explores clean" `Quick

@@ -145,8 +145,9 @@ let test_queue_shadow_wraparound () =
       for burst = 1 to 4 do
         for i = 1 to 5 do
           Alcotest.(check bool) "board enqueue" true
-            (Desc_queue.board_enqueue q
-               (Desc.v ~addr:(((burst * 10) + i) * 4096) ~len:64 ()))
+            (Test_board.board eng (fun a ->
+                 Desc_queue.board_enqueue_then q a
+                   (Desc.v ~addr:(((burst * 10) + i) * 4096) ~len:64 ())))
         done;
         let s0 = Desc_queue.access_stats q in
         for _ = 1 to 5 do

@@ -903,12 +903,15 @@ let test_sleep_in_plain_callback () =
 
 (* ------------------------------------------------------------------ *)
 (* Callback agents against fibers. One seeded scenario is written twice:
-   as fibers ([Process.sleep], [Mailbox.recv], [Signal.wait]) and as
-   callback agents ([Process.sleep_then], [Mailbox.recv_then],
-   [Signal.wait_then]). Each actor draws its next step from the shared
-   RNG when it runs, so one dispatch out of place derails the log; the
-   resume logs and the dispatched-event counts must be equal under
-   every drive. *)
+   as fibers ([Process.sleep], [Mailbox.recv], [Mailbox.send],
+   [Signal.wait], [Resource.use]) and as callback agents
+   ([Process.sleep_then], [Mailbox.recv_then], [Mailbox.send_then],
+   [Signal.wait_then], [Resource.use_then]). A fiber that stays a fiber
+   in both holds the same resource at another priority, so agents and a
+   fiber queue for it together. Each actor draws its next step from the
+   shared RNG when it runs, so one dispatch out of place derails the
+   log; the resume logs, the dispatched-event counts and the resource's
+   stats must be equal under every drive. *)
 
 let actors_log ~callbacks ~drive =
   let eng = Engine.create () in
@@ -927,6 +930,7 @@ let actors_log ~callbacks ~drive =
   in
   let signals = Array.init 2 (fun _ -> Signal.create eng) in
   let mb = Mailbox.create eng ~capacity:3 () in
+  let res = Resource.create eng ~capacity:1 in
   let next_id = ref 0 in
   let rec actor ~steps =
     incr next_id;
@@ -940,7 +944,7 @@ let actors_log ~callbacks ~drive =
             note id;
             step (n + 1)
           in
-          match int 11 with
+          match int 13 with
           | 0 | 1 | 2 | 3 -> Process.sleep_then a (delay ()) next
           | 4 -> Signal.wait_then signals.(int 2) a next
           | 5 ->
@@ -956,6 +960,11 @@ let actors_log ~callbacks ~drive =
           | 9 ->
               Engine.stop eng;
               Process.sleep_then a (int 3) next
+          | 10 ->
+              let priority = int 3 in
+              let duration = delay () in
+              Resource.use_then ~priority res a ~duration next
+          | 11 -> Mailbox.send_then mb id a next
           | _ -> Process.sleep_then a 0 next
         end
       in
@@ -967,7 +976,7 @@ let actors_log ~callbacks ~drive =
       Process.spawn eng ~name (fun () ->
           note id;
           for _ = 1 to steps do
-            (match int 11 with
+            (match int 13 with
             | 0 | 1 | 2 | 3 -> Process.sleep eng (delay ())
             | 4 -> Signal.wait signals.(int 2)
             | 5 -> Signal.broadcast signals.(int 2)
@@ -977,6 +986,11 @@ let actors_log ~callbacks ~drive =
             | 9 ->
                 Engine.stop eng;
                 Process.sleep eng (int 3)
+            | 10 ->
+                let priority = int 3 in
+                let duration = delay () in
+                Resource.use ~priority res ~duration
+            | 11 -> Mailbox.send mb id
             | _ -> Process.sleep eng 0);
             note id
           done)
@@ -984,6 +998,13 @@ let actors_log ~callbacks ~drive =
   for _ = 1 to 20 do
     actor ~steps:(10 + int 20)
   done;
+  Process.spawn eng ~name:"holder" (fun () ->
+      for _ = 1 to 60 do
+        let duration = Time.us (1 + int 20) in
+        Resource.use ~priority:1 res ~duration;
+        note (-2);
+        Process.sleep eng (Time.us (int 100))
+      done);
   (* A plain ticker keeps the signals and the mailbox moving and
      schedules one-shot timers that it sometimes cancels. *)
   let ticks = ref 0 and oneshots = ref [] in
@@ -1031,20 +1052,31 @@ let actors_log ~callbacks ~drive =
     | Sliced_budgets ->
         Engine.run ~until:(Engine.now eng + slice) ~max_events:budget eng
   done;
-  (Buffer.contents log, Engine.events_dispatched eng)
+  let st = Resource.stats res in
+  ( Buffer.contents log,
+    Engine.events_dispatched eng,
+    (st.Resource.busy_time, st.acquisitions, st.wait_time) )
 
 let test_callbacks_match_fibers () =
   List.iter
     (fun drive ->
-      let fibers, fiber_events = actors_log ~callbacks:false ~drive
-      and agents, agent_events = actors_log ~callbacks:true ~drive in
+      let fibers, fiber_events, fiber_res = actors_log ~callbacks:false ~drive
+      and agents, agent_events, agent_res = actors_log ~callbacks:true ~drive in
       let what = drive_name drive in
       Alcotest.(check bool)
         (Printf.sprintf "a long log (%s, %d bytes)" what (String.length fibers))
         true
         (String.length fibers > 5000);
       Alcotest.(check string) ("resume log: " ^ what) fibers agents;
-      check ("events: " ^ what) fiber_events agent_events)
+      check ("events: " ^ what) fiber_events agent_events;
+      let busy, acq, wait = fiber_res in
+      Alcotest.(check bool)
+        (Printf.sprintf "the resource was contended (%s, %d waited ns)" what
+           wait)
+        true
+        (acq > 20 && wait > 0 && busy > 0);
+      Alcotest.(check (triple int int int))
+        ("resource stats: " ^ what) fiber_res agent_res)
     [ Unbounded; Slices; Budgets; Sliced_budgets; Chooser ]
 
 (* An exception in a callback agent leaves the engine named, like a
