@@ -16,50 +16,59 @@ let framed_len n =
 
 let cells_per_pdu n = framed_len n / Cell.data_size
 
-let frame pdu =
-  let n = Bytes.length pdu in
-  let total = framed_len n in
-  let out = Bytes.make total '\000' in
-  Bytes.blit pdu 0 out 0 n;
-  Bytes.set_int32_be out (total - 8) (Int32.of_int n);
-  let crc = Crc32.compute out ~off:0 ~len:(total - 4) in
-  Bytes.set_int32_be out (total - 4) crc;
-  out
+(* Pad and trailer, in place behind the payload's [len] bytes: what
+   [segment] does to its copy and the board to the chain it gathered. *)
+let frame_into buf ~len =
+  let total = framed_len len in
+  if len < 0 || Bytes.length buf < total then
+    (invalid_arg "Sar.frame_into: buffer shorter than the framed PDU"
+    [@osiris.alloc_ok "cold error path: raises, never returns"]);
+  Bytes.fill buf len (total - 8 - len) '\000';
+  Bytes.set_int32_be buf (total - 8) (Int32.of_int len);
+  Bytes.set_int32_be buf (total - 4) (Crc32.compute buf ~off:0 ~len:(total - 4))
 
-let check_framed framed =
-  let total = Bytes.length framed in
-  if total < trailer_size || total mod Cell.data_size <> 0 then
-    Error "deframe: bad framed length"
-  else begin
-    let crc_stored = Bytes.get_int32_be framed (total - 4) in
-    let crc = Crc32.compute framed ~off:0 ~len:(total - 4) in
-    if crc <> crc_stored then Error "deframe: CRC mismatch"
-    else begin
-      let n = Int32.to_int (Bytes.get_int32_be framed (total - 8)) in
-      if n < 0 || framed_len n <> total then Error "deframe: bad length field"
-      else Ok n
-    end
-  end
+(* The framing (eom) bit marks the last cell of each per-link
+   sub-stream: cell k is last on its link iff no later cell maps to the
+   same link. *)
+let cell_of_framed ~vci ~nlinks ~ncells framed k =
+  Cell.make ~vci ~seq:k ~eom:(k + nlinks >= ncells)
+    ~last_of_pdu:(k = ncells - 1)
+    (Bytes.sub framed (k * Cell.data_size) Cell.data_size)
 
-let deframe_check = check_framed
+let cut ~vci ~nlinks framed ~ncells =
+  if nlinks < 1 then
+    (invalid_arg "Sar.cut: nlinks must be >= 1"
+    [@osiris.alloc_ok "cold error path: raises, never returns"]);
+  (Array.init ncells (cell_of_framed ~vci ~nlinks ~ncells framed)
+  [@osiris.alloc_ok
+    "the PDU's cells: one array, and per cell its record and a fresh \
+     44-byte payload, which travels alone from here on"])
 
-let deframe framed =
-  match check_framed framed with
-  | Error _ as e -> e
-  | Ok n -> Ok (Bytes.sub framed 0 n)
-
+(* The list is built directly, not through [cut]: an array of more than
+   256 cells lives in the major heap, and storing each young cell into
+   it costs a write-barrier entry, which doubled the time per cell. *)
 let segment ~vci ~nlinks pdu =
   if nlinks < 1 then invalid_arg "Sar.segment: nlinks must be >= 1";
-  let framed = frame pdu in
-  let ncells = Bytes.length framed / Cell.data_size in
-  List.init ncells (fun k ->
-      (* The framing (eom) bit marks the last cell of each per-link
-         sub-stream: cell k is last on its link iff no later cell maps to
-         the same link. *)
-      let eom = k + nlinks >= ncells in
-      let last_of_pdu = k = ncells - 1 in
-      Cell.make ~vci ~seq:k ~eom ~last_of_pdu
-        (Bytes.sub framed (k * Cell.data_size) Cell.data_size))
+  let n = Bytes.length pdu in
+  let framed = Bytes.create (framed_len n) in
+  Bytes.blit pdu 0 framed 0 n;
+  frame_into framed ~len:n;
+  let ncells = cells_per_pdu n in
+  List.init ncells (cell_of_framed ~vci ~nlinks ~ncells framed)
+
+(* An [Error] of a literal is a preallocated constant; [Ok n] is the one
+   allocation, once per PDU. *)
+let check_trailer ~total ~crc trailer ~off =
+  if total < trailer_size || total mod Cell.data_size <> 0 then
+    (Error "deframe: bad framed length" [@osiris.alloc_ok "a constant"])
+  else if crc <> Bytes.get_int32_be trailer (off + 4) then
+    (Error "deframe: CRC mismatch" [@osiris.alloc_ok "a constant"])
+  else begin
+    let n = Int32.to_int (Bytes.get_int32_be trailer off) in
+    if n < 0 || framed_len n <> total then
+      (Error "deframe: bad length field" [@osiris.alloc_ok "a constant"])
+    else (Ok n [@osiris.alloc_ok "the verdict, once per PDU"])
+  end
 
 type placement = { offset : int; cell : Cell.t }
 

@@ -40,23 +40,33 @@ val framed_len : int -> int
 val cells_per_pdu : int -> int
 (** [framed_len n / 44]. *)
 
-val frame : Bytes.t -> Bytes.t
-(** Pad and append the trailer. *)
+val frame_into : Bytes.t -> len:int -> unit
+(** [frame_into buf ~len] frames, in place, the [len]-byte PDU at the
+    front of [buf]: it zeroes the pad and writes the trailer, so
+    [buf.[0, framed_len len)] is the framed PDU. [buf] must be at least
+    that long. *)
 
-val deframe : Bytes.t -> (Bytes.t, string) result
-(** Check length + CRC of a framed PDU and return the original payload.
-    Errors on bad CRC (corrupted, mis-placed or stale data). *)
-
-val deframe_check : Bytes.t -> (int, string) result
-(** Like {!deframe} but returns just the payload length, avoiding the
-    copy. *)
+val cut : vci:int -> nlinks:int -> Bytes.t -> ncells:int -> Cell.t array
+(** The first [ncells] cells of a framed buffer, each with a fresh copy of
+    its 44 bytes, numbered and flagged as {!segment} does. *)
 
 val segment : vci:int -> nlinks:int -> Bytes.t -> Cell.t list
 (** Frame a PDU and cut it into cells. [nlinks] is the stripe width the
     cells will be sent over (1 = no striping): it determines which cells
     carry the per-stream framing bit. Cells are returned in transmission
     order with consecutive [seq] numbers; cell [k] belongs to link
-    [k mod nlinks]. *)
+    [k mod nlinks]. Framing is {!frame_into} on a copy of the PDU, then
+    {!cut}. *)
+
+val check_trailer :
+  total:int -> crc:int32 -> Bytes.t -> off:int -> (int, string) result
+(** The receive-side check of a framed PDU of [total] bytes, given [crc],
+    the CRC-32 ({!Osiris_util.Crc32.compute}) of its first [total - 4]
+    bytes, and its 8 trailer bytes at [off] in the buffer. Returns the
+    payload length, or the reason the PDU is bad: a framed length that
+    is no whole number of cells, a CRC mismatch (corrupted, mis-placed
+    or stale data) or a length field that disagrees with [total]. The
+    buffer is not read when [total] is bad. *)
 
 (** {2 Reassembly} *)
 

@@ -275,6 +275,8 @@ type t = {
   pending_cells : (int * Cell.t) Queue.t;
   mutable rr_cursor : int;
   mutable started : bool;
+  mutable frame_buf : Bytes.t;
+      (* [frame_chain]'s gather buffer, grown to the longest framed PDU *)
   m : m;
   (* Placeholders the stages' records start with. *)
   no_vc : vc_state;
@@ -366,6 +368,7 @@ let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ()
       pending_cells = Queue.create ();
       rr_cursor = 0;
       started = false;
+      frame_buf = Bytes.empty;
       m = make_board_metrics ();
       no_vc = dummy_vc;
       no_pdu =
@@ -588,6 +591,30 @@ let validate_chain t ch chain =
       end;
       all_ok
 
+let rec gather t chain off =
+  match chain with
+  | [] -> ()
+  | (d : Desc.t) :: rest ->
+      Phys_mem.blit_to_bytes t.mem ~src:d.Desc.addr ~dst:t.frame_buf
+        ~dst_off:off ~len:d.Desc.len;
+      gather t rest (off + d.Desc.len)
+
+(* Segment a chain's bytes where the board has them: gather them into
+   [frame_buf], frame them there and cut the cells. The buffer is used
+   only between two suspensions of the transmit processor. *)
+let frame_chain t ~vci ~nlinks chain =
+  let len = Desc.total_len chain in
+  let total = Sar.framed_len len in
+  if Bytes.length t.frame_buf < total then
+    t.frame_buf <-
+      (Bytes.create (max total (2 * Bytes.length t.frame_buf))
+      [@osiris.alloc_ok
+        "buffer growth: the board's one framing buffer, doubled until the \
+         longest framed PDU fits, then reused"]);
+  gather t chain 0;
+  Sar.frame_into t.frame_buf ~len;
+  Sar.cut ~vci ~nlinks t.frame_buf ~ncells:(total / Cell.data_size)
+
 (* Stripe width segmentation targets: the live channels of the outgoing
    trunk, so framing bits land where the receiver's narrowed per-link
    reassembly expects them. Falls back to the configured width when every
@@ -755,17 +782,13 @@ and tx_load p chain =
                 Printf.sprintf "%d%s" d.Desc.len (if d.Desc.eop then "*" else ""))
               chain));
     ch.peek_ahead <- ch.peek_ahead + nchain;
-    let pbufs = List.map Desc.to_pbuf chain in
-    let pdu = Phys_mem.bytes_of_pbufs t.mem pbufs in
     let vci = (List.hd chain).Desc.vci in
-    let cells =
-      Array.of_list (Sar.segment ~vci ~nlinks:(tx_stripe_width t) pdu)
-    in
+    let cells = frame_chain t ~vci ~nlinks:(tx_stripe_width t) chain in
     ch.txst <-
       Some
         {
           cells;
-          data_len = Bytes.length pdu;
+          data_len = Desc.total_len chain;
           nchain;
           tx_ch = ch;
           piece_off = dma_plan ~page_size:t.cfg.page_size chain;

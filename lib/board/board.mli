@@ -135,6 +135,14 @@ val stats : t -> stats
 val attach : t -> tx_link:Osiris_link.Atm_link.t -> rx_link:Osiris_link.Atm_link.t -> unit
 (** Connect the board to its outgoing and incoming striped links. *)
 
+val frame_chain :
+  t -> vci:int -> nlinks:int -> Desc.t list -> Osiris_atm.Cell.t array
+(** The transmit processor's segmentation of a loaded chain: the chain's
+    bytes gathered into the board's framing buffer, framed there
+    ({!Osiris_atm.Sar.frame_into}) and cut into cells
+    ({!Osiris_atm.Sar.cut}). The same cells as {!Osiris_atm.Sar.segment}
+    of the concatenated bytes. *)
+
 val start : t -> unit
 (** Start the transmit and receive pipelines: the transmit processor,
     the transmit DMA engine and the link sender, and, once a receive

@@ -12,6 +12,11 @@ let of_pbuf ?(vci = 0) ?(eop = true) (b : Osiris_mem.Pbuf.t) =
 
 let to_pbuf t = Osiris_mem.Pbuf.v ~addr:t.addr ~len:t.len
 
+let rec sum_len chain acc =
+  match chain with [] -> acc | d :: rest -> sum_len rest (acc + d.len)
+
+let total_len chain = sum_len chain 0
+
 let chain_of_pbufs ~vci pbufs =
   let n = List.length pbufs in
   List.mapi (fun i b -> of_pbuf ~vci ~eop:(i = n - 1) b) pbufs

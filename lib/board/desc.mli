@@ -27,6 +27,9 @@ val of_pbuf : ?vci:int -> ?eop:bool -> Osiris_mem.Pbuf.t -> t
 
 val to_pbuf : t -> Osiris_mem.Pbuf.t
 
+val total_len : t list -> int
+(** Sum of the lengths of a chain: the bytes of the PDU it carries. *)
+
 val chain_of_pbufs : vci:int -> Osiris_mem.Pbuf.t list -> t list
 (** Descriptor chain for a PDU: one descriptor per physical buffer, [eop]
     set on the last. *)

@@ -118,9 +118,9 @@ let read_into t ~addr ~len ~dst ~dst_off =
     out := !out + chunk;
     remaining := !remaining - chunk
   done;
-  (* Stale-read detection (model bookkeeping, not charged time). *)
-  let truth = Phys_mem.bytes_of_region t.mem ~addr ~len in
-  if not (Bytes.equal truth (Bytes.sub dst dst_off len)) then
+  (* Stale-read detection (model bookkeeping, not charged time): what the
+     read returned against memory as it stands now, compared in place. *)
+  if not (Phys_mem.equal_bytes t.mem ~addr ~len dst ~off:dst_off) then
     Metrics.incr t.m.m_stale_reads
 
 let read t ~addr ~len =
@@ -171,11 +171,16 @@ let invalidate_all t =
     end
   done
 
+(* The [lines] indices from the cursor, wrapping once: at most two
+   ranges. *)
 let pressure t ~lines =
-  for _ = 1 to lines do
-    t.tags.(t.pressure_cursor) <- invalid;
-    t.pressure_cursor <- (t.pressure_cursor + 1) mod t.nlines
-  done
+  if lines > 0 then begin
+    let c = t.pressure_cursor in
+    let first = min lines (t.nlines - c) in
+    Array.fill t.tags c first invalid;
+    Array.fill t.tags 0 (min (lines - first) c) invalid;
+    t.pressure_cursor <- (c + lines) mod t.nlines
+  end
 
 let dma_wrote t ~addr ~len =
   if len > 0 then

@@ -9,6 +9,8 @@ module Vspace = Osiris_mem.Vspace
 module Msg = Osiris_xkernel.Msg
 module Demux = Osiris_xkernel.Demux
 module Sar = Osiris_atm.Sar
+module Phys_mem = Osiris_mem.Phys_mem
+module Crc32 = Osiris_util.Crc32
 module Metrics = Osiris_obs.Metrics
 module Stats = Osiris_util.Stats
 
@@ -245,6 +247,52 @@ let recycle_chain t chain =
        chain);
   replenish_free_queue t
 
+(* CRC-32 of framed bytes [off, off + len) of a chain, folded over host
+   memory where the bytes lie. *)
+let rec crc_chain mem chain ~off ~len crc =
+  if len <= 0 then crc
+  else
+    match chain with
+    | [] -> crc
+    | (d : Desc.t) :: rest ->
+        if off >= d.Desc.len then
+          crc_chain mem rest ~off:(off - d.Desc.len) ~len crc
+        else begin
+          let n = min len (d.Desc.len - off) in
+          crc_chain mem rest ~off:0 ~len:(len - n)
+            (Phys_mem.crc32 mem crc ~addr:(d.Desc.addr + off) ~len:n)
+        end
+
+(* Copy framed bytes [off, off + len) of a chain into [dst] from
+   [dst_off]. *)
+let rec read_chain mem chain ~off ~len dst ~dst_off =
+  if len > 0 then
+    match chain with
+    | [] -> ()
+    | (d : Desc.t) :: rest ->
+        if off >= d.Desc.len then
+          read_chain mem rest ~off:(off - d.Desc.len) ~len dst ~dst_off
+        else begin
+          let n = min len (d.Desc.len - off) in
+          Phys_mem.blit_to_bytes mem ~src:(d.Desc.addr + off) ~dst ~dst_off
+            ~len:n;
+          read_chain mem rest ~off:0 ~len:(len - n) dst ~dst_off:(dst_off + n)
+        end
+
+let trailer_check mem chain =
+  let total = Desc.total_len chain in
+  let trailer =
+    (Bytes.make Sar.trailer_size '\000'
+    [@osiris.alloc_ok "the PDU's 8 trailer bytes, one small buffer per PDU"])
+  in
+  if total >= Sar.trailer_size then
+    read_chain mem chain ~off:(total - Sar.trailer_size) ~len:Sar.trailer_size
+      trailer ~dst_off:0;
+  Sar.check_trailer ~total
+    ~crc:
+      (Crc32.finalize (crc_chain mem chain ~off:0 ~len:(total - 4) Crc32.init))
+    trailer ~off:0
+
 (* Process one complete PDU whose buffers (descriptor order) are in
    [chain]; [last] is its final descriptor (the receive thread already has
    it at hand, so the trailer read below need not walk the chain). *)
@@ -265,9 +313,7 @@ let process_pdu t chain ~last =
     raise Exit
   end;
   let vci = (List.hd chain).Desc.vci in
-  let framed_len =
-    List.fold_left (fun a (d : Desc.t) -> a + d.Desc.len) 0 chain
-  in
+  let framed_len = Desc.total_len chain in
   Cpu.consume_prio t.cpu ~priority:t.cpu_priority
     (framed_len * t.costs.rx_per_kb / 1024);
   let vaddrs =
@@ -281,9 +327,7 @@ let process_pdu t chain ~last =
   (* The AAL trailer CRC was checked by the adaptor as the cells flowed
      through (hardware CRC); the driver only reads the length field. That
      read goes through the cache like any CPU access. *)
-  let framed = Osiris_mem.Phys_mem.bytes_of_pbufs (Vspace.mem t.vs)
-      (List.map Desc.to_pbuf chain) in
-  match Sar.deframe_check framed with
+  match trailer_check (Vspace.mem t.vs) chain with
   | Error _ ->
       Metrics.incr t.m.m_crc_drops;
       recycle t vaddrs;

@@ -104,3 +104,11 @@ val rx_buf_size : t -> int
 
 val channel : t -> Osiris_board.Board.channel
 (** The board channel this driver serves. *)
+
+val trailer_check :
+  Osiris_mem.Phys_mem.t -> Osiris_board.Desc.t list -> (int, string) result
+(** The receive path's AAL check of a PDU whose framed bytes fill the
+    chain's buffers in order: {!Osiris_atm.Sar.check_trailer} with the
+    CRC folded over host memory where the bytes lie, and only the 8
+    trailer bytes copied: the answer a check of the concatenated bytes
+    gives. *)

@@ -68,7 +68,14 @@ val blit : t -> src:int -> dst:int -> len:int -> unit
 val fill : t -> addr:int -> len:int -> char -> unit
 
 val bytes_of_region : t -> addr:int -> len:int -> Bytes.t
-(** Copy of a region, for assertions and checksum computation. *)
+(** Copy of a region, for assertions. *)
 
-val bytes_of_pbufs : t -> Pbuf.t list -> Bytes.t
-(** Concatenated copy of the regions named by a buffer list. *)
+(** In-place reads: these look at the bytes where they lie, page by
+    page, and copy nothing. Never-written bytes read as zero. *)
+
+val equal_bytes : t -> addr:int -> len:int -> Bytes.t -> off:int -> bool
+(** Does the region hold exactly [len] bytes of the buffer from [off]? *)
+
+val crc32 : t -> int32 -> addr:int -> len:int -> int32
+(** Feed the region to {!Osiris_util.Crc32.update}, continuing from the
+    given running CRC. *)

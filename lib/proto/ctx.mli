@@ -23,6 +23,9 @@ type t = {
   cpu : Osiris_os.Cpu.t;
   cache : Osiris_cache.Data_cache.t;
   costs : costs;
+  mutable sum_buf : Bytes.t;
+      (** {!checksum_msg}'s read buffer, grown to the longest range
+          summed; no other code touches it *)
 }
 
 val create :
@@ -36,7 +39,7 @@ val read_through_cache : t -> Osiris_xkernel.Msg.t -> off:int -> len:int -> Byte
 val checksum_msg : t -> Osiris_xkernel.Msg.t -> off:int -> len:int -> int
 (** One's-complement sum of a message range, read through the cache and
     charged per word. This is where stale cache data gets caught — or
-    not. *)
+    not. The bytes go through [sum_buf], not a fresh copy. *)
 
 val invalidate_msg : t -> Osiris_xkernel.Msg.t -> off:int -> len:int -> unit
 (** Explicitly invalidate the cache lines behind a message range (one CPU

@@ -47,6 +47,19 @@ let update crc b ~off ~len =
   (Int32.of_int (bytewise b words_end (off + len) c)
   [@osiris.alloc_ok "the one boxed int32 result per call"])
 
-let finalize crc = Int32.logxor crc 0xFFFFFFFFl
+(* A zero byte folds in as [table.(c land 0xff) lxor (c lsr 8)]. *)
+let rec zeros n c =
+  if n = 0 then c else zeros (n - 1) (table.(c land 0xff) lxor (c lsr 8))
+
+let update_zeros crc ~len =
+  if len < 0 then
+    (invalid_arg "Crc32: negative length"
+    [@osiris.alloc_ok "cold error path: raises, never returns"]);
+  (Int32.of_int (zeros len (Int32.to_int crc land 0xFFFFFFFF))
+  [@osiris.alloc_ok "the one boxed int32 result per call"])
+
+let finalize crc =
+  (Int32.logxor crc 0xFFFFFFFFl
+  [@osiris.alloc_ok "the one boxed int32 result per call"])
 
 let compute b ~off ~len = finalize (update init b ~off ~len)

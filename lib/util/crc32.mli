@@ -12,5 +12,8 @@ val update : int32 -> Bytes.t -> off:int -> len:int -> int32
 (** Incremental form: feed successive regions to [update] starting from
     {!init}, then {!finalize}. *)
 
+val update_zeros : int32 -> len:int -> int32
+(** [update crc] over [len] zero bytes, without a buffer. *)
+
 val init : int32
 val finalize : int32 -> int32

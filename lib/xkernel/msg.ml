@@ -28,42 +28,47 @@ let of_segs vs segs =
 
 let create vs ~vaddr ~len = of_segs vs [ { vaddr; len } ]
 
-let write_region vs ~vaddr b =
-  let len = Bytes.length b in
-  let rec go off remaining =
-    if remaining > 0 then begin
-      let ps = Vspace.page_size vs in
-      let va = vaddr + off in
-      let in_page = ps - (va mod ps) in
-      let chunk = min remaining in_page in
-      Osiris_mem.Phys_mem.blit_from_bytes (Vspace.mem vs) ~src:b ~src_off:off
-        ~dst:(Vspace.translate vs va) ~len:chunk;
-      go (off + chunk) (remaining - chunk)
-    end
-  in
-  go 0 len
+(* Move [len] bytes between virtual memory at [vaddr] and [b] from [off],
+   one page at a time, with no copy in between. *)
+let rec write_region vs ~vaddr b ~off ~len =
+  if len > 0 then begin
+    let ps = Vspace.page_size vs in
+    let chunk = min len (ps - (vaddr mod ps)) in
+    Osiris_mem.Phys_mem.blit_from_bytes (Vspace.mem vs) ~src:b ~src_off:off
+      ~dst:(Vspace.translate vs vaddr) ~len:chunk;
+    write_region vs ~vaddr:(vaddr + chunk) b ~off:(off + chunk)
+      ~len:(len - chunk)
+  end
 
-let read_region vs ~vaddr ~len =
-  let out = Bytes.create len in
-  let rec go off remaining =
-    if remaining > 0 then begin
-      let ps = Vspace.page_size vs in
-      let va = vaddr + off in
-      let in_page = ps - (va mod ps) in
-      let chunk = min remaining in_page in
-      Osiris_mem.Phys_mem.blit_to_bytes (Vspace.mem vs)
-        ~src:(Vspace.translate vs va) ~dst:out ~dst_off:off ~len:chunk;
-      go (off + chunk) (remaining - chunk)
-    end
-  in
-  go 0 len;
-  out
+let rec read_region vs ~vaddr b ~off ~len =
+  if len > 0 then begin
+    let ps = Vspace.page_size vs in
+    let chunk = min len (ps - (vaddr mod ps)) in
+    Osiris_mem.Phys_mem.blit_to_bytes (Vspace.mem vs)
+      ~src:(Vspace.translate vs vaddr) ~dst:b ~dst_off:off ~len:chunk;
+    read_region vs ~vaddr:(vaddr + chunk) b ~off:(off + chunk)
+      ~len:(len - chunk)
+  end
+
+(* Apply [move] (one of the two above) to message bytes [off, off + len)
+   and [b] from [b_off], segment by segment. *)
+let rec across vs segs ~off b ~b_off ~len move =
+  if len > 0 then
+    match segs with
+    | [] -> invalid_arg "Msg: range beyond message end"
+    | s :: rest ->
+        if off >= s.len then across vs rest ~off:(off - s.len) b ~b_off ~len move
+        else begin
+          let chunk = min len (s.len - off) in
+          move vs ~vaddr:(s.vaddr + off) b ~off:b_off ~len:chunk;
+          across vs rest ~off:0 b ~b_off:(b_off + chunk) ~len:(len - chunk) move
+        end
 
 let alloc vs ~len ?(page_offset = 0) ?fill () =
   let vaddr = Vspace.alloc_offset vs ~len ~offset:page_offset in
   (match fill with
   | None -> ()
-  | Some f -> write_region vs ~vaddr (Bytes.init len f));
+  | Some f -> write_region vs ~vaddr (Bytes.init len f) ~off:0 ~len);
   {
     vs;
     hdr_base = -1;
@@ -97,24 +102,11 @@ let push t ~len writer =
   let b = Bytes.make len '\000' in
   writer b;
   t.hdr_off <- t.hdr_off - len;
-  write_region t.vs ~vaddr:(t.hdr_base + t.hdr_off) b
+  write_region t.vs ~vaddr:(t.hdr_base + t.hdr_off) b ~off:0 ~len
 
 let peek t ~off ~len =
   let out = Bytes.create len in
-  let rec go segs off out_off remaining =
-    if remaining > 0 then
-      match segs with
-      | [] -> invalid_arg "Msg.peek: beyond message end"
-      | s :: rest ->
-          if off >= s.len then go rest (off - s.len) out_off remaining
-          else begin
-            let chunk = min remaining (s.len - off) in
-            let piece = read_region t.vs ~vaddr:(s.vaddr + off) ~len:chunk in
-            Bytes.blit piece 0 out out_off chunk;
-            go (s :: rest) (off + chunk) (out_off + chunk) (remaining - chunk)
-          end
-  in
-  go (segs t) off 0 len;
+  across t.vs (segs t) ~off out ~b_off:0 ~len read_region;
   out
 
 let pop t ~len =
@@ -172,20 +164,7 @@ let blit_into t ~off ~src =
   let len = Bytes.length src in
   if off < 0 || off + len > length t then
     invalid_arg "Msg.blit_into: range out of bounds";
-  let rec go segs off src_off remaining =
-    if remaining > 0 then
-      match segs with
-      | [] -> ()
-      | s :: rest ->
-          if off >= s.len then go rest (off - s.len) src_off remaining
-          else begin
-            let chunk = min remaining (s.len - off) in
-            write_region t.vs ~vaddr:(s.vaddr + off)
-              (Bytes.sub src src_off chunk);
-            go (s :: rest) (off + chunk) (src_off + chunk) (remaining - chunk)
-          end
-  in
-  go (segs t) off 0 len
+  across t.vs (segs t) ~off src ~b_off:0 ~len write_region
 
 let add_finalizer t f = t.finalizers <- f :: t.finalizers
 

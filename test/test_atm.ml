@@ -45,23 +45,87 @@ let test_framed_len () =
   Alcotest.(check int) "37 bytes need two" 88 (Sar.framed_len 37);
   Alcotest.(check int) "cells per pdu" 2 (Sar.cells_per_pdu 37)
 
+(* [Sar.frame_into] a PDU at the front of a buffer of stray bytes. *)
+let frame pdu =
+  let n = Bytes.length pdu in
+  let framed = Bytes.make (Sar.framed_len n) '\xa5' in
+  Bytes.blit pdu 0 framed 0 n;
+  Sar.frame_into framed ~len:n;
+  framed
+
+(* [Sar.check_trailer] of a framed PDU held whole in one buffer. *)
+let deframe_check framed =
+  let total = Bytes.length framed in
+  if total < Sar.trailer_size then
+    Sar.check_trailer ~total ~crc:0l Bytes.empty ~off:0
+  else
+    Sar.check_trailer ~total
+      ~crc:(Osiris_util.Crc32.compute framed ~off:0 ~len:(total - 4))
+      framed ~off:(total - 8)
+
 let frame_roundtrip =
   QCheck.Test.make ~name:"sar: frame/deframe identity" ~count:300
     QCheck.(map Bytes.of_string (string_of_size Gen.(0 -- 500)))
     (fun pdu ->
-      match Sar.deframe (Sar.frame pdu) with
-      | Ok pdu' -> Bytes.equal pdu pdu'
+      let framed = frame pdu in
+      Bytes.equal framed (Copying.frame pdu)
+      &&
+      match deframe_check framed with
+      | Ok n -> Bytes.equal pdu (Bytes.sub framed 0 n)
       | Error _ -> false)
 
 let frame_detects_corruption =
   QCheck.Test.make ~name:"sar: CRC catches corruption" ~count:300
     QCheck.(pair (map Bytes.of_string (string_of_size Gen.(1 -- 300))) small_nat)
     (fun (pdu, i) ->
-      let framed = Sar.frame pdu in
+      let framed = frame pdu in
       let i = i mod Bytes.length framed in
       Bytes.set framed i
         (Char.chr (Char.code (Bytes.get framed i) lxor 0x5a));
-      match Sar.deframe framed with Error _ -> true | Ok _ -> false)
+      match deframe_check framed with Error _ -> true | Ok _ -> false)
+
+(* [Sar.segment] against the copying oracle: same cells, field by field,
+   at odd lengths and every stripe width. *)
+let segment_matches_oracle =
+  QCheck.Test.make ~name:"sar: segment matches the copying form" ~count:200
+    QCheck.(
+      triple (map Bytes.of_string (string_of_size Gen.(0 -- 700))) (1 -- 4)
+        (0 -- 0xffff))
+    (fun (pdu, nlinks, vci) ->
+      List.equal Cell.equal
+        (Sar.segment ~vci ~nlinks pdu)
+        (Copying.segment ~vci ~nlinks pdu))
+
+(* [Sar.check_trailer] against the copying check: intact, with one
+   CRC byte flipped, with a bad length field, and at lengths that are
+   no whole number of cells. *)
+let check_trailer_matches_oracle =
+  QCheck.Test.make ~name:"sar: trailer check matches the copying form"
+    ~count:300
+    QCheck.(
+      triple (map Bytes.of_string (string_of_size Gen.(0 -- 300))) (0 -- 3)
+        small_nat)
+    (fun (pdu, damage, k) ->
+      let framed = frame pdu in
+      let total = Bytes.length framed in
+      let framed =
+        match damage with
+        | 1 ->
+            let i = total - 4 + (k mod 4) in
+            Bytes.set framed i (Char.chr (Char.code (Bytes.get framed i) lxor 0x10));
+            framed
+        | 2 ->
+            (* A length field that frames to another size, with a CRC
+               recomputed to match it. *)
+            Bytes.set_int32_be framed (total - 8) (Int32.of_int (total + k));
+            Bytes.set_int32_be framed (total - 4)
+              (Osiris_util.Crc32.compute framed ~off:0 ~len:(total - 4));
+            framed
+        | 3 -> Bytes.sub framed 0 (k mod total)
+        | _ -> framed
+      in
+      let want = Copying.deframe_check framed in
+      deframe_check framed = want && (damage = 0) = Result.is_ok want)
 
 (* Reassemble a list of (link, cell) arrivals and return the recovered
    payload (if the PDU completes and deframes). *)
@@ -81,7 +145,7 @@ let reassemble strategy arrivals pdu_len =
     arrivals;
   match !result with
   | None -> Error "incomplete"
-  | Some total -> Sar.deframe (Bytes.sub framed 0 total)
+  | Some total -> Copying.deframe (Bytes.sub framed 0 total)
 
 let in_order_arrivals ~nlinks cells =
   List.map (fun (c : Cell.t) -> (c.Cell.seq mod nlinks, c)) cells
@@ -222,6 +286,8 @@ let suite =
     Alcotest.test_case "sar: framed length arithmetic" `Quick test_framed_len;
     QCheck_alcotest.to_alcotest frame_roundtrip;
     QCheck_alcotest.to_alcotest frame_detects_corruption;
+    QCheck_alcotest.to_alcotest segment_matches_oracle;
+    QCheck_alcotest.to_alcotest check_trailer_matches_oracle;
     QCheck_alcotest.to_alcotest sar_identity_in_order;
     QCheck_alcotest.to_alcotest sar_identity_per_link_skewed;
     QCheck_alcotest.to_alcotest sar_identity_seq_skewed;

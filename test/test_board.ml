@@ -283,9 +283,9 @@ let board_loopback ?(dma_mode = Board.Double_cell) ?(pdu_len = 5000)
         if Engine.now eng > 1_000_000_000 then failwith "timeout"
       done;
       let framed =
-        Phys_mem.bytes_of_pbufs mem (List.rev_map Desc.to_pbuf !chain)
+        Copying.bytes_of_pbufs mem (List.rev_map Desc.to_pbuf !chain)
       in
-      result := Some (Sar.deframe framed));
+      result := Some (Copying.deframe framed));
   Engine.run ~until:2_000_000_000 eng;
   (payload, !result, board_a, board_b)
 
@@ -695,7 +695,7 @@ let dma_plans_match_model =
       in
       let merges = walk 0 0 0 r.writes in
       let count f = Array.fold_left (fun n p -> n + f (List.length p)) 0 in
-      let framed = Sar.frame (payload_of_shape s) in
+      let framed = Copying.frame (payload_of_shape s) in
       expect "dma_tx_transactions" r.stats_a.Board.dma_tx_transactions
         (List.length m.tx_spans);
       expect "transmit fetch bus time (ns)" r.fetch_ns
@@ -1202,6 +1202,61 @@ let test_stage_failure_named () =
          Failure "Board: receive buffers of one PDU must be uniform" ))
     (fun () -> Engine.run ~until:(Time.ms 1) eng)
 
+(* The transmit processor's segmentation ([Board.frame_chain]: gather
+   into the board's buffer, frame there, cut) against the copying form:
+   the chain's bytes concatenated, then the old [Sar.segment]. Chains
+   of one to four buffers start anywhere in a page, have odd lengths,
+   cross pages and may name memory never written; each board frames
+   two chains in turn, so a shorter PDU follows a longer one in the
+   same buffer. *)
+let frame_chain_matches_oracle =
+  let chain_gen =
+    QCheck.Gen.(
+      list_size (1 -- 4)
+        (pair (0 -- 255) (1 -- 9000)) (* page index, length *))
+  in
+  QCheck.Test.make ~name:"board: chain framing matches the copying form"
+    ~count:100
+    QCheck.(
+      make
+        Gen.(
+          quad chain_gen chain_gen (1 -- 4)
+            (pair (0 -- 4095) (0 -- 1_000_000))))
+    (fun (c1, c2, nlinks, (start, seed)) ->
+      let eng = Engine.create () in
+      let mem = Phys_mem.create ~size:(2 * 1024 * 1024) ~page_size:4096 () in
+      let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+      let board =
+        Board.create eng ~bus ~mem ~on_interrupt:ignore Board.default_config
+      in
+      (* Pages with an even index hold a seeded pattern; odd ones are
+         never written and read as zero. *)
+      for page = 0 to 260 do
+        if page land 1 = 0 then
+          Phys_mem.blit_from_bytes mem
+            ~src:
+              (Bytes.init 4096 (fun i ->
+                   Char.chr (((i * 131) + (page * 7919) + seed) land 0xff)))
+            ~src_off:0 ~dst:(page * 4096) ~len:4096
+      done;
+      let chain spec =
+        List.map
+          (fun (page, len) ->
+            Desc.v ~addr:((page * 4096) + start) ~len ~vci:9 ())
+          spec
+      in
+      List.for_all
+        (fun spec ->
+          let descs = chain spec in
+          let vci = 1 + (seed land 0xfff) in
+          let got = Board.frame_chain board ~vci ~nlinks descs in
+          let want =
+            Copying.segment ~vci ~nlinks
+              (Copying.bytes_of_pbufs mem (List.map Desc.to_pbuf descs))
+          in
+          List.equal Cell.equal (Array.to_list got) want)
+        [ c1; c2 ])
+
 let suite =
   [
     Alcotest.test_case "desc_queue: FIFO" `Quick test_queue_fifo;
@@ -1230,6 +1285,7 @@ let suite =
     Alcotest.test_case "board: per-VCI buffers (fbuf fast path)" `Quick
       test_vci_buffer_preference;
     QCheck_alcotest.to_alcotest dma_plans_match_model;
+    QCheck_alcotest.to_alcotest frame_chain_matches_oracle;
     Alcotest.test_case "board: pinned two-board scenarios" `Quick
       test_board_pins;
     Alcotest.test_case "board: pinned fictitious-source scenario" `Quick

@@ -441,6 +441,173 @@ let test_udp_exchange_residency () =
   if rb = 0 || rb > rx_bound then
     Alcotest.failf "receiver: %d resident frames, expected 1..%d" rb rx_bound
 
+(* The driver's trailer check (the CRC folded over host memory, the
+   trailer's 8 bytes copied) against the copying form: the chain's bytes
+   concatenated, then the old whole-buffer check. The framed PDU is cut
+   into buffers of random sizes at scattered, unaligned addresses, so
+   the trailer may straddle buffers; it is damaged in one of five ways,
+   or not at all: a flipped CRC byte, a length field that frames to
+   another size (with a CRC to match), a flipped payload byte, bytes cut
+   off the end, or a buffer left unwritten. *)
+let trailer_check_matches_copying =
+  QCheck.Test.make ~name:"driver: trailer check matches the copying form"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          quad (0 -- 3000) (list_size (1 -- 8) (1 -- 700)) (0 -- 5)
+            (pair small_nat (0 -- 1000))))
+    (fun (pdu_len, cuts, damage, (k, seed)) ->
+      let module Phys_mem = Osiris_mem.Phys_mem in
+      let module Desc = Osiris_board.Desc in
+      let module Sar = Osiris_atm.Sar in
+      let pdu = Bytes.init pdu_len (fun i -> Char.chr (((i * 29) + seed) land 0xff)) in
+      let framed = Copying.frame pdu in
+      let total = Bytes.length framed in
+      (match damage with
+      | 1 ->
+          let i = total - 1 - (k mod 4) in
+          Bytes.set framed i (Char.chr (Char.code (Bytes.get framed i) lxor 0x80))
+      | 2 ->
+          Bytes.set_int32_be framed (total - 8) (Int32.of_int (total + k));
+          Bytes.set_int32_be framed (total - 4)
+            (Osiris_util.Crc32.compute framed ~off:0 ~len:(total - 4))
+      | 3 ->
+          let i = k mod total in
+          Bytes.set framed i (Char.chr (Char.code (Bytes.get framed i) lxor 0x04))
+      | _ -> ());
+      let framed =
+        if damage = 4 then Bytes.sub framed 0 (total - 1 - (k mod total)) else framed
+      in
+      let mem = Phys_mem.create ~size:(1 lsl 20) ~page_size:4096 () in
+      (* Cut the framed bytes into buffers, each at its own page with an
+         odd offset; the last takes the rest. *)
+      let rec place i off cuts acc =
+        let left = Bytes.length framed - off in
+        if left <= 0 then List.rev acc
+        else begin
+          let len = match cuts with c :: _ -> min c left | [] -> left in
+          let addr = (((i * 3) + 1) * 4096) + (((i * 37) + seed) mod 3000) in
+          if not (damage = 5 && i = k mod (List.length cuts + 1)) then
+            Phys_mem.blit_from_bytes mem ~src:framed ~src_off:off ~dst:addr ~len;
+          let rest = match cuts with _ :: r -> r | [] -> [] in
+          place (i + 1) (off + len) rest (Desc.v ~addr ~len () :: acc)
+        end
+      in
+      let chain = place 0 0 cuts [] in
+      let want =
+        Copying.deframe_check
+          (Copying.bytes_of_pbufs mem (List.map Desc.to_pbuf chain))
+      in
+      Driver.trailer_check mem chain = want
+      &&
+      match damage with
+      | 0 -> Result.is_ok want
+      | 5 -> true (* zeros can pass, where the PDU held only zeros *)
+      | _ -> Result.is_error want)
+
+(* Both hosts of a DECstation pair send each other datagrams at the same
+   instants, checksums on and lazy invalidation, so both checksum output
+   and input at overlapping simulated times. A pool of three receive
+   buffers keeps recycled buffers' lines in the 64 KB cache, so reads
+   come back stale and the checksum has something to catch. Returns,
+   per host, the digest of the delivered bytes in arrival order and the
+   counts the checksum path moves. *)
+let two_way_lazy_run () =
+  let machine = { Machine.ds5000_200 with Machine.rx_pool_buffers = 3 } in
+  let config = { Host.default_config with Host.udp_checksum = true } in
+  let eng, net =
+    Network.pair ~machine_a:machine ~machine_b:machine ~config ()
+  in
+  let hosts = [| net.Network.a; net.Network.b |] in
+  let got = Array.make 2 [] in
+  Array.iteri
+    (fun i (h : Host.t) ->
+      Udp.bind h.Host.udp ~port:7 (fun ~src:_ ~src_port:_ msg ->
+          got.(i) <- Msg.read_all msg :: got.(i);
+          Msg.dispose msg))
+    hosts;
+  Array.iteri
+    (fun i (h : Host.t) ->
+      let peer = hosts.(1 - i) in
+      Process.spawn eng ~name:(Printf.sprintf "tx%d" i) (fun () ->
+          for k = 0 to 11 do
+            let len = 2000 + (k * 1500) + (i * 333) in
+            let m = Msg.alloc h.Host.vs ~len () in
+            Msg.blit_into m ~off:0
+              ~src:(Bytes.init len (fun j -> Char.chr ((j + (k * 41) + (i * 97)) land 0xff)));
+            Udp.output h.Host.udp ~dst:peer.Host.addr ~src_port:9 ~dst_port:7 m;
+            Process.sleep eng (Time.ms 1)
+          done))
+    hosts;
+  Engine.run ~until:(Time.ms 200) eng;
+  Array.mapi
+    (fun i (h : Host.t) ->
+      let u = Udp.stats h.Host.udp in
+      let c = Osiris_cache.Data_cache.stats h.Host.cache in
+      ( Digest.to_hex (Digest.bytes (Bytes.concat Bytes.empty (List.rev got.(i)))),
+        List.length got.(i),
+        u.Udp.checksum_errors,
+        u.Udp.stale_recoveries,
+        c.Osiris_cache.Data_cache.stale_reads ))
+    hosts
+
+(* Major-heap words per delivered 16 KB datagram over a DEC 3000/600
+   pair with checksums on, the sink reading each datagram once. *)
+let major_words_per_datagram () =
+  let machine = Machine.dec3000_600 in
+  let config = { Host.default_config with Host.udp_checksum = true } in
+  let eng, net = Network.pair ~machine_a:machine ~machine_b:machine ~config () in
+  let a = net.Network.a and b = net.Network.b in
+  let n = 40 and len = 16 * 1024 in
+  let payload = Bytes.init len (fun j -> Char.chr ((j * 7) land 0xff)) in
+  let delivered = ref 0 in
+  Udp.bind b.Host.udp ~port:7 (fun ~src:_ ~src_port:_ msg ->
+      if Bytes.equal (Msg.read_all msg) payload then incr delivered;
+      Msg.dispose msg);
+  Process.spawn eng ~name:"tx" (fun () ->
+      for _ = 1 to n do
+        let m = Msg.alloc a.Host.vs ~len () in
+        Msg.blit_into m ~off:0 ~src:payload;
+        Udp.output a.Host.udp ~dst:b.Host.addr ~src_port:9 ~dst_port:7 m;
+        Process.sleep eng (Time.ms 1)
+      done);
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  Engine.run ~until:(Time.ms 200) eng;
+  let after = (Gc.quick_stat ()).Gc.major_words in
+  (!delivered, (after -. before) /. float_of_int (max 1 !delivered))
+
+(* The pins were recorded before the checksum moved to a per-context
+   buffer: a buffer shared between the hosts, or held across a
+   suspension, changes the delivered bytes or the counts. *)
+let test_two_way_lazy_pinned () =
+  let pins =
+    [|
+      ("e7533320087193f1b1084de29d8f1d4c", 11, 0, 1, 5);
+      ("465691f731f82c6c9508f92b0f6d1ca4", 10, 0, 1, 12);
+    |]
+  in
+  Array.iteri
+    (fun i (digest, n, errors, recoveries, stale) ->
+      let d, n', e, r, st = pins.(i) in
+      let host = if i = 0 then "a" else "b" in
+      Alcotest.(check string) (host ^ ": delivered bytes digest") d digest;
+      Alcotest.(check int) (host ^ ": datagrams delivered") n' n;
+      Alcotest.(check int) (host ^ ": checksum_errors") e errors;
+      Alcotest.(check int) (host ^ ": stale_recoveries") r recoveries;
+      Alcotest.(check int) (host ^ ": stale_reads") st stale)
+    (two_way_lazy_run ())
+
+(* Measured at 13,758 words per datagram, of which the sink's own
+   read is 2,048; before the per-byte path stopped copying, 37,136. *)
+let test_major_words_per_datagram () =
+  let delivered, words = major_words_per_datagram () in
+  Alcotest.(check int) "all delivered byte-exact" 40 delivered;
+  if words > 13_758. *. 1.25 then
+    Alcotest.failf "%.0f major-heap words per 16 KB datagram (bound %.0f)"
+      words (13_758. *. 1.25)
+
 let suite =
   [
     Alcotest.test_case "udp end-to-end integrity" `Quick
@@ -463,6 +630,7 @@ let suite =
     Alcotest.test_case "long descriptor chains reassemble" `Quick
       test_long_descriptor_chains;
     Alcotest.test_case "machine profiles" `Quick test_machine_lookup;
+    QCheck_alcotest.to_alcotest trailer_check_matches_copying;
     QCheck_alcotest.to_alcotest e2e_random_integrity;
     Alcotest.test_case "snapshot" `Quick test_snapshot;
     Alcotest.test_case "full-cache-swap policy" `Quick
@@ -473,4 +641,8 @@ let suite =
       test_fresh_hosts_not_resident;
     Alcotest.test_case "a UDP exchange writes only its buffers" `Quick
       test_udp_exchange_residency;
+    Alcotest.test_case "two-way UDP checksums under lazy invalidation" `Quick
+      test_two_way_lazy_pinned;
+    Alcotest.test_case "major-heap words per 16 KB datagram" `Quick
+      test_major_words_per_datagram;
   ]

@@ -448,9 +448,42 @@ let contents_match_flat_model =
       let bufs = [ Pbuf.v ~addr:(c_size - 70) ~len:70; Pbuf.v ~addr:5 ~len:130 ] in
       let want = Bytes.cat (Bytes.sub flat (c_size - 70) 70) (Bytes.sub flat 5 130) in
       Phys_mem.bytes_of_region mem ~addr:0 ~len:c_size = flat
-      && Phys_mem.bytes_of_pbufs mem bufs = want
+      && Copying.bytes_of_pbufs mem bufs = want
       && Phys_mem.resident_frames mem
          = Array.fold_left (fun n w -> if w then n + 1 else n) 0 written)
+
+(* The in-place reads against the copying forms: [equal_bytes] against
+   copying both sides and comparing, [crc32] against the CRC of a copy.
+   Every other frame is written, so ranges span written frames, frames
+   never written (zeros) and both; the compared buffer is the truth with
+   at most one byte changed, anywhere, including outside the range. *)
+let in_place_reads_match_copies =
+  QCheck.Test.make ~name:"phys_mem: in-place reads match the copying forms"
+    ~count:500
+    QCheck.(
+      make
+        Gen.(
+          quad (0 -- (c_size - 1)) (0 -- (3 * c_page)) (0 -- 7)
+            (pair (int_range (-1) 400) (0 -- 1000))))
+    (fun (addr, len, off, (flip, seed)) ->
+      let len = min len (c_size - addr) in
+      let mem = Phys_mem.create ~size:c_size ~page_size:c_page () in
+      for f = 0 to c_frames - 1 do
+        if (f + seed) land 1 = 0 then
+          Phys_mem.blit_from_bytes mem ~src:(pattern c_page (seed + f))
+            ~src_off:0 ~dst:(f * c_page) ~len:c_page
+      done;
+      let b = Bytes.make (off + len + 3) '\x5a' in
+      Bytes.blit (Phys_mem.bytes_of_region mem ~addr ~len) 0 b off len;
+      if flip >= 0 && flip < Bytes.length b then
+        Bytes.set b flip (Char.chr (Char.code (Bytes.get b flip) lxor 0x01));
+      let crc0 = Osiris_util.Crc32.init in
+      Phys_mem.equal_bytes mem ~addr ~len b ~off
+      = Copying.region_equals mem ~addr ~len b ~off
+      && Phys_mem.crc32 mem crc0 ~addr ~len
+         = Osiris_util.Crc32.update crc0
+             (Phys_mem.bytes_of_region mem ~addr ~len)
+             ~off:0 ~len)
 
 let test_fresh_memory_is_not_resident () =
   let mem = Phys_mem.create ~size:(64 * 1024 * 1024) ~page_size:4096 () in
@@ -473,6 +506,7 @@ let suite =
     Alcotest.test_case "phys_mem: bounds" `Quick test_bounds_checked;
     QCheck_alcotest.to_alcotest allocator_matches_reference;
     QCheck_alcotest.to_alcotest contents_match_flat_model;
+    QCheck_alcotest.to_alcotest in_place_reads_match_copies;
     Alcotest.test_case "phys_mem: fresh memory is not resident" `Quick
       test_fresh_memory_is_not_resident;
     QCheck_alcotest.to_alcotest pbuf_split_preserves;

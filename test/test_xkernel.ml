@@ -169,6 +169,44 @@ let test_paths () =
   Alcotest.(check int) "one active" 1
     (List.length (Osiris_xkernel.Path.active reg))
 
+(* [Msg.peek] and [Msg.blit_into] move bytes straight between memory
+   and the caller's buffer; the copying forms read every segment page by
+   page into its own copy. Messages have one to four data segments that
+   start anywhere in a page on scattered frames, some never written, and
+   possibly a pushed header; ranges are arbitrary. *)
+let msg_copy_free_matches_copying =
+  QCheck.Test.make ~name:"msg: peek and blit_into match the copying forms"
+    ~count:200
+    QCheck.(
+      make
+        Gen.(
+          quad
+            (list_size (1 -- 4) (triple (0 -- 4095) (1 -- 6000) bool))
+            (0 -- 64) (pair (0 -- 20000) (0 -- 20000)) (0 -- 1000)))
+    (fun (segspec, hdr, (a, b), seed) ->
+      let vs = mk_vs ~scramble:(Rng.create ~seed) () in
+      let segs =
+        List.mapi
+          (fun i (offset, len, written) ->
+            let vaddr = Vspace.alloc_offset vs ~len ~offset in
+            if written then
+              Copying.write_region vs ~vaddr
+                (Bytes.init len (fun k -> Char.chr (((k * 7) + i + seed) land 0xff)));
+            { Msg.vaddr; len })
+          segspec
+      in
+      let m = Msg.of_segs vs segs in
+      if hdr > 0 then Msg.push m ~len:hdr (fun h -> Bytes.fill h 0 hdr 'H');
+      let total = Msg.length m in
+      let off = a mod (total + 1) in
+      let len = b mod (total - off + 1) in
+      let want = Copying.msg_contents m in
+      let peek_ok = Bytes.equal (Msg.peek m ~off ~len) (Bytes.sub want off len) in
+      let src = Bytes.init len (fun k -> Char.chr (((k * 13) + seed) land 0xff)) in
+      Msg.blit_into m ~off ~src;
+      Bytes.blit src 0 want off len;
+      peek_ok && Bytes.equal (Copying.msg_contents m) want)
+
 let suite =
   [
     Alcotest.test_case "msg: alloc/read_all" `Quick test_alloc_read_all;
@@ -180,6 +218,7 @@ let suite =
     QCheck_alcotest.to_alcotest msg_header_roundtrip;
     QCheck_alcotest.to_alcotest msg_sub_matches_read_all;
     QCheck_alcotest.to_alcotest msg_pbufs_cover_message;
+    QCheck_alcotest.to_alcotest msg_copy_free_matches_copying;
     Alcotest.test_case "msg: dispose" `Quick test_dispose_frees_and_finalizes;
     Alcotest.test_case "demux table" `Quick test_demux;
     Alcotest.test_case "paths: establish/deliver/tear down" `Quick test_paths;
