@@ -32,32 +32,63 @@ type m = {
   m_stale_reads : Metrics.counter;
 }
 
+(* Tags live in chunks of [chunk_lines t] consecutive line indices. A
+   chunk is the shared [blank] (every line invalid, never written) until
+   a line in it is first filled. The line bytes are one flat region
+   whose untouched pages the OS never maps. Every size is a power of
+   two, so an address splits into tag, index and offset with shifts and
+   masks. *)
 type t = {
   eng : Engine.t;
   mem : Phys_mem.t;
   bus : Tc.t;
   cfg : config;
-  nlines : int;
-  tags : int array; (* tag of the line held at each index; -1 = invalid *)
-  data : Bytes.t; (* line [i]'s bytes at [i * line_size] *)
+  line_shift : int;
+  line_mask : int; (* offset within a line *)
+  index_mask : int; (* nlines - 1 *)
+  chunk_shift : int;
+  chunk_mask : int; (* index within a chunk *)
+  chunks : int array array; (* tags of each chunk's lines; -1 = invalid *)
+  blank : int array;
+  data : Bytes.t; (* line [i]'s bytes at [i lsl line_shift] *)
   mutable pressure_cursor : int;
   m : m;
 }
 
 let invalid = -1
 
+(* A chunk covers 1 KB of lines (DESIGN §19): on the fat-tree the lines
+   a run fills touch few such stretches of the index space, so most
+   chunks stay [blank]. *)
+let chunk_bytes = 1024
+
+let log2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
+
+let is_pow2 n = n > 0 && n land (n - 1) = 0
+
 let create eng ~mem ~bus cfg =
   if cfg.size <= 0 || cfg.line_size <= 0 || cfg.size mod cfg.line_size <> 0
   then invalid_arg "Data_cache.create: size must be a multiple of line_size";
+  if not (is_pow2 cfg.size && is_pow2 cfg.line_size) then
+    invalid_arg "Data_cache.create: size and line_size must be powers of two";
   let nlines = cfg.size / cfg.line_size in
+  let chunk_lines = min nlines (max 1 (chunk_bytes / cfg.line_size)) in
+  let blank = Array.make chunk_lines invalid in
   {
     eng;
     mem;
     bus;
     cfg;
-    nlines;
+    line_shift = log2 cfg.line_size;
+    line_mask = cfg.line_size - 1;
+    index_mask = nlines - 1;
+    chunk_shift = log2 chunk_lines;
+    chunk_mask = chunk_lines - 1;
+    chunks = Array.make (nlines / chunk_lines) blank;
+    blank;
     pressure_cursor = 0;
-    tags = Array.make nlines invalid;
     data = Bytes.create cfg.size;
     m =
       {
@@ -75,23 +106,51 @@ let cpu_cycles_ns t cycles =
   (* Round up so a nonzero cost never vanishes. *)
   ((cycles * 1_000_000_000) + t.cfg.cpu_hz - 1) / t.cfg.cpu_hz
 
-let line_tag addr line_size = addr / line_size
-let line_index t addr = line_tag addr t.cfg.line_size mod t.nlines
-let line_base tag line_size = tag * line_size
+let line_tag t addr = addr lsr t.line_shift
+let line_index t tag = tag land t.index_mask
+
+(* The tag held at index [i]: [invalid] in a blank chunk. *)
+let tag_at t i =
+  Array.unsafe_get
+    (Array.unsafe_get t.chunks (i lsr t.chunk_shift))
+    (i land t.chunk_mask)
+
+(* Line [i] holds [tag], its chunk allocated on its first fill. *)
+let set_tag t i tag =
+  let c = i lsr t.chunk_shift in
+  let chunk = Array.unsafe_get t.chunks c in
+  let chunk =
+    if chunk != t.blank then chunk
+    else begin
+      let chunk =
+        (Array.make (t.chunk_mask + 1) invalid
+        [@osiris.alloc_ok
+          "first fill of a line in this chunk: once per chunk the run \
+           ever fills"])
+      in
+      t.chunks.(c) <- chunk;
+      chunk
+    end
+  in
+  chunk.(i land t.chunk_mask) <- tag
+
+(* Line [i] no longer holds anything; a blank chunk already says so. *)
+let clear_tag t i =
+  let chunk = Array.unsafe_get t.chunks (i lsr t.chunk_shift) in
+  if chunk != t.blank then chunk.(i land t.chunk_mask) <- invalid
 
 let fill_line t i tag =
-  Phys_mem.blit_to_bytes t.mem
-    ~src:(line_base tag t.cfg.line_size)
-    ~dst:t.data ~dst_off:(i * t.cfg.line_size) ~len:t.cfg.line_size;
-  t.tags.(i) <- tag
+  Phys_mem.blit_to_bytes t.mem ~src:(tag lsl t.line_shift) ~dst:t.data
+    ~dst_off:(i lsl t.line_shift) ~len:t.cfg.line_size;
+  set_tag t i tag
 
 (* Ensure the line containing [addr] is resident; charge fill cost on miss
    and hit cost for consuming [words_used] words. Returns the line's
    index. *)
 let touch_line t addr ~words_used =
-  let tag = line_tag addr t.cfg.line_size in
-  let i = line_index t addr in
-  if t.tags.(i) = tag then Metrics.incr t.m.m_hits
+  let tag = line_tag t addr in
+  let i = line_index t tag in
+  if tag_at t i = tag then Metrics.incr t.m.m_hits
   else begin
     Metrics.incr t.m.m_misses;
     (* Fill from main memory across the bus (contends on a shared bus). *)
@@ -107,12 +166,12 @@ let read_into t ~addr ~len ~dst ~dst_off =
   if len < 0 then invalid_arg "Data_cache.read_into: negative length";
   let pos = ref addr and out = ref dst_off and remaining = ref len in
   while !remaining > 0 do
-    let in_line = t.cfg.line_size - (!pos mod t.cfg.line_size) in
+    let in_line = t.cfg.line_size - (!pos land t.line_mask) in
     let chunk = min !remaining in_line in
-    let words = (chunk + 3) / 4 in
+    let words = (chunk + 3) lsr 2 in
     let i = touch_line t !pos ~words_used:words in
     Bytes.blit t.data
-      ((i * t.cfg.line_size) + (!pos mod t.cfg.line_size))
+      ((i lsl t.line_shift) + (!pos land t.line_mask))
       dst !out chunk;
     pos := !pos + chunk;
     out := !out + chunk;
@@ -134,12 +193,13 @@ let write t ~addr ~src =
   Phys_mem.blit_from_bytes t.mem ~src ~src_off:0 ~dst:addr ~len;
   let pos = ref addr and off = ref 0 and remaining = ref len in
   while !remaining > 0 do
-    let in_line = t.cfg.line_size - (!pos mod t.cfg.line_size) in
+    let in_line = t.cfg.line_size - (!pos land t.line_mask) in
     let chunk = min !remaining in_line in
-    let i = line_index t !pos in
-    if t.tags.(i) = line_tag !pos t.cfg.line_size then
+    let tag = line_tag t !pos in
+    let i = line_index t tag in
+    if tag_at t i = tag then
       Bytes.blit src !off t.data
-        ((i * t.cfg.line_size) + (!pos mod t.cfg.line_size))
+        ((i lsl t.line_shift) + (!pos land t.line_mask))
         chunk;
     pos := !pos + chunk;
     off := !off + chunk;
@@ -154,39 +214,54 @@ let invalidate t ~addr ~len =
   Process.sleep t.eng
     (cpu_cycles_ns t (words * t.cfg.invalidate_cycles_per_word));
   if len > 0 then
-    for tag = line_tag addr t.cfg.line_size
-        to line_tag (addr + len - 1) t.cfg.line_size do
-      let i = tag mod t.nlines in
-      if t.tags.(i) = tag then begin
-        t.tags.(i) <- invalid;
+    for tag = line_tag t addr to line_tag t (addr + len - 1) do
+      let i = line_index t tag in
+      if tag_at t i = tag then begin
+        clear_tag t i;
         Metrics.incr t.m.m_invalidated_lines
       end
     done
 
 let invalidate_all t =
-  for i = 0 to t.nlines - 1 do
-    if t.tags.(i) <> invalid then begin
-      t.tags.(i) <- invalid;
-      Metrics.incr t.m.m_invalidated_lines
-    end
+  for c = 0 to Array.length t.chunks - 1 do
+    let chunk = t.chunks.(c) in
+    if chunk != t.blank then
+      for j = 0 to t.chunk_mask do
+        if chunk.(j) <> invalid then begin
+          chunk.(j) <- invalid;
+          Metrics.incr t.m.m_invalidated_lines
+        end
+      done
   done
+
+(* Blank the tags of indices [lo, hi), a chunk at a time; blank chunks
+   are skipped. *)
+let rec blank_range t lo hi =
+  if lo < hi then begin
+    let c = lo lsr t.chunk_shift in
+    let stop = min hi ((c + 1) lsl t.chunk_shift) in
+    let chunk = Array.unsafe_get t.chunks c in
+    if chunk != t.blank then
+      Array.fill chunk (lo land t.chunk_mask) (stop - lo) invalid;
+    blank_range t stop hi
+  end
 
 (* The [lines] indices from the cursor, wrapping once: at most two
    ranges. *)
 let pressure t ~lines =
   if lines > 0 then begin
+    let nlines = t.index_mask + 1 in
     let c = t.pressure_cursor in
-    let first = min lines (t.nlines - c) in
-    Array.fill t.tags c first invalid;
-    Array.fill t.tags 0 (min (lines - first) c) invalid;
-    t.pressure_cursor <- (c + lines) mod t.nlines
+    let first = min lines (nlines - c) in
+    blank_range t c (c + first);
+    blank_range t 0 (min (lines - first) c);
+    t.pressure_cursor <- (c + lines) land t.index_mask
   end
 
 let dma_wrote t ~addr ~len =
   if len > 0 then
-    for tag = line_tag addr t.cfg.line_size
-        to line_tag (addr + len - 1) t.cfg.line_size do
-      let i = tag mod t.nlines in
+    for tag = line_tag t addr to line_tag t (addr + len - 1) do
+      let i = line_index t tag in
       match t.cfg.coherence with
       | Hardware_update ->
           (* The 3000/600's second-level cache is updated (and, as modelled
@@ -194,10 +269,12 @@ let dma_wrote t ~addr ~len =
              be read back at cache speed (paper §2.7/§4). *)
           fill_line t i tag
       | Software ->
-          if t.tags.(i) = tag then Metrics.incr t.m.m_stale_overlaps
+          if tag_at t i = tag then Metrics.incr t.m.m_stale_overlaps
     done
 
-let resident t ~addr = t.tags.(line_index t addr) = line_tag addr t.cfg.line_size
+let resident t ~addr =
+  let tag = line_tag t addr in
+  tag_at t (line_index t tag) = tag
 
 let stats t : stats =
   {

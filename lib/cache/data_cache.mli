@@ -14,6 +14,11 @@
     - [Hardware_update] (DEC 3000/600): DMA writes update resident lines, so
       no invalidation is ever needed.
 
+    The cache costs host memory for what a run fills: tags are kept in
+    chunks allocated on a line's first fill, and the line bytes in one
+    region whose untouched pages the OS never maps. [size] and
+    [line_size] must be powers of two.
+
     All timed operations block the calling process; fills and write-throughs
     go through the {!Osiris_bus.Turbochannel} model, so on a shared-bus
     machine they contend with concurrent DMA. *)

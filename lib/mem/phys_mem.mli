@@ -8,9 +8,11 @@
     allocation mode models the OS support the authors were experimenting
     with.
 
-    Storage is sparse: a frame costs host memory only once it is first
+    Storage is sparse: memory is kept in 1 KB blocks (a page, if pages
+    are smaller), a block costs host memory only once it is first
     written, and bytes never written read as zero. A host's image is
-    therefore as large as what its run writes, not its configured size.
+    therefore as large as what its run writes, not its configured size
+    or the pages its writes touch.
 
     The allocation order is part of the model, not an implementation
     detail: it fixes every physical address handed out, hence how many
@@ -26,7 +28,8 @@ type t
 
 val create : ?scramble:Osiris_util.Rng.t -> size:int -> page_size:int -> unit -> t
 (** [create ~size ~page_size ()] makes a memory of [size] bytes ([size] must
-    be a multiple of [page_size]). When [scramble] is given, the free-frame
+    be a multiple of [page_size], and [page_size] a power of two). When
+    [scramble] is given, the free-frame
     list is shuffled with it; otherwise frames are handed out in address
     order (useful in unit tests). *)
 
@@ -38,7 +41,8 @@ val frames : t -> int
 val free_frames : t -> int
 
 val resident_frames : t -> int
-(** Frames written at least once: the frames that cost host memory. *)
+(** Frames written at least once: the frames that cost host memory, each
+    for the blocks written in it. *)
 
 val alloc_frame : t -> int
 (** Allocate one frame; returns its physical base address. Raises
@@ -70,8 +74,8 @@ val fill : t -> addr:int -> len:int -> char -> unit
 val bytes_of_region : t -> addr:int -> len:int -> Bytes.t
 (** Copy of a region, for assertions. *)
 
-(** In-place reads: these look at the bytes where they lie, page by
-    page, and copy nothing. Never-written bytes read as zero. *)
+(** In-place reads: these look at the bytes where they lie, block by
+    block, and copy nothing. Never-written bytes read as zero. *)
 
 val equal_bytes : t -> addr:int -> len:int -> Bytes.t -> off:int -> bool
 (** Does the region hold exactly [len] bytes of the buffer from [off]? *)

@@ -413,6 +413,34 @@ let test_fresh_hosts_not_resident () =
       (resident (Network.host topo i))
   done
 
+(* The live heap a freshly created host adds, per profile: its frame
+   tables, free list and cache, and nothing sized by what a run might
+   write. Measured at 0.54 MB for the DECstation and 2.48 MB for the
+   Alpha, of which the 2 MB of cache line bytes are an allocation whose
+   untouched pages the OS never maps; before the frame blocks and tag
+   chunks (DESIGN §19), 0.57 and 2.97 MB. *)
+let test_fresh_host_live_heap () =
+  let bounds = [ ("DEC 5000/200", 0.6); ("DEC 3000/600", 2.6) ] in
+  List.iter
+    (fun machine ->
+      let bound_mb = List.assoc machine.Machine.name bounds in
+      Gc.full_major ();
+      let before = (Gc.stat ()).Gc.live_words in
+      let h =
+        Host.create (Engine.create ()) machine ~addr:0x0a000001l
+          Host.default_config
+      in
+      Gc.full_major ();
+      let mb =
+        float_of_int (((Gc.stat ()).Gc.live_words - before) * (Sys.word_size / 8))
+        /. 1048576.
+      in
+      ignore (Sys.opaque_identity h);
+      if mb > bound_mb then
+        Alcotest.failf "%s: a fresh host holds %.2f MB live (bound %.2f MB)"
+          machine.Machine.name mb bound_mb)
+    Machine.all
+
 let test_udp_exchange_residency () =
   let eng, net = Network.pair () in
   let a = net.Network.a and b = net.Network.b in
@@ -639,6 +667,8 @@ let suite =
       test_bulk_vc_setup;
     Alcotest.test_case "fresh hosts write no memory" `Quick
       test_fresh_hosts_not_resident;
+    Alcotest.test_case "a fresh host's live heap" `Quick
+      test_fresh_host_live_heap;
     Alcotest.test_case "a UDP exchange writes only its buffers" `Quick
       test_udp_exchange_residency;
     Alcotest.test_case "two-way UDP checksums under lazy invalidation" `Quick

@@ -485,6 +485,125 @@ let in_place_reads_match_copies =
              (Phys_mem.bytes_of_region mem ~addr ~len)
              ~off:0 ~len)
 
+(* Sub-page storage against one flat, zeroed [Bytes]: 4 KB pages over
+   1 KB blocks, with addresses drawn near block and frame boundaries so
+   ranges start, end and straddle them. Writes land in some blocks of a
+   frame and leave others never written. Frames are allocated, freed and
+   reallocated between accesses, and the writes favour the frame just
+   handed out: a frame keeps its bytes across a free, as memory does. *)
+type sparse_op =
+  | S_write_byte of int * int
+  | S_blit_from of int * int * int  (** dst, len, pattern seed *)
+  | S_read_byte of int
+  | S_blit_to of int * int
+  | S_equal of int * int * int  (** addr, len, byte to flip (or -1) *)
+  | S_crc of int * int
+  | S_alloc
+  | S_free of int
+  | S_in_last of int * int * int  (** offset in the last frame handed out, len, seed *)
+
+let s_page = 4096
+let s_frames = 6
+let s_size = s_page * s_frames
+
+let sparse_op_gen =
+  QCheck.Gen.(
+    let near =
+      map2
+        (fun k d -> max 0 (min (s_size - 1) ((k * 1024) + d)))
+        (int_bound (s_size / 1024)) (int_range (-6) 6)
+    in
+    let addr = oneof [ near; int_bound (s_size - 1) ] in
+    let len = oneof [ int_bound 12; int_bound 1100; int_bound 5000 ] in
+    let range = map2 (fun a n -> (a, min n (s_size - a))) addr len in
+    frequency
+      [
+        (2, map2 (fun a v -> S_write_byte (a, v)) addr (int_bound 255));
+        (3, map2 (fun (a, n) s -> S_blit_from (a, n, s)) range (int_bound 1000));
+        (2, map (fun a -> S_read_byte a) addr);
+        (2, map (fun (a, n) -> S_blit_to (a, n)) range);
+        (2, map2 (fun (a, n) f -> S_equal (a, n, f)) range (int_range (-1) 5000));
+        (2, map (fun (a, n) -> S_crc (a, n)) range);
+        (1, return S_alloc);
+        (1, map (fun i -> S_free i) (int_bound 100));
+        ( 2,
+          map3
+            (fun o n s -> S_in_last (o, min n (s_page - o), s))
+            (int_bound (s_page - 1)) len (int_bound 1000) );
+      ])
+
+let sparse_matches_flat_model =
+  QCheck.Test.make ~name:"phys_mem: sub-page blocks = flat Bytes model"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 60) sparse_op_gen))
+    (fun ops ->
+      let mem = Phys_mem.create ~size:s_size ~page_size:s_page () in
+      let flat = Bytes.make s_size '\000' in
+      let written = Array.make s_frames false in
+      let wrote addr len =
+        if len > 0 then
+          for f = addr / s_page to (addr + len - 1) / s_page do
+            written.(f) <- true
+          done
+      in
+      let held = ref [] and last = ref 0 in
+      List.iteri
+        (fun step op ->
+          let fail what = QCheck.Test.fail_reportf "step %d: %s" step what in
+          match op with
+          | S_write_byte (a, v) ->
+              Phys_mem.write_byte mem a v;
+              Bytes.set flat a (Char.chr v);
+              wrote a 1
+          | S_blit_from (a, n, seed) ->
+              let src = pattern (n + 2) seed in
+              Phys_mem.blit_from_bytes mem ~src ~src_off:2 ~dst:a ~len:n;
+              Bytes.blit src 2 flat a n;
+              wrote a n
+          | S_in_last (o, n, seed) ->
+              let src = pattern n seed in
+              Phys_mem.blit_from_bytes mem ~src ~src_off:0 ~dst:(!last + o) ~len:n;
+              Bytes.blit src 0 flat (!last + o) n;
+              wrote (!last + o) n
+          | S_read_byte a ->
+              if Phys_mem.read_byte mem a <> Char.code (Bytes.get flat a) then
+                fail (Printf.sprintf "read_byte %#x" a)
+          | S_blit_to (a, n) ->
+              let dst = Bytes.make (n + 2) '?' in
+              Phys_mem.blit_to_bytes mem ~src:a ~dst ~dst_off:1 ~len:n;
+              if Bytes.sub dst 1 n <> Bytes.sub flat a n
+                 || Bytes.get dst 0 <> '?' || Bytes.get dst (n + 1) <> '?'
+              then fail (Printf.sprintf "blit_to_bytes %#x+%d" a n)
+          | S_equal (a, n, flip) ->
+              let b = Bytes.cat (Bytes.make 3 'z') (Bytes.sub flat a n) in
+              if flip >= 0 && flip < Bytes.length b then
+                Bytes.set b flip (Char.chr (Char.code (Bytes.get b flip) lxor 0x10));
+              let want = Bytes.sub b 3 n = Bytes.sub flat a n in
+              if Phys_mem.equal_bytes mem ~addr:a ~len:n b ~off:3 <> want then
+                fail (Printf.sprintf "equal_bytes %#x+%d flip %d" a n flip)
+          | S_crc (a, n) ->
+              let crc0 = Osiris_util.Crc32.init in
+              if Phys_mem.crc32 mem crc0 ~addr:a ~len:n
+                 <> Osiris_util.Crc32.update crc0 flat ~off:a ~len:n
+              then fail (Printf.sprintf "crc32 %#x+%d" a n)
+          | S_alloc -> (
+              match Phys_mem.alloc_frame mem with
+              | a ->
+                  held := a :: !held;
+                  last := a
+              | exception Out_of_memory -> ())
+          | S_free i -> (
+              match !held with
+              | [] -> ()
+              | l ->
+                  let a = List.nth l (i mod List.length l) in
+                  Phys_mem.free_frame mem a;
+                  held := List.filter (( <> ) a) l))
+        ops;
+      Phys_mem.bytes_of_region mem ~addr:0 ~len:s_size = flat
+      && Phys_mem.resident_frames mem
+         = Array.fold_left (fun n w -> if w then n + 1 else n) 0 written)
+
 let test_fresh_memory_is_not_resident () =
   let mem = Phys_mem.create ~size:(64 * 1024 * 1024) ~page_size:4096 () in
   Alcotest.(check int) "nothing resident" 0 (Phys_mem.resident_frames mem);
@@ -507,6 +626,7 @@ let suite =
     QCheck_alcotest.to_alcotest allocator_matches_reference;
     QCheck_alcotest.to_alcotest contents_match_flat_model;
     QCheck_alcotest.to_alcotest in_place_reads_match_copies;
+    QCheck_alcotest.to_alcotest sparse_matches_flat_model;
     Alcotest.test_case "phys_mem: fresh memory is not resident" `Quick
       test_fresh_memory_is_not_resident;
     QCheck_alcotest.to_alcotest pbuf_split_preserves;
