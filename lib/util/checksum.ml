@@ -1,22 +1,32 @@
-let fold sum =
-  let s = ref sum in
-  while !s > 0xffff do
-    s := (!s land 0xffff) + (!s lsr 16)
-  done;
-  !s
+let rec fold sum = if sum > 0xffff then fold ((sum land 0xffff) + (sum lsr 16)) else sum
 
-let ones_complement_sum ?(init = 0) b ~off ~len =
+(* Whole big-endian 32-bit words from [i] up to [stop]; [stop - i] is a
+   multiple of 4. Since 2^16 = 1 in one's-complement arithmetic, a word
+   adds what its two 16-bit halves add, and [fold] gives the same sum.
+   An [int] holds 2^30 words' worth before it could overflow. *)
+let rec words b i stop sum =
+  if i >= stop then sum
+  else
+    words b (i + 4) stop
+      (sum + (Int32.to_int (Bytes.get_int32_be b i) land 0xFFFFFFFF))
+
+let sum init b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
-    invalid_arg "Checksum: region out of bounds";
-  let sum = ref init in
-  let i = ref off in
-  let last = off + len in
-  while !i + 1 < last do
-    sum := !sum + (Char.code (Bytes.get b !i) lsl 8) + Char.code (Bytes.get b (!i + 1));
-    i := !i + 2
-  done;
-  if !i < last then sum := !sum + (Char.code (Bytes.get b !i) lsl 8);
-  fold !sum
+    (invalid_arg "Checksum: region out of bounds"
+    [@osiris.alloc_ok "cold error path: raises, never returns"]);
+  let stop = off + (len land lnot 3) in
+  let sum = words b off stop init in
+  (* Up to three tail bytes: a whole 16-bit half, then an odd byte
+     padded with zero, as per RFC 1071. *)
+  let sum =
+    if len land 2 = 0 then sum
+    else sum + (Char.code (Bytes.get b stop) lsl 8) + Char.code (Bytes.get b (stop + 1))
+  in
+  fold
+    (if len land 1 <> 0 then sum + (Char.code (Bytes.get b (off + len - 1)) lsl 8)
+     else sum)
+
+let ones_complement_sum ?(init = 0) b ~off ~len = sum init b ~off ~len
 
 let finish sum = lnot (fold sum) land 0xffff
 

@@ -49,6 +49,59 @@ let checksum_combine =
       let c = Checksum.ones_complement_sum b ~off:cut ~len:(n - cut) in
       Checksum.combine a c = whole)
 
+(* Reference model: the byte-pair loop that [ones_complement_sum]'s
+   word loop replaced, kept here as its oracle. *)
+let checksum_model ?(init = 0) b ~off ~len =
+  let sum = ref init and i = ref off in
+  while !i + 1 < off + len do
+    sum := !sum + (Char.code (Bytes.get b !i) lsl 8) + Char.code (Bytes.get b (!i + 1));
+    i := !i + 2
+  done;
+  if !i < off + len then sum := !sum + (Char.code (Bytes.get b !i) lsl 8);
+  let s = ref !sum in
+  while !s > 0xffff do
+    s := (!s land 0xffff) + (!s lsr 16)
+  done;
+  !s
+
+(* Every length 0–9 at every start offset mod 4, over bytes that make
+   the word sums carry, and the all-zero and all-0xff buffers where
+   0 and 0xffff must stay apart. *)
+let test_checksum_short_ranges () =
+  let fills =
+    [
+      Bytes.init 16 (fun i -> Char.chr (((i * 83) + 0xa5) land 0xff));
+      Bytes.make 16 '\000';
+      Bytes.make 16 '\xff';
+    ]
+  in
+  List.iter
+    (fun b ->
+      for off = 0 to 3 do
+        for len = 0 to 9 do
+          List.iter
+            (fun init ->
+              Alcotest.(check int)
+                (Printf.sprintf "off %d len %d init %#x" off len init)
+                (checksum_model ~init b ~off ~len)
+                (Checksum.ones_complement_sum ~init b ~off ~len))
+            [ 0; 1; 0xffff; 0x1_2345 ]
+        done
+      done)
+    fills
+
+let checksum_matches_model =
+  QCheck.Test.make ~name:"checksum: word sum = byte-pair model" ~count:500
+    QCheck.(
+      quad bytes_gen small_nat small_nat
+        (oneof [ int_bound 0xffff; int_bound (1 lsl 40) ]))
+    (fun (b, off, len, init) ->
+      let n = Bytes.length b in
+      let off = if n = 0 then 0 else off mod (n + 1) in
+      let len = if n - off = 0 then 0 else len mod (n - off + 1) in
+      Checksum.ones_complement_sum ~init b ~off ~len
+      = checksum_model ~init b ~off ~len)
+
 (* Reference model: the bytewise loop over a boxed [Int32] that
    [Crc32.update] replaced, kept here as the oracle for the word loop. *)
 let crc32_model_table =
@@ -251,6 +304,9 @@ let suite =
     QCheck_alcotest.to_alcotest checksum_verify_roundtrip;
     QCheck_alcotest.to_alcotest checksum_detects_corruption;
     QCheck_alcotest.to_alcotest checksum_combine;
+    Alcotest.test_case "checksum: short ranges at every alignment" `Quick
+      test_checksum_short_ranges;
+    QCheck_alcotest.to_alcotest checksum_matches_model;
     Alcotest.test_case "crc32: known vector" `Quick test_crc32_vector;
     QCheck_alcotest.to_alcotest crc32_matches_model;
     Alcotest.test_case "crc32: short ranges at every alignment" `Quick
