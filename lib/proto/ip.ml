@@ -172,15 +172,24 @@ let input t msg =
     Msg.dispose msg
   end
   else begin
-    (* Header parse: a real CPU read, through the cache. *)
+    (* Header parse: a real CPU read, through the cache. A header is
+       good when its checksum holds and its total length is the PDU the
+       driver delivered: under lazy invalidation the buffer's previous
+       datagram can leave a header in the cache that passes its own
+       checksum, and its length and fragment fields belong to that
+       datagram. *)
+    let good hdr =
+      Checksum.verify hdr ~off:0 ~len:header_size
+      && Bytes.get_uint16_be hdr 2 = Msg.length msg
+    in
     let hdr = Ctx.read_through_cache t.ctx msg ~off:0 ~len:header_size in
-    if not (Checksum.verify hdr ~off:0 ~len:header_size) then begin
+    if not (good hdr) then begin
       t.stats.header_checksum_errors <- t.stats.header_checksum_errors + 1;
       (* Lazy-invalidation discipline (§2.3): on error, invalidate and
          re-read before declaring the fragment bad. *)
       Ctx.invalidate_msg t.ctx msg ~off:0 ~len:header_size;
       let hdr2 = Ctx.read_through_cache t.ctx msg ~off:0 ~len:header_size in
-      if not (Checksum.verify hdr2 ~off:0 ~len:header_size) then begin
+      if not (good hdr2) then begin
         Msg.dispose msg;
         raise Exit
       end
@@ -195,8 +204,8 @@ let input t msg =
     let proto = Char.code (Bytes.get hdr 9) in
     let src = Bytes.get_int32_be hdr 12 in
     let data_len = total_len - header_size in
-    if data_len < 0 || header_size + data_len > Msg.length msg then begin
-      (* Malformed: the length field disagrees with the delivered PDU. *)
+    if total_len <> Msg.length msg then begin
+      (* The lines changed between the check and this read. *)
       Osiris_sim.Trace.emitf Osiris_sim.Trace.Protocol
         ~now:(Osiris_sim.Engine.now (Osiris_os.Cpu.engine t.ctx.Ctx.cpu))
         "ip: bad fragment total_len=%d msg_len=%d id=%d off=%d more=%b"

@@ -539,9 +539,25 @@ let trailer_check_matches_copying =
    and input at overlapping simulated times. A pool of three receive
    buffers keeps recycled buffers' lines in the 64 KB cache, so reads
    come back stale and the checksum has something to catch. Returns,
-   per host, the digest of the delivered bytes in arrival order and the
-   counts the checksum path moves. *)
-let two_way_lazy_run () =
+   per host, the digest of the delivered bytes in arrival order, how
+   many delivered datagrams are byte-exact copies of one the peer sent,
+   and the counts the checksum path moves. *)
+let two_way_sends = 12
+
+let two_way_payload ~host k =
+  let len = 2000 + (k * 1500) + (host * 333) in
+  Bytes.init len (fun j -> Char.chr ((j + (k * 41) + (host * 97)) land 0xff))
+
+type two_way = {
+  digest : string;
+  delivered : int;
+  exact : int;
+  errors : int;
+  recoveries : int;
+  stale : int;
+}
+
+let two_way_lazy_run ?(gap = Time.ms 1) () =
   let machine = { Machine.ds5000_200 with Machine.rx_pool_buffers = 3 } in
   let config = { Host.default_config with Host.udp_checksum = true } in
   let eng, net =
@@ -559,13 +575,12 @@ let two_way_lazy_run () =
     (fun i (h : Host.t) ->
       let peer = hosts.(1 - i) in
       Process.spawn eng ~name:(Printf.sprintf "tx%d" i) (fun () ->
-          for k = 0 to 11 do
-            let len = 2000 + (k * 1500) + (i * 333) in
-            let m = Msg.alloc h.Host.vs ~len () in
-            Msg.blit_into m ~off:0
-              ~src:(Bytes.init len (fun j -> Char.chr ((j + (k * 41) + (i * 97)) land 0xff)));
+          for k = 0 to two_way_sends - 1 do
+            let payload = two_way_payload ~host:i k in
+            let m = Msg.alloc h.Host.vs ~len:(Bytes.length payload) () in
+            Msg.blit_into m ~off:0 ~src:payload;
             Udp.output h.Host.udp ~dst:peer.Host.addr ~src_port:9 ~dst_port:7 m;
-            Process.sleep eng (Time.ms 1)
+            Process.sleep eng gap
           done))
     hosts;
   Engine.run ~until:(Time.ms 200) eng;
@@ -573,11 +588,17 @@ let two_way_lazy_run () =
     (fun i (h : Host.t) ->
       let u = Udp.stats h.Host.udp in
       let c = Osiris_cache.Data_cache.stats h.Host.cache in
-      ( Digest.to_hex (Digest.bytes (Bytes.concat Bytes.empty (List.rev got.(i)))),
-        List.length got.(i),
-        u.Udp.checksum_errors,
-        u.Udp.stale_recoveries,
-        c.Osiris_cache.Data_cache.stale_reads ))
+      let got = List.rev got.(i) in
+      let sent = List.init two_way_sends (two_way_payload ~host:(1 - i)) in
+      {
+        digest = Digest.to_hex (Digest.bytes (Bytes.concat Bytes.empty got));
+        delivered = List.length got;
+        exact =
+          List.length (List.filter (fun b -> List.exists (Bytes.equal b) sent) got);
+        errors = u.Udp.checksum_errors;
+        recoveries = u.Udp.stale_recoveries;
+        stale = c.Osiris_cache.Data_cache.stale_reads;
+      })
     hosts
 
 (* Major-heap words per delivered 16 KB datagram over a DEC 3000/600
@@ -606,26 +627,58 @@ let major_words_per_datagram () =
   let after = (Gc.quick_stat ()).Gc.major_words in
   (!delivered, (after -. before) /. float_of_int (max 1 !delivered))
 
-(* The pins were recorded before the checksum moved to a per-context
-   buffer: a buffer shared between the hosts, or held across a
-   suspension, changes the delivered bytes or the counts. *)
-let test_two_way_lazy_pinned () =
-  let pins =
-    [|
-      ("e7533320087193f1b1084de29d8f1d4c", 11, 0, 1, 5);
-      ("465691f731f82c6c9508f92b0f6d1ca4", 10, 0, 1, 12);
-    |]
-  in
+(* The pins were recorded after [Ip.input] began checking a header's
+   total length against the delivered PDU; before, a stale header that
+   passed its own checksum let one datagram on host a and two on host b
+   through that matched nothing the peer sent, and the pins encoded
+   them. A checksum buffer shared between the hosts changes the
+   delivered bytes or the counts at 1 ms; the context's own buffer
+   summed after the CPU is given up, where another process of the same
+   host can refill it, changes them at 1.5 ms. Every delivered datagram
+   must be a byte-exact copy of one the peer sent. *)
+let check_two_way_pins pins results =
   Array.iteri
-    (fun i (digest, n, errors, recoveries, stale) ->
-      let d, n', e, r, st = pins.(i) in
+    (fun i r ->
+      let d, n', e, rc, st = pins.(i) in
       let host = if i = 0 then "a" else "b" in
-      Alcotest.(check string) (host ^ ": delivered bytes digest") d digest;
-      Alcotest.(check int) (host ^ ": datagrams delivered") n' n;
-      Alcotest.(check int) (host ^ ": checksum_errors") e errors;
-      Alcotest.(check int) (host ^ ": stale_recoveries") r recoveries;
-      Alcotest.(check int) (host ^ ": stale_reads") st stale)
+      Alcotest.(check int) (host ^ ": delivered datagrams are byte-exact")
+        r.delivered r.exact;
+      Alcotest.(check string) (host ^ ": delivered bytes digest") d r.digest;
+      Alcotest.(check int) (host ^ ": datagrams delivered") n' r.delivered;
+      Alcotest.(check int) (host ^ ": checksum_errors") e r.errors;
+      Alcotest.(check int) (host ^ ": stale_recoveries") rc r.recoveries;
+      Alcotest.(check int) (host ^ ": stale_reads") st r.stale)
+    results
+
+let test_two_way_lazy_pinned () =
+  check_two_way_pins
+    [|
+      ("c6d1e7667704a4fd91241f3e2aa9eaa2", 6, 0, 1, 2);
+      ("92a35403ac2edc3c08a2a9998a8efeec", 5, 0, 2, 4);
+    |]
     (two_way_lazy_run ())
+
+let test_two_way_lazy_pinned_1500us () =
+  check_two_way_pins
+    [|
+      ("e8b4dc424dc315d0d2d91dc2a982e0ea", 9, 0, 3, 6);
+      ("1cdaeed75c4ea2842fee62df11efc0f6", 11, 0, 3, 7);
+    |]
+    (two_way_lazy_run ~gap:(Time.us 1500) ())
+
+(* The two-way run at spacings from 400 us to 3 ms: lazy invalidation
+   may cost datagrams, never deliver a wrong one. *)
+let test_two_way_lazy_sweep () =
+  List.iter
+    (fun gap_us ->
+      Array.iteri
+        (fun i r ->
+          Alcotest.(check int)
+            (Printf.sprintf "gap %d us, host %d: every delivered datagram is exact"
+               gap_us i)
+            r.delivered r.exact)
+        (two_way_lazy_run ~gap:(Time.us gap_us) ()))
+    [ 400; 500; 700; 1000; 1500; 2000; 3000 ]
 
 (* Measured at 13,758 words per datagram, of which the sink's own
    read is 2,048; before the per-byte path stopped copying, 37,136. *)
@@ -673,6 +726,10 @@ let suite =
       test_udp_exchange_residency;
     Alcotest.test_case "two-way UDP checksums under lazy invalidation" `Quick
       test_two_way_lazy_pinned;
+    Alcotest.test_case "two-way UDP checksums under lazy invalidation, 1.5 ms"
+      `Quick test_two_way_lazy_pinned_1500us;
+    Alcotest.test_case "lazy invalidation never delivers a wrong datagram" `Quick
+      test_two_way_lazy_sweep;
     Alcotest.test_case "major-heap words per 16 KB datagram" `Quick
       test_major_words_per_datagram;
   ]
