@@ -205,7 +205,7 @@ let input t msg =
     let src = Bytes.get_int32_be hdr 12 in
     let data_len = total_len - header_size in
     if total_len <> Msg.length msg then begin
-      (* The lines changed between the check and this read. *)
+      (* The parse's own read must agree with the check above. *)
       Osiris_sim.Trace.emitf Osiris_sim.Trace.Protocol
         ~now:(Osiris_sim.Engine.now (Osiris_os.Cpu.engine t.ctx.Ctx.cpu))
         "ip: bad fragment total_len=%d msg_len=%d id=%d off=%d more=%b"

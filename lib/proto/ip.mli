@@ -60,7 +60,10 @@ val output : t -> dst:addr -> proto:int -> Osiris_xkernel.Msg.t -> unit
 
 val input : t -> Osiris_xkernel.Msg.t -> unit
 (** Parse and verify one received fragment; deliver upward when its
-    datagram completes. Takes ownership of [msg]. *)
+    datagram completes. Takes ownership of [msg]. A header must pass its
+    checksum and carry [msg]'s length as its total length; one that does
+    not is counted in [header_checksum_errors], invalidated in the cache
+    and read again, and the fragment is dropped if it still fails. *)
 
 val stats : t -> stats
 
