@@ -134,11 +134,6 @@ let set_tag t i tag =
   in
   chunk.(i land t.chunk_mask) <- tag
 
-(* Line [i] no longer holds anything; a blank chunk already says so. *)
-let clear_tag t i =
-  let chunk = Array.unsafe_get t.chunks (i lsr t.chunk_shift) in
-  if chunk != t.blank then chunk.(i land t.chunk_mask) <- invalid
-
 let fill_line t i tag =
   Phys_mem.blit_to_bytes t.mem ~src:(tag lsl t.line_shift) ~dst:t.data
     ~dst_off:(i lsl t.line_shift) ~len:t.cfg.line_size;
@@ -217,7 +212,8 @@ let invalidate t ~addr ~len =
     for tag = line_tag t addr to line_tag t (addr + len - 1) do
       let i = line_index t tag in
       if tag_at t i = tag then begin
-        clear_tag t i;
+        (* A line that holds a tag has its own chunk: nothing allocates. *)
+        set_tag t i invalid;
         Metrics.incr t.m.m_invalidated_lines
       end
     done
