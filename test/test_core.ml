@@ -720,16 +720,16 @@ let suite =
       test_bulk_vc_setup;
     Alcotest.test_case "fresh hosts write no memory" `Quick
       test_fresh_hosts_not_resident;
-    Alcotest.test_case "a fresh host's live heap" `Quick
-      test_fresh_host_live_heap;
     Alcotest.test_case "a UDP exchange writes only its buffers" `Quick
       test_udp_exchange_residency;
     Alcotest.test_case "two-way UDP checksums under lazy invalidation" `Quick
       test_two_way_lazy_pinned;
+    Alcotest.test_case "major-heap words per 16 KB datagram" `Quick
+      test_major_words_per_datagram;
+    Alcotest.test_case "a fresh host's live heap" `Quick
+      test_fresh_host_live_heap;
     Alcotest.test_case "two-way UDP checksums under lazy invalidation, 1.5 ms"
       `Quick test_two_way_lazy_pinned_1500us;
     Alcotest.test_case "lazy invalidation never delivers a wrong datagram" `Quick
       test_two_way_lazy_sweep;
-    Alcotest.test_case "major-heap words per 16 KB datagram" `Quick
-      test_major_words_per_datagram;
   ]
