@@ -2,6 +2,7 @@ open Osiris_sim
 module Phys_mem = Osiris_mem.Phys_mem
 module Tc = Osiris_bus.Turbochannel
 module Metrics = Osiris_obs.Metrics
+module Bits = Osiris_util.Bits
 
 type coherence = Software | Hardware_update
 
@@ -62,16 +63,10 @@ let invalid = -1
    chunks stay [blank]. *)
 let chunk_bytes = 1024
 
-let log2 n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  go 0
-
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
 let create eng ~mem ~bus cfg =
   if cfg.size <= 0 || cfg.line_size <= 0 || cfg.size mod cfg.line_size <> 0
   then invalid_arg "Data_cache.create: size must be a multiple of line_size";
-  if not (is_pow2 cfg.size && is_pow2 cfg.line_size) then
+  if not (Bits.is_pow2 cfg.size && Bits.is_pow2 cfg.line_size) then
     invalid_arg "Data_cache.create: size and line_size must be powers of two";
   let nlines = cfg.size / cfg.line_size in
   let chunk_lines = min nlines (max 1 (chunk_bytes / cfg.line_size)) in
@@ -81,10 +76,10 @@ let create eng ~mem ~bus cfg =
     mem;
     bus;
     cfg;
-    line_shift = log2 cfg.line_size;
+    line_shift = Bits.log2 cfg.line_size;
     line_mask = cfg.line_size - 1;
     index_mask = nlines - 1;
-    chunk_shift = log2 chunk_lines;
+    chunk_shift = Bits.log2 chunk_lines;
     chunk_mask = chunk_lines - 1;
     chunks = Array.make (nlines / chunk_lines) blank;
     blank;

@@ -1,11 +1,13 @@
+module Bits = Osiris_util.Bits
+
 (* Storage is two levels deep. A frame's slot holds the shared [fresh]
    table, whose every entry is [unwritten], until the frame's first
    write gives it a table of its own; a block's entry holds [unwritten]
-   until its first write puts a zero-filled block there. So a host costs
-   memory for the blocks its run writes, not for whole pages, let alone
-   its whole image. Blocks are [block_bytes] long (a page, if pages are
-   smaller), and every address splits into frame, block and offset with
-   shifts and masks: sizes are powers of two.
+   until its first write gives it the next zero-filled block. So a host
+   costs memory for the blocks its run writes, not for whole pages, let
+   alone its whole image. Blocks are [block_bytes] long (a page, if
+   pages are smaller), and every address splits into frame, block and
+   offset with shifts and masks: sizes are powers of two.
 
    The free frames form a doubly linked list over frame indices. Its
    order is part of the model, since it fixes every physical address:
@@ -18,13 +20,25 @@
    512 B would save 1.5 MB more at twice the block boundaries per copy. *)
 let block_bytes = 1024
 
-let unwritten = Bytes.empty
+(* Blocks are numbered in the order their first writes come and cut from
+   slabs of [slab_bytes]. A slab is larger than the largest object the
+   minor heap takes (256 words), so it is allocated straight in the
+   major heap; a 1 KB block of its own would be allocated in the minor
+   heap and copied out of it at the next minor collection. A host
+   leaves at most one slab part-used. *)
+let slab_bytes = 4096
+
+let unwritten = -1
 let taken = -2
 let none = -1
 
 type t = {
-  frames : Bytes.t array array; (* frame [f]'s blocks, or [fresh] *)
-  fresh : Bytes.t array; (* all [unwritten]; shared, never written *)
+  frames : int array array; (* frame [f]'s block numbers, or [fresh] *)
+  fresh : int array; (* all [unwritten]; shared, never written *)
+  mutable slabs : Bytes.t array; (* block [b] in slab [b lsr slab_shift] *)
+  mutable next_block : int; (* blocks handed out *)
+  slab_shift : int;
+  slab_mask : int; (* block number within its slab *)
   page_size : int;
   page_shift : int;
   block_size : int;
@@ -39,14 +53,10 @@ type t = {
   mutable resident : int;
 }
 
-let log2 n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  go 0
-
 let create ?scramble ~size ~page_size () =
   if size <= 0 || page_size <= 0 || size mod page_size <> 0 then
     invalid_arg "Phys_mem.create: size must be a positive multiple of page_size";
-  if page_size land (page_size - 1) <> 0 then
+  if not (Bits.is_pow2 page_size) then
     invalid_arg "Phys_mem.create: page_size must be a power of two";
   let nframes = size / page_size in
   let order = Array.init nframes (fun i -> i) in
@@ -61,10 +71,14 @@ let create ?scramble ~size ~page_size () =
   {
     frames = Array.make nframes fresh;
     fresh;
+    slabs = [||];
+    next_block = 0;
+    slab_shift = Bits.log2 (slab_bytes / block_size);
+    slab_mask = (slab_bytes / block_size) - 1;
     page_size;
-    page_shift = log2 page_size;
+    page_shift = Bits.log2 page_size;
     block_size;
-    block_shift = log2 block_size;
+    block_shift = Bits.log2 block_size;
     block_mask = block_size - 1;
     block_index_mask = (page_size / block_size) - 1;
     nframes;
@@ -138,14 +152,42 @@ let check_bytes b off len =
     (invalid_arg "Phys_mem: byte range out of bounds"
     [@osiris.alloc_ok "cold error path: raises, never returns"])
 
-(* The block holding [addr]: [unwritten] if no write has reached it. *)
+(* The number of the block holding [addr]: [unwritten] if no write has
+   reached it. *)
 let block t addr =
   Array.unsafe_get
     (Array.unsafe_get t.frames (addr lsr t.page_shift))
     ((addr lsr t.block_shift) land t.block_index_mask)
 
-(* The block holding [addr], materialised (with its frame's table) on
-   its first write. *)
+(* Block [b]'s slab, and where in it the block starts. *)
+let slab t b = Array.unsafe_get t.slabs (b lsr t.slab_shift)
+let base t b = (b land t.slab_mask) lsl t.block_shift
+
+(* A zero-filled block, from a new slab when the last one is used up. *)
+let new_block t =
+  let b = t.next_block in
+  let s = b lsr t.slab_shift in
+  if b land t.slab_mask = 0 then begin
+    if s = Array.length t.slabs then begin
+      let grown =
+        (Array.make (max 4 (2 * s)) Bytes.empty
+        [@osiris.alloc_ok
+          "the slab table doubles: a logarithmic number of times per run"])
+      in
+      Array.blit t.slabs 0 grown 0 s;
+      t.slabs <- grown
+    end;
+    t.slabs.(s) <-
+      (Bytes.make slab_bytes '\000'
+      [@osiris.alloc_ok
+        "first write to a block whose slab is used up: once per slab the \
+         run ever writes, then reused"])
+  end;
+  t.next_block <- b + 1;
+  b
+
+(* The number of the block holding [addr], materialised (with its
+   frame's table) on its first write. *)
 let writable t addr =
   let f = addr lsr t.page_shift in
   let blocks = Array.unsafe_get t.frames f in
@@ -165,14 +207,9 @@ let writable t addr =
   in
   let i = (addr lsr t.block_shift) land t.block_index_mask in
   let b = Array.unsafe_get blocks i in
-  if b != unwritten then b
+  if b <> unwritten then b
   else begin
-    let b =
-      (Bytes.make t.block_size '\000'
-      [@osiris.alloc_ok
-        "first write to a block: one block per block the run ever \
-         writes, then reused"])
-    in
+    let b = new_block t in
     blocks.(i) <- b;
     b
   end
@@ -185,7 +222,8 @@ let rec copy_in t ~src ~src_off ~dst ~len =
   if len > 0 then begin
     let off = dst land t.block_mask in
     let n = min len (t.block_size - off) in
-    Bytes.blit src src_off (writable t dst) off n;
+    let b = writable t dst in
+    Bytes.blit src src_off (slab t b) (base t b + off) n;
     copy_in t ~src ~src_off:(src_off + n) ~dst:(dst + n) ~len:(len - n)
   end
 
@@ -194,19 +232,21 @@ let rec copy_out t ~src ~dst ~dst_off ~len =
     let off = src land t.block_mask in
     let n = min len (t.block_size - off) in
     let b = block t src in
-    if b == unwritten then Bytes.fill dst dst_off n '\000'
-    else Bytes.blit b off dst dst_off n;
+    if b = unwritten then Bytes.fill dst dst_off n '\000'
+    else Bytes.blit (slab t b) (base t b + off) dst dst_off n;
     copy_out t ~src:(src + n) ~dst ~dst_off:(dst_off + n) ~len:(len - n)
   end
 
 let read_byte t addr =
   check t addr 1;
   let b = block t addr in
-  if b == unwritten then 0 else Char.code (Bytes.get b (addr land t.block_mask))
+  if b = unwritten then 0
+  else Char.code (Bytes.get (slab t b) (base t b + (addr land t.block_mask)))
 
 let write_byte t addr v =
   check t addr 1;
-  Bytes.set (writable t addr) (addr land t.block_mask) (Char.chr (v land 0xff))
+  let b = writable t addr in
+  Bytes.set (slab t b) (base t b + (addr land t.block_mask)) (Char.chr (v land 0xff))
 
 let blit_from_bytes t ~src ~src_off ~dst ~len =
   check t dst len;
@@ -258,7 +298,8 @@ let rec equal_in t ~addr b ~off ~len =
   let boff = addr land t.block_mask in
   let n = min len (t.block_size - boff) in
   let blk = block t addr in
-  (if blk == unwritten then zeros b off n else same blk boff b off n)
+  (if blk = unwritten then zeros b off n
+   else same (slab t blk) (base t blk + boff) b off n)
   && equal_in t ~addr:(addr + n) b ~off:(off + n) ~len:(len - n)
 
 let equal_bytes t ~addr ~len b ~off =
@@ -273,8 +314,8 @@ let rec crc_in t crc ~addr ~len =
     let n = min len (t.block_size - boff) in
     let blk = block t addr in
     crc_in t
-      (if blk == unwritten then Osiris_util.Crc32.update_zeros crc ~len:n
-       else Osiris_util.Crc32.update crc blk ~off:boff ~len:n)
+      (if blk = unwritten then Osiris_util.Crc32.update_zeros crc ~len:n
+       else Osiris_util.Crc32.update crc (slab t blk) ~off:(base t blk + boff) ~len:n)
       ~addr:(addr + n) ~len:(len - n)
   end
 
