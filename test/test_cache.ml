@@ -233,11 +233,17 @@ module Ref_cache = struct
   let resident t ~addr = holds (line t (addr / t.ls)) (addr / t.ls)
 end
 
-(* A 2 KB cache of 16-byte lines over 16 KB of memory: every address
-   aliases with seven others, so evictions, stale lines and refills are
-   frequent. *)
-let oracle_case coherence ~seed () =
-  let mem_size = 16 * 1024 and size = 2048 and line_size = 16 in
+(* A cache of [size] bytes over eight times as much memory, so every
+   index has eight possible tags and evictions, stale lines and refills
+   are frequent. Most ranges are short; a quarter run up to [max_len]
+   bytes, and pressure evicts up to [max_pressure] lines at a time. With
+   several 1 KB tag chunks in the cache, long ranges and pressure runs
+   cross chunk boundaries and some chunks are never filled. Every 100
+   steps, and at the end, the stats match, every line is resident in
+   both or in neither, and each resident line reads back the model's
+   bytes. *)
+let oracle_case coherence ~size ~line_size ~max_len ~max_pressure ~seed () =
+  let mem_size = 8 * size in
   let eng = Engine.create () in
   let mem = Phys_mem.create ~size:mem_size ~page_size:4096 () in
   let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
@@ -260,7 +266,7 @@ let oracle_case coherence ~seed () =
   let rng = Osiris_util.Rng.create ~seed in
   let int n = Osiris_util.Rng.int rng n in
   let range () =
-    let len = int 80 in
+    let len = int (if int 4 = 0 then max_len else 80) in
     (int (mem_size - len + 1), len)
   in
   let bytes n = Bytes.init n (fun _ -> Char.chr (int 256)) in
@@ -273,8 +279,14 @@ let oracle_case coherence ~seed () =
     then Alcotest.failf "step %d: stats differ from the reference" step;
     for l = 0 to (mem_size / line_size) - 1 do
       let addr = l * line_size in
-      if Cache.resident cache ~addr <> Ref_cache.resident model ~addr then
-        Alcotest.failf "step %d: residency of %#x differs" step addr
+      let held = Ref_cache.resident model ~addr in
+      if Cache.resident cache ~addr <> held then
+        Alcotest.failf "step %d: residency of %#x differs" step addr;
+      if
+        held
+        && Cache.read cache ~addr ~len:line_size
+           <> Ref_cache.read model ~addr ~len:line_size
+      then Alcotest.failf "step %d: bytes of line %#x differ" step addr
     done
   in
   in_process eng (fun () ->
@@ -282,8 +294,11 @@ let oracle_case coherence ~seed () =
         (match int 12 with
         | 0 | 1 | 2 | 3 ->
             let addr, len = range () in
-            let got = Cache.read cache ~addr ~len in
-            let want = Ref_cache.read model ~addr ~len in
+            let off = int 5 in
+            let got = Bytes.make (off + len + 1) '?'
+            and want = Bytes.make (off + len + 1) '?' in
+            Cache.read_into cache ~addr ~len ~dst:got ~dst_off:off;
+            Bytes.blit (Ref_cache.read model ~addr ~len) 0 want off len;
             if got <> want then
               Alcotest.failf "step %d: read %#x+%d differs" step addr len
         | 4 | 5 ->
@@ -304,7 +319,7 @@ let oracle_case coherence ~seed () =
             Cache.invalidate cache ~addr ~len;
             Ref_cache.invalidate model ~addr ~len
         | 10 ->
-            let lines = int 40 in
+            let lines = int max_pressure in
             Cache.pressure cache ~lines;
             Ref_cache.pressure model ~lines
         | _ ->
@@ -317,215 +332,6 @@ let oracle_case coherence ~seed () =
       check_state 3000;
       Alcotest.(check bool) "stale reads exercised" true
         (coherence = Cache.Hardware_update || model.Ref_cache.stale_reads > 0))
-
-(* --- differential oracle: chunked tags vs the dense layout ---------- *)
-
-(* Reference: the layout the cache had before its tags moved into
-   chunks filled on demand, one [int] tag per line (-1 = invalid) and
-   one flat [Bytes] of line data, with no timing, over a flat copy of
-   main memory. The real cache must hold the same tags and the same
-   line bytes, and count the same stats, under any interleaving. *)
-module Dense_cache = struct
-  type t = {
-    mem : Bytes.t;
-    ls : int;
-    nlines : int;
-    tags : int array;
-    data : Bytes.t;
-    hw : bool;
-    mutable cursor : int;
-    mutable hits : int;
-    mutable misses : int;
-    mutable invalidated : int;
-    mutable overlaps : int;
-    mutable stale_reads : int;
-  }
-
-  let create ~mem_size ~size ~line_size ~hw =
-    {
-      mem = Bytes.make mem_size '\000';
-      ls = line_size;
-      nlines = size / line_size;
-      tags = Array.make (size / line_size) (-1);
-      data = Bytes.create size;
-      hw;
-      cursor = 0;
-      hits = 0;
-      misses = 0;
-      invalidated = 0;
-      overlaps = 0;
-      stale_reads = 0;
-    }
-
-  let fill t i tag =
-    Bytes.blit t.mem (tag * t.ls) t.data (i * t.ls) t.ls;
-    t.tags.(i) <- tag
-
-  let read_into t ~addr ~len ~dst ~dst_off =
-    let pos = ref addr in
-    while !pos < addr + len do
-      let tag = !pos / t.ls and off = !pos mod t.ls in
-      let n = min (addr + len - !pos) (t.ls - off) in
-      let i = tag mod t.nlines in
-      if t.tags.(i) = tag then t.hits <- t.hits + 1
-      else begin
-        t.misses <- t.misses + 1;
-        fill t i tag
-      end;
-      Bytes.blit t.data ((i * t.ls) + off) dst (dst_off + !pos - addr) n;
-      pos := !pos + n
-    done;
-    if Bytes.sub dst dst_off len <> Bytes.sub t.mem addr len then
-      t.stale_reads <- t.stale_reads + 1
-
-  let write t ~addr ~src =
-    let len = Bytes.length src in
-    Bytes.blit src 0 t.mem addr len;
-    for p = addr to addr + len - 1 do
-      let tag = p / t.ls in
-      let i = tag mod t.nlines in
-      if t.tags.(i) = tag then Bytes.set t.data ((i * t.ls) + (p mod t.ls)) (Bytes.get src (p - addr))
-    done
-
-  let lines t ~addr ~len f =
-    if len > 0 then
-      for tag = addr / t.ls to (addr + len - 1) / t.ls do
-        f tag (tag mod t.nlines)
-      done
-
-  let invalidate t ~addr ~len =
-    lines t ~addr ~len (fun tag i ->
-        if t.tags.(i) = tag then begin
-          t.tags.(i) <- -1;
-          t.invalidated <- t.invalidated + 1
-        end)
-
-  let invalidate_all t =
-    Array.iteri
-      (fun i tag ->
-        if tag <> -1 then begin
-          t.tags.(i) <- -1;
-          t.invalidated <- t.invalidated + 1
-        end)
-      t.tags
-
-  let pressure t ~lines =
-    for _ = 1 to lines do
-      t.tags.(t.cursor) <- -1;
-      t.cursor <- (t.cursor + 1) mod t.nlines
-    done
-
-  let dma_wrote t ~addr ~len =
-    lines t ~addr ~len (fun tag i ->
-        if t.hw then fill t i tag
-        else if t.tags.(i) = tag then t.overlaps <- t.overlaps + 1)
-end
-
-(* Caches of several 1 KB tag chunks, so fills, invalidations and
-   pressure runs cross chunk boundaries and leave some chunks never
-   filled; memory is eight cache sizes, so every index has eight
-   possible tags. Every 50 steps, and at the end, the stats match and
-   every line holds the model's tag; each resident line is then read
-   whole through both, which must hit and return the model's bytes. *)
-let dense_case coherence ~line_size ~size ~seed () =
-  let mem_size = 8 * size in
-  let eng = Engine.create () in
-  let mem = Phys_mem.create ~size:mem_size ~page_size:4096 () in
-  let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
-  let cache =
-    Cache.create eng ~mem ~bus
-      {
-        Cache.size;
-        line_size;
-        coherence;
-        cpu_hz = 25_000_000;
-        hit_cycles_per_word = 1;
-        fill_overhead_cycles = 13;
-        invalidate_cycles_per_word = 1;
-      }
-  in
-  let model =
-    Dense_cache.create ~mem_size ~size ~line_size
-      ~hw:(coherence = Cache.Hardware_update)
-  in
-  let rng = Osiris_util.Rng.create ~seed in
-  let int n = Osiris_util.Rng.int rng n in
-  (* Ranges up to three chunks long, starting anywhere. *)
-  let range () =
-    let len = if int 4 = 0 then int 3000 else int 100 in
-    let len = min len mem_size in
-    (int (mem_size - len + 1), len)
-  in
-  let bytes n = Bytes.init n (fun _ -> Char.chr (int 256)) in
-  let check_state step =
-    let st = Cache.stats cache and m = model in
-    let stats =
-      (st.Cache.hits, st.Cache.misses, st.Cache.invalidated_lines,
-       st.Cache.stale_overlaps, st.Cache.stale_reads)
-    and want =
-      (m.Dense_cache.hits, m.misses, m.invalidated, m.overlaps, m.stale_reads)
-    in
-    if stats <> want then Alcotest.failf "step %d: stats differ from the model" step;
-    let resident = ref [] in
-    for tag = 0 to (mem_size / line_size) - 1 do
-      let addr = tag * line_size in
-      let held = m.Dense_cache.tags.(tag mod m.nlines) = tag in
-      if Cache.resident cache ~addr <> held then
-        Alcotest.failf "step %d: tag of line %#x differs" step addr;
-      if held then resident := addr :: !resident
-    done;
-    List.iter
-      (fun addr ->
-        let got = Bytes.create line_size and want = Bytes.create line_size in
-        Cache.read_into cache ~addr ~len:line_size ~dst:got ~dst_off:0;
-        Dense_cache.read_into model ~addr ~len:line_size ~dst:want ~dst_off:0;
-        if got <> want then
-          Alcotest.failf "step %d: bytes of line %#x differ" step addr)
-      !resident
-  in
-  in_process eng (fun () ->
-      for step = 1 to 2000 do
-        (match int 12 with
-        | 0 | 1 | 2 | 3 ->
-            let addr, len = range () in
-            let off = int 5 in
-            let got = Bytes.make (len + off) '?'
-            and want = Bytes.make (len + off) '?' in
-            Cache.read_into cache ~addr ~len ~dst:got ~dst_off:off;
-            Dense_cache.read_into model ~addr ~len ~dst:want ~dst_off:off;
-            if got <> want then
-              Alcotest.failf "step %d: read %#x+%d differs" step addr len
-        | 4 | 5 ->
-            let addr, len = range () in
-            let src = bytes len in
-            Cache.write cache ~addr ~src;
-            Dense_cache.write model ~addr ~src
-        | 6 | 7 ->
-            (* DMA: memory changes behind the cache, then it is told. *)
-            let addr, len = range () in
-            let src = bytes len in
-            Phys_mem.blit_from_bytes mem ~src ~src_off:0 ~dst:addr ~len;
-            Bytes.blit src 0 model.Dense_cache.mem addr len;
-            Cache.dma_wrote cache ~addr ~len;
-            Dense_cache.dma_wrote model ~addr ~len
-        | 8 | 9 ->
-            let addr, len = range () in
-            Cache.invalidate cache ~addr ~len;
-            Dense_cache.invalidate model ~addr ~len
-        | 10 ->
-            let lines = int (size / line_size + 100) in
-            Cache.pressure cache ~lines;
-            Dense_cache.pressure model ~lines
-        | _ ->
-            if int 8 = 0 then begin
-              Cache.invalidate_all cache;
-              Dense_cache.invalidate_all model
-            end);
-        if step mod 50 = 0 then check_state step
-      done;
-      check_state 2000;
-      Alcotest.(check bool) "stale reads exercised" true
-        (coherence = Cache.Hardware_update || model.Dense_cache.stale_reads > 0))
 
 let suite =
   [
@@ -542,11 +348,19 @@ let suite =
     Alcotest.test_case "direct-mapped eviction" `Quick
       test_direct_mapped_eviction;
     Alcotest.test_case "software coherence = record-per-line reference" `Quick
-      (oracle_case Cache.Software ~seed:3);
+      (oracle_case Cache.Software ~size:2048 ~line_size:16 ~max_len:80
+         ~max_pressure:40 ~seed:3);
     Alcotest.test_case "hardware update = record-per-line reference" `Quick
-      (oracle_case Cache.Hardware_update ~seed:4);
-    Alcotest.test_case "software coherence = dense-layout model" `Quick
-      (dense_case Cache.Software ~line_size:16 ~size:(8 * 1024) ~seed:5);
-    Alcotest.test_case "hardware update = dense-layout model" `Quick
-      (dense_case Cache.Hardware_update ~line_size:32 ~size:(4 * 1024) ~seed:6);
+      (oracle_case Cache.Hardware_update ~size:2048 ~line_size:16 ~max_len:80
+         ~max_pressure:40 ~seed:4);
+    (* Eight and four tag chunks; pressure may wrap the whole cache. *)
+    Alcotest.test_case
+      "software coherence, 8 KB of 16 B lines = record-per-line reference"
+      `Quick
+      (oracle_case Cache.Software ~size:(8 * 1024) ~line_size:16 ~max_len:3000
+         ~max_pressure:612 ~seed:5);
+    Alcotest.test_case
+      "hardware update, 4 KB of 32 B lines = record-per-line reference" `Quick
+      (oracle_case Cache.Hardware_update ~size:(4 * 1024) ~line_size:32
+         ~max_len:3000 ~max_pressure:228 ~seed:6);
   ]

@@ -342,71 +342,94 @@ let allocator_matches_reference =
       drain (fun () -> Phys_mem.alloc_frame mem) []
       = drain (fun () -> Ref_alloc.alloc_frame model) [])
 
-(* Reference contents: one flat, zero-initialised [Bytes]. Small frames
-   make 2–3-frame straddles common, and few writes leave most frames
-   never written. *)
+(* Reference contents: one flat, zero-initialised [Bytes]. Addresses are
+   drawn anywhere or near block boundaries (a block is 1 KB, or a page
+   if pages are smaller), so ranges start, end and straddle blocks and
+   frames, and few writes leave most blocks never written, some of them
+   inside written frames. Frames are allocated, freed and reallocated
+   between accesses, and some writes land in the frame last handed out:
+   a frame keeps its bytes across a free, as memory does. *)
 type mem_op =
   | Write_byte of int * int
   | Write_u32 of int * int32
   | Blit_from of int * int * int  (** dst, len, pattern seed *)
   | Fill of int * int * char
   | Blit of int * int * int  (** src, dst, len *)
+  | Equal of int * int * int  (** addr, len, byte to flip (or -1) *)
+  | Crc of int * int
+  | Alloc
+  | Free of int
+  | In_last of int * int * int  (** offset in the last frame handed out, len, seed *)
 
 let c_page = 64
 let c_frames = 16
 let c_size = c_page * c_frames
 
-let mem_op_gen =
+let mem_op_gen ~page ~frames =
   QCheck.Gen.(
-    let len = int_bound (3 * c_page) in
-    let addr_for len = int_bound (c_size - len) in
+    let size = page * frames and block = min 1024 page in
+    let near =
+      map2
+        (fun k d -> max 0 (min (size - 1) ((k * block) + d)))
+        (int_bound (size / block)) (int_range (-6) 6)
+    in
+    let addr = oneof [ near; int_bound (size - 1) ] in
+    let len = oneof [ int_bound 12; int_bound (block + 76); int_bound (3 * page) ] in
+    let range = map2 (fun a n -> (a, min n (size - a))) addr len in
     frequency
       [
-        (2, map2 (fun a v -> Write_byte (a, v)) (int_bound (c_size - 1)) (int_bound 255));
+        (2, map2 (fun a v -> Write_byte (a, v)) addr (int_bound 255));
         ( 2,
           map2
-            (fun a v -> Write_u32 (a, Int32.of_int v))
-            (int_bound (c_size - 4))
-            (int_bound 0x3fff_ffff) );
+            (fun a v -> Write_u32 (min a (size - 4), Int32.of_int v))
+            addr (int_bound 0x3fff_ffff) );
+        (3, map2 (fun (a, n) s -> Blit_from (a, n, s)) range (int_bound 1000));
+        (2, map2 (fun (a, n) c -> Fill (a, n, c)) range printable);
         ( 3,
-          len >>= fun n ->
-          map2 (fun a s -> Blit_from (a, n, s)) (addr_for n) (int_bound 1000) );
-        ( 2,
-          len >>= fun n ->
-          map2 (fun a c -> Fill (a, n, c)) (addr_for n) printable );
-        ( 3,
-          len >>= fun n ->
+          range >>= fun (src, n) ->
           (* Half the blits overlap their source. *)
-          addr_for n >>= fun src ->
           map
             (fun d -> Blit (src, d, n))
             (oneof
                [
-                 addr_for n;
+                 int_bound (size - n);
                  map
-                   (fun delta -> max 0 (min (c_size - n) (src + delta)))
+                   (fun delta -> max 0 (min (size - n) (src + delta)))
                    (int_range (-n) n);
                ]) );
+        ( 2,
+          range >>= fun (a, n) ->
+          map (fun f -> Equal (a, n, f)) (int_range (-1) (n + 3)) );
+        (2, map (fun (a, n) -> Crc (a, n)) range);
+        (1, return Alloc);
+        (1, map (fun i -> Free i) (int_bound 100));
+        ( 2,
+          map3
+            (fun o n s -> In_last (o, min n (page - o), s))
+            (int_bound (page - 1)) len (int_bound 1000) );
       ])
 
 let pattern n seed = Bytes.init n (fun i -> Char.chr ((i * 31 + seed) land 0xff))
 
-let contents_match_flat_model =
-  QCheck.Test.make ~name:"phys_mem: contents = flat zeroed Bytes model"
-    ~count:300
-    (QCheck.make QCheck.Gen.(list_size (int_bound 40) mem_op_gen))
+let contents_match_flat_model ~name ~page ~frames =
+  let size = page * frames in
+  QCheck.Test.make ~name ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 60) (mem_op_gen ~page ~frames)))
     (fun ops ->
-      let mem = Phys_mem.create ~size:c_size ~page_size:c_page () in
-      let flat = Bytes.make c_size '\000' in
-      let written = Array.make c_frames false in
+      let mem = Phys_mem.create ~size ~page_size:page () in
+      let flat = Bytes.make size '\000' in
+      let written = Array.make frames false in
       let wrote addr len =
         if len > 0 then
-          for f = addr / c_page to (addr + len - 1) / c_page do
+          for f = addr / page to (addr + len - 1) / page do
             written.(f) <- true
           done
       in
-      List.iter
-        (function
+      let held = ref [] and last = ref 0 in
+      List.iteri
+        (fun step op ->
+          let fail what = QCheck.Test.fail_reportf "step %d: %s" step what in
+          match op with
           | Write_byte (a, v) ->
               Phys_mem.write_byte mem a v;
               Bytes.set flat a (Char.chr v);
@@ -427,27 +450,58 @@ let contents_match_flat_model =
           | Blit (src, dst, n) ->
               Phys_mem.blit mem ~src ~dst ~len:n;
               Bytes.blit flat src flat dst n;
-              wrote dst n)
+              wrote dst n
+          | In_last (o, n, seed) ->
+              let src = pattern n seed in
+              Phys_mem.blit_from_bytes mem ~src ~src_off:0 ~dst:(!last + o) ~len:n;
+              Bytes.blit src 0 flat (!last + o) n;
+              wrote (!last + o) n
+          | Equal (a, n, flip) ->
+              let b = Bytes.cat (Bytes.make 3 'z') (Bytes.sub flat a n) in
+              if flip >= 0 && flip < Bytes.length b then
+                Bytes.set b flip (Char.chr (Char.code (Bytes.get b flip) lxor 0x10));
+              let want = Bytes.sub b 3 n = Bytes.sub flat a n in
+              if Phys_mem.equal_bytes mem ~addr:a ~len:n b ~off:3 <> want then
+                fail (Printf.sprintf "equal_bytes %#x+%d flip %d" a n flip)
+          | Crc (a, n) ->
+              let crc0 = Osiris_util.Crc32.init in
+              if Phys_mem.crc32 mem crc0 ~addr:a ~len:n
+                 <> Osiris_util.Crc32.update crc0 flat ~off:a ~len:n
+              then fail (Printf.sprintf "crc32 %#x+%d" a n)
+          | Alloc -> (
+              match Phys_mem.alloc_frame mem with
+              | a ->
+                  held := a :: !held;
+                  last := a
+              | exception Out_of_memory -> ())
+          | Free i -> (
+              match !held with
+              | [] -> ()
+              | l ->
+                  let a = List.nth l (i mod List.length l) in
+                  Phys_mem.free_frame mem a;
+                  held := List.filter (( <> ) a) l))
         ops;
-      for a = 0 to c_size - 1 do
+      (* Single-access reads at every address of a small memory; at every
+         7th of a larger one, which still meets every offset in a block,
+         since 7 is prime to the block size. *)
+      let stride = if size <= 4096 then 1 else 7 in
+      for i = 0 to (size - 1) / stride do
+        let a = i * stride in
         if Phys_mem.read_byte mem a <> Char.code (Bytes.get flat a) then
-          QCheck.Test.fail_reportf "read_byte %d" a
-      done;
-      for a = 0 to c_size - 4 do
-        if Phys_mem.read_u32 mem a <> Bytes.get_int32_be flat a then
-          QCheck.Test.fail_reportf "read_u32 %d" a
-      done;
-      for a = 0 to c_size - 1 do
-        let n = min (c_size - a) (1 + (a * 7 mod (3 * c_page))) in
+          QCheck.Test.fail_reportf "read_byte %d" a;
+        if a <= size - 4 && Phys_mem.read_u32 mem a <> Bytes.get_int32_be flat a
+        then QCheck.Test.fail_reportf "read_u32 %d" a;
+        let n = min (size - a) (1 + (a * 7 mod 192)) in
         let dst = Bytes.make (n + 2) '?' in
         Phys_mem.blit_to_bytes mem ~src:a ~dst ~dst_off:1 ~len:n;
         if Bytes.sub dst 1 n <> Bytes.sub flat a n
            || Bytes.get dst 0 <> '?' || Bytes.get dst (n + 1) <> '?'
         then QCheck.Test.fail_reportf "blit_to_bytes %d+%d" a n
       done;
-      let bufs = [ Pbuf.v ~addr:(c_size - 70) ~len:70; Pbuf.v ~addr:5 ~len:130 ] in
-      let want = Bytes.cat (Bytes.sub flat (c_size - 70) 70) (Bytes.sub flat 5 130) in
-      Phys_mem.bytes_of_region mem ~addr:0 ~len:c_size = flat
+      let bufs = [ Pbuf.v ~addr:(size - 70) ~len:70; Pbuf.v ~addr:5 ~len:130 ] in
+      let want = Bytes.cat (Bytes.sub flat (size - 70) 70) (Bytes.sub flat 5 130) in
+      Phys_mem.bytes_of_region mem ~addr:0 ~len:size = flat
       && Copying.bytes_of_pbufs mem bufs = want
       && Phys_mem.resident_frames mem
          = Array.fold_left (fun n w -> if w then n + 1 else n) 0 written)
@@ -485,125 +539,6 @@ let in_place_reads_match_copies =
              (Phys_mem.bytes_of_region mem ~addr ~len)
              ~off:0 ~len)
 
-(* Sub-page storage against one flat, zeroed [Bytes]: 4 KB pages over
-   1 KB blocks, with addresses drawn near block and frame boundaries so
-   ranges start, end and straddle them. Writes land in some blocks of a
-   frame and leave others never written. Frames are allocated, freed and
-   reallocated between accesses, and the writes favour the frame just
-   handed out: a frame keeps its bytes across a free, as memory does. *)
-type sparse_op =
-  | S_write_byte of int * int
-  | S_blit_from of int * int * int  (** dst, len, pattern seed *)
-  | S_read_byte of int
-  | S_blit_to of int * int
-  | S_equal of int * int * int  (** addr, len, byte to flip (or -1) *)
-  | S_crc of int * int
-  | S_alloc
-  | S_free of int
-  | S_in_last of int * int * int  (** offset in the last frame handed out, len, seed *)
-
-let s_page = 4096
-let s_frames = 6
-let s_size = s_page * s_frames
-
-let sparse_op_gen =
-  QCheck.Gen.(
-    let near =
-      map2
-        (fun k d -> max 0 (min (s_size - 1) ((k * 1024) + d)))
-        (int_bound (s_size / 1024)) (int_range (-6) 6)
-    in
-    let addr = oneof [ near; int_bound (s_size - 1) ] in
-    let len = oneof [ int_bound 12; int_bound 1100; int_bound 5000 ] in
-    let range = map2 (fun a n -> (a, min n (s_size - a))) addr len in
-    frequency
-      [
-        (2, map2 (fun a v -> S_write_byte (a, v)) addr (int_bound 255));
-        (3, map2 (fun (a, n) s -> S_blit_from (a, n, s)) range (int_bound 1000));
-        (2, map (fun a -> S_read_byte a) addr);
-        (2, map (fun (a, n) -> S_blit_to (a, n)) range);
-        (2, map2 (fun (a, n) f -> S_equal (a, n, f)) range (int_range (-1) 5000));
-        (2, map (fun (a, n) -> S_crc (a, n)) range);
-        (1, return S_alloc);
-        (1, map (fun i -> S_free i) (int_bound 100));
-        ( 2,
-          map3
-            (fun o n s -> S_in_last (o, min n (s_page - o), s))
-            (int_bound (s_page - 1)) len (int_bound 1000) );
-      ])
-
-let sparse_matches_flat_model =
-  QCheck.Test.make ~name:"phys_mem: sub-page blocks = flat Bytes model"
-    ~count:300
-    (QCheck.make QCheck.Gen.(list_size (int_bound 60) sparse_op_gen))
-    (fun ops ->
-      let mem = Phys_mem.create ~size:s_size ~page_size:s_page () in
-      let flat = Bytes.make s_size '\000' in
-      let written = Array.make s_frames false in
-      let wrote addr len =
-        if len > 0 then
-          for f = addr / s_page to (addr + len - 1) / s_page do
-            written.(f) <- true
-          done
-      in
-      let held = ref [] and last = ref 0 in
-      List.iteri
-        (fun step op ->
-          let fail what = QCheck.Test.fail_reportf "step %d: %s" step what in
-          match op with
-          | S_write_byte (a, v) ->
-              Phys_mem.write_byte mem a v;
-              Bytes.set flat a (Char.chr v);
-              wrote a 1
-          | S_blit_from (a, n, seed) ->
-              let src = pattern (n + 2) seed in
-              Phys_mem.blit_from_bytes mem ~src ~src_off:2 ~dst:a ~len:n;
-              Bytes.blit src 2 flat a n;
-              wrote a n
-          | S_in_last (o, n, seed) ->
-              let src = pattern n seed in
-              Phys_mem.blit_from_bytes mem ~src ~src_off:0 ~dst:(!last + o) ~len:n;
-              Bytes.blit src 0 flat (!last + o) n;
-              wrote (!last + o) n
-          | S_read_byte a ->
-              if Phys_mem.read_byte mem a <> Char.code (Bytes.get flat a) then
-                fail (Printf.sprintf "read_byte %#x" a)
-          | S_blit_to (a, n) ->
-              let dst = Bytes.make (n + 2) '?' in
-              Phys_mem.blit_to_bytes mem ~src:a ~dst ~dst_off:1 ~len:n;
-              if Bytes.sub dst 1 n <> Bytes.sub flat a n
-                 || Bytes.get dst 0 <> '?' || Bytes.get dst (n + 1) <> '?'
-              then fail (Printf.sprintf "blit_to_bytes %#x+%d" a n)
-          | S_equal (a, n, flip) ->
-              let b = Bytes.cat (Bytes.make 3 'z') (Bytes.sub flat a n) in
-              if flip >= 0 && flip < Bytes.length b then
-                Bytes.set b flip (Char.chr (Char.code (Bytes.get b flip) lxor 0x10));
-              let want = Bytes.sub b 3 n = Bytes.sub flat a n in
-              if Phys_mem.equal_bytes mem ~addr:a ~len:n b ~off:3 <> want then
-                fail (Printf.sprintf "equal_bytes %#x+%d flip %d" a n flip)
-          | S_crc (a, n) ->
-              let crc0 = Osiris_util.Crc32.init in
-              if Phys_mem.crc32 mem crc0 ~addr:a ~len:n
-                 <> Osiris_util.Crc32.update crc0 flat ~off:a ~len:n
-              then fail (Printf.sprintf "crc32 %#x+%d" a n)
-          | S_alloc -> (
-              match Phys_mem.alloc_frame mem with
-              | a ->
-                  held := a :: !held;
-                  last := a
-              | exception Out_of_memory -> ())
-          | S_free i -> (
-              match !held with
-              | [] -> ()
-              | l ->
-                  let a = List.nth l (i mod List.length l) in
-                  Phys_mem.free_frame mem a;
-                  held := List.filter (( <> ) a) l))
-        ops;
-      Phys_mem.bytes_of_region mem ~addr:0 ~len:s_size = flat
-      && Phys_mem.resident_frames mem
-         = Array.fold_left (fun n w -> if w then n + 1 else n) 0 written)
-
 let test_fresh_memory_is_not_resident () =
   let mem = Phys_mem.create ~size:(64 * 1024 * 1024) ~page_size:4096 () in
   Alcotest.(check int) "nothing resident" 0 (Phys_mem.resident_frames mem);
@@ -624,9 +559,16 @@ let suite =
     Alcotest.test_case "phys_mem: read/write" `Quick test_rw_roundtrip;
     Alcotest.test_case "phys_mem: bounds" `Quick test_bounds_checked;
     QCheck_alcotest.to_alcotest allocator_matches_reference;
-    QCheck_alcotest.to_alcotest contents_match_flat_model;
+    (* 64 B pages: a block per frame, many frames per range. 4 KB pages:
+       four 1 KB blocks per frame. *)
+    QCheck_alcotest.to_alcotest
+      (contents_match_flat_model ~name:"phys_mem: contents = flat zeroed Bytes model"
+         ~page:c_page ~frames:c_frames);
     QCheck_alcotest.to_alcotest in_place_reads_match_copies;
-    QCheck_alcotest.to_alcotest sparse_matches_flat_model;
+    QCheck_alcotest.to_alcotest
+      (contents_match_flat_model
+         ~name:"phys_mem: 4 KB pages, contents = flat zeroed Bytes model"
+         ~page:4096 ~frames:6);
     Alcotest.test_case "phys_mem: fresh memory is not resident" `Quick
       test_fresh_memory_is_not_resident;
     QCheck_alcotest.to_alcotest pbuf_split_preserves;
