@@ -246,7 +246,9 @@ let read_byte t addr =
 let write_byte t addr v =
   check t addr 1;
   let b = writable t addr in
-  Bytes.set (slab t b) (base t b + (addr land t.block_mask)) (Char.chr (v land 0xff))
+  Bytes.set (slab t b)
+    (base t b + (addr land t.block_mask))
+    (Char.chr (v land 0xff))
 
 let blit_from_bytes t ~src ~src_off ~dst ~len =
   check t dst len;
@@ -315,7 +317,9 @@ let rec crc_in t crc ~addr ~len =
     let blk = block t addr in
     crc_in t
       (if blk = unwritten then Osiris_util.Crc32.update_zeros crc ~len:n
-       else Osiris_util.Crc32.update crc (slab t blk) ~off:(base t blk + boff) ~len:n)
+       else
+         Osiris_util.Crc32.update crc (slab t blk) ~off:(base t blk + boff)
+           ~len:n)
       ~addr:(addr + n) ~len:(len - n)
   end
 
