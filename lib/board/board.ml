@@ -40,7 +40,6 @@ type config = {
   rx_fifo_cells : int;
   reassembly_timeout : Time.t;
   irq_reassert : Time.t;
-  demux_oracle : bool;
 }
 
 let default_config =
@@ -72,9 +71,6 @@ let default_config =
        seeded experiment that predates the fault layer. *)
     reassembly_timeout = 0;
     irq_reassert = 0;
-    (* The VC demux's Hashtbl mirror: free differential checking in tests
-       and experiments, off in the default (performance) configuration. *)
-    demux_oracle = false;
   }
 
 type interrupt_reason =
@@ -352,7 +348,7 @@ let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ()
       on_dma_write;
       channels;
       n_open = 1;
-      vcs = Ctable.create ~oracle:cfg.demux_oracle ~dummy:dummy_vc 32;
+      vcs = Ctable.create ~dummy:dummy_vc 32;
       tx_work = Signal.create eng;
       tx_kicks = 0;
       tx_fetch_q = Mailbox.create eng ~capacity:2 ();

@@ -78,10 +78,6 @@ type config = {
       (** watchdog period re-asserting [Rx_nonempty] while a receive
           queue stays backed up (0 = disabled, the default): recovery
           from a lost coalesced interrupt *)
-  demux_oracle : bool;
-      (** mirror the VC classification table in a [Hashtbl] and audit
-          the two against each other in {!demux_check} (off by
-          default) *)
 }
 
 val default_config : config
@@ -202,8 +198,7 @@ val vci_buffer_count : t -> vci:int -> int
 
     The per-cell VCI lookup runs through an {!Osiris_classify.Table};
     these expose its probe statistics (the demux_scale experiment's cost
-    inputs), its analytic footprint, and its structural /
-    differential-oracle audit. *)
+    inputs), its analytic footprint, and its structural audit. *)
 
 val demux_stats : t -> Osiris_classify.Table.probe_stats
 val reset_demux_stats : t -> unit
@@ -216,8 +211,7 @@ val demux_vcs : t -> int
 (** Number of currently bound VCIs. *)
 
 val demux_check : t -> string list
-(** Structural invariants of the classification table, plus equivalence
-    with the [Hashtbl] mirror when [demux_oracle] is set. Empty =
+(** Structural invariants of the classification table. Empty =
     clean. *)
 
 (** {2 Fault injection and recovery accounting} *)

@@ -15,12 +15,8 @@
    displacement present; a lookup gives up after [c_maxd + 1] probes,
    and inserts that would push the displacement to [c_bound] force a
    capacity doubling, so the probe bound is a structural invariant, not
-   a hope.
-
-   An optional {!Hashtbl} mirror (a differential oracle: the simple
-   structure checking the fast one, as the engine's queue is checked
-   against a sorted list in its tests) records every mutation; [check]
-   compares the two directions and the structural invariants. *)
+   a hope. [check] audits the structural invariants; the tests compare
+   the table with a [Hashtbl] model. *)
 
 type 'a t = {
   mutable c_keys : int array; (* -1 = empty slot *)
@@ -33,7 +29,6 @@ type 'a t = {
   mutable c_lookups : int;
   mutable c_probe_sum : int;
   c_hist : int array; (* probe-length histogram: c_hist.(probes-1) *)
-  c_oracle : (int, 'a) Hashtbl.t option;
 }
 
 type probe_stats = {
@@ -52,7 +47,7 @@ let hash key =
 
 let rec pow2_ge n acc = if acc >= n then acc else pow2_ge n (acc * 2)
 
-let create ?(oracle = false) ?(probe_bound = 16) ~dummy n =
+let create ?(probe_bound = 16) ~dummy n =
   if probe_bound < 4 then
     invalid_arg "Classify.Table.create: probe_bound < 4";
   if n < 0 then invalid_arg "Classify.Table.create: negative capacity";
@@ -68,7 +63,6 @@ let create ?(oracle = false) ?(probe_bound = 16) ~dummy n =
     c_lookups = 0;
     c_probe_sum = 0;
     c_hist = Array.make probe_bound 0;
-    c_oracle = (if oracle then Some (Hashtbl.create cap) else None);
   }
 
 let length t = t.c_count
@@ -177,9 +171,6 @@ let grow t =
 
 let add t key value =
   if key < 0 then invalid_arg "Classify.Table.add: negative key";
-  (match t.c_oracle with
-  | Some o -> Hashtbl.replace o key value
-  | None -> ());
   raw_insert t key value;
   (* Load factor capped at 7/8; the displacement bound usually triggers
      first. Either way the table after [add] satisfies maxd < bound. *)
@@ -203,7 +194,6 @@ let rec shift_back t i =
   end
 
 let remove t key =
-  (match t.c_oracle with Some o -> Hashtbl.remove o key | None -> ());
   let s = quiet_find t key in
   if s >= 0 then begin
     t.c_count <- t.c_count - 1;
@@ -260,8 +250,8 @@ let resident_bytes t =
   words * 8
 
 (* ------------------------------------------------------------------ *)
-(* Structural + differential-oracle audit. Cold path: runs at sweep
-   points and in tests, never per cell. *)
+(* Structural audit. Cold path: runs at sweep points and in tests, never
+   per cell. *)
 
 let check t =
   let v = ref [] in
@@ -284,19 +274,4 @@ let check t =
     t.c_keys;
   if !occupied <> t.c_count then
     bad "count %d but %d occupied slots" t.c_count !occupied;
-  (match t.c_oracle with
-  | None -> ()
-  | Some o ->
-      if Hashtbl.length o <> t.c_count then
-        bad "oracle holds %d bindings, table %d" (Hashtbl.length o) t.c_count;
-      Hashtbl.iter
-        (fun k ov ->
-          match find t k with
-          | None -> bad "oracle key %d missing from the table" k
-          | Some tv ->
-              if not (tv == ov) then
-                bad "oracle key %d bound to a different value" k)
-        o);
   List.rev !v
-
-let has_oracle t = t.c_oracle <> None

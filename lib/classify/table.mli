@@ -9,9 +9,9 @@
     bound is structural.
 
     Lookup costs are recorded (count, probe sum, histogram) for the
-    cycle-cost model in {!Cost}; an optional [Hashtbl] differential
-    oracle mirrors every mutation and is audited by {!check}, as a
-    simple model checks a fast structure in the engine's tests. *)
+    cycle-cost model in {!Cost}. {!check} audits the structural
+    invariants; the test suite checks the table against a [Hashtbl]
+    model. *)
 
 type 'a t
 
@@ -22,16 +22,15 @@ type probe_stats = {
   p99_probe : int;  (** 99th-percentile probes per lookup *)
 }
 
-val create : ?oracle:bool -> ?probe_bound:int -> dummy:'a -> int -> 'a t
+val create : ?probe_bound:int -> dummy:'a -> int -> 'a t
 (** A table sized for [n] entries (rounded up to a power of two, at
     least 8). [dummy] fills vacant value slots so removed values are
     not pinned. [probe_bound] (default 16, minimum 4) caps lookup
-    probes. [oracle] (default false) maintains the [Hashtbl] mirror. *)
+    probes. *)
 
 val length : 'a t -> int
 val capacity : 'a t -> int
 val probe_bound : 'a t -> int
-val has_oracle : 'a t -> bool
 
 val find_slot : 'a t -> int -> int
 (** Slot index of the key, or [-1]. The hot path: allocation-free,
@@ -68,6 +67,4 @@ val resident_bytes : 'a t -> int
 
 val check : 'a t -> string list
 (** Structural invariants (count, displacements within bound, every
-    present key reachable) plus, when the oracle is on, two-way
-    equivalence with the mirror (values compared physically). Empty =
-    clean. *)
+    present key reachable). Empty = clean. *)

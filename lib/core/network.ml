@@ -266,3 +266,43 @@ let open_vc_paths ?limit topo ~src ~dst =
     dst_vcis.(p) <- dst_vci
   done;
   { mv_src = src; mv_dst = dst; src_vcis; dst_vcis; mv_paths }
+
+(* ------------------------------------------------------------------ *)
+(* The whole-fabric audit. One lost cell costs a whole PDU (§2.6), so
+   a run is only sound if every cell is delivered, dropped or still
+   queued somewhere it can be named. *)
+
+let audit_parts ~switches ~links ~hosts =
+  let each a g = List.concat (Array.to_list (Array.mapi g a)) in
+  each switches (fun i sw ->
+      let st = Switch.stats sw in
+      Invariants.balance
+        ~what:(Printf.sprintf "switch %d cell conservation" i)
+        ~total:st.Switch.cells_in ~parts:(Switch.conservation sw)
+      @ Invariants.balance
+          ~what:(Printf.sprintf "switch %d mark conservation" i)
+          ~total:st.Switch.marked ~parts:(Switch.mark_conservation sw))
+  @ each links (fun i l ->
+        Invariants.balance
+          ~what:(Printf.sprintf "link %d cell disposition" i)
+          ~total:(Atm_link.offered l) ~parts:(Atm_link.conservation l))
+  @ each hosts (fun i (h : Host.t) ->
+        List.map (Printf.sprintf "host %d: %s" i)
+          (Invariants.check ~quiescent:true ~board:h.Host.board
+             ~driver:h.Host.driver ()))
+
+let audit topo =
+  let ends = topo.endpoints in
+  audit_parts ~switches:topo.switches
+    ~links:
+      (Array.concat
+         [
+           Array.map (fun e -> e.to_fabric) ends;
+           Array.map (fun e -> e.from_fabric) ends;
+           topo.trunks;
+         ])
+    ~hosts:(Array.map (fun e -> e.host) ends)
+
+let audit_pair n =
+  audit_parts ~switches:[||] ~links:[| n.a_to_b; n.b_to_a |]
+    ~hosts:[| n.a; n.b |]

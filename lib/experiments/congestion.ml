@@ -2,7 +2,6 @@ open Osiris_sim
 module Host = Osiris_core.Host
 module Network = Osiris_core.Network
 module Machine = Osiris_core.Machine
-module Invariants = Osiris_core.Invariants
 module Switch = Osiris_switch.Switch
 module Plan = Osiris_fault.Plan
 module Injector = Osiris_fault.Injector
@@ -126,9 +125,6 @@ let accounting ~fault_free o =
   then [ "congestion accounting: ECE echoes without any marked cell" ]
   else []
 
-(* Drive the engine in slices until every connection is terminal (or the
-   hard cap passes): completion times are data here, so the run cannot
-   stop at a fixed horizon. *)
 let run_until_done eng ~cap ~terminal =
   let slice = Time.ms 5 in
   let rec go () =
@@ -282,21 +278,8 @@ let run ?(senders = 6) ?(queue_cells = 48) ?(marking = false)
       (Some Time.zero) finish_times
   in
   let violations =
-    Invariants.balance ~what:"switch cell conservation"
-      ~total:st.Switch.cells_in ~parts:(Switch.conservation sw)
-    @ Invariants.balance ~what:"switch mark conservation"
-        ~total:st.Switch.marked ~parts:(Switch.mark_conservation sw)
-    @ List.concat_map
-        (fun c -> Transport.invariants c)
-        (Array.to_list conns)
-  in
-  let violations =
-    violations
-    @ List.concat
-        (List.init (Network.nhosts topo) (fun i ->
-             let h = Network.host topo i in
-             Invariants.check ~quiescent:true ~board:h.Host.board
-               ~driver:h.Host.driver ()))
+    Network.audit topo
+    @ List.concat_map Transport.invariants (Array.to_list conns)
   in
   let o =
     {

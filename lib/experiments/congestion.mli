@@ -52,9 +52,17 @@ type outcome = {
   cells_in : int;
   max_occupancy : int;
   violations : string list;
-      (** switch cell + mark conservation, transport state-machine
-          invariants, host invariants, traffic accounting *)
+      (** the {!Osiris_core.Network.audit} of the star (switch cells
+          and marks, every link, every host), transport state-machine
+          invariants, traffic accounting *)
 }
+
+val run_until_done :
+  Osiris_sim.Engine.t -> cap:Osiris_sim.Time.t -> terminal:(unit -> bool) ->
+  unit
+(** Run the engine in 5 ms slices until [terminal ()] holds or the
+    clock reaches [cap]: completion times are data, so a transfer run
+    cannot stop at a fixed horizon. Shared with the multipath figure. *)
 
 val run :
   ?senders:int ->

@@ -3,7 +3,6 @@ module Host = Osiris_core.Host
 module Network = Osiris_core.Network
 module Machine = Osiris_core.Machine
 module Driver = Osiris_core.Driver
-module Invariants = Osiris_core.Invariants
 module Board = Osiris_board.Board
 module Switch = Osiris_switch.Switch
 module Msg = Osiris_xkernel.Msg
@@ -69,21 +68,9 @@ let run ?(machine = Machine.ds5000_200) ?(seed = 11) ~nvcs () =
   let machine = { machine with Machine.rx_pool_buffers = 255 } in
   (* The descriptor queues must be deepened to match: the driver caps
      circulating buffers at [queue_size - 1]. *)
-  let board =
-    {
-      Board.default_config with
-      Board.demux_oracle = true;
-      queue_size = 256;
-    }
-  in
+  let board = { Board.default_config with Board.queue_size = 256 } in
   let cfg = { Host.default_config with Host.board; seed = 7000 + seed } in
-  let switch =
-    {
-      Switch.default_config with
-      Switch.queue_cells = 512;
-      route_oracle = true;
-    }
-  in
+  let switch = { Switch.default_config with Switch.queue_cells = 512 } in
   let eng, topo =
     Network.star ~n:2 ~machine ~config:cfg ~switch ~seed:(300 + seed) ()
   in
@@ -127,15 +114,8 @@ let run ?(machine = Machine.ds5000_200) ?(seed = 11) ~nvcs () =
   Switch.reset_route_stats topo.Network.switches.(0);
   Engine.run ~until:(window + Time.ms 20) eng;
   let sw = topo.Network.switches.(0) in
-  let st = Switch.stats sw in
   let violations =
-    Invariants.balance ~what:"switch cell conservation"
-      ~total:st.Switch.cells_in ~parts:(Switch.conservation sw)
-    @ List.concat
-        (List.init (Network.nhosts topo) (fun i ->
-             let h = Network.host topo i in
-             Invariants.check ~quiescent:true ~board:h.Host.board
-               ~driver:h.Host.driver ()))
+    Network.audit topo
     @ Board.demux_check recv.Host.board
     @ Switch.route_check sw
     @ (let bstats = Board.stats recv.Host.board in
@@ -200,8 +180,8 @@ let pp_point fmt p =
 (* The BENCH figure: per-cell classification cost vs concurrent VCs.
    The hashed tables hold the cost flat from 64 to 8192 VCs on both
    machines while the linear-scan baseline grows with the table; the
-   probe bound, the Hashtbl oracles, cell conservation, and the host
-   invariants are audited at every sweep point. *)
+   probe bound, both tables' structure and the whole-fabric audit are
+   checked at every sweep point. *)
 
 let sweep_vcs = [ 64; 256; 1024; 4096; 8192 ]
 
@@ -234,7 +214,7 @@ let figure () =
     Report.title =
       "demux scale: per-cell classification cost (board VC demux + switch \
        routing) vs concurrent VCs, hashed tables vs linear-scan baseline, \
-       web-search-CDF flows, oracles and conservation audited";
+       web-search-CDF flows, tables and conservation audited";
     xlabel = "concurrent VCs at one receiver";
     ylabel = "ns per cell / probes / bytes (see series)";
     series =

@@ -22,8 +22,10 @@ type point = {
 val run :
   ?machine:Osiris_core.Machine.t -> ?seed:int -> nvcs:int -> unit -> point
 (** Open [nvcs] VCs between one host pair, drive one web-search-CDF
-    flow per VC, and audit conservation, host invariants, both
-    classification oracles, and bulk-setup path-cache behavior. *)
+    flow per VC, and audit the fabric ({!Osiris_core.Network.audit}),
+    both classification tables' structure ({!Osiris_board.Board.demux_check},
+    {!Osiris_switch.Switch.route_check}), every flow's delivery, and
+    bulk-setup path-cache behavior. *)
 
 val pp_point : Format.formatter -> point -> unit
 

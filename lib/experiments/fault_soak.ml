@@ -3,7 +3,6 @@ module Host = Osiris_core.Host
 module Network = Osiris_core.Network
 module Machine = Osiris_core.Machine
 module Driver = Osiris_core.Driver
-module Invariants = Osiris_core.Invariants
 module Board = Osiris_board.Board
 module Atm_link = Osiris_link.Atm_link
 module Msg = Osiris_xkernel.Msg
@@ -47,6 +46,28 @@ let intact ~msg data =
     data;
   !ok
 
+type sink = {
+  mutable s_delivered : int;
+  mutable s_corrupted : int;
+  mutable s_bytes_ok : int;
+}
+
+let sink () = { s_delivered = 0; s_corrupted = 0; s_bytes_ok = 0 }
+
+let deliver s ~msg_size ~vci:_ m =
+  let data = Msg.read_all m in
+  let len = Bytes.length data in
+  s.s_delivered <- s.s_delivered + 1;
+  if len = msg_size && len >= 2 then begin
+    let msg =
+      Char.code (Bytes.get data 0) lor (Char.code (Bytes.get data 1) lsl 8)
+    in
+    if intact ~msg data then s.s_bytes_ok <- s.s_bytes_ok + len
+    else s.s_corrupted <- s.s_corrupted + 1
+  end
+  else s.s_corrupted <- s.s_corrupted + 1;
+  Msg.dispose m
+
 let run ?(machine = Machine.ds5000_200) ?(seed = 1) ?(msgs = 60)
     ?(msg_size = 8192) ?(horizon = Time.ms 20) ?(grace = Time.ms 10) ?plan ()
     =
@@ -77,21 +98,9 @@ let run ?(machine = Machine.ds5000_200) ?(seed = 1) ?(msgs = 60)
   in
   Board.bind_vci a.Host.board ~vci:raw_vci (Board.kernel_channel a.Host.board);
   Board.bind_vci b.Host.board ~vci:raw_vci (Board.kernel_channel b.Host.board);
-  let delivered = ref 0 and corrupted = ref 0 and bytes_ok = ref 0 in
-  Demux.bind b.Host.demux ~vci:raw_vci ~name:"soak-sink" (fun ~vci:_ m ->
-      let data = Msg.read_all m in
-      let len = Bytes.length data in
-      incr delivered;
-      if len = msg_size && len >= 2 then begin
-        let msg =
-          Char.code (Bytes.get data 0)
-          lor (Char.code (Bytes.get data 1) lsl 8)
-        in
-        if intact ~msg data then bytes_ok := !bytes_ok + len
-        else incr corrupted
-      end
-      else incr corrupted;
-      Msg.dispose m);
+  let sk = sink () in
+  Demux.bind b.Host.demux ~vci:raw_vci ~name:"soak-sink"
+    (deliver sk ~msg_size);
   (* Spread the sends over 70% of the horizon so every fault window sees
      traffic, leaving the tail for recovery timers to drain. *)
   let gap = max 1 (horizon * 7 / 10 / max 1 msgs) in
@@ -115,21 +124,16 @@ let run ?(machine = Machine.ds5000_200) ?(seed = 1) ?(msgs = 60)
     seed;
     plan = Plan.to_string plan;
     sent = msgs;
-    delivered = !delivered;
-    corrupted_delivered = !corrupted;
+    delivered = sk.s_delivered;
+    corrupted_delivered = sk.s_corrupted;
     goodput_mbps =
-      Report.mbps ~bytes_count:!bytes_ok ~ns:(max 1 (Engine.now eng));
+      Report.mbps ~bytes_count:sk.s_bytes_ok ~ns:(max 1 (Engine.now eng));
     timeout_aborts = dstats.Driver.timeout_aborts;
     board_timeouts = bstats.Board.reassembly_timeouts;
     restripe_aborts = bstats.Board.restripe_aborts;
     duplicated_cells = lstats.Atm_link.duplicated;
     residual_reassemblies = Board.reassemblies_in_progress b.Host.board;
-    violations =
-      Invariants.balance ~what:"link cell conservation"
-        ~total:(Atm_link.offered net.Network.a_to_b)
-        ~parts:(Atm_link.conservation net.Network.a_to_b)
-      @ Invariants.check ~quiescent:true ~board:b.Host.board
-          ~driver:b.Host.driver ();
+    violations = Network.audit_pair net;
   }
 
 let pp_outcome fmt o =
@@ -156,7 +160,7 @@ let figure_goodput_vs_drop () =
      each point averages a few traffic seeds to tame the variance. *)
   let horizon = Time.ms 60 in
   let seeds = [ 7; 8; 9 ] in
-  let points =
+  let runs =
     List.map
       (fun prob ->
         let plan seed =
@@ -166,18 +170,40 @@ let figure_goodput_vs_drop () =
             drop = [ { Plan.b_from = 0; b_until = horizon; prob } ];
           }
         in
-        let goodputs =
+        ( prob,
           List.map
-            (fun seed ->
-              (run ~seed ~plan:(plan seed) ~msgs:80 ~horizon ()).goodput_mbps)
-            seeds
-        in
+            (fun seed -> run ~seed ~plan:(plan seed) ~msgs:80 ~horizon ())
+            seeds ))
+      sweep_probs
+  in
+  (match
+     List.concat_map
+       (fun (prob, outs) ->
+         List.concat_map
+           (fun o ->
+             List.map
+               (Printf.sprintf "seed %d, drop %g: %s" o.seed prob)
+               ((if o.corrupted_delivered > 0 then
+                   [
+                     Printf.sprintf "%d corrupt PDUs delivered"
+                       o.corrupted_delivered;
+                   ]
+                 else [])
+               @ o.violations))
+           outs)
+       runs
+   with
+  | [] -> ()
+  | errs -> failwith ("fault-sweep: " ^ String.concat "; " errs));
+  let points =
+    List.map
+      (fun (prob, outs) ->
         let mean =
-          List.fold_left ( +. ) 0.0 goodputs
+          List.fold_left (fun a o -> a +. o.goodput_mbps) 0.0 outs
           /. float_of_int (List.length seeds)
         in
         (int_of_float ((prob *. 10_000.) +. 0.5), mean))
-      sweep_probs
+      runs
   in
   {
     Report.title =

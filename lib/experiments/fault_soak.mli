@@ -8,8 +8,9 @@
     lost receive interrupts) to the forward link and receiving board.
     After a fault-free grace period it checks the outcome against the
     robustness contract: goodput above zero, nothing delivered that is
-    not byte-identical to a sent PDU, and {!Osiris_core.Invariants}
-    clean at quiescence. *)
+    not byte-identical to a sent PDU, and
+    {!Osiris_core.Network.audit_pair} clean at quiescence (both links'
+    cell disposition, both hosts' invariants). *)
 
 val pattern_byte : msg:int -> off:int -> int
 (** Byte [off] of message [msg]: a pure function of both, with the message
@@ -18,6 +19,23 @@ val pattern_byte : msg:int -> off:int -> int
 
 val fill_pattern : msg:int -> len:int -> Bytes.t
 val intact : msg:int -> Bytes.t -> bool
+
+type sink = {
+  mutable s_delivered : int;  (** PDUs handed up *)
+  mutable s_corrupted : int;
+      (** of those, the ones not [msg_size] long or not byte-identical
+          to the message their first two bytes name *)
+  mutable s_bytes_ok : int;  (** bytes of the byte-identical ones *)
+}
+(** Delivery counters of a pattern-checked receiver. *)
+
+val sink : unit -> sink
+
+val deliver :
+  sink -> msg_size:int -> vci:int -> Osiris_xkernel.Msg.t -> unit
+(** [deliver s ~msg_size] is a demux handler: it checks each delivered
+    PDU against {!fill_pattern}, counts it in [s] and disposes of it.
+    Shared with the incast experiment. *)
 
 type outcome = {
   seed : int;
@@ -53,4 +71,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 val figure_goodput_vs_drop : unit -> Report.figure
 (** The BENCH.json curve: byte-verified goodput as a whole-run cell-drop
-    burst sweeps [0 .. 0.008]. *)
+    burst sweeps [0 .. 0.008]. Raises, naming the seed and the drop
+    probability, when any run delivers a corrupt PDU or fails the
+    {!Osiris_core.Network.audit_pair} audit. *)

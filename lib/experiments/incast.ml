@@ -3,7 +3,6 @@ module Host = Osiris_core.Host
 module Network = Osiris_core.Network
 module Machine = Osiris_core.Machine
 module Driver = Osiris_core.Driver
-module Invariants = Osiris_core.Invariants
 module Board = Osiris_board.Board
 module Switch = Osiris_switch.Switch
 module Msg = Osiris_xkernel.Msg
@@ -87,24 +86,11 @@ let run ?(machine = Machine.ds5000_200) ?(senders = 3) ?(queue_cells = 48)
   let vcs =
     Array.init senders (fun i -> Network.open_vc topo ~src:(i + 1) ~dst:0)
   in
-  let delivered = ref 0 and corrupted = ref 0 and bytes_ok = ref 0 in
+  let sink = Fault_soak.sink () in
   Array.iter
     (fun vc ->
       Demux.bind recv.Host.demux ~vci:vc.Network.dst_vci ~name:"incast-sink"
-        (fun ~vci:_ m ->
-          let data = Msg.read_all m in
-          let len = Bytes.length data in
-          incr delivered;
-          if len = msg_size && len >= 2 then begin
-            let msg =
-              Char.code (Bytes.get data 0)
-              lor (Char.code (Bytes.get data 1) lsl 8)
-            in
-            if Fault_soak.intact ~msg data then bytes_ok := !bytes_ok + len
-            else incr corrupted
-          end
-          else incr corrupted;
-          Msg.dispose m))
+        (Fault_soak.deliver sink ~msg_size))
     vcs;
   (* All senders blast the same receiver port in near-synchronized rounds
      (a small per-sender stagger keeps the contention partial rather than
@@ -135,25 +121,17 @@ let run ?(machine = Machine.ds5000_200) ?(senders = 3) ?(queue_cells = 48)
   let bstats = Board.stats recv.Host.board in
   let offered_pdus = senders * rounds in
   let active_ns = max 1 horizon in
-  let violations =
-    Invariants.balance ~what:"switch cell conservation"
-      ~total:st.Switch.cells_in ~parts:(Switch.conservation sw)
-    @ List.concat
-        (List.init (Network.nhosts topo) (fun i ->
-             let h = Network.host topo i in
-             Invariants.check ~quiescent:true ~board:h.Host.board
-               ~driver:h.Host.driver ()))
-  in
   let o =
     {
       senders;
       queue_cells;
       offered_pdus;
-      delivered_pdus = !delivered;
-      corrupted_delivered = !corrupted;
+      delivered_pdus = sink.Fault_soak.s_delivered;
+      corrupted_delivered = sink.Fault_soak.s_corrupted;
       offered_mbps =
         Report.mbps ~bytes_count:(offered_pdus * msg_size) ~ns:active_ns;
-      goodput_mbps = Report.mbps ~bytes_count:!bytes_ok ~ns:active_ns;
+      goodput_mbps =
+        Report.mbps ~bytes_count:sink.Fault_soak.s_bytes_ok ~ns:active_ns;
       cells_in = st.Switch.cells_in;
       forwarded_cells = st.Switch.forwarded;
       switch_dropped =
@@ -165,7 +143,7 @@ let run ?(machine = Machine.ds5000_200) ?(senders = 3) ?(queue_cells = 48)
       reassembly_errors = bstats.Board.reassembly_errors;
       pdus_dropped_no_buffer = bstats.Board.pdus_dropped_no_buffer;
       residual_reassemblies = Board.reassemblies_in_progress recv.Host.board;
-      violations;
+      violations = Network.audit topo;
     }
   in
   { o with violations = o.violations @ accounting o }

@@ -7,9 +7,9 @@
     deliveries are verified byte-exact; every loss must be explained by
     counted switch drops and absorbed by the receiver's recovery
     machinery (reassembly timeout sweeps, sequence aborts, CRC rejects) —
-    the run reports a violation if PDUs vanish without that evidence, if
-    the switch's cell-conservation equation breaks, or if any host fails
-    the {!Osiris_core.Invariants} quiescence checks. *)
+    the run reports a violation if PDUs vanish without that evidence or
+    if the {!Osiris_core.Network.audit} of the whole fabric (switch,
+    every link, every host at quiescence) is not clean. *)
 
 type outcome = {
   senders : int;

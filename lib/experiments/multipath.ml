@@ -2,7 +2,6 @@ open Osiris_sim
 module Host = Osiris_core.Host
 module Network = Osiris_core.Network
 module Machine = Osiris_core.Machine
-module Invariants = Osiris_core.Invariants
 module Switch = Osiris_switch.Switch
 module Builder = Osiris_topo.Builder
 module Plan = Osiris_fault.Plan
@@ -199,17 +198,7 @@ let run ?(k = 8) ?(mode = Spray.Reps) ?(workload = Permutation)
   let terminal () =
     Array.for_all (fun c -> Spray.state c <> Sender.Active) conns
   in
-  (* Completion times are data: run in slices until every connection is
-     terminal (or the hard cap passes), as the congestion sweep does. *)
-  let slice = Time.ms 5 in
-  let rec drive () =
-    let now = Engine.now eng in
-    if (not (terminal ())) && now < cap then begin
-      Engine.run ~until:(min cap (now + slice)) eng;
-      drive ()
-    end
-  in
-  drive ();
+  Congestion.run_until_done eng ~cap ~terminal;
   Engine.run ~until:(Engine.now eng + Time.ms 10) eng;
   let byte_exact =
     Array.for_all
@@ -262,33 +251,9 @@ let run ?(k = 8) ?(mode = Spray.Reps) ?(workload = Permutation)
         Report.mbps ~bytes_count:delivered_bytes ~ns:t
     | _ -> 0.0
   in
-  (* Every switch in the generated fabric must conserve cells and marks
-     on every run — the audit the hand-wired topologies always had, now
-     over all 80. *)
   let violations =
-    List.concat
-      (List.init
-         (Array.length topo.Network.switches)
-         (fun s ->
-           let sw = topo.Network.switches.(s) in
-           let st = Switch.stats sw in
-           Invariants.balance
-             ~what:
-               (Printf.sprintf "switch %s cell conservation"
-                  fabric.Builder.switch_names.(s))
-             ~total:st.Switch.cells_in ~parts:(Switch.conservation sw)
-           @ Invariants.balance
-               ~what:
-                 (Printf.sprintf "switch %s mark conservation"
-                    fabric.Builder.switch_names.(s))
-               ~total:st.Switch.marked
-               ~parts:(Switch.mark_conservation sw)))
-    @ List.concat_map (fun c -> Spray.invariants c) (Array.to_list conns)
-    @ List.concat
-        (List.init nh (fun i ->
-             let hst = Network.host topo i in
-             Invariants.check ~quiescent:true ~board:hst.Host.board
-               ~driver:hst.Host.driver ()))
+    Network.audit topo
+    @ List.concat_map Spray.invariants (Array.to_list conns)
   in
   let sum f =
     Array.fold_left (fun a c -> a + f (Sender.stats (Spray.sender c))) 0 conns

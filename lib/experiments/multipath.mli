@@ -7,9 +7,11 @@
     ECMP (one hash-chosen path per connection) and REPS adaptive
     spraying ({!Osiris_lb.Reps}) — plus a failure run that cuts one
     aggregation-to-core trunk mid-transfer and measures how fast the
-    spray abandons it. Every run audits cell and mark conservation on
-    {e every} switch in the fabric, byte-exact delivery on every
-    stream, and the transport/balancer invariants. *)
+    spray abandons it. Every run audits the whole fabric
+    ({!Osiris_core.Network.audit}: cells and marks on {e every} switch,
+    every link's cell disposition, every host at quiescence),
+    byte-exact delivery on every stream, and the transport/balancer
+    invariants. *)
 
 type workload =
   | Permutation

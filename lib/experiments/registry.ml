@@ -135,7 +135,8 @@ let all =
       description =
         "adaptor: per-cell classification cost vs concurrent VCs (64 -> \
          8192), hashed board demux + switch routing vs linear-scan \
-         baseline, both machines, CDF-driven flows, oracles audited";
+         baseline, both machines, CDF-driven flows, tables and \
+         conservation audited";
       kind = Figure (fun () -> Demux_scale.figure ());
     };
     {

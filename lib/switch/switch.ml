@@ -14,12 +14,11 @@ type config = {
   forward_latency : Time.t;
   mark_threshold : int;
   epd_reserve : int;
-  route_oracle : bool;
 }
 
 let default_config =
   { nports = 4; queue_cells = 32; forward_latency = Time.us 2;
-    mark_threshold = 0; epd_reserve = 0; route_oracle = false }
+    mark_threshold = 0; epd_reserve = 0 }
 
 (* Placeholder stored in vacated ring slots so forwarded cells are not
    pinned by the preallocated arrays. *)
@@ -119,8 +118,8 @@ let create eng ?(name = "sw") cfg =
       ports;
       (* Dummy 0 is a routing value / verdict shape, never returned: the
          empty sentinel lives in the key array. *)
-      routes = Ctable.create ~oracle:cfg.route_oracle ~dummy:0 32;
-      pdus = Ctable.create ~oracle:cfg.route_oracle ~dummy:0 32;
+      routes = Ctable.create ~dummy:0 32;
+      pdus = Ctable.create ~dummy:0 32;
       stats =
         {
           cells_in = 0;

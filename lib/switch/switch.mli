@@ -53,10 +53,6 @@ type config = {
           desynchronizes the receiving board's striped reassembly until
           its reassembly timeout fires, turning one lost cell into a
           blackout. Must be <= [queue_cells]. *)
-  route_oracle : bool;
-      (** mirror the routing and packet-discard tables in [Hashtbl]s and
-          audit them against the classification tables in {!route_check}
-          (off by default) *)
 }
 
 val default_config : config
@@ -96,8 +92,7 @@ val route : t -> in_port:int -> in_vci:int -> (int * int) option
 
     Routing runs through an {!Osiris_classify.Table} keyed by packed
     [(in_port, in_vci)]; these expose its per-cell probe statistics,
-    its analytic footprint, and its structural / differential-oracle
-    audit (see [route_oracle]). *)
+    its analytic footprint, and its structural audit. *)
 
 val route_stats : t -> Osiris_classify.Table.probe_stats
 val reset_route_stats : t -> unit
@@ -107,9 +102,8 @@ val nroutes : t -> int
 (** Number of programmed routing entries. *)
 
 val route_check : t -> string list
-(** Structural invariants of the routing and packet-discard tables,
-    plus equivalence with their [Hashtbl] mirrors when [route_oracle]
-    is set. Empty = clean. *)
+(** Structural invariants of the routing and packet-discard tables.
+    Empty = clean. *)
 
 val start : t -> unit
 (** Start the per-port forwarding agents (one ingress consumer and one

@@ -1,7 +1,7 @@
 (* The classification table against a Hashtbl model: random operation
-   interleavings must agree with the model and with the table's own
-   oracle, the probe bound must never be exceeded, and the structural
-   [check] must stay clean at every step. *)
+   interleavings must agree with the model, both ways, at small sizes and
+   at demux_scale's key shapes and sizes; the probe bound must never be
+   exceeded, and the structural [check] must stay clean. *)
 
 module Table = Osiris_classify.Table
 module Cost = Osiris_classify.Cost
@@ -14,7 +14,7 @@ let check_clean what t =
 (* --- unit coverage ------------------------------------------------ *)
 
 let test_basics () =
-  let t = Table.create ~oracle:true ~dummy:(-1) 8 in
+  let t = Table.create ~dummy:(-1) 8 in
   Alcotest.(check int) "empty" 0 (Table.length t);
   Table.add t 7 70;
   Table.add t 9 90;
@@ -41,7 +41,7 @@ let test_negative_key_rejected () =
   Alcotest.(check int) "negative find_slot" (-1) (Table.find_slot t (-3))
 
 let test_growth_keeps_everything () =
-  let t = Table.create ~oracle:true ~dummy:0 8 in
+  let t = Table.create ~dummy:0 8 in
   for k = 0 to 4095 do
     Table.add t (k * 17) k
   done;
@@ -82,34 +82,61 @@ let test_fold_iter_resident () =
 
 type op = Add of int * int | Remove of int | Find of int
 
-let op_gen =
+let op_gen key =
   QCheck.Gen.(
     frequency
       [
-        (4, map2 (fun k v -> Add (k, v)) (int_bound 300) (int_bound 10_000));
-        (2, map (fun k -> Remove k) (int_bound 300));
-        (3, map (fun k -> Find k) (int_bound 300));
+        (4, map2 (fun k v -> Add (k, v)) key (int_bound 10_000));
+        (2, map (fun k -> Remove k) key);
+        (3, map (fun k -> Find k) key);
       ])
 
-let ops_arb =
-  QCheck.make
-    ~print:(fun ops ->
-      String.concat ";"
-        (List.map
-           (function
-             | Add (k, v) -> Printf.sprintf "add %d=%d" k v
-             | Remove k -> Printf.sprintf "del %d" k
-             | Find k -> Printf.sprintf "find %d" k)
-           ops))
-    QCheck.Gen.(list_size (int_bound 400) op_gen)
+let print_ops ops =
+  String.concat ";"
+    (List.map
+       (function
+         | Add (k, v) -> Printf.sprintf "add %d=%d" k v
+         | Remove k -> Printf.sprintf "del %d" k
+         | Find k -> Printf.sprintf "find %d" k)
+       ops)
 
-let model_equivalence =
-  QCheck.Test.make ~name:"classify: table = Hashtbl model under interleavings"
-    ~count:200 ops_arb (fun ops ->
-      let t = Table.create ~oracle:true ~dummy:(-1) 8 in
+(* The end state, both ways: every model binding is in the table with
+   its value, every table binding is in the model, and the lengths are
+   equal. *)
+let check_agrees t model =
+  Hashtbl.iter
+    (fun k v ->
+      if Table.find t k <> Some v then
+        QCheck.Test.fail_reportf "model binding %d=%d missing from the table"
+          k v)
+    model;
+  let folded =
+    Table.fold
+      (fun k v n ->
+        if Hashtbl.find_opt model k <> Some v then
+          QCheck.Test.fail_reportf "table binding %d=%d not in the model" k v;
+        n + 1)
+      t 0
+  in
+  if folded <> Hashtbl.length model || Table.length t <> folded then
+    QCheck.Test.fail_reportf "table length %d (%d folded), model %d"
+      (Table.length t) folded (Hashtbl.length model)
+
+(* Random interleavings against the model, with [Table.check] after
+   every [check_every]-th operation and at the end. *)
+let model_equivalence ~name ~count ~check_every ops =
+  QCheck.Test.make ~name ~count (QCheck.make ~print:print_ops ops)
+    (fun ops ->
+      let t = Table.create ~dummy:(-1) 8 in
       let model = Hashtbl.create 16 in
-      List.iter
-        (fun op ->
+      let check_clean () =
+        match Table.check t with
+        | [] -> ()
+        | vs ->
+            QCheck.Test.fail_reportf "check dirty: %s" (String.concat "; " vs)
+      in
+      List.iteri
+        (fun i op ->
           (match op with
           | Add (k, v) ->
               Table.add t k v;
@@ -122,13 +149,32 @@ let model_equivalence =
           | Find k ->
               if Table.find t k <> Hashtbl.find_opt model k then
                 QCheck.Test.fail_reportf "find %d disagreed with model" k);
-          match Table.check t with
-          | [] -> ()
-          | vs ->
-              QCheck.Test.fail_reportf "check dirty: %s"
-                (String.concat "; " vs))
+          if (i + 1) mod check_every = 0 then check_clean ())
         ops;
-      Table.length t = Hashtbl.length model)
+      check_clean ();
+      check_agrees t model;
+      true)
+
+let small_model =
+  model_equivalence ~name:"classify: table = Hashtbl model under interleavings"
+    ~count:200 ~check_every:1
+    QCheck.Gen.(list_size (int_bound 400) (op_gen (int_bound 300)))
+
+(* demux_scale's shapes: a sequence keys either the board's VC demux
+   (VCIs from 32, one per open VC, up to 8192 of them) or the switch's
+   routing table ([(port lsl 16) lor vci]). [Table.check] is O(capacity),
+   so it runs every 1,000 operations here, not after each. *)
+let dense_model =
+  let vci = QCheck.Gen.int_range 32 8223 in
+  let route =
+    QCheck.Gen.(map2 (fun port v -> (port lsl 16) lor v) (int_bound 3) vci)
+  in
+  model_equivalence
+    ~name:"classify: table = Hashtbl model at demux_scale's keys and sizes"
+    ~count:20 ~check_every:1_000
+    QCheck.Gen.(
+      bool >>= fun routing ->
+      list_size (int_bound 20_000) (op_gen (if routing then route else vci)))
 
 let probe_bound_holds =
   QCheck.Test.make ~name:"classify: probe bound never exceeded" ~count:100
@@ -170,6 +216,7 @@ let suite =
       test_find_slot_hot_path;
     Alcotest.test_case "fold/iter/resident" `Quick test_fold_iter_resident;
     Alcotest.test_case "cost model" `Quick test_cost_model;
-    QCheck_alcotest.to_alcotest model_equivalence;
+    QCheck_alcotest.to_alcotest small_model;
     QCheck_alcotest.to_alcotest probe_bound_holds;
+    QCheck_alcotest.to_alcotest dense_model;
   ]

@@ -221,8 +221,8 @@ let test_congestion_deterministic () =
   Alcotest.(check bool) "same seed, identical outcome" true (a = b)
 
 (* One small demux_scale point end to end: all flows land, nothing
-   trips the oracles or conservation, and the probe counters show the
-   hashed tables actually being exercised. *)
+   trips the table checks or the fabric audit, and the probe counters
+   show the hashed tables actually being exercised. *)
 let test_demux_scale_smoke () =
   let p = Osiris_experiments.Demux_scale.run ~nvcs:128 () in
   (match p.Osiris_experiments.Demux_scale.violations with

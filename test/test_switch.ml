@@ -222,6 +222,56 @@ let test_chain_across_trunk () =
       check_conservation sw)
     topo.Network.switches
 
+(* The fabric audit sees a cell on the wire. Mid-transfer it names the
+   sender's host link and the trunk, each with cells offered but not yet
+   delivered; once the PDU has landed it is clean. The switches are
+   provisioned as in the chain test, so the PDU arrives whole. *)
+let test_audit_sees_cells_in_flight () =
+  let eng, topo =
+    Network.chain ~n:4
+      ~switch:
+        {
+          Switch.default_config with
+          Switch.queue_cells = 512;
+          Switch.forward_latency = Time.us 1;
+        }
+      ()
+  in
+  let vc = Network.open_vc topo ~src:0 ~dst:3 in
+  let got = ref 0 in
+  let d = Network.host topo 3 in
+  Demux.bind d.Host.demux ~vci:vc.Network.dst_vci ~name:"audit-sink"
+    (fun ~vci:_ msg ->
+      incr got;
+      Msg.dispose msg);
+  let s = Network.host topo 0 in
+  Process.spawn eng ~name:"audit-tx" (fun () ->
+      Driver.send s.Host.driver ~vci:vc.Network.src_vci
+        (Msg.alloc s.Host.vs ~len:6000 ()));
+  Engine.run ~until:(Time.us 50) eng;
+  let mid = Network.audit topo in
+  let leaks link =
+    let prefix = Printf.sprintf "link %d cell disposition:" link in
+    List.exists
+      (fun v ->
+        String.starts_with ~prefix v
+        && not (String.ends_with ~suffix:"(leaked 0)" v))
+      mid
+  in
+  (* Link 0 is host 0's to-fabric link; the trunks follow the 2n host
+     links, switch 0 -> switch 1 first. *)
+  let trunk = 2 * Network.nhosts topo in
+  Alcotest.(check bool)
+    (Printf.sprintf "host link 0 in flight: %s" (String.concat "; " mid))
+    true (leaks 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "trunk link %d in flight" trunk)
+    true (leaks trunk);
+  Engine.run ~until:(Time.ms 20) eng;
+  Alcotest.(check int) "PDU delivered" 1 !got;
+  Alcotest.(check (list string)) "clean once delivered" []
+    (Network.audit topo)
+
 (* The seeded 3-sender incast: a queue small enough to drop under the
    synchronized burst, with the experiment's own accounting — switch
    conservation, host invariants at quiescence, and every lost PDU
@@ -307,7 +357,6 @@ let switch_scenario seed =
   let epd = int 3 = 0 in
   let cfg =
     {
-      Switch.default_config with
       Switch.nports;
       queue_cells;
       forward_latency = 300 + int 3000;
@@ -571,4 +620,6 @@ let suite =
       test_pinned_scenarios;
     Alcotest.test_case "pinned overloaded star" `Quick
       test_pinned_overloaded_star;
+    Alcotest.test_case "fabric audit sees cells in flight" `Quick
+      test_audit_sees_cells_in_flight;
   ]
