@@ -22,12 +22,10 @@ in it. Collect the runs from the repository root, then check them
 
 figures (figures-fingerprint.json): per figure, every value of its
 BENCH.json "experiments" and "metrics", from one bench/main.exe run of
-that figure alone. Every id that `bench/main.exe list` prints is a
-figure, except engine_speed, whose series are host-timed:
+that figure alone, for every id that `bench/main.exe list` prints:
 
     mkdir -p figures
     for id in $(dune exec bench/main.exe -- list | awk '{print $1}'); do
-      [ "$id" = engine_speed ] && continue
       OSIRIS_BENCH_JSON=figures/$id.json dune exec bench/main.exe -- $id
     done
     python3 .github/fingerprint.py figures check figures/*.json
@@ -100,7 +98,7 @@ def perfbench_regenerate(runs):
 def figure_regenerate(_runs):
     return [
         "mkdir -p figures; for id in $(dune exec bench/main.exe -- list "
-        "| awk '{print $1}'); do [ \"$id\" = engine_speed ] && continue; "
+        "| awk '{print $1}'); do "
         "OSIRIS_BENCH_JSON=figures/$id.json dune exec bench/main.exe -- $id; "
         "done",
         "python3 %s figures write figures/*.json" % os.path.relpath(__file__),

@@ -126,8 +126,6 @@ let create ~cpu ~cache ~wiring ~board ~channel ~vs ~costs ~demux ~invalidation
       m = make_driver_metrics ();
     }
   in
-  Metrics.gauge_fn "driver.rx.pool_available" (fun () ->
-      float_of_int (Queue.length t.pool));
   (* When the buffers are page-fragments, keep at least [rx_pool_buffers]
      pages circulating: for [rx_buffer_size < page_size] the ratio rounds
      down to zero, which used to leave the pool empty and the receive path

@@ -121,7 +121,11 @@ val instantiate :
     ([trunk_link] defaults to [link]; use a faster config to model
     undersubscribed uplinks), everything attached and started. [seed]
     (default 7) seeds the link RNGs. Creation order is deterministic —
-    equal plans and seeds yield identical fabrics. *)
+    equal plans and seeds yield identical fabrics. [switch] defaults to
+    {!Osiris_switch.Switch.default_config}, whose 32-cell queues
+    drained at one cell per 2 µs can lose cells of a single host PDU:
+    a topology that carries host PDUs passes a config with a larger
+    [queue_cells] or a shorter [forward_latency] (see there). *)
 
 val star :
   ?n:int ->

@@ -139,14 +139,6 @@ let all =
          conservation audited";
       kind = Figure (fun () -> Demux_scale.figure ());
     };
-    {
-      id = "engine_speed";
-      description =
-        "simulator: engine events/sec and delivered KB per CPU second on \
-         a 1M-event star workload below the receiver's capacity, every \
-         delivered byte checked";
-      kind = Figure (fun () -> Engine_speed.figure ());
-    };
   ]
 
 let quick =
@@ -155,7 +147,7 @@ let quick =
       not
         (List.mem e.id
            [ "figure2"; "figure3"; "figure4"; "incast"; "congestion";
-             "multipath"; "engine_speed"; "demux_scale" ]))
+             "multipath"; "demux_scale" ]))
     all
 
 let find id = List.find_opt (fun e -> e.id = id) all
@@ -174,7 +166,5 @@ let print_result = function
 let result_json = function
   | R_table t -> Report.table_json t
   | R_figure f -> Report.figure_json f
-
-let run e = print_result (eval e)
 
 let ids () = List.map (fun e -> e.id) all

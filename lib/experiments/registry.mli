@@ -1,5 +1,5 @@
 (** Registry of every reproduced paper result and ablation, keyed by the
-    identifiers the CLI and the bench harness use. *)
+    identifiers the bench harness uses. *)
 
 type kind =
   | Table of (unit -> Report.table)
@@ -24,8 +24,5 @@ val eval : entry -> result
 
 val print_result : result -> unit
 val result_json : result -> Osiris_obs.Json.t
-
-val run : entry -> unit
-(** [eval] then [print_result]. *)
 
 val ids : unit -> string list

@@ -104,12 +104,10 @@ let figure_json f =
       ("paper_note", Json.String f.paper_note);
     ]
 
-let schema = "osiris-bench/8"
-
-let bench_json ~mode ~experiments ~micro =
+let bench_json ~mode ~experiments =
   Json.Assoc
     [
-      ("schema", Json.String schema);
+      ("schema", Json.String "osiris-bench/9");
       ("mode", Json.String mode);
       ( "experiments",
         Json.List
@@ -122,18 +120,6 @@ let bench_json ~mode ~experiments ~micro =
                    ("result", result);
                  ])
              experiments) );
-      ( "micro",
-        Json.List
-          (List.map
-             (fun (name, ns) ->
-               Json.Assoc
-                 [
-                   ("name", Json.String name);
-                   ( "ns_per_run",
-                     match ns with Some v -> Json.Float v | None -> Json.Null
-                   );
-                 ])
-             micro) );
       ("metrics", Osiris_obs.Metrics.to_json ());
     ]
 

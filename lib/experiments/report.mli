@@ -35,19 +35,16 @@ val figure_json : figure -> Osiris_obs.Json.t
 (** [{kind:"figure"; title; xlabel; ylabel; series; paper_note}], each
     series as [{label; points:[{x;y}]}]. *)
 
-val schema : string
-(** The BENCH.json schema tag (["osiris-bench/7"]); bumped whenever an
-    experiment's series set or semantics change. *)
-
 val bench_json :
   mode:string ->
   experiments:(string * string * Osiris_obs.Json.t) list ->
-  micro:(string * float option) list ->
   Osiris_obs.Json.t
-(** The BENCH.json document (schema {!schema}): the run [mode],
-    every experiment as [(id, description, result_json)], Bechamel results
-    as [(name, ns_per_run)], and a full {!Osiris_obs.Metrics} snapshot
-    taken at call time. *)
+(** The BENCH.json document: its schema tag (["osiris-bench/9"], bumped
+    whenever the document's keys or an experiment's series set or
+    semantics change), the run [mode], every experiment as
+    [(id, description, result_json)], and a full {!Osiris_obs.Metrics}
+    snapshot taken at call time. Every value in it is simulated, so two
+    runs of one build write the same document. *)
 
 val mbps : bytes_count:int -> ns:int -> float
 (** Rate of [bytes_count] bytes over [ns] simulated nanoseconds, in Mb/s. *)

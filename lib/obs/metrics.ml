@@ -9,18 +9,17 @@
    or [to_json] of everything at once.
 
    Several instances of a component may register under the same name (a
-   bench run builds many hosts); a snapshot aggregates them: counters and
-   distributions sum/merge, gauges report the most recent registration. *)
+   bench run builds many hosts); a snapshot aggregates them: counters sum,
+   distributions and histograms merge. A handle holds its own value and
+   never its component: the registry keeps every handle registered (until
+   [reset]) but no host. *)
 
 module Stats = Osiris_util.Stats
 
 type counter = { c_name : string; mutable c : int }
-type gauge = { g_name : string; mutable g : float }
 
 type handle =
   | Counter of counter
-  | Gauge of gauge
-  | Gauge_fn of (unit -> float)
   | Dist of Stats.t
   | Hist of Stats.Histogram.h
 
@@ -41,15 +40,6 @@ let add c n = c.c <- c.c + n
 let incr c = add c 1
 let counter_value c = c.c
 let counter_name c = c.c_name
-
-let gauge name =
-  let g = { g_name = name; g = 0.0 } in
-  register name (Gauge g);
-  g
-
-let set g v = g.g <- v
-let gauge_value g = g.g
-let gauge_fn name f = register name (Gauge_fn f)
 
 let dist name =
   let s = Stats.create () in
@@ -79,7 +69,6 @@ type hist_value = { h_n : int; h_p50 : float; h_p90 : float; h_p99 : float }
 
 type value =
   | V_int of int
-  | V_float of float
   | V_dist of dist_value
   | V_hist of hist_value
 
@@ -112,8 +101,6 @@ let merge_hists (hs : Stats.Histogram.h list) =
 let aggregate (handles : handle list) =
   match handles with
   | [] -> V_int 0
-  | Gauge g :: _ -> V_float g.g
-  | Gauge_fn f :: _ -> V_float (f ())
   | Counter _ :: _ ->
       V_int
         (List.fold_left
@@ -143,7 +130,6 @@ let find name =
 
 let value_json = function
   | V_int i -> Json.Int i
-  | V_float x -> Json.Float x
   | V_dist d ->
       Json.Assoc
         [
@@ -171,7 +157,6 @@ let pp fmt () =
     (fun (name, v) ->
       match v with
       | V_int i -> Format.fprintf fmt "%-40s %d@." name i
-      | V_float x -> Format.fprintf fmt "%-40s %g@." name x
       | V_dist d ->
           Format.fprintf fmt "%-40s n=%d mean=%.3f sd=%.3f@." name d.d_n
             d.d_mean d.d_stddev

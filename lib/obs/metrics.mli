@@ -1,6 +1,6 @@
 (** Process-wide metrics registry.
 
-    Components register typed handles — counters, gauges, streaming
+    Components register typed handles — counters, streaming
     distributions ({!Osiris_util.Stats.t}) and histograms — under
     hierarchical dotted names like ["board.tx.dma_words"] at construction
     time, and bump them on the hot path (a single mutable-field update).
@@ -8,11 +8,12 @@
     {!to_json}.
 
     Several instances may register under one name (a bench run builds
-    many hosts): snapshots aggregate them — counters and distributions
-    sum/merge, gauges report the most recent registration. *)
+    many hosts): snapshots aggregate them — counters sum, distributions
+    and histograms merge. A handle holds its own value and never its
+    component: the registry keeps every handle registered (until
+    {!reset}) but no host. *)
 
 type counter
-type gauge
 
 val counter : string -> counter
 (** Register (another) counter under [name], starting at 0. *)
@@ -21,13 +22,6 @@ val add : counter -> int -> unit
 val incr : counter -> unit
 val counter_value : counter -> int
 val counter_name : counter -> string
-
-val gauge : string -> gauge
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
-
-val gauge_fn : string -> (unit -> float) -> unit
-(** Register a pull gauge: the callback is sampled at snapshot time. *)
 
 val dist : string -> Osiris_util.Stats.t
 (** Register a streaming distribution; feed it with [Stats.add]. *)
@@ -54,7 +48,6 @@ type hist_value = { h_n : int; h_p50 : float; h_p90 : float; h_p99 : float }
 
 type value =
   | V_int of int
-  | V_float of float
   | V_dist of dist_value
   | V_hist of hist_value
 

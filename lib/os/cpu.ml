@@ -9,10 +9,7 @@ type t = {
 
 let create eng ~hz =
   if hz <= 0 then invalid_arg "Cpu.create: hz must be positive";
-  let t = { eng; hz; res = Resource.create eng ~capacity:1; mem_load = ignore } in
-  Osiris_obs.Metrics.gauge_fn "cpu.busy_ns" (fun () ->
-      float_of_int (Resource.stats t.res).Resource.busy_time);
-  t
+  { eng; hz; res = Resource.create eng ~capacity:1; mem_load = ignore }
 
 let set_memory_load t hook = t.mem_load <- hook
 

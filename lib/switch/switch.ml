@@ -110,40 +110,36 @@ let create eng ?(name = "sw") cfg =
           out_nonempty = Signal.create eng;
         })
   in
-  let t =
-    {
-      eng;
-      cfg;
-      sw_name = name;
-      ports;
-      (* Dummy 0 is a routing value / verdict shape, never returned: the
-         empty sentinel lives in the key array. *)
-      routes = Ctable.create ~dummy:0 32;
-      pdus = Ctable.create ~dummy:0 32;
-      stats =
-        {
-          cells_in = 0;
-          forwarded = 0;
-          dropped_overflow = 0;
-          dropped_no_route = 0;
-          dropped_epd = 0;
-          max_occupancy = 0;
-          marked = 0;
-          marked_forwarded = 0;
-        };
-      queued = 0;
-      marked_queued = 0;
-      m_in = Metrics.counter "switch.cells_in";
-      m_fwd = Metrics.counter "switch.forwarded";
-      m_drop_ovf = Metrics.counter "switch.dropped_overflow";
-      m_drop_route = Metrics.counter "switch.dropped_no_route";
-      m_drop_epd = Metrics.counter "switch.dropped_epd";
-      m_marked = Metrics.counter "switch.marked";
-      started = false;
-    }
-  in
-  Metrics.gauge_fn "switch.queued" (fun () -> float_of_int (occupancy t));
-  t
+  {
+    eng;
+    cfg;
+    sw_name = name;
+    ports;
+    (* Dummy 0 is a routing value / verdict shape, never returned: the
+       empty sentinel lives in the key array. *)
+    routes = Ctable.create ~dummy:0 32;
+    pdus = Ctable.create ~dummy:0 32;
+    stats =
+      {
+        cells_in = 0;
+        forwarded = 0;
+        dropped_overflow = 0;
+        dropped_no_route = 0;
+        dropped_epd = 0;
+        max_occupancy = 0;
+        marked = 0;
+        marked_forwarded = 0;
+      };
+    queued = 0;
+    marked_queued = 0;
+    m_in = Metrics.counter "switch.cells_in";
+    m_fwd = Metrics.counter "switch.forwarded";
+    m_drop_ovf = Metrics.counter "switch.dropped_overflow";
+    m_drop_route = Metrics.counter "switch.dropped_no_route";
+    m_drop_epd = Metrics.counter "switch.dropped_epd";
+    m_marked = Metrics.counter "switch.marked";
+    started = false;
+  }
 
 let config t = t.cfg
 let name t = t.sw_name

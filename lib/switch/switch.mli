@@ -56,9 +56,14 @@ type config = {
 }
 
 val default_config : config
-(** 4 ports, 32-cell output queues, 2 µs per-cell forwarding latency —
-    roughly one OC-3 cell time through the fabric — congestion marking
-    off. *)
+(** 4 ports, 32-cell output queues, 2 µs per-cell forwarding latency,
+    congestion marking off. One cell every 2 µs is about 212 Mb/s of
+    cells, slower than one host's 4-way striped sender, so a single
+    host PDU can overflow the default queue: on [Network.chain ~n:4]
+    one 6000 B PDU from host 0 to host 3 loses 31 of its 137 cells at
+    switch 0. A topology that carries host PDUs must size
+    [queue_cells] for its bursts, as every figure does, or shorten
+    [forward_latency], as the switch tests do (1 µs, 512 cells). *)
 
 type t
 

@@ -441,6 +441,31 @@ let test_fresh_host_live_heap () =
           machine.Machine.name mb bound_mb)
     Machine.all
 
+(* Nothing process-global keeps a host alive: 200 DECstation pairs,
+   each built, run for 1 ms and dropped, leave only their metrics
+   handles registered (8.5 MB), and [Metrics.reset] frees those. A
+   registry entry that closes over a driver, switch or CPU keeps its
+   whole host: about 1 MB per pair. *)
+let test_dropped_pairs_freed () =
+  let live_mb () =
+    Gc.full_major ();
+    float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8))
+    /. 1048576.
+  in
+  Osiris_obs.Metrics.reset ();
+  let start = live_mb () in
+  for _ = 1 to 200 do
+    let eng, _net = Network.pair () in
+    Engine.run ~until:(Time.ms 1) eng
+  done;
+  let kept = live_mb () -. start in
+  if kept > 16. then
+    Alcotest.failf "200 dropped pairs keep %.1f MB live (bound 16 MB)" kept;
+  Osiris_obs.Metrics.reset ();
+  let left = live_mb () -. start in
+  if left > 1. then
+    Alcotest.failf "%.1f MB stay live after Metrics.reset (bound 1 MB)" left
+
 let test_udp_exchange_residency () =
   let eng, net = Network.pair () in
   let a = net.Network.a and b = net.Network.b in
@@ -729,6 +754,8 @@ let suite =
       test_major_words_per_datagram;
     Alcotest.test_case "a fresh host's live heap" `Quick
       test_fresh_host_live_heap;
+    Alcotest.test_case "dropped pairs are freed" `Quick
+      test_dropped_pairs_freed;
     Alcotest.test_case "two-way UDP checksums under lazy invalidation, 1.5 ms"
       `Quick test_two_way_lazy_pinned_1500us;
     Alcotest.test_case "lazy invalidation never delivers a wrong datagram" `Quick

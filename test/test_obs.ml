@@ -33,23 +33,14 @@ let test_counter_aggregation () =
   Alcotest.(check int) "handle keeps working after reset" 4
     (Metrics.counter_value a)
 
-let test_gauges_and_dists () =
+let test_dists_and_histograms () =
   Metrics.reset ();
-  let g = Metrics.gauge "t.g" in
-  Metrics.set g 2.5;
-  Metrics.gauge_fn "t.gf" (fun () -> 7.0);
   let d1 = Metrics.dist "t.d" in
   let d2 = Metrics.dist "t.d" in
   List.iter (fun x -> Stats.add d1 x) [ 1.0; 2.0 ];
   Stats.add d2 3.0;
   let h = Metrics.histogram "t.h" ~lo:0. ~hi:10. ~buckets:10 in
   List.iter (fun x -> Stats.Histogram.add h x) [ 1.0; 5.0; 5.0; 9.0 ];
-  (match Metrics.find "t.g" with
-  | Some (Metrics.V_float v) -> Alcotest.(check (float 0.0)) "gauge" 2.5 v
-  | _ -> Alcotest.fail "gauge missing");
-  (match Metrics.find "t.gf" with
-  | Some (Metrics.V_float v) -> Alcotest.(check (float 0.0)) "pull gauge" 7.0 v
-  | _ -> Alcotest.fail "pull gauge missing");
   (match Metrics.find "t.d" with
   | Some (Metrics.V_dist dv) ->
       Alcotest.(check int) "merged count" 3 dv.Metrics.d_n;
@@ -107,18 +98,15 @@ let test_bench_json_golden () =
       ~experiments:
         [ ("t1", "a table", Report.table_json table);
           ("f1", "a figure", Report.figure_json figure) ]
-      ~micro:[ ("m", Some 12.5); ("n", None) ]
   in
   let expected =
-    "{\"schema\":\"osiris-bench/8\",\"mode\":\"test\",\"experiments\":[\
+    "{\"schema\":\"osiris-bench/9\",\"mode\":\"test\",\"experiments\":[\
      {\"id\":\"t1\",\"description\":\"a table\",\"result\":{\"kind\":\"table\",\
      \"title\":\"t\",\"header\":[\"a\",\"b\"],\"rows\":[[\"1\",\"2\"]],\
      \"paper_note\":\"n\"}},{\"id\":\"f1\",\"description\":\"a figure\",\
      \"result\":{\"kind\":\"figure\",\"title\":\"f\",\"xlabel\":\"x\",\
      \"ylabel\":\"y\",\"series\":[{\"label\":\"s\",\"points\":[{\"x\":1,\
-     \"y\":1.5}]}],\"paper_note\":\"p\"}}],\"micro\":[{\"name\":\"m\",\
-     \"ns_per_run\":12.5},{\"name\":\"n\",\"ns_per_run\":null}],\
-     \"metrics\":{}}"
+     \"y\":1.5}]}],\"paper_note\":\"p\"}}],\"metrics\":{}}"
   in
   Alcotest.(check string) "BENCH.json document" expected (Json.to_string doc)
 
@@ -267,8 +255,8 @@ let suite =
   [
     Alcotest.test_case "counter aggregation & reset" `Quick
       test_counter_aggregation;
-    Alcotest.test_case "gauges, dists, histograms" `Quick
-      test_gauges_and_dists;
+    Alcotest.test_case "dists and histograms merge" `Quick
+      test_dists_and_histograms;
     Alcotest.test_case "snapshot JSON sorted" `Quick test_snapshot_sorted_json;
     Alcotest.test_case "JSON escaping & floats" `Quick
       test_json_escaping_and_floats;

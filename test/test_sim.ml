@@ -1201,6 +1201,31 @@ let test_cancelled_slot_released () =
     "closure of a cancelled event collected once its instant passed" true
     (Weak.get w 0 = None)
 
+(* The engine holds only what is pending. Eight timers that reschedule
+   themselves forever, 1 ns to 30 ms apart, allocate a handle and a
+   closure per event; over a second segment of 500k events the live
+   major heap must stay where the first segment left it. An engine that
+   pinned dispatched handles or their closures would grow it by words
+   per event. *)
+let test_live_heap_flat () =
+  let eng = Engine.create () in
+  let rec tick d () = ignore (Engine.schedule eng ~delay:d (tick d)) in
+  List.iter
+    (fun d -> ignore (Engine.schedule eng ~delay:d (tick d)))
+    [ 1; 3; 10; 123; 1_000; 50_000; 1_000_000; 30_000_000 ];
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  Engine.run ~max_events:500_000 eng;
+  let first = live_words () in
+  Engine.run ~max_events:500_000 eng;
+  let growth = live_words () - first in
+  check "events dispatched" 1_000_000 (Engine.events_dispatched eng);
+  if growth > 1_000 then
+    Alcotest.failf "the second 500k events added %d live words (bound 1000)"
+      growth
+
 let suite =
   [
     Alcotest.test_case "engine: timestamp order" `Quick test_engine_ordering;
@@ -1264,4 +1289,6 @@ let suite =
     Alcotest.test_case "engine: cancelled slot releases closure" `Quick
       test_cancelled_slot_released;
     QCheck_alcotest.to_alcotest cancel_model_prop;
+    Alcotest.test_case "engine: live heap flat over 1M events" `Quick
+      test_live_heap_flat;
   ]
