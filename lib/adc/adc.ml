@@ -11,7 +11,6 @@ module Msg = Osiris_xkernel.Msg
 module Demux = Osiris_xkernel.Demux
 
 type t = {
-  host : Host.t;
   domain : Domain.t;
   vs : Vspace.t;
   channel : Board.channel;
@@ -40,28 +39,15 @@ let open_ (host : Host.t) ~name ?(priority = 1) ?cpu_priority () =
   Host.register_channel host channel driver;
   Driver.start driver;
   let t =
-    { host; domain; vs; channel; driver; demux;
+    { domain; vs; channel; driver; demux;
       allowed = Driver.buffer_regions driver }
   in
   refresh_allowed t;
   t
 
-let host t = t.host
-let domain t = t.domain
 let vspace t = t.vs
 let channel t = t.channel
-let driver t = t.driver
 let demux t = t.demux
-
-let bind_vci t =
-  let vci = Demux.fresh_vci t.demux in
-  Board.bind_vci t.host.Host.board ~vci t.channel;
-  vci
-
-let on_receive t ~vci handler =
-  if not (Demux.bound t.demux ~vci) then
-    Demux.bind t.demux ~vci ~name:"adc" (fun ~vci:_ msg -> handler msg)
-  else invalid_arg "Adc.on_receive: VCI already has a handler"
 
 let authorize t msg =
   t.allowed <- Msg.pbufs msg @ t.allowed;
@@ -71,8 +57,8 @@ let authorize_region t ~vaddr ~len =
   t.allowed <- Vspace.phys_buffers t.vs ~vaddr ~len @ t.allowed;
   refresh_allowed t
 
-let alloc_msg t ~len ?fill () =
-  let msg = Msg.alloc t.vs ~len ?fill () in
+let alloc_msg t ~len () =
+  let msg = Msg.alloc t.vs ~len () in
   authorize t msg;
   msg
 
@@ -91,6 +77,3 @@ let send_unauthorized t ~vci ~len =
   List.iter
     (fun d -> ignore (Desc_queue.host_enqueue (Board.tx_queue t.channel) d))
     descs
-
-let violations t =
-  (Board.stats t.host.Host.board).Board.protection_faults

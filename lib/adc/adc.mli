@@ -31,36 +31,19 @@ val open_ :
     driver (with its own receive-buffer pool, authorized to the board), and
     wire the channel's interrupts. *)
 
-val host : t -> Osiris_core.Host.t
-val domain : t -> Osiris_os.Domain.t
 val vspace : t -> Osiris_mem.Vspace.t
 val channel : t -> Osiris_board.Board.channel
-val driver : t -> Osiris_core.Driver.t
 val demux : t -> Osiris_xkernel.Demux.t
-
-val bind_vci : t -> int
-(** Allocate a fresh VCI, route it to this ADC on the board, and return
-    it. *)
-
-val on_receive : t -> vci:int -> (Osiris_xkernel.Msg.t -> unit) -> unit
-(** Register the application's receive upcall for a VCI of this ADC (the
-    handler owns the message). *)
 
 val send : t -> vci:int -> Osiris_xkernel.Msg.t -> unit
 (** Transmit directly from user space — no kernel crossing. The message's
-    pages must have been {!authorize}d, or the board raises a protection
-    violation and drops the PDU. *)
+    pages must have been authorized (see {!alloc_msg}), or the board raises a
+    protection violation and drops the PDU. *)
 
-val alloc_msg : t -> len:int -> ?fill:(int -> char) -> unit -> Osiris_xkernel.Msg.t
+val alloc_msg : t -> len:int -> unit -> Osiris_xkernel.Msg.t
 (** Allocate an application buffer in the ADC's address space and authorize
     its pages for transmission. *)
-
-val authorize : t -> Osiris_xkernel.Msg.t -> unit
-(** Add the message's physical pages to the channel's authorized list. *)
 
 val send_unauthorized : t -> vci:int -> len:int -> unit
 (** Deliberately queue a descriptor naming pages outside the authorized
     list — the protection-violation test. *)
-
-val violations : t -> int
-(** Protection violations this host's board has raised (all channels). *)

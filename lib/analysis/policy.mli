@@ -53,8 +53,6 @@ type t = {
       (** R7: counter names exempt from conservation coverage *)
 }
 
-val empty : t
-
 val of_string : string -> t
 (** Parse policy text. Raises [Failure] with a [line N:] prefix on
     malformed directives, unknown [allow] rule keys, and exemption lines
@@ -74,9 +72,6 @@ val owners : t -> string -> string list option
     about the field. *)
 
 val exempt : t -> rule:string -> file:string -> bool
-
-val hot_functions : t -> file:string -> string list
-(** Hot-set entries whose file component matches [file]. *)
 
 val is_hot : t -> file:string -> fn:string -> bool
 

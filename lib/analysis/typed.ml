@@ -8,6 +8,8 @@
      time without a named conversion?
    - R7: is every registered metrics counter read by a conservation or
      invariant check?
+   - R9: does every exported value have a caller in another unit, and
+     does some call pass each of its optional parameters?
 
    The input is the set of .cmt files the normal dune build already
    produces (dune always compiles with -bin-annot), so the passes see
@@ -102,20 +104,39 @@ let load_cmt file =
             }
       | _ -> None)
 
-(* Walk [root] for .cmt files. Unlike the source walk this must descend
-   into dot-directories: dune keeps artifacts under .objs. *)
-let rec walk_cmts dir =
+(* An interface .cmti: the unit's name, its .mli and its signature. *)
+type intf = {
+  i_modname : string;
+  i_source : string;
+  i_sig : Typedtree.signature;
+}
+
+let load_cmti file =
+  match Cmt_format.read_cmt file with
+  | exception _ -> None
+  | cmt -> (
+      match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
+      | Cmt_format.Interface sg, Some source ->
+          Some
+            { i_modname = cmt.Cmt_format.cmt_modname; i_source = source;
+              i_sig = sg }
+      | _ -> None)
+
+(* Walk [root] for files with suffix [ext]. Unlike the source walk this
+   must descend into dot-directories: dune keeps artifacts under .objs. *)
+let rec walk_cmts ext dir =
   if not (Sys.is_directory dir) then
-    if Filename.check_suffix dir ".cmt" then [ dir ] else []
+    if Filename.check_suffix dir ext then [ dir ] else []
   else
     Sys.readdir dir |> Array.to_list |> List.sort compare
-    |> List.concat_map (fun entry -> walk_cmts (Filename.concat dir entry))
+    |> List.concat_map (fun entry -> walk_cmts ext (Filename.concat dir entry))
 
 type index = {
   policy : Policy.t;
   mods : modul list;
   by_key : (string, modul list) Hashtbl.t;
   scanned : modul list;  (* modules whose source lives under a scan root *)
+  intfs : intf list;  (* interfaces whose .mli lives under a scan root *)
 }
 
 let lib_prefix modname =
@@ -157,7 +178,7 @@ let under_scan policy source =
     policy.Policy.scan
 
 let build_index policy ~cmt_root =
-  let mods = List.filter_map load_cmt (walk_cmts cmt_root) in
+  let mods = List.filter_map load_cmt (walk_cmts ".cmt" cmt_root) in
   let by_key = Hashtbl.create 97 in
   List.iter
     (fun m ->
@@ -168,7 +189,11 @@ let build_index policy ~cmt_root =
   let scanned =
     List.filter (fun m -> under_scan policy m.m_source) mods
   in
-  { policy; mods; by_key; scanned }
+  let intfs =
+    List.filter_map load_cmti (walk_cmts ".cmti" cmt_root)
+    |> List.filter (fun i -> under_scan policy i.i_source)
+  in
+  { policy; mods; by_key; scanned; intfs }
 
 (* ------------------------------------------------------------------ *)
 (* Attributes: the justified escape hatches. *)
@@ -777,9 +802,149 @@ let check_r7 idx =
     regs
 
 (* ------------------------------------------------------------------ *)
+(* R9 — every export has a caller, every optional parameter a value. *)
+
+(* [W.M], [W__.M] and [W__M] all name unit [W__M] of dune's wrapped
+   library [W]. *)
+let wrapped w m =
+  let n = String.length w in
+  if n > 2 && String.sub w (n - 2) 2 = "__" then w ^ m else w ^ "__" ^ m
+
+(* The unit a resolved value path lives in, and the path inside it. *)
+let unit_path units = function
+  | w :: m :: rest when rest <> [] && Hashtbl.mem units (wrapped w m) ->
+      Some (wrapped w m, rest)
+  | u :: rest when rest <> [] && Hashtbl.mem units u -> Some (u, rest)
+  | _ -> None
+
+(* Every value reference of [m]: [note ~own key] for each identifier,
+   [passed key label] for each optional argument a call supplies. An
+   omitted optional argument is filled in by the typechecker with a
+   [None] at [Location.none]; a supplied or forwarded one has the
+   caller's location. *)
+let r9_scan units (m : modul) ~note ~passed =
+  let aliases = Hashtbl.create 8 and top = Hashtbl.create 64 in
+  List.iter
+    (fun (item : Typedtree.structure_item) ->
+      let add id = Hashtbl.replace top (Ident.unique_name id) () in
+      match item.str_desc with
+      | Typedtree.Tstr_value (_, vbs) ->
+          List.iter add (Typedtree.let_bound_idents vbs)
+      | Typedtree.Tstr_module { mb_id = Some id; _ } -> add id
+      | _ -> ())
+    m.m_structure.str_items;
+  let rec elems (p : Path.t) =
+    match p with
+    | Path.Pident id -> (
+        let u = Ident.unique_name id in
+        match Hashtbl.find_opt aliases u with
+        | Some target -> target
+        | None when Hashtbl.mem top u -> [ m.m_modname; Ident.name id ]
+        | None -> [ Ident.name id ])
+    | Path.Pdot (p, s) -> elems p @ [ s ]
+    | Path.Papply (p, _) -> elems p
+    | _ -> []
+  in
+  let key p =
+    Option.map
+      (fun (u, rest) -> (u, String.concat "." (u :: rest)))
+      (unit_path units (elems p))
+  in
+  let alias id (me : Typedtree.module_expr) =
+    match (id, me.mod_desc) with
+    | Some id, Typedtree.Tmod_ident (p, _) ->
+        Hashtbl.replace aliases (Ident.unique_name id) (elems p)
+    | _ -> ()
+  in
+  let expr it (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Typedtree.Texp_ident (p, _, _) ->
+        Option.iter (fun (u, k) -> note ~own:(u = m.m_modname) k) (key p)
+    | Typedtree.Texp_letmodule (id, _, _, me, _) -> alias id me
+    | Typedtree.Texp_apply
+        ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args) ->
+        Option.iter
+          (fun (_, k) ->
+            List.iter
+              (function
+                | Asttypes.Optional l, Some (a : Typedtree.expression)
+                  when a.exp_loc <> Location.none ->
+                    passed k l
+                | _ -> ())
+              args)
+          (key p)
+    | _ -> ());
+    Tast_iterator.default_iterator.expr it e
+  in
+  let module_binding it (mb : Typedtree.module_binding) =
+    alias mb.mb_id mb.mb_expr;
+    Tast_iterator.default_iterator.module_binding it mb
+  in
+  let it = { Tast_iterator.default_iterator with expr; module_binding } in
+  it.structure it m.m_structure
+
+(* The values a signature exports, with their paths inside the unit. *)
+let rec sig_values prefix (items : Typedtree.signature_item list) =
+  List.concat_map
+    (fun (item : Typedtree.signature_item) ->
+      match item.sig_desc with
+      | Typedtree.Tsig_value vd -> [ (prefix @ [ vd.val_name.txt ], vd) ]
+      | Typedtree.Tsig_module
+          { md_name = { txt = Some n; _ };
+            md_type = { mty_desc = Typedtree.Tmty_signature s; _ }; _ } ->
+          sig_values (prefix @ [ n ]) s.sig_items
+      | _ -> [])
+    items
+
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (Asttypes.Optional l, _, ret, _) -> l :: optional_labels ret
+  | Types.Tarrow (_, _, ret, _) -> optional_labels ret
+  | _ -> []
+
+let check_r9 idx =
+  let units = Hashtbl.create 256 in
+  List.iter (fun m -> Hashtbl.replace units m.m_modname ()) idx.mods;
+  (* key → referenced from another unit *)
+  let refs = Hashtbl.create 1024 and given = Hashtbl.create 256 in
+  let note ~own k =
+    Hashtbl.replace refs k ((not own) || Hashtbl.find_opt refs k = Some true)
+  in
+  let passed k l = Hashtbl.replace given (k, l) () in
+  List.iter (r9_scan units ~note ~passed) idx.mods;
+  let check i (path, (vd : Typedtree.value_description)) =
+    let k = String.concat "." (i.i_modname :: path) in
+    let name = String.concat "." (strip_lib_prefix i.i_modname :: path) in
+    let add fmt =
+      Printf.ksprintf
+        (fun message ->
+          { rule = "R9"; file = i.i_source; line = line_of_loc vd.val_loc;
+            message })
+        fmt
+    in
+    (match Hashtbl.find_opt refs k with
+    | Some true -> []
+    | Some false ->
+        [ add "`%s' is used only inside its own module; drop it from the \
+               interface" name ]
+    | None -> [ add "`%s' is referenced nowhere; delete it" name ])
+    @ List.filter_map
+        (fun l ->
+          if Hashtbl.mem given (k, l) then None
+          else
+            Some
+              (add "`%s ?%s' is passed by no call; make its default a \
+                    constant" name l))
+        (optional_labels vd.val_val.Types.val_type)
+  in
+  List.concat_map
+    (fun i -> List.concat_map (check i) (sig_values [] i.i_sig.sig_items))
+    idx.intfs
+
+(* ------------------------------------------------------------------ *)
 
 let check_tree policy ~cmt_root =
   let idx = build_index policy ~cmt_root in
   let by_file v = (v.file, v.line, v.rule) in
-  check_r5 idx @ check_r6 idx @ check_r7 idx
+  check_r5 idx @ check_r6 idx @ check_r7 idx @ check_r9 idx
   |> List.sort (fun a b -> compare (by_file a) (by_file b))

@@ -1,4 +1,5 @@
-(** Typed analysis passes (R5–R7) over the compiler's [.cmt] artifacts.
+(** Typed analysis passes (R5–R7, R9) over the compiler's [.cmt] and
+    [.cmti] artifacts.
 
     Where the syntactic lint ({!Lint}, R1–R4) pattern-matches the
     parsetree, these passes load the typedtree the normal dune build
@@ -23,6 +24,13 @@
       component read (as a record field or accessor call) inside at
       least one [coverage-fn] function, or carry an [uncovered] policy
       entry with a justification.
+    - {b R9 — every export has a caller.} Every value a scanned [.mli]
+      exports must be referenced from another compilation unit (any
+      [.cmt] under the root counts: libraries, binaries, benchmarks,
+      examples, tests), resolving paths through [module M = ...] and
+      [let module M = ... in] aliases and dune's wrapper modules. Every
+      optional parameter of an exported function must be passed (or
+      forwarded as [?x]) by at least one call. No escape hatch.
 
     Stale-policy rot is itself an error: a [hot] entry naming a file or
     function that no longer exists is reported as an R5 violation. *)
@@ -35,8 +43,9 @@ type violation = Lint.violation = {
 }
 
 val check_tree : Policy.t -> cmt_root:string -> violation list
-(** Run R5/R6/R7 over every [.cmt] found under [cmt_root] (typically
-    [_build/default]). All loaded modules participate in call
-    resolution; R6/R7 verdicts apply only to modules whose recorded
-    source file lives under a policy [scan] root, and R5 roots are the
-    policy's [hot] entries. Results are sorted by file, line, rule. *)
+(** Run R5/R6/R7/R9 over every [.cmt] and [.cmti] found under
+    [cmt_root] (typically [_build/default]). All loaded modules
+    participate in call and reference resolution; R6/R7/R9 verdicts
+    apply only to modules whose recorded source file lives under a
+    policy [scan] root, and R5 roots are the policy's [hot] entries.
+    Results are sorted by file, line, rule. *)

@@ -8,17 +8,16 @@ type t = {
 }
 
 let wire_size = 53
-let header_size = 5
 let payload_size = 48
 let aal_overhead = 4
 let data_size = payload_size - aal_overhead
 
-let make ~vci ~seq ~eom ~last_of_pdu ?(marked = false) data =
+let make ~vci ~seq ~eom ~last_of_pdu data =
   if Bytes.length data <> data_size then
     invalid_arg "Cell.make: data must be exactly 44 bytes";
   if vci < 0 || vci > 0xffff then invalid_arg "Cell.make: vci out of range";
   if seq < 0 || seq > 0xffff then invalid_arg "Cell.make: seq out of range";
-  { vci; seq; eom; last_of_pdu; marked; data }
+  { vci; seq; eom; last_of_pdu; marked = false; data }
 
 let header_check b =
   (* XOR of the first four header bytes: a poor man's HEC, enough to catch

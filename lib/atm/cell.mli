@@ -28,9 +28,6 @@ type t = {
 val wire_size : int
 (** 53. *)
 
-val header_size : int
-(** 5. *)
-
 val payload_size : int
 (** 48. *)
 
@@ -45,12 +42,11 @@ val make :
   seq:int ->
   eom:bool ->
   last_of_pdu:bool ->
-  ?marked:bool ->
   Bytes.t ->
   t
-(** Build a cell; the data must be exactly {!data_size} bytes and the vci
-    and seq must fit 16 bits. [marked] (default [false]) is the congestion
-    bit — hosts never set it at origin; switches do. *)
+(** Build an unmarked cell; the data must be exactly {!data_size} bytes
+    and the vci and seq must fit 16 bits. Hosts never set the congestion
+    bit at origin; switches do. *)
 
 val serialize : t -> Bytes.t
 (** 53-byte wire image, including the header check byte. *)

@@ -108,8 +108,6 @@ let create strategy ~max_cells =
     saw_marked = false;
   }
 
-let cells_received t = t.received
-
 let marked_seen t = t.saw_marked
 
 let in_progress t = t.received > 0

@@ -93,8 +93,6 @@ val push : t -> link:int -> Cell.t -> outcome
     [placement.cell.data] at [placement.offset] (the receive processor turns
     this into a DMA command). *)
 
-val cells_received : t -> int
-
 val marked_seen : t -> bool
 (** Has any cell of the current PDU carried the congestion (marked) bit?
     Latched by {!push} — including cells whose placement was rejected —

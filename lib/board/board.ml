@@ -1,5 +1,5 @@
 open Osiris_sim
-module Trace = Osiris_sim.Trace
+module Trace = Osiris_obs.Trace
 module Metrics = Osiris_obs.Metrics
 module Hist = Osiris_util.Stats.Histogram
 module Cell = Osiris_atm.Cell
@@ -494,8 +494,6 @@ let bind_vci t ~vci ch =
       fbufs = Queue.create ();
       stash = Queue.create ();
     }
-
-let unbind_vci t ~vci = Ctable.remove t.vcs vci
 
 let supply_vci_buffer t ~vci desc =
   match Ctable.find t.vcs vci with

@@ -184,8 +184,6 @@ val bind_vci : t -> vci:int -> channel -> unit
 (** Route incoming cells with this VCI to the channel. Each path/connection
     binds its own VCI — VCIs are treated as an abundant resource (§3.1). *)
 
-val unbind_vci : t -> vci:int -> unit
-
 val supply_vci_buffer : t -> vci:int -> Desc.t -> bool
 (** Host-side: push a preallocated per-VCI buffer (a cached fbuf, §3.1) that
     the receive processor will prefer over the channel's generic free queue

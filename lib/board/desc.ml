@@ -20,12 +20,3 @@ let total_len chain = sum_len chain 0
 let chain_of_pbufs ~vci pbufs =
   let n = List.length pbufs in
   List.mapi (fun i b -> of_pbuf ~vci ~eop:(i = n - 1) b) pbufs
-
-let pp fmt t =
-  Format.fprintf fmt "desc(%#x,+%d,vci=%d%s%s)" t.addr t.len t.vci
-    (if t.eop then ",eop" else "")
-    (if t.marked then ",ce" else "")
-
-let equal a b =
-  a.addr = b.addr && a.len = b.len && a.vci = b.vci && a.eop = b.eop
-  && a.marked = b.marked

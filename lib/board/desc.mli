@@ -23,8 +23,6 @@ val v :
     reassembled PDU's congestion bit: the receive processor sets it on the
     [eop] descriptor when any cell of the PDU arrived marked. *)
 
-val of_pbuf : ?vci:int -> ?eop:bool -> Osiris_mem.Pbuf.t -> t
-
 val to_pbuf : t -> Osiris_mem.Pbuf.t
 
 val total_len : t list -> int
@@ -33,7 +31,3 @@ val total_len : t list -> int
 val chain_of_pbufs : vci:int -> Osiris_mem.Pbuf.t list -> t list
 (** Descriptor chain for a PDU: one descriptor per physical buffer, [eop]
     set on the last. *)
-
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

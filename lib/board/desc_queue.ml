@@ -73,7 +73,6 @@ type t = {
   lock : Resource.t option;
   mutable on_enqueue : unit -> unit;
   mutable mutation : test_mutation;
-  enqueued : Signal.t;
   dequeued : Signal.t;
   m : m;
 }
@@ -101,13 +100,11 @@ let create eng ?(metrics_prefix = "queue") ~size ~direction ~locking ~hooks ()
       | Spin_lock -> Some (Resource.create eng ~capacity:1));
     on_enqueue = (fun () -> ());
     mutation = No_mutation;
-    enqueued = Signal.create eng;
     dequeued = Signal.create eng;
     m = make_metrics metrics_prefix;
   }
 
 let size t = t.size
-let direction t = t.direction
 
 (* [head] and [tail] are in [0, size): a compare, not a division. The
    board's transmit scan asks this of every open channel it passes. *)
@@ -120,7 +117,6 @@ let total_dequeued t = t.n_deq
 let is_empty t = t.head = t.tail
 let is_full t = (t.head + 1) mod t.size = t.tail
 let set_on_enqueue t f = t.on_enqueue <- f
-let enqueued t = t.enqueued
 let dequeued t = t.dequeued
 
 let access_stats t : access_stats =
@@ -230,7 +226,6 @@ let host_enqueue t d =
         t.n_enq <- t.n_enq + 1;
         host_write t 1 (* head pointer *);
         t.on_enqueue ();
-        Signal.broadcast t.enqueued;
         true
       end)
 
@@ -267,11 +262,10 @@ let enqueue_body t a d k =
     board_touch_then t (Desc.words + 2) (* descriptor + both pointers *) a
       (fun () ->
         t.on_enqueue ();
-        Signal.broadcast t.enqueued;
         k true)
     [@osiris.alloc_ok
-      "the step after the access's sleep: one closure, which wakes the \
-       queue's waiters and runs the board's enqueue hook"]
+      "the step after the access's sleep: one closure, which runs the \
+       board's enqueue hook"]
   end
 
 let board_enqueue_then t a d k =

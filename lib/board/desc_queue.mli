@@ -51,7 +51,6 @@ val create :
     ["queue"]. *)
 
 val size : t -> int
-val direction : t -> direction
 
 val count : t -> int
 (** Occupancy, read without cost (simulation observability). *)
@@ -133,12 +132,9 @@ val board_test_waiting_then :
 
 val set_on_enqueue : t -> (unit -> unit) -> unit
 (** Install a callback invoked synchronously inside every successful
-    enqueue, before the {!enqueued} signal. The board uses this to count
-    transmit kicks race-free (a signal alone can fire while the transmit
-    processor is mid-scan and be lost). *)
-
-val enqueued : t -> Osiris_sim.Signal.t
-(** Broadcast after every enqueue. *)
+    enqueue. The board uses this to count transmit kicks race-free (a
+    signal alone can fire while the transmit processor is mid-scan and
+    be lost). *)
 
 val dequeued : t -> Osiris_sim.Signal.t
 (** Broadcast after every dequeue / advance. *)

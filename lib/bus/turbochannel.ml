@@ -39,8 +39,6 @@ let create eng cfg =
   in
   { eng; cfg; io_port; mem_port }
 
-let config t = t.cfg
-
 let cycle_ns t = 1_000_000_000 / t.cfg.clock_hz
 
 let peak_mbps t =

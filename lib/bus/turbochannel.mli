@@ -35,8 +35,6 @@ type t
 
 val create : Osiris_sim.Engine.t -> config -> t
 
-val config : t -> config
-
 val cycle_ns : t -> int
 (** Duration of one bus cycle in nanoseconds. *)
 

@@ -55,10 +55,8 @@ let run_traced ?(max_events = 2000) ~decide scenario =
 let decide_prefix prefix k ~count:_ =
   match List.nth_opt prefix k with Some p -> p | None -> 0
 
-let run_once ?max_events ?(schedule = []) scenario =
-  snd (run_traced ?max_events ~decide:(decide_prefix schedule) scenario)
-
-let replay ?max_events scenario schedule = run_once ?max_events ~schedule scenario
+let replay scenario schedule =
+  snd (run_traced ~decide:(decide_prefix schedule) scenario)
 
 let take n l = List.filteri (fun i _ -> i < n) l
 

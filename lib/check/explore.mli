@@ -37,16 +37,10 @@ type failure = {
 
 val pp_failure : Format.formatter -> failure -> unit
 
-val run_once :
-  ?max_events:int -> ?schedule:Schedule.t -> scenario -> failure option
-(** Run one schedule: follow [schedule] (default []) at the first
-    choice points, FIFO (pick 0) beyond its end. [max_events] (default
-    2000) bounds runaway runs; the run then finishes through
-    [at_end]. *)
-
-val replay : ?max_events:int -> scenario -> Schedule.t -> failure option
-(** [replay s sched = run_once ~schedule:sched s] — named for intent:
-    re-execute a recorded counterexample. *)
+val replay : scenario -> Schedule.t -> failure option
+(** Re-execute a recorded counterexample: follow the schedule at the
+    first choice points, FIFO (pick 0) beyond its end, with the run
+    bounded at 2000 events. *)
 
 val dfs :
   ?max_depth:int ->

@@ -15,9 +15,10 @@ type t = Explore.scenario
    every attempt ([Process.yield], [Process.sleep_then a 0]), so host and
    board steps are always runnable at the same instant — every step of
    the protocol is a choice point for the explorer. *)
-let queue_scenario ~direction ~name ~locking ~size ~items ~mutation eng =
+let queue_scenario ~direction ~name ~locking ~mutation eng =
+  let items = 8 in
   let q =
-    Desc_queue.create eng ~metrics_prefix:("check." ^ name) ~size ~direction
+    Desc_queue.create eng ~metrics_prefix:("check." ^ name) ~size:4 ~direction
       ~locking ~hooks:Desc_queue.free_hooks ()
   in
   Desc_queue.set_test_mutation q mutation;
@@ -107,9 +108,10 @@ let queue_scenario ~direction ~name ~locking ~size ~items ~mutation eng =
    drained cell and an at_end liveness check that every cell was either
    forwarded or dropped to a full queue (the queue is deliberately
    smaller than the burst so both outcomes occur under FIFO). *)
-let switch_datapath ?(queue_cells = 3) ?(items = 8) () eng =
+let switch_datapath () eng =
+  let items = 8 in
   let cfg =
-    { Switch.default_config with Switch.nports = 2; Switch.queue_cells }
+    { Switch.default_config with Switch.nports = 2; Switch.queue_cells = 3 }
   in
   let sw = Switch.create eng ~name:"chk-sw" cfg in
   Switch.add_route sw ~in_port:0 ~in_vci:10 ~out_port:1 ~out_vci:20;
@@ -185,7 +187,8 @@ let switch_datapath ?(queue_cells = 3) ?(items = 8) () eng =
    transmission conservation, timer discipline) at every choice point,
    plus at_end liveness and a byte-exact check of the delivered
    stream. *)
-let transport ?(segs = 6) ?(drop_seg = 2) ?(drop_first_ack = true) () eng =
+let transport () eng =
+  let segs = 6 and drop_seg = 2 in
   let config =
     {
       Sender.seg_size = 16;
@@ -222,7 +225,7 @@ let transport ?(segs = 6) ?(drop_seg = 2) ?(drop_first_ack = true) () eng =
      run finishes far below the cap (the RTO floor is ~50 quanta). *)
   let quantum = Time.us 10 in
   let max_steps = 600 in
-  let ack_dropped = ref (not drop_first_ack) in
+  let ack_dropped = ref false in
   Process.spawn eng ~name:"net-data" (fun () ->
       let steps = ref 0 in
       while Sender.state sender = Sender.Active && !steps <= max_steps do
@@ -268,12 +271,11 @@ let transport ?(segs = 6) ?(drop_seg = 2) ?(drop_first_ack = true) () eng =
           ]);
   }
 
-let host_to_board ?(locking = Desc_queue.Lock_free) ?(size = 4) ?(items = 8)
+let host_to_board ?(locking = Desc_queue.Lock_free)
     ?(mutation = Desc_queue.No_mutation) () eng =
   queue_scenario ~direction:Desc_queue.Host_to_board ~name:"h2b" ~locking
-    ~size ~items ~mutation eng
+    ~mutation eng
 
-let board_to_host ?(locking = Desc_queue.Lock_free) ?(size = 4) ?(items = 8)
-    ?(mutation = Desc_queue.No_mutation) () eng =
+let board_to_host ?(locking = Desc_queue.Lock_free) () eng =
   queue_scenario ~direction:Desc_queue.Board_to_host ~name:"b2h" ~locking
-    ~size ~items ~mutation eng
+    ~mutation:Desc_queue.No_mutation eng

@@ -16,5 +16,3 @@ let of_string s =
           | None ->
               failwith ("Schedule.of_string: bad pick " ^ String.trim part))
         (String.split_on_char '.' s)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -13,5 +13,3 @@ type t = int list
 val to_string : t -> string
 val of_string : string -> t
 (** Raises [Failure] on malformed input (non-numeric or negative picks). *)
-
-val pp : Format.formatter -> t -> unit

@@ -8,8 +8,6 @@
 
 type profile = { p_name : string; p_access_ns : float }
 
-let profile ~name ~access_ns = { p_name = name; p_access_ns = access_ns }
-
 let of_cache ~name ~cpu_hz ~fill_overhead_cycles ~hit_cycles_per_word =
   if cpu_hz <= 0 then invalid_arg "Classify.Cost.of_cache: cpu_hz <= 0";
   let cycles = float_of_int (fill_overhead_cycles + hit_cycles_per_word) in

@@ -5,8 +5,6 @@
 
 type profile
 
-val profile : name:string -> access_ns:float -> profile
-
 val of_cache :
   name:string ->
   cpu_hz:int ->

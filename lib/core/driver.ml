@@ -66,13 +66,12 @@ type t = {
   cpu : Cpu.t;
   cache : Cache.t;
   wiring : Wiring.t;
-  board : Board.t;
   channel : Board.channel;
   vs : Vspace.t;
   costs : Machine.driver_costs;
   cpu_priority : int;
   demux : Demux.t;
-  mutable invalidation : invalidation;
+  invalidation : invalidation;
   buf_size : int;
   pool : int Queue.t; (* idle buffer vaddrs *)
   by_paddr : (int, int) Hashtbl.t; (* buffer paddr -> vaddr *)
@@ -106,7 +105,6 @@ let create ~cpu ~cache ~wiring ~board ~channel ~vs ~costs ~demux ~invalidation
       cpu;
       cache;
       wiring;
-      board;
       channel;
       vs;
       costs;
@@ -197,7 +195,6 @@ let claim t n = t.outstanding <- t.outstanding + n
 let outstanding_buffers t = t.outstanding
 let on_rx_nonempty t = Signal.broadcast t.rx_sig
 let on_tx_half_empty t = Signal.broadcast t.tx_space
-let set_invalidation t p = t.invalidation <- p
 
 let stats t : stats =
   {
@@ -214,24 +211,12 @@ let stats t : stats =
 
 let pool_available t = Queue.length t.pool
 let total_buffers t = Hashtbl.length t.by_paddr
-let rx_buf_size t = t.buf_size
 let channel t = t.channel
 
 let buffer_regions t =
   Hashtbl.fold
     (fun paddr _ acc -> Osiris_mem.Pbuf.v ~addr:paddr ~len:t.buf_size :: acc)
     t.by_paddr []
-
-let supply_vci_buffers t ~vci ~n =
-  for _ = 1 to n do
-    match Queue.take_opt t.pool with
-    | None -> ()
-    | Some vaddr ->
-        if
-          not
-            (Board.supply_vci_buffer t.board ~vci (free_desc_of t vaddr))
-        then Queue.add vaddr t.pool
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Receive path. *)
@@ -443,8 +428,8 @@ let send t ~vci ?(from_user = false) msg =
     segs;
   let pbufs = Msg.pbufs msg in
   let descs = Desc.chain_of_pbufs ~vci pbufs in
-  if Osiris_sim.Trace.enabled Osiris_sim.Trace.Driver then
-    Osiris_sim.Trace.emitf Osiris_sim.Trace.Driver ~now:(Engine.now t.eng)
+  if Osiris_obs.Trace.enabled Osiris_obs.Trace.Driver then
+    Osiris_obs.Trace.emitf Osiris_obs.Trace.Driver ~now:(Engine.now t.eng)
       "enqueue vci=%d chain=[%s]" vci
       (String.concat ";"
          (List.map

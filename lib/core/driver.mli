@@ -77,12 +77,6 @@ val on_rx_nonempty : t -> unit
 val on_tx_half_empty : t -> unit
 (** To be called for the transmit half-empty interrupt. *)
 
-val supply_vci_buffers : t -> vci:int -> n:int -> unit
-(** Move [n] pool buffers into the board's per-VCI preallocated list (the
-    cached-fbuf fast path of §3.1). *)
-
-val set_invalidation : t -> invalidation -> unit
-
 val stats : t -> stats
 
 val pool_available : t -> int
@@ -98,9 +92,6 @@ val buffer_regions : t -> Osiris_mem.Pbuf.t list
 val total_buffers : t -> int
 (** Size of the circulating receive pool: the conserved quantity of the
     buffer-conservation invariant. *)
-
-val rx_buf_size : t -> int
-(** Capacity of each pool buffer (after the page-size clamp). *)
 
 val channel : t -> Osiris_board.Board.channel
 (** The board channel this driver serves. *)

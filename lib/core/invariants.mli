@@ -13,28 +13,9 @@ val balance :
   what:string -> total:int -> parts:(string * int) list -> string list
 (** Generic conservation equation: the named [parts] must sum to [total].
     Returns the single violation sentence (naming every part and the
-    leak) or []. Shared by {!conservation_violations} and the
+    leak) or []. Shared by {!check}'s buffer conservation and the
     [Osiris_check] scenario harnesses, so explorer counterexamples read
     like fault-soak reports. *)
-
-val queue_violations : Osiris_board.Board.channel -> string list
-(** Descriptor-queue structural checks (pointer ranges, occupancy
-    arithmetic, shadow-pointer safety) on the channel's transmit, free
-    and receive queues. *)
-
-val conservation_violations :
-  board:Osiris_board.Board.t -> driver:Driver.t -> string list
-(** The buffer-conservation equation above. Only meaningful at
-    quiescence, and for configurations in which [driver]'s pool is the
-    only one circulating through [board]. *)
-
-val reassembly_violations : board:Osiris_board.Board.t -> string list
-(** No partial reassembly may be older than the configured
-    [reassembly_timeout] (vacuously clean when the sweeper is off). *)
-
-val quiescence_violations : board:Osiris_board.Board.t -> string list
-(** After traffic has stopped and timeouts have swept, no reassembly
-    may remain in progress. *)
 
 val check :
   ?quiescent:bool ->
@@ -42,8 +23,13 @@ val check :
   driver:Driver.t ->
   unit ->
   string list
-(** All of the above ([quiescent] additionally demands zero residual
-    reassemblies). *)
+(** The descriptor-queue structural checks (pointer ranges, occupancy
+    arithmetic, shadow-pointer safety) on the channel's three queues,
+    the buffer-conservation equation above (only meaningful at
+    quiescence, and when [driver]'s pool is the only one circulating
+    through [board]), and no partial reassembly older than the board's
+    [reassembly_timeout]. [quiescent] additionally demands that no
+    reassembly remain in progress. *)
 
 val assert_clean :
   ?quiescent:bool ->

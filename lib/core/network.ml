@@ -23,14 +23,14 @@ let connect eng ?(link = Atm_link.default_config) ?(seed = 7) (a : Host.t) (b : 
   { a; b; a_to_b; b_to_a }
 
 let pair ?(machine_a = Machine.ds5000_200) ?(machine_b = Machine.ds5000_200)
-    ?(config = Host.default_config) ?link () =
+    ?(config = Host.default_config) () =
   let eng = Osiris_sim.Engine.create () in
   let a = Host.create eng machine_a ~addr:0x0a000001l config in
   let b =
     Host.create eng machine_b ~addr:0x0a000002l
       { config with seed = config.seed + 1 }
   in
-  let net = connect eng ?link a b in
+  let net = connect eng a b in
   (eng, net)
 
 (* ------------------------------------------------------------------ *)
@@ -78,12 +78,6 @@ let first_user_vci = 32
 let host topo i = topo.endpoints.(i).host
 let nhosts topo = Array.length topo.endpoints
 let fabric topo = topo.fabric
-let spec topo = topo.fabric.Builder.f_spec
-
-let trunk_links topo i =
-  if i < 0 || 2 * i + 1 >= Array.length topo.trunks then
-    invalid_arg "Network.trunk_links: trunk out of range";
-  (topo.trunks.(2 * i), topo.trunks.((2 * i) + 1))
 
 let fresh_vci topo =
   let v = topo.next_vci in
@@ -111,9 +105,7 @@ let make_endpoint eng machine config link rng sw sw_idx ~port ~index =
    a->b before b->a), then start every switch. The order is load-bearing:
    it reproduces the RNG stream and creation sequence of the historical
    hand-rolled star/chain constructors exactly. *)
-let instantiate ?(machine = Machine.ds5000_200)
-    ?(config = Host.default_config) ?(link = Atm_link.default_config)
-    ?trunk_link ?(switch = Switch.default_config) ?(seed = 7) fabric =
+let instantiate ~machine ~config ~link ~switch ~seed fabric =
   let eng = Osiris_sim.Engine.create () in
   let switches =
     Array.init (Builder.nswitches fabric) (fun s ->
@@ -129,15 +121,14 @@ let instantiate ?(machine = Machine.ds5000_200)
           switches.(p.Builder.pr_sw)
           p.Builder.pr_sw ~port:p.Builder.pr_port ~index:i)
   in
-  let tl = match trunk_link with Some l -> l | None -> link in
   let trunks =
     Array.concat
       (Array.to_list
          (Array.map
             (fun (t : Builder.trunk) ->
               let a = t.Builder.t_a and b = t.Builder.t_b in
-              let l_ab = Atm_link.create eng (Rng.split rng) tl in
-              let l_ba = Atm_link.create eng (Rng.split rng) tl in
+              let l_ab = Atm_link.create eng (Rng.split rng) link in
+              let l_ba = Atm_link.create eng (Rng.split rng) link in
               Switch.attach_port switches.(a.Builder.pr_sw)
                 ~port:a.Builder.pr_port ~ingress:l_ba ~egress:l_ab;
               Switch.attach_port switches.(b.Builder.pr_sw)
@@ -179,25 +170,16 @@ let star ?(n = 3) ?(machine = Machine.ds5000_200)
   instantiate ~machine ~config ~link ~switch ~seed
     (Builder.build (Spec.Star { hosts = n }))
 
-let chain ?(n = 4) ?(machine = Machine.ds5000_200)
-    ?(config = Host.default_config) ?(link = Atm_link.default_config)
-    ?(switch = Switch.default_config) ?(seed = 7) () =
+let chain ?(n = 4) ?(switch = Switch.default_config) () =
   if n < 2 then invalid_arg "Network.chain: need at least 2 hosts";
-  instantiate ~machine ~config ~link ~switch ~seed
+  instantiate ~machine:Machine.ds5000_200 ~config:Host.default_config
+    ~link:Atm_link.default_config ~switch ~seed:7
     (Builder.build (Spec.Chain { hosts = n }))
-
-let leaf_spine ?(leaves = 2) ?(spines = 2) ?(hosts_per_leaf = 2)
-    ?(machine = Machine.ds5000_200) ?(config = Host.default_config)
-    ?(link = Atm_link.default_config) ?trunk_link
-    ?(switch = Switch.default_config) ?(seed = 7) () =
-  instantiate ~machine ~config ~link ?trunk_link ~switch ~seed
-    (Builder.build (Spec.Leaf_spine { leaves; spines; hosts_per_leaf }))
 
 let fat_tree ?(k = 4) ?(hosts_per_edge = 1)
     ?(machine = Machine.ds5000_200) ?(config = Host.default_config)
-    ?(link = Atm_link.default_config) ?trunk_link
     ?(switch = Switch.default_config) ?(seed = 7) () =
-  instantiate ~machine ~config ~link ?trunk_link ~switch ~seed
+  instantiate ~machine ~config ~link:Atm_link.default_config ~switch ~seed
     (Builder.build (Spec.Fat_tree { k; hosts_per_edge }))
 
 (* Program one path's per-hop routes, allocating a fresh VCI per hop;
@@ -242,16 +224,9 @@ let open_vc topo ~src ~dst =
         (Board.kernel_channel d.host.Host.board);
       { vc_src = src; vc_dst = dst; src_vci; dst_vci }
 
-let open_vc_paths ?limit topo ~src ~dst =
+let open_vc_paths topo ~src ~dst =
   check_endpoints topo ~what:"open_vc_paths" ~src ~dst;
   let all = cached_paths topo ~src ~dst in
-  let all =
-    match limit with
-    | None -> all
-    | Some n ->
-        if n < 1 then invalid_arg "Network.open_vc_paths: limit < 1";
-        List.filteri (fun i _ -> i < n) all
-  in
   if all = [] then invalid_arg "Network.open_vc_paths: no path";
   let d = topo.endpoints.(dst) in
   let mv_paths = Array.of_list all in

@@ -5,15 +5,15 @@
     The original testbed is §4's "pair of workstations connected by a
     pair of OSIRIS boards linked back-to-back" — {!connect}/{!pair},
     unchanged. Every multi-host fabric is an {!Osiris_topo.Builder}
-    wiring plan stood up by {!instantiate}: every host keeps its own
+    wiring plan stood up on one engine: every host keeps its own
     transmit and receive striped links, but they terminate on switch
     ports instead of directly on the peer, and {!open_vc} allocates
     per-hop VCIs and programs the switches' routing tables end to end.
     {!star} and {!chain} are the degenerate plans (bit-for-bit the
-    fabrics their hand-rolled predecessors built); {!leaf_spine} and
-    {!fat_tree} scale the same machinery to multi-tier Clos fabrics with
-    equal-cost multipath, which {!open_vc_paths} exposes as one VCI
-    chain per path. *)
+    fabrics their hand-rolled predecessors built); {!fat_tree} scales
+    the same machinery to a multi-tier Clos fabric with equal-cost
+    multipath, which {!open_vc_paths} exposes as one VCI chain per
+    path. *)
 
 type t = {
   a : Host.t;
@@ -36,7 +36,6 @@ val pair :
   ?machine_a:Machine.t ->
   ?machine_b:Machine.t ->
   ?config:Host.config ->
-  ?link:Osiris_link.Atm_link.config ->
   unit ->
   Osiris_sim.Engine.t * t
 (** Convenience: a fresh engine and two identical hosts (DECstation
@@ -71,8 +70,8 @@ type topology = {
   mutable next_vci : int;  (** next VCI {!open_vc} will hand out *)
   path_cache : (int, Osiris_topo.Builder.hop list list) Hashtbl.t;
       (** memoized {!Osiris_topo.Builder.paths} results, keyed
-          [(src lsl 16) lor dst]: the fabric never changes after
-          {!instantiate}, so each ordered pair is enumerated at most
+          [(src lsl 16) lor dst]: the fabric never changes once it
+          is stood up, so each ordered pair is enumerated at most
           once and opening the Nth VC of a pair is O(path length) —
           bulk connection setup at thousands of VCs *)
   mutable path_enums : int;
@@ -105,28 +104,6 @@ type mvc = {
     by picking a VCI — cells of one PDU never interleave with another
     path's cells on the same VCI, keeping striped reassembly sound. *)
 
-val instantiate :
-  ?machine:Machine.t ->
-  ?config:Host.config ->
-  ?link:Osiris_link.Atm_link.config ->
-  ?trunk_link:Osiris_link.Atm_link.config ->
-  ?switch:Osiris_switch.Switch.config ->
-  ?seed:int ->
-  Osiris_topo.Builder.fabric ->
-  Osiris_sim.Engine.t * topology
-(** Stand a wiring plan up: one engine, one switch per plan entry (the
-    plan's port counts override the [switch] config's [nports]), one
-    host per attachment point (host [i] gets IP [10.0.0.(i+1)] and host
-    seed [config.seed + i]), a striped link pair per host and per trunk
-    ([trunk_link] defaults to [link]; use a faster config to model
-    undersubscribed uplinks), everything attached and started. [seed]
-    (default 7) seeds the link RNGs. Creation order is deterministic —
-    equal plans and seeds yield identical fabrics. [switch] defaults to
-    {!Osiris_switch.Switch.default_config}, whose 32-cell queues
-    drained at one cell per 2 µs can lose cells of a single host PDU:
-    a topology that carries host PDUs passes a config with a larger
-    [queue_cells] or a shorter [forward_latency] (see there). *)
-
 val star :
   ?n:int ->
   ?machine:Machine.t ->
@@ -137,44 +114,22 @@ val star :
   unit ->
   Osiris_sim.Engine.t * topology
 (** [n] hosts (default 3, minimum 2) on the [n] ports of one switch —
-    [instantiate] of [Spec.Star]. *)
+    the plan of [Spec.Star]. *)
 
 val chain :
   ?n:int ->
-  ?machine:Machine.t ->
-  ?config:Host.config ->
-  ?link:Osiris_link.Atm_link.config ->
   ?switch:Osiris_switch.Switch.config ->
-  ?seed:int ->
   unit ->
   Osiris_sim.Engine.t * topology
 (** [n] hosts (default 4) split across two switches joined by a striped
     trunk link per direction: the first [ceil(n/2)] hosts sit on switch
     0, the rest on switch 1, and each switch's last port is the trunk. *)
 
-val leaf_spine :
-  ?leaves:int ->
-  ?spines:int ->
-  ?hosts_per_leaf:int ->
-  ?machine:Machine.t ->
-  ?config:Host.config ->
-  ?link:Osiris_link.Atm_link.config ->
-  ?trunk_link:Osiris_link.Atm_link.config ->
-  ?switch:Osiris_switch.Switch.config ->
-  ?seed:int ->
-  unit ->
-  Osiris_sim.Engine.t * topology
-(** Two-tier Clos (default 2x2, 2 hosts per leaf): every leaf trunked to
-    every spine, [spines] equal-cost paths between hosts on different
-    leaves. *)
-
 val fat_tree :
   ?k:int ->
   ?hosts_per_edge:int ->
   ?machine:Machine.t ->
   ?config:Host.config ->
-  ?link:Osiris_link.Atm_link.config ->
-  ?trunk_link:Osiris_link.Atm_link.config ->
   ?switch:Osiris_switch.Switch.config ->
   ?seed:int ->
   unit ->
@@ -191,11 +146,6 @@ val fabric : topology -> Osiris_topo.Builder.fabric
 (** The wiring plan — path sets via {!Osiris_topo.Builder.paths}, trunk
     endpoints, switch tiers. *)
 
-val spec : topology -> Osiris_topo.Spec.t
-
-val trunk_links : topology -> int -> Osiris_link.Atm_link.t * Osiris_link.Atm_link.t
-(** The two directed links of plan trunk [i], as [(a_to_b, b_to_a)]. *)
-
 val open_vc : topology -> src:int -> dst:int -> vc
 (** Allocate a fresh virtual circuit from host [src] to host [dst] along
     the {e first} shortest path: fresh VCIs for every hop (starting at
@@ -210,11 +160,11 @@ val path_enumerations : topology -> int
     ([Builder.paths]) — at most one per ordered (src, dst) pair, however
     many VCs are opened. The bulk-setup regression test pins this. *)
 
-val open_vc_paths : ?limit:int -> topology -> src:int -> dst:int -> mvc
-(** Allocate one complete VCI chain per equal-cost shortest path
-    (at most [limit] of them, in {!Osiris_topo.Builder.paths} order),
-    binding every receiver-side VCI to [dst]'s kernel channel. Raises
-    [Invalid_argument] on bad endpoints or [limit < 1]. *)
+val open_vc_paths : topology -> src:int -> dst:int -> mvc
+(** Allocate one complete VCI chain per equal-cost shortest path (in
+    {!Osiris_topo.Builder.paths} order), binding every receiver-side VCI
+    to [dst]'s kernel channel. Raises [Invalid_argument] on bad
+    endpoints. *)
 
 (** {2 The fabric audit} *)
 

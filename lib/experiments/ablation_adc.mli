@@ -20,6 +20,4 @@ val rtt_kernel : msg_size:int -> float
 val rtt_adc : msg_size:int -> float
 val rtt_user_via_kernel : msg_size:int -> float
 
-val protection_violation_caught : unit -> bool
-
 val table : unit -> Report.table

@@ -40,7 +40,7 @@ let rtt_ethernet ~machine ~msg_size ?(rounds = 12) () =
   Engine.run ~until:(Time.s 30) eng;
   Osiris_util.Stats.mean samples
 
-let throughput_ethernet ~machine ~msg_size ?(window_ms = 200) () =
+let throughput_ethernet ~machine ~msg_size =
   let eng, nic_a, nic_b = pair machine in
   let bytes = ref 0 in
   Ether.set_receiver nic_b (fun msg -> bytes := !bytes + Bytes.length msg);
@@ -50,7 +50,7 @@ let throughput_ethernet ~machine ~msg_size ?(window_ms = 200) () =
         loop ()
       in
       loop ());
-  Engine.run ~until:(Time.ms window_ms) eng;
+  Engine.run ~until:(Time.ms 200) eng;
   Report.mbps ~bytes_count:!bytes ~ns:(Engine.now eng)
 
 let table () =
@@ -74,7 +74,7 @@ let table () =
     [
       "throughput 16KB msgs (Mbps)";
       Printf.sprintf "%.1f"
-        (throughput_ethernet ~machine ~msg_size:(16 * 1024) ());
+        (throughput_ethernet ~machine ~msg_size:(16 * 1024));
       Printf.sprintf "%.0f"
         (Receive_side.throughput ~machine
            ~variant:

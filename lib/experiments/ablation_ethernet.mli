@@ -17,8 +17,4 @@ val rtt_ethernet :
   machine:Osiris_core.Machine.t -> msg_size:int -> ?rounds:int -> unit -> float
 (** Mean Ethernet round-trip time in microseconds. *)
 
-val throughput_ethernet :
-  machine:Osiris_core.Machine.t -> msg_size:int -> ?window_ms:int -> unit -> float
-(** One-way Ethernet goodput in Mb/s. *)
-
 val table : unit -> Report.table

@@ -48,12 +48,11 @@ let splits_of page_size pbufs =
   done;
   !count
 
-let run ?(msg_size = 16 * 1024) ?page_offset ~mtu ~aligned ~contiguous () =
+let run ~mtu ~aligned ~contiguous () =
   (* The 2.2 fix needs both halves: an aligned MTU and page-aligned
-     application messages. Unless overridden, misalign the naive case. *)
-  let page_offset =
-    match page_offset with Some o -> o | None -> if aligned then 0 else 256
-  in
+     application messages. The naive case is misaligned too. *)
+  let msg_size = 16 * 1024 in
+  let page_offset = if aligned then 0 else 256 in
   let machine = Machine.ds5000_200 in
   let page_size = machine.Machine.page_size in
   let eng = Engine.create () in

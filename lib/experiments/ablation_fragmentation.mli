@@ -27,8 +27,6 @@ type result = {
 }
 
 val run :
-  ?msg_size:int ->
-  ?page_offset:int ->
   mtu:int ->
   aligned:bool ->
   contiguous:bool ->

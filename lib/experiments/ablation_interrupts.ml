@@ -10,10 +10,9 @@ module Irq = Osiris_os.Irq
 
 let raw_vci = 9
 
-let run ?(machine = Machine.ds5000_200) ?(burst = 64) ?(pdu_size = 1024)
-    ~spacing_us () =
+let run ?(burst = 64) ~spacing_us () =
   let eng = Engine.create () in
-  let cfg = Host.default_config in
+  let machine = Machine.ds5000_200 and cfg = Host.default_config in
   let a = Host.create eng machine ~addr:0x0a000001l cfg in
   let b = Host.create eng machine ~addr:0x0a000002l { cfg with seed = 43 } in
   ignore (Network.connect eng a b);
@@ -25,7 +24,7 @@ let run ?(machine = Machine.ds5000_200) ?(burst = 64) ?(pdu_size = 1024)
       Msg.dispose msg);
   Process.spawn eng ~name:"burst" (fun () ->
       for _ = 1 to burst do
-        let msg = Msg.alloc a.Host.vs ~len:pdu_size () in
+        let msg = Msg.alloc a.Host.vs ~len:1024 () in
         Driver.send a.Host.driver ~vci:raw_vci msg;
         if spacing_us > 0 then Process.sleep eng (Time.us spacing_us)
       done);

@@ -11,14 +11,9 @@
     interrupts taken per PDU: near 1 for widely spaced packets (low latency
     still matters there), far below 1 for trains. *)
 
-val run :
-  ?machine:Osiris_core.Machine.t ->
-  ?burst:int ->
-  ?pdu_size:int ->
-  spacing_us:int ->
-  unit ->
-  int * int
-(** [(pdus_received, interrupts_taken)] for one burst with the given
-    inter-send spacing. *)
+val run : ?burst:int -> spacing_us:int -> unit -> int * int
+(** [(pdus_received, interrupts_taken)] for one burst of [burst]
+    (default 64) 1 KB PDUs between two DECstation 5000/200s with the
+    given inter-send spacing. *)
 
 val table : unit -> Report.table

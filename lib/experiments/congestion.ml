@@ -137,8 +137,8 @@ let run_until_done eng ~cap ~terminal =
   go ()
 
 let run ?(senders = 6) ?(queue_cells = 48) ?(marking = false)
-    ?(bytes_per_sender = 16 * 1024) ?(seed = 5) ?(machine = small_machine)
-    ?(config = transport_config) ?plan ?(cap = Time.s 4) () =
+    ?(bytes_per_sender = 16 * 1024) ?(seed = 5) ?(config = transport_config)
+    ?plan ?(cap = Time.s 4) () =
   let mark_threshold = if marking then max 2 (queue_cells / 3) else 0 in
   (* The fabric runs packet-discard (EPD/PPD) admission sized to the
      transport's data PDU: a congested queue sheds whole PDUs, never
@@ -180,7 +180,7 @@ let run ?(senders = 6) ?(queue_cells = 48) ?(marking = false)
     }
   in
   let eng, topo =
-    Network.star ~n:(senders + 1) ~machine ~config:host_cfg
+    Network.star ~n:(senders + 1) ~machine:small_machine ~config:host_cfg
       ~link:sweep_link ~switch ~seed:(300 + seed) ()
   in
   let sinks = Array.init senders (fun _ -> Buffer.create bytes_per_sender) in
@@ -326,23 +326,6 @@ let run ?(senders = 6) ?(queue_cells = 48) ?(marking = false)
   in
   { o with violations = o.violations @ accounting ~fault_free:(plan = None) o }
 
-let pp_outcome fmt o =
-  Format.fprintf fmt
-    "%d senders, q=%d mark=%d: %d/%d bytes%s, %d fin / %d failed%s, %d uniq \
-     + %d rtx segs (%d B rtx), %d RTOs / %d fast, %d ECE of %d marked PDUs \
-     (%d cells), switch %d in / %d dropped / %d host-dropped (peak %d), %d \
-     violations"
-    o.senders o.queue_cells o.mark_threshold o.delivered_bytes o.offered_bytes
-    (if o.byte_exact then "" else " MISMATCH")
-    o.finished o.failed
-    (match o.completion with
-    | Some t -> Printf.sprintf " in %.2f ms" (Time.to_float_us t /. 1000.)
-    | None -> "")
-    o.unique_sent o.retransmits o.retransmit_bytes o.timeouts
-    o.fast_retransmits o.ece_acks o.marked_pdus o.marked_cells o.cells_in
-    o.switch_dropped o.host_dropped o.max_occupancy
-    (List.length o.violations)
-
 (* ------------------------------------------------------------------ *)
 (* The BENCH figure: retransmitted bytes and completion time vs queue
    capacity, marking off vs on, against a provisioned-lossless baseline.
@@ -388,8 +371,8 @@ let check_figure ~baseline ~marked outs =
   monotone marked;
   List.rev !errs
 
-let figure_retransmits_vs_queue ?(senders = 8) ?(bytes_per_sender = 32 * 1024)
-    () =
+let figure_retransmits_vs_queue () =
+  let senders = 8 and bytes_per_sender = 32 * 1024 in
   let baseline =
     run ~senders ~queue_cells:4096 ~marking:false ~bytes_per_sender ()
   in
@@ -517,15 +500,16 @@ let soak_plan ~seed ~horizon ~port =
       [ { Plan.b_from = w.Plan.w_from; b_until = w.Plan.w_until; prob = 0.001 } ];
   }
 
-let soak ?(seeds = 8) ?(senders = 3) ?(bytes_per_sender = 8 * 1024) () =
-  List.init seeds (fun i ->
+let soak () =
+  List.init 8 (fun i ->
       let seed = 40 + i in
       let horizon = Time.ms 40 in
       (* The flap targets the receiver's output port — every stream's
          bottleneck — so each seed exercises stall + recovery. *)
       let plan = soak_plan ~seed ~horizon ~port:0 in
       let o =
-        run ~senders ~queue_cells:96 ~marking:true ~bytes_per_sender ~seed
+        run ~senders:3 ~queue_cells:96 ~marking:true
+          ~bytes_per_sender:(8 * 1024) ~seed
           ~plan
           ~config:
             {

@@ -70,7 +70,6 @@ val run :
   ?marking:bool ->
   ?bytes_per_sender:int ->
   ?seed:int ->
-  ?machine:Osiris_core.Machine.t ->
   ?config:Osiris_transport.Sender.config ->
   ?plan:Osiris_fault.Plan.t ->
   ?cap:Osiris_sim.Time.t ->
@@ -79,8 +78,8 @@ val run :
 (** One transfer: [senders] hosts each push [bytes_per_sender] through
     their own reliable connection to host 0, all crossing the same
     switch output port ([queue_cells] deep; [marking] sets the threshold
-    to [max 2 (queue_cells / 3)]). [machine] (default {!small_machine})
-    profiles every host. The switch runs early/partial packet
+    to [max 2 (queue_cells / 3)]). {!small_machine} profiles every
+    host. The switch runs early/partial packet
     discard sized to one segment PDU, so contention sheds whole PDUs
     (clean losses the sack machinery recovers in a round trip) instead
     of cutting cells out of the middle of them. [plan] additionally arms
@@ -88,32 +87,19 @@ val run :
     injector on the switch. The engine runs until every connection is
     terminal (or [cap]), then a grace period, then the audit. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
+val figure_retransmits_vs_queue : unit -> Report.figure
+(** The BENCH figure (marking off vs on vs lossless baseline, 8 senders
+    of 32 KB each), plus one 64-sender marking-on point at a
+    fan-in-scaled queue — the 8-sender series is untouched; the wide
+    point's bar is byte-exact delivery with zero violations. Raises
+    [Failure] if any run violates an invariant, if a marking-on run's
+    goodput falls below 90% of the baseline, or if marking-on
+    retransmitted bytes fail to decrease (within noise) as the queue
+    grows. *)
 
-val sweep_queues : int list
-
-val goodput_ratio : baseline:outcome -> outcome -> float
-(** Completion-time ratio (baseline over run) — both runs deliver all
-    bytes, so relative wall-clock is the goodput measure. *)
-
-val figure_retransmits_vs_queue :
-  ?senders:int -> ?bytes_per_sender:int -> unit -> Report.figure
-(** The BENCH figure (marking off vs on vs lossless baseline), plus one
-    64-sender marking-on point at a fan-in-scaled queue — the [senders]
-    series is untouched; the wide point's bar is byte-exact delivery
-    with zero violations. Raises [Failure] if any run violates an
-    invariant, if a marking-on run's goodput falls below 90% of the
-    baseline, or if marking-on retransmitted bytes fail to decrease
-    (within noise) as the queue grows. *)
-
-val soak :
-  ?seeds:int ->
-  ?senders:int ->
-  ?bytes_per_sender:int ->
-  unit ->
-  (int * outcome) list
-(** The seeded fault soak (default 8 seeds), each seed a different
-    random plan + port-flap storm. *)
+val soak : unit -> (int * outcome) list
+(** The seeded fault soak: 8 seeds, each a different random plan +
+    port-flap storm over 3 senders of 8 KB. *)
 
 val soak_violations : (int * outcome) list -> string list
 (** Empty iff every soak stream finished byte-exact with bounded

@@ -19,19 +19,15 @@ type point = {
   violations : string list;
 }
 
-val run :
-  ?machine:Osiris_core.Machine.t -> ?seed:int -> nvcs:int -> unit -> point
-(** Open [nvcs] VCs between one host pair, drive one web-search-CDF
-    flow per VC, and audit the fabric ({!Osiris_core.Network.audit}),
-    both classification tables' structure ({!Osiris_board.Board.demux_check},
+val run : nvcs:int -> unit -> point
+(** Open [nvcs] VCs between one DECstation 5000/200 pair, drive one
+    web-search-CDF flow per VC, and audit the fabric
+    ({!Osiris_core.Network.audit}), both classification tables'
+    structure ({!Osiris_board.Board.demux_check},
     {!Osiris_switch.Switch.route_check}), every flow's delivery, and
     bulk-setup path-cache behavior. *)
 
-val pp_point : Format.formatter -> point -> unit
-
-val sweep_vcs : int list
-
 val figure : unit -> Report.figure
-(** The BENCH figure: sweeps {!sweep_vcs}, fails on any violation, on a
+(** The BENCH figure: sweeps 64 to 8192 VCs, fails on any violation, on a
     hashed cost ratio above 1.5x between the sweep's ends, or on a
     linear baseline that failed to grow. *)

@@ -68,9 +68,8 @@ let deliver s ~msg_size ~vci:_ m =
   else s.s_corrupted <- s.s_corrupted + 1;
   Msg.dispose m
 
-let run ?(machine = Machine.ds5000_200) ?(seed = 1) ?(msgs = 60)
-    ?(msg_size = 8192) ?(horizon = Time.ms 20) ?(grace = Time.ms 10) ?plan ()
-    =
+let run ?(seed = 1) ?(msgs = 60) ?(horizon = Time.ms 20) ?plan () =
+  let machine = Machine.ds5000_200 and msg_size = 8192 in
   let eng = Engine.create () in
   let board =
     {
@@ -116,7 +115,7 @@ let run ?(machine = Machine.ds5000_200) ?(seed = 1) ?(msgs = 60)
   in
   Engine.run ~until:horizon eng;
   Injector.disarm inj;
-  Engine.run ~until:(horizon + grace) eng;
+  Engine.run ~until:(horizon + Time.ms 10) eng;
   let dstats = Driver.stats b.Host.driver in
   let bstats = Board.stats b.Host.board in
   let lstats = Atm_link.stats net.Network.a_to_b in
@@ -135,17 +134,6 @@ let run ?(machine = Machine.ds5000_200) ?(seed = 1) ?(msgs = 60)
     residual_reassemblies = Board.reassemblies_in_progress b.Host.board;
     violations = Network.audit_pair net;
   }
-
-let pp_outcome fmt o =
-  Format.fprintf fmt
-    "seed %d: %d/%d delivered (%d corrupt), %.1f Mb/s, %d drv timeout \
-     aborts, %d board timeouts, %d restripe aborts, %d dup cells, %d \
-     residual, %d violations [%s]"
-    o.seed o.delivered o.sent o.corrupted_delivered o.goodput_mbps
-    o.timeout_aborts o.board_timeouts o.restripe_aborts o.duplicated_cells
-    o.residual_reassemblies
-    (List.length o.violations)
-    o.plan
 
 (* ------------------------------------------------------------------ *)
 (* Goodput vs drop probability: a single whole-run drop burst per point,

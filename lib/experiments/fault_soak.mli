@@ -12,13 +12,7 @@
     {!Osiris_core.Network.audit_pair} clean at quiescence (both links'
     cell disposition, both hosts' invariants). *)
 
-val pattern_byte : msg:int -> off:int -> int
-(** Byte [off] of message [msg]: a pure function of both, with the message
-    index carried in the first two bytes, so deliveries verify without
-    keeping sent copies. Shared with the incast experiment. *)
-
 val fill_pattern : msg:int -> len:int -> Bytes.t
-val intact : msg:int -> Bytes.t -> bool
 
 type sink = {
   mutable s_delivered : int;  (** PDUs handed up *)
@@ -53,21 +47,16 @@ type outcome = {
 }
 
 val run :
-  ?machine:Osiris_core.Machine.t ->
   ?seed:int ->
   ?msgs:int ->
-  ?msg_size:int ->
   ?horizon:Osiris_sim.Time.t ->
-  ?grace:Osiris_sim.Time.t ->
   ?plan:Osiris_fault.Plan.t ->
   unit ->
   outcome
-(** One soak iteration. [plan] defaults to
-    [Osiris_fault.Plan.random ~seed ~horizon]; [grace] runs after the
-    injector is disarmed so timeout sweeps and re-asserted interrupts can
-    finish recovery. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
+(** One soak iteration between two DECstation 5000/200s, [msgs] 8 KB
+    PDUs. [plan] defaults to [Osiris_fault.Plan.random ~seed ~horizon];
+    a 10 ms grace runs after the injector is disarmed so timeout sweeps
+    and re-asserted interrupts can finish recovery. *)
 
 val figure_goodput_vs_drop : unit -> Report.figure
 (** The BENCH.json curve: byte-verified goodput as a whole-run cell-drop

@@ -17,13 +17,4 @@ type result = {
   mbps : float;
 }
 
-val throughput :
-  ?machine:Osiris_core.Machine.t ->
-  dma:Osiris_board.Board.dma_mode ->
-  ?msg_size:int ->
-  ?window_ms:int ->
-  unit ->
-  float
-(** Goodput of a saturating one-way UDP transfer between two hosts. *)
-
 val table : unit -> Report.table

@@ -66,9 +66,9 @@ let accounting o =
     ]
   else []
 
-let run ?(machine = Machine.ds5000_200) ?(senders = 3) ?(queue_cells = 48)
-    ?(rounds = 10) ?(msg_size = 2048) ?(seed = 5) ?(round_gap = Time.us 400)
-    ?(stagger = Time.us 30) ?(grace = Time.ms 8) () =
+let run ?(senders = 3) ?(queue_cells = 48) ?(rounds = 10) ?(seed = 5) () =
+  let machine = Machine.ds5000_200 and msg_size = 2048 in
+  let round_gap = Time.us 400 and stagger = Time.us 30 in
   let board =
     {
       Board.default_config with
@@ -114,7 +114,7 @@ let run ?(machine = Machine.ds5000_200) ?(senders = 3) ?(queue_cells = 48)
           done))
     vcs;
   let horizon = (round_gap * rounds) + (stagger * senders) + Time.ms 2 in
-  Engine.run ~until:(horizon + grace) eng;
+  Engine.run ~until:(horizon + Time.ms 8) eng;
   let sw = topo.Network.switches.(0) in
   let st = Switch.stats sw in
   let dstats = Driver.stats recv.Host.driver in
@@ -147,18 +147,6 @@ let run ?(machine = Machine.ds5000_200) ?(senders = 3) ?(queue_cells = 48)
     }
   in
   { o with violations = o.violations @ accounting o }
-
-let pp_outcome fmt o =
-  Format.fprintf fmt
-    "%d senders, q=%d: %d/%d delivered (%d corrupt), %.1f of %.1f Mb/s, \
-     switch %d in / %d fwd / %d dropped (peak occ %d), rx %d board \
-     timeouts + %d seq errors + %d drv timeout aborts, %d residual, %d \
-     violations"
-    o.senders o.queue_cells o.delivered_pdus o.offered_pdus
-    o.corrupted_delivered o.goodput_mbps o.offered_mbps o.cells_in
-    o.forwarded_cells o.switch_dropped o.max_occupancy o.reassembly_timeouts
-    o.reassembly_errors o.timeout_aborts o.residual_reassemblies
-    (List.length o.violations)
 
 (* ------------------------------------------------------------------ *)
 (* The BENCH figure: sweep the output-queue capacity under a fixed

@@ -33,28 +33,18 @@ type outcome = {
 }
 
 val run :
-  ?machine:Osiris_core.Machine.t ->
   ?senders:int ->
   ?queue_cells:int ->
   ?rounds:int ->
-  ?msg_size:int ->
   ?seed:int ->
-  ?round_gap:Osiris_sim.Time.t ->
-  ?stagger:Osiris_sim.Time.t ->
-  ?grace:Osiris_sim.Time.t ->
   unit ->
   outcome
-(** One seeded incast run: [senders] (default 3) each send [rounds]
-    (default 10) PDUs of [msg_size] (default 2 KB) bytes to host 0, one
-    per [round_gap] (default 400 µs), with sender [i] offset by
-    [i * stagger] (default 30 µs). Recovery timers are enabled on every
-    host (2 ms reassembly timeout, 500 µs interrupt re-assert); [grace]
-    (default 8 ms) runs after the last send so they can drain. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
-val sweep_queues : int list
-(** Queue capacities the figure sweeps. *)
+(** One seeded incast run between DECstation 5000/200s: [senders]
+    (default 3) each send [rounds] (default 10) PDUs of 2 KB to host 0,
+    one per 400 µs, with sender [i] offset by [i * 30 µs]. Recovery
+    timers are enabled on every host (2 ms reassembly timeout, 500 µs
+    interrupt re-assert); an 8 ms grace runs after the last send so they
+    can drain. *)
 
 val figure_goodput_vs_queue : unit -> Report.figure
 (** The BENCH.json curve: offered vs delivered PDUs, receiver timeout

@@ -105,9 +105,14 @@ let pairs ~nh ~per_pod = function
       List.init m (fun j -> (per_pod + j, 0))
   | Single_flow -> [ (0, per_pod) ]
 
-let run ?(k = 8) ?(mode = Spray.Reps) ?(workload = Permutation)
-    ?(bytes_per_flow = 64 * 1024) ?(queue_cells = 256) ?(seed = 5)
-    ?(config = transport_config) ?fail_at ?(cap = Time.s 4) () =
+(* One transfer over a freshly generated 8-ary fat-tree, one host per
+   edge switch. [fail_at] arms a topology injector that cuts one pod-0
+   aggregation-to-core trunk — chosen in a core group that path 0 (and
+   therefore every ack VC) never crosses — from that instant to the end
+   of the run. *)
+let run ?(mode = Spray.Reps) ?(workload = Permutation)
+    ?(bytes_per_flow = 64 * 1024) ?(config = transport_config) ?fail_at () =
+  let k = 8 and queue_cells = 256 and seed = 5 and cap = Time.s 4 in
   let mark_threshold = max 2 (queue_cells / 3) in
   let epd_reserve =
     min queue_cells
@@ -313,26 +318,6 @@ let run ?(k = 8) ?(mode = Spray.Reps) ?(workload = Permutation)
     violations;
   }
 
-let pp_outcome fmt o =
-  Format.fprintf fmt
-    "%s/%s: %d flows, %d/%d bytes%s, %d fin / %d failed%s, p99 FCT %.0f us, \
-     %.1f Mb/s, %d rtx / %d RTOs, %d recycled picks, %d switch drops%s, %d \
-     violations"
-    (mode_name o.mode)
-    (workload_name o.workload)
-    o.nconns o.delivered_bytes o.offered_bytes
-    (if o.byte_exact then "" else " MISMATCH")
-    o.finished o.failed
-    (match o.completion with
-    | Some t -> Printf.sprintf " in %.2f ms" (Time.to_float_us t /. 1000.)
-    | None -> "")
-    (Time.to_float_us o.fct_p99)
-    o.goodput_mbps o.retransmits o.timeouts o.recycled_picks o.switch_dropped
-    (match o.reroute with
-    | Some r -> Printf.sprintf ", reroute %.1f us" (Time.to_float_us r)
-    | None -> "")
-    (List.length o.violations)
-
 (* ------------------------------------------------------------------ *)
 (* The figure and its acceptance bars. *)
 
@@ -398,7 +383,8 @@ let mode_x = function
   | Spray.Static_hash -> 1
   | Spray.Reps -> 2
 
-let figure ?(bytes_per_flow = 64 * 1024) () =
+let figure () =
+  let bytes_per_flow = 64 * 1024 in
   let perm =
     List.map (fun mode -> run ~mode ~workload:Permutation ~bytes_per_flow ())
       modes

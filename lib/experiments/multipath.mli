@@ -42,39 +42,11 @@ type outcome = {
   violations : string list;
 }
 
-val transport_config : Osiris_transport.Sender.config
-(** The congestion sweep's short-segment tuning at OC-3 round-trips,
-    with the fast-retransmit threshold raised above the equal-cost
-    queue differential (spraying reorders across paths by design). *)
-
-val run :
-  ?k:int ->
-  ?mode:Osiris_lb.Spray.mode ->
-  ?workload:workload ->
-  ?bytes_per_flow:int ->
-  ?queue_cells:int ->
-  ?seed:int ->
-  ?config:Osiris_transport.Sender.config ->
-  ?fail_at:Osiris_sim.Time.t ->
-  ?cap:Osiris_sim.Time.t ->
-  unit ->
-  outcome
-(** One transfer over a freshly generated [k]-ary fat-tree (default 8,
-    one host per edge switch). [fail_at] arms a topology injector that
-    cuts one pod-0 aggregation-to-core trunk — chosen in a core group
-    that path 0 (and therefore every ack VC) never crosses — from that
-    instant to the end of the run. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
-val reroute_budget : Osiris_sim.Time.t
-(** 100 us simulated: the bound the failure run must beat. *)
-
-val figure : ?bytes_per_flow:int -> unit -> Report.figure
+val figure : unit -> Report.figure
 (** The BENCH figure: goodput and p99 FCT per policy under both
-    workloads, plus the trunk-cut reroute latency and goodput retention.
+    workloads (64 KB per flow), plus the trunk-cut reroute latency and goodput retention.
     Raises [Failure] if any run breaks an invariant or misses a bar:
     every stream byte-exact and finished, REPS p99 strictly better than
-    static-hash ECMP on the permutation, reroute within
-    {!reroute_budget}, and at least 90% of failure-free goodput under
+    static-hash ECMP on the permutation, reroute within 100 us, and at
+    least 90% of failure-free goodput under
     the cut. *)

@@ -68,8 +68,7 @@ let throughput ~machine ~variant ~msg_size ?(window_ms = 60) () =
   Engine.run ~until:(t0 + Time.ms window_ms) eng;
   Report.mbps ~bytes_count:(!bytes_got - base) ~ns:(Engine.now eng - t0)
 
-let figure ~machine ~variants ~title ~paper_note ?(window_ms = 60)
-    ?(sizes = Report.sizes_1k_to_256k) () =
+let figure ~machine ~variants ~title ~paper_note =
   let series =
     List.map
       (fun variant ->
@@ -78,8 +77,8 @@ let figure ~machine ~variants ~title ~paper_note ?(window_ms = 60)
           points =
             List.map
               (fun msg_size ->
-                (msg_size, throughput ~machine ~variant ~msg_size ~window_ms ()))
-              sizes;
+                (msg_size, throughput ~machine ~variant ~msg_size ()))
+              Report.sizes_1k_to_256k;
         })
       variants
   in
@@ -91,7 +90,7 @@ let figure ~machine ~variants ~title ~paper_note ?(window_ms = 60)
     paper_note;
   }
 
-let figure2 ?window_ms ?sizes () =
+let figure2 () =
   figure ~machine:Machine.ds5000_200
     ~variants:
       [
@@ -106,9 +105,8 @@ let figure2 ?window_ms ?sizes () =
     ~paper_note:
       "maxima 379 (double), 340 (single), 250 (single + eager cache \
        invalidation); 80 Mbps when the CPU reads the data (UDP-CS)"
-    ?window_ms ?sizes ()
 
-let figure3 ?window_ms ?sizes () =
+let figure3 () =
   figure ~machine:Machine.dec3000_600
     ~variants:
       [
@@ -125,4 +123,3 @@ let figure3 ?window_ms ?sizes () =
     ~paper_note:
       "double-cell approaches the 516 Mbps link payload at >=16KB; with \
        UDP checksumming ~438 Mbps (~15% cost); single-cell bus-bound at 463"
-    ?window_ms ?sizes ()

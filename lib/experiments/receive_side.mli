@@ -29,5 +29,5 @@ val throughput :
 (** Delivered UDP payload Mb/s, measured over [window_ms] (default 60) of
     simulated time after an equal warm-up. *)
 
-val figure2 : ?window_ms:int -> ?sizes:int list -> unit -> Report.figure
-val figure3 : ?window_ms:int -> ?sizes:int list -> unit -> Report.figure
+val figure2 : unit -> Report.figure
+val figure3 : unit -> Report.figure

@@ -98,7 +98,7 @@ let paper_values =
     (("DEC 3000/600", Udp_ip, 4096), 619.);
   ]
 
-let table ?rounds () =
+let table () =
   let rows =
     List.concat_map
       (fun machine ->
@@ -110,7 +110,7 @@ let table ?rounds () =
             let cells =
               List.map
                 (fun msg_size ->
-                  let v = rtt ~machine ~proto ~msg_size ?rounds () in
+                  let v = rtt ~machine ~proto ~msg_size () in
                   let p =
                     List.assoc (machine.Machine.name, proto, msg_size)
                       paper_values

@@ -29,9 +29,5 @@ val rtt_with_locking :
 (** {!rtt} with the queue-locking discipline overridden (for the §2.1.1
     ablation). *)
 
-val table : ?rounds:int -> unit -> Report.table
+val table : unit -> Report.table
 (** The full Table 1. *)
-
-val paper_values : ((string * proto * int) * float) list
-(** The paper's measured values, keyed by (machine name, protocol, size),
-    for EXPERIMENTS.md comparisons. *)

@@ -7,13 +7,12 @@ module Msg = Osiris_xkernel.Msg
 module Udp = Osiris_proto.Udp
 module Rng = Osiris_util.Rng
 
-let throughput ~machine ~checksum ?(dma = Board.Single_cell) ~msg_size
-    ?(window_ms = 60) () =
+let throughput ~machine ~checksum ~msg_size ?(window_ms = 60) () =
   let eng = Engine.create () in
   let cfg =
     {
       Host.default_config with
-      board = { Board.default_config with Board.dma_mode = dma };
+      board = { Board.default_config with Board.dma_mode = Board.Single_cell };
       udp_checksum = checksum;
     }
   in
@@ -49,15 +48,15 @@ let throughput ~machine ~checksum ?(dma = Board.Single_cell) ~msg_size
     ~bytes_count:((cells1 - cells0) * Osiris_atm.Cell.data_size)
     ~ns:(Engine.now eng - t0)
 
-let figure4 ?(window_ms = 60) ?(sizes = Report.sizes_1k_to_256k) () =
+let figure4 () =
   let curve label machine checksum =
     {
       Report.label;
       points =
         List.map
           (fun msg_size ->
-            (msg_size, throughput ~machine ~checksum ~msg_size ~window_ms ()))
-          sizes;
+            (msg_size, throughput ~machine ~checksum ~msg_size ()))
+          Report.sizes_1k_to_256k;
     }
   in
   {

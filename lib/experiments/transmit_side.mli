@@ -10,12 +10,12 @@
 val throughput :
   machine:Osiris_core.Machine.t ->
   checksum:bool ->
-  ?dma:Osiris_board.Board.dma_mode ->
   msg_size:int ->
   ?window_ms:int ->
   unit ->
   float
-(** Sent UDP payload Mb/s over [window_ms] (default 60) after warm-up. *)
+(** Sent UDP payload Mb/s over [window_ms] (default 60) after warm-up,
+    with single-cell transmit DMA. *)
 
-val figure4 : ?window_ms:int -> ?sizes:int list -> unit -> Report.figure
+val figure4 : unit -> Report.figure
 (** The paper's three curves: 3000/600, 3000/600 + UDP-CS, 5000/200. *)

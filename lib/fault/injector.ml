@@ -4,7 +4,7 @@ module Board = Osiris_board.Board
 module Switch = Osiris_switch.Switch
 module Rng = Osiris_util.Rng
 module Metrics = Osiris_obs.Metrics
-module Trace = Osiris_sim.Trace
+module Trace = Osiris_obs.Trace
 
 type t = {
   eng : Engine.t;
@@ -137,8 +137,6 @@ let disarm t =
     Trace.emitf Trace.Fault ~now:(Engine.now t.eng) "injector disarmed"
   end
 
-let plan t = t.plan
-
 (* ------------------------------------------------------------------ *)
 (* Fabric faults: the plan dimensions that live on a switch (port-flap
    storms) and its trunk links (cell-loss bursts) rather than on a
@@ -146,12 +144,10 @@ let plan t = t.plan
    host-link injector per sender plus a single fabric injector. *)
 
 type fabric = {
-  f_eng : Engine.t;
   f_plan : Plan.t;
   f_switch : Switch.t;
   f_trunks : Atm_link.t array;
   f_trunk_base : float array; (* configured drop_prob per trunk *)
-  mutable f_armed : bool;
   f_events : Metrics.counter;
 }
 
@@ -171,13 +167,11 @@ let apply_fabric t now =
 let inject_fabric eng ~plan ~switch ?(trunks = [||]) () =
   let t =
     {
-      f_eng = eng;
       f_plan = plan;
       f_switch = switch;
       f_trunks = trunks;
       f_trunk_base =
         Array.map (fun l -> (Atm_link.config l).Atm_link.drop_prob) trunks;
-      f_armed = true;
       f_events = Metrics.counter "fault.fabric_events";
     }
   in
@@ -189,29 +183,11 @@ let inject_fabric eng ~plan ~switch ?(trunks = [||]) () =
       if time > now then
         ignore
           (Engine.schedule_at eng ~time (fun () ->
-               if t.f_armed then begin
-                 Metrics.incr t.f_events;
-                 apply_fabric t time
-               end)))
+               Metrics.incr t.f_events;
+               apply_fabric t time)))
     (Plan.boundaries plan);
   apply_fabric t now;
   t
-
-let disarm_fabric t =
-  if t.f_armed then begin
-    t.f_armed <- false;
-    let nports = (Switch.config t.f_switch).Switch.nports in
-    for p = 0 to nports - 1 do
-      Switch.set_port_state t.f_switch ~port:p true
-    done;
-    Array.iteri
-      (fun i link -> Atm_link.set_drop_prob link t.f_trunk_base.(i))
-      t.f_trunks;
-    Trace.emitf Trace.Fault ~now:(Engine.now t.f_eng)
-      "fabric injector disarmed"
-  end
-
-let fabric_plan t = t.f_plan
 
 (* ------------------------------------------------------------------ *)
 (* Topology faults: the dimensions that address a generated fabric as a
@@ -221,12 +197,10 @@ let fabric_plan t = t.f_plan
    injector per topology, alongside per-host link injectors. *)
 
 type topo = {
-  t_eng : Engine.t;
   t_plan : Plan.t;
   t_switches : Switch.t array;
   t_trunks : Atm_link.t array; (* two directed links per trunk, flat *)
   t_trunk_base : float array;
-  mutable t_armed : bool;
   t_events : Metrics.counter;
 }
 
@@ -253,13 +227,11 @@ let apply_topology t now =
 let inject_topology eng ~plan ~switches ~trunks () =
   let t =
     {
-      t_eng = eng;
       t_plan = plan;
       t_switches = switches;
       t_trunks = trunks;
       t_trunk_base =
         Array.map (fun l -> (Atm_link.config l).Atm_link.drop_prob) trunks;
-      t_armed = true;
       t_events = Metrics.counter "fault.topology_events";
     }
   in
@@ -271,33 +243,8 @@ let inject_topology eng ~plan ~switches ~trunks () =
       if time > now then
         ignore
           (Engine.schedule_at eng ~time (fun () ->
-               if t.t_armed then begin
-                 Metrics.incr t.t_events;
-                 apply_topology t time
-               end)))
+               Metrics.incr t.t_events;
+               apply_topology t time)))
     (Plan.boundaries plan);
   apply_topology t now;
   t
-
-let disarm_topology t =
-  if t.t_armed then begin
-    t.t_armed <- false;
-    Array.iter
-      (fun sw ->
-        let nports = (Switch.config sw).Switch.nports in
-        for p = 0 to nports - 1 do
-          Switch.set_port_state sw ~port:p true
-        done)
-      t.t_switches;
-    Array.iteri
-      (fun i link ->
-        Atm_link.set_drop_prob link t.t_trunk_base.(i);
-        for l = 0 to (Atm_link.config link).Atm_link.nlinks - 1 do
-          Atm_link.set_link_state link ~link:l true
-        done)
-      t.t_trunks;
-    Trace.emitf Trace.Fault ~now:(Engine.now t.t_eng)
-      "topology injector disarmed"
-  end
-
-let topology_plan t = t.t_plan

@@ -38,8 +38,6 @@ val disarm : t -> unit
     carriers, zero the interrupt-loss probability and deactivate pending
     boundary events. Used before measuring quiescence. *)
 
-val plan : t -> Plan.t
-
 (** {2 Fabric faults}
 
     The plan's switch-level dimensions: [portflap#N@a-b=hp] storms an
@@ -62,12 +60,6 @@ val inject_fabric :
     topologies, on its [trunks] (e.g.
     {!Osiris_core.Network.topology.trunks}). *)
 
-val disarm_fabric : fabric -> unit
-(** Raise every port and restore the trunks' configured drop
-    probabilities; pending boundary events become no-ops. *)
-
-val fabric_plan : fabric -> Plan.t
-
 (** {2 Topology faults}
 
     The plan's fabric-wide dimensions over a {e generated} topology:
@@ -89,10 +81,3 @@ val inject_topology :
     [switches] and [trunks] straight from
     {!Osiris_core.Network.topology} ([trunks] holds the two directed
     links of plan trunk [i] at [2i] and [2i+1]). *)
-
-val disarm_topology : topo -> unit
-(** Raise every port of every switch, restore every trunk link's
-    configured drop probability and carrier; pending boundary events
-    become no-ops. *)
-
-val topology_plan : topo -> Plan.t

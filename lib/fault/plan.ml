@@ -430,5 +430,3 @@ let of_env () =
   match Sys.getenv_opt "OSIRIS_FAULT_PLAN" with
   | None | Some "" -> None
   | Some s -> Some (of_string s)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -119,5 +119,3 @@ val of_string : string -> t
 
 val of_env : unit -> t option
 (** Parse [OSIRIS_FAULT_PLAN] when set and non-empty. *)
-
-val pp : Format.formatter -> t -> unit

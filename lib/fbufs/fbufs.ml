@@ -57,7 +57,6 @@ let create cpu vs costs ~max_cached_paths ~bufs_per_path ~buf_size =
   }
 
 let vaddr (f : fbuf) = f.vaddr
-let size (f : fbuf) = f.len
 let is_cached (f : fbuf) = f.path <> None
 
 let tick t =

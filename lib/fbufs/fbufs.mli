@@ -50,7 +50,6 @@ val get : t -> path:int -> fbuf
     another path's pool. *)
 
 val vaddr : fbuf -> int
-val size : fbuf -> int
 val is_cached : fbuf -> bool
 
 val transfer : t -> fbuf -> domains:int -> Osiris_sim.Time.t

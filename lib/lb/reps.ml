@@ -55,7 +55,6 @@ let create ?(fifo = 16) ?(seed = 0) ~npaths () =
       };
   }
 
-let npaths t = t.np
 let frozen t = t.frozen
 let fifo_len t = t.ent_len
 let cached_bitmap t = t.cached

@@ -47,8 +47,6 @@ val create : ?fifo:int -> ?seed:int -> npaths:int -> unit -> t
     that just died. [seed] scrambles the explore LCG so parallel
     connections don't sweep the path space in lockstep. *)
 
-val npaths : t -> int
-
 val state_bytes : t -> int
 (** Size of the forwarding state in bytes: the FIFO ring plus head,
     tail, length, the 16-bit cached-path bitmap, the mode byte, the

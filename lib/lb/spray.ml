@@ -13,8 +13,6 @@ module Wire = Osiris_transport.Wire
 
 type mode = Reps | Static_hash | Single
 
-type stats = { mutable garbled : int }
-
 type t = {
   eng : Engine.t;
   name : string;
@@ -24,10 +22,8 @@ type t = {
   receiver : Receiver.t;
   mv : Network.mvc;
   np : int;
-  seg_paths : Bytes.t ref; (* seq -> path of latest transmission *)
   sends : int array;
   last_send : Time.t array;
-  stats : stats;
 }
 
 (* Per-segment path bookkeeping, 1 B per segment, grown on demand. This
@@ -80,9 +76,8 @@ let make_mp_pump eng host ~vcis ~name =
     Signal.broadcast nonempty
 
 let connect ?name:(nm = "mp") ?(config = Sender.default_config)
-    ?(on_state = fun _ -> ()) ?(mode = Reps) ?limit ?seed ?fifo topo ~src
-    ~dst ~deliver () =
-  let mv = Network.open_vc_paths ?limit topo ~src ~dst in
+    ?(on_state = fun _ -> ()) ?(mode = Reps) topo ~src ~dst ~deliver () =
+  let mv = Network.open_vc_paths topo ~src ~dst in
   let ack_vc = Network.open_vc topo ~src:dst ~dst:src in
   let np = Array.length mv.Network.src_vcis in
   if np > no_path then invalid_arg "Spray.connect: more than 254 paths";
@@ -91,11 +86,7 @@ let connect ?name:(nm = "mp") ?(config = Sender.default_config)
   let eng = src_host.Host.eng in
   let reps =
     match mode with
-    | Reps ->
-        let seed =
-          match seed with Some s -> s | None -> (src * 8191) + dst
-        in
-        Some (Reps.create ?fifo ~seed ~npaths:np ())
+    | Reps -> Some (Reps.create ~seed:((src * 8191) + dst) ~npaths:np ())
     | Static_hash | Single -> None
   in
   (* The strawman: one hash-chosen path for the connection's lifetime,
@@ -109,7 +100,7 @@ let connect ?name:(nm = "mp") ?(config = Sender.default_config)
     let h = h lxor (h lsr 16) in
     h land max_int mod np
   in
-  let stats = { garbled = 0 } in
+  (* seq -> path of latest transmission *)
   let seg_paths = ref (Bytes.make 256 (Char.chr no_path)) in
   let sends = Array.make np 0 in
   let last_send = Array.make np Time.zero in
@@ -176,7 +167,7 @@ let connect ?name:(nm = "mp") ?(config = Sender.default_config)
           | Ok (seq, payload) ->
               cur_path := p;
               Receiver.on_data receiver ~seq ~marked payload
-          | Error _ -> stats.garbled <- stats.garbled + 1))
+          | Error _ -> () (* garbled: dropped, the transport recovers *)))
     mv.Network.dst_vcis;
   Demux.bind src_host.Host.demux ~vci:ack_vc.Network.dst_vci
     ~name:(nm ^ ".ack")
@@ -191,7 +182,7 @@ let connect ?name:(nm = "mp") ?(config = Sender.default_config)
           | Some r -> Reps.on_ack r ~path:entropy ~ece
           | None -> ());
           Sender.on_ack sender ~ack ~sack ~ece
-      | Error _ -> stats.garbled <- stats.garbled + 1);
+      | Error _ -> ());
   {
     eng;
     name = nm;
@@ -201,24 +192,19 @@ let connect ?name:(nm = "mp") ?(config = Sender.default_config)
     receiver;
     mv;
     np;
-    seg_paths;
     sends;
     last_send;
-    stats;
   }
 
 let send t data = Sender.offer t.sender data
 let close t = Sender.close t.sender
 let state t = Sender.state t.sender
 let sender t = t.sender
-let receiver t = t.receiver
 let reps t = t.reps
 let npaths t = t.np
 let mvc t = t.mv
-let path_of_seg t seq = seg_path_get t.seg_paths seq
 let sends t p = t.sends.(p)
 let last_send t p = t.last_send.(p)
-let garbled t = t.stats.garbled
 
 let invariants t =
   let errs =

@@ -26,35 +26,28 @@ val connect :
   ?config:Osiris_transport.Sender.config ->
   ?on_state:(Osiris_transport.Sender.state -> unit) ->
   ?mode:mode ->
-  ?limit:int ->
-  ?seed:int ->
-  ?fifo:int ->
   Osiris_core.Network.topology ->
   src:int ->
   dst:int ->
   deliver:(Bytes.t -> unit) ->
   unit ->
   t
-(** Open the per-path data VCs [src -> dst] (at most [limit]) and one
-    ack VC [dst -> src], wire sender, receiver, demux bindings and the
-    send pumps, and return the connection. [seed] scrambles the REPS
-    explore order (defaults to a function of the endpoints); [fifo]
-    sizes the REPS entropy FIFO. [mode] defaults to [Reps]. *)
+(** Open one data VC [src -> dst] per equal-cost path and one ack VC
+    [dst -> src], wire sender, receiver, demux bindings and the send
+    pumps, and return the connection. The REPS explore order is
+    scrambled by a function of the endpoints. [mode] defaults to
+    [Reps]. *)
 
 val send : t -> Bytes.t -> unit
 val close : t -> unit
 val state : t -> Osiris_transport.Sender.state
 val sender : t -> Osiris_transport.Sender.t
-val receiver : t -> Osiris_transport.Receiver.t
 
 val reps : t -> Reps.t option
 (** The balancer, in [Reps] mode. *)
 
 val npaths : t -> int
 val mvc : t -> Osiris_core.Network.mvc
-
-val path_of_seg : t -> int -> int option
-(** Which path segment [seq]'s most recent transmission used. *)
 
 val sends : t -> int -> int
 (** Data-PDU hand-offs to path [p] so far (first transmissions and
@@ -65,9 +58,6 @@ val last_send : t -> int -> Osiris_sim.Time.t
     never used) — the signal the reroute-latency metric watches: after a
     fault, the last hand-off to a path crossing the failed element dates
     the spray's migration. *)
-
-val garbled : t -> int
-(** PDUs that failed wire decoding. *)
 
 val invariants : t -> string list
 (** Sender, receiver and balancer invariants plus spray bookkeeping

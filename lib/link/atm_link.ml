@@ -2,7 +2,7 @@ open Osiris_sim
 module Cell = Osiris_atm.Cell
 module Rng = Osiris_util.Rng
 module Metrics = Osiris_obs.Metrics
-module Trace = Osiris_sim.Trace
+module Trace = Osiris_obs.Trace
 
 type config = {
   nlinks : int;
@@ -150,10 +150,8 @@ let set_corrupt_header_prob t p = t.corrupt_header_prob <- p
 let set_rx_fifo_limit t n =
   t.rx_limit <- max 1 (min n t.cfg.rx_fifo_cells)
 
-let rx_fifo_limit t = t.rx_limit
 let set_cell_filter t f = t.cell_filter <- f
 let on_link_change t f = t.on_change <- f :: t.on_change
-let link_is_up t link = t.link_up.(link)
 let nlive t = Array.length t.live
 let live_links t = Array.to_list t.live
 
@@ -334,8 +332,6 @@ let send_then t a cell k =
 
 let recv_then t a k = Mailbox.recv_then t.inbox a k
 let recv t = Mailbox.recv t.inbox
-let try_recv t = Mailbox.try_recv t.inbox
-let pending t = Mailbox.length t.inbox
 
 let stats t : stats =
   {

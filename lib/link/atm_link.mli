@@ -87,11 +87,6 @@ val recv_then :
   t -> Osiris_sim.Process.agent -> (int * Osiris_atm.Cell.t -> unit) -> unit
 (** {!recv} for a callback agent ({!Osiris_sim.Mailbox.recv_then}). *)
 
-val try_recv : t -> (int * Osiris_atm.Cell.t) option
-
-val pending : t -> int
-(** Cells currently waiting in the receive FIFO. *)
-
 (** {2 Runtime fault injection}
 
     Setters for the probabilistic knobs take effect for the next cell
@@ -108,8 +103,6 @@ val set_link_state : t -> link:int -> bool -> unit
     re-stripe over the surviving channels in ascending order. Registered
     {!on_link_change} callbacks run synchronously on every transition. *)
 
-val link_is_up : t -> int -> bool
-
 val nlive : t -> int
 (** Channels currently carrying traffic (= [nlinks] when healthy). *)
 
@@ -124,8 +117,6 @@ val set_rx_fifo_limit : t -> int -> unit
 (** Squeeze (or restore) the receive FIFO's effective capacity; clamped to
     [1, rx_fifo_cells]. Arrivals beyond the limit count as
     [dropped_fifo]. *)
-
-val rx_fifo_limit : t -> int
 
 val set_cell_filter : t -> (int -> Osiris_atm.Cell.t -> bool) option -> unit
 (** Deterministic per-cell drop hook for targeted fault injection: called

@@ -5,8 +5,6 @@ let v ~addr ~len =
   if addr < 0 then invalid_arg "Pbuf.v: negative address";
   { addr; len }
 
-let last b = b.addr + b.len
-
 let split b ~at =
   if at <= 0 || at >= b.len then invalid_arg "Pbuf.split: cut out of range";
   ({ addr = b.addr; len = at }, { addr = b.addr + at; len = b.len - at })
@@ -18,9 +16,5 @@ let rec coalesce = function
       coalesce ({ addr = a.addr; len = a.len + b.len } :: rest)
   | a :: rest -> a :: coalesce rest
   | [] -> []
-
-let ends_at_page_boundary b ~page_size = (b.addr + b.len) mod page_size = 0
-
-let pp fmt b = Format.fprintf fmt "[%#x,+%d)" b.addr b.len
 
 let equal a b = a.addr = b.addr && a.len = b.len

@@ -12,9 +12,6 @@ type t = { addr : int; len : int }
 val v : addr:int -> len:int -> t
 (** Construct; [len] must be positive and [addr] non-negative. *)
 
-val last : t -> int
-(** Address of the byte just past the buffer. *)
-
 val split : t -> at:int -> t * t
 (** [split b ~at] cuts [b] into a prefix of [at] bytes and the remainder.
     [at] must satisfy [0 < at < b.len]. *)
@@ -26,12 +23,5 @@ val coalesce : t list -> t list
 (** Merge physically adjacent buffers ([a.addr + a.len = b.addr]) in a list,
     preserving order. This is what a driver does to minimize descriptor
     count when luck (or a contiguous allocator) gives adjacent frames. *)
-
-val ends_at_page_boundary : t -> page_size:int -> bool
-(** Does the buffer end exactly on a page boundary? The modified OSIRIS DMA
-    controller (paper §2.5.2) requires every buffer of a PDU except the last
-    to satisfy this. *)
-
-val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool

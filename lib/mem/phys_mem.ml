@@ -91,7 +91,6 @@ let create ?scramble ~size ~page_size () =
 
 let size t = t.nframes * t.page_size
 let page_size t = t.page_size
-let frames t = t.nframes
 let free_frames t = t.free_count
 let resident_frames t = t.resident
 let is_free t f = t.free_prev.(f) <> taken

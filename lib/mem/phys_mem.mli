@@ -33,10 +33,7 @@ val create : ?scramble:Osiris_util.Rng.t -> size:int -> page_size:int -> unit ->
     list is shuffled with it; otherwise frames are handed out in address
     order (useful in unit tests). *)
 
-val size : t -> int
 val page_size : t -> int
-val frames : t -> int
-(** Total number of frames. *)
 
 val free_frames : t -> int
 

@@ -12,7 +12,6 @@ let create ~slots ~page_size =
   if slots <= 0 || page_size <= 0 then invalid_arg "Sg_map.create";
   { nslots = slots; page_size; entries = [||]; used = 0; load_count = 0 }
 
-let slots t = t.nslots
 let loads t = t.load_count
 
 let clear t =

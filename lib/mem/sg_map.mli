@@ -11,7 +11,6 @@ type t
 
 val create : slots:int -> page_size:int -> t
 
-val slots : t -> int
 val loads : t -> int
 (** Cumulative number of slot loads, for cost accounting. *)
 

@@ -114,5 +114,3 @@ let is_wired t ~vaddr = (pte_of t vaddr).wired > 0
 
 let wired_pages t =
   Hashtbl.fold (fun _ pte acc -> if pte.wired > 0 then acc + 1 else acc) t.table 0
-
-let mapped_pages t = Hashtbl.length t.table

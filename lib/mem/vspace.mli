@@ -58,5 +58,3 @@ val is_wired : t -> vaddr:int -> bool
 
 val wired_pages : t -> int
 (** Number of distinct pages currently wired. *)
-
-val mapped_pages : t -> int

@@ -151,16 +151,3 @@ let value_json = function
 
 let to_json () =
   Json.Assoc (List.map (fun (name, v) -> (name, value_json v)) (snapshot ()))
-
-let pp fmt () =
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | V_int i -> Format.fprintf fmt "%-40s %d@." name i
-      | V_dist d ->
-          Format.fprintf fmt "%-40s n=%d mean=%.3f sd=%.3f@." name d.d_n
-            d.d_mean d.d_stddev
-      | V_hist h ->
-          Format.fprintf fmt "%-40s n=%d p50=%g p99=%g@." name h.h_n h.h_p50
-            h.h_p99)
-    (snapshot ())

@@ -4,8 +4,8 @@
     distributions ({!Osiris_util.Stats.t}) and histograms — under
     hierarchical dotted names like ["board.tx.dma_words"] at construction
     time, and bump them on the hot path (a single mutable-field update).
-    Reporting code reads everything at once with {!snapshot} or
-    {!to_json}.
+    Reporting code reads one name with {!find} or everything at once
+    with {!to_json}.
 
     Several instances may register under one name (a bench run builds
     many hosts): snapshots aggregate them — counters sum, distributions
@@ -51,14 +51,7 @@ type value =
   | V_dist of dist_value
   | V_hist of hist_value
 
-val snapshot : unit -> (string * value) list
-(** Every registered name with its aggregated value, sorted by name. *)
-
 val find : string -> value option
-
-val value_json : value -> Json.t
 
 val to_json : unit -> Json.t
 (** The whole registry as one JSON object, keys sorted. *)
-
-val pp : Format.formatter -> unit -> unit

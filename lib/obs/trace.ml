@@ -94,7 +94,6 @@ let () =
 
 let enable c = set_stderr c true
 let disable c = set_stderr c false
-let enable_all () = List.iter enable all
 
 let set_json_path = function
   | Some path -> open_json path
@@ -125,10 +124,6 @@ let reset_for_testing () =
   Array.fill ring 0 ring_capacity None;
   ring_next := 0;
   total := 0
-
-let pp_event fmt (ev : event) =
-  Format.fprintf fmt "[%10.2fus %s] %s" (float_of_int ev.t_ns /. 1e3)
-    (category_name ev.cat) ev.msg
 
 let event_json (ev : event) =
   Json.Assoc

@@ -39,7 +39,6 @@ type event = {
 
 val enable : category -> unit
 val disable : category -> unit
-val enable_all : unit -> unit
 
 val enabled : category -> bool
 (** Guard for call sites that would otherwise build strings: true when
@@ -70,9 +69,6 @@ val recent : unit -> event list
     events). *)
 
 val events_emitted : unit -> int
-
-val pp_event : Format.formatter -> event -> unit
-val event_json : event -> Json.t
 
 (** {2 Lifecycle} *)
 

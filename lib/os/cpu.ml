@@ -13,7 +13,6 @@ let create eng ~hz =
 
 let set_memory_load t hook = t.mem_load <- hook
 
-let hz t = t.hz
 let engine t = t.eng
 
 let cycles_ns t cycles = ((cycles * 1_000_000_000) + t.hz - 1) / t.hz
@@ -44,7 +43,5 @@ let consume_interrupt t duration =
 let with_held t f =
   Resource.acquire ~priority:thread_priority t.res;
   Fun.protect ~finally:(fun () -> Resource.release t.res) f
-
-let stall t duration = if duration > 0 then Process.sleep t.eng duration
 
 let busy_stats t = Resource.stats t.res

@@ -19,8 +19,6 @@ val set_memory_load : t -> (Osiris_sim.Time.t -> unit) -> unit
     shared-bus machine (DECstation 5000/200) contends with DMA — the "main
     memory contention" of paper §4. *)
 
-val hz : t -> int
-
 val engine : t -> Osiris_sim.Engine.t
 
 val cycles_ns : t -> int -> Osiris_sim.Time.t
@@ -43,10 +41,7 @@ val consume_interrupt : t -> Osiris_sim.Time.t -> unit
 val with_held : t -> (unit -> 'a) -> 'a
 (** Hold the CPU across [f]: use when a code path mixes pure compute with
     memory stalls (cache fills) that must not let other threads in. Inside,
-    use {!stall} rather than {!consume}. *)
-
-val stall : t -> Osiris_sim.Time.t -> unit
-(** Let simulated time pass without (re)acquiring the CPU — for use inside
-    {!with_held} sections or to model stalls accounted elsewhere. *)
+    let time pass with [Osiris_sim.Process.sleep] rather than
+    {!consume}. *)
 
 val busy_stats : t -> Osiris_sim.Resource.stats

@@ -9,10 +9,4 @@ let create ~name ~kind vspace =
   { id = !counter; name; kind; vspace }
 
 let name t = t.name
-let kind t = t.kind
-let vspace t = t.vspace
-let id t = t.id
 let equal a b = a.id = b.id
-let pp fmt t =
-  Format.fprintf fmt "%s(%s)" t.name
-    (match t.kind with Kernel -> "kernel" | User -> "user")

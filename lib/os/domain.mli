@@ -15,11 +15,5 @@ val create :
   name:string -> kind:kind -> Osiris_mem.Vspace.t -> t
 
 val name : t -> string
-val kind : t -> kind
-val vspace : t -> Osiris_mem.Vspace.t
-
-val id : t -> int
-(** Unique, stable identifier. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

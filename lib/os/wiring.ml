@@ -26,7 +26,6 @@ type t = {
 
 let create cpu costs policy = { cpu; costs; policy; calls = 0 }
 
-let policy t = t.policy
 let set_policy t p = t.policy <- p
 
 let cost_of t ~pages =

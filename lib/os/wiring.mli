@@ -28,7 +28,6 @@ type t
 
 val create : Cpu.t -> costs -> policy -> t
 
-val policy : t -> policy
 val set_policy : t -> policy -> unit
 
 val wire : t -> Osiris_mem.Vspace.t -> vaddr:int -> len:int -> unit

@@ -15,7 +15,7 @@ type stats = {
 
 type t = {
   ctx : Ctx.t;
-  mutable checksum : bool;
+  checksum : bool;
   ip : Ip.t;
   ports : (int, src:Ip.addr -> src_port:int -> Msg.t -> unit) Hashtbl.t;
   stats : stats;
@@ -102,13 +102,9 @@ let create ctx ~checksum ~ip =
   in
   t
 
-let set_checksum t on = t.checksum <- on
-
 let bind t ~port receiver =
   if Hashtbl.mem t.ports port then invalid_arg "Udp.bind: port in use";
   Hashtbl.replace t.ports port receiver
-
-let unbind t ~port = Hashtbl.remove t.ports port
 
 let output t ~dst ~src_port ~dst_port msg =
   Cpu.consume t.ctx.Ctx.cpu t.ctx.Ctx.costs.Ctx.udp_output;

@@ -38,13 +38,9 @@ val create : Ctx.t -> checksum:bool -> ip:Ip.t -> t
 val input : t -> src:Ip.addr -> Osiris_xkernel.Msg.t -> unit
 (** Receive one datagram from IP. Takes ownership of [msg]. *)
 
-val set_checksum : t -> bool -> unit
-
 val bind : t -> port:int -> (src:Ip.addr -> src_port:int -> Osiris_xkernel.Msg.t -> unit) -> unit
 (** Register the receiver for a local port. The receiver owns the message
     and must dispose it. *)
-
-val unbind : t -> port:int -> unit
 
 val output :
   t -> dst:Ip.addr -> src_port:int -> dst_port:int -> Osiris_xkernel.Msg.t -> unit

@@ -17,7 +17,6 @@ let create eng ?(capacity = max_int) () =
   }
 
 let length t = Queue.length t.items
-let is_empty t = Queue.is_empty t.items
 let is_full t = Queue.length t.items >= t.capacity
 
 let wake q =

@@ -42,6 +42,3 @@ val try_recv : 'a t -> 'a option
 
 val length : 'a t -> int
 (** Number of queued values. *)
-
-val is_empty : 'a t -> bool
-val is_full : 'a t -> bool

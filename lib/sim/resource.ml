@@ -56,8 +56,6 @@ let grant t =
   end
   else false
 
-let try_acquire = grant
-
 (* A waiter joins in (priority, seq) order; [release] hands it the unit
    and calls [resume], which schedules the waiter's one hop. *)
 let enqueue_waiter t ~priority resume =
@@ -119,9 +117,6 @@ let use_then ?priority t a ~duration k =
   [@osiris.alloc_ok
     "a transaction's two steps, the hold and the release: the price of a \
      shared bus, per transaction"]
-
-let in_use t = t.held
-let waiting t = List.length t.waiters
 
 let stats t =
   account t;

@@ -24,9 +24,6 @@ val acquire_then :
     and the {!release} that hands it the unit schedules the one
     zero-delay event that runs [k] — the hop a blocked fiber costs. *)
 
-val try_acquire : t -> bool
-(** Take a unit if one is free; never blocks. *)
-
 val release : t -> unit
 (** Return one unit and wake the best waiter, if any. *)
 
@@ -39,12 +36,6 @@ val use_then :
   unit
 (** {!use} for a callback agent: {!acquire_then}, then
     {!Process.sleep_then} for [duration], then {!release} and [k]. *)
-
-val in_use : t -> int
-(** Units currently held. *)
-
-val waiting : t -> int
-(** Number of blocked acquirers. *)
 
 type stats = {
   mutable busy_time : Time.t;  (** total (unit × time) the resource was held *)

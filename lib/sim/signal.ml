@@ -14,5 +14,3 @@ let broadcast t =
   let woken = List.rev t.queue in
   t.queue <- [];
   List.iter (fun resume -> resume ()) woken
-
-let waiters t = List.length t.queue

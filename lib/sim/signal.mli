@@ -19,6 +19,3 @@ val wait_then : t -> Process.agent -> (unit -> unit) -> unit
 val broadcast : t -> unit
 (** Wake all processes currently blocked in {!wait}. May be called from any
     context (process or plain event callback). *)
-
-val waiters : t -> int
-(** Number of processes currently blocked on the signal. *)

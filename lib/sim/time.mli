@@ -25,9 +25,6 @@ val s : int -> t
 val of_float_us : float -> t
 (** [of_float_us x] is [x] microseconds, rounded to the nearest ns. *)
 
-val of_float_s : float -> t
-(** [of_float_s x] is [x] seconds, rounded to the nearest ns. *)
-
 val to_float_us : t -> float
 (** [to_float_us t] is [t] expressed in microseconds. *)
 

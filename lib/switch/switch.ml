@@ -2,7 +2,7 @@ module Engine = Osiris_sim.Engine
 module Process = Osiris_sim.Process
 module Signal = Osiris_sim.Signal
 module Time = Osiris_sim.Time
-module Trace = Osiris_sim.Trace
+module Trace = Osiris_obs.Trace
 module Cell = Osiris_atm.Cell
 module Atm_link = Osiris_link.Atm_link
 module Metrics = Osiris_obs.Metrics
@@ -175,7 +175,6 @@ let route t ~in_port ~in_vci =
    per-cell classification step, and the table's analytic footprint. *)
 let route_stats t = Ctable.probe_stats t.routes
 let reset_route_stats t = Ctable.reset_probe_stats t.routes
-let route_resident_bytes t = Ctable.resident_bytes t.routes
 let nroutes t = Ctable.length t.routes
 
 let route_check t =
@@ -411,10 +410,6 @@ let set_port_state t ~port up =
       (if up then "up" else "down");
     if up then Signal.broadcast p.out_nonempty
   end
-
-let port_up t ~port =
-  check_port t "port_up" port;
-  t.ports.(port).up
 
 (* The ports are callback agents, not fibers: each step runs to its end
    and names the function that continues it, and the engine events

@@ -101,7 +101,6 @@ val route : t -> in_port:int -> in_vci:int -> (int * int) option
 
 val route_stats : t -> Osiris_classify.Table.probe_stats
 val reset_route_stats : t -> unit
-val route_resident_bytes : t -> int
 
 val nroutes : t -> int
 (** Number of programmed routing entries. *)
@@ -125,8 +124,6 @@ val set_port_state : t -> port:int -> bool -> unit
     untouched. The one cell already in the forwarding latency finishes
     and serializes; no further cell leaves the queue until the port is
     raised, which wakes its scheduler. Idempotent. *)
-
-val port_up : t -> port:int -> bool
 
 (** {2 Synchronous datapath (tests and the schedule explorer)}
 

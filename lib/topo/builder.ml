@@ -53,39 +53,6 @@ let build_chain hosts =
       |];
   }
 
-let build_leaf_spine leaves spines hosts_per_leaf =
-  let nsw = leaves + spines in
-  let switch_nports =
-    Array.init nsw (fun s ->
-        if s < leaves then hosts_per_leaf + spines else leaves)
-  in
-  let switch_names =
-    Array.init nsw (fun s ->
-        if s < leaves then Printf.sprintf "leaf%d" s
-        else Printf.sprintf "spine%d" (s - leaves))
-  in
-  let switch_tier = Array.init nsw (fun s -> if s < leaves then 0 else 1) in
-  let hosts =
-    Array.init (leaves * hosts_per_leaf) (fun h ->
-        { pr_sw = h / hosts_per_leaf; pr_port = h mod hosts_per_leaf })
-  in
-  let trunks =
-    Array.init (leaves * spines) (fun i ->
-        let l = i / spines and s = i mod spines in
-        {
-          t_a = { pr_sw = l; pr_port = hosts_per_leaf + s };
-          t_b = { pr_sw = leaves + s; pr_port = l };
-        })
-  in
-  {
-    f_spec = Spec.Leaf_spine { leaves; spines; hosts_per_leaf };
-    switch_nports;
-    switch_names;
-    switch_tier;
-    hosts;
-    trunks;
-  }
-
 (* k-ary fat-tree, switches indexed edges first (pod-major), then
    aggregations (pod-major), then cores (group-major): edge(p,e) uses
    ports [0, hosts_per_edge) for hosts and [hosts_per_edge + a] for
@@ -161,8 +128,6 @@ let build spec =
   match spec with
   | Spec.Star { hosts } -> build_star hosts
   | Spec.Chain { hosts } -> build_chain hosts
-  | Spec.Leaf_spine { leaves; spines; hosts_per_leaf } ->
-      build_leaf_spine leaves spines hosts_per_leaf
   | Spec.Fat_tree { k; hosts_per_edge } -> build_fat_tree k hosts_per_edge
 
 (* ------------------------------------------------------------------ *)
@@ -230,9 +195,6 @@ let paths f ~src ~dst =
     end
   end
 
-let path_crosses path ~sw ~port =
-  List.exists (fun h -> h.h_sw = sw && (h.h_out = port || h.h_in = port)) path
-
 let path_uses_trunk f path trunk =
   if trunk < 0 || trunk >= Array.length f.trunks then
     invalid_arg "Topo.Builder.path_uses_trunk: trunk out of range";
@@ -242,9 +204,3 @@ let path_uses_trunk f path trunk =
       (h.h_sw = t.t_a.pr_sw && h.h_out = t.t_a.pr_port)
       || (h.h_sw = t.t_b.pr_sw && h.h_out = t.t_b.pr_port))
     path
-
-let describe f =
-  Printf.sprintf "%s: %d hosts, %d switches, %d trunks, oversub %.2f"
-    (Spec.to_string f.f_spec) (nhosts f) (nswitches f)
-    (Array.length f.trunks)
-    (Spec.oversubscription f.f_spec)

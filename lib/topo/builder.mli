@@ -4,7 +4,7 @@
 
     A plan is still pure data — switch indices, port numbers and trunk
     endpoint pairs — with no engine, link or switch objects behind it.
-    [Osiris_core.Network.instantiate] turns a plan into a running fabric;
+    [Osiris_core.Network] turns a plan into a running fabric;
     experiments query the plan (the "fabric map") for path sets, trunk
     membership and tier structure.
 
@@ -26,7 +26,7 @@ type fabric = {
   switch_nports : int array;  (** ports per switch, indexed by switch *)
   switch_names : string array;
   switch_tier : int array;
-      (** 0 = host-facing (edge/leaf), 1 = aggregation/spine, 2 = core *)
+      (** 0 = host-facing (edge), 1 = aggregation, 2 = core *)
   hosts : port_ref array;  (** host [i] attaches at [hosts.(i)] *)
   trunks : trunk array;
 }
@@ -50,12 +50,5 @@ val paths : fabric -> src:int -> dst:int -> hop list list
     for a fat-tree's inter-pod pairs there are [(k/2)^2] of them. Raises
     [Invalid_argument] if [src = dst] or either is out of range. *)
 
-val path_crosses : hop list -> sw:int -> port:int -> bool
-(** Does the path enter or leave switch [sw] through [port]? (The
-    question a port-flap fault plan asks of a path set.) *)
-
 val path_uses_trunk : fabric -> hop list -> int -> bool
 (** Does the path traverse trunk [trunk] (in either direction)? *)
-
-val describe : fabric -> string
-(** One-line summary: spec, host/switch/trunk counts, oversubscription. *)

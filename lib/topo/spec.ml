@@ -1,7 +1,6 @@
 type t =
   | Star of { hosts : int }
   | Chain of { hosts : int }
-  | Leaf_spine of { leaves : int; spines : int; hosts_per_leaf : int }
   | Fat_tree of { k : int; hosts_per_edge : int }
 
 let validate = function
@@ -9,40 +8,14 @@ let validate = function
       if hosts < 2 then invalid_arg "Topo.Spec: star needs at least 2 hosts"
   | Chain { hosts } ->
       if hosts < 2 then invalid_arg "Topo.Spec: chain needs at least 2 hosts"
-  | Leaf_spine { leaves; spines; hosts_per_leaf } ->
-      if leaves < 1 || spines < 1 || hosts_per_leaf < 1 then
-        invalid_arg "Topo.Spec: leaf-spine dimensions must be positive"
   | Fat_tree { k; hosts_per_edge } ->
       if k < 2 || k mod 2 <> 0 then
         invalid_arg "Topo.Spec: fat-tree radix must be even and >= 2";
       if hosts_per_edge < 1 || hosts_per_edge > k / 2 then
         invalid_arg "Topo.Spec: fat-tree hosts_per_edge out of [1, k/2]"
 
-let nhosts = function
-  | Star { hosts } | Chain { hosts } -> hosts
-  | Leaf_spine { leaves; hosts_per_leaf; _ } -> leaves * hosts_per_leaf
-  | Fat_tree { k; hosts_per_edge } -> k * (k / 2) * hosts_per_edge
-
-let nswitches = function
-  | Star _ -> 1
-  | Chain _ -> 2
-  | Leaf_spine { leaves; spines; _ } -> leaves + spines
-  | Fat_tree { k; _ } -> (k * (k / 2) * 2) + (k / 2 * (k / 2))
-
-let oversubscription = function
-  | Star _ | Chain _ -> 0.0
-  | Leaf_spine { spines; hosts_per_leaf; _ } ->
-      float_of_int hosts_per_leaf /. float_of_int spines
-  | Fat_tree { k; hosts_per_edge } ->
-      float_of_int hosts_per_edge /. float_of_int (k / 2)
-
 let to_string = function
   | Star { hosts } -> Printf.sprintf "star(%d)" hosts
   | Chain { hosts } -> Printf.sprintf "chain(%d)" hosts
-  | Leaf_spine { leaves; spines; hosts_per_leaf } ->
-      Printf.sprintf "leaf-spine(%dx%d, %d hosts/leaf)" leaves spines
-        hosts_per_leaf
   | Fat_tree { k; hosts_per_edge } ->
       Printf.sprintf "fat-tree(k=%d, %d hosts/edge)" k hosts_per_edge
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -39,9 +39,7 @@ let create ?(name = "rcv") ~window ~deliver ~tx_ack () =
       };
   }
 
-let rcv_nxt t = t.rcv_nxt
 let stats t = t.stats
-let buffered t = Hashtbl.length t.buf
 
 (* Every data arrival — including duplicates — is answered with one ack
    carrying the cumulative edge, the selective-ack bitmap over the

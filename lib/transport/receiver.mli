@@ -32,8 +32,6 @@ val create :
 
 val on_data : t -> seq:int -> marked:bool -> Bytes.t -> unit
 
-val rcv_nxt : t -> int
-val buffered : t -> int
 val stats : t -> stats
 
 val invariants : t -> string list

@@ -46,6 +46,3 @@ let current t =
 
 let backoff t = if t.shift < 16 then t.shift <- t.shift + 1
 let srtt t = if t.srtt < 0 then None else Some t.srtt
-let rttvar t = t.rttvar
-let samples t = t.nsamples
-let backoff_shift t = t.shift

@@ -26,6 +26,3 @@ val backoff : t -> unit
     timeout. *)
 
 val srtt : t -> Osiris_sim.Time.t option
-val rttvar : t -> Osiris_sim.Time.t
-val samples : t -> int
-val backoff_shift : t -> int

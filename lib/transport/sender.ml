@@ -1,6 +1,6 @@
 module Engine = Osiris_sim.Engine
 module Time = Osiris_sim.Time
-module Trace = Osiris_sim.Trace
+module Trace = Osiris_obs.Trace
 
 type config = {
   seg_size : int;
@@ -95,13 +95,7 @@ type t = {
 let state t = t.state
 let stats t = t.stats
 let cwnd t = t.cc.cwnd
-let ssthresh t = t.cc.ssthresh
-let rto t = t.rto
 let snd_una t = t.snd_una
-let snd_nxt t = t.snd_nxt
-let nsegs t = t.nsegs
-
-let outstanding t = t.snd_nxt - t.snd_una
 
 let seg t q =
   match t.segs.(q) with
@@ -359,8 +353,6 @@ let create eng ?(name = "snd") ?(config = default_config)
         rtt_samples = 0;
       };
   }
-
-let config t = t.cfg
 
 let add_seg t payload =
   if t.nsegs = Array.length t.segs then begin

@@ -98,14 +98,8 @@ val on_ack : t -> ack:int -> sack:int -> ece:bool -> unit
 
 val state : t -> state
 val stats : t -> stats
-val config : t -> config
 val cwnd : t -> float
-val ssthresh : t -> float
-val rto : t -> Rto.t
 val snd_una : t -> int
-val snd_nxt : t -> int
-val nsegs : t -> int
-val outstanding : t -> int
 
 val invariants : t -> string list
 (** The transport-state-machine invariant probe, checkable at {e any}

@@ -11,7 +11,6 @@ type stats = { mutable garbled : int }
 
 type t = {
   eng : Engine.t;
-  name : string;
   sender : Sender.t;
   receiver : Receiver.t;
   stats : stats;
@@ -77,7 +76,7 @@ let attach ?name:(nm = "tp") ?(config = Sender.default_config)
       match Wire.decode_ack b with
       | Ok (ack, sack, ece) -> Sender.on_ack sender ~ack ~sack ~ece
       | Error _ -> stats.garbled <- stats.garbled + 1);
-  { eng; name = nm; sender; receiver; stats }
+  { eng; sender; receiver; stats }
 
 let connect_via ?name ?config ?on_state topo ~src ~dst ~deliver () =
   let data = Network.open_vc topo ~src ~dst in
@@ -94,7 +93,6 @@ let close t = Sender.close t.sender
 let state t = Sender.state t.sender
 let sender t = t.sender
 let receiver t = t.receiver
-let name t = t.name
 let garbled t = t.stats.garbled
 
 let invariants t =

@@ -62,7 +62,6 @@ val close : t -> unit
 val state : t -> Sender.state
 val sender : t -> Sender.t
 val receiver : t -> Receiver.t
-val name : t -> string
 
 val garbled : t -> int
 (** PDUs that reached the connection's demux bindings but failed

@@ -14,7 +14,6 @@
     by [decode_*] instead of being misparsed. *)
 
 val data_header_size : int
-val ack_size : int
 
 val encode_data : seq:int -> Bytes.t -> Bytes.t
 val decode_data : Bytes.t -> (int * Bytes.t, string) result

@@ -33,10 +33,6 @@ let min t = t.min
 let max t = t.max
 let sum t = t.sum
 
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n t.mean
-    (stddev t) t.min t.max
-
 (* Chan et al.'s parallel combination of Welford accumulators: exact in n,
    mean and sum, numerically stable in m2. *)
 let merge ts =
@@ -109,10 +105,6 @@ module Histogram = struct
        with Exit -> ());
       !result
     end
-
-  let pp fmt h =
-    Format.fprintf fmt "hist[%g,%g) n=%d p50=%g p99=%g" h.lo h.hi h.total
-      (percentile h 50.0) (percentile h 99.0)
 
   (* Sum same-shape histograms (the shape of the first one); differently
      shaped inputs are skipped, since their buckets are incomparable. *)

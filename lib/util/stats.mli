@@ -19,9 +19,6 @@ val max : t -> float
 
 val sum : t -> float
 
-val pp : Format.formatter -> t -> unit
-(** "n=… mean=… sd=… min=… max=…". *)
-
 val merge : t list -> t
 (** Combine accumulators as if every observation had been fed to one
     (Chan's parallel Welford combination). The inputs are not modified. *)
@@ -38,8 +35,6 @@ module Histogram : sig
   val percentile : h -> float -> float
   (** [percentile h p] for [p] in [\[0,100\]]: the upper edge of the bucket
       containing the [p]-th percentile observation. *)
-
-  val pp : Format.formatter -> h -> unit
 
   val merge : h list -> h
   (** Sum same-shape histograms into a fresh one (the shape of the first;

@@ -1,12 +1,3 @@
 let mbps ~bytes_count ~seconds =
   if seconds <= 0.0 then 0.0
   else float_of_int bytes_count *. 8.0 /. seconds /. 1e6
-
-let pp_mbps fmt r = Format.fprintf fmt "%.1f Mbps" r
-
-let pp_size fmt n =
-  if n < 1024 then Format.fprintf fmt "%dB" n
-  else if n < 1024 * 1024 then
-    if n mod 1024 = 0 then Format.fprintf fmt "%dKB" (n / 1024)
-    else Format.fprintf fmt "%.1fKB" (float_of_int n /. 1024.0)
-  else Format.fprintf fmt "%.1fMB" (float_of_int n /. (1024.0 *. 1024.0))

@@ -3,9 +3,3 @@
 
 val mbps : bytes_count:int -> seconds:float -> float
 (** Megabits per second (decimal mega, as the paper uses). *)
-
-val pp_mbps : Format.formatter -> float -> unit
-(** "413.2 Mbps" *)
-
-val pp_size : Format.formatter -> int -> unit
-(** Bytes with adaptive unit: "512B", "4KB", "1.5MB". Kilo is 1024. *)

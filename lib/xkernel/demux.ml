@@ -22,7 +22,6 @@ let deliver t ~vci msg =
       true
 
 let bound t ~vci = Hashtbl.mem t.table vci
-let bindings t = Hashtbl.length t.table
 
 let fresh_vci t =
   while Hashtbl.mem t.table t.next_vci do

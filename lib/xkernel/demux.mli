@@ -23,7 +23,6 @@ val deliver : t -> vci:int -> Msg.t -> bool
     unbound. *)
 
 val bound : t -> vci:int -> bool
-val bindings : t -> int
 
 val fresh_vci : t -> int
 (** An unused VCI (abundant-resource allocation). *)

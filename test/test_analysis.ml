@@ -176,7 +176,7 @@ let test_check_tree_over_fixtures () =
     (contains ~affix:"r1_bad_owner.ml:5: [R1]" printed)
 
 (* ------------------------------------------------------------------ *)
-(* Typed passes (R5/R6/R7) over the compiled fixture library. The
+(* Typed passes (R5/R6/R7/R9) over the compiled fixture library. The
    fixtures are linked into this test binary, so their .cmt artifacts
    are guaranteed to exist under the build tree by the time we run. *)
 
@@ -245,6 +245,43 @@ let test_typed_fixtures () =
       Alcotest.failf "r7_counter: expected 1 violation, got %d"
         (List.length vs)
 
+(* R9 over the fixture library: the exact set of exports without a
+   caller elsewhere and of optional parameters no call passes. The
+   R5-R7 fixtures' own exports are in it too, since nothing calls them. *)
+let test_r9_fixtures () =
+  let brief v =
+    let m = v.Lint.message in
+    let kind =
+      if contains ~affix:"referenced nowhere" m then "nowhere"
+      else if contains ~affix:"own module" m then "own"
+      else "unpassed"
+    in
+    Printf.sprintf "%s:%d %s %s"
+      (Filename.basename v.Lint.file)
+      v.Lint.line kind
+      (String.sub m 1 (String.index_from m 1 '\'' - 1))
+  in
+  Alcotest.(check (list string))
+    "R9 set"
+    [
+      "r5_alloc.mli:1 nowhere R5_alloc.tick";
+      "r5_classify.mli:1 nowhere R5_classify.lookup";
+      "r5_hatch.mli:1 nowhere R5_hatch.tick";
+      "r5_transitive.mli:1 own R5_transitive.boxit";
+      "r5_transitive.mli:2 nowhere R5_transitive.tick";
+      "r6_mix.mli:1 nowhere R6_mix.skew";
+      "r6_mix.mli:2 nowhere R6_mix.skew_ok";
+      "r7_counter.mli:1 nowhere R7_counter.make";
+      "r7_counter.mli:2 nowhere R7_counter.bump";
+      "r9_lib.mli:2 own R9_lib.own_only";
+      "r9_lib.mli:3 unpassed R9_lib.knob ?offset";
+      "r9_user.mli:1 nowhere R9_user.unused";
+      "r9_user.mli:1 unpassed R9_user.unused ?bias";
+    ]
+    (List.filter_map
+       (fun v -> if v.Lint.rule = "R9" then Some (brief v) else None)
+       (Typed.check_tree typed_policy ~cmt_root))
+
 (* The stale-policy rot guard: a hot entry pointing at a function that
    no longer exists must itself be a violation, not a silent no-op. *)
 let test_typed_stale_hot_entry () =
@@ -289,4 +326,6 @@ let suite =
       `Quick test_typed_fixtures;
     Alcotest.test_case "R5: stale hot entries are violations" `Quick
       test_typed_stale_hot_entry;
+    Alcotest.test_case "R9: exports without callers, unpassed options"
+      `Quick test_r9_fixtures;
   ]

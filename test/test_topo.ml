@@ -49,8 +49,7 @@ let test_spec_validation () =
   in
   rejects (Spec.Star { hosts = 1 });
   rejects (Spec.Fat_tree { k = 5; hosts_per_edge = 1 });
-  rejects (Spec.Fat_tree { k = 4; hosts_per_edge = 3 });
-  rejects (Spec.Leaf_spine { leaves = 0; spines = 2; hosts_per_leaf = 1 })
+  rejects (Spec.Fat_tree { k = 4; hosts_per_edge = 3 })
 
 (* ------------------------------------------------------------------ *)
 (* Random specs, kept small enough that whole-pair path enumeration
@@ -62,8 +61,6 @@ let spec_gen =
     [
       (2 -- 8 >|= fun hosts -> Spec.Star { hosts });
       (2 -- 8 >|= fun hosts -> Spec.Chain { hosts });
-      ( triple (2 -- 4) (2 -- 4) (1 -- 3) >|= fun (leaves, spines, hosts_per_leaf) ->
-        Spec.Leaf_spine { leaves; spines; hosts_per_leaf } );
       ( pair (oneofl [ 4; 6 ]) (1 -- 2) >|= fun (k, hosts_per_edge) ->
         Spec.Fat_tree { k; hosts_per_edge } );
     ]

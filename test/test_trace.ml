@@ -1,6 +1,6 @@
 (* Tests for the trace facility. *)
 
-module Trace = Osiris_sim.Trace
+module Trace = Osiris_obs.Trace
 
 let test_enable_disable () =
   Trace.disable Trace.Driver;
