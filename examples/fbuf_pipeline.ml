@@ -37,13 +37,9 @@ let run_pipeline ~cached =
   in
   let cpu = Cpu.create eng ~hz:machine.Machine.cpu_hz in
   let kernel_vs = Vspace.create mem in
-  let driver_dom = Domain.create ~name:"driver" ~kind:Domain.Kernel kernel_vs in
-  let proto_dom =
-    Domain.create ~name:"udp-server" ~kind:Domain.User (Vspace.create mem)
-  in
-  let app_dom =
-    Domain.create ~name:"app" ~kind:Domain.User (Vspace.create mem)
-  in
+  let driver_dom = Domain.create ~name:"driver" in
+  let proto_dom = Domain.create ~name:"udp-server" in
+  let app_dom = Domain.create ~name:"app" in
   let fb =
     Fbufs.create cpu kernel_vs Fbufs.default_costs ~max_cached_paths:16
       ~bufs_per_path:4 ~buf_size:msg_size

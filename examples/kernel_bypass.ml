@@ -23,8 +23,8 @@ let () =
 
   (* The OS maps a queue-page pair into each application: after this, the
      kernel is only involved when an interrupt needs dispatching. *)
-  let app_a = Adc.open_ a ~name:"app-a" () in
-  let app_b = Adc.open_ b ~name:"app-b" () in
+  let app_a = Adc.open_ a () in
+  let app_b = Adc.open_ b () in
   let vci = 60 in
   Board.bind_vci a.Host.board ~vci (Adc.channel app_a);
   Board.bind_vci b.Host.board ~vci (Adc.channel app_b);
@@ -54,7 +54,7 @@ let () =
 
   (* The protection story: a rogue app names physical pages it does not
      own; the board refuses to transmit and the kernel is notified. *)
-  let rogue = Adc.open_ a ~name:"rogue" () in
+  let rogue = Adc.open_ a () in
   let vci_r = 61 in
   Board.bind_vci a.Host.board ~vci:vci_r (Adc.channel rogue);
   let violations = ref 0 in

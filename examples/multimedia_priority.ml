@@ -29,9 +29,9 @@ let () =
     Host.create eng Machine.ds5000_200 ~addr:0x0a000002l Host.default_config
   in
   (* The video application: high traffic priority, high thread priority. *)
-  let video = Adc.open_ host ~name:"video" ~priority:0 ~cpu_priority:5 () in
+  let video = Adc.open_ host ~priority:0 ~cpu_priority:5 () in
   (* The bulk consumer: background priority and expensive processing. *)
-  let bulk = Adc.open_ host ~name:"bulk" ~priority:2 ~cpu_priority:15 () in
+  let bulk = Adc.open_ host ~priority:2 ~cpu_priority:15 () in
   let vci_video = 50 and vci_bulk = 51 in
   Board.bind_vci host.Host.board ~vci:vci_video (Adc.channel video);
   Board.bind_vci host.Host.board ~vci:vci_bulk (Adc.channel bulk);

@@ -17,18 +17,17 @@
 
 open Osiris_core
 module Board = Osiris_board.Board
+module Switch = Osiris_switch.Switch
 module Engine = Osiris_sim.Engine
 module Time = Osiris_sim.Time
 module Plan = Osiris_fault.Plan
 module Injector = Osiris_fault.Injector
-module Transport = Osiris_transport.Transport
+module Spray = Osiris_lb.Spray
 module Sender = Osiris_transport.Sender
 
 let block_size = 8 * 1024
 let nblocks = 24
 let total_bytes = nblocks * block_size
-let data_vci = 9
-let ack_vci = 10
 
 (* Deterministic stream contents: byte i of block b — the same pattern
    the stop-and-wait version of this example transferred, so the
@@ -50,21 +49,21 @@ let () =
       Board.reassembly_timeout = Time.ms 1;
     }
   in
-  let eng, net =
-    Network.pair ~config:{ Host.default_config with Host.board } ()
+  (* Two hosts on one switch whose queue is deep enough never to drop
+     (a 1 KB segment is ~22 cells): the only losses are the fault's. *)
+  let eng, topo =
+    Network.star ~n:2
+      ~config:{ Host.default_config with Host.board }
+      ~switch:{ Switch.default_config with Switch.queue_cells = 1024 }
+      ()
   in
-  let a = net.Network.a and b = net.Network.b in
 
   (* The fault: the same heavy cell-drop burst over the data direction
      while the middle of the transfer is in flight.  Scripted, so every
      run shows the same storm. *)
   let plan = Plan.of_string "seed=11;drop@3ms-9ms=0.3" in
-  ignore (Injector.inject eng ~plan ~link:net.Network.a_to_b ());
-
-  (* A back-to-back pair has no switch to rewrite VCIs, so the circuit
-     is just two hand-bound VCIs: data A->B, acks B->A. *)
-  Board.bind_vci b.Host.board ~vci:data_vci (Board.kernel_channel b.Host.board);
-  Board.bind_vci a.Host.board ~vci:ack_vci (Board.kernel_channel a.Host.board);
+  let uplink = topo.Network.endpoints.(0).Network.to_fabric in
+  ignore (Injector.inject eng ~plan ~link:uplink ());
 
   (* Receiver side: the transport delivers the stream in order; verify
      every byte against the generator as it arrives. *)
@@ -78,8 +77,7 @@ let () =
   in
   let t_end = ref 0 in
   let conn =
-    Transport.attach eng ~src:a ~dst:b ~data_tx_vci:data_vci
-      ~data_rx_vci:data_vci ~ack_tx_vci:ack_vci ~ack_rx_vci:ack_vci ~deliver
+    Spray.connect topo ~mode:Spray.Single ~src:0 ~dst:1 ~deliver
       ~on_state:(fun st ->
         if st = Sender.Finished then begin
           t_end := Engine.now eng;
@@ -87,11 +85,11 @@ let () =
         end)
       ()
   in
-  Transport.send conn (Bytes.init total_bytes stream_byte);
-  Transport.close conn;
+  Spray.send conn (Bytes.init total_bytes stream_byte);
+  Spray.close conn;
   Engine.run ~until:(Time.s 2) eng;
 
-  let st = Sender.stats (Transport.sender conn) in
+  let st = Sender.stats (Spray.sender conn) in
   Printf.printf
     "transferred %d blocks (%d KB) in %.2f ms simulated through a 30%% \
      drop burst\n"
@@ -103,8 +101,8 @@ let () =
     st.Sender.retransmits st.Sender.fast_retransmits st.Sender.tail_probes
     st.Sender.timeouts st.Sender.cwnd_cuts;
   Printf.printf "stream: %d/%d bytes delivered, %d corrupt, %d garbled PDUs\n"
-    !delivered total_bytes !corrupt (Transport.garbled conn);
-  (match Transport.state conn with
+    !delivered total_bytes !corrupt (Spray.garbled conn);
+  (match Spray.state conn with
   | Sender.Finished -> ()
   | Sender.Active ->
       print_endline "FAIL: transfer did not complete";
@@ -116,7 +114,7 @@ let () =
     print_endline "FAIL: delivered stream is not byte-exact";
     exit 1
   end;
-  (match Transport.invariants conn with
+  (match Spray.invariants conn with
   | [] -> ()
   | vs ->
       List.iter (Printf.printf "FAIL: invariant: %s\n") vs;

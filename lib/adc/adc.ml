@@ -4,14 +4,12 @@ module Machine = Osiris_core.Machine
 module Board = Osiris_board.Board
 module Desc = Osiris_board.Desc
 module Desc_queue = Osiris_board.Desc_queue
-module Domain = Osiris_os.Domain
 module Vspace = Osiris_mem.Vspace
 module Pbuf = Osiris_mem.Pbuf
 module Msg = Osiris_xkernel.Msg
 module Demux = Osiris_xkernel.Demux
 
 type t = {
-  domain : Domain.t;
   vs : Vspace.t;
   channel : Board.channel;
   driver : Driver.t;
@@ -22,9 +20,8 @@ type t = {
 let refresh_allowed t =
   Board.set_allowed_pages t.channel (Some t.allowed)
 
-let open_ (host : Host.t) ~name ?(priority = 1) ?cpu_priority () =
+let open_ (host : Host.t) ?(priority = 1) ?cpu_priority () =
   let vs = Vspace.create host.Host.mem in
-  let domain = Domain.create ~name ~kind:Domain.User vs in
   let channel = Board.open_channel host.Host.board ~priority () in
   let demux = Demux.create () in
   let machine = host.Host.machine in
@@ -39,7 +36,7 @@ let open_ (host : Host.t) ~name ?(priority = 1) ?cpu_priority () =
   Host.register_channel host channel driver;
   Driver.start driver;
   let t =
-    { domain; vs; channel; driver; demux;
+    { vs; channel; driver; demux;
       allowed = Driver.buffer_regions driver }
   in
   refresh_allowed t;

@@ -21,15 +21,14 @@ type t
 
 val open_ :
   Osiris_core.Host.t ->
-  name:string ->
   ?priority:int ->
   ?cpu_priority:int ->
   unit ->
   t
-(** Open an ADC on the host: create the application's protection domain and
-    address space, take one of the board's channel pages, set up its channel
-    driver (with its own receive-buffer pool, authorized to the board), and
-    wire the channel's interrupts. *)
+(** Open an ADC on the host: create the application's address space, take
+    one of the board's channel pages, set up its channel driver (with its
+    own receive-buffer pool, authorized to the board), and wire the
+    channel's interrupts. *)
 
 val vspace : t -> Osiris_mem.Vspace.t
 val channel : t -> Osiris_board.Board.channel

@@ -84,8 +84,8 @@ type t = {
   mutable total_cells : int; (* -1 until known *)
   mutable next_offset : int; (* In_order *)
   seen : (int, unit) Hashtbl.t; (* Seq_number: seqs received *)
-  mutable link_counts : int array; (* Per_link: arrivals per link *)
-  mutable link_eom : bool array; (* Per_link: framing bit seen per link *)
+  link_counts : int array; (* Per_link: arrivals per link *)
+  link_eom : bool array; (* Per_link: framing bit seen per link *)
   mutable saw_marked : bool; (* any cell of the current PDU carried the
                                 congestion bit *)
 }

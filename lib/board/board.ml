@@ -212,13 +212,12 @@ let bufs_fold f bs init =
 
 type vc_state = {
   vci : int;
-  mutable channel : channel;
+  channel : channel;
   mutable sar : Sar.t; (* replaced when the stripe narrows/widens *)
   mutable last_progress : Time.t; (* last successful placement (timeout) *)
   bufs : bufset; (* buffer index within current PDU *)
   mutable buf_size : int; (* capacity of this PDU's buffers; 0 = none yet *)
   mutable next_post : int;
-  mutable total : int; (* framed total once known; -1 before *)
   mutable dropping : bool;
   fbufs : Desc.t Queue.t; (* per-VCI preallocated buffers (cached fbufs) *)
   stash : (int * Cell.t) Queue.t;
@@ -260,7 +259,6 @@ type t = {
   tx_out : Cell.t Mailbox.t;
   rx_dma_q : dma_cmd Mailbox.t;
   mutable tx_link : Atm_link.t option;
-  mutable rx_link : Atm_link.t option;
   rx_link_map : int array; (* physical channel -> logical stripe index *)
   mutable rx_strategy : Sar.strategy; (* current (possibly narrowed) *)
   sweep_work : Signal.t; (* wakes the reassembly-timeout sweeper *)
@@ -332,7 +330,6 @@ let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ()
       bufs = bufs_create ();
       buf_size = 0;
       next_post = 0;
-      total = -1;
       dropping = false;
       fbufs = Queue.create ();
       stash = Queue.create ();
@@ -355,7 +352,6 @@ let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ()
       tx_out = Mailbox.create eng ~capacity:4 ();
       rx_dma_q = Mailbox.create eng ~capacity:4 ();
       tx_link = None;
-      rx_link = None;
       rx_link_map = Array.init cfg.nlinks (fun i -> i);
       rx_strategy = cfg.reassembly;
       sweep_work = Signal.create eng;
@@ -489,7 +485,6 @@ let bind_vci t ~vci ch =
       bufs = bufs_create ();
       buf_size = 0;
       next_post = 0;
-      total = -1;
       dropping = false;
       fbufs = Queue.create ();
       stash = Queue.create ();
@@ -987,7 +982,6 @@ let reset_vc vc =
   bufs_reset vc.bufs;
   (* buf_size persists: buffer pools are uniform per channel. *)
   vc.next_post <- 0;
-  vc.total <- -1;
   vc.dropping <- false
 
 (* Return the PDU's unposted buffers to the VC's private pool. *)
@@ -1670,7 +1664,6 @@ let handle_rx_restripe t link =
 
 let attach t ~tx_link ~rx_link =
   t.tx_link <- Some tx_link;
-  t.rx_link <- Some rx_link;
   t.recv_fn <- Some (Atm_link.recv_then rx_link);
   Atm_link.on_link_change rx_link (fun () -> handle_rx_restripe t rx_link)
 

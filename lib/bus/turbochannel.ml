@@ -24,7 +24,6 @@ let turbochannel_config topology =
   }
 
 type t = {
-  eng : Engine.t;
   cfg : config;
   io_port : Resource.t; (* DMA + PIO; also CPU traffic when Shared_bus *)
   mem_port : Resource.t; (* CPU traffic when Crossbar *)
@@ -37,7 +36,7 @@ let create eng cfg =
     | Shared_bus -> io_port
     | Crossbar -> Resource.create eng ~capacity:1
   in
-  { eng; cfg; io_port; mem_port }
+  { cfg; io_port; mem_port }
 
 let cycle_ns t = 1_000_000_000 / t.cfg.clock_hz
 

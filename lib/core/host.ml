@@ -95,7 +95,7 @@ let create eng (machine : Machine.t) ~addr cfg =
       ~page_size:machine.Machine.page_size ()
   in
   let vs = Vspace.create mem in
-  let kernel = Domain.create ~name:"kernel" ~kind:Domain.Kernel vs in
+  let kernel = Domain.create ~name:"kernel" in
   let cpu = Cpu.create eng ~hz:machine.Machine.cpu_hz in
   let bus = Tc.create eng machine.Machine.bus in
   let cache = Cache.create eng ~mem ~bus machine.Machine.cache in

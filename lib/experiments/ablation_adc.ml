@@ -28,8 +28,8 @@ let rtt_generic ~kind ~msg_size =
       (* Each side's application opens an ADC; VCIs are routed to the
          application's own queues, the channel drivers run in user space,
          and nothing crosses the kernel on the data path. *)
-      let adc_a = Adc.open_ a ~name:"app-a" () in
-      let adc_b = Adc.open_ b ~name:"app-b" () in
+      let adc_a = Adc.open_ a () in
+      let adc_b = Adc.open_ b () in
       let vci = 40 in
       Board.bind_vci a.Host.board ~vci (Adc.channel adc_a);
       Board.bind_vci b.Host.board ~vci (Adc.channel adc_b);
@@ -101,7 +101,7 @@ let protection_violation_caught () =
   let a = Host.create eng machine ~addr:0x0a000001l cfg in
   let b = Host.create eng machine ~addr:0x0a000002l { cfg with seed = 43 } in
   ignore (Network.connect eng a b);
-  let adc = Adc.open_ a ~name:"rogue" () in
+  let adc = Adc.open_ a () in
   let vci = 40 in
   Board.bind_vci a.Host.board ~vci (Adc.channel adc);
   let violated = ref false in

@@ -25,8 +25,8 @@ let run ~mux ?(bulk_pdu = 64 * 1024) () =
   (* The latency application gets its own channel (same transmit priority
      as the kernel's bulk traffic: the contrast under test is granularity,
      not priority). *)
-  let app_a = Adc.open_ a ~name:"latency" ~priority:0 () in
-  let app_b = Adc.open_ b ~name:"latency" ~priority:0 () in
+  let app_a = Adc.open_ a ~priority:0 () in
+  let app_b = Adc.open_ b ~priority:0 () in
   Board.set_priority (Adc.channel app_a) 0;
   let vci_small = 50 and vci_bulk = 51 in
   Board.bind_vci a.Host.board ~vci:vci_small (Adc.channel app_a);

@@ -21,8 +21,8 @@ let run ?(overload = true) () =
   (* Two application channels with their own buffer pools. *)
   (* Thread priority follows traffic priority (§3.1): the high channel's
      driver thread preempts the low one's. *)
-  let high = Adc.open_ host ~name:"high" ~priority:0 ~cpu_priority:5 () in
-  let low = Adc.open_ host ~name:"low" ~priority:2 ~cpu_priority:15 () in
+  let high = Adc.open_ host ~priority:0 ~cpu_priority:5 () in
+  let low = Adc.open_ host ~priority:2 ~cpu_priority:15 () in
   let vci_high = 41 and vci_low = 42 in
   Board.bind_vci host.Host.board ~vci:vci_high (Adc.channel high);
   Board.bind_vci host.Host.board ~vci:vci_low (Adc.channel low);

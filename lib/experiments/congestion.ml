@@ -8,10 +8,9 @@ module Injector = Osiris_fault.Injector
 module Rng = Osiris_util.Rng
 module Atm_link = Osiris_link.Atm_link
 module Board = Osiris_board.Board
-module Sar = Osiris_atm.Sar
-module Wire = Osiris_transport.Wire
 module Sender = Osiris_transport.Sender
-module Transport = Osiris_transport.Transport
+module Receiver = Osiris_transport.Receiver
+module Spray = Osiris_lb.Spray
 
 (* Incast revisited with a real transport: where [Incast] blasts open-loop
    PDUs into one switch output port and reads the damage off the queue
@@ -72,15 +71,9 @@ let transport_config =
   }
 
 type outcome = {
-  senders : int;
+  flows : Flows.outcome;
   queue_cells : int;
   mark_threshold : int;  (** 0 = marking off *)
-  offered_bytes : int;  (** total, all senders *)
-  delivered_bytes : int;
-  byte_exact : bool;  (** every stream delivered exactly, in order *)
-  finished : int;  (** connections that reached Finished *)
-  failed : int;  (** connections that aborted (max retries) *)
-  completion : Time.t option;  (** last Finished instant; None if any didn't *)
   unique_sent : int;  (** segments, all senders *)
   retransmits : int;
   retransmit_bytes : int;
@@ -89,29 +82,29 @@ type outcome = {
   ece_acks : int;
   marked_cells : int;
   marked_pdus : int;
-  switch_dropped : int;
   host_dropped : int;
       (** PDUs the boards dropped for want of a receive buffer (§3.1) *)
   cells_in : int;
   max_occupancy : int;
-  violations : string list;
 }
 
 (* The traffic contract: every offered byte delivered exactly once, and
    every retransmission traceable to fabric damage — on a fault-free
    fabric a sender only retransmits because the switch dropped cells. *)
 let accounting ~fault_free o =
-  (if o.delivered_bytes <> o.offered_bytes || not o.byte_exact then
+  let f = o.flows in
+  (if f.Flows.delivered_bytes <> f.Flows.offered_bytes || not f.Flows.byte_exact
+   then
      [
        Printf.sprintf
-         "congestion accounting: %d of %d bytes delivered%s" o.delivered_bytes
-         o.offered_bytes
-         (if o.byte_exact then "" else " (stream mismatch)");
+         "congestion accounting: %d of %d bytes delivered%s"
+         f.Flows.delivered_bytes f.Flows.offered_bytes
+         (if f.Flows.byte_exact then "" else " (stream mismatch)");
      ]
    else [])
   @ (if
        fault_free && o.retransmits > 0
-       && o.switch_dropped = 0 && o.host_dropped = 0
+       && f.Flows.switch_dropped = 0 && o.host_dropped = 0
      then
        [
          Printf.sprintf
@@ -125,174 +118,48 @@ let accounting ~fault_free o =
   then [ "congestion accounting: ECE echoes without any marked cell" ]
   else []
 
-let run_until_done eng ~cap ~terminal =
-  let slice = Time.ms 5 in
-  let rec go () =
-    let now = Engine.now eng in
-    if (not (terminal ())) && now < cap then begin
-      Engine.run ~until:(min cap (now + slice)) eng;
-      go ()
-    end
-  in
-  go ()
-
 let run ?(senders = 6) ?(queue_cells = 48) ?(marking = false)
     ?(bytes_per_sender = 16 * 1024) ?(seed = 5) ?(config = transport_config)
     ?plan ?(cap = Time.s 4) () =
   let mark_threshold = if marking then max 2 (queue_cells / 3) else 0 in
-  (* The fabric runs packet-discard (EPD/PPD) admission sized to the
-     transport's data PDU: a congested queue sheds whole PDUs, never
-     tails. Without it a shallow queue clips cells out of the middle of
-     PDUs, and every clipped PDU costs far more than itself — the
-     receiving board's stripe phase stays rotated until a reassembly
-     timeout, so the loss of one cell silently CRC-kills the rest of the
-     burst and only an RTO recovers. Whole-PDU losses leave the following
-     PDUs deliverable, the receiver's sacks expose the hole, and fast
-     retransmission repairs it in about a round trip. *)
-  let epd_reserve =
-    min queue_cells
-      (Sar.cells_per_pdu (config.Sender.seg_size + Wire.data_header_size))
-  in
-  let switch =
-    { Switch.default_config with
-      Switch.queue_cells; mark_threshold; epd_reserve }
-  in
-  (* The board's reassembly-timeout sweep is load-bearing here: a cell
-     dropped mid-PDU leaves the VC's stripe phase rotated, and every
-     later PDU on that VC reassembles permuted (a steady CRC-drop trickle
-     that no retransmission can outrun). The sweep fires during the
-     sender's RTO pause and resets the phase, so the retransmission
-     finds a clean reassembler. Keep it well under the RTO floor and
-     well over a PDU's intra-queue spread. *)
-  let host_cfg =
-    {
-      Host.default_config with
-      Host.seed = 9000 + seed;
-      board =
-        {
-          Host.default_config.Host.board with
-          Board.reassembly_timeout = Time.ms 2;
-          (* Deep enough for [small_machine]'s full buffer complement
-             (the paper's 64-slot queues cap circulating buffers below
-             the 128 PDUs eight windowed senders keep in flight). *)
-          queue_size = 256;
-        };
-    }
-  in
   let eng, topo =
-    Network.star ~n:(senders + 1) ~machine:small_machine ~config:host_cfg
-      ~link:sweep_link ~switch ~seed:(300 + seed) ()
+    Network.star ~n:(senders + 1) ~machine:small_machine
+      ~config:(Flows.host_config ~seed:(9000 + seed))
+      ~link:sweep_link
+      ~switch:(Flows.switch_config config ~queue_cells ~mark_threshold)
+      ~seed:(300 + seed) ()
   in
-  let sinks = Array.init senders (fun _ -> Buffer.create bytes_per_sender) in
-  let finish_times = Array.make senders None in
-  let conns =
-    Array.init senders (fun i ->
-        (* Slightly different timer constants per sender: a shared RTO
-           ceiling phase-locks backed-off senders (every retry collides
-           with every other retry, forever). Real stacks are desynced by
-           clock granularity and scheduling noise; the simulator must do
-           it explicitly. *)
-        let config =
-          {
-            config with
-            Sender.rto_init = config.Sender.rto_init + Time.us (137 * i);
-            rto_max = config.Sender.rto_max + Time.us (613 * i);
-          }
-        in
-        Transport.connect_via topo
-          ~name:(Printf.sprintf "cc%d" i)
-          ~config ~src:(i + 1) ~dst:0
-          ~on_state:(fun st ->
-            if st = Sender.Finished then
-              finish_times.(i) <- Some (Engine.now eng))
-          ~deliver:(fun b -> Buffer.add_bytes sinks.(i) b)
-          ())
+  let flows =
+    Flows.connect eng topo ~name:"cc" ~config ~mode:Spray.Single
+      ~bytes:bytes_per_sender
+      (Array.init senders (fun i -> (i + 1, 0)))
   in
-  (* Optional fault plan: host-link faults ride the receiver's downlink
-     (every stream crosses it), fabric faults (port flaps) the switch. *)
-  let injectors =
-    match plan with
-    | None -> []
-    | Some p ->
-        let sw = topo.Network.switches.(0) in
-        let down = topo.Network.endpoints.(0).Network.from_fabric in
-        [
-          `Link (Injector.inject eng ~plan:p ~link:down ());
-          `Fabric
-            (Injector.inject_fabric eng ~plan:p ~switch:sw
-               ~trunks:topo.Network.trunks ());
-        ]
-  in
-  ignore injectors;
-  (* Stagger the starts: simultaneous senders would synchronize their
-     slow-start bursts and retransmission timers (everyone overflows the
-     queue, everyone times out together, everyone collides again), which
-     no real incast exhibits past the first RTT. A seeded jitter breaks
-     the phase; after that, ack clocking keeps the senders interleaved. *)
-  let jitter = Rng.create ~seed:(0x57a6_6e2d lxor seed) in
-  Array.iteri
-    (fun i conn ->
-      let at = Time.us ((i * 400) + Rng.int jitter 300) in
-      ignore
-        (Engine.schedule_at eng ~time:at (fun () ->
-             Transport.send conn
-               (Fault_soak.fill_pattern ~msg:i ~len:bytes_per_sender);
-             Transport.close conn)))
-    conns;
-  let terminal () =
-    Array.for_all (fun c -> Transport.state c <> Sender.Active) conns
-  in
-  run_until_done eng ~cap ~terminal;
-  (* Grace: let acks, sweeps and pumps quiesce before auditing. *)
-  Engine.run ~until:(Engine.now eng + Time.ms 10) eng;
   let sw = topo.Network.switches.(0) in
+  (* Optional fault plan: fabric faults (port flaps) ride the switch,
+     host-link faults the receiver's downlink (every stream crosses
+     it). Armed in this order, after connecting and before the starts
+     are scheduled: the order fixes the soak's event sequence. *)
+  Option.iter
+    (fun p ->
+      ignore
+        (Injector.inject_fabric eng ~plan:p ~switch:sw
+           ~trunks:topo.Network.trunks ());
+      ignore
+        (Injector.inject eng ~plan:p
+           ~link:topo.Network.endpoints.(0).Network.from_fabric ()))
+    plan;
+  let f =
+    Flows.run flows
+      ~jitter:(Rng.create ~seed:(0x57a6_6e2d lxor seed))
+      ~every_us:400 ~spread_us:300 ~cap
+  in
   let st = Switch.stats sw in
-  let sum f =
-    Array.fold_left (fun a c -> a + f (Sender.stats (Transport.sender c))) 0
-      conns
-  in
-  let byte_exact =
-    Array.for_all
-      (fun i ->
-        Bytes.equal (Buffer.to_bytes sinks.(i))
-          (Fault_soak.fill_pattern ~msg:i ~len:bytes_per_sender))
-      (Array.init senders (fun i -> i))
-  in
-  let finished =
-    Array.fold_left
-      (fun a c -> if Transport.state c = Sender.Finished then a + 1 else a)
-      0 conns
-  in
-  let failed =
-    Array.fold_left
-      (fun a c ->
-        match Transport.state c with Sender.Failed _ -> a + 1 | _ -> a)
-      0 conns
-  in
-  let completion =
-    Array.fold_left
-      (fun acc ft ->
-        match (acc, ft) with
-        | Some a, Some b -> Some (max a b)
-        | _ -> None)
-      (Some Time.zero) finish_times
-  in
-  let violations =
-    Network.audit topo
-    @ List.concat_map Transport.invariants (Array.to_list conns)
-  in
+  let sum = Flows.sum flows in
   let o =
     {
-      senders;
+      flows = f;
       queue_cells;
       mark_threshold;
-      offered_bytes = senders * bytes_per_sender;
-      delivered_bytes =
-        Array.fold_left (fun a b -> a + Buffer.length b) 0 sinks;
-      byte_exact;
-      finished;
-      failed;
-      completion;
       unique_sent = sum (fun s -> s.Sender.unique_sent);
       retransmits = sum (fun s -> s.Sender.retransmits);
       retransmit_bytes = sum (fun s -> s.Sender.retransmit_bytes);
@@ -303,28 +170,22 @@ let run ?(senders = 6) ?(queue_cells = 48) ?(marking = false)
       marked_pdus =
         Array.fold_left
           (fun a c ->
-            a
-            + (Osiris_transport.Receiver.stats (Transport.receiver c))
-                .Osiris_transport.Receiver.marked_pdus)
-          0 conns;
-      switch_dropped =
-        st.Switch.dropped_overflow + st.Switch.dropped_no_route
-        + st.Switch.dropped_epd;
+            a + (Receiver.stats (Spray.receiver c)).Receiver.marked_pdus)
+          0 (Flows.conns flows);
       host_dropped =
-        List.fold_left
-          (fun a i ->
-            let h = Network.host topo i in
-            a
-            + (Osiris_board.Board.stats h.Host.board)
-                .Osiris_board.Board.pdus_dropped_no_buffer)
-          0
-          (List.init (Network.nhosts topo) Fun.id);
+        Array.fold_left
+          (fun a e ->
+            let st = Board.stats e.Network.host.Host.board in
+            a + st.Board.pdus_dropped_no_buffer)
+          0 topo.Network.endpoints;
       cells_in = st.Switch.cells_in;
       max_occupancy = st.Switch.max_occupancy;
-      violations;
     }
   in
-  { o with violations = o.violations @ accounting ~fault_free:(plan = None) o }
+  let violations =
+    f.Flows.violations @ accounting ~fault_free:(plan = None) o
+  in
+  { o with flows = { f with Flows.violations } }
 
 (* ------------------------------------------------------------------ *)
 (* The BENCH figure: retransmitted bytes and completion time vs queue
@@ -339,7 +200,7 @@ let sweep_queues = [ 12; 24; 48; 96; 144; 192 ]
 (* Goodput ratio: all runs deliver every byte eventually, so "goodput"
    compares completion times — baseline wall-clock over this run's. *)
 let goodput_ratio ~baseline o =
-  match (baseline.completion, o.completion) with
+  match (baseline.flows.Flows.completion, o.flows.Flows.completion) with
   | Some t0, Some t -> float_of_int t0 /. float_of_int (max 1 t)
   | _ -> 0.0
 
@@ -348,7 +209,8 @@ let check_figure ~baseline ~marked outs =
   let bad fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   List.iter
     (fun o ->
-      List.iter (fun v -> bad "q=%d: %s" o.queue_cells v) o.violations)
+      List.iter (bad "%s")
+        (Flows.check ~tag:(Printf.sprintf "q=%d" o.queue_cells) o.flows))
     (baseline :: outs @ marked);
   List.iter
     (fun o ->
@@ -396,21 +258,18 @@ let figure_retransmits_vs_queue () =
     run ~senders:64 ~queue_cells:256 ~marking:true
       ~bytes_per_sender:(8 * 1024) ~cap:(Time.s 16) ()
   in
-  (let werrs = ref [] in
-   List.iter
-     (fun v -> werrs := Printf.sprintf "64 senders: %s" v :: !werrs)
-     wide.violations;
-   if not wide.byte_exact then
-     werrs := "64 senders: delivered streams not byte-exact" :: !werrs;
-   if wide.finished <> wide.senders then
-     werrs :=
-       Printf.sprintf "64 senders: %d of %d finished" wide.finished
-         wide.senders
-       :: !werrs;
-   match check_figure ~baseline ~marked plain @ List.rev !werrs with
-   | [] -> ()
-   | errs -> failwith ("congestion: " ^ String.concat "; " errs));
+  (match
+     check_figure ~baseline ~marked plain
+     @ Flows.check ~tag:"64 senders" wide.flows
+   with
+  | [] -> ()
+  | errs -> failwith ("congestion: " ^ String.concat "; " errs));
   let pt outs f = List.map (fun o -> (o.queue_cells, f o)) outs in
+  let completion_ms o =
+    match o.flows.Flows.completion with
+    | Some t -> Time.to_float_us t /. 1000.
+    | None -> Float.nan
+  in
   {
     Report.title =
       Printf.sprintf
@@ -432,19 +291,11 @@ let figure_retransmits_vs_queue () =
         };
         {
           Report.label = "completion ms (marking off)";
-          points =
-            pt plain (fun o ->
-                match o.completion with
-                | Some t -> Time.to_float_us t /. 1000.
-                | None -> Float.nan);
+          points = pt plain completion_ms;
         };
         {
           Report.label = "completion ms (marking on)";
-          points =
-            pt marked (fun o ->
-                match o.completion with
-                | Some t -> Time.to_float_us t /. 1000.
-                | None -> Float.nan);
+          points = pt marked completion_ms;
         };
         {
           Report.label = "goodput ratio vs lossless (marking on)";
@@ -452,7 +303,8 @@ let figure_retransmits_vs_queue () =
         };
         {
           Report.label = "switch cell drops (marking on)";
-          points = pt marked (fun o -> float_of_int o.switch_dropped);
+          points =
+            pt marked (fun o -> float_of_int o.flows.Flows.switch_dropped);
         };
         {
           Report.label = "retransmitted bytes (64 senders, marking on)";
@@ -460,13 +312,7 @@ let figure_retransmits_vs_queue () =
         };
         {
           Report.label = "completion ms (64 senders, marking on)";
-          points =
-            [
-              ( wide.queue_cells,
-                match wide.completion with
-                | Some t -> Time.to_float_us t /. 1000.
-                | None -> Float.nan );
-            ];
+          points = [ (wide.queue_cells, completion_ms wide) ];
         };
       ];
     paper_note =
@@ -525,18 +371,13 @@ let soak_violations results =
   List.concat_map
     (fun (seed, o) ->
       let tag = Printf.sprintf "soak seed %d" seed in
-      List.map (fun v -> tag ^ ": " ^ v) o.violations
-      @ (if o.finished <> o.senders then
-           [
-             Printf.sprintf "%s: %d of %d streams finished (%d failed)" tag
-               o.finished o.senders o.failed;
-           ]
-         else [])
+      let offered = o.flows.Flows.offered_bytes in
+      Flows.check ~tag o.flows
       @
-      if o.retransmit_bytes > 2 * o.offered_bytes then
+      if o.retransmit_bytes > 2 * offered then
         [
           Printf.sprintf "%s: unbounded retransmission (%d B for %d offered)"
-            tag o.retransmit_bytes o.offered_bytes;
+            tag o.retransmit_bytes offered;
         ]
       else [])
     results

@@ -28,16 +28,11 @@ val transport_config : Osiris_transport.Sender.config
     above the congested round-trip. *)
 
 type outcome = {
-  senders : int;
+  flows : Flows.outcome;
+      (** its [violations] add the traffic accounting to the fabric
+          audit and the connection invariants *)
   queue_cells : int;
   mark_threshold : int;  (** 0 = marking off *)
-  offered_bytes : int;  (** total, all senders *)
-  delivered_bytes : int;
-  byte_exact : bool;  (** every stream delivered exactly, in order *)
-  finished : int;  (** connections that reached Finished *)
-  failed : int;  (** connections that aborted (max retries) *)
-  completion : Osiris_sim.Time.t option;
-      (** last Finished instant; [None] if any stream didn't finish *)
   unique_sent : int;  (** segments, all senders *)
   retransmits : int;
   retransmit_bytes : int;
@@ -46,23 +41,11 @@ type outcome = {
   ece_acks : int;
   marked_cells : int;
   marked_pdus : int;
-  switch_dropped : int;
   host_dropped : int;
       (** PDUs the boards dropped for want of a receive buffer (§3.1) *)
   cells_in : int;
   max_occupancy : int;
-  violations : string list;
-      (** the {!Osiris_core.Network.audit} of the star (switch cells
-          and marks, every link, every host), transport state-machine
-          invariants, traffic accounting *)
 }
-
-val run_until_done :
-  Osiris_sim.Engine.t -> cap:Osiris_sim.Time.t -> terminal:(unit -> bool) ->
-  unit
-(** Run the engine in 5 ms slices until [terminal ()] holds or the
-    clock reaches [cap]: completion times are data, so a transfer run
-    cannot stop at a fixed horizon. Shared with the multipath figure. *)
 
 val run :
   ?senders:int ->
@@ -76,16 +59,16 @@ val run :
   unit ->
   outcome
 (** One transfer: [senders] hosts each push [bytes_per_sender] through
-    their own reliable connection to host 0, all crossing the same
-    switch output port ([queue_cells] deep; [marking] sets the threshold
-    to [max 2 (queue_cells / 3)]). {!small_machine} profiles every
-    host. The switch runs early/partial packet
-    discard sized to one segment PDU, so contention sheds whole PDUs
-    (clean losses the sack machinery recovers in a round trip) instead
-    of cutting cells out of the middle of them. [plan] additionally arms
-    a host-link injector on the receiver's downlink and a fabric
-    injector on the switch. The engine runs until every connection is
-    terminal (or [cap]), then a grace period, then the audit. *)
+    their own single-path {!Flows} connection to host 0, all crossing
+    the same switch output port ([queue_cells] deep; [marking] sets the
+    threshold to [max 2 (queue_cells / 3)]). {!small_machine} profiles
+    every host. The switch runs early/partial packet discard sized to
+    one segment PDU, so contention sheds whole PDUs (clean losses the
+    sack machinery recovers in a round trip) instead of cutting cells
+    out of the middle of them. [plan] additionally arms a fabric
+    injector on the switch and a host-link injector on the receiver's
+    downlink. The engine runs until every connection is terminal (or
+    [cap]), then a grace period, then the audit. *)
 
 val figure_retransmits_vs_queue : unit -> Report.figure
 (** The BENCH figure (marking off vs on vs lossless baseline, 8 senders

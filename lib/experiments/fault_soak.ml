@@ -87,13 +87,10 @@ let run ?(seed = 1) ?(msgs = 60) ?(horizon = Time.ms 20) ?plan () =
   let plan =
     match plan with
     | Some p -> p
-    | None -> (
-        match Plan.of_env () with
-        | Some p -> p
-        | None ->
-            Plan.random
-              ~nlinks:(Atm_link.config net.Network.a_to_b).Atm_link.nlinks
-              ~seed ~horizon ())
+    | None ->
+        Plan.random
+          ~nlinks:(Atm_link.config net.Network.a_to_b).Atm_link.nlinks
+          ~seed ~horizon ()
   in
   Board.bind_vci a.Host.board ~vci:raw_vci (Board.kernel_channel a.Host.board);
   Board.bind_vci b.Host.board ~vci:raw_vci (Board.kernel_channel b.Host.board);

@@ -1,18 +1,11 @@
 open Osiris_sim
-module Host = Osiris_core.Host
 module Network = Osiris_core.Network
-module Machine = Osiris_core.Machine
-module Switch = Osiris_switch.Switch
 module Builder = Osiris_topo.Builder
 module Plan = Osiris_fault.Plan
 module Injector = Osiris_fault.Injector
 module Rng = Osiris_util.Rng
-module Board = Osiris_board.Board
-module Sar = Osiris_atm.Sar
-module Wire = Osiris_transport.Wire
 module Sender = Osiris_transport.Sender
 module Spray = Osiris_lb.Spray
-module Reps = Osiris_lb.Reps
 
 (* The multipath figure: an 8-pod fat-tree ((k/2)^2 = 16 equal-cost
    inter-pod paths) under a full permutation and an inter-pod incast,
@@ -74,24 +67,13 @@ let mode_name = function
 type outcome = {
   mode : Spray.mode;
   workload : workload;
-  nconns : int;
-  offered_bytes : int;
-  delivered_bytes : int;
-  byte_exact : bool;
-  finished : int;
-  failed : int;
-  completion : Time.t option;  (** last finish; None if any didn't *)
-  fct_p99 : Time.t;  (** 99th-percentile flow completion time *)
+  flows : Flows.outcome;
   goodput_mbps : float;  (** delivered bytes over the span of the run *)
   retransmits : int;
-  timeouts : int;
-  recycled_picks : int;  (** REPS picks served from recycled entropy *)
-  switch_dropped : int;  (** over every switch in the fabric *)
   reroute : Time.t option;
       (** failure runs: last hand-off to a path crossing the dead trunk,
           counted from the cut instant (zero = nothing sent on it after
           the cut) *)
-  violations : string list;
 }
 
 (* Pairs of one workload over an [n]-host fabric with [per_pod] hosts
@@ -113,215 +95,83 @@ let pairs ~nh ~per_pod = function
 let run ?(mode = Spray.Reps) ?(workload = Permutation)
     ?(bytes_per_flow = 64 * 1024) ?(config = transport_config) ?fail_at () =
   let k = 8 and queue_cells = 256 and seed = 5 and cap = Time.s 4 in
-  let mark_threshold = max 2 (queue_cells / 3) in
-  let epd_reserve =
-    min queue_cells
-      (Sar.cells_per_pdu (config.Sender.seg_size + Wire.data_header_size))
-  in
-  let switch =
-    { Switch.default_config with
-      Switch.queue_cells; mark_threshold; epd_reserve }
-  in
-  let host_cfg =
-    {
-      Host.default_config with
-      Host.seed = 11000 + seed;
-      board =
-        {
-          Host.default_config.Host.board with
-          Board.reassembly_timeout = Time.ms 2;
-          queue_size = 256;
-        };
-    }
-  in
   let eng, topo =
     Network.fat_tree ~k ~hosts_per_edge:1 ~machine:small_machine
-      ~config:host_cfg ~switch ~seed:(700 + seed) ()
+      ~config:(Flows.host_config ~seed:(11000 + seed))
+      ~switch:
+        (Flows.switch_config config ~queue_cells
+           ~mark_threshold:(max 2 (queue_cells / 3)))
+      ~seed:(700 + seed) ()
   in
-  let fabric = Network.fabric topo in
-  let nh = Network.nhosts topo in
-  let per_pod = k / 2 in
-  let flows = Array.of_list (pairs ~nh ~per_pod workload) in
-  let n = Array.length flows in
+  let pairs = pairs ~nh:(Network.nhosts topo) ~per_pod:(k / 2) workload in
+  let flows =
+    Flows.connect eng topo ~name:"mp" ~config ~mode ~bytes:bytes_per_flow
+      (Array.of_list pairs)
+  in
   (* The trunk that dies in failure runs: an aggregation-to-core uplink
      of pod 0 in core group [h/2] — paths through core group 0 (path 0
      of every connection, and thus every ack VC) never cross it, so the
      cut exercises the spray, not the ack channel. *)
   let h = k / 2 in
   let target_trunk = (k * h * h) + (h / 2 * h) + 1 in
-  let plan =
-    match fail_at with
-    | None -> None
-    | Some t ->
-        Some
-          {
-            Plan.none with
-            Plan.trunk_down = [ (target_trunk, { Plan.w_from = t; w_until = cap }) ];
-          }
-  in
-  let sinks = Array.init n (fun _ -> Buffer.create bytes_per_flow) in
-  let finish_times = Array.make n None in
-  let start_times = Array.make n Time.zero in
-  let conns =
-    Array.init n (fun i ->
-        let src, dst = flows.(i) in
-        let config =
-          (* Desync the timer constants per flow, as in the congestion
-             sweep: a shared RTO ceiling phase-locks backed-off senders. *)
-          {
-            config with
-            Sender.rto_init = config.Sender.rto_init + Time.us (137 * i);
-            rto_max = config.Sender.rto_max + Time.us (613 * i);
-          }
-        in
-        Spray.connect topo
-          ~name:(Printf.sprintf "mp%d" i)
-          ~config ~mode ~src ~dst
-          ~on_state:(fun st ->
-            if st = Sender.Finished then
-              finish_times.(i) <- Some (Engine.now eng))
-          ~deliver:(fun b -> Buffer.add_bytes sinks.(i) b)
-          ())
-  in
-  (match plan with
-  | None -> ()
-  | Some p ->
+  Option.iter
+    (fun t ->
+      let cut = { Plan.w_from = t; w_until = cap } in
+      let plan = { Plan.none with Plan.trunk_down = [ (target_trunk, cut) ] } in
       ignore
-        (Injector.inject_topology eng ~plan:p ~switches:topo.Network.switches
-           ~trunks:topo.Network.trunks ()));
-  let jitter = Rng.create ~seed:(0x4af7_11cc lxor seed) in
-  Array.iteri
-    (fun i conn ->
-      let at = Time.us ((i * 10) + Rng.int jitter 30) in
-      start_times.(i) <- at;
-      ignore
-        (Engine.schedule_at eng ~time:at (fun () ->
-             Spray.send conn
-               (Fault_soak.fill_pattern ~msg:i ~len:bytes_per_flow);
-             Spray.close conn)))
-    conns;
-  let terminal () =
-    Array.for_all (fun c -> Spray.state c <> Sender.Active) conns
+        (Injector.inject_topology eng ~plan ~switches:topo.Network.switches
+           ~trunks:topo.Network.trunks ()))
+    fail_at;
+  let f =
+    Flows.run flows
+      ~jitter:(Rng.create ~seed:(0x4af7_11cc lxor seed))
+      ~every_us:10 ~spread_us:30 ~cap
   in
-  Congestion.run_until_done eng ~cap ~terminal;
-  Engine.run ~until:(Engine.now eng + Time.ms 10) eng;
-  let byte_exact =
-    Array.for_all
-      (fun i ->
-        Bytes.equal (Buffer.to_bytes sinks.(i))
-          (Fault_soak.fill_pattern ~msg:i ~len:bytes_per_flow))
-      (Array.init n (fun i -> i))
-  in
-  let finished =
-    Array.fold_left
-      (fun a c -> if Spray.state c = Sender.Finished then a + 1 else a)
-      0 conns
-  in
-  let failed =
-    Array.fold_left
-      (fun a c ->
-        match Spray.state c with Sender.Failed _ -> a + 1 | _ -> a)
-      0 conns
-  in
-  let completion =
-    Array.fold_left
-      (fun acc ft ->
-        match (acc, ft) with
-        | Some a, Some b -> Some (max a b)
-        | _ -> None)
-      (Some Time.zero) finish_times
-  in
-  let fcts =
-    Array.to_list
-      (Array.mapi
-         (fun i ft ->
-           match ft with
-           | Some t -> t - start_times.(i)
-           | None -> cap)
-         finish_times)
-  in
-  let fct_p99 =
-    let sorted = List.sort compare fcts in
-    let idx =
-      max 0 (int_of_float (ceil (0.99 *. float_of_int n)) - 1)
-    in
-    List.nth sorted (min idx (n - 1))
-  in
-  let delivered_bytes =
-    Array.fold_left (fun a b -> a + Buffer.length b) 0 sinks
-  in
-  let goodput_mbps =
-    match completion with
-    | Some t when t > Time.zero ->
-        Report.mbps ~bytes_count:delivered_bytes ~ns:t
-    | _ -> 0.0
-  in
-  let violations =
-    Network.audit topo
-    @ List.concat_map Spray.invariants (Array.to_list conns)
-  in
-  let sum f =
-    Array.fold_left (fun a c -> a + f (Sender.stats (Spray.sender c))) 0 conns
-  in
-  let switch_dropped =
-    Array.fold_left
-      (fun a sw ->
-        let st = Switch.stats sw in
-        a + st.Switch.dropped_overflow + st.Switch.dropped_no_route
-        + st.Switch.dropped_epd)
-      0 topo.Network.switches
-  in
+  let fabric = Network.fabric topo in
   let reroute =
-    match fail_at with
-    | None -> None
-    | Some t_cut ->
+    Option.map
+      (fun t_cut ->
         (* How long the spray kept feeding the dead trunk: the latest
            hand-off, over every connection, to a path crossing it. *)
-        Some
-          (Array.fold_left
-             (fun acc c ->
-               let mv = Spray.mvc c in
-               let worst = ref acc in
-               Array.iteri
-                 (fun p path ->
-                   if Builder.path_uses_trunk fabric path target_trunk then begin
-                     let last = Spray.last_send c p in
-                     if last > t_cut then worst := max !worst (last - t_cut)
-                   end)
-                 mv.Network.mv_paths;
-               !worst)
-             Time.zero conns)
+        Array.fold_left
+          (fun acc c ->
+            let worst = ref acc in
+            Array.iteri
+              (fun p path ->
+                if Builder.path_uses_trunk fabric path target_trunk then begin
+                  let last = Spray.last_send c p in
+                  if last > t_cut then worst := max !worst (last - t_cut)
+                end)
+              (Spray.mvc c).Network.mv_paths;
+            !worst)
+          Time.zero (Flows.conns flows))
+      fail_at
   in
   {
     mode;
     workload;
-    nconns = n;
-    offered_bytes = n * bytes_per_flow;
-    delivered_bytes;
-    byte_exact;
-    finished;
-    failed;
-    completion;
-    fct_p99;
-    goodput_mbps;
-    retransmits = sum (fun s -> s.Sender.retransmits);
-    timeouts = sum (fun s -> s.Sender.timeouts);
-    recycled_picks =
-      Array.fold_left
-        (fun a c ->
-          match Spray.reps c with
-          | Some r -> a + (Reps.stats r).Reps.recycled
-          | None -> a)
-        0 conns;
-    switch_dropped;
+    flows = f;
+    goodput_mbps =
+      (match f.Flows.completion with
+      | Some t when t > Time.zero ->
+          Report.mbps ~bytes_count:f.Flows.delivered_bytes ~ns:t
+      | _ -> 0.0);
+    retransmits = Flows.sum flows (fun s -> s.Sender.retransmits);
     reroute;
-    violations;
   }
 
 (* ------------------------------------------------------------------ *)
 (* The figure and its acceptance bars. *)
 
 let reroute_budget = Time.us 100
+
+(* Goodput under the cut over failure-free goodput: both runs deliver the
+   same bytes, so the ratio of their completion times. *)
+let retention ~fail_free ~failed_run =
+  let completion o = o.flows.Flows.completion in
+  match (completion fail_free, completion failed_run) with
+  | Some t0, Some t -> Some (float_of_int t0 /. float_of_int (max 1 t))
+  | _ -> None
 
 let check_figure ~perm ~inc ~fail_free ~failed_run ~reroute_run =
   let errs = ref [] in
@@ -330,11 +180,7 @@ let check_figure ~perm ~inc ~fail_free ~failed_run ~reroute_run =
     let tag =
       Printf.sprintf "%s/%s" (mode_name o.mode) (workload_name o.workload)
     in
-    List.iter (fun v -> bad "%s: %s" tag v) o.violations;
-    if not o.byte_exact then bad "%s: delivered streams not byte-exact" tag;
-    if o.finished <> o.nconns then
-      bad "%s: %d of %d flows finished (%d failed)" tag o.finished o.nconns
-        o.failed
+    List.iter (bad "%s") (Flows.check ~tag o.flows)
   in
   List.iter each (perm @ inc @ [ fail_free; failed_run; reroute_run ]);
   (* REPS must beat the static-hash strawman where it matters: the slow
@@ -344,12 +190,12 @@ let check_figure ~perm ~inc ~fail_free ~failed_run ~reroute_run =
        List.find_opt (fun o -> o.mode = Spray.Static_hash) perm )
    with
   | Some r, Some e ->
-      if r.fct_p99 >= e.fct_p99 then
+      if r.flows.Flows.fct_p99 >= e.flows.Flows.fct_p99 then
         bad
           "permutation: REPS p99 FCT %.0f us not better than static ECMP \
            %.0f us"
-          (Time.to_float_us r.fct_p99)
-          (Time.to_float_us e.fct_p99)
+          (Time.to_float_us r.flows.Flows.fct_p99)
+          (Time.to_float_us e.flows.Flows.fct_p99)
   | _ -> bad "permutation: missing REPS or ECMP run");
   (* The reroute bar is measured where the REPS claim applies: a flow
      actively cycling the dead path when it dies. (In the permutation
@@ -369,12 +215,11 @@ let check_figure ~perm ~inc ~fail_free ~failed_run ~reroute_run =
       bad "reroute: flow never used the dead trunk after the cut — the \
            cut landed outside the flow or the path set; not a measurement"
   | _ -> ());
-  (match (fail_free.completion, failed_run.completion) with
-  | Some t0, Some t ->
-      let ratio = float_of_int t0 /. float_of_int (max 1 t) in
+  (match retention ~fail_free ~failed_run with
+  | Some ratio ->
       if ratio < 0.9 then
         bad "failure: goodput ratio %.2f below 0.9 of failure-free" ratio
-  | _ -> bad "failure: a run did not complete");
+  | None -> bad "failure: a run did not complete");
   List.rev !errs
 
 let modes = [ Spray.Single; Spray.Static_hash; Spray.Reps ]
@@ -443,7 +288,7 @@ let figure () =
         };
         {
           Report.label = "permutation p99 FCT (us)";
-          points = pt perm (fun o -> Time.to_float_us o.fct_p99);
+          points = pt perm (fun o -> Time.to_float_us o.flows.Flows.fct_p99);
         };
         {
           Report.label = "incast-8 aggregate goodput (Mb/s)";
@@ -468,9 +313,8 @@ let figure () =
           points =
             [
               ( mode_x Spray.Reps,
-                match (fail_free.completion, failed_run.completion) with
-                | Some t0, Some t -> float_of_int t0 /. float_of_int (max 1 t)
-                | _ -> Float.nan );
+                Option.value ~default:Float.nan
+                  (retention ~fail_free ~failed_run) );
             ];
         };
       ];

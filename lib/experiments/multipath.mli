@@ -7,40 +7,11 @@
     ECMP (one hash-chosen path per connection) and REPS adaptive
     spraying ({!Osiris_lb.Reps}) — plus a failure run that cuts one
     aggregation-to-core trunk mid-transfer and measures how fast the
-    spray abandons it. Every run audits the whole fabric
-    ({!Osiris_core.Network.audit}: cells and marks on {e every} switch,
-    every link's cell disposition, every host at quiescence),
-    byte-exact delivery on every stream, and the transport/balancer
-    invariants. *)
-
-type workload =
-  | Permutation
-  | Incast of int  (** that many senders into host 0 *)
-  | Single_flow
-      (** one saturated inter-pod flow — the reroute-latency probe *)
-
-type outcome = {
-  mode : Osiris_lb.Spray.mode;
-  workload : workload;
-  nconns : int;
-  offered_bytes : int;
-  delivered_bytes : int;
-  byte_exact : bool;
-  finished : int;
-  failed : int;
-  completion : Osiris_sim.Time.t option;
-      (** last Finished instant; [None] if any stream didn't finish *)
-  fct_p99 : Osiris_sim.Time.t;  (** 99th-percentile flow completion *)
-  goodput_mbps : float;
-  retransmits : int;
-  timeouts : int;
-  recycled_picks : int;  (** REPS picks served from recycled entropy *)
-  switch_dropped : int;  (** summed over every switch in the fabric *)
-  reroute : Osiris_sim.Time.t option;
-      (** failure runs: the latest hand-off to a path crossing the dead
-          trunk, counted from the cut instant *)
-  violations : string list;
-}
+    spray abandons it. Every run goes through {!Flows}: it audits the
+    whole fabric ({!Osiris_core.Network.audit}: cells and marks on
+    {e every} switch, every link's cell disposition, every host at
+    quiescence), byte-exact delivery on every stream, and the
+    transport/balancer invariants. *)
 
 val figure : unit -> Report.figure
 (** The BENCH figure: goodput and p99 FCT per policy under both

@@ -224,8 +224,8 @@ let random ?(nlinks = 4) ~seed ~horizon () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Compact textual form, round-trippable, usable from OSIRIS_FAULT_PLAN.
-   Times are integer ns with optional us/ms/s suffix on input. *)
+(* Compact textual form, round-trippable. Times are integer ns with
+   optional us/ms/s suffix on input. *)
 
 let sprint_burst key b =
   Printf.sprintf "%s@%d-%d=%g" key b.b_from b.b_until b.prob
@@ -425,8 +425,3 @@ let of_string s =
   in
   List.iter item (String.split_on_char ';' s);
   !t
-
-let of_env () =
-  match Sys.getenv_opt "OSIRIS_FAULT_PLAN" with
-  | None | Some "" -> None
-  | Some s -> Some (of_string s)

@@ -8,9 +8,9 @@
 
     {!random} derives every choice from its seed, so a soak failure
     reproduces from the seed alone; {!to_string}/{!of_string} round-trip
-    a plan through the compact textual form also accepted from the
-    [OSIRIS_FAULT_PLAN] environment variable (times are integer
-    nanoseconds, with [us]/[ms]/[s] suffixes accepted on input):
+    a plan through a compact textual form (times are integer
+    nanoseconds, with [us]/[ms]/[s] suffixes accepted on input), which
+    the test suite's soak also reads from [OSIRIS_FAULT_PLAN]:
 
     {v seed=7;drop@2ms-5ms=0.002;down#2@3ms-4ms;squeeze#4@1ms-2ms v}
 
@@ -116,6 +116,3 @@ val random : ?nlinks:int -> seed:int -> horizon:Osiris_sim.Time.t -> unit -> t
 
 val to_string : t -> string
 val of_string : string -> t
-
-val of_env : unit -> t option
-(** Parse [OSIRIS_FAULT_PLAN] when set and non-empty. *)

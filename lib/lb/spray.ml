@@ -14,9 +14,7 @@ module Wire = Osiris_transport.Wire
 type mode = Reps | Static_hash | Single
 
 type t = {
-  eng : Engine.t;
   name : string;
-  mode : mode;
   reps : Reps.t option;
   sender : Sender.t;
   receiver : Receiver.t;
@@ -24,6 +22,7 @@ type t = {
   np : int;
   sends : int array;
   last_send : Time.t array;
+  mutable garbled : int;
 }
 
 (* Per-segment path bookkeeping, 1 B per segment, grown on demand. This
@@ -49,11 +48,10 @@ let seg_path_set cell seq p =
   end;
   Bytes.set !cell seq (Char.chr p)
 
-(* Same non-blocking pump discipline as the unipath glue: the sender core
-   may run from an engine callback (RTO timer) where [Driver.send] —
-   which can sleep on a full transmit queue — is off limits, so PDUs are
-   enqueued with their path and a dedicated process performs the sends
-   in order. *)
+(* The sender core may run from an engine callback (RTO timer) where
+   [Driver.send] — which can sleep on a full transmit queue — is off
+   limits, so PDUs are enqueued with their path and a dedicated process
+   performs the sends in order. *)
 let make_mp_pump eng host ~vcis ~name =
   let q = Queue.create () in
   let nonempty = Signal.create eng in
@@ -155,6 +153,19 @@ let connect ?name:(nm = "mp") ?(config = Sender.default_config)
         ack_pump 0 (Wire.encode_ack_mp ~ack ~sack ~ece ~entropy:!cur_path))
       ()
   in
+  let t =
+    {
+      name = nm;
+      reps;
+      sender;
+      receiver;
+      mv;
+      np;
+      sends;
+      last_send;
+      garbled = 0;
+    }
+  in
   Array.iteri
     (fun p vci ->
       Demux.bind dst_host.Host.demux ~vci
@@ -167,7 +178,7 @@ let connect ?name:(nm = "mp") ?(config = Sender.default_config)
           | Ok (seq, payload) ->
               cur_path := p;
               Receiver.on_data receiver ~seq ~marked payload
-          | Error _ -> () (* garbled: dropped, the transport recovers *)))
+          | Error _ -> t.garbled <- t.garbled + 1))
     mv.Network.dst_vcis;
   Demux.bind src_host.Host.demux ~vci:ack_vc.Network.dst_vci
     ~name:(nm ^ ".ack")
@@ -182,24 +193,15 @@ let connect ?name:(nm = "mp") ?(config = Sender.default_config)
           | Some r -> Reps.on_ack r ~path:entropy ~ece
           | None -> ());
           Sender.on_ack sender ~ack ~sack ~ece
-      | Error _ -> ());
-  {
-    eng;
-    name = nm;
-    mode;
-    reps;
-    sender;
-    receiver;
-    mv;
-    np;
-    sends;
-    last_send;
-  }
+      | Error _ -> t.garbled <- t.garbled + 1);
+  t
 
 let send t data = Sender.offer t.sender data
 let close t = Sender.close t.sender
 let state t = Sender.state t.sender
 let sender t = t.sender
+let receiver t = t.receiver
+let garbled t = t.garbled
 let reps t = t.reps
 let npaths t = t.np
 let mvc t = t.mv

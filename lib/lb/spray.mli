@@ -1,15 +1,25 @@
-(** Multipath transport glue: one reliable connection sprayed across the
-    equal-cost path set of a generated fabric.
+(** The transport glue: one reliable connection over a fabric, sprayed
+    across its equal-cost path set.
 
-    The unipath glue ([Osiris_transport.Transport]) binds one data VC
-    and one ack VC. Spray instead opens one complete VCI chain per
-    equal-cost path ({!Osiris_core.Network.open_vc_paths}) and picks a
-    path {e per PDU} at transmission time. Because every path is its own
-    VCI, cells of PDUs in flight on different paths never interleave
-    within a VCI, so the board's striped reassembly is untouched; the
-    receiver learns a PDU's path from which VCI delivered it and echoes
-    it as the entropy byte of the (multipath) ack, which closes the
-    recycling loop the {!Reps} balancer feeds on.
+    This is the only code that ties the pure {!Osiris_transport.Sender}
+    and {!Osiris_transport.Receiver} state machines to hosts. Spray
+    opens one complete VCI chain per equal-cost path
+    ({!Osiris_core.Network.open_vc_paths}; a star has one) and one ack
+    VC, and picks a path {e per PDU} at transmission time. Each data
+    segment and ack is encoded by {!Osiris_transport.Wire} and carried
+    as an ordinary PDU through driver, board, SAR and switches; the
+    congestion echo is read from {!Osiris_xkernel.Msg.marked}. The
+    sender's retransmission timer fires in a plain engine callback,
+    where the driver's potentially-blocking send must not be called, so
+    each direction owns a {e pump} process that performs the sends in
+    order.
+
+    Because every path is its own VCI, cells of PDUs in flight on
+    different paths never interleave within a VCI, so the board's
+    striped reassembly is untouched; the receiver learns a PDU's path
+    from which VCI delivered it and echoes it as the entropy byte of the
+    ack, which closes the recycling loop the {!Reps} balancer feeds
+    on.
 
     Three selection policies, so experiments can compare under identical
     traffic: [Reps] (adaptive, recycled entropy), [Static_hash] (the
@@ -42,6 +52,13 @@ val send : t -> Bytes.t -> unit
 val close : t -> unit
 val state : t -> Osiris_transport.Sender.state
 val sender : t -> Osiris_transport.Sender.t
+val receiver : t -> Osiris_transport.Receiver.t
+
+val garbled : t -> int
+(** PDUs that reached the connection's data or ack VCIs but failed
+    {!Osiris_transport.Wire} decoding (e.g. a corrupted cell header
+    surviving the AAL checks and landing on the wrong VC). The
+    transport recovers the bytes; this only counts them. *)
 
 val reps : t -> Reps.t option
 (** The balancer, in [Reps] mode. *)

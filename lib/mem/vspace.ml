@@ -2,7 +2,7 @@ exception Page_fault of int
 
 type pte = { frame_addr : int; mutable wired : int }
 
-type region = { base : int; pages : int; first_page : int }
+type region = { pages : int; first_page : int }
 
 type t = {
   mem : Phys_mem.t;
@@ -32,7 +32,7 @@ let install t ~alloc_frames ~len ~offset =
     frames;
   t.next_vpage <- t.next_vpage + npages + 1 (* guard page between regions *);
   let base = (first_page * ps) + offset in
-  Hashtbl.replace t.regions base { base; pages = npages; first_page };
+  Hashtbl.replace t.regions base { pages = npages; first_page };
   base
 
 let alloc_offset t ~len ~offset =

@@ -1,12 +1,10 @@
-type kind = Kernel | User
-
-type t = { id : int; name : string; kind : kind; vspace : Osiris_mem.Vspace.t }
+type t = { id : int; name : string }
 
 let counter = ref 0
 
-let create ~name ~kind vspace =
+let create ~name =
   incr counter;
-  { id = !counter; name; kind; vspace }
+  { id = !counter; name }
 
 let name t = t.name
 let equal a b = a.id = b.id

@@ -4,15 +4,13 @@
     driver, protocol stacks and applications may live in different
     protection domains, and network data may have to cross several domain
     boundaries on its way to the application — the problem fbufs and ADCs
-    attack. A domain owns a virtual address space; crossing into a domain
-    (IPC / scheduling) has a cost set by the machine profile. *)
-
-type kind = Kernel | User
+    attack. Crossing into a domain (IPC / scheduling) has a cost set by
+    the machine profile. A domain here is an identity: the components
+    that run in it are handed their address space directly. *)
 
 type t
 
-val create :
-  name:string -> kind:kind -> Osiris_mem.Vspace.t -> t
+val create : name:string -> t
 
 val name : t -> string
 

@@ -5,7 +5,6 @@ module Time = Osiris_sim.Time
    classic 1/8 (srtt gain) and 1/4 (rttvar gain) filters. *)
 
 type t = {
-  rto_init : Time.t;
   rto_min : Time.t;
   rto_max : Time.t;
   mutable srtt : Time.t; (* < 0 until the first sample *)
@@ -18,8 +17,8 @@ type t = {
 let create ~init ~min:rto_min ~max:rto_max =
   if rto_min > init || init > rto_max then
     invalid_arg "Rto.create: need min <= init <= max";
-  { rto_init = init; rto_min; rto_max; srtt = -1; rttvar = 0; base = init;
-    shift = 0; nsamples = 0 }
+  { rto_min; rto_max; srtt = -1; rttvar = 0; base = init; shift = 0;
+    nsamples = 0 }
 
 let clamp t v = max t.rto_min (min t.rto_max v)
 

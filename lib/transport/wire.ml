@@ -43,35 +43,25 @@ let decode_data b =
     in
     Ok (seq, payload)
 
-let encode_ack ~ack ~sack ~ece =
-  if ack < 0 || ack > 0x3FFFFFFF then invalid_arg "Wire.encode_ack: ack";
+(* The ack echoes the path entropy (the index of the path the
+   acknowledged PDU arrived on) in byte 10; a single-path connection
+   writes zero there. *)
+let encode_ack_mp ~ack ~sack ~ece ~entropy =
+  if entropy < 0 || entropy > 0xff then
+    invalid_arg "Wire.encode_ack_mp: entropy";
+  if ack < 0 || ack > 0x3FFFFFFF then invalid_arg "Wire.encode_ack_mp: ack";
   let b = Bytes.create ack_size in
   Bytes.set_uint8 b 0 ack_magic;
   Bytes.set_uint8 b 1 (if ece then flag_ece else 0);
   put_u32 b 2 ack;
   put_u32 b 6 (sack land 0xFFFFFFFF);
-  Bytes.set_uint8 b 10 0;
+  Bytes.set_uint8 b 10 entropy;
   Bytes.set_uint8 b 11 0;
   b
 
-(* Multipath variant: same 12-byte ack PDU with the path entropy echoed
-   in byte 10 (zero padding in the unipath transport, so both codecs
-   accept both forms). *)
-let encode_ack_mp ~ack ~sack ~ece ~entropy =
-  if entropy < 0 || entropy > 0xff then
-    invalid_arg "Wire.encode_ack_mp: entropy";
-  let b = encode_ack ~ack ~sack ~ece in
-  Bytes.set_uint8 b 10 entropy;
-  b
-
-let decode_ack b =
+let decode_ack_mp b =
   if Bytes.length b <> ack_size then Error "ack pdu wrong size"
   else if Bytes.get_uint8 b 0 <> ack_magic then Error "bad ack magic"
   else
-    let flags = Bytes.get_uint8 b 1 in
-    Ok (get_u32 b 2, get_u32 b 6, flags land flag_ece <> 0)
-
-let decode_ack_mp b =
-  match decode_ack b with
-  | Error e -> Error e
-  | Ok (ack, sack, ece) -> Ok (ack, sack, ece, Bytes.get_uint8 b 10)
+    let ece = Bytes.get_uint8 b 1 land flag_ece <> 0 in
+    Ok (get_u32 b 2, get_u32 b 6, ece, Bytes.get_uint8 b 10)

@@ -20,8 +20,8 @@ let pair () =
 
 let test_adc_end_to_end () =
   let eng, a, b = pair () in
-  let app_a = Adc.open_ a ~name:"app-a" () in
-  let app_b = Adc.open_ b ~name:"app-b" () in
+  let app_a = Adc.open_ a () in
+  let app_b = Adc.open_ b () in
   let vci = 40 in
   Board.bind_vci a.Host.board ~vci (Adc.channel app_a);
   Board.bind_vci b.Host.board ~vci (Adc.channel app_b);
@@ -41,8 +41,8 @@ let test_adc_end_to_end () =
 
 let test_adc_does_not_disturb_kernel () =
   let eng, a, b = pair () in
-  let app_a = Adc.open_ a ~name:"app-a" () in
-  let app_b = Adc.open_ b ~name:"app-b" () in
+  let app_a = Adc.open_ a () in
+  let app_b = Adc.open_ b () in
   let vci = 40 in
   Board.bind_vci a.Host.board ~vci (Adc.channel app_a);
   Board.bind_vci b.Host.board ~vci (Adc.channel app_b);
@@ -63,7 +63,7 @@ let test_adc_does_not_disturb_kernel () =
 
 let test_protection_violation () =
   let eng, a, _b = pair () in
-  let rogue = Adc.open_ a ~name:"rogue" () in
+  let rogue = Adc.open_ a () in
   let vci = 41 in
   Board.bind_vci a.Host.board ~vci (Adc.channel rogue);
   let violations = ref 0 in
@@ -81,8 +81,8 @@ let test_protection_violation () =
 let test_authorized_pages_pass () =
   (* The same board check allows properly authorized buffers through. *)
   let eng, a, b = pair () in
-  let app_a = Adc.open_ a ~name:"app-a" () in
-  let app_b = Adc.open_ b ~name:"app-b" () in
+  let app_a = Adc.open_ a () in
+  let app_b = Adc.open_ b () in
   let vci = 42 in
   Board.bind_vci a.Host.board ~vci (Adc.channel app_a);
   Board.bind_vci b.Host.board ~vci (Adc.channel app_b);
@@ -103,12 +103,12 @@ let test_channel_exhaustion () =
   let eng, a, _ = pair () in
   ignore eng;
   (* Channel 0 is the kernel's; 15 ADC pages remain. *)
-  for i = 1 to 15 do
-    ignore (Adc.open_ a ~name:(Printf.sprintf "app%d" i) ())
+  for _ = 1 to 15 do
+    ignore (Adc.open_ a ())
   done;
   Alcotest.(check bool) "16th open fails" true
     (try
-       ignore (Adc.open_ a ~name:"too-many" ());
+       ignore (Adc.open_ a ());
        false
      with Failure _ -> true)
 

@@ -202,9 +202,11 @@ let test_congestion_deterministic () =
       ~bytes_per_sender:4096 ~seed:5 ()
   in
   let a = go () and b = go () in
-  Alcotest.(check (list string)) "no invariant violations" [] a.Congestion.violations;
-  Alcotest.(check bool) "every stream byte-exact" true a.Congestion.byte_exact;
-  Alcotest.(check int) "all connections finished" 4 a.Congestion.finished;
+  let f = a.Congestion.flows in
+  Alcotest.(check (list string)) "no invariant violations" []
+    f.Flows.violations;
+  Alcotest.(check bool) "every stream byte-exact" true f.Flows.byte_exact;
+  Alcotest.(check int) "all connections finished" 4 f.Flows.finished;
   Alcotest.(check bool) "same seed, identical outcome" true (a = b)
 
 (* One small demux_scale point end to end: all flows land, nothing

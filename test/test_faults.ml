@@ -384,8 +384,8 @@ let test_per_channel_irq_loss () =
       ~board:{ Board.default_config with Board.irq_reassert = Time.ms 1 }
       ()
   in
-  let app_a = Adc.open_ a ~name:"app-a" () in
-  let app_b = Adc.open_ b ~name:"app-b" () in
+  let app_a = Adc.open_ a () in
+  let app_b = Adc.open_ b () in
   let adc_vci = 40 in
   Board.bind_vci a.Host.board ~vci:adc_vci (Adc.channel app_a);
   Board.bind_vci b.Host.board ~vci:adc_vci (Adc.channel app_b);
@@ -438,8 +438,8 @@ let test_per_channel_irq_loss () =
    window closes and the ADC catches the next batch. *)
 let test_per_channel_free_starvation () =
   let eng, a, b, net = fault_pair () in
-  let app_a = Adc.open_ a ~name:"app-a" () in
-  let app_b = Adc.open_ b ~name:"app-b" () in
+  let app_a = Adc.open_ a () in
+  let app_b = Adc.open_ b () in
   let adc_vci = 40 in
   Board.bind_vci a.Host.board ~vci:adc_vci (Adc.channel app_a);
   Board.bind_vci b.Host.board ~vci:adc_vci (Adc.channel app_b);
@@ -713,9 +713,16 @@ let test_multi_seed_soak () =
         List.map int_of_string (String.split_on_char ',' (String.trim s))
     | _ -> [ 1; 2; 3; 4; 5; 6; 7; 8 ]
   in
+  (* OSIRIS_FAULT_PLAN, when set, replaces every seed's random plan
+     with the one it spells (Plan.of_string), to replay a failure. *)
+  let plan =
+    match Sys.getenv_opt "OSIRIS_FAULT_PLAN" with
+    | Some s when String.trim s <> "" -> Some (Plan.of_string s)
+    | _ -> None
+  in
   List.iter
     (fun seed ->
-      let o = Fault_soak.run ~seed () in
+      let o = Fault_soak.run ~seed ?plan () in
       let ctx what =
         Printf.sprintf "seed %d %s (plan: %s)" seed what o.Fault_soak.plan
       in

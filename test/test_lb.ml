@@ -15,6 +15,8 @@ module Reps = Osiris_lb.Reps
 module Spray = Osiris_lb.Spray
 module Network = Osiris_core.Network
 module Host = Osiris_core.Host
+module Driver = Osiris_core.Driver
+module Msg = Osiris_xkernel.Msg
 module Switch = Osiris_switch.Switch
 module Sender = Osiris_transport.Sender
 module Congestion = Osiris_experiments.Congestion
@@ -217,6 +219,43 @@ let test_spray_fat_tree () =
   Alcotest.(check (list string)) "spray invariants" [] (Spray.invariants conn);
   Alcotest.(check (list string)) "fabric audit" [] (Network.audit topo)
 
+(* A PDU that is not valid transport data, sent on a single-path
+   connection's data VCI in the middle of a transfer: the glue counts it
+   as garbled and drops it, and the stream still finishes byte-exact. *)
+let test_spray_counts_garbled () =
+  let eng, topo =
+    Network.star ~n:2
+      ~switch:{ Switch.default_config with Switch.queue_cells = 1024 }
+      ()
+  in
+  let sink = Buffer.create 1024 in
+  let payload = Bytes.init 65536 (fun i -> Char.chr ((i * 31) land 0xff)) in
+  let conn =
+    Spray.connect topo ~mode:Spray.Single ~src:0 ~dst:1
+      ~deliver:(Buffer.add_bytes sink) ()
+  in
+  let src = Network.host topo 0 in
+  let at_injection = ref (-1) in
+  Process.spawn eng (fun () ->
+      Process.sleep eng (Time.ms 1);
+      at_injection := Buffer.length sink;
+      let junk = Msg.alloc src.Host.vs ~len:64 ~fill:(fun _ -> '\000') () in
+      Driver.send src.Host.driver
+        ~vci:(Spray.mvc conn).Network.src_vcis.(0)
+        ~from_user:false junk);
+  Spray.send conn payload;
+  Spray.close conn;
+  Engine.run ~until:(Time.ms 200) eng;
+  Alcotest.(check bool) "injected mid-transfer" true
+    (!at_injection > 0 && !at_injection < Bytes.length payload);
+  Alcotest.(check int) "one garbled PDU" 1 (Spray.garbled conn);
+  Alcotest.(check bool) "connection finished" true
+    (Spray.state conn = Sender.Finished);
+  Alcotest.(check bool) "delivered byte-exact" true
+    (Bytes.equal (Buffer.to_bytes sink) payload);
+  Alcotest.(check (list string)) "spray invariants" [] (Spray.invariants conn);
+  Alcotest.(check (list string)) "fabric audit" [] (Network.audit topo)
+
 let suite =
   [
     Alcotest.test_case "state fits 25 bytes" `Quick test_state_bytes;
@@ -233,4 +272,6 @@ let suite =
     qcheck_op_sequence;
     Alcotest.test_case "spray across a k=4 fat-tree" `Quick
       test_spray_fat_tree;
+    Alcotest.test_case "garbled PDU on the data VCI is counted" `Quick
+      test_spray_counts_garbled;
   ]

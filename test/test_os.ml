@@ -115,8 +115,8 @@ let test_wiring_policies () =
 let test_domains () =
   let mem = Phys_mem.create ~size:(1 lsl 20) ~page_size:4096 () in
   let vs1 = Vspace.create mem and vs2 = Vspace.create mem in
-  let k = Domain.create ~name:"kernel" ~kind:Domain.Kernel vs1 in
-  let u = Domain.create ~name:"app" ~kind:Domain.User vs2 in
+  let k = Domain.create ~name:"kernel" in
+  let u = Domain.create ~name:"app" in
   Alcotest.(check bool) "distinct ids" true (not (Domain.equal k u));
   Alcotest.(check string) "name" "app" (Domain.name u);
   (* Separate address spaces: same vaddr can map different frames. *)

@@ -1,6 +1,7 @@
 (* Reliable windowed transport: RTO estimator, sender/receiver state
-   machines driven directly, and end-to-end transfers over the host
-   stack and switch fabric — lossless, lossy, and congestion-marked. *)
+   machines driven directly, and end-to-end transfers of a single-path
+   spray connection over the host stack and switch fabric — lossless,
+   lossy, and congestion-marked. *)
 
 module Engine = Osiris_sim.Engine
 module Time = Osiris_sim.Time
@@ -10,7 +11,7 @@ module Network = Osiris_core.Network
 module Rto = Osiris_transport.Rto
 module Sender = Osiris_transport.Sender
 module Receiver = Osiris_transport.Receiver
-module Transport = Osiris_transport.Transport
+module Spray = Osiris_lb.Spray
 
 let pattern len = Bytes.init len (fun i -> Char.chr (((i * 31) + 7) land 0xff))
 
@@ -204,19 +205,19 @@ let run_transfer ?(until = Time.ms 200) ?(switch = Switch.default_config)
   let eng, topo = Network.star ~n:2 ~switch () in
   let got = Buffer.create total_bytes in
   let conn =
-    Transport.connect_via topo ~src:0 ~dst:1
+    Spray.connect topo ~mode:Spray.Single ~src:0 ~dst:1
       ~config
       ~deliver:(fun b -> Buffer.add_bytes got b)
       ()
   in
   twist eng topo;
-  Transport.send conn (pattern total_bytes);
-  Transport.close conn;
+  Spray.send conn (pattern total_bytes);
+  Spray.close conn;
   Engine.run ~until eng;
   (eng, topo, conn, got)
 
 let check_byte_exact conn got =
-  (match Transport.state conn with
+  (match Spray.state conn with
   | Sender.Finished -> ()
   | Sender.Active -> Alcotest.fail "transfer did not complete"
   | Sender.Failed r -> Alcotest.failf "transfer failed: %s" r);
@@ -224,8 +225,8 @@ let check_byte_exact conn got =
     (Buffer.length got);
   Alcotest.(check bool) "delivered bytes match" true
     (Bytes.equal (Buffer.to_bytes got) (pattern total_bytes));
-  assert_clean "transport" (Transport.invariants conn);
-  Alcotest.(check int) "no garbled PDUs" 0 (Transport.garbled conn)
+  assert_clean "transport" (Spray.invariants conn);
+  Alcotest.(check int) "no garbled PDUs" 0 (Spray.garbled conn)
 
 (* The default 32-cell switch queue drops under even modest bursts (one
    1 KiB segment is ~22 cells), so a provisioned-lossless fabric needs a
@@ -237,7 +238,7 @@ let test_end_to_end_lossless () =
     run_transfer ~switch:deep_queue ~twist:(fun _ _ -> ()) ()
   in
   check_byte_exact conn got;
-  let st = Sender.stats (Transport.sender conn) in
+  let st = Sender.stats (Spray.sender conn) in
   Alcotest.(check int) "lossless: no retransmits" 0 st.Sender.retransmits;
   Alcotest.(check bool) "rtt was sampled" true (st.Sender.rtt_samples > 0)
 
@@ -253,7 +254,7 @@ let test_end_to_end_lossy () =
       ()
   in
   check_byte_exact conn got;
-  let st = Sender.stats (Transport.sender conn) in
+  let st = Sender.stats (Spray.sender conn) in
   Alcotest.(check bool) "losses forced retransmissions" true
     (st.Sender.retransmits > 0)
 
@@ -268,10 +269,10 @@ let test_end_to_end_marking () =
   let sw = topo.Network.switches.(0) in
   let sst = Switch.stats sw in
   Alcotest.(check bool) "switch marked cells" true (sst.Switch.marked > 0);
-  let rst = Receiver.stats (Transport.receiver conn) in
+  let rst = Receiver.stats (Spray.receiver conn) in
   Alcotest.(check bool) "marks reached the receiver" true
     (rst.Receiver.marked_pdus > 0);
-  let st = Sender.stats (Transport.sender conn) in
+  let st = Sender.stats (Spray.sender conn) in
   Alcotest.(check bool) "ECE echoed to the sender" true
     (st.Sender.ece_acks > 0);
   Alcotest.(check bool) "sender reacted" true (st.Sender.cwnd_cuts > 0);
@@ -285,20 +286,20 @@ let test_end_to_end_dead_fabric_fails () =
      must give up with Failed, not hang or livelock *)
   let eng, topo = Network.star ~n:2 () in
   let conn =
-    Transport.connect_via topo ~src:0 ~dst:1
+    Spray.connect topo ~mode:Spray.Single ~src:0 ~dst:1
       ~config:{ Sender.default_config with Sender.max_retries = 5 }
       ~deliver:(fun _ -> ())
       ()
   in
   Switch.set_port_state topo.Network.switches.(0)
     ~port:topo.Network.endpoints.(1).Network.port false;
-  Transport.send conn (pattern 8192);
-  Transport.close conn;
+  Spray.send conn (pattern 8192);
+  Spray.close conn;
   Engine.run ~until:(Time.s 5) eng;
-  (match Transport.state conn with
+  (match Spray.state conn with
   | Sender.Failed _ -> ()
   | _ -> Alcotest.fail "expected Failed against a dead fabric");
-  assert_clean "transport (failed)" (Transport.invariants conn)
+  assert_clean "transport (failed)" (Spray.invariants conn)
 
 (* The congestion soak contract (EXPERIMENTS.md "Congestion sweep"):
    every seeded fault plan — random host-link faults plus a port-flap

@@ -135,12 +135,10 @@ let test_demux () =
   Alcotest.(check bool) "unbound after unbind" false (Demux.bound d ~vci:5)
 
 let test_paths () =
-  let mem = Phys_mem.create ~size:(1 lsl 20) ~page_size:4096 () in
   let d = Demux.create () in
   let reg = Osiris_xkernel.Path.create_registry d in
-  let dom k n = Osiris_os.Domain.create ~name:n ~kind:k (Vspace.create mem) in
-  let driver = dom Osiris_os.Domain.Kernel "driver" in
-  let app = dom Osiris_os.Domain.User "app" in
+  let driver = Osiris_os.Domain.create ~name:"driver" in
+  let app = Osiris_os.Domain.create ~name:"app" in
   let got = ref 0 in
   let p =
     Osiris_xkernel.Path.establish reg ~name:"conn-1" ~domains:[ driver; app ]
