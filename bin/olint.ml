@@ -1,6 +1,6 @@
 (* olint — enforce the checked-in interface policy (olint.policy) over
    the library tree. Exit 0 when clean, 1 on violations, 2 on usage or
-   policy errors. See Osiris_analysis.Lint (syntactic R0–R4) and
+   policy errors. See Osiris_analysis.Lint (syntactic R0–R4, R8) and
    Osiris_analysis.Typed (typed R5–R7 and R9, enabled with --typed). *)
 
 let () =

@@ -34,7 +34,7 @@ let () =
       let len = Msg.length msg in
       Msg.dispose msg;
       Adc.send app_b ~vci (Msg.alloc (Adc.vspace app_b) ~len ()));
-  let pong = Mailbox.create eng () in
+  let pong = Mailbox.create eng ~empty:() () in
   Demux.bind (Adc.demux app_a) ~vci ~name:"pong" (fun ~vci:_ msg ->
       Msg.dispose msg;
       ignore (Mailbox.try_send pong ()));

@@ -55,7 +55,7 @@ let () =
       Udp.output b.Host.udp ~dst:src ~src_port:ack_port ~dst_port:ack_port ack);
 
   (* Ack collector on A. *)
-  let acks = Mailbox.create eng () in
+  let acks = Mailbox.create eng ~empty:() () in
   Udp.bind a.Host.udp ~port:ack_port (fun ~src:_ ~src_port:_ msg ->
       Msg.dispose msg;
       ignore (Mailbox.try_send acks ()));

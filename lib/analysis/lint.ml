@@ -29,6 +29,14 @@ let is_exit = function
   | Longident.Ldot (Longident.Lident "Stdlib", "exit") -> true
   | _ -> false
 
+(* Stdlib's [min] and [max] compare polymorphically: each call is a
+   [caml_lessequal] or [caml_greaterequal] C call, even on ints. *)
+let stdlib_min_max = function
+  | Longident.Lident (("min" | "max") as f)
+  | Longident.Ldot (Longident.Lident "Stdlib", (("min" | "max") as f)) ->
+      Some f
+  | _ -> None
+
 let check_structure policy file structure =
   let violations = ref [] in
   let add ~loc rule message =
@@ -61,7 +69,15 @@ let check_structure policy file structure =
         check_obj ~loc txt;
         if is_exit txt && not (allowed "exit") then
           add ~loc "R3"
-            "call to exit in library code can swallow invariant violations"
+            "call to exit in library code can swallow invariant violations";
+        Option.iter
+          (fun f ->
+            add ~loc "R8"
+              (Printf.sprintf
+                 "Stdlib.%s compares polymorphically (a C call even on \
+                  ints): use Int.%s, or write the float compare out"
+                 f f))
+          (stdlib_min_max txt)
     | Pexp_try (_, cases) ->
         if not (allowed "catchall") then
           List.iter

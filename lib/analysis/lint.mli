@@ -15,6 +15,10 @@
     - {b R4 interfaces} — every [.ml] under a scanned root ships a
       sibling [.mli], so the abstraction boundary the ownership rules
       rely on actually exists.
+    - {b R8 no polymorphic min/max} — no reference to Stdlib's [min] or
+      [max], bare or qualified: each call is a polymorphic compare in C,
+      even on ints. [Int.min]/[Int.max] are int compares; a float
+      minimum is written out as the compare it needs.
 
     The lint is purely syntactic (it parses with the compiler's own
     parser but does not type), so it runs on any tree state and costs
@@ -26,8 +30,8 @@ val pp_violation : Format.formatter -> violation -> unit
 (** [file:line: [rule] message] — the grep-able one-line form. *)
 
 val check_file : Policy.t -> string -> violation list
-(** Lint one [.ml] file (rules R1–R3; unparseable files yield a single
-    [R0] violation). *)
+(** Lint one [.ml] file (rules R1–R3 and R8; unparseable files yield a
+    single [R0] violation). *)
 
 val check_missing_mli : Policy.t -> string -> violation list
 (** Rule R4 over one directory root, recursively. *)

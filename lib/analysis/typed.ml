@@ -509,7 +509,8 @@ type domain = Sim | Wall
 
 let arith_ops =
   [
-    "+"; "-"; "*"; "/"; "mod"; "+."; "-."; "*."; "/."; "min"; "max"; "=";
+    "+"; "-"; "*"; "/"; "mod"; "+."; "-."; "*."; "/."; "min"; "max";
+    "Int.min"; "Int.max"; "=";
     "<>"; "<"; ">"; "<="; ">="; "compare";
     (* Numeric casts preserve the clock domain: they are how simulated
        nanoseconds (int) and wall-clock seconds (float) end up in the

@@ -209,7 +209,7 @@ let push_per_link t ~link (cell : Cell.t) =
     (* Complete when the total is known, every cell has arrived, and every
        link that carries cells of this PDU has shown its framing bit. *)
     if t.total_cells >= 0 && t.received >= t.total_cells then begin
-      let links_used = min nlinks t.total_cells in
+      let links_used = Int.min nlinks t.total_cells in
       if t.received > t.total_cells then
         rejected "more cells than the PDU length allows"
       else if links_framed t 0 links_used then completed t ~offset cell

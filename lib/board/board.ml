@@ -189,7 +189,7 @@ let bufs_get bs idx =
 let bufs_set bs idx b =
   let cap = Array.length bs.bs_slots in
   if idx >= cap then begin
-    let bigger = Array.make (max (idx + 1) (cap * 2)) None in
+    let bigger = Array.make (Int.max (idx + 1) (cap * 2)) None in
     Array.blit bs.bs_slots 0 bigger 0 cap;
     bs.bs_slots <- bigger
   end;
@@ -335,6 +335,26 @@ let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ()
       stash = Queue.create ();
     }
   in
+  let no_pdu =
+    {
+      cells = [||];
+      data_len = 0;
+      nchain = 0;
+      tx_ch = channels.(0);
+      piece_off = [||];
+      next = 0;
+      cursor = 0;
+    }
+  in
+  let no_cmd =
+    {
+      payload = Bytes.empty;
+      pieces = [||];
+      rx_vc = dummy_vc;
+      rx_ch = channels.(0);
+      posts = [];
+    }
+  in
   let t =
     {
       eng;
@@ -348,9 +368,12 @@ let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ()
       vcs = Ctable.create ~dummy:dummy_vc 32;
       tx_work = Signal.create eng;
       tx_kicks = 0;
-      tx_fetch_q = Mailbox.create eng ~capacity:2 ();
-      tx_out = Mailbox.create eng ~capacity:4 ();
-      rx_dma_q = Mailbox.create eng ~capacity:4 ();
+      tx_fetch_q =
+        Mailbox.create eng ~capacity:2
+          ~empty:{ f_pdu = no_pdu; f_first = 0; f_count = 0 }
+          ();
+      tx_out = Mailbox.create eng ~capacity:4 ~empty:no_cell ();
+      rx_dma_q = Mailbox.create eng ~capacity:4 ~empty:no_cmd ();
       tx_link = None;
       rx_link_map = Array.init cfg.nlinks (fun i -> i);
       rx_strategy = cfg.reassembly;
@@ -363,24 +386,8 @@ let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ()
       frame_buf = Bytes.empty;
       m = make_board_metrics ();
       no_vc = dummy_vc;
-      no_pdu =
-        {
-          cells = [||];
-          data_len = 0;
-          nchain = 0;
-          tx_ch = channels.(0);
-          piece_off = [||];
-          next = 0;
-          cursor = 0;
-        };
-      no_cmd =
-        {
-          payload = Bytes.empty;
-          pieces = [||];
-          rx_vc = dummy_vc;
-          rx_ch = channels.(0);
-          posts = [];
-        };
+      no_pdu;
+      no_cmd;
     }
   in
   t
@@ -528,7 +535,7 @@ let dma_plan ~page_size chain =
   let rec cut addr len off acc =
     if len = 0 then acc
     else
-      let chunk = min len (page_size - (addr mod page_size)) in
+      let chunk = Int.min len (page_size - (addr mod page_size)) in
       cut (addr + chunk) (len - chunk) (off + chunk) (off :: acc)
   in
   let rec go off acc = function
@@ -596,7 +603,7 @@ let frame_chain t ~vci ~nlinks chain =
   let total = Sar.framed_len len in
   if Bytes.length t.frame_buf < total then
     t.frame_buf <-
-      (Bytes.create (max total (2 * Bytes.length t.frame_buf))
+      (Bytes.create (Int.max total (2 * Bytes.length t.frame_buf))
       [@osiris.alloc_ok
         "buffer growth: the board's one framing buffer, doubled until the \
          longest framed PDU fits, then reused"]);
@@ -652,12 +659,10 @@ type tx_proc = {
 let rec last_loaded t i =
   if i < 0 || t.channels.(i).txst <> None then i else last_loaded t (i - 1)
 
-(* A channel the load would pass over without touching dual-port
-   memory: one never opened, or one with no PDU loaded and nothing queued
-   past the chains already in flight. *)
-let tx_quiet t ch =
-  ch.id >= t.n_open
-  || (ch.txst = None && Desc_queue.count ch.tx_q <= ch.peek_ahead)
+(* An open channel the load would pass over without touching dual-port
+   memory: no PDU loaded and nothing queued past the chains already in
+   flight. *)
+let tx_quiet ch = ch.txst = None && Desc_queue.count ch.tx_q <= ch.peek_ahead
 
 (* One pass of the loop. Snapshot the kick counter before scanning: if
    an enqueue lands while the scan's dual-port accesses are in progress,
@@ -681,13 +686,22 @@ let rec tx_pass p =
     tx_scan p
   end
 
-(* The scan visits each channel once, from the cursor. *)
+(* The scan visits each channel once, from the cursor. The channels
+   never opened, [n_open] and up, are quiet and the scan does not
+   suspend between them, so it passes them all in one step. *)
 and tx_scan p =
   let t = p.tp_t in
   if p.left = 0 then tx_picked p
+  else if p.idx >= t.n_open then begin
+    let n = t.cfg.n_channels in
+    let skip = Int.min p.left (n - p.idx) in
+    p.left <- p.left - skip;
+    p.idx <- (if p.idx + skip = n then 0 else p.idx + skip);
+    tx_scan p
+  end
   else begin
     let ch = t.channels.(p.idx) in
-    if tx_quiet t ch then tx_scan_next p
+    if tx_quiet ch then tx_scan_next p
     else if ch.txst <> None then tx_loaded p true
     else
       (* Read the channel's next chain (without advancing the tail):
@@ -802,11 +816,11 @@ and tx_emit p ch =
       let n =
         match t.cfg.dma_mode with
         | Single_cell -> 1
-        | Double_cell -> min 2 remaining
+        | Double_cell -> Int.min 2 remaining
       in
       let cycles =
         if n = 2 then
-          max 1
+          Int.max 1
             ((2 * t.cfg.tx_cycles_per_cell) - t.cfg.tx_combine_saving_cycles)
         else t.cfg.tx_cycles_per_cell
       in
@@ -874,7 +888,7 @@ let rec tx_dma_next d = Mailbox.recv_then d.td_t.tx_fetch_q d.td_a d.td_got
 and tx_dma_got d { f_pdu = pdu; f_first = k; f_count = n } =
   let t = d.td_t in
   let lo = k * Cell.data_size in
-  let hi = min ((k + n) * Cell.data_size) pdu.data_len in
+  let hi = Int.min ((k + n) * Cell.data_size) pdu.data_len in
   let nspans = plan_spans pdu ~lo ~hi in
   Metrics.add t.m.m_dma_tx nspans;
   if nspans > 1 then Metrics.add t.m.m_boundary_splits (nspans - 1);
@@ -891,10 +905,10 @@ and tx_dma_read d =
   let i = d.d_piece in
   if i < d.d_pieces_end then begin
     let pdu = d.d_pdu in
-    let from = max d.d_lo pdu.piece_off.(i) in
+    let from = Int.max d.d_lo pdu.piece_off.(i) in
     d.d_piece <- i + 1;
     Tc.dma_read_then d.td_t.bus d.td_a
-      ~bytes:(min d.d_hi pdu.piece_off.(i + 1) - from)
+      ~bytes:(Int.min d.d_hi pdu.piece_off.(i + 1) - from)
       d.td_read
   end
   else begin
@@ -1100,7 +1114,7 @@ let collect_posts t vc ~total =
     let nbufs = if bs = 0 then 0 else (total + bs - 1) / bs in
     let posts = ref [] in
     for idx = vc.next_post to nbufs - 1 do
-      let len = min bs (total - (idx * bs)) in
+      let len = Int.min bs (total - (idx * bs)) in
       let eop = idx = nbufs - 1 in
       posts := post_buffer vc idx ~eop ~marked:(eop && pdu_marked) ~len !posts
     done;
@@ -1121,8 +1135,8 @@ let buffer_addr vc off =
    the next page boundary, whichever comes first. *)
 let piece_len vc ~page_size off stop =
   let addr = buffer_addr vc off in
-  min (stop - off)
-    (min (vc.buf_size - (off mod vc.buf_size)) (page_size - (addr mod page_size)))
+  Int.min (stop - off)
+    (Int.min (vc.buf_size - (off mod vc.buf_size)) (page_size - (addr mod page_size)))
 
 let rec count_pieces vc ~page_size off stop n =
   if off >= stop then n
@@ -1622,7 +1636,7 @@ let handle_rx_restripe t link =
       if phys < Array.length t.rx_link_map then t.rx_link_map.(phys) <- logical)
     live;
   (match t.cfg.reassembly with
-  | Sar.Per_link _ -> t.rx_strategy <- Sar.Per_link (max 1 (List.length live))
+  | Sar.Per_link _ -> t.rx_strategy <- Sar.Per_link (Int.max 1 (List.length live))
   | s -> t.rx_strategy <- s);
   let victims =
     Ctable.fold
@@ -1690,7 +1704,9 @@ let start_fictitious_source t ~pdus ?rate_mbps () =
              (Sar.segment ~vci ~nlinks:t.cfg.nlinks pdu))
          pdus)
   in
-  let mbox = Mailbox.create t.eng ~capacity:t.cfg.rx_fifo_cells () in
+  let mbox =
+    Mailbox.create t.eng ~capacity:t.cfg.rx_fifo_cells ~empty:(0, no_cell) ()
+  in
   let a = Process.agent t.eng ~name:"fictitious-source" in
   (* Pace against an absolute schedule so transient FIFO backpressure
      does not permanently lower the offered rate. *)
@@ -1703,7 +1719,7 @@ let start_fictitious_source t ~pdus ?rate_mbps () =
   and emit () = Mailbox.send_then mbox arrivals.(!i) a sent
   and sent () =
     i := (!i + 1) mod Array.length arrivals;
-    next := max !next (Engine.now t.eng - (8 * inter_cell_ns)) + inter_cell_ns;
+    next := Int.max !next (Engine.now t.eng - (8 * inter_cell_ns)) + inter_cell_ns;
     pace ()
   in
   Process.start a pace;

@@ -69,7 +69,7 @@ let create eng ~mem ~bus cfg =
   if not (Bits.is_pow2 cfg.size && Bits.is_pow2 cfg.line_size) then
     invalid_arg "Data_cache.create: size and line_size must be powers of two";
   let nlines = cfg.size / cfg.line_size in
-  let chunk_lines = min nlines (max 1 (chunk_bytes / cfg.line_size)) in
+  let chunk_lines = Int.min nlines (Int.max 1 (chunk_bytes / cfg.line_size)) in
   let blank = Array.make chunk_lines invalid in
   {
     eng;
@@ -157,7 +157,7 @@ let read_into t ~addr ~len ~dst ~dst_off =
   let pos = ref addr and out = ref dst_off and remaining = ref len in
   while !remaining > 0 do
     let in_line = t.cfg.line_size - (!pos land t.line_mask) in
-    let chunk = min !remaining in_line in
+    let chunk = Int.min !remaining in_line in
     let words = (chunk + 3) lsr 2 in
     let i = touch_line t !pos ~words_used:words in
     Bytes.blit t.data
@@ -184,7 +184,7 @@ let write t ~addr ~src =
   let pos = ref addr and off = ref 0 and remaining = ref len in
   while !remaining > 0 do
     let in_line = t.cfg.line_size - (!pos land t.line_mask) in
-    let chunk = min !remaining in_line in
+    let chunk = Int.min !remaining in_line in
     let tag = line_tag t !pos in
     let i = line_index t tag in
     if tag_at t i = tag then
@@ -230,7 +230,7 @@ let invalidate_all t =
 let rec blank_range t lo hi =
   if lo < hi then begin
     let c = lo lsr t.chunk_shift in
-    let stop = min hi ((c + 1) lsl t.chunk_shift) in
+    let stop = Int.min hi ((c + 1) lsl t.chunk_shift) in
     let chunk = Array.unsafe_get t.chunks c in
     if chunk != t.blank then
       Array.fill chunk (lo land t.chunk_mask) (stop - lo) invalid;
@@ -243,9 +243,9 @@ let pressure t ~lines =
   if lines > 0 then begin
     let nlines = t.index_mask + 1 in
     let c = t.pressure_cursor in
-    let first = min lines (nlines - c) in
+    let first = Int.min lines (nlines - c) in
     blank_range t c (c + first);
-    blank_range t 0 (min (lines - first) c);
+    blank_range t 0 (Int.min (lines - first) c);
     t.pressure_cursor <- (c + lines) land t.index_mask
   end
 

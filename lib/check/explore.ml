@@ -81,7 +81,7 @@ let dfs ?(max_depth = 12) ?(max_runs = 4096) ?max_events scenario =
                top so the search goes depth-first. *)
             let picks = List.map fst trace in
             let base = List.length prefix in
-            let horizon = min (List.length trace) max_depth in
+            let horizon = Int.min (List.length trace) max_depth in
             for k = base to horizon - 1 do
               let count = snd (List.nth trace k) in
               for alt = 1 to count - 1 do

@@ -51,7 +51,7 @@ let create ?(probe_bound = 16) ~dummy n =
   if probe_bound < 4 then
     invalid_arg "Classify.Table.create: probe_bound < 4";
   if n < 0 then invalid_arg "Classify.Table.create: negative capacity";
-  let cap = pow2_ge (max 8 n) 8 in
+  let cap = pow2_ge (Int.max 8 n) 8 in
   {
     c_keys = Array.make cap (-1);
     c_vals = Array.make cap dummy;

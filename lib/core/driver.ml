@@ -130,14 +130,14 @@ let create ~cpu ~cache ~wiring ~board ~channel ~vs ~costs ~demux ~invalidation
      permanently stalled. *)
   let n_bufs =
     if contiguous_buffers then rx_pool_buffers
-    else max rx_pool_buffers (rx_pool_buffers * (rx_buffer_size / buf_size))
+    else Int.max rx_pool_buffers (rx_pool_buffers * (rx_buffer_size / buf_size))
   in
   (* The receive queue must be able to hold every circulating buffer
      (paper: 64-entry queues and 64 buffers): otherwise a slow host can
      make the board drop descriptors from a full receive queue, losing
      end-of-PDU markers. *)
   let n_bufs =
-    min n_bufs (Desc_queue.size (Board.rx_queue channel) - 1)
+    Int.min n_bufs (Desc_queue.size (Board.rx_queue channel) - 1)
   in
   for _ = 1 to n_bufs do
     let vaddr = alloc_buffer vs ~size:buf_size ~contiguous:contiguous_buffers in
@@ -241,7 +241,7 @@ let rec crc_chain mem chain ~off ~len crc =
         if off >= d.Desc.len then
           crc_chain mem rest ~off:(off - d.Desc.len) ~len crc
         else begin
-          let n = min len (d.Desc.len - off) in
+          let n = Int.min len (d.Desc.len - off) in
           crc_chain mem rest ~off:0 ~len:(len - n)
             (Phys_mem.crc32 mem crc ~addr:(d.Desc.addr + off) ~len:n)
         end
@@ -256,7 +256,7 @@ let rec read_chain mem chain ~off ~len dst ~dst_off =
         if off >= d.Desc.len then
           read_chain mem rest ~off:(off - d.Desc.len) ~len dst ~dst_off
         else begin
-          let n = min len (d.Desc.len - off) in
+          let n = Int.min len (d.Desc.len - off) in
           Phys_mem.blit_to_bytes mem ~src:(d.Desc.addr + off) ~dst ~dst_off
             ~len:n;
           read_chain mem rest ~off:0 ~len:(len - n) dst ~dst_off:(dst_off + n)
@@ -343,7 +343,7 @@ let process_pdu t chain ~last =
           | v :: rest ->
               if remaining <= 0 then []
               else begin
-                let len = min remaining t.buf_size in
+                let len = Int.min remaining t.buf_size in
                 { Msg.vaddr = v; len } :: build rest (remaining - len)
               end
         in

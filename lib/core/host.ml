@@ -80,13 +80,13 @@ let install_memory_load cpu bus cache fraction =
         in
         let chunk_words = 64 in
         let nchunks = total_cycles / (chunk_words + 1) in
-        for _ = 1 to min nchunks 1024 do
+        for _ = 1 to Int.min nchunks 1024 do
           Tc.cpu_access bus ~bytes:(chunk_words * 4) ~overhead_cycles:1
         done;
         (* The same activity displaces cached network data ("these accesses
            are likely to evict all previously cached data", §2.3). *)
         let line_size = (Cache.config cache).Cache.line_size in
-        Cache.pressure cache ~lines:(min 4096 (total_cycles * 4 / line_size)))
+        Cache.pressure cache ~lines:(Int.min 4096 (total_cycles * 4 / line_size)))
 
 let create eng (machine : Machine.t) ~addr cfg =
   let rng = Rng.create ~seed:cfg.seed in

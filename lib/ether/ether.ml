@@ -63,7 +63,10 @@ let create eng ~cpu ~bus ~irq ~irq_line cfg =
       irq;
       irq_line;
       cfg;
-      ring = Mailbox.create eng ~capacity:cfg.ring_slots ();
+      ring =
+        Mailbox.create eng ~capacity:cfg.ring_slots
+          ~empty:{ payload = Bytes.empty; last = false }
+          ();
       wire_busy_until = 0;
       peer = None;
       receiver = ignore;
@@ -114,7 +117,7 @@ let set_receiver t f = t.receiver <- f
 let stats t = t.stats
 
 let wire_time t bytes =
-  let on_wire = max bytes t.cfg.min_frame_payload + t.cfg.frame_overhead in
+  let on_wire = Int.max bytes t.cfg.min_frame_payload + t.cfg.frame_overhead in
   on_wire * 8 * 1_000_000_000 / t.cfg.wire_bps
 
 (* Transmit one frame: DMA it from host memory across the I/O bus, then
@@ -127,7 +130,7 @@ let send_frame t frame =
   in
   Tc.dma_read t.bus ~bytes:(Bytes.length frame.payload);
   let now = Engine.now t.eng in
-  let start = max now t.wire_busy_until in
+  let start = Int.max now t.wire_busy_until in
   let finish = start + wire_time t (Bytes.length frame.payload) in
   t.wire_busy_until <- finish;
   peer.wire_busy_until <- finish;
@@ -147,10 +150,10 @@ let send t msg =
   (* Driver queueing cost per message, then chunk at the MTU. *)
   Cpu.consume t.cpu (Time.us 15);
   let len = Bytes.length msg in
-  let nframes = max 1 ((len + t.cfg.mtu - 1) / t.cfg.mtu) in
+  let nframes = Int.max 1 ((len + t.cfg.mtu - 1) / t.cfg.mtu) in
   for i = 0 to nframes - 1 do
     let off = i * t.cfg.mtu in
-    let chunk = min t.cfg.mtu (len - off) in
+    let chunk = Int.min t.cfg.mtu (len - off) in
     send_frame t
-      { payload = Bytes.sub msg off (max chunk 0); last = i = nframes - 1 }
+      { payload = Bytes.sub msg off (Int.max chunk 0); last = i = nframes - 1 }
   done

@@ -21,7 +21,7 @@ let rtt_generic ~kind ~msg_size =
   let a = Host.create eng machine ~addr:0x0a000001l cfg in
   let b = Host.create eng machine ~addr:0x0a000002l { cfg with seed = 43 } in
   ignore (Network.connect eng a b);
-  let pong = Mailbox.create eng () in
+  let pong = Mailbox.create eng ~empty:() () in
   let samples = Osiris_util.Stats.create () in
   (match kind with
   | Via_adc ->

@@ -28,7 +28,7 @@ let dma_in machine =
         fun () ->
           let remaining = ref block in
           while !remaining > 0 do
-            let chunk = min 44 !remaining in
+            let chunk = Int.min 44 !remaining in
             Tc.dma_write bus ~bytes:chunk;
             remaining := !remaining - chunk
           done ))
@@ -46,7 +46,7 @@ let dma_then_read machine =
         fun () ->
           let remaining = ref block in
           while !remaining > 0 do
-            let chunk = min 44 !remaining in
+            let chunk = Int.min 44 !remaining in
             Tc.dma_write bus ~bytes:chunk;
             Cache.dma_wrote cache ~addr:(block - !remaining) ~len:chunk;
             remaining := !remaining - chunk

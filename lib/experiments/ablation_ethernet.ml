@@ -25,7 +25,7 @@ let rtt_ethernet ~machine ~msg_size ?(rounds = 12) () =
   let eng, nic_a, nic_b = pair machine in
   Ether.set_receiver nic_b (fun msg ->
       Ether.send nic_b (Bytes.create (Bytes.length msg)));
-  let pong = Mailbox.create eng () in
+  let pong = Mailbox.create eng ~empty:() () in
   Ether.set_receiver nic_a (fun _ -> ignore (Mailbox.try_send pong ()));
   let samples = Osiris_util.Stats.create () in
   Process.spawn eng ~name:"pinger" (fun () ->

@@ -23,7 +23,7 @@ let splits_of page_size pbufs =
   let cells = (data_len + Cell.data_size - 1) / Cell.data_size in
   let count = ref 0 in
   for k = 0 to cells - 1 do
-    let lo = k * Cell.data_size and hi = min ((k + 1) * Cell.data_size) data_len in
+    let lo = k * Cell.data_size and hi = Int.min ((k + 1) * Cell.data_size) data_len in
     (* walk the chain to count the spans this cell needs *)
     let rec spans bufs off len acc =
       if len = 0 then acc
@@ -34,7 +34,7 @@ let splits_of page_size pbufs =
             if off >= b.Pbuf.len then spans rest (off - b.Pbuf.len) len acc
             else begin
               let avail = b.Pbuf.len - off in
-              let chunk = min len avail in
+              let chunk = Int.min len avail in
               (* page-boundary splits within the span *)
               let addr = b.Pbuf.addr + off in
               let first_page = addr / page_size
@@ -79,7 +79,7 @@ let run ~mtu ~aligned ~contiguous () =
   let frag_bufs = ref [] in
   let rec go off =
     if off < total then begin
-      let chunk = min per_frag (total - off) in
+      let chunk = Int.min per_frag (total - off) in
       let frag = Msg.sub msg ~off ~len:chunk in
       Msg.push frag ~len:Ip.header_size (fun _ -> ());
       frag_bufs := Msg.pbufs frag :: !frag_bufs;

@@ -64,7 +64,7 @@ let receive_with locking =
     words (Board.rx_queue ch) + words (Board.free_queue ch) - words0
   in
   let dpdus = (Driver.stats host.Host.driver).Driver.pdus_received - pdus0 in
-  (mbps, float_of_int dwords /. float_of_int (max 1 dpdus))
+  (mbps, float_of_int dwords /. float_of_int (Int.max 1 dpdus))
 
 let table () =
   let mk locking label =

@@ -34,7 +34,7 @@ let run ~mux ?(bulk_pdu = 64 * 1024) () =
   Board.bind_vci b.Host.board ~vci:vci_bulk (Board.kernel_channel b.Host.board);
   (* Make the kernel (bulk) channel equal priority. *)
   Board.set_priority (Board.kernel_channel a.Host.board) 0;
-  let pong = Mailbox.create eng () in
+  let pong = Mailbox.create eng ~empty:() () in
   Demux.bind (Adc.demux app_b) ~vci:vci_small ~name:"echo" (fun ~vci msg ->
       let len = Msg.length msg in
       Msg.dispose msg;

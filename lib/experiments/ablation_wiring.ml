@@ -22,7 +22,7 @@ let rtt_with_policy ~policy ~msg_size =
   ignore (Network.connect eng a b);
   Board.bind_vci a.Host.board ~vci:raw_vci (Board.kernel_channel a.Host.board);
   Board.bind_vci b.Host.board ~vci:raw_vci (Board.kernel_channel b.Host.board);
-  let pong = Mailbox.create eng () in
+  let pong = Mailbox.create eng ~empty:() () in
   Demux.bind b.Host.demux ~vci:raw_vci ~name:"echo" (fun ~vci msg ->
       let len = Msg.length msg in
       Msg.dispose msg;

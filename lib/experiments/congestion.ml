@@ -121,7 +121,7 @@ let accounting ~fault_free o =
 let run ?(senders = 6) ?(queue_cells = 48) ?(marking = false)
     ?(bytes_per_sender = 16 * 1024) ?(seed = 5) ?(config = transport_config)
     ?plan ?(cap = Time.s 4) () =
-  let mark_threshold = if marking then max 2 (queue_cells / 3) else 0 in
+  let mark_threshold = if marking then Int.max 2 (queue_cells / 3) else 0 in
   let eng, topo =
     Network.star ~n:(senders + 1) ~machine:small_machine
       ~config:(Flows.host_config ~seed:(9000 + seed))
@@ -201,7 +201,7 @@ let sweep_queues = [ 12; 24; 48; 96; 144; 192 ]
    compares completion times — baseline wall-clock over this run's. *)
 let goodput_ratio ~baseline o =
   match (baseline.flows.Flows.completion, o.flows.Flows.completion) with
-  | Some t0, Some t -> float_of_int t0 /. float_of_int (max 1 t)
+  | Some t0, Some t -> float_of_int t0 /. float_of_int (Int.max 1 t)
   | _ -> 0.0
 
 let check_figure ~baseline ~marked outs =
@@ -337,7 +337,7 @@ let soak_plan ~seed ~horizon ~port =
   let rng = Rng.create ~seed:(seed lxor 0x0f1a_9001) in
   let from = horizon / 10 * (1 + Rng.int rng 4) in
   let len = horizon / 10 * (1 + Rng.int rng 3) in
-  let w = { Plan.w_from = from; w_until = min (from + len) (horizon * 9 / 10) } in
+  let w = { Plan.w_from = from; w_until = Int.min (from + len) (horizon * 9 / 10) } in
   let hp = Time.us (50 + Rng.int rng 400) in
   {
     base with

@@ -161,7 +161,7 @@ let run ~nvcs () =
     route = Switch.route_stats sw;
     nroutes = Switch.nroutes sw;
     resident_bytes_per_vc =
-      Board.demux_resident_bytes recv.Host.board / max 1 nvcs;
+      Board.demux_resident_bytes recv.Host.board / Int.max 1 nvcs;
     path_enums;
     violations;
   }

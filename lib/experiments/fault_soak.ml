@@ -99,7 +99,7 @@ let run ?(seed = 1) ?(msgs = 60) ?(horizon = Time.ms 20) ?plan () =
     (deliver sk ~msg_size);
   (* Spread the sends over 70% of the horizon so every fault window sees
      traffic, leaving the tail for recovery timers to drain. *)
-  let gap = max 1 (horizon * 7 / 10 / max 1 msgs) in
+  let gap = Int.max 1 (horizon * 7 / 10 / Int.max 1 msgs) in
   Process.spawn eng ~name:"soak-tx" (fun () ->
       for i = 0 to msgs - 1 do
         let m = Msg.alloc a.Host.vs ~len:msg_size () in
@@ -123,7 +123,7 @@ let run ?(seed = 1) ?(msgs = 60) ?(horizon = Time.ms 20) ?plan () =
     delivered = sk.s_delivered;
     corrupted_delivered = sk.s_corrupted;
     goodput_mbps =
-      Report.mbps ~bytes_count:sk.s_bytes_ok ~ns:(max 1 (Engine.now eng));
+      Report.mbps ~bytes_count:sk.s_bytes_ok ~ns:(Int.max 1 (Engine.now eng));
     timeout_aborts = dstats.Driver.timeout_aborts;
     board_timeouts = bstats.Board.reassembly_timeouts;
     restripe_aborts = bstats.Board.restripe_aborts;

@@ -20,7 +20,7 @@ module Spray = Osiris_lb.Spray
    retransmission repairs it in about a round trip. *)
 let switch_config config ~queue_cells ~mark_threshold =
   let epd_reserve =
-    min queue_cells
+    Int.min queue_cells
       (Sar.cells_per_pdu (config.Sender.seg_size + Wire.data_header_size))
   in
   { Switch.default_config with Switch.queue_cells; mark_threshold; epd_reserve }
@@ -118,7 +118,7 @@ let outcome t ~cap =
       t.finishes
   in
   Array.sort compare fcts;
-  let p99 = max 0 (int_of_float (ceil (0.99 *. float_of_int n)) - 1) in
+  let p99 = Int.max 0 (int_of_float (ceil (0.99 *. float_of_int n)) - 1) in
   {
     nflows = n;
     offered_bytes = n * t.bytes;
@@ -136,9 +136,9 @@ let outcome t ~cap =
     completion =
       Array.fold_left
         (fun acc ft ->
-          match (acc, ft) with Some a, Some b -> Some (max a b) | _ -> None)
+          match (acc, ft) with Some a, Some b -> Some (Int.max a b) | _ -> None)
         (Some Time.zero) t.finishes;
-    fct_p99 = fcts.(min p99 (n - 1));
+    fct_p99 = fcts.(Int.min p99 (n - 1));
     switch_dropped =
       Array.fold_left
         (fun a sw ->
@@ -174,7 +174,7 @@ let run t ~jitter ~every_us ~spread_us ~cap =
   let rec go () =
     let now = Engine.now t.eng in
     if (not (terminal ())) && now < cap then begin
-      Engine.run ~until:(min cap (now + Time.ms 5)) t.eng;
+      Engine.run ~until:(Int.min cap (now + Time.ms 5)) t.eng;
       go ()
     end
   in

@@ -47,7 +47,7 @@ let accounting o =
        && o.reassembly_timeouts + o.reassembly_errors + o.timeout_aborts
           + o.pdus_dropped_no_buffer
           = 0
-       && o.switch_dropped < o.cells_in / max 1 o.offered_pdus
+       && o.switch_dropped < o.cells_in / Int.max 1 o.offered_pdus
      then
        [
          Printf.sprintf
@@ -120,7 +120,7 @@ let run ?(senders = 3) ?(queue_cells = 48) ?(rounds = 10) ?(seed = 5) () =
   let dstats = Driver.stats recv.Host.driver in
   let bstats = Board.stats recv.Host.board in
   let offered_pdus = senders * rounds in
-  let active_ns = max 1 horizon in
+  let active_ns = Int.max 1 horizon in
   let o =
     {
       senders;

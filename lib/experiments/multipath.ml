@@ -100,7 +100,7 @@ let run ?(mode = Spray.Reps) ?(workload = Permutation)
       ~config:(Flows.host_config ~seed:(11000 + seed))
       ~switch:
         (Flows.switch_config config ~queue_cells
-           ~mark_threshold:(max 2 (queue_cells / 3)))
+           ~mark_threshold:(Int.max 2 (queue_cells / 3)))
       ~seed:(700 + seed) ()
   in
   let pairs = pairs ~nh:(Network.nhosts topo) ~per_pod:(k / 2) workload in
@@ -140,7 +140,7 @@ let run ?(mode = Spray.Reps) ?(workload = Permutation)
               (fun p path ->
                 if Builder.path_uses_trunk fabric path target_trunk then begin
                   let last = Spray.last_send c p in
-                  if last > t_cut then worst := max !worst (last - t_cut)
+                  if last > t_cut then worst := Int.max !worst (last - t_cut)
                 end)
               (Spray.mvc c).Network.mv_paths;
             !worst)
@@ -170,7 +170,7 @@ let reroute_budget = Time.us 100
 let retention ~fail_free ~failed_run =
   let completion o = o.flows.Flows.completion in
   match (completion fail_free, completion failed_run) with
-  | Some t0, Some t -> Some (float_of_int t0 /. float_of_int (max 1 t))
+  | Some t0, Some t -> Some (float_of_int t0 /. float_of_int (Int.max 1 t))
   | _ -> None
 
 let check_figure ~perm ~inc ~fail_free ~failed_run ~reroute_run =

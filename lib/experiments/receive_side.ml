@@ -44,7 +44,7 @@ let throughput ~machine ~variant ~msg_size ?(window_ms = 60) () =
      suppression in IP reassembly makes id reuse safe. *)
   let n_ids =
     if frags_per_datagram > 12 then 1
-    else max 2 (min 7 (24 / frags_per_datagram))
+    else Int.max 2 (Int.min 7 (24 / frags_per_datagram))
   in
   let fragments =
     List.concat_map

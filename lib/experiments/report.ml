@@ -48,7 +48,7 @@ let print_table t =
     List.mapi
       (fun i h ->
         List.fold_left
-          (fun w row -> max w (String.length (List.nth row i)))
+          (fun w row -> Int.max w (String.length (List.nth row i)))
           (String.length h) t.rows)
       t.header
   in

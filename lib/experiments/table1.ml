@@ -25,7 +25,7 @@ let rtt_with_locking ~locking ~machine ~proto ~msg_size ?(rounds = 16) () =
   let b = Host.create eng machine ~addr:0x0a000002l { cfg with seed = 43 } in
   let net = Network.connect eng a b in
   ignore net;
-  let pong = Mailbox.create eng () in
+  let pong = Mailbox.create eng ~empty:() () in
   (* Wire up the echo service on B and the pong notifier on A. *)
   (match proto with
   | Raw_atm ->

@@ -193,8 +193,8 @@ let random ?(nlinks = 4) ~seed ~horizon () =
     let from = 0.05 +. Rng.float rng 0.55 in
     let len = 0.05 +. Rng.float rng 0.30 in
     let w_from = int_of_float (from *. h) in
-    let w_until = min (int_of_float ((from +. len) *. h)) (int_of_float (0.9 *. h)) in
-    { w_from; w_until = max w_until (w_from + 1) }
+    let w_until = Int.min (int_of_float ((from +. len) *. h)) (int_of_float (0.9 *. h)) in
+    { w_from; w_until = Int.max w_until (w_from + 1) }
   in
   let burst lo spread =
     let w = window () in

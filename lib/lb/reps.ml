@@ -27,7 +27,7 @@ type t = {
 
 (* Enough clean acks to have heard from every path a couple of times
    before trusting the cached set; capped so it stays one byte. *)
-let freeze_after np = min 255 (2 * np)
+let freeze_after np = Int.min 255 (2 * np)
 
 let create ?(fifo = 16) ?(seed = 0) ~npaths () =
   if npaths < 1 || npaths > 256 then invalid_arg "Reps.create: npaths";

@@ -42,7 +42,7 @@ let seg_path_set cell seq p =
   let b = !cell in
   let n = Bytes.length b in
   if seq >= n then begin
-    let b' = Bytes.make (max (2 * n) (seq + 1)) (Char.chr no_path) in
+    let b' = Bytes.make (Int.max (2 * n) (seq + 1)) (Char.chr no_path) in
     Bytes.blit b 0 b' 0 n;
     cell := b'
   end;

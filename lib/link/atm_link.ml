@@ -33,6 +33,12 @@ let default_config =
     rx_fifo_cells = 32;
   }
 
+(* Fills the receive mailbox's empty slots. *)
+let no_arrival =
+  ( 0,
+    Cell.make ~vci:0 ~seq:0 ~eom:false ~last_of_pdu:false
+      (Bytes.make Cell.data_size '\000') )
+
 let oc12_aggregate cfg =
   float_of_int (cfg.nlinks * cfg.link_rate_bps)
   /. 1e6
@@ -112,7 +118,7 @@ let create eng rng cfg =
     max_delivered_seq = -1;
     busy_until = Array.make cfg.nlinks 0;
     last_delivery = Array.make cfg.nlinks 0;
-    inbox = Mailbox.create eng ~capacity:cfg.rx_fifo_cells ();
+    inbox = Mailbox.create eng ~capacity:cfg.rx_fifo_cells ~empty:no_arrival ();
     drop_prob = cfg.drop_prob;
     corrupt_prob = cfg.corrupt_prob;
     dup_prob = cfg.dup_prob;
@@ -148,7 +154,7 @@ let set_dup_prob t p = t.dup_prob <- p
 let set_corrupt_header_prob t p = t.corrupt_header_prob <- p
 
 let set_rx_fifo_limit t n =
-  t.rx_limit <- max 1 (min n t.cfg.rx_fifo_cells)
+  t.rx_limit <- Int.max 1 (Int.min n t.cfg.rx_fifo_cells)
 
 let set_cell_filter t f = t.cell_filter <- f
 let on_link_change t f = t.on_change <- f :: t.on_change
@@ -177,31 +183,50 @@ let deliver t link seq ~dup cell =
   if not t.link_up.(link) then begin
     (* Carrier dropped while the cell was in flight. *)
     Metrics.incr t.m.m_dropped_link_down;
-    Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-      "cell lost to dead link %d trunk_seq=%d" link seq
+    if Trace.enabled Trace.Fault then
+      (Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+         "cell lost to dead link %d trunk_seq=%d" link seq
+      [@osiris.alloc_ok "trace message: built only when fault tracing is on"])
   end
   else
     match t.cell_filter with
-    | Some f when not (f link cell) ->
+    | Some f
+      when not
+             (f link cell
+             [@osiris.alloc_ok
+               "a fault plan's cell filter, installed only by fault \
+                injection"]) ->
         Metrics.incr t.m.m_dropped_net;
-        Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-          "cell filtered on link %d trunk_seq=%d" link seq
+        if Trace.enabled Trace.Fault then
+          (Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+             "cell filtered on link %d trunk_seq=%d" link seq
+          [@osiris.alloc_ok
+            "trace message: built only when fault tracing is on"])
     | _ ->
         if dup then Metrics.incr t.m.m_duplicated
         else if seq > t.max_delivered_seq then t.max_delivered_seq <- seq
         else begin
           Metrics.incr t.m.m_reordered;
-          Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-            "reordered arrival link=%d trunk_seq=%d" link seq
+          if Trace.enabled Trace.Link then
+            (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+               "reordered arrival link=%d trunk_seq=%d" link seq
+            [@osiris.alloc_ok
+              "trace message: built only when link tracing is on"])
         end;
         if
           Mailbox.length t.inbox < t.rx_limit
-          && Mailbox.try_send t.inbox (link, cell)
+          && Mailbox.try_send t.inbox
+               ((link, cell)
+               [@osiris.alloc_ok "the (link, cell) pair the receive FIFO \
+                                  holds"])
         then Metrics.incr t.m.m_delivered
         else begin
           Metrics.incr t.m.m_dropped_fifo;
-          Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-            "rx fifo overflow link=%d trunk_seq=%d" link seq
+          if Trace.enabled Trace.Link then
+            (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+               "rx fifo overflow link=%d trunk_seq=%d" link seq
+            [@osiris.alloc_ok
+              "trace message: built only when link tracing is on"])
         end
 
 (* Sending is split around its backpressure wait, so a fiber
@@ -243,79 +268,91 @@ let send_wait t cell =
     if t.busy_until.(l) > horizon then t.busy_until.(l) - horizon else 0
   end
 
+(* Header corruption mangles the VCI (misdelivery to another VC) or the
+   AAL sequence number (mis-striping) rather than the payload; both
+   escapes are caught downstream — unknown-VC drop or CRC. *)
+let corrupt_header t cell seq =
+  Metrics.incr t.m.m_header_corrupted;
+  let flip = 1 + Rng.int t.rng 7 in
+  if Rng.bool t.rng then begin
+    Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+      "header corrupt vci %d -> %d trunk_seq=%d" cell.Cell.vci
+      (cell.Cell.vci lxor flip) seq;
+    { cell with Cell.vci = cell.Cell.vci lxor flip }
+  end
+  else begin
+    Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+      "header corrupt seq %d -> %d trunk_seq=%d" cell.Cell.seq
+      (cell.Cell.seq lxor flip) seq;
+    { cell with Cell.seq = cell.Cell.seq lxor flip }
+  end
+
+(* A duplicated cell follows its original on the same channel one
+   cell-time later, respecting per-channel FIFO order. *)
+let duplicate t l seq cell =
+  let arrival = t.last_delivery.(l) + t.cell_time in
+  t.last_delivery.(l) <- arrival;
+  Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
+    "cell duplicated on link %d trunk_seq=%d" l seq;
+  ignore
+    (Engine.schedule_at t.eng ~time:arrival (fun () ->
+         deliver t l seq ~dup:true cell))
+
 let book t cell =
   let l = t.tx_channel in
   if l >= 0 then begin
     t.tx_channel <- -1;
     let seq = t.send_seq - 1 in
     let now = Engine.now t.eng in
-    let start = max now t.busy_until.(l) in
+    let start = Int.max now t.busy_until.(l) in
     let finish = start + t.cell_time in
     t.busy_until.(l) <- finish;
-    if Rng.float t.rng 1.0 < t.drop_prob then begin
+    if Rng.bernoulli t.rng t.drop_prob then begin
       Metrics.incr t.m.m_dropped_net;
-      Trace.emitf Trace.Link ~now:(Engine.now t.eng)
-        "cell lost on link %d trunk_seq=%d" l seq
+      if Trace.enabled Trace.Link then
+        (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
+           "cell lost on link %d trunk_seq=%d" l seq
+        [@osiris.alloc_ok "trace message: built only when link tracing is on"])
     end
     else begin
       let cell =
-        if Rng.float t.rng 1.0 < t.corrupt_prob then begin
+        if Rng.bernoulli t.rng t.corrupt_prob then begin
           Metrics.incr t.m.m_corrupted;
-          Cell.corrupt cell ~byte:(Rng.int t.rng Cell.data_size)
+          (Cell.corrupt cell ~byte:(Rng.int t.rng Cell.data_size)
+          [@osiris.alloc_ok "fault injection: the corrupted copy of the cell"])
         end
         else cell
       in
-      (* Header corruption mangles the VCI (misdelivery to another VC) or
-         the AAL sequence number (mis-striping) rather than the payload;
-         both escapes are caught downstream — unknown-VC drop or CRC.
-         Guarded so the draw sequence is unchanged when disabled. *)
+      (* Guarded so the draw sequence is unchanged when disabled. *)
       let cell =
         if
           t.corrupt_header_prob > 0.0
-          && Rng.float t.rng 1.0 < t.corrupt_header_prob
-        then begin
-          Metrics.incr t.m.m_header_corrupted;
-          let flip = 1 + Rng.int t.rng 7 in
-          if Rng.bool t.rng then begin
-            Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-              "header corrupt vci %d -> %d trunk_seq=%d" cell.Cell.vci
-              (cell.Cell.vci lxor flip) seq;
-            { cell with Cell.vci = cell.Cell.vci lxor flip }
-          end
-          else begin
-            Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-              "header corrupt seq %d -> %d trunk_seq=%d" cell.Cell.seq
-              (cell.Cell.seq lxor flip) seq;
-            { cell with Cell.seq = cell.Cell.seq lxor flip }
-          end
-        end
+          && Rng.bernoulli t.rng t.corrupt_header_prob
+        then
+          (corrupt_header t cell seq
+          [@osiris.alloc_ok "fault injection: the mangled copy of the cell"])
         else cell
       in
       let jitter =
         if t.cfg.jitter_mean = 0 then 0
         else
-          Time.of_float_us
-            (Rng.exponential t.rng
-               ~mean:(Time.to_float_us t.cfg.jitter_mean))
+          (Time.of_float_us
+             (Rng.exponential t.rng
+                ~mean:(Time.to_float_us t.cfg.jitter_mean))
+          [@osiris.alloc_ok
+            "the jitter draw: only when a config sets [jitter_mean]"])
       in
       let arrival = finish + t.cfg.propagation_delay + t.cfg.skew.(l) + jitter in
       (* Cells on one channel arrive in order and no faster than the wire. *)
-      let arrival = max arrival (t.last_delivery.(l) + t.cell_time) in
+      let arrival = Int.max arrival (t.last_delivery.(l) + t.cell_time) in
       t.last_delivery.(l) <- arrival;
       ignore
         (Engine.schedule_at t.eng ~time:arrival (fun () ->
-             deliver t l seq ~dup:false cell));
-      if t.dup_prob > 0.0 && Rng.float t.rng 1.0 < t.dup_prob then begin
-        (* A duplicated cell follows its original on the same channel one
-           cell-time later, respecting per-channel FIFO order. *)
-        let arrival2 = t.last_delivery.(l) + t.cell_time in
-        t.last_delivery.(l) <- arrival2;
-        Trace.emitf Trace.Fault ~now:(Engine.now t.eng)
-          "cell duplicated on link %d trunk_seq=%d" l seq;
-        ignore
-          (Engine.schedule_at t.eng ~time:arrival2 (fun () ->
-               deliver t l seq ~dup:true cell))
-      end
+             deliver t l seq ~dup:false cell)
+        [@osiris.alloc_ok "the arrival event: its closure and handle"]);
+      if t.dup_prob > 0.0 && Rng.bernoulli t.rng t.dup_prob then
+        (duplicate t l seq cell
+        [@osiris.alloc_ok "fault injection: the duplicate's arrival event"])
     end
   end
 

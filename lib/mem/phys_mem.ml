@@ -66,7 +66,7 @@ let create ?scramble ~size ~page_size () =
     if i > 0 then free_prev.(order.(i)) <- order.(i - 1);
     if i < nframes - 1 then free_next.(order.(i)) <- order.(i + 1)
   done;
-  let block_size = min block_bytes page_size in
+  let block_size = Int.min block_bytes page_size in
   let fresh = Array.make (page_size / block_size) unwritten in
   {
     frames = Array.make nframes fresh;
@@ -169,7 +169,7 @@ let new_block t =
   if b land t.slab_mask = 0 then begin
     if s = Array.length t.slabs then begin
       let grown =
-        (Array.make (max 4 (2 * s)) Bytes.empty
+        (Array.make (Int.max 4 (2 * s)) Bytes.empty
         [@osiris.alloc_ok
           "the slab table doubles: a logarithmic number of times per run"])
       in
@@ -220,7 +220,7 @@ let writable t addr =
 let rec copy_in t ~src ~src_off ~dst ~len =
   if len > 0 then begin
     let off = dst land t.block_mask in
-    let n = min len (t.block_size - off) in
+    let n = Int.min len (t.block_size - off) in
     let b = writable t dst in
     Bytes.blit src src_off (slab t b) (base t b + off) n;
     copy_in t ~src ~src_off:(src_off + n) ~dst:(dst + n) ~len:(len - n)
@@ -229,7 +229,7 @@ let rec copy_in t ~src ~src_off ~dst ~len =
 let rec copy_out t ~src ~dst ~dst_off ~len =
   if len > 0 then begin
     let off = src land t.block_mask in
-    let n = min len (t.block_size - off) in
+    let n = Int.min len (t.block_size - off) in
     let b = block t src in
     if b = unwritten then Bytes.fill dst dst_off n '\000'
     else Bytes.blit (slab t b) (base t b + off) dst dst_off n;
@@ -297,7 +297,7 @@ let rec equal_in t ~addr b ~off ~len =
   len = 0
   ||
   let boff = addr land t.block_mask in
-  let n = min len (t.block_size - boff) in
+  let n = Int.min len (t.block_size - boff) in
   let blk = block t addr in
   (if blk = unwritten then zeros b off n
    else same (slab t blk) (base t blk + boff) b off n)
@@ -312,7 +312,7 @@ let rec crc_in t crc ~addr ~len =
   if len = 0 then crc
   else begin
     let boff = addr land t.block_mask in
-    let n = min len (t.block_size - boff) in
+    let n = Int.min len (t.block_size - boff) in
     let blk = block t addr in
     crc_in t
       (if blk = unwritten then Osiris_util.Crc32.update_zeros crc ~len:n

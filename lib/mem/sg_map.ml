@@ -36,7 +36,7 @@ let program t bufs =
       (fun (b : Pbuf.t) ->
         let remaining = ref b.Pbuf.len and addr = ref b.Pbuf.addr in
         while !remaining > 0 do
-          let chunk = min !remaining t.page_size in
+          let chunk = Int.min !remaining t.page_size in
           entries := { phys_base = !addr; offset = 0; len = chunk } :: !entries;
           addr := !addr + chunk;
           remaining := !remaining - chunk

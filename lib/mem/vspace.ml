@@ -88,7 +88,7 @@ let phys_buffers t ~vaddr ~len =
     if len = 0 then List.rev acc
     else begin
       let in_page = ps - (vaddr mod ps) in
-      let chunk = min len in_page in
+      let chunk = Int.min len in_page in
       let paddr = translate t vaddr in
       go (vaddr + chunk) (len - chunk) (Pbuf.v ~addr:paddr ~len:chunk :: acc)
     end

@@ -55,7 +55,7 @@ let read_through_cache t msg ~off ~len =
    in here; the sum is taken before [consume_cycles] lets them in. *)
 let checksum_msg t msg ~off ~len =
   if Bytes.length t.sum_buf < len then
-    t.sum_buf <- Bytes.create (max len (2 * Bytes.length t.sum_buf));
+    t.sum_buf <- Bytes.create (Int.max len (2 * Bytes.length t.sum_buf));
   read_into t msg ~off ~len t.sum_buf;
   let sum = Checksum.ones_complement_sum t.sum_buf ~off:0 ~len in
   let words = (len + 3) / 4 in

@@ -16,7 +16,7 @@ let fragment_data_size cfg ~page_size =
     if cfg.aligned_mtu && raw >= page_size then raw / page_size * page_size
     else raw
   in
-  max 8 (d / 8 * 8)
+  Int.max 8 (d / 8 * 8)
 
 type stats = {
   mutable datagrams_sent : int;
@@ -98,7 +98,7 @@ let output t ~dst ~proto msg =
   t.stats.datagrams_sent <- t.stats.datagrams_sent + 1;
   let rec go off =
     if off < len then begin
-      let chunk = min per_frag (len - off) in
+      let chunk = Int.min per_frag (len - off) in
       let more = off + chunk < len in
       Cpu.consume t.ctx.Ctx.cpu t.ctx.Ctx.costs.Ctx.ip_output_per_fragment;
       let frag = Msg.sub msg ~off ~len:chunk in
@@ -118,7 +118,7 @@ let fragment_images ?(id = 0x1234) cfg ~page_size ~src ~dst ~proto payload =
   let rec go off acc =
     if off >= len then List.rev acc
     else begin
-      let chunk = min per_frag (len - off) in
+      let chunk = Int.min per_frag (len - off) in
       let more = off + chunk < len in
       let img = Bytes.create (header_size + chunk) in
       let hdr = Bytes.create header_size in

@@ -35,7 +35,7 @@ let parse_and_verify t msg =
     if field = 0 then Msg.length msg - header_size else field - header_size
   in
   let cks = Bytes.get_uint16_be hdr 6 in
-  let dlen = min dlen (Msg.length msg - header_size) in
+  let dlen = Int.min dlen (Msg.length msg - header_size) in
   let ok =
     if cks = 0 || not t.checksum then true
     else begin

@@ -1,47 +1,43 @@
-(* Where a handle is, in one immediate int so the record stays two
-   words: its slot in the hot heap ([>= 0], always live), or one of the
-   codes below. A cancelled entry keeps its queue position until its
-   (time, seq) comes up, in the FIFO or in the cold heap, so cancelling
-   never changes what the clock, [pending] or [reschedule] see. *)
-let idle = -1 (* not queued *)
-let idle_cancelled = -2 (* just taken, and it had been cancelled *)
-let in_fifo = -3
-let in_fifo_cancelled = -4
-let in_cold = -5 (* in the cold heap: cancelled *)
+(* What a handle is doing, in one immediate int. A cancelled entry keeps
+   its queue position until its (time, seq) comes up, so cancelling never
+   changes what the clock, [pending] or [reschedule] see. *)
+let idle = 0 (* not queued *)
+let idle_cancelled = 1 (* just taken, and it had been cancelled *)
+let queued = 2
+let queued_cancelled = 3
 
-type handle = { mutable place : int; fn : unit -> unit }
+type handle = { mutable status : int; fn : unit -> unit }
 
 type chooser = now:Time.t -> count:int -> int
 
-(* A 4-ary min-heap on (time, seq), held in three parallel arrays so an
-   entry costs no allocation. The hot heap tracks each handle's slot in
-   [place], so [cancel] can lift the entry out; the cold heap does
-   not. *)
-type heap = {
-  mutable heap_time : int array;
-  mutable heap_seq : int array;
-  mutable heap_ev : handle array;
-  mutable heap_len : int;
-  tracked : bool;
-}
+(* A 4-ary min-heap on (time, seq) of immediate ints: entry [i] is
+   [heap_keys.(3i)] (time), [.(3i+1)] (seq) and [.(3i+2)], the pool slot
+   that holds its handle. A sift moves ints only, so it allocates nothing
+   and calls no write barrier. *)
+type heap = { mutable heap_keys : int array; mutable heap_len : int }
 
-(* The event queue is three structures that together dispatch in
+(* Events due this far past the clock, or further, wait in the far heap,
+   so the near heap that per-cell events sift through stays small. *)
+let far_delay = 1 lsl 16
+
+(* The event queue is four structures that together dispatch in
    (time, seq) order:
 
-   - the hot heap of live future events;
-   - the cold heap, where [cancel] moves a heap entry with its key
-     unchanged, so the hot heap holds only events that will run;
+   - the near heap of events due less than [far_delay] after the clock
+     when they were pushed, and the far heap of the later ones;
+   - the handle pool: a heap entry's handle sits in one pool slot,
+     written once at push and cleared once at take;
    - a FIFO ring of the events due at exactly [clock], in seq order.
 
    An event scheduled for the current instant goes to the FIFO, any
-   later one to the hot heap. Every heap entry due now was added before
-   the clock reached its time, so its seq is lower than any FIFO
-   entry's: serving the heaps' entries at [clock] first (the lower
-   (time, seq) of the two tops), then the FIFO, is exactly (time, seq)
-   order. The FIFO only ever holds one instant, because the clock never
-   moves while it is non-empty: [take] serves it before any later heap
-   entry, and [run ~until] and [skip_to] only move the clock strictly
-   before the next queued time. Vacated slots are overwritten with
+   later one to a heap. Every heap entry due now was added before the
+   clock reached its time, so its seq is lower than any FIFO entry's:
+   serving the heaps' entries at [clock] first (the lower (time, seq) of
+   the two tops), then the FIFO, is exactly (time, seq) order. The FIFO
+   only ever holds one instant, because the clock never moves while it
+   is non-empty: [take] serves it before any later heap entry, and
+   [run ~until] and [skip_to] only move the clock strictly before the
+   next queued time. Vacated pool and ring slots are overwritten with
    [dummy], so a fired or drained event's closure is never pinned. *)
 type t = {
   mutable clock : Time.t;
@@ -50,8 +46,11 @@ type t = {
   mutable dispatched : int;
   mutable chooser : chooser option;
   mutable horizon : Time.t; (* the running [run]'s [until]; -1 outside [run] *)
-  hot : heap;
-  cold : heap;
+  near : heap;
+  far : heap;
+  mutable pool : handle array;
+  mutable pool_free : int array; (* stack of the free pool slots *)
+  mutable pool_nfree : int;
   mutable fifo : handle array; (* ring; length a power of two *)
   mutable fifo_first : int;
   mutable fifo_len : int;
@@ -59,16 +58,9 @@ type t = {
 
 exception Stopped
 
-let dummy = { place = idle; fn = ignore }
+let dummy = { status = idle; fn = ignore }
 
-let create_heap ~tracked =
-  {
-    heap_time = Array.make 64 0;
-    heap_seq = Array.make 64 0;
-    heap_ev = Array.make 64 dummy;
-    heap_len = 0;
-    tracked;
-  }
+let create_heap () = { heap_keys = Array.make (3 * 64) 0; heap_len = 0 }
 
 let create () =
   {
@@ -78,8 +70,11 @@ let create () =
     dispatched = 0;
     chooser = None;
     horizon = -1;
-    hot = create_heap ~tracked:true;
-    cold = create_heap ~tracked:false;
+    near = create_heap ();
+    far = create_heap ();
+    pool = Array.make 64 dummy;
+    pool_free = Array.init 64 (fun i -> 63 - i);
+    pool_nfree = 64;
     fifo = Array.make 16 dummy;
     fifo_first = 0;
     fifo_len = 0;
@@ -91,28 +86,36 @@ let now t = t.clock
 
 let events_dispatched t = t.dispatched
 
-let pending t = t.hot.heap_len + t.cold.heap_len + t.fifo_len
+let pending t = t.near.heap_len + t.far.heap_len + t.fifo_len
 
-let[@inline] top_time q = if q.heap_len > 0 then q.heap_time.(0) else max_int
+let unarmed fn = { status = idle; fn }
+
+let[@inline] top_time q = if q.heap_len > 0 then q.heap_keys.(0) else max_int
 
 (* Earliest queued time, [max_int] when empty: the FIFO's instant is
    the clock, and no heap entry is earlier. *)
 let next_key t =
   if t.fifo_len > 0 then t.clock
   else
-    let h = top_time t.hot and c = top_time t.cold in
-    if h < c then h else c
+    let n = top_time t.near and f = top_time t.far in
+    if n < f then n else f
 
 let grow_heap q =
-  let n = 2 * Array.length q.heap_time in
-  let extend a fill =
-    let b = Array.make n fill in
-    Array.blit a 0 b 0 q.heap_len;
-    b
-  in
-  q.heap_time <- extend q.heap_time 0;
-  q.heap_seq <- extend q.heap_seq 0;
-  q.heap_ev <- extend q.heap_ev dummy
+  let b = Array.make (2 * Array.length q.heap_keys) 0 in
+  Array.blit q.heap_keys 0 b 0 (3 * q.heap_len);
+  q.heap_keys <- b
+
+let grow_pool t =
+  let cap = Array.length t.pool in
+  let pool = Array.make (2 * cap) dummy in
+  Array.blit t.pool 0 pool 0 cap;
+  t.pool <- pool;
+  let free = Array.make (2 * cap) 0 in
+  for i = 0 to cap - 1 do
+    free.(i) <- (2 * cap) - 1 - i
+  done;
+  t.pool_free <- free;
+  t.pool_nfree <- cap
 
 let grow_fifo t =
   let cap = Array.length t.fifo in
@@ -123,76 +126,62 @@ let grow_fifo t =
   t.fifo <- b;
   t.fifo_first <- 0
 
-let[@inline] set_slot q i time seq h =
-  q.heap_time.(i) <- time;
-  q.heap_seq.(i) <- seq;
-  q.heap_ev.(i) <- h;
-  if q.tracked then h.place <- i
+let[@inline] set_entry (k : int array) i (time : int) (seq : int) slot =
+  let j = 3 * i in
+  k.(j) <- time;
+  k.(j + 1) <- seq;
+  k.(j + 2) <- slot
 
 (* Sift loops move the hole rather than swapping, and live at top level:
    defined inside [push]/[take] they would capture the heap and allocate
-   a closure per operation. *)
-let rec sift_up q i time seq h =
-  if i = 0 then set_slot q 0 time seq h
+   a closure per operation. The int annotations matter: left polymorphic,
+   every compare would be a [caml_lessthan] call and every store a
+   [caml_modify]. *)
+let rec sift_up (k : int array) i (time : int) (seq : int) slot =
+  if i = 0 then set_entry k 0 time seq slot
   else begin
     let p = (i - 1) / 4 in
-    let pt = q.heap_time.(p) in
-    if time < pt || (time = pt && seq < q.heap_seq.(p)) then begin
-      set_slot q i pt q.heap_seq.(p) q.heap_ev.(p);
-      sift_up q p time seq h
+    let pj = 3 * p in
+    let pt = k.(pj) in
+    if time < pt || (time = pt && seq < k.(pj + 1)) then begin
+      set_entry k i pt k.(pj + 1) k.(pj + 2);
+      sift_up k p time seq slot
     end
-    else set_slot q i time seq h
+    else set_entry k i time seq slot
   end
 
-let[@inline] less q a b =
-  let ta = q.heap_time.(a) and tb = q.heap_time.(b) in
-  ta < tb || (ta = tb && q.heap_seq.(a) < q.heap_seq.(b))
+let[@inline] less (k : int array) a b =
+  let ta = k.(3 * a) and tb = k.(3 * b) in
+  ta < tb || (ta = tb && k.((3 * a) + 1) < k.((3 * b) + 1))
 
-let rec sift_down q i time seq h =
-  let n = q.heap_len in
+let rec sift_down (k : int array) n i (time : int) (seq : int) slot =
   let c = (4 * i) + 1 in
-  if c >= n then set_slot q i time seq h
+  if c >= n then set_entry k i time seq slot
   else begin
     let m = c in
-    let m = if c + 1 < n && less q (c + 1) m then c + 1 else m in
-    let m = if c + 2 < n && less q (c + 2) m then c + 2 else m in
-    let m = if c + 3 < n && less q (c + 3) m then c + 3 else m in
-    let mt = q.heap_time.(m) in
-    if mt < time || (mt = time && q.heap_seq.(m) < seq) then begin
-      set_slot q i mt q.heap_seq.(m) q.heap_ev.(m);
-      sift_down q m time seq h
+    let m = if c + 1 < n && less k (c + 1) m then c + 1 else m in
+    let m = if c + 2 < n && less k (c + 2) m then c + 2 else m in
+    let m = if c + 3 < n && less k (c + 3) m then c + 3 else m in
+    let mj = 3 * m in
+    let mt = k.(mj) in
+    if mt < time || (mt = time && k.(mj + 1) < seq) then begin
+      set_entry k i mt k.(mj + 1) k.(mj + 2);
+      sift_down k n m time seq slot
     end
-    else set_slot q i time seq h
+    else set_entry k i time seq slot
   end
 
-let[@inline] heap_add q time seq h =
-  if q.heap_len = Array.length q.heap_time then
+let[@inline] heap_add q time seq slot =
+  if 3 * q.heap_len = Array.length q.heap_keys then
     (grow_heap q
     [@osiris.alloc_ok
       "heap doubling: once per doubling of the deepest queue, then reused"]);
   q.heap_len <- q.heap_len + 1;
-  sift_up q (q.heap_len - 1) time seq h
-
-(* Take the entry at slot [i] out of [q]: the last entry fills the hole
-   and sifts whichever way its key says. *)
-let heap_remove q i =
-  let n = q.heap_len - 1 in
-  q.heap_len <- n;
-  let last = q.heap_ev.(n) in
-  q.heap_ev.(n) <- dummy;
-  if i < n then begin
-    let time = q.heap_time.(n) and seq = q.heap_seq.(n) in
-    let p = (i - 1) / 4 in
-    if
-      i > 0
-      && (time < q.heap_time.(p)
-         || (time = q.heap_time.(p) && seq < q.heap_seq.(p)))
-    then sift_up q i time seq last
-    else sift_down q i time seq last
-  end
+  sift_up q.heap_keys (q.heap_len - 1) time seq slot
 
 (* Queue [h] at [time] (never before the clock) with a fresh seq. *)
 let push t ~time h =
+  h.status <- queued;
   if time = t.clock then begin
     if t.fifo_len = Array.length t.fifo then
       (grow_fifo t
@@ -200,59 +189,79 @@ let push t ~time h =
         "ring doubling: once per doubling of the deepest same-instant \
          backlog, then reused"]);
     t.fifo.((t.fifo_first + t.fifo_len) land (Array.length t.fifo - 1)) <- h;
-    t.fifo_len <- t.fifo_len + 1;
-    h.place <- in_fifo
+    t.fifo_len <- t.fifo_len + 1
   end
-  else heap_add t.hot time t.seq h;
+  else begin
+    if t.pool_nfree = 0 then
+      (grow_pool t
+      [@osiris.alloc_ok
+        "pool doubling: once per doubling of the most events pending in \
+         the heaps, then reused"]);
+    let n = t.pool_nfree - 1 in
+    t.pool_nfree <- n;
+    let slot = t.pool_free.(n) in
+    t.pool.(slot) <- h;
+    heap_add
+      (if time - t.clock < far_delay then t.near else t.far)
+      time t.seq slot
+  end;
   t.seq <- t.seq + 1
 
 let[@inline] less_top a b =
-  let ta = a.heap_time.(0) and tb = b.heap_time.(0) in
-  ta < tb || (ta = tb && a.heap_seq.(0) < b.heap_seq.(0))
+  let ka = a.heap_keys and kb = b.heap_keys in
+  let ta = ka.(0) and tb = kb.(0) in
+  ta < tb || (ta = tb && ka.(1) < kb.(1))
 
 (* Remove the next event in (time, seq) order and move the clock to its
-   time; its [place] says whether it had been cancelled. The caller
+   time; its [status] says whether it had been cancelled. The caller
    guarantees the queue is non-empty. *)
 let take t =
-  let hot = t.hot and cold = t.cold in
+  let near = t.near and far = t.far in
   let q =
-    if cold.heap_len > 0 && (hot.heap_len = 0 || less_top cold hot) then cold
-    else hot
+    if far.heap_len > 0 && (near.heap_len = 0 || less_top far near) then far
+    else near
   in
-  if t.fifo_len > 0 && (q.heap_len = 0 || q.heap_time.(0) > t.clock) then begin
-    let i = t.fifo_first in
-    let h = t.fifo.(i) in
-    t.fifo.(i) <- dummy;
-    t.fifo_first <- (i + 1) land (Array.length t.fifo - 1);
-    t.fifo_len <- t.fifo_len - 1;
-    h.place <- (if h.place = in_fifo then idle else idle_cancelled);
-    h
-  end
-  else begin
-    let h = q.heap_ev.(0) in
-    t.clock <- q.heap_time.(0);
-    let n = q.heap_len - 1 in
-    q.heap_len <- n;
-    let last = q.heap_ev.(n) in
-    q.heap_ev.(n) <- dummy;
-    if n > 0 then sift_down q 0 q.heap_time.(n) q.heap_seq.(n) last;
-    h.place <- (if q.tracked then idle else idle_cancelled);
-    h
-  end
+  let h =
+    if t.fifo_len > 0 && (q.heap_len = 0 || q.heap_keys.(0) > t.clock)
+    then begin
+      let i = t.fifo_first in
+      let h = t.fifo.(i) in
+      t.fifo.(i) <- dummy;
+      t.fifo_first <- (i + 1) land (Array.length t.fifo - 1);
+      t.fifo_len <- t.fifo_len - 1;
+      h
+    end
+    else begin
+      let k = q.heap_keys in
+      t.clock <- k.(0);
+      let slot = k.(2) in
+      let n = q.heap_len - 1 in
+      q.heap_len <- n;
+      if n > 0 then sift_down k n 0 k.(3 * n) k.((3 * n) + 1) k.((3 * n) + 2);
+      let h = t.pool.(slot) in
+      t.pool.(slot) <- dummy;
+      t.pool_free.(t.pool_nfree) <- slot;
+      t.pool_nfree <- t.pool_nfree + 1;
+      h
+    end
+  in
+  h.status <- (if h.status = queued then idle else idle_cancelled);
+  h
 
 let check_time t time =
   if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %d is in the past (now %d)"
-         time t.clock)
+    (invalid_arg
+       (Printf.sprintf "Engine.schedule_at: time %d is in the past (now %d)"
+          time t.clock)
+    [@osiris.alloc_ok "cold error path: raises, never returns"])
 
 let schedule_at t ~time fn =
   check_time t time;
   let h =
-    ({ place = idle; fn }
+    ({ status = idle; fn }
     [@osiris.alloc_ok
-      "the one handle per scheduled event: a fresh record keeps the \
-       major GC's write barrier off long-lived handles"])
+      "the one handle per scheduled event; callers that re-arm one \
+       handle use [reschedule] instead"])
   in
   push t ~time h;
   h
@@ -261,33 +270,24 @@ let schedule t ~delay fn =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock + delay) fn
 
-let queued h = h.place >= 0 || h.place <= in_fifo
+let is_queued h = h.status >= queued
 
 let reschedule_at t ~time h =
-  if queued h then invalid_arg "Engine.reschedule_at: handle is still queued";
+  if is_queued h then
+    (invalid_arg "Engine.reschedule_at: handle is still queued"
+    [@osiris.alloc_ok "cold error path: raises, never returns"]);
   check_time t time;
   push t ~time h
 
 let reschedule t ~delay h =
-  if delay < 0 then invalid_arg "Engine.reschedule: negative delay";
+  if delay < 0 then
+    (invalid_arg "Engine.reschedule: negative delay"
+    [@osiris.alloc_ok "cold error path: raises, never returns"]);
   reschedule_at t ~time:(t.clock + delay) h
 
-(* A live hot-heap entry moves to the cold heap under the same key; a
-   FIFO entry is only marked. Either way it still occupies its (time,
-   seq) until [take] drops it there. *)
-let cancel t h =
-  let i = h.place in
-  if i >= 0 then begin
-    let q = t.hot in
-    if q.heap_ev.(i) != h then
-      (invalid_arg "Engine.cancel: handle of another engine"
-      [@osiris.alloc_ok "cold error path: raises, never returns"]);
-    let time = q.heap_time.(i) and seq = q.heap_seq.(i) in
-    heap_remove q i;
-    heap_add t.cold time seq h;
-    h.place <- in_cold
-  end
-  else if i = in_fifo then h.place <- in_fifo_cancelled
+(* Only marked: the entry keeps its (time, seq) until [take] drops it
+   there. *)
+let cancel (_ : t) h = if h.status = queued then h.status <- queued_cancelled
 
 (* A callback scheduled now at [time] would be the very next one [run]
    dispatches, and before [run] returns, exactly when [time] is inside
@@ -313,7 +313,7 @@ let pop_instant t =
   let rec go acc =
     if pending t > 0 && next_key t = key then
       let h = take t in
-      go (if h.place = idle_cancelled then acc else h :: acc)
+      go (if h.status = idle_cancelled then acc else h :: acc)
     else List.rev acc
   in
   go []
@@ -327,7 +327,7 @@ let step_live t =
     match t.chooser with
     | None ->
         let h = take t in
-        if h.place = idle_cancelled then `Skipped
+        if h.status = idle_cancelled then `Skipped
         else begin
           t.dispatched <- t.dispatched + 1;
           (h.fn ()

@@ -15,26 +15,30 @@
 
     {b The queue.} Every scheduled callback gets a fresh sequence number
     and dispatch is in [(time, seq)] order. A callback due at exactly
-    the current instant goes to a FIFO ring; any later one to a 4-ary
-    min-heap on [(time, seq)] held in parallel arrays. A heap entry due
-    at the current instant was queued before the clock reached that
-    instant, so its seq is lower than that of every FIFO entry: serving
-    the heap's entries at the current instant first and the FIFO after
-    them is exactly [(time, seq)] order. An event costs one handle
-    record (none for {!reschedule}) and no other allocation: a
-    zero-delay event is O(1) and a later one O(log n) moves within the
-    arrays, and only doubling an array allocates. Vacated slots are
-    cleared, so a fired callback's closure is never pinned by the
-    queue.
+    the current instant goes to a FIFO ring of handles. A later one goes
+    to one of two 4-ary min-heaps of immediate [(time, seq, slot)] ints:
+    the near heap when it is due less than 65.5 us (2{^16} ns) ahead,
+    else the far heap, which keeps the long transport timers out of the
+    heap that every per-cell event sifts through. Its handle sits in
+    pool slot [slot], written once when it is queued and cleared once
+    when it is taken. Dispatch serves the lower of the two heap tops. A
+    heap entry due at the current instant was queued before the clock
+    reached that instant, so its seq is lower than that of every FIFO
+    entry: serving the heaps' entries at the current instant first and
+    the FIFO after them is exactly [(time, seq)] order. An event costs
+    one handle record (none for {!reschedule}) and no other allocation:
+    a zero-delay event is O(1), and a later one O(log n) int moves with
+    no pointer store and no write barrier; only doubling an array
+    allocates. Vacated slots are cleared, so a fired callback's closure
+    is never pinned by the queue.
 
-    {b Cancelled events.} {!cancel} moves a heap entry, key unchanged,
-    into a second heap of cancelled entries, so the heap that every
-    schedule and dispatch sifts through holds only events that will
-    run. A cancelled entry still counts in {!pending}, still bounds
-    {!skip_to} and the end-of-run clock, still keeps its handle from
-    being {!reschedule}d, and still moves the clock to its time when
-    its turn comes, exactly as if it had stayed in place: cancelling
-    changes nothing observable but the callback not running. *)
+    {b Cancelled events.} {!cancel} only marks the handle. Its entry
+    keeps its place and key, and the dispatch loop drops it when its
+    instant comes up. So a cancelled entry still counts in {!pending},
+    still bounds {!skip_to} and the end-of-run clock, still keeps its
+    handle from being {!reschedule}d, and still moves the clock to its
+    time when its turn comes: cancelling changes nothing observable but
+    the callback not running. *)
 
 type t
 
@@ -56,6 +60,12 @@ val schedule_at : t -> time:Time.t -> (unit -> unit) -> handle
 (** [schedule_at t ~time f] arranges for [f ()] to run at absolute time
     [time], which must not be in the past. *)
 
+val unarmed : (unit -> unit) -> handle
+(** [unarmed f] is a handle for [f] that is not queued: the first
+    {!reschedule} arms it. An owner with at most one pending event per
+    purpose keeps such handles and re-arms them, so its events allocate
+    nothing. *)
+
 val reschedule : t -> delay:Time.t -> handle -> unit
 (** [reschedule t ~delay h] re-arms a handle whose event has already
     fired (or been cancelled), reusing the handle and its callback
@@ -70,7 +80,8 @@ val reschedule_at : t -> time:Time.t -> handle -> unit
 val cancel : t -> handle -> unit
 (** [cancel t h] cancels a pending event of [t]. Cancelling an event
     that has already fired, or twice, is a no-op. The entry stays
-    queued until its instant passes (see {e Cancelled events} above). *)
+    queued until its instant passes (see {e Cancelled events} above);
+    cancelling costs one int store. *)
 
 val pending : t -> int
 (** Number of events still queued (including cancelled ones whose

@@ -8,9 +8,12 @@
 
 type 'a t
 
-val create : Engine.t -> ?capacity:int -> unit -> 'a t
-(** [create eng ~capacity ()] makes an empty mailbox. [capacity] defaults to
-    [max_int] and must be at least 1. *)
+val create : Engine.t -> ?capacity:int -> empty:'a -> unit -> 'a t
+(** [create eng ~capacity ~empty ()] makes an empty mailbox. [capacity]
+    defaults to [max_int] and must be at least 1. Items and blocked
+    processes wait in array rings that double when full, so a queued item
+    costs no allocation; [empty] fills the slots no item occupies, so a
+    taken item is never pinned. *)
 
 val send : 'a t -> 'a -> unit
 (** Enqueue a value, blocking the calling process while the mailbox is

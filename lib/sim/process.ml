@@ -7,14 +7,15 @@ exception Process_failure of string * exn
 type resumer = unit -> unit
 
 (* A callback agent: at most one pending event, whose work is [k_next].
-   Its timer and wake-up callbacks are built once, so a sleep costs the
-   agent its engine handle and a wake-up one small closure more. *)
+   It owns one handle for a sleep's timer and one for its wake-up, and
+   re-arms them, so neither event allocates. *)
+type step = { name : string; mutable k_next : unit -> unit }
+
 type agent = {
   eng : Engine.t;
-  name : string;
-  mutable k_next : unit -> unit;
-  ring : unit -> unit; (* a sleep's timer *)
-  resume_agent : resumer; (* a wake-up *)
+  step : step;
+  timer : Engine.handle;
+  resume_agent : resumer; (* re-arms the wake-up handle, due now *)
 }
 
 type _ Effect.t +=
@@ -28,12 +29,7 @@ type _ Effect.t +=
    Processes never nest, and the simulator runs on one domain. *)
 let in_process = ref false
 
-(* The events a process costs, written once for fibers and callback
-   agents alike. The continuation is a function and its argument: a
-   fiber's is [resume] and its continuation, an agent's [run_agent] and
-   the agent. *)
-
-(* A wake-up: one zero-delay event running [f x]. *)
+(* A fiber's wake-up: one zero-delay event running [f x]. *)
 let hop eng f x =
   ignore
     (Engine.schedule eng ~delay:0 (fun () -> f x)
@@ -52,20 +48,21 @@ let resume k =
 (* An agent's step as its event. The one handler that sees every
    exception: it re-raises it named, as a fiber's effect handler does,
    and swallows none. *)
-let run_agent a =
-  try a.k_next () with exn -> raise (Process_failure (a.name, exn))
+let run_agent s =
+  try s.k_next () with exn -> raise (Process_failure (s.name, exn))
 
+(* The timer's callback is [wake] with the agent's own wake-up handle as
+   the hop. *)
 let agent eng ~name =
-  let rec a =
-    {
-      eng;
-      name;
-      k_next = ignore;
-      ring = (fun () -> wake eng run_agent a);
-      resume_agent = (fun () -> hop eng run_agent a);
-    }
+  let step = { name; k_next = ignore } in
+  let wake_up = Engine.unarmed (fun () -> run_agent step) in
+  let resume_agent () = Engine.reschedule eng ~delay:0 wake_up in
+  let timer =
+    Engine.unarmed (fun () ->
+        if Engine.skip_to eng (Engine.now eng) then run_agent step
+        else resume_agent ())
   in
-  a
+  { eng; step; timer; resume_agent }
 
 let spawn eng ?(name = "anon") f =
   let body () =
@@ -127,7 +124,7 @@ let yield eng = sleep eng 0
    function. *)
 
 let await a k =
-  a.k_next <- k;
+  a.step.k_next <- k;
   a.resume_agent
 
 let start a k = await a k ()
@@ -142,8 +139,7 @@ let sleep_then a d k =
       "the continuation is the caller's next step: what it allocates is \
        that step's budget, checked where the step is"])
   else begin
-    a.k_next <- k;
-    ignore
-      (Engine.schedule a.eng ~delay:d a.ring
-      [@osiris.alloc_ok "the timer event: its engine handle"])
+    (* Armed first: a timer still queued raises with [k_next] intact. *)
+    Engine.reschedule a.eng ~delay:d a.timer;
+    a.step.k_next <- k
   end

@@ -81,9 +81,12 @@ exception Process_failure of string * exn
 
 type agent
 (** A name, an engine, and the step to run at the agent's one pending
-    event. Its timer and wake-up callbacks are built once: a sleep that
-    needs a timer costs the engine handle, a wake-up one small closure
-    and a handle. *)
+    event. It owns two engine handles, one for a sleep's timer and one
+    for its wake-up, built once and re-armed with {!Engine.reschedule}:
+    a sleep that needs a timer and a wake-up both cost the engine no
+    allocation. Because an agent waits on one thing at a time, neither
+    handle is ever queued twice; re-arming a queued one raises
+    [Invalid_argument]. *)
 
 val agent : Engine.t -> name:string -> agent
 
@@ -102,4 +105,6 @@ val await : agent -> (unit -> unit) -> resumer
     resumer, for a waker to call: the call schedules one zero-delay
     event running [k] as [a], the hop a suspended fiber's resumer
     schedules. An agent waits on one thing at a time: the next
-    [await], [sleep_then] or [start] of [a] replaces [k]. *)
+    [await], [sleep_then] or [start] of [a] replaces [k], and calling
+    the resumer again before that event has run raises
+    [Invalid_argument]. *)

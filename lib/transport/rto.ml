@@ -20,10 +20,10 @@ let create ~init ~min:rto_min ~max:rto_max =
   { rto_min; rto_max; srtt = -1; rttvar = 0; base = init; shift = 0;
     nsamples = 0 }
 
-let clamp t v = max t.rto_min (min t.rto_max v)
+let clamp t v = Int.max t.rto_min (Int.min t.rto_max v)
 
 let sample t rtt =
-  let rtt = max rtt 1 in
+  let rtt = Int.max rtt 1 in
   if t.srtt < 0 then begin
     t.srtt <- rtt;
     t.rttvar <- rtt / 2
@@ -33,15 +33,15 @@ let sample t rtt =
     t.rttvar <- ((3 * t.rttvar) + err) / 4;
     t.srtt <- ((7 * t.srtt) + rtt) / 8
   end;
-  t.base <- clamp t (t.srtt + max (4 * t.rttvar) 1);
+  t.base <- clamp t (t.srtt + Int.max (4 * t.rttvar) 1);
   (* A fresh sample of an un-retransmitted segment ends any backoff
      episode (Karn's algorithm: ambiguous samples never got here). *)
   t.shift <- 0;
   t.nsamples <- t.nsamples + 1
 
 let current t =
-  let shift = min t.shift 16 in
-  min t.rto_max (t.base lsl shift)
+  let shift = Int.min t.shift 16 in
+  Int.min t.rto_max (t.base lsl shift)
 
 let backoff t = if t.shift < 16 then t.shift <- t.shift + 1
 let srtt t = if t.srtt < 0 then None else Some t.srtt

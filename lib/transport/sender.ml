@@ -378,7 +378,7 @@ let offer t data =
   t.stats.offered_bytes <- t.stats.offered_bytes + len;
   let off = ref 0 in
   while !off < len do
-    let n = min t.cfg.seg_size (len - !off) in
+    let n = Int.min t.cfg.seg_size (len - !off) in
     add_seg t (Bytes.sub data !off n);
     off := !off + n
   done;
@@ -413,7 +413,7 @@ let on_ack t ~ack ~sack ~ece =
         t.ece_hold_until <- Engine.now t.eng + hold
       end
     end;
-    let ack = min ack t.snd_nxt in
+    let ack = Int.min ack t.snd_nxt in
     if ack > t.snd_una then begin
       (* Karn: sample only segments transmitted exactly once. *)
       (match t.segs.(ack - 1) with
@@ -494,7 +494,7 @@ let on_ack t ~ack ~sack ~ece =
          a VC, so even a single ack above the hole is proof of loss, not
          reordering. *)
       let dup_thr =
-        min t.cfg.dup_ack_threshold (max 1 (t.snd_nxt - t.snd_una - 1))
+        Int.min t.cfg.dup_ack_threshold (Int.max 1 (t.snd_nxt - t.snd_una - 1))
       in
       if
         t.snd_una < t.snd_nxt

@@ -6,8 +6,14 @@ type t = Bytes.t
 let golden = 0x9E3779B97F4A7C15L
 
 let[@inline] mix z =
-  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+  let z =
+    Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L)
+  [@@osiris.alloc_ok "unboxed: mix is inlined, the int64 stays in a register"]
+  in
+  let z =
+    Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL)
+  [@@osiris.alloc_ok "unboxed: mix is inlined, the int64 stays in a register"]
+  in
   Int64.(logxor z (shift_right_logical z 31))
 
 let of_state s =
@@ -18,7 +24,10 @@ let of_state s =
 let create ~seed = of_state (mix (Int64.of_int seed))
 
 let[@inline] next t =
-  let s = Int64.add (Bytes.get_int64_ne t 0) golden in
+  let s =
+    Int64.add (Bytes.get_int64_ne t 0) golden
+  [@@osiris.alloc_ok "unboxed: next is inlined, the int64 stays in a register"]
+  in
   Bytes.set_int64_ne t 0 s;
   mix s
 
@@ -35,6 +44,13 @@ let int t n =
 let float t x =
   let u = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   x *. u /. 9007199254740992.0 (* 2^53 *)
+
+(* [float t 1.0 < p] to the bit: multiplying by 1.0 and dividing an
+   integer below 2^53 by 2^53 are exact. Returning the comparison keeps
+   the draw in a register, where [float] boxes its result. *)
+let bernoulli t p =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
+  < p
 
 let bool t = Int64.logand (next t) 1L = 1L
 

@@ -23,6 +23,10 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 
+val bernoulli : t -> float -> bool
+(** [bernoulli t p] is [float t 1.0 < p]: the same draw and the same
+    answer, without boxing the draw. *)
+
 val bool : t -> bool
 
 val exponential : t -> mean:float -> float

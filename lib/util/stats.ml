@@ -79,7 +79,7 @@ module Histogram = struct
 
   let add h x =
     let i = bucket_of h x in
-    let i = Stdlib.min i (Array.length h.counts - 1) in
+    let i = Int.min i (Array.length h.counts - 1) in
     h.counts.(i) <- h.counts.(i) + 1;
     h.total <- h.total + 1
 
@@ -89,7 +89,7 @@ module Histogram = struct
     if h.total = 0 then nan
     else begin
       let target = int_of_float (ceil (p /. 100.0 *. float_of_int h.total)) in
-      let target = Stdlib.max 1 (Stdlib.min target h.total) in
+      let target = Int.max 1 (Int.min target h.total) in
       let acc = ref 0 and result = ref h.hi in
       (try
          for i = 0 to Array.length h.counts - 1 do

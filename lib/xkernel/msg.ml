@@ -33,7 +33,7 @@ let create vs ~vaddr ~len = of_segs vs [ { vaddr; len } ]
 let rec write_region vs ~vaddr b ~off ~len =
   if len > 0 then begin
     let ps = Vspace.page_size vs in
-    let chunk = min len (ps - (vaddr mod ps)) in
+    let chunk = Int.min len (ps - (vaddr mod ps)) in
     Osiris_mem.Phys_mem.blit_from_bytes (Vspace.mem vs) ~src:b ~src_off:off
       ~dst:(Vspace.translate vs vaddr) ~len:chunk;
     write_region vs ~vaddr:(vaddr + chunk) b ~off:(off + chunk)
@@ -43,7 +43,7 @@ let rec write_region vs ~vaddr b ~off ~len =
 let rec read_region vs ~vaddr b ~off ~len =
   if len > 0 then begin
     let ps = Vspace.page_size vs in
-    let chunk = min len (ps - (vaddr mod ps)) in
+    let chunk = Int.min len (ps - (vaddr mod ps)) in
     Osiris_mem.Phys_mem.blit_to_bytes (Vspace.mem vs)
       ~src:(Vspace.translate vs vaddr) ~dst:b ~dst_off:off ~len:chunk;
     read_region vs ~vaddr:(vaddr + chunk) b ~off:(off + chunk)
@@ -59,7 +59,7 @@ let rec across vs segs ~off b ~b_off ~len move =
     | s :: rest ->
         if off >= s.len then across vs rest ~off:(off - s.len) b ~b_off ~len move
         else begin
-          let chunk = min len (s.len - off) in
+          let chunk = Int.min len (s.len - off) in
           move vs ~vaddr:(s.vaddr + off) b ~off:b_off ~len:chunk;
           across vs rest ~off:0 b ~b_off:(b_off + chunk) ~len:(len - chunk) move
         end
@@ -116,7 +116,7 @@ let pop t ~len =
   if t.hdr_base >= 0 then begin
     let ps = Vspace.page_size t.vs in
     let avail = ps - t.hdr_off in
-    let strip = min avail !remaining in
+    let strip = Int.min avail !remaining in
     t.hdr_off <- t.hdr_off + strip;
     remaining := !remaining - strip
   end;
@@ -143,7 +143,7 @@ let sub t ~off ~len =
       | s :: rest ->
           if off >= s.len then take rest (off - s.len) len acc
           else begin
-            let chunk = min len (s.len - off) in
+            let chunk = Int.min len (s.len - off) in
             take rest 0 (len - chunk)
               ({ vaddr = s.vaddr + off; len = chunk } :: acc)
           end

@@ -27,6 +27,6 @@ let tear_down reg path =
 
 let find reg ~vci = List.find_opt (fun p -> p.vci = vci) reg.paths
 
-let crossings path = max 0 (List.length path.domains - 1)
+let crossings path = Int.max 0 (List.length path.domains - 1)
 
 let active reg = reg.paths

@@ -1,9 +1,9 @@
 (* R1 fixture: the engine's heap length, same-instant FIFO pointers and
-   handle positions belong to lib/sim/engine.ml alone; writing them from
+   handle statuses belong to lib/sim/engine.ml alone; writing them from
    outside must be flagged. *)
 
 let poke q h =
   q.heap_len <- 0;
   q.fifo_first <- q.fifo_first + 1;
   q.fifo_len <- 0;
-  h.place <- 0
+  h.status <- 0

@@ -148,6 +148,17 @@ let test_r4_missing_mli () =
         (Filename.basename v.Lint.file = "orphan.ml")
   | vs -> Alcotest.failf "expected exactly one R4, got %d" (List.length vs)
 
+(* The exact set: two bare calls on line 3 and one qualified on line 4;
+   the Int forms and the written-out float compare pass. *)
+let test_r8_min_max () =
+  let vs = Lint.check_file policy (fixture "r8_min_max.ml") in
+  Alcotest.(check (list (pair string int)))
+    "R8 set"
+    [ ("R8", 3); ("R8", 3); ("R8", 4) ]
+    (List.sort compare (List.map (fun v -> (v.Lint.rule, v.Lint.line)) vs));
+  Alcotest.(check bool) "message names the replacement" true
+    (List.for_all (fun v -> contains ~affix:"use Int." v.Lint.message) vs)
+
 let test_r0_unparsable () =
   Alcotest.(check (list string)) "parse failure is a violation" [ "R0" ]
     (rules (Lint.check_file policy (fixture "r0_unparsable.ml")))
@@ -161,7 +172,8 @@ let test_check_tree_over_fixtures () =
   Alcotest.(check int) "R1 per foreign write" 12 (count "R1");
   Alcotest.(check int) "one R2" 1 (count "R2");
   Alcotest.(check int) "two R3" 2 (count "R3");
-  Alcotest.(check int) "R4 for every .mli-less fixture .ml" 9 (count "R4");
+  Alcotest.(check int) "R4 for every .mli-less fixture .ml" 10 (count "R4");
+  Alcotest.(check int) "three R8" 3 (count "R8");
   let files = List.map (fun v -> v.Lint.file) vs in
   Alcotest.(check (list string)) "sorted by file" (List.sort compare files)
     files;
@@ -328,4 +340,5 @@ let suite =
       test_typed_stale_hot_entry;
     Alcotest.test_case "R9: exports without callers, unpassed options"
       `Quick test_r9_fixtures;
+    Alcotest.test_case "R8: Stdlib min/max" `Quick test_r8_min_max;
   ]

@@ -92,7 +92,7 @@ let test_not_in_process () =
 
 let test_mailbox_fifo () =
   let eng = Engine.create () in
-  let mb = Mailbox.create eng () in
+  let mb = Mailbox.create eng ~empty:0 () in
   let got = ref [] in
   Process.spawn eng ~name:"rx" (fun () ->
       for _ = 1 to 3 do
@@ -105,7 +105,7 @@ let test_mailbox_fifo () =
 
 let test_mailbox_capacity_blocks () =
   let eng = Engine.create () in
-  let mb = Mailbox.create eng ~capacity:2 () in
+  let mb = Mailbox.create eng ~capacity:2 ~empty:0 () in
   let sent = ref 0 in
   Process.spawn eng ~name:"tx" (fun () ->
       for i = 1 to 4 do
@@ -124,7 +124,7 @@ let test_mailbox_capacity_blocks () =
 
 let test_mailbox_try_ops () =
   let eng = Engine.create () in
-  let mb = Mailbox.create eng ~capacity:1 () in
+  let mb = Mailbox.create eng ~capacity:1 ~empty:0 () in
   Alcotest.(check bool) "send into empty" true (Mailbox.try_send mb 1);
   Alcotest.(check bool) "send into full" false (Mailbox.try_send mb 2);
   Alcotest.(check (option int)) "recv" (Some 1) (Mailbox.try_recv mb);
@@ -200,7 +200,7 @@ let test_determinism () =
   let run () =
     let eng = Engine.create () in
     let trace = Buffer.create 64 in
-    let mb = Mailbox.create eng ~capacity:3 () in
+    let mb = Mailbox.create eng ~capacity:3 ~empty:0 () in
     for p = 1 to 3 do
       Process.spawn eng ~name:"p" (fun () ->
           for i = 1 to 5 do
@@ -378,8 +378,12 @@ type script = {
   inner : act list array;  (** event [id]'s callback runs [inner.(id mod n)] *)
 }
 
+(* The engine keeps events due 2^16 ns or more ahead in a second heap. *)
+let far = 1 lsl 16
+
 (* Delays: the current instant, a few ns (same-time collisions), up to
-   50 ns, microseconds and milliseconds. *)
+   50 ns, microseconds and milliseconds, and a few ns either side of the
+   far heap's horizon, so equal times meet across the two heaps. *)
 let gen_delay =
   QCheck.Gen.(
     frequency
@@ -389,6 +393,7 @@ let gen_delay =
         (2, int_range 1 50);
         (2, map Time.us (int_range 1 3));
         (1, map Time.ms (int_range 1 2));
+        (2, int_range (far - 3) (far + 3));
       ])
 
 let gen_act ~inner =
@@ -750,7 +755,7 @@ let process_log ~reference ~drive =
     | _ -> Time.ms (1 + int 2)
   in
   let signals = Array.init 2 (fun _ -> Signal.create eng) in
-  let mb = Mailbox.create eng ~capacity:2 () in
+  let mb = Mailbox.create eng ~capacity:2 ~empty:0 () in
   let res = Resource.create eng ~capacity:2 in
   (* [Resource.use] is acquire, the real sleep, release. *)
   let use d =
@@ -929,7 +934,7 @@ let actors_log ~callbacks ~drive =
     | _ -> Time.ms (1 + int 2)
   in
   let signals = Array.init 2 (fun _ -> Signal.create eng) in
-  let mb = Mailbox.create eng ~capacity:3 () in
+  let mb = Mailbox.create eng ~capacity:3 ~empty:0 () in
   let res = Resource.create eng ~capacity:1 in
   let next_id = ref 0 in
   let rec actor ~steps =
@@ -1097,8 +1102,95 @@ let test_agent_failure_named () =
     (Process.Process_failure ("cb", Failure "later"))
     (fun () -> Engine.run eng)
 
+(* An agent owns one wake-up handle and one timer handle and re-arms
+   them, so it can have only one event of each queued: a second resume
+   before the first has run, or a second sleep before the first timer
+   fired, reuses a queued handle and raises. *)
+let test_agent_one_event () =
+  let eng = Engine.create () in
+  let a = Process.agent eng ~name:"one" in
+  let ran = ref 0 in
+  let resume = Process.await a (fun () -> incr ran) in
+  resume ();
+  let refused f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "second wake-up refused" true (refused resume);
+  Engine.run eng;
+  check "the one wake-up ran" 1 !ran;
+  Alcotest.(check bool) "re-armed once it ran" false (refused resume);
+  Engine.run eng;
+  check "and ran again" 2 !ran;
+  Process.sleep_then a 10 (fun () -> incr ran);
+  Alcotest.(check bool) "second timer refused" true
+    (refused (fun () -> Process.sleep_then a 5 ignore));
+  Engine.run eng;
+  check "the timer's step ran" 3 !ran;
+  check "at its instant" 10 (Engine.now eng)
+
+(* Items live in a power-of-two ring that wraps and doubles: FIFO order
+   must survive both, for items and for blocked receivers. *)
+let test_mailbox_ring () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create eng ~empty:0 () in
+  let sent = ref 0 and got = ref [] in
+  let send n =
+    for _ = 1 to n do
+      incr sent;
+      ignore (Mailbox.try_send mb !sent)
+    done
+  in
+  let recv n =
+    for _ = 1 to n do
+      got := Option.get (Mailbox.try_recv mb) :: !got
+    done
+  in
+  (* Wrap the first ring several times, then grow it mid-wrap twice. *)
+  for _ = 1 to 5 do
+    send 5;
+    recv 4
+  done;
+  send 20;
+  check "queued" 25 (Mailbox.length mb);
+  recv 25;
+  Alcotest.(check (list int)) "FIFO across wraps and growth"
+    (List.init 45 (fun i -> i + 1))
+    (List.rev !got);
+  (* Receivers wait in a ring too: five agents, served in order. *)
+  let order = ref [] in
+  for i = 1 to 5 do
+    let a = Process.agent eng ~name:(string_of_int i) in
+    Process.start a (fun () ->
+        Mailbox.recv_then mb a (fun v -> order := (i, v) :: !order))
+  done;
+  Engine.run eng;
+  List.iter (fun v -> ignore (Mailbox.try_send mb v)) [ 10; 20; 30; 40; 50 ];
+  Engine.run eng;
+  Alcotest.(check (list (pair int int))) "waiting receivers in FIFO order"
+    [ (1, 10); (2, 20); (3, 30); (4, 40); (5, 50) ]
+    (List.rev !order)
+
+(* A taken item's slot holds the placeholder, so the mailbox (alive)
+   does not pin the item. *)
+let test_mailbox_slot_released () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create eng ~capacity:4 ~empty:Bytes.empty () in
+  let w = Weak.create 1 in
+  let[@inline never] pass () =
+    let v = Bytes.make 64 'x' in
+    Weak.set w 0 (Some v);
+    ignore (Mailbox.try_send mb v);
+    ignore (Sys.opaque_identity (Mailbox.try_recv mb))
+  in
+  pass ();
+  Gc.full_major ();
+  check "drained" 0 (Mailbox.length mb);
+  Alcotest.(check bool) "drained item collected (mailbox alive)" true
+    (Weak.get w 0 = None);
+  ignore (Sys.opaque_identity mb)
+
 (* ------------------------------------------------------------------ *)
-(* Cancelled entries leave the hot heap but keep their place: they still
+(* Cancelled entries are only marked and keep their place: they still
    count in [pending], still bound [skip_to], still move the clock when
    their instant comes, and still block [reschedule] until then. *)
 
@@ -1144,6 +1236,38 @@ let test_cancelled_keeps_place () =
   check "cancelled FIFO entry silent" 2 !fired;
   Engine.cancel eng live;
   check "cancelling a fired event is a no-op" 0 (Engine.pending eng)
+
+(* The same for an entry in the far heap: due [far] or more ahead. A
+   [reschedule] is refused before its instant and accepted after, and
+   equal times in the two heaps still run in seq order. *)
+let test_cancelled_far_entry () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note tag () = log := (tag, Engine.now eng) :: !log in
+  let h = Engine.schedule eng ~delay:(2 * far) (note "cancelled") in
+  Engine.cancel eng h;
+  let rejected () =
+    match Engine.reschedule eng ~delay:1 h with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  (* "far" goes to the far heap at 0; "near" is pushed at 2 ns to the
+     near heap, due at the same instant with a higher seq. *)
+  ignore (Engine.schedule eng ~delay:(far + 1) (note "far"));
+  ignore
+    (Engine.schedule eng ~delay:2 (fun () ->
+         ignore (Engine.schedule eng ~delay:(far - 1) (note "near"))));
+  Engine.run ~until:((2 * far) - 1) eng;
+  Alcotest.(check bool) "refused before its instant" true (rejected ());
+  check "cancelled far entry still pending" 1 (Engine.pending eng);
+  Engine.run ~until:(2 * far) eng;
+  check "its instant passed" 0 (Engine.pending eng);
+  Alcotest.(check bool) "accepted after it" false (rejected ());
+  Engine.run eng;
+  Alcotest.(check (list (pair string int)))
+    "cross-heap tie in seq order; the cancelled entry never ran"
+    [ ("far", far + 1); ("near", far + 1); ("cancelled", (2 * far) + 1) ]
+    (List.rev !log)
 
 (* The same sorted-list model, driven by scripts made mostly of
    cancellations and re-arms: heap and FIFO entries cancelled, often
@@ -1288,6 +1412,14 @@ let suite =
       test_cancelled_keeps_place;
     Alcotest.test_case "engine: cancelled slot releases closure" `Quick
       test_cancelled_slot_released;
+    Alcotest.test_case "engine: cancelled far entry keeps its place" `Quick
+      test_cancelled_far_entry;
+    Alcotest.test_case "agents: one event of each kind queued" `Quick
+      test_agent_one_event;
+    Alcotest.test_case "mailbox: ring wraps and grows" `Quick
+      test_mailbox_ring;
+    Alcotest.test_case "mailbox: drained slot releases item" `Quick
+      test_mailbox_slot_released;
     QCheck_alcotest.to_alcotest cancel_model_prop;
     Alcotest.test_case "engine: live heap flat over 1M events" `Quick
       test_live_heap_flat;
