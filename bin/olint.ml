@@ -1,7 +1,7 @@
 (* olint — enforce the checked-in interface policy (olint.policy) over
    the library tree. Exit 0 when clean, 1 on violations, 2 on usage or
    policy errors. See Osiris_analysis.Lint (syntactic R0–R4, R8) and
-   Osiris_analysis.Typed (typed R5–R7 and R9, enabled with --typed). *)
+   Osiris_analysis.Typed (typed R5–R7, R9 and R10, enabled with --typed). *)
 
 let () =
   let policy_path = ref "olint.policy" in
@@ -15,8 +15,8 @@ let () =
         "FILE policy file (default: olint.policy)" );
       ( "--typed",
         Arg.Set_string typed_root,
-        "DIR also run the typed passes (R5-R7, R9) over .cmt files under DIR \
-         (e.g. _build/default)" );
+        "DIR also run the typed passes (R5-R7, R9, R10) over .cmt files \
+         under DIR (e.g. _build/default)" );
       ( "--format",
         Arg.Symbol
           ([ "plain"; "github" ], fun s -> format := s),

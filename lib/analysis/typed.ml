@@ -10,6 +10,8 @@
      invariant check?
    - R9: does every exported value have a caller in another unit, and
      does some call pass each of its optional parameters?
+   - R10: does some unit read every label of an exported record type,
+     and assign every one that is mutable?
 
    The input is the set of .cmt files the normal dune build already
    produces (dune always compiles with -bin-annot), so the passes see
@@ -803,7 +805,9 @@ let check_r7 idx =
     regs
 
 (* ------------------------------------------------------------------ *)
-(* R9 — every export has a caller, every optional parameter a value. *)
+(* R9 — every export has a caller, every optional parameter a value.
+   R10 — every exported record label is read, every exported mutable
+   label assigned. *)
 
 (* [W.M], [W__.M] and [W__M] all name unit [W__M] of dune's wrapped
    library [W]. *)
@@ -811,19 +815,23 @@ let wrapped w m =
   let n = String.length w in
   if n > 2 && String.sub w (n - 2) 2 = "__" then w ^ m else w ^ "__" ^ m
 
-(* The unit a resolved value path lives in, and the path inside it. *)
+(* The unit a resolved value or type path lives in, and the path inside
+   it. *)
 let unit_path units = function
   | w :: m :: rest when rest <> [] && Hashtbl.mem units (wrapped w m) ->
       Some (wrapped w m, rest)
   | u :: rest when rest <> [] && Hashtbl.mem units u -> Some (u, rest)
   | _ -> None
 
-(* Every value reference of [m]: [note ~own key] for each identifier,
-   [passed key label] for each optional argument a call supplies. An
-   omitted optional argument is filled in by the typechecker with a
-   [None] at [Location.none]; a supplied or forwarded one has the
-   caller's location. *)
-let r9_scan units (m : modul) ~note ~passed =
+(* Every reference of [m]: [note ~own key] for each value identifier,
+   [passed key label] for each optional argument a call supplies,
+   [read ty label] for each label a field access or record pattern
+   reads, and [assigned ty label] for each [r.label <- v]. An omitted
+   optional argument is filled in by the typechecker with a [None] at
+   [Location.none]; a supplied or forwarded one has the caller's
+   location. Construction, [{ r with ... }], [=] and [compare] read no
+   label. *)
+let scan_refs units (m : modul) ~note ~passed ~read ~assigned =
   let aliases = Hashtbl.create 8 and top = Hashtbl.create 64 in
   List.iter
     (fun (item : Typedtree.structure_item) ->
@@ -832,6 +840,8 @@ let r9_scan units (m : modul) ~note ~passed =
       | Typedtree.Tstr_value (_, vbs) ->
           List.iter add (Typedtree.let_bound_idents vbs)
       | Typedtree.Tstr_module { mb_id = Some id; _ } -> add id
+      | Typedtree.Tstr_type (_, decls) ->
+          List.iter (fun (d : Typedtree.type_declaration) -> add d.typ_id) decls
       | _ -> ())
     m.m_structure.str_items;
   let rec elems (p : Path.t) =
@@ -850,6 +860,12 @@ let r9_scan units (m : modul) ~note ~passed =
     Option.map
       (fun (u, rest) -> (u, String.concat "." (u :: rest)))
       (unit_path units (elems p))
+  in
+  let label f (lbl : Types.label_description) =
+    match Types.get_desc lbl.lbl_res with
+    | Types.Tconstr (p, _, _) ->
+        Option.iter (fun (_, ty) -> f ty lbl.lbl_name) (key p)
+    | _ -> ()
   in
   let alias id (me : Typedtree.module_expr) =
     match (id, me.mod_desc) with
@@ -874,28 +890,55 @@ let r9_scan units (m : modul) ~note ~passed =
                 | _ -> ())
               args)
           (key p)
+    | Typedtree.Texp_field (_, _, lbl) -> label read lbl
+    | Typedtree.Texp_setfield (_, _, lbl, _) -> label assigned lbl
     | _ -> ());
     Tast_iterator.default_iterator.expr it e
+  in
+  let pat (type k) it (p : k Typedtree.general_pattern) =
+    (match p.pat_desc with
+    | Typedtree.Tpat_record (fields, _) ->
+        List.iter (fun (_, lbl, _) -> label read lbl) fields
+    | _ -> ());
+    Tast_iterator.default_iterator.pat it p
   in
   let module_binding it (mb : Typedtree.module_binding) =
     alias mb.mb_id mb.mb_expr;
     Tast_iterator.default_iterator.module_binding it mb
   in
-  let it = { Tast_iterator.default_iterator with expr; module_binding } in
+  let it =
+    { Tast_iterator.default_iterator with expr; pat; module_binding }
+  in
   it.structure it m.m_structure
 
-(* The values a signature exports, with their paths inside the unit. *)
-let rec sig_values prefix (items : Typedtree.signature_item list) =
+(* A signature's items, those of its [module M : sig ... end]s included,
+   each with its module path inside the unit. *)
+let rec sig_items prefix (items : Typedtree.signature_item list) =
   List.concat_map
     (fun (item : Typedtree.signature_item) ->
       match item.sig_desc with
-      | Typedtree.Tsig_value vd -> [ (prefix @ [ vd.val_name.txt ], vd) ]
       | Typedtree.Tsig_module
           { md_name = { txt = Some n; _ };
             md_type = { mty_desc = Typedtree.Tmty_signature s; _ }; _ } ->
-          sig_values (prefix @ [ n ]) s.sig_items
-      | _ -> [])
+          sig_items (prefix @ [ n ]) s.sig_items
+      | d -> [ (prefix, d) ])
     items
+
+(* The record types an interface declares: type key, manifest, labels. *)
+let sig_records i =
+  List.concat_map
+    (function
+      | prefix, Typedtree.Tsig_type (_, decls) ->
+          List.filter_map
+            (fun (d : Typedtree.type_declaration) ->
+              let ty = i.i_modname :: prefix @ [ d.typ_name.txt ] in
+              match d.typ_kind with
+              | Typedtree.Ttype_record lds ->
+                  Some (String.concat "." ty, d.typ_manifest, lds)
+              | _ -> None)
+            decls
+      | _ -> [])
+    (sig_items [] i.i_sig.sig_items)
 
 let rec optional_labels ty =
   match Types.get_desc ty with
@@ -903,26 +946,47 @@ let rec optional_labels ty =
   | Types.Tarrow (_, _, ret, _) -> optional_labels ret
   | _ -> []
 
-let check_r9 idx =
+let check_refs idx =
   let units = Hashtbl.create 256 in
   List.iter (fun m -> Hashtbl.replace units m.m_modname ()) idx.mods;
+  let records = List.map (fun i -> (i, sig_records i)) idx.intfs in
+  (* A manifest re-export ([type t = M.t = {...}]) has no labels of its
+     own: a read through it reads [M.t]'s. *)
+  let same = Hashtbl.create 8 in
+  List.iter
+    (fun (_, rs) ->
+      List.iter
+        (function
+          | ty, Some { Typedtree.ctyp_desc = Ttyp_constr (p, _, _); _ }, _ ->
+              Option.iter
+                (fun (u, rest) ->
+                  Hashtbl.replace same ty (String.concat "." (u :: rest)))
+                (unit_path units (path_elems p))
+          | _ -> ())
+        rs)
+    records;
+  let canon ty = Option.value ~default:ty (Hashtbl.find_opt same ty) in
   (* key → referenced from another unit *)
   let refs = Hashtbl.create 1024 and given = Hashtbl.create 256 in
+  let reads = Hashtbl.create 1024 and sets = Hashtbl.create 128 in
   let note ~own k =
     Hashtbl.replace refs k ((not own) || Hashtbl.find_opt refs k = Some true)
   in
   let passed k l = Hashtbl.replace given (k, l) () in
-  List.iter (r9_scan units ~note ~passed) idx.mods;
-  let check i (path, (vd : Typedtree.value_description)) =
+  let read ty l = Hashtbl.replace reads (canon ty, l) () in
+  let assigned ty l = Hashtbl.replace sets (canon ty, l) () in
+  List.iter (scan_refs units ~note ~passed ~read ~assigned) idx.mods;
+  let violation rule i loc fmt =
+    Printf.ksprintf
+      (fun message ->
+        { rule; file = i.i_source; line = line_of_loc loc; message })
+      fmt
+  in
+  let r9 i prefix (vd : Typedtree.value_description) =
+    let path = prefix @ [ vd.val_name.txt ] in
     let k = String.concat "." (i.i_modname :: path) in
     let name = String.concat "." (strip_lib_prefix i.i_modname :: path) in
-    let add fmt =
-      Printf.ksprintf
-        (fun message ->
-          { rule = "R9"; file = i.i_source; line = line_of_loc vd.val_loc;
-            message })
-        fmt
-    in
+    let add fmt = violation "R9" i vd.val_loc fmt in
     (match Hashtbl.find_opt refs k with
     | Some true -> []
     | Some false ->
@@ -938,14 +1002,35 @@ let check_r9 idx =
                     constant" name l))
         (optional_labels vd.val_val.Types.val_type)
   in
+  let r10 i = function
+    | ty, None, lds ->
+        List.concat_map
+          (fun (ld : Typedtree.label_declaration) ->
+            let l = ld.ld_name.txt in
+            let name = strip_lib_prefix ty ^ "." ^ l in
+            let add fmt = violation "R10" i ld.ld_loc fmt in
+            if not (Hashtbl.mem reads (ty, l)) then
+              [ add "`%s' is read by no unit; delete it" name ]
+            else if
+              ld.ld_mutable = Asttypes.Mutable && not (Hashtbl.mem sets (ty, l))
+            then [ add "`%s' is assigned by no unit; drop its `mutable'" name ]
+            else [])
+          lds
+    | _ -> []
+  in
   List.concat_map
-    (fun i -> List.concat_map (check i) (sig_values [] i.i_sig.sig_items))
-    idx.intfs
+    (fun (i, rs) ->
+      List.concat_map
+        (function
+          | prefix, Typedtree.Tsig_value vd -> r9 i prefix vd | _ -> [])
+        (sig_items [] i.i_sig.sig_items)
+      @ List.concat_map (r10 i) rs)
+    records
 
 (* ------------------------------------------------------------------ *)
 
 let check_tree policy ~cmt_root =
   let idx = build_index policy ~cmt_root in
   let by_file v = (v.file, v.line, v.rule) in
-  check_r5 idx @ check_r6 idx @ check_r7 idx @ check_r9 idx
+  check_r5 idx @ check_r6 idx @ check_r7 idx @ check_refs idx
   |> List.sort (fun a b -> compare (by_file a) (by_file b))

@@ -1,5 +1,5 @@
-(** Typed analysis passes (R5–R7, R9) over the compiler's [.cmt] and
-    [.cmti] artifacts.
+(** Typed analysis passes (R5–R7, R9, R10) over the compiler's [.cmt]
+    and [.cmti] artifacts.
 
     Where the syntactic lint ({!Lint}, R1–R4) pattern-matches the
     parsetree, these passes load the typedtree the normal dune build
@@ -31,6 +31,14 @@
       [let module M = ... in] aliases and dune's wrapper modules. Every
       optional parameter of an exported function must be passed (or
       forwarded as [?x]) by at least one call. No escape hatch.
+    - {b R10 — every exported label is read.} Every label of a record
+      type a scanned [.mli] declares must be read somewhere, by a field
+      access or a record pattern, in any unit, its own included; a
+      [mutable] one must also be assigned somewhere. Construction,
+      [{ r with ... }], [=] and [compare] read no label. Type paths
+      resolve as R9's value paths do, and a manifest re-export
+      ([type t = M.t = {...}]) has no labels of its own: a read through
+      it reads [M.t]'s. No escape hatch.
 
     Stale-policy rot is itself an error: a [hot] entry naming a file or
     function that no longer exists is reported as an R5 violation. *)
@@ -43,9 +51,9 @@ type violation = Lint.violation = {
 }
 
 val check_tree : Policy.t -> cmt_root:string -> violation list
-(** Run R5/R6/R7/R9 over every [.cmt] and [.cmti] found under
+(** Run R5/R6/R7/R9/R10 over every [.cmt] and [.cmti] found under
     [cmt_root] (typically [_build/default]). All loaded modules
-    participate in call and reference resolution; R6/R7/R9 verdicts
+    participate in call and reference resolution; R6/R7/R9/R10 verdicts
     apply only to modules whose recorded source file lives under a
     policy [scan] root, and R5 roots are the policy's [hot] entries.
     Results are sorted by file, line, rule. *)

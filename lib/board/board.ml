@@ -31,7 +31,6 @@ type config = {
   i960_hz : int;
   tx_cycles_per_cell : int;
   rx_cycles_per_cell : int;
-  combine_saving_cycles : int;
   tx_combine_saving_cycles : int;
   queue_word_cycles : int;
   n_channels : int;
@@ -59,7 +58,6 @@ let default_config =
     i960_hz = 25_000_000;
     tx_cycles_per_cell = 27;
     rx_cycles_per_cell = 15;
-    combine_saving_cycles = 9;
     tx_combine_saving_cycles = 14;
     queue_word_cycles = 2;
     n_channels = 16;
@@ -79,23 +77,23 @@ type interrupt_reason =
   | Protection_violation of int
 
 type stats = {
-  mutable cells_sent : int;
-  mutable cells_received : int;
-  mutable pdus_sent : int;
-  mutable pdus_received : int;
-  mutable dma_tx_transactions : int;
-  mutable dma_rx_transactions : int;
-  mutable combined_dmas : int;
-  mutable boundary_splits : int;
-  mutable pdus_dropped_no_buffer : int;
-  mutable cells_dropped : int;
-  mutable reassembly_errors : int;
-  mutable protection_faults : int;
-  mutable unknown_vci_cells : int;
-  mutable reassembly_timeouts : int;
-  mutable restripe_aborts : int;
-  mutable interrupts_suppressed : int;
-  mutable irq_reasserts : int;
+  cells_sent : int;
+  cells_received : int;
+  pdus_sent : int;
+  pdus_received : int;
+  dma_tx_transactions : int;
+  dma_rx_transactions : int;
+  combined_dmas : int;
+  boundary_splits : int;
+  pdus_dropped_no_buffer : int;
+  cells_dropped : int;
+  reassembly_errors : int;
+  protection_faults : int;
+  unknown_vci_cells : int;
+  reassembly_timeouts : int;
+  restripe_aborts : int;
+  interrupts_suppressed : int;
+  irq_reasserts : int;
 }
 
 (* Registry handles behind [stats]; [stats t] snapshots them. *)

@@ -60,8 +60,6 @@ type config = {
   i960_hz : int;
   tx_cycles_per_cell : int;  (** transmit processor work per cell *)
   rx_cycles_per_cell : int;  (** receive processor work per cell *)
-  combine_saving_cycles : int;
-      (** receive cycles saved on the second cell of a combined pair *)
   tx_combine_saving_cycles : int;
       (** transmit cycles saved on the second cell of a double-cell fetch *)
   queue_word_cycles : int;  (** i960 cycles per dual-port word touched *)
@@ -88,26 +86,26 @@ type interrupt_reason =
   | Protection_violation of int
 
 type stats = {
-  mutable cells_sent : int;
-  mutable cells_received : int;
-  mutable pdus_sent : int;
-  mutable pdus_received : int;
-  mutable dma_tx_transactions : int;
-  mutable dma_rx_transactions : int;
-  mutable combined_dmas : int;  (** receive DMAs that carried two cells *)
-  mutable boundary_splits : int;
+  cells_sent : int;
+  cells_received : int;
+  pdus_sent : int;
+  pdus_received : int;
+  dma_tx_transactions : int;
+  dma_rx_transactions : int;
+  combined_dmas : int;  (** receive DMAs that carried two cells *)
+  boundary_splits : int;
       (** extra transactions forced by page/buffer boundaries *)
-  mutable pdus_dropped_no_buffer : int;
-  mutable cells_dropped : int;
-  mutable reassembly_errors : int;
-  mutable protection_faults : int;
-  mutable unknown_vci_cells : int;
-  mutable reassembly_timeouts : int;
+  pdus_dropped_no_buffer : int;
+  cells_dropped : int;
+  reassembly_errors : int;
+  protection_faults : int;
+  unknown_vci_cells : int;
+  reassembly_timeouts : int;
       (** stuck reassemblies swept by the timeout *)
-  mutable restripe_aborts : int;
+  restripe_aborts : int;
       (** in-flight reassemblies aborted by a stripe-width change *)
-  mutable interrupts_suppressed : int;  (** eaten by the fault filter *)
-  mutable irq_reasserts : int;  (** watchdog re-assertions *)
+  interrupts_suppressed : int;  (** eaten by the fault filter *)
+  irq_reasserts : int;  (** watchdog re-assertions *)
 }
 
 type t

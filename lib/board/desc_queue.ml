@@ -19,10 +19,10 @@ let free_hooks =
   }
 
 type access_stats = {
-  mutable host_reads : int;
-  mutable host_writes : int;
-  mutable board_words : int;
-  mutable shadow_hits : int;
+  host_reads : int;
+  host_writes : int;
+  board_words : int;
+  shadow_hits : int;
 }
 
 (* Live accounting lives in registry counters; [access_stats] snapshots

@@ -142,10 +142,10 @@ val dequeued : t -> Osiris_sim.Signal.t
 (** {2 Accounting} *)
 
 type access_stats = {
-  mutable host_reads : int;  (** dual-port words the host read *)
-  mutable host_writes : int;
-  mutable board_words : int;
-  mutable shadow_hits : int;  (** pointer reads avoided by the shadow copy *)
+  host_reads : int;  (** dual-port words the host read *)
+  host_writes : int;
+  board_words : int;
+  shadow_hits : int;  (** pointer reads avoided by the shadow copy *)
 }
 
 val access_stats : t -> access_stats

@@ -17,11 +17,11 @@ type config = {
 }
 
 type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable invalidated_lines : int;
-  mutable stale_overlaps : int;
-  mutable stale_reads : int;
+  hits : int;
+  misses : int;
+  invalidated_lines : int;
+  stale_overlaps : int;
+  stale_reads : int;
 }
 
 (* Registry handles behind [stats]; [stats t] snapshots them. *)

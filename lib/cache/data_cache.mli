@@ -80,13 +80,13 @@ val resident : t -> addr:int -> bool
 (** Is the line containing [addr] resident (tag match)? *)
 
 type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable invalidated_lines : int;
-  mutable stale_overlaps : int;
+  hits : int;
+  misses : int;
+  invalidated_lines : int;
+  stale_overlaps : int;
       (** DMA writes that overlapped a resident line in [Software] mode —
           each is a latent stale-data hazard *)
-  mutable stale_reads : int;
+  stale_reads : int;
       (** reads that actually returned bytes differing from main memory *)
 }
 

@@ -17,15 +17,13 @@ module Stats = Osiris_util.Stats
 type invalidation = Lazy | Eager | Eager_full
 
 type stats = {
-  mutable pdus_sent : int;
-  mutable pdus_received : int;
-  mutable bytes_received : int;
-  mutable aborted_chains : int;
-  mutable timeout_aborts : int;
-  mutable crc_drops : int;
-  mutable undeliverable : int;
-  mutable tx_full_stalls : int;
-  mutable rx_wakeups : int;
+  pdus_sent : int;
+  pdus_received : int;
+  aborted_chains : int;
+  timeout_aborts : int;
+  crc_drops : int;
+  tx_full_stalls : int;
+  rx_wakeups : int;
 }
 
 (* Registry handles behind [stats]; [stats t] snapshots them. *)
@@ -200,11 +198,9 @@ let stats t : stats =
   {
     pdus_sent = Metrics.counter_value t.m.m_pdus_sent;
     pdus_received = Metrics.counter_value t.m.m_pdus_received;
-    bytes_received = Metrics.counter_value t.m.m_bytes_received;
     aborted_chains = Metrics.counter_value t.m.m_aborted_chains;
     timeout_aborts = Metrics.counter_value t.m.m_timeout_aborts;
     crc_drops = Metrics.counter_value t.m.m_crc_drops;
-    undeliverable = Metrics.counter_value t.m.m_undeliverable;
     tx_full_stalls = Metrics.counter_value t.m.m_tx_full_stalls;
     rx_wakeups = Metrics.counter_value t.m.m_rx_wakeups;
   }

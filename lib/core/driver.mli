@@ -22,19 +22,17 @@ type invalidation =
           a fast instruction whose true cost is every subsequent miss *)
 
 type stats = {
-  mutable pdus_sent : int;
-  mutable pdus_received : int;
-  mutable bytes_received : int;
-  mutable aborted_chains : int;
+  pdus_sent : int;
+  pdus_received : int;
+  aborted_chains : int;
       (** partial chains discarded after a board-side PDU abort *)
-  mutable timeout_aborts : int;
+  timeout_aborts : int;
       (** partial chains discarded after a board reassembly-timeout sweep
           (distinguished by the marker's address; see
           {!Osiris_board.Board.timeout_marker_addr}) *)
-  mutable crc_drops : int;
-  mutable undeliverable : int;  (** PDUs whose VCI had no demux binding *)
-  mutable tx_full_stalls : int;  (** times send found the transmit queue full *)
-  mutable rx_wakeups : int;  (** receive-thread wakeups (≈ interrupts taken) *)
+  crc_drops : int;
+  tx_full_stalls : int;  (** times send found the transmit queue full *)
+  rx_wakeups : int;  (** receive-thread wakeups (≈ interrupts taken) *)
 }
 
 type t

@@ -4,7 +4,6 @@ module Cache = Osiris_cache.Data_cache
 module Cpu = Osiris_os.Cpu
 module Irq = Osiris_os.Irq
 module Wiring = Osiris_os.Wiring
-module Domain = Osiris_os.Domain
 module Board = Osiris_board.Board
 module Phys_mem = Osiris_mem.Phys_mem
 module Vspace = Osiris_mem.Vspace
@@ -13,7 +12,6 @@ module Msg = Osiris_xkernel.Msg
 module Ctx = Osiris_proto.Ctx
 module Ip = Osiris_proto.Ip
 module Udp = Osiris_proto.Udp
-module Fbufs = Osiris_fbufs.Fbufs
 module Rng = Osiris_util.Rng
 
 type t = {
@@ -21,7 +19,6 @@ type t = {
   machine : Machine.t;
   mem : Phys_mem.t;
   vs : Vspace.t;
-  kernel : Domain.t;
   cpu : Cpu.t;
   bus : Tc.t;
   cache : Cache.t;
@@ -34,7 +31,6 @@ type t = {
   ip : Ip.t;
   udp : Udp.t;
   addr : Ip.addr;
-  fbufs : Fbufs.t;
   handlers : (int, unit -> unit) Hashtbl.t;
 }
 
@@ -95,7 +91,6 @@ let create eng (machine : Machine.t) ~addr cfg =
       ~page_size:machine.Machine.page_size ()
   in
   let vs = Vspace.create mem in
-  let kernel = Domain.create ~name:"kernel" in
   let cpu = Cpu.create eng ~hz:machine.Machine.cpu_hz in
   let bus = Tc.create eng machine.Machine.bus in
   let cache = Cache.create eng ~mem ~bus machine.Machine.cache in
@@ -164,16 +159,11 @@ let create eng (machine : Machine.t) ~addr cfg =
   Board.bind_vci board ~vci:kernel_ip_vci (Board.kernel_channel board);
   Demux.bind demux ~vci:kernel_ip_vci ~name:"ip" (fun ~vci:_ msg ->
       Ip.input ip msg);
-  let fbufs =
-    Fbufs.create cpu vs Fbufs.default_costs ~max_cached_paths:16
-      ~bufs_per_path:4 ~buf_size:machine.Machine.rx_buffer_size
-  in
   {
     eng;
     machine;
     mem;
     vs;
-    kernel;
     cpu;
     bus;
     cache;
@@ -186,7 +176,6 @@ let create eng (machine : Machine.t) ~addr cfg =
     ip;
     udp;
     addr;
-    fbufs;
     handlers;
   }
 

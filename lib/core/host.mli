@@ -11,7 +11,6 @@ type t = {
   machine : Machine.t;
   mem : Osiris_mem.Phys_mem.t;
   vs : Osiris_mem.Vspace.t;  (** kernel address space *)
-  kernel : Osiris_os.Domain.t;
   cpu : Osiris_os.Cpu.t;
   bus : Osiris_bus.Turbochannel.t;
   cache : Osiris_cache.Data_cache.t;
@@ -24,7 +23,6 @@ type t = {
   ip : Osiris_proto.Ip.t;
   udp : Osiris_proto.Udp.t;
   addr : Osiris_proto.Ip.addr;
-  fbufs : Osiris_fbufs.Fbufs.t;
   handlers : (int, unit -> unit) Hashtbl.t;
       (** interrupt-line dispatch table (internal; use {!register_channel}) *)
 }

@@ -48,7 +48,6 @@ type endpoint = {
 type topology = {
   endpoints : endpoint array;
   switches : Switch.t array;
-  trunk_ports : int option array;
   trunks : Atm_link.t array;
   fabric : Builder.fabric;
   mutable next_vci : int;
@@ -61,7 +60,7 @@ type topology = {
   mutable path_enums : int; (* Builder.paths calls actually made *)
 }
 
-type vc = { vc_src : int; vc_dst : int; src_vci : int; dst_vci : int }
+type vc = { vc_src : int; src_vci : int; dst_vci : int }
 
 type mvc = {
   mv_src : int;
@@ -136,26 +135,11 @@ let instantiate ~machine ~config ~link ~switch ~seed fabric =
               [| l_ab; l_ba |])
             fabric.Builder.trunks))
   in
-  let trunk_ports =
-    Array.init (Builder.nswitches fabric) (fun s ->
-        Array.fold_left
-          (fun acc (t : Builder.trunk) ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-                if t.Builder.t_a.Builder.pr_sw = s then
-                  Some t.Builder.t_a.Builder.pr_port
-                else if t.Builder.t_b.Builder.pr_sw = s then
-                  Some t.Builder.t_b.Builder.pr_port
-                else None)
-          None fabric.Builder.trunks)
-  in
   Array.iter Switch.start switches;
   ( eng,
     {
       endpoints;
       switches;
-      trunk_ports;
       trunks;
       fabric;
       next_vci = first_user_vci;
@@ -222,7 +206,7 @@ let open_vc topo ~src ~dst =
       let dst_vci = add_path_routes topo path ~src_vci in
       Board.bind_vci d.host.Host.board ~vci:dst_vci
         (Board.kernel_channel d.host.Host.board);
-      { vc_src = src; vc_dst = dst; src_vci; dst_vci }
+      { vc_src = src; src_vci; dst_vci }
 
 let open_vc_paths topo ~src ~dst =
   check_endpoints topo ~what:"open_vc_paths" ~src ~dst;

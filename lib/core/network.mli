@@ -54,10 +54,6 @@ type endpoint = {
 type topology = {
   endpoints : endpoint array;
   switches : Osiris_switch.Switch.t array;
-  trunk_ports : int option array;
-      (** per-switch port of the switch's {e first} trunk, when one
-          exists (kept for the chain-era fault plans; multi-tier fabrics
-          have many trunk ports per switch — consult {!fabric}) *)
   trunks : Osiris_link.Atm_link.t array;
       (** the trunk links, two per {!Osiris_topo.Builder.trunk} in trunk
           order: [trunks.(2i)] carries trunk [i]'s [t_a → t_b] direction
@@ -66,7 +62,7 @@ type topology = {
           fault bursts *)
   fabric : Osiris_topo.Builder.fabric;
       (** the wiring plan this topology was instantiated from — the
-          queryable fabric map (tiers, trunk endpoints, path sets) *)
+          queryable fabric map (trunk endpoints, path sets) *)
   mutable next_vci : int;  (** next VCI {!open_vc} will hand out *)
   path_cache : (int, Osiris_topo.Builder.hop list list) Hashtbl.t;
       (** memoized {!Osiris_topo.Builder.paths} results, keyed
@@ -81,7 +77,6 @@ type topology = {
 
 type vc = {
   vc_src : int;  (** sending host index *)
-  vc_dst : int;  (** receiving host index *)
   src_vci : int;  (** VCI the sender transmits on ([Driver.send ~vci]) *)
   dst_vci : int;
       (** VCI the cells carry on the receiver's link after per-hop
@@ -144,7 +139,7 @@ val nhosts : topology -> int
 
 val fabric : topology -> Osiris_topo.Builder.fabric
 (** The wiring plan — path sets via {!Osiris_topo.Builder.paths}, trunk
-    endpoints, switch tiers. *)
+    endpoints. *)
 
 val open_vc : topology -> src:int -> dst:int -> vc
 (** Allocate a fresh virtual circuit from host [src] to host [dst] along

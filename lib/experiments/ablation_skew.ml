@@ -16,7 +16,6 @@ type result = {
   crc_drops : int;
   reassembly_errors : int;
   combined_fraction : float;
-  goodput_mbps : float;
 }
 
 let raw_vci = 9
@@ -51,10 +50,9 @@ let run ~strategy ~skew_us ?(pdus = 64) () =
   ignore (Network.connect eng ~link a b);
   Board.bind_vci a.Host.board ~vci:raw_vci (Board.kernel_channel a.Host.board);
   Board.bind_vci b.Host.board ~vci:raw_vci (Board.kernel_channel b.Host.board);
-  let delivered = ref 0 and bytes = ref 0 in
+  let delivered = ref 0 in
   Demux.bind b.Host.demux ~vci:raw_vci ~name:"sink" (fun ~vci:_ msg ->
       incr delivered;
-      bytes := !bytes + Msg.length msg;
       Msg.dispose msg);
   let pdu_size = 16 * 1024 in
   Process.spawn eng ~name:"source" (fun () ->
@@ -67,13 +65,7 @@ let run ~strategy ~skew_us ?(pdus = 64) () =
            combining column). *)
         Process.sleep eng (Time.us 400)
       done);
-  let t0 = Engine.now eng in
   Engine.run ~until:(Time.s 2) eng;
-  let elapsed =
-    (* goodput over the active phase only: find the drain point roughly by
-       cells; use total run time as a conservative bound when idle. *)
-    Engine.now eng - t0
-  in
   let bstats = Board.stats b.Host.board in
   let dstats = Driver.stats b.Host.driver in
   let eligible = bstats.Board.cells_received / 2 in
@@ -86,7 +78,6 @@ let run ~strategy ~skew_us ?(pdus = 64) () =
     combined_fraction =
       (if eligible = 0 then 0.0
        else float_of_int bstats.Board.combined_dmas /. float_of_int eligible);
-    goodput_mbps = Report.mbps ~bytes_count:!bytes ~ns:elapsed;
   }
 
 let table () =

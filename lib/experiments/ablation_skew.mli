@@ -9,8 +9,7 @@
       corrupts PDUs, which the AAL5-style CRC then catches);
     - the receive-side double-cell combining rate — skew destroys the
       probability that two successively received cells are contiguous in
-      memory, which is the §2.6 "serious disadvantage";
-    - end-to-end goodput.  *)
+      memory, which is the §2.6 "serious disadvantage". *)
 
 type result = {
   strategy : string;
@@ -19,7 +18,6 @@ type result = {
   crc_drops : int;
   reassembly_errors : int;
   combined_fraction : float;  (** combined DMAs / DMA-eligible cell pairs *)
-  goodput_mbps : float;
 }
 
 val run :

@@ -9,7 +9,6 @@ module Rng = Osiris_util.Rng
 module Atm_link = Osiris_link.Atm_link
 module Board = Osiris_board.Board
 module Sender = Osiris_transport.Sender
-module Receiver = Osiris_transport.Receiver
 module Spray = Osiris_lb.Spray
 
 (* Incast revisited with a real transport: where [Incast] blasts open-loop
@@ -74,18 +73,12 @@ type outcome = {
   flows : Flows.outcome;
   queue_cells : int;
   mark_threshold : int;  (** 0 = marking off *)
-  unique_sent : int;  (** segments, all senders *)
   retransmits : int;
   retransmit_bytes : int;
-  timeouts : int;
-  fast_retransmits : int;
   ece_acks : int;
   marked_cells : int;
-  marked_pdus : int;
   host_dropped : int;
       (** PDUs the boards dropped for want of a receive buffer (§3.1) *)
-  cells_in : int;
-  max_occupancy : int;
 }
 
 (* The traffic contract: every offered byte delivered exactly once, and
@@ -160,26 +153,16 @@ let run ?(senders = 6) ?(queue_cells = 48) ?(marking = false)
       flows = f;
       queue_cells;
       mark_threshold;
-      unique_sent = sum (fun s -> s.Sender.unique_sent);
       retransmits = sum (fun s -> s.Sender.retransmits);
       retransmit_bytes = sum (fun s -> s.Sender.retransmit_bytes);
-      timeouts = sum (fun s -> s.Sender.timeouts);
-      fast_retransmits = sum (fun s -> s.Sender.fast_retransmits);
       ece_acks = sum (fun s -> s.Sender.ece_acks);
       marked_cells = st.Switch.marked;
-      marked_pdus =
-        Array.fold_left
-          (fun a c ->
-            a + (Receiver.stats (Spray.receiver c)).Receiver.marked_pdus)
-          0 (Flows.conns flows);
       host_dropped =
         Array.fold_left
           (fun a e ->
             let st = Board.stats e.Network.host.Host.board in
             a + st.Board.pdus_dropped_no_buffer)
           0 topo.Network.endpoints;
-      cells_in = st.Switch.cells_in;
-      max_occupancy = st.Switch.max_occupancy;
     }
   in
   let violations =

@@ -33,18 +33,12 @@ type outcome = {
           audit and the connection invariants *)
   queue_cells : int;
   mark_threshold : int;  (** 0 = marking off *)
-  unique_sent : int;  (** segments, all senders *)
   retransmits : int;
   retransmit_bytes : int;
-  timeouts : int;
-  fast_retransmits : int;
   ece_acks : int;
   marked_cells : int;
-  marked_pdus : int;
   host_dropped : int;
       (** PDUs the boards dropped for want of a receive buffer (§3.1) *)
-  cells_in : int;
-  max_occupancy : int;
 }
 
 val run :

@@ -26,15 +26,11 @@ module Data_cache = Osiris_cache.Data_cache
 
 type point = {
   nvcs : int;
-  offered_pdus : int;
   delivered_pdus : int;
-  offered_bytes : int;
-  delivered_bytes : int;
   demux : Ctable.probe_stats;
   route : Ctable.probe_stats;
   nroutes : int;
   resident_bytes_per_vc : int;
-  path_enums : int;
   violations : string list;
 }
 
@@ -153,16 +149,12 @@ let run ~nvcs () =
   in
   {
     nvcs;
-    offered_pdus = nvcs;
     delivered_pdus = !delivered;
-    offered_bytes;
-    delivered_bytes = !delivered_bytes;
     demux = Board.demux_stats recv.Host.board;
     route = Switch.route_stats sw;
     nroutes = Switch.nroutes sw;
     resident_bytes_per_vc =
       Board.demux_resident_bytes recv.Host.board / Int.max 1 nvcs;
-    path_enums;
     violations;
   }
 

@@ -5,17 +5,13 @@
 
 type point = {
   nvcs : int;  (** concurrent VCs opened at the receiver *)
-  offered_pdus : int;  (** one flow per VC *)
   delivered_pdus : int;
-  offered_bytes : int;
-  delivered_bytes : int;
   demux : Osiris_classify.Table.probe_stats;
       (** receiver board's VC-classification probes *)
   route : Osiris_classify.Table.probe_stats;
       (** switch routing-table probes *)
   nroutes : int;
   resident_bytes_per_vc : int;  (** demux-table state per live VC *)
-  path_enums : int;  (** topology path enumerations (cache misses) *)
   violations : string list;
 }
 

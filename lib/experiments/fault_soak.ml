@@ -15,14 +15,8 @@ let raw_vci = 9
 type outcome = {
   seed : int;
   plan : string;
-  sent : int;
-  delivered : int;
   corrupted_delivered : int;
   goodput_mbps : float;
-  timeout_aborts : int;
-  board_timeouts : int;
-  restripe_aborts : int;
-  duplicated_cells : int;
   residual_reassemblies : int;
   violations : string list;
 }
@@ -113,21 +107,12 @@ let run ?(seed = 1) ?(msgs = 60) ?(horizon = Time.ms 20) ?plan () =
   Engine.run ~until:horizon eng;
   Injector.disarm inj;
   Engine.run ~until:(horizon + Time.ms 10) eng;
-  let dstats = Driver.stats b.Host.driver in
-  let bstats = Board.stats b.Host.board in
-  let lstats = Atm_link.stats net.Network.a_to_b in
   {
     seed;
     plan = Plan.to_string plan;
-    sent = msgs;
-    delivered = sk.s_delivered;
     corrupted_delivered = sk.s_corrupted;
     goodput_mbps =
       Report.mbps ~bytes_count:sk.s_bytes_ok ~ns:(Int.max 1 (Engine.now eng));
-    timeout_aborts = dstats.Driver.timeout_aborts;
-    board_timeouts = bstats.Board.reassembly_timeouts;
-    restripe_aborts = bstats.Board.restripe_aborts;
-    duplicated_cells = lstats.Atm_link.duplicated;
     residual_reassemblies = Board.reassemblies_in_progress b.Host.board;
     violations = Network.audit_pair net;
   }

@@ -34,14 +34,8 @@ val deliver :
 type outcome = {
   seed : int;
   plan : string;  (** {!Osiris_fault.Plan.to_string}, for reproduction *)
-  sent : int;
-  delivered : int;
   corrupted_delivered : int;  (** must be 0: CRC must catch every fault *)
   goodput_mbps : float;  (** byte-verified payload over the whole run *)
-  timeout_aborts : int;  (** driver-side, from timeout marker chains *)
-  board_timeouts : int;  (** board sweeper firings *)
-  restripe_aborts : int;  (** PDUs sacrificed to carrier-loss re-striping *)
-  duplicated_cells : int;
   residual_reassemblies : int;  (** must be 0 at quiescence *)
   violations : string list;  (** must be empty *)
 }

@@ -7,8 +7,6 @@ module Driver = Osiris_core.Driver
 module Msg = Osiris_xkernel.Msg
 module Udp = Osiris_proto.Udp
 
-type result = { label : string; mbps : float }
-
 (* Goodput of a saturating one-way UDP transfer of 64 KB messages
    between two hosts, measured over the 40 ms after a 40 ms warm-up. *)
 let throughput ~machine ~dma =

@@ -12,9 +12,4 @@
     board, as the hardware change would have), and checks the prediction
     against the receive-side-in-isolation curves of Figure 3. *)
 
-type result = {
-  label : string;
-  mbps : float;
-}
-
 val table : unit -> Report.table

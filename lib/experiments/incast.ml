@@ -9,23 +9,18 @@ module Msg = Osiris_xkernel.Msg
 module Demux = Osiris_xkernel.Demux
 
 type outcome = {
-  senders : int;
   queue_cells : int;
   offered_pdus : int;
   delivered_pdus : int;
   corrupted_delivered : int;
-  offered_mbps : float;
   goodput_mbps : float;
   cells_in : int;
-  forwarded_cells : int;
   switch_dropped : int;
-  max_occupancy : int;
   residual_queued : int;
   timeout_aborts : int;
   reassembly_timeouts : int;
   reassembly_errors : int;
   pdus_dropped_no_buffer : int;
-  residual_reassemblies : int;
   violations : string list;
 }
 
@@ -123,26 +118,20 @@ let run ?(senders = 3) ?(queue_cells = 48) ?(rounds = 10) ?(seed = 5) () =
   let active_ns = Int.max 1 horizon in
   let o =
     {
-      senders;
       queue_cells;
       offered_pdus;
       delivered_pdus = sink.Fault_soak.s_delivered;
       corrupted_delivered = sink.Fault_soak.s_corrupted;
-      offered_mbps =
-        Report.mbps ~bytes_count:(offered_pdus * msg_size) ~ns:active_ns;
       goodput_mbps =
         Report.mbps ~bytes_count:sink.Fault_soak.s_bytes_ok ~ns:active_ns;
       cells_in = st.Switch.cells_in;
-      forwarded_cells = st.Switch.forwarded;
       switch_dropped =
         st.Switch.dropped_overflow + st.Switch.dropped_no_route;
-      max_occupancy = st.Switch.max_occupancy;
       residual_queued = Switch.occupancy sw;
       timeout_aborts = dstats.Driver.timeout_aborts;
       reassembly_timeouts = bstats.Board.reassembly_timeouts;
       reassembly_errors = bstats.Board.reassembly_errors;
       pdus_dropped_no_buffer = bstats.Board.pdus_dropped_no_buffer;
-      residual_reassemblies = Board.reassemblies_in_progress recv.Host.board;
       violations = Network.audit topo;
     }
   in

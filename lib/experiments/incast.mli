@@ -12,23 +12,18 @@
     every link, every host at quiescence) is not clean. *)
 
 type outcome = {
-  senders : int;
   queue_cells : int;  (** switch output-queue capacity used for the run *)
   offered_pdus : int;
   delivered_pdus : int;
   corrupted_delivered : int;  (** must be 0: CRC must catch damage *)
-  offered_mbps : float;
   goodput_mbps : float;  (** byte-verified deliveries only *)
   cells_in : int;  (** cells the switch accepted *)
-  forwarded_cells : int;
   switch_dropped : int;  (** overflow + no-route drops *)
-  max_occupancy : int;  (** switch queue high-water mark, cells *)
   residual_queued : int;  (** must be 0 after the grace period *)
   timeout_aborts : int;  (** receiver driver timeout-marker chains *)
   reassembly_timeouts : int;  (** receiver board sweeper firings *)
   reassembly_errors : int;
   pdus_dropped_no_buffer : int;
-  residual_reassemblies : int;  (** must be 0 at quiescence *)
   violations : string list;  (** must be empty *)
 }
 

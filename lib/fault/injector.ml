@@ -95,7 +95,7 @@ let inject eng ~plan ~link ?board () =
                  match irq_loss_prob t ch with
                  | p when p > 0.0 ->
                      Metrics.incr t.m_irq_draws;
-                     not (Rng.float t.rng 1.0 < p)
+                     not (Rng.bernoulli t.rng p)
                  | _ -> true)
              | _ -> true)));
   Trace.emitf Trace.Fault ~now:(Engine.now eng) "inject plan [%s]"

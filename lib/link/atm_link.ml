@@ -46,15 +46,15 @@ let oc12_aggregate cfg =
   /. float_of_int Cell.wire_size
 
 type stats = {
-  mutable cells_sent : int;
-  mutable cells_delivered : int;
-  mutable dropped_fifo : int;
-  mutable dropped_net : int;
-  mutable corrupted : int;
-  mutable reordered : int;
-  mutable duplicated : int;
-  mutable header_corrupted : int;
-  mutable dropped_link_down : int;
+  cells_sent : int;
+  cells_delivered : int;
+  dropped_fifo : int;
+  dropped_net : int;
+  corrupted : int;
+  reordered : int;
+  duplicated : int;
+  header_corrupted : int;
+  dropped_link_down : int;
 }
 
 (* Registry handles behind [stats]; [stats t] snapshots them. *)

@@ -124,16 +124,16 @@ val set_cell_filter : t -> (int -> Osiris_atm.Cell.t -> bool) option -> unit
     cell (counted as [dropped_net]). [None] removes the hook. *)
 
 type stats = {
-  mutable cells_sent : int;
-  mutable cells_delivered : int;
-  mutable dropped_fifo : int;  (** lost to receive-FIFO overflow/squeeze *)
-  mutable dropped_net : int;  (** lost in the network (drop_prob/filter) *)
-  mutable corrupted : int;
-  mutable reordered : int;
+  cells_sent : int;
+  cells_delivered : int;
+  dropped_fifo : int;  (** lost to receive-FIFO overflow/squeeze *)
+  dropped_net : int;  (** lost in the network (drop_prob/filter) *)
+  corrupted : int;
+  reordered : int;
       (** deliveries that overtook a cell sent earlier on another channel *)
-  mutable duplicated : int;  (** duplicate deliveries injected *)
-  mutable header_corrupted : int;  (** VCI/seq mangles injected *)
-  mutable dropped_link_down : int;  (** lost to a dead channel *)
+  duplicated : int;  (** duplicate deliveries injected *)
+  header_corrupted : int;  (** VCI/seq mangles injected *)
+  dropped_link_down : int;  (** lost to a dead channel *)
 }
 
 val stats : t -> stats

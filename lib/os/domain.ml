@@ -1,10 +1,4 @@
-type t = { id : int; name : string }
+type t = { name : string }
 
-let counter = ref 0
-
-let create ~name =
-  incr counter;
-  { id = !counter; name }
-
+let create ~name = { name }
 let name t = t.name
-let equal a b = a.id = b.id

@@ -5,7 +5,7 @@
     protection domains, and network data may have to cross several domain
     boundaries on its way to the application — the problem fbufs and ADCs
     attack. Crossing into a domain (IPC / scheduling) has a cost set by
-    the machine profile. A domain here is an identity: the components
+    the machine profile. A domain here is only a name: the components
     that run in it are handed their address space directly. *)
 
 type t
@@ -13,5 +13,3 @@ type t
 val create : name:string -> t
 
 val name : t -> string
-
-val equal : t -> t -> bool

@@ -2,10 +2,8 @@ type port_ref = { pr_sw : int; pr_port : int }
 type trunk = { t_a : port_ref; t_b : port_ref }
 
 type fabric = {
-  f_spec : Spec.t;
   switch_nports : int array;
   switch_names : string array;
-  switch_tier : int array;
   hosts : port_ref array;
   trunks : trunk array;
 }
@@ -24,10 +22,8 @@ let nhosts f = Array.length f.hosts
 
 let build_star hosts =
   {
-    f_spec = Spec.Star { hosts };
     switch_nports = [| hosts |];
     switch_names = [| "sw0" |];
-    switch_tier = [| 0 |];
     hosts = Array.init hosts (fun i -> { pr_sw = 0; pr_port = i });
     trunks = [||];
   }
@@ -36,10 +32,8 @@ let build_chain hosts =
   let h0 = (hosts + 1) / 2 in
   let h1 = hosts - h0 in
   {
-    f_spec = Spec.Chain { hosts };
     switch_nports = [| h0 + 1; h1 + 1 |];
     switch_names = [| "sw0"; "sw1" |];
-    switch_tier = [| 0; 0 |];
     hosts =
       Array.init hosts (fun i ->
           if i < h0 then { pr_sw = 0; pr_port = i }
@@ -84,10 +78,6 @@ let build_fat_tree k hosts_per_edge =
             ((s - nedge - nagg) / h)
             ((s - nedge - nagg) mod h))
   in
-  let switch_tier =
-    Array.init nsw (fun s ->
-        if s < nedge then 0 else if s < nedge + nagg then 1 else 2)
-  in
   let hosts =
     Array.init (nedge * hosts_per_edge) (fun i ->
         { pr_sw = i / hosts_per_edge; pr_port = i mod hosts_per_edge })
@@ -115,10 +105,8 @@ let build_fat_tree k hosts_per_edge =
         })
   in
   {
-    f_spec = Spec.Fat_tree { k; hosts_per_edge };
     switch_nports;
     switch_names;
-    switch_tier;
     hosts;
     trunks = Array.append edge_agg agg_core;
   }

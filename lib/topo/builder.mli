@@ -5,8 +5,8 @@
     A plan is still pure data — switch indices, port numbers and trunk
     endpoint pairs — with no engine, link or switch objects behind it.
     [Osiris_core.Network] turns a plan into a running fabric;
-    experiments query the plan (the "fabric map") for path sets, trunk
-    membership and tier structure.
+    experiments query the plan (the "fabric map") for path sets and
+    trunk membership.
 
     The array {e order} of [hosts] and [trunks] is part of the contract:
     instantiation creates links and attaches ports in exactly this
@@ -22,11 +22,8 @@ type trunk = { t_a : port_ref; t_b : port_ref }
     [t_a]-side port first. *)
 
 type fabric = {
-  f_spec : Spec.t;
   switch_nports : int array;  (** ports per switch, indexed by switch *)
   switch_names : string array;
-  switch_tier : int array;
-      (** 0 = host-facing (edge), 1 = aggregation, 2 = core *)
   hosts : port_ref array;  (** host [i] attaches at [hosts.(i)] *)
   trunks : trunk array;
 }

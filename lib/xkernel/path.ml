@@ -1,6 +1,5 @@
 type t = {
   id : int;
-  name : string;
   vci : int;
   domains : Osiris_os.Domain.t list;
 }
@@ -15,7 +14,7 @@ let create_registry demux = { demux; next_id = 1; paths = [] }
 
 let establish reg ~name ~domains ~handler =
   let vci = Demux.fresh_vci reg.demux in
-  let path = { id = reg.next_id; name; vci; domains } in
+  let path = { id = reg.next_id; vci; domains } in
   reg.next_id <- reg.next_id + 1;
   Demux.bind reg.demux ~vci ~name (fun ~vci:_ msg -> handler path msg);
   reg.paths <- path :: reg.paths;

@@ -15,7 +15,6 @@
 
 type t = {
   id : int;  (** stable identifier; the fbuf path-cache key *)
-  name : string;
   vci : int;
   domains : Osiris_os.Domain.t list;
       (** protection domains the path crosses, in delivery order *)

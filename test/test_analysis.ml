@@ -188,7 +188,7 @@ let test_check_tree_over_fixtures () =
     (contains ~affix:"r1_bad_owner.ml:5: [R1]" printed)
 
 (* ------------------------------------------------------------------ *)
-(* Typed passes (R5/R6/R7/R9) over the compiled fixture library. The
+(* Typed passes (R5/R6/R7/R9/R10) over the compiled fixture library. The
    fixtures are linked into this test binary, so their .cmt artifacts
    are guaranteed to exist under the build tree by the time we run. *)
 
@@ -294,6 +294,30 @@ let test_r9_fixtures () =
        (fun v -> if v.Lint.rule = "R9" then Some (brief v) else None)
        (Typed.check_tree typed_policy ~cmt_root))
 
+(* R10 over the fixture library: the exact set of exported record labels
+   that no unit reads, and of exported mutable labels that no unit
+   assigns. *)
+let test_r10_fixtures () =
+  let brief v =
+    let m = v.Lint.message in
+    Printf.sprintf "%s:%d %s %s"
+      (Filename.basename v.Lint.file)
+      v.Lint.line
+      (if contains ~affix:"read by no unit" m then "unread" else "unassigned")
+      (String.sub m 1 (String.index_from m 1 '\'' - 1))
+  in
+  Alcotest.(check (list string))
+    "R10 set"
+    [
+      "r10_lib.mli:6 unread R10_lib.t.with_only";
+      "r10_lib.mli:7 unread R10_lib.t.eq_only";
+      "r10_lib.mli:8 unread R10_lib.t.unread";
+      "r10_lib.mli:10 unassigned R10_lib.t.never_set";
+    ]
+    (List.filter_map
+       (fun v -> if v.Lint.rule = "R10" then Some (brief v) else None)
+       (Typed.check_tree typed_policy ~cmt_root))
+
 (* The stale-policy rot guard: a hot entry pointing at a function that
    no longer exists must itself be a violation, not a silent no-op. *)
 let test_typed_stale_hot_entry () =
@@ -340,5 +364,7 @@ let suite =
       test_typed_stale_hot_entry;
     Alcotest.test_case "R9: exports without callers, unpassed options"
       `Quick test_r9_fixtures;
+    Alcotest.test_case "R10: exported labels unread or never assigned"
+      `Quick test_r10_fixtures;
     Alcotest.test_case "R8: Stdlib min/max" `Quick test_r8_min_max;
   ]

@@ -193,21 +193,32 @@ let test_multiplexing_granularity () =
 
 (* The congestion sweep is the figure the bench publishes; a cheap run
    here pins (a) determinism — two runs from the same seed produce the
-   identical outcome record, counters and all, which is what makes the
-   bench numbers and the soak reproducible — and (b) the audit staying
-   clean at a contended queue depth. *)
+   identical outcome record and the identical metrics snapshot (each
+   taken from a fresh registry: switch cells in, marks and drops, and
+   every link, board and driver counter), which is what makes the bench
+   numbers and the soak reproducible — and (b) the audit staying clean
+   at a contended queue depth. *)
 let test_congestion_deterministic () =
   let go () =
-    Congestion.run ~senders:4 ~queue_cells:24 ~marking:true
-      ~bytes_per_sender:4096 ~seed:5 ()
+    Osiris_obs.Metrics.reset ();
+    let o =
+      Congestion.run ~senders:4 ~queue_cells:24 ~marking:true
+        ~bytes_per_sender:4096 ~seed:5 ()
+    in
+    (o, Osiris_obs.Json.to_string (Osiris_obs.Metrics.to_json ()))
   in
-  let a = go () and b = go () in
+  let a, metrics_a = go () in
+  let b, metrics_b = go () in
   let f = a.Congestion.flows in
   Alcotest.(check (list string)) "no invariant violations" []
     f.Flows.violations;
   Alcotest.(check bool) "every stream byte-exact" true f.Flows.byte_exact;
   Alcotest.(check int) "all connections finished" 4 f.Flows.finished;
-  Alcotest.(check bool) "same seed, identical outcome" true (a = b)
+  Alcotest.(check bool) "same seed, identical outcome" true (a = b);
+  (match Osiris_obs.Metrics.find "switch.cells_in" with
+  | Some (Osiris_obs.Metrics.V_int n) when n > 0 -> ()
+  | _ -> Alcotest.fail "the metrics snapshot holds no switch cells");
+  Alcotest.(check string) "same seed, identical metrics" metrics_a metrics_b
 
 (* One small demux_scale point end to end: all flows land, nothing
    trips the table checks or the fabric audit, and the probe counters

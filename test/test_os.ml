@@ -115,9 +115,7 @@ let test_wiring_policies () =
 let test_domains () =
   let mem = Phys_mem.create ~size:(1 lsl 20) ~page_size:4096 () in
   let vs1 = Vspace.create mem and vs2 = Vspace.create mem in
-  let k = Domain.create ~name:"kernel" in
   let u = Domain.create ~name:"app" in
-  Alcotest.(check bool) "distinct ids" true (not (Domain.equal k u));
   Alcotest.(check string) "name" "app" (Domain.name u);
   (* Separate address spaces: same vaddr can map different frames. *)
   let a1 = Vspace.alloc vs1 ~len:4096 and a2 = Vspace.alloc vs2 ~len:4096 in

@@ -212,6 +212,20 @@ let test_rng_bounds () =
     Alcotest.(check bool) "float range" true (v >= 0.0 && v < 3.0)
   done
 
+(* [bernoulli t p] promises [float t 1.0 < p], draw for draw: two streams
+   from one seed must agree at both ends of [0, 1] and at the smallest
+   positive probability a 53-bit draw can resolve. *)
+let test_rng_bernoulli_is_float_draw () =
+  List.iter
+    (fun p ->
+      let a = Rng.create ~seed:23 and b = Rng.create ~seed:23 in
+      for _ = 1 to 10_000 do
+        Alcotest.(check bool)
+          (Printf.sprintf "p = %h" p)
+          (Rng.float b 1.0 < p) (Rng.bernoulli a p)
+      done)
+    [ 0.0; ldexp 1.0 (-53); 0.25; 0.5; 1.0 ]
+
 let test_rng_split_independent () =
   let parent = Rng.create ~seed:1 in
   let child = Rng.split parent in
@@ -316,6 +330,8 @@ let suite =
     Alcotest.test_case "rng: determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng: bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng: split" `Quick test_rng_split_independent;
+    Alcotest.test_case "rng: bernoulli is the float draw" `Quick
+      test_rng_bernoulli_is_float_draw;
     Alcotest.test_case "rng: shuffle is a permutation" `Quick
       test_shuffle_permutation;
     Alcotest.test_case "rng: streams pinned" `Quick test_rng_streams_pinned;
