@@ -16,7 +16,6 @@ open Osiris_core
 module Fbufs = Osiris_fbufs.Fbufs
 module Path = Osiris_xkernel.Path
 module Demux = Osiris_xkernel.Demux
-module Domain = Osiris_os.Domain
 module Cpu = Osiris_os.Cpu
 module Vspace = Osiris_mem.Vspace
 module Phys_mem = Osiris_mem.Phys_mem
@@ -37,9 +36,6 @@ let run_pipeline ~cached =
   in
   let cpu = Cpu.create eng ~hz:machine.Machine.cpu_hz in
   let kernel_vs = Vspace.create mem in
-  let driver_dom = Domain.create ~name:"driver" in
-  let proto_dom = Domain.create ~name:"udp-server" in
-  let app_dom = Domain.create ~name:"app" in
   let fb =
     Fbufs.create cpu kernel_vs Fbufs.default_costs ~max_cached_paths:16
       ~bufs_per_path:4 ~buf_size:msg_size
@@ -49,7 +45,7 @@ let run_pipeline ~cached =
   let delivered = ref 0 and last_delivery = ref 0 in
   let path =
     Path.establish reg ~name:"video-feed"
-      ~domains:[ driver_dom; proto_dom; app_dom ]
+      ~crossings:2 (* driver -> udp-server -> app *)
       ~handler:(fun _ msg ->
         incr delivered;
         Osiris_xkernel.Msg.dispose msg)
@@ -69,7 +65,7 @@ let run_pipeline ~cached =
       for _ = 1 to messages do
         Process.sleep eng (Time.us 40);
         let f = Fbufs.get fb ~path:path.Path.id in
-        ignore (Fbufs.transfer fb f ~domains:(Path.crossings path));
+        ignore (Fbufs.transfer fb f ~domains:path.Path.crossings);
         (* hand a message view to the path's handler *)
         let msg =
           Osiris_xkernel.Msg.create kernel_vs ~vaddr:(Fbufs.vaddr f)

@@ -11,11 +11,9 @@ module Adc = Osiris_adc.Adc
 module Msg = Osiris_xkernel.Msg
 module Engine = Osiris_sim.Engine
 module Process = Osiris_sim.Process
-module Mailbox = Osiris_sim.Mailbox
 module Time = Osiris_sim.Time
 module Board = Osiris_board.Board
 module Demux = Osiris_xkernel.Demux
-module Stats = Osiris_util.Stats
 
 let () =
   let eng, net = Network.pair () in
@@ -30,27 +28,20 @@ let () =
   Board.bind_vci b.Host.board ~vci (Adc.channel app_b);
 
   (* app-b echoes; app-a measures. *)
-  Demux.bind (Adc.demux app_b) ~vci ~name:"echo" (fun ~vci:_ msg ->
-      let len = Msg.length msg in
-      Msg.dispose msg;
-      Adc.send app_b ~vci (Msg.alloc (Adc.vspace app_b) ~len ()));
-  let pong = Mailbox.create eng ~empty:() () in
-  Demux.bind (Adc.demux app_a) ~vci ~name:"pong" (fun ~vci:_ msg ->
-      Msg.dispose msg;
-      ignore (Mailbox.try_send pong ()));
-
-  let rtt = Stats.create () in
-  Process.spawn eng ~name:"app-a" (fun () ->
-      for i = 1 to 24 do
-        let t0 = Engine.now eng in
-        Adc.send app_a ~vci (Adc.alloc_msg app_a ~len:1024 ());
-        let () = Mailbox.recv pong in
-        if i > 4 then Stats.add rtt (Time.to_float_us (Engine.now eng - t0))
-      done;
-      Engine.stop eng);
-  Engine.run ~until:(Time.s 5) eng;
-  Printf.printf "user-to-user over ADCs, 1KB RTT: mean %.0f us (n=%d)\n"
-    (Stats.mean rtt) (Stats.count rtt);
+  let rounds = 20 in
+  let rtt =
+    Osiris_experiments.Measure.rtt eng ~rounds (fun pong ->
+        Demux.bind (Adc.demux app_b) ~vci ~name:"echo" (fun ~vci:_ msg ->
+            let len = Msg.length msg in
+            Msg.dispose msg;
+            Adc.send app_b ~vci (Msg.alloc (Adc.vspace app_b) ~len ()));
+        Demux.bind (Adc.demux app_a) ~vci ~name:"pong" (fun ~vci:_ msg ->
+            Msg.dispose msg;
+            pong ());
+        fun () -> Adc.send app_a ~vci (Adc.alloc_msg app_a ~len:1024 ()))
+  in
+  Printf.printf "user-to-user over ADCs, 1KB RTT: mean %.0f us (n=%d)\n" rtt
+    rounds;
 
   (* The protection story: a rogue app names physical pages it does not
      own; the board refuses to transmit and the kernel is notified. *)

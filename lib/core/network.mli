@@ -59,7 +59,7 @@ type topology = {
           order: [trunks.(2i)] carries trunk [i]'s [t_a → t_b] direction
           and [trunks.(2i+1)] the reverse ([\[| sw0->sw1; sw1->sw0 |\]]
           for {!chain}, empty for {!star}) — the targets of [trunkloss]
-          fault bursts *)
+          and [trunkdown] faults ([Injector.inject_topology]) *)
   fabric : Osiris_topo.Builder.fabric;
       (** the wiring plan this topology was instantiated from — the
           queryable fabric map (trunk endpoints, path sets) *)

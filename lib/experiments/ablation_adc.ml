@@ -9,98 +9,67 @@ module Demux = Osiris_xkernel.Demux
 module Msg = Osiris_xkernel.Msg
 module Cpu = Osiris_os.Cpu
 
-let raw_vci = 9
-
 type path_kind = Kernel | Via_adc | User_via_kernel
 
 let machine = Machine.ds5000_200
 
 let rtt_generic ~kind ~msg_size =
-  let eng = Engine.create () in
-  let cfg = Host.default_config in
-  let a = Host.create eng machine ~addr:0x0a000001l cfg in
-  let b = Host.create eng machine ~addr:0x0a000002l { cfg with seed = 43 } in
-  ignore (Network.connect eng a b);
-  let pong = Mailbox.create eng ~empty:() () in
-  let samples = Osiris_util.Stats.create () in
-  (match kind with
-  | Via_adc ->
-      (* Each side's application opens an ADC; VCIs are routed to the
-         application's own queues, the channel drivers run in user space,
-         and nothing crosses the kernel on the data path. *)
-      let adc_a = Adc.open_ a () in
-      let adc_b = Adc.open_ b () in
-      let vci = 40 in
-      Board.bind_vci a.Host.board ~vci (Adc.channel adc_a);
-      Board.bind_vci b.Host.board ~vci (Adc.channel adc_b);
-      Demux.bind (Adc.demux adc_a) ~vci ~name:"pong" (fun ~vci:_ msg ->
-          Msg.dispose msg;
-          ignore (Mailbox.try_send pong ()));
-      Demux.bind (Adc.demux adc_b) ~vci ~name:"echo" (fun ~vci:_ msg ->
-          let len = Msg.length msg in
-          Msg.dispose msg;
-          Adc.send adc_b ~vci (Msg.alloc (Adc.vspace adc_b) ~len ()));
-      Process.spawn eng ~name:"pinger" (fun () ->
-          for i = 1 to 12 do
-            let t0 = Engine.now eng in
-            Adc.send adc_a ~vci (Adc.alloc_msg adc_a ~len:msg_size ());
-            let () = Mailbox.recv pong in
-            if i > 4 then
-              Osiris_util.Stats.add samples
-                (Time.to_float_us (Engine.now eng - t0))
-          done;
-          Engine.stop eng)
-  | Kernel | User_via_kernel ->
-      let crossing host =
-        match kind with
-        | Kernel -> ()
-        | _ ->
-            (* user-level client of the kernel driver: kernel entry plus a
-               cross-domain buffer transfer on delivery *)
-            Cpu.consume host.Host.cpu
-              machine.Machine.driver_costs.Machine.syscall;
-            Cpu.consume host.Host.cpu (Time.us 60)
-      in
-      Board.bind_vci a.Host.board ~vci:raw_vci (Board.kernel_channel a.Host.board);
-      Board.bind_vci b.Host.board ~vci:raw_vci (Board.kernel_channel b.Host.board);
-      Demux.bind b.Host.demux ~vci:raw_vci ~name:"echo" (fun ~vci msg ->
-          let len = Msg.length msg in
-          Msg.dispose msg;
-          crossing b;
-          Driver.send b.Host.driver ~vci
-            ~from_user:(kind = User_via_kernel)
-            (Msg.alloc b.Host.vs ~len ()));
-      Demux.bind a.Host.demux ~vci:raw_vci ~name:"pong" (fun ~vci:_ msg ->
-          Msg.dispose msg;
-          crossing a;
-          ignore (Mailbox.try_send pong ()));
-      Process.spawn eng ~name:"pinger" (fun () ->
-          for i = 1 to 12 do
-            let t0 = Engine.now eng in
-            Driver.send a.Host.driver ~vci:raw_vci
-              ~from_user:(kind = User_via_kernel)
-              (Msg.alloc a.Host.vs ~len:msg_size ());
-            let () = Mailbox.recv pong in
-            if i > 4 then
-              Osiris_util.Stats.add samples
-                (Time.to_float_us (Engine.now eng - t0))
-          done;
-          Engine.stop eng));
-  Engine.run ~until:(Time.s 10) eng;
-  if Osiris_util.Stats.count samples = 0 then
-    failwith "Ablation_adc: ping-pong did not complete";
-  Osiris_util.Stats.mean samples
+  let eng, net = Network.pair () in
+  let a = net.Network.a and b = net.Network.b in
+  Measure.rtt eng ~rounds:8 (fun pong ->
+      match kind with
+      | Via_adc ->
+          (* Each side's application opens an ADC; VCIs are routed to the
+             application's own queues, the channel drivers run in user
+             space, and nothing crosses the kernel on the data path. *)
+          let adc_a = Adc.open_ a () in
+          let adc_b = Adc.open_ b () in
+          let vci = 40 in
+          Board.bind_vci a.Host.board ~vci (Adc.channel adc_a);
+          Board.bind_vci b.Host.board ~vci (Adc.channel adc_b);
+          Demux.bind (Adc.demux adc_a) ~vci ~name:"pong" (fun ~vci:_ msg ->
+              Msg.dispose msg;
+              pong ());
+          Demux.bind (Adc.demux adc_b) ~vci ~name:"echo" (fun ~vci:_ msg ->
+              let len = Msg.length msg in
+              Msg.dispose msg;
+              Adc.send adc_b ~vci (Msg.alloc (Adc.vspace adc_b) ~len ()));
+          fun () -> Adc.send adc_a ~vci (Adc.alloc_msg adc_a ~len:msg_size ())
+      | Kernel | User_via_kernel ->
+          let from_user = kind = User_via_kernel in
+          let crossing host =
+            if from_user then begin
+              (* user-level client of the kernel driver: kernel entry plus
+                 a cross-domain buffer transfer on delivery *)
+              Cpu.consume host.Host.cpu
+                machine.Machine.driver_costs.Machine.syscall;
+              Cpu.consume host.Host.cpu (Time.us 60)
+            end
+          in
+          Measure.bind_raw net;
+          Demux.bind b.Host.demux ~vci:Measure.raw_vci ~name:"echo"
+            (fun ~vci msg ->
+              let len = Msg.length msg in
+              Msg.dispose msg;
+              crossing b;
+              Driver.send b.Host.driver ~vci ~from_user
+                (Msg.alloc b.Host.vs ~len ()));
+          Demux.bind a.Host.demux ~vci:Measure.raw_vci ~name:"pong"
+            (fun ~vci:_ msg ->
+              Msg.dispose msg;
+              crossing a;
+              pong ());
+          fun () ->
+            Driver.send a.Host.driver ~vci:Measure.raw_vci ~from_user
+              (Msg.alloc a.Host.vs ~len:msg_size ()))
 
 let rtt_kernel ~msg_size = rtt_generic ~kind:Kernel ~msg_size
 let rtt_adc ~msg_size = rtt_generic ~kind:Via_adc ~msg_size
 let rtt_user_via_kernel ~msg_size = rtt_generic ~kind:User_via_kernel ~msg_size
 
 let protection_violation_caught () =
-  let eng = Engine.create () in
-  let cfg = Host.default_config in
-  let a = Host.create eng machine ~addr:0x0a000001l cfg in
-  let b = Host.create eng machine ~addr:0x0a000002l { cfg with seed = 43 } in
-  ignore (Network.connect eng a b);
+  let eng, net = Network.pair () in
+  let a = net.Network.a in
   let adc = Adc.open_ a () in
   let vci = 40 in
   Board.bind_vci a.Host.board ~vci (Adc.channel adc);

@@ -23,22 +23,11 @@ let pair machine =
 
 let rtt_ethernet ~machine ~msg_size ?(rounds = 12) () =
   let eng, nic_a, nic_b = pair machine in
-  Ether.set_receiver nic_b (fun msg ->
-      Ether.send nic_b (Bytes.create (Bytes.length msg)));
-  let pong = Mailbox.create eng ~empty:() () in
-  Ether.set_receiver nic_a (fun _ -> ignore (Mailbox.try_send pong ()));
-  let samples = Osiris_util.Stats.create () in
-  Process.spawn eng ~name:"pinger" (fun () ->
-      for i = 1 to rounds + 4 do
-        let t0 = Engine.now eng in
-        Ether.send nic_a (Bytes.create msg_size);
-        let () = Mailbox.recv pong in
-        if i > 4 then
-          Osiris_util.Stats.add samples (Time.to_float_us (Engine.now eng - t0))
-      done;
-      Engine.stop eng);
-  Engine.run ~until:(Time.s 30) eng;
-  Osiris_util.Stats.mean samples
+  Measure.rtt eng ~rounds (fun pong ->
+      Ether.set_receiver nic_b (fun msg ->
+          Ether.send nic_b (Bytes.create (Bytes.length msg)));
+      Ether.set_receiver nic_a (fun _ -> pong ());
+      fun () -> Ether.send nic_a (Bytes.create msg_size))
 
 let throughput_ethernet ~machine ~msg_size =
   let eng, nic_a, nic_b = pair machine in

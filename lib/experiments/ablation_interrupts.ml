@@ -1,31 +1,23 @@
 open Osiris_sim
 module Host = Osiris_core.Host
 module Network = Osiris_core.Network
-module Machine = Osiris_core.Machine
 module Driver = Osiris_core.Driver
-module Board = Osiris_board.Board
 module Demux = Osiris_xkernel.Demux
 module Msg = Osiris_xkernel.Msg
 module Irq = Osiris_os.Irq
 
-let raw_vci = 9
-
 let run ?(burst = 64) ~spacing_us () =
-  let eng = Engine.create () in
-  let machine = Machine.ds5000_200 and cfg = Host.default_config in
-  let a = Host.create eng machine ~addr:0x0a000001l cfg in
-  let b = Host.create eng machine ~addr:0x0a000002l { cfg with seed = 43 } in
-  ignore (Network.connect eng a b);
-  Board.bind_vci a.Host.board ~vci:raw_vci (Board.kernel_channel a.Host.board);
-  Board.bind_vci b.Host.board ~vci:raw_vci (Board.kernel_channel b.Host.board);
+  let eng, net = Network.pair () in
+  let a = net.Network.a and b = net.Network.b in
+  Measure.bind_raw net;
   let received = ref 0 in
-  Demux.bind b.Host.demux ~vci:raw_vci ~name:"sink" (fun ~vci:_ msg ->
+  Demux.bind b.Host.demux ~vci:Measure.raw_vci ~name:"sink" (fun ~vci:_ msg ->
       incr received;
       Msg.dispose msg);
   Process.spawn eng ~name:"burst" (fun () ->
       for _ = 1 to burst do
         let msg = Msg.alloc a.Host.vs ~len:1024 () in
-        Driver.send a.Host.driver ~vci:raw_vci msg;
+        Driver.send a.Host.driver ~vci:Measure.raw_vci msg;
         if spacing_us > 0 then Process.sleep eng (Time.us spacing_us)
       done);
   Engine.run ~until:(Time.s 2) eng;

@@ -44,27 +44,20 @@ let receive_with locking =
   let bytes_got = ref 0 in
   Host.new_udp_test_receiver host ~port:7 ~on_msg:(fun ~len ->
       bytes_got := !bytes_got + len);
-  Engine.run ~until:(Time.ms 40) eng;
-  let base = !bytes_got in
   let ch = Board.kernel_channel host.Host.board in
   let words q =
     let s = Desc_queue.access_stats q in
     s.Desc_queue.host_reads + s.Desc_queue.host_writes
   in
-  let words0 =
-    words (Board.rx_queue ch) + words (Board.free_queue ch)
+  let (bytes0, words0, pdus0), (bytes1, words1, pdus1), ns =
+    Measure.window eng ~warmup:(Time.ms 40) ~span:(Time.ms 40) (fun () ->
+        ( !bytes_got,
+          words (Board.rx_queue ch) + words (Board.free_queue ch),
+          (Driver.stats host.Host.driver).Driver.pdus_received ))
   in
-  let pdus0 = (Driver.stats host.Host.driver).Driver.pdus_received in
-  let t0 = Engine.now eng in
-  Engine.run ~until:(t0 + Time.ms 40) eng;
-  let mbps =
-    Report.mbps ~bytes_count:(!bytes_got - base) ~ns:(Engine.now eng - t0)
-  in
-  let dwords =
-    words (Board.rx_queue ch) + words (Board.free_queue ch) - words0
-  in
-  let dpdus = (Driver.stats host.Host.driver).Driver.pdus_received - pdus0 in
-  (mbps, float_of_int dwords /. float_of_int (Int.max 1 dpdus))
+  ( Report.mbps ~bytes_count:(bytes1 - bytes0) ~ns,
+    float_of_int (words1 - words0) /. float_of_int (Int.max 1 (pdus1 - pdus0))
+  )
 
 let table () =
   let mk locking label =

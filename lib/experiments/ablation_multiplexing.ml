@@ -1,7 +1,6 @@
 open Osiris_sim
 module Host = Osiris_core.Host
 module Network = Osiris_core.Network
-module Machine = Osiris_core.Machine
 module Driver = Osiris_core.Driver
 module Board = Osiris_board.Board
 module Adc = Osiris_adc.Adc
@@ -11,17 +10,16 @@ module Msg = Osiris_xkernel.Msg
 type result = { small_rtt_us : float; bulk_mbps : float }
 
 let run ~mux ?(bulk_pdu = 64 * 1024) () =
-  let machine = Machine.ds5000_200 in
-  let eng = Engine.create () in
-  let cfg =
-    {
-      Host.default_config with
-      board = { Board.default_config with Board.tx_mux = mux };
-    }
+  let eng, net =
+    Network.pair
+      ~config:
+        {
+          Host.default_config with
+          board = { Board.default_config with Board.tx_mux = mux };
+        }
+      ()
   in
-  let a = Host.create eng machine ~addr:0x0a000001l cfg in
-  let b = Host.create eng machine ~addr:0x0a000002l { cfg with seed = 43 } in
-  ignore (Network.connect eng a b);
+  let a = net.Network.a and b = net.Network.b in
   (* The latency application gets its own channel (same transmit priority
      as the kernel's bulk traffic: the contrast under test is granularity,
      not priority). *)
@@ -34,14 +32,6 @@ let run ~mux ?(bulk_pdu = 64 * 1024) () =
   Board.bind_vci b.Host.board ~vci:vci_bulk (Board.kernel_channel b.Host.board);
   (* Make the kernel (bulk) channel equal priority. *)
   Board.set_priority (Board.kernel_channel a.Host.board) 0;
-  let pong = Mailbox.create eng ~empty:() () in
-  Demux.bind (Adc.demux app_b) ~vci:vci_small ~name:"echo" (fun ~vci msg ->
-      let len = Msg.length msg in
-      Msg.dispose msg;
-      Adc.send app_b ~vci (Msg.alloc (Adc.vspace app_b) ~len ()));
-  Demux.bind (Adc.demux app_a) ~vci:vci_small ~name:"pong" (fun ~vci:_ msg ->
-      Msg.dispose msg;
-      ignore (Mailbox.try_send pong ()));
   let bulk_bytes = ref 0 in
   Demux.bind b.Host.demux ~vci:vci_bulk ~name:"bulk" (fun ~vci:_ msg ->
       bulk_bytes := !bulk_bytes + Msg.length msg;
@@ -54,22 +44,24 @@ let run ~mux ?(bulk_pdu = 64 * 1024) () =
         loop ()
       in
       loop ());
-  let samples = Osiris_util.Stats.create () in
-  Process.spawn eng ~name:"pinger" (fun () ->
-      Process.sleep eng (Time.ms 2) (* let the bulk flow saturate *);
-      for i = 1 to 16 do
-        let t0 = Engine.now eng in
-        Adc.send app_a ~vci:vci_small (Adc.alloc_msg app_a ~len:64 ());
-        let () = Mailbox.recv pong in
-        if i > 4 then
-          Osiris_util.Stats.add samples (Time.to_float_us (Engine.now eng - t0))
-      done;
-      Engine.stop eng);
-  Engine.run ~until:(Time.s 5) eng;
+  (* The first ping waits 2 ms for the bulk flow to saturate. *)
+  let small_rtt_us =
+    Measure.rtt eng ~settle:(Time.ms 2) ~rounds:12 (fun pong ->
+        Demux.bind (Adc.demux app_b) ~vci:vci_small ~name:"echo"
+          (fun ~vci msg ->
+            let len = Msg.length msg in
+            Msg.dispose msg;
+            Adc.send app_b ~vci (Msg.alloc (Adc.vspace app_b) ~len ()));
+        Demux.bind (Adc.demux app_a) ~vci:vci_small ~name:"pong"
+          (fun ~vci:_ msg ->
+            Msg.dispose msg;
+            pong ());
+        fun () ->
+          Adc.send app_a ~vci:vci_small (Adc.alloc_msg app_a ~len:64 ()))
+  in
   {
-    small_rtt_us = Osiris_util.Stats.mean samples;
-    bulk_mbps =
-      Report.mbps ~bytes_count:!bulk_bytes ~ns:(Engine.now eng);
+    small_rtt_us;
+    bulk_mbps = Report.mbps ~bytes_count:!bulk_bytes ~ns:(Engine.now eng);
   }
 
 let table () =

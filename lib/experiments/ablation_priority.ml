@@ -47,12 +47,12 @@ let run ?(overload = true) () =
   in
   Board.start_fictitious_source host.Host.board ~pdus ();
   Host.start host;
-  Engine.run ~until:(Time.ms 30) eng;
-  let h0 = !high_bytes and t0 = Engine.now eng in
-  Engine.run ~until:(t0 + Time.ms 40) eng;
-  let ns = Engine.now eng - t0 in
+  let h0, h1, ns =
+    Measure.window eng ~warmup:(Time.ms 30) ~span:(Time.ms 40) (fun () ->
+        !high_bytes)
+  in
   {
-    high_mbps = Report.mbps ~bytes_count:(!high_bytes - h0) ~ns;
+    high_mbps = Report.mbps ~bytes_count:(h1 - h0) ~ns;
     low_mbps = Report.mbps ~bytes_count:!low_bytes ~ns:(Engine.now eng);
     board_drops = (Board.stats host.Host.board).Board.pdus_dropped_no_buffer;
   }

@@ -18,8 +18,6 @@ type result = {
   combined_fraction : float;
 }
 
-let raw_vci = 9
-
 let run ~strategy ~skew_us ?(pdus = 64) () =
   let eng = Engine.create () in
   let machine = Machine.dec3000_600 in
@@ -47,17 +45,15 @@ let run ~strategy ~skew_us ?(pdus = 64) () =
         [| 0; Time.us skew_us; 2 * Time.us skew_us; 3 * Time.us skew_us |];
     }
   in
-  ignore (Network.connect eng ~link a b);
-  Board.bind_vci a.Host.board ~vci:raw_vci (Board.kernel_channel a.Host.board);
-  Board.bind_vci b.Host.board ~vci:raw_vci (Board.kernel_channel b.Host.board);
+  Measure.bind_raw (Network.connect eng ~link a b);
   let delivered = ref 0 in
-  Demux.bind b.Host.demux ~vci:raw_vci ~name:"sink" (fun ~vci:_ msg ->
+  Demux.bind b.Host.demux ~vci:Measure.raw_vci ~name:"sink" (fun ~vci:_ msg ->
       incr delivered;
       Msg.dispose msg);
   let pdu_size = 16 * 1024 in
   Process.spawn eng ~name:"source" (fun () ->
       for _ = 1 to pdus do
-        Driver.send a.Host.driver ~vci:raw_vci
+        Driver.send a.Host.driver ~vci:Measure.raw_vci
           (Msg.alloc a.Host.vs ~len:pdu_size ());
         (* Pace below the receiver's skew-degraded drain rate: the point
            under test is reassembly correctness and the combining rate,

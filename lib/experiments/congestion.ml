@@ -135,7 +135,7 @@ let run ?(senders = 6) ?(queue_cells = 48) ?(marking = false)
   Option.iter
     (fun p ->
       ignore
-        (Injector.inject_fabric eng ~plan:p ~switch:sw
+        (Injector.inject_topology eng ~plan:p ~switches:topo.Network.switches
            ~trunks:topo.Network.trunks ());
       ignore
         (Injector.inject eng ~plan:p
@@ -324,7 +324,7 @@ let soak_plan ~seed ~horizon ~port =
   let hp = Time.us (50 + Rng.int rng 400) in
   {
     base with
-    Plan.port_flap = [ (port, w, hp) ];
+    Plan.sw_flap = [ (0, port, w, hp) ];
     trunk_loss =
       [ { Plan.b_from = w.Plan.w_from; b_until = w.Plan.w_until; prob = 0.001 } ];
   }

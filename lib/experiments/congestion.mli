@@ -10,7 +10,7 @@
 
     {!soak} replays the transfer under seeded random fault plans — link
     bursts, carrier outages, receive squeezes, plus a port-flap storm on
-    the receiver's switch port and a trunk-loss burst — requiring every
+    the receiver's switch port ([swflap#0.0]) and a trunk-loss burst — requiring every
     stream to finish byte-exact with bounded retransmission and zero
     invariant violations. *)
 
@@ -59,7 +59,7 @@ val run :
     every host. The switch runs early/partial packet discard sized to
     one segment PDU, so contention sheds whole PDUs (clean losses the
     sack machinery recovers in a round trip) instead of cutting cells
-    out of the middle of them. [plan] additionally arms a fabric
+    out of the middle of them. [plan] additionally arms a topology
     injector on the switch and a host-link injector on the receiver's
     downlink. The engine runs until every connection is terminal (or
     [cap]), then a grace period, then the audit. *)

@@ -10,8 +10,6 @@ module Demux = Osiris_xkernel.Demux
 module Plan = Osiris_fault.Plan
 module Injector = Osiris_fault.Injector
 
-let raw_vci = 9
-
 type outcome = {
   seed : int;
   plan : string;
@@ -86,10 +84,9 @@ let run ?(seed = 1) ?(msgs = 60) ?(horizon = Time.ms 20) ?plan () =
           ~nlinks:(Atm_link.config net.Network.a_to_b).Atm_link.nlinks
           ~seed ~horizon ()
   in
-  Board.bind_vci a.Host.board ~vci:raw_vci (Board.kernel_channel a.Host.board);
-  Board.bind_vci b.Host.board ~vci:raw_vci (Board.kernel_channel b.Host.board);
+  Measure.bind_raw net;
   let sk = sink () in
-  Demux.bind b.Host.demux ~vci:raw_vci ~name:"soak-sink"
+  Demux.bind b.Host.demux ~vci:Measure.raw_vci ~name:"soak-sink"
     (deliver sk ~msg_size);
   (* Spread the sends over 70% of the horizon so every fault window sees
      traffic, leaving the tail for recovery timers to drain. *)
@@ -98,7 +95,7 @@ let run ?(seed = 1) ?(msgs = 60) ?(horizon = Time.ms 20) ?plan () =
       for i = 0 to msgs - 1 do
         let m = Msg.alloc a.Host.vs ~len:msg_size () in
         Msg.blit_into m ~off:0 ~src:(fill_pattern ~msg:i ~len:msg_size);
-        Driver.send a.Host.driver ~vci:raw_vci m;
+        Driver.send a.Host.driver ~vci:Measure.raw_vci m;
         Process.sleep eng gap
       done);
   let inj =

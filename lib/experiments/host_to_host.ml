@@ -11,16 +11,16 @@ module Udp = Osiris_proto.Udp
    between two hosts, measured over the 40 ms after a 40 ms warm-up. *)
 let throughput ~machine ~dma =
   let msg_size = 64 * 1024 and window_ms = 40 in
-  let eng = Engine.create () in
-  let cfg =
+  let config =
     {
       Host.default_config with
       board = { Board.default_config with Board.dma_mode = dma };
     }
   in
-  let a = Host.create eng machine ~addr:0x0a000001l cfg in
-  let b = Host.create eng machine ~addr:0x0a000002l { cfg with seed = 43 } in
-  ignore (Network.connect eng a b);
+  let eng, net =
+    Network.pair ~machine_a:machine ~machine_b:machine ~config ()
+  in
+  let a = net.Network.a and b = net.Network.b in
   let bytes = ref 0 in
   Host.new_udp_test_receiver b ~port:7 ~on_msg:(fun ~len ->
       bytes := !bytes + len);
@@ -31,11 +31,11 @@ let throughput ~machine ~dma =
         loop ()
       in
       loop ());
-  Engine.run ~until:(Time.ms window_ms) eng;
-  let base = !bytes in
-  let t0 = Engine.now eng in
-  Engine.run ~until:(t0 + Time.ms window_ms) eng;
-  Report.mbps ~bytes_count:(!bytes - base) ~ns:(Engine.now eng - t0)
+  let b0, b1, ns =
+    Measure.window eng ~warmup:(Time.ms window_ms) ~span:(Time.ms window_ms)
+      (fun () -> !bytes)
+  in
+  Report.mbps ~bytes_count:(b1 - b0) ~ns
 
 let table () =
   let machine = Machine.dec3000_600 in

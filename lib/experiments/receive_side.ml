@@ -61,12 +61,11 @@ let throughput ~machine ~variant ~msg_size ?(window_ms = 60) () =
   let bytes_got = ref 0 in
   Host.new_udp_test_receiver host ~port:7 ~on_msg:(fun ~len ->
       bytes_got := !bytes_got + len);
-  (* Warm-up, then measure. *)
-  Engine.run ~until:(Time.ms window_ms) eng;
-  let base = !bytes_got in
-  let t0 = Engine.now eng in
-  Engine.run ~until:(t0 + Time.ms window_ms) eng;
-  Report.mbps ~bytes_count:(!bytes_got - base) ~ns:(Engine.now eng - t0)
+  let b0, b1, ns =
+    Measure.window eng ~warmup:(Time.ms window_ms) ~span:(Time.ms window_ms)
+      (fun () -> !bytes_got)
+  in
+  Report.mbps ~bytes_count:(b1 - b0) ~ns
 
 let figure ~machine ~variants ~title ~paper_note =
   let series =

@@ -1,4 +1,3 @@
-open Osiris_sim
 module Host = Osiris_core.Host
 module Network = Osiris_core.Network
 module Machine = Osiris_core.Machine
@@ -10,67 +9,49 @@ module Udp = Osiris_proto.Udp
 
 type proto = Raw_atm | Udp_ip
 
-let raw_vci = 9
-
 (* One ping-pong experiment: returns mean RTT in microseconds. *)
 let rtt_with_locking ~locking ~machine ~proto ~msg_size ?(rounds = 16) () =
-  let eng = Engine.create () in
-  let cfg =
+  let config =
     {
       Host.default_config with
       board = { Board.default_config with Board.locking };
     }
   in
-  let a = Host.create eng machine ~addr:0x0a000001l cfg in
-  let b = Host.create eng machine ~addr:0x0a000002l { cfg with seed = 43 } in
-  let net = Network.connect eng a b in
-  ignore net;
-  let pong = Mailbox.create eng ~empty:() () in
-  (* Wire up the echo service on B and the pong notifier on A. *)
-  (match proto with
-  | Raw_atm ->
-      Board.bind_vci a.Host.board ~vci:raw_vci (Board.kernel_channel a.Host.board);
-      Board.bind_vci b.Host.board ~vci:raw_vci (Board.kernel_channel b.Host.board);
-      Demux.bind b.Host.demux ~vci:raw_vci ~name:"echo" (fun ~vci msg ->
-          let len = Msg.length msg in
-          Msg.dispose msg;
-          let reply = Msg.alloc b.Host.vs ~len () in
-          Driver.send b.Host.driver ~vci reply);
-      Demux.bind a.Host.demux ~vci:raw_vci ~name:"pong" (fun ~vci:_ msg ->
-          Msg.dispose msg;
-          ignore (Mailbox.try_send pong ()))
-  | Udp_ip ->
-      Udp.bind b.Host.udp ~port:7 (fun ~src ~src_port msg ->
-          let len = Msg.length msg in
-          Msg.dispose msg;
-          let reply = Msg.alloc b.Host.vs ~len () in
-          Udp.output b.Host.udp ~dst:src ~src_port:7 ~dst_port:src_port reply);
-      Udp.bind a.Host.udp ~port:9 (fun ~src:_ ~src_port:_ msg ->
-          Msg.dispose msg;
-          ignore (Mailbox.try_send pong ())));
-  let send_ping () =
-    let msg = Msg.alloc a.Host.vs ~len:msg_size () in
-    match proto with
-    | Raw_atm -> Driver.send a.Host.driver ~vci:raw_vci msg
-    | Udp_ip ->
-        Udp.output a.Host.udp ~dst:b.Host.addr ~src_port:9 ~dst_port:7 msg
+  let eng, net =
+    Network.pair ~machine_a:machine ~machine_b:machine ~config ()
   in
-  let warmup = 4 in
-  let samples = Osiris_util.Stats.create () in
-  Process.spawn eng ~name:"pinger" (fun () ->
-      for i = 1 to warmup + rounds do
-        let t0 = Engine.now eng in
-        send_ping ();
-        let () = Mailbox.recv pong in
-        let dt = Engine.now eng - t0 in
-        if i > warmup then
-          Osiris_util.Stats.add samples (Time.to_float_us dt)
-      done;
-      Engine.stop eng);
-  Engine.run ~until:(Time.s 30) eng;
-  if Osiris_util.Stats.count samples < rounds then
-    failwith "Table1.rtt: ping-pong did not complete";
-  Osiris_util.Stats.mean samples
+  let a = net.Network.a and b = net.Network.b in
+  (* Wire up the echo service on B and the pong notifier on A. *)
+  Measure.rtt eng ~rounds (fun pong ->
+      match proto with
+      | Raw_atm ->
+          Measure.bind_raw net;
+          Demux.bind b.Host.demux ~vci:Measure.raw_vci ~name:"echo"
+            (fun ~vci msg ->
+              let len = Msg.length msg in
+              Msg.dispose msg;
+              let reply = Msg.alloc b.Host.vs ~len () in
+              Driver.send b.Host.driver ~vci reply);
+          Demux.bind a.Host.demux ~vci:Measure.raw_vci ~name:"pong"
+            (fun ~vci:_ msg ->
+              Msg.dispose msg;
+              pong ());
+          fun () ->
+            Driver.send a.Host.driver ~vci:Measure.raw_vci
+              (Msg.alloc a.Host.vs ~len:msg_size ())
+      | Udp_ip ->
+          Udp.bind b.Host.udp ~port:7 (fun ~src ~src_port msg ->
+              let len = Msg.length msg in
+              Msg.dispose msg;
+              let reply = Msg.alloc b.Host.vs ~len () in
+              Udp.output b.Host.udp ~dst:src ~src_port:7 ~dst_port:src_port
+                reply);
+          Udp.bind a.Host.udp ~port:9 (fun ~src:_ ~src_port:_ msg ->
+              Msg.dispose msg;
+              pong ());
+          fun () ->
+            Udp.output a.Host.udp ~dst:b.Host.addr ~src_port:9 ~dst_port:7
+              (Msg.alloc a.Host.vs ~len:msg_size ()))
 
 let rtt ~machine ~proto ~msg_size ?rounds () =
   rtt_with_locking ~locking:Osiris_board.Desc_queue.Lock_free ~machine ~proto

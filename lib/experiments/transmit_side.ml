@@ -39,14 +39,11 @@ let throughput ~machine ~checksum ~msg_size ?(window_ms = 60) () =
   (* Measure at the adaptor (cells actually put on the wire), not at the
      driver queue, so in-flight transmit-queue contents do not inflate the
      rate. Cell data includes framing overhead (~1%). *)
-  Engine.run ~until:(Time.ms window_ms) eng;
-  let cells0 = (Board.stats host.Host.board).Board.cells_sent in
-  let t0 = Engine.now eng in
-  Engine.run ~until:(t0 + Time.ms window_ms) eng;
-  let cells1 = (Board.stats host.Host.board).Board.cells_sent in
-  Report.mbps
-    ~bytes_count:((cells1 - cells0) * Osiris_atm.Cell.data_size)
-    ~ns:(Engine.now eng - t0)
+  let cells0, cells1, ns =
+    Measure.window eng ~warmup:(Time.ms window_ms) ~span:(Time.ms window_ms)
+      (fun () -> (Board.stats host.Host.board).Board.cells_sent)
+  in
+  Report.mbps ~bytes_count:((cells1 - cells0) * Osiris_atm.Cell.data_size) ~ns
 
 let figure4 () =
   let curve label machine checksum =

@@ -138,58 +138,6 @@ let disarm t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Fabric faults: the plan dimensions that live on a switch (port-flap
-   storms) and its trunk links (cell-loss bursts) rather than on a
-   host's own link. A separate injector because one plan may drive one
-   host-link injector per sender plus a single fabric injector. *)
-
-type fabric = {
-  f_plan : Plan.t;
-  f_switch : Switch.t;
-  f_trunks : Atm_link.t array;
-  f_trunk_base : float array; (* configured drop_prob per trunk *)
-  f_events : Metrics.counter;
-}
-
-let apply_fabric t now =
-  let k = Plan.knobs_at t.f_plan now in
-  let nports = (Switch.config t.f_switch).Switch.nports in
-  for p = 0 to nports - 1 do
-    Switch.set_port_state t.f_switch ~port:p
-      (not (List.mem p k.Plan.k_port_down))
-  done;
-  Array.iteri
-    (fun i link ->
-      Atm_link.set_drop_prob link
-        (Float.max t.f_trunk_base.(i) k.Plan.k_trunk_loss))
-    t.f_trunks
-
-let inject_fabric eng ~plan ~switch ?(trunks = [||]) () =
-  let t =
-    {
-      f_plan = plan;
-      f_switch = switch;
-      f_trunks = trunks;
-      f_trunk_base =
-        Array.map (fun l -> (Atm_link.config l).Atm_link.drop_prob) trunks;
-      f_events = Metrics.counter "fault.fabric_events";
-    }
-  in
-  Trace.emitf Trace.Fault ~now:(Engine.now eng) "inject fabric plan [%s]"
-    (Plan.to_string plan);
-  let now = Engine.now eng in
-  List.iter
-    (fun time ->
-      if time > now then
-        ignore
-          (Engine.schedule_at eng ~time (fun () ->
-               Metrics.incr t.f_events;
-               apply_fabric t time)))
-    (Plan.boundaries plan);
-  apply_fabric t now;
-  t
-
-(* ------------------------------------------------------------------ *)
 (* Topology faults: the dimensions that address a generated fabric as a
    whole — [swflap#S.P] storms port P of switch S, [trunkdown#T] cuts
    every striped channel of both directed links of trunk T, and

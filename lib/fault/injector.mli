@@ -38,35 +38,17 @@ val disarm : t -> unit
     carriers, zero the interrupt-loss probability and deactivate pending
     boundary events. Used before measuring quiescence. *)
 
-(** {2 Fabric faults}
-
-    The plan's switch-level dimensions: [portflap#N@a-b=hp] storms an
-    output port's carrier through {!Osiris_switch.Switch.set_port_state}
-    (a down port stops draining, so its queue fills and overflows) and
-    [trunkloss@a-b=p] raises the cell-drop probability of the
-    inter-switch trunk links. One plan can drive host-link injectors and
-    a fabric injector side by side; they share its boundary list. *)
-
-type fabric
-
-val inject_fabric :
-  Osiris_sim.Engine.t ->
-  plan:Plan.t ->
-  switch:Osiris_switch.Switch.t ->
-  ?trunks:Osiris_link.Atm_link.t array ->
-  unit ->
-  fabric
-(** Arm the plan's fabric dimensions on [switch] and, for chain
-    topologies, on its [trunks] (e.g.
-    {!Osiris_core.Network.topology.trunks}). *)
-
 (** {2 Topology faults}
 
-    The plan's fabric-wide dimensions over a {e generated} topology:
-    [swflap#S.P@a-b=hp] storms port [P] of switch [S],
+    The plan's switch-level dimensions over a topology of one or more
+    switches: [swflap#S.P@a-b=hp] storms the carrier of port [P] of
+    switch [S] through {!Osiris_switch.Switch.set_port_state} (a down
+    port stops draining, so its queue fills and overflows),
     [trunkdown#T@a-b] cuts every striped channel of both directed links
     of trunk [T] for the window, and [trunkloss@a-b=p] raises the
-    cell-drop probability of every trunk link at once. *)
+    cell-drop probability of every trunk link at once. One plan can
+    drive host-link injectors and a topology injector side by side; they
+    share its boundary list. *)
 
 type topo
 

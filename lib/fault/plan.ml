@@ -16,7 +16,6 @@ type t = {
   irq_loss_ch : (int * burst) list;
   free_starve : (int * window) list;
   flap : (int * window * Time.t) list;
-  port_flap : (int * window * Time.t) list;
   trunk_loss : burst list;
   sw_flap : (int * int * window * Time.t) list;
   trunk_down : (int * window) list;
@@ -35,7 +34,6 @@ let none =
     irq_loss_ch = [];
     free_starve = [];
     flap = [];
-    port_flap = [];
     trunk_loss = [];
     sw_flap = [];
     trunk_down = [];
@@ -54,12 +52,9 @@ type knobs = {
   k_down : int list;  (* channels whose carrier is cut *)
   k_squeeze : int option;  (* tightest active rx-FIFO capacity *)
   k_free_starve : int list;  (* channels whose free queue is withheld *)
-  k_port_down : int list;  (* switch output ports with the carrier cut *)
   k_trunk_loss : float;  (* cell-drop probability on inter-switch trunks *)
   k_sw_port_down : (int * int) list;
-      (* (switch, port) pairs with the carrier cut — the topology-wide
-         form of [k_port_down], addressing a port of a named switch in a
-         generated fabric *)
+      (* (switch, port) pairs with the carrier cut *)
   k_trunk_down : int list;  (* fabric trunk indices whose links are cut *)
 }
 
@@ -121,16 +116,10 @@ let knobs_at t now =
            (fun (ch, w) ->
              if now >= w.w_from && now < w.w_until then Some ch else None)
            t.free_starve);
-    k_port_down =
-      (* Port storms reuse the link-flap half-period model: down on even
-         half-periods of the window, restored when it closes. *)
-      List.sort_uniq compare
-        (List.filter_map
-           (fun (p, w, hp) ->
-             if flap_is_down (w, hp) now then Some p else None)
-           t.port_flap);
     k_trunk_loss = active_prob t.trunk_loss now;
     k_sw_port_down =
+      (* Port storms reuse the link-flap half-period model: down on even
+         half-periods of the window, restored when it closes. *)
       List.sort_uniq compare
         (List.filter_map
            (fun (s, p, w, hp) ->
@@ -173,7 +162,6 @@ let boundaries t =
       List.concat_map (fun (_, w) -> of_window w) t.rx_squeeze;
       List.concat_map (fun (_, w) -> of_window w) t.free_starve;
       List.concat_map of_flap t.flap;
-      List.concat_map (fun (p, w, hp) -> of_flap (p, w, hp)) t.port_flap;
       List.concat_map of_burst t.trunk_loss;
       List.concat_map (fun (_, _, w, hp) -> of_flap ((), w, hp)) t.sw_flap;
       List.concat_map (fun (_, w) -> of_window w) t.trunk_down;
@@ -217,7 +205,6 @@ let random ?(nlinks = 4) ~seed ~horizon () =
     irq_loss_ch = [];
     free_starve = [];
     flap = [];
-    port_flap = [];
     trunk_loss = [];
     sw_flap = [];
     trunk_down = [];
@@ -255,10 +242,6 @@ let to_string t =
         (fun (l, w, hp) ->
           Printf.sprintf "flap#%d@%d-%d=%d" l w.w_from w.w_until hp)
         t.flap
-    @ List.map
-        (fun (p, w, hp) ->
-          Printf.sprintf "portflap#%d@%d-%d=%d" p w.w_from w.w_until hp)
-        t.port_flap
     @ List.map (sprint_burst "trunkloss") t.trunk_loss
     @ List.map
         (fun (s, p, w, hp) ->
@@ -365,18 +348,6 @@ let of_string s =
                 free_starve =
                   !t.free_starve @ [ (req_arg (), { w_from; w_until }) ];
               }
-        | "portflap" -> (
-            match String.split_on_char '=' rest with
-            | [ range; hp ] ->
-                let w_from, w_until = parse_range range in
-                t :=
-                  {
-                    !t with
-                    port_flap =
-                      !t.port_flap
-                      @ [ (req_arg (), { w_from; w_until }, parse_time hp) ];
-                  }
-            | _ -> failwith ("Fault_plan: bad portflap " ^ part))
         | "swflap" -> (
             match String.split_on_char '=' rest with
             | [ range; hp ] ->

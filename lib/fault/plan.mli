@@ -53,21 +53,15 @@ type t = {
           link toggles down/up every half-period for the whole window,
           starting down ([flap#N@a-b=hp]; pick a half-period shorter
           than one PDU's wire time to stress re-striping) *)
-  port_flap : (int * window * Osiris_sim.Time.t) list;
-      (** (switch output port, storm window, half-period): fabric-level
-          carrier flap — the switch port stops draining on the down
-          half-periods, so its queue fills and overflows while transport
-          retransmissions ride out the storm ([portflap#N@a-b=hp]).
-          Applied by {!Injector.inject_fabric}. *)
   trunk_loss : burst list;
-      (** cell-drop bursts on the inter-switch trunk links of a chain
-          topology ([trunkloss@a-b=p]); applied by
-          {!Injector.inject_fabric} *)
+      (** cell-drop bursts on the inter-switch trunk links
+          ([trunkloss@a-b=p]); applied by {!Injector.inject_topology} *)
   sw_flap : (int * int * window * Osiris_sim.Time.t) list;
-      (** (switch, port, storm window, half-period): the topology-wide
-          form of [port_flap], addressing one port of one switch in a
-          generated fabric ([swflap#S.P@a-b=hp]); applied by
-          {!Injector.inject_topology} *)
+      (** (switch, port, storm window, half-period): fabric-level
+          carrier flap of one output port of one switch — the port stops
+          draining on the down half-periods, so its queue fills and
+          overflows while transport retransmissions ride out the storm
+          ([swflap#S.P@a-b=hp]); applied by {!Injector.inject_topology} *)
   trunk_down : (int * window) list;
       (** (trunk index, outage window): a clean bidirectional cut of one
           fabric trunk — all striped channels of both directed links down
@@ -93,9 +87,6 @@ type knobs = {
           half-periods of flap storms) *)
   k_squeeze : int option;
   k_free_starve : int list;  (** channels whose free queue is withheld *)
-  k_port_down : int list;
-      (** switch output ports down right now (down half-periods of
-          port-flap storms) *)
   k_trunk_loss : float;  (** trunk cell-drop probability right now *)
   k_sw_port_down : (int * int) list;
       (** (switch, port) pairs down right now (down half-periods of

@@ -118,7 +118,7 @@ val start : t -> unit
 
 val set_port_state : t -> port:int -> bool -> unit
 (** Raise ([true]) or cut ([false]) an output port's carrier — the
-    fabric-level fault dimension ([portflap#N] plans). A down port stops
+    fabric-level fault dimension ([swflap#S.P] plans). A down port stops
     draining: cells routed to it still enqueue, and once the queue
     stands full they are overflow-dropped, so the conservation law is
     untouched. The one cell already in the forwarding latency finishes

@@ -1,7 +1,7 @@
 type t = {
   id : int;
   vci : int;
-  domains : Osiris_os.Domain.t list;
+  crossings : int;
 }
 
 type registry = {
@@ -12,9 +12,9 @@ type registry = {
 
 let create_registry demux = { demux; next_id = 1; paths = [] }
 
-let establish reg ~name ~domains ~handler =
+let establish reg ~name ~crossings ~handler =
   let vci = Demux.fresh_vci reg.demux in
-  let path = { id = reg.next_id; vci; domains } in
+  let path = { id = reg.next_id; vci; crossings } in
   reg.next_id <- reg.next_id + 1;
   Demux.bind reg.demux ~vci ~name (fun ~vci:_ msg -> handler path msg);
   reg.paths <- path :: reg.paths;
@@ -25,7 +25,5 @@ let tear_down reg path =
   reg.paths <- List.filter (fun p -> p.id <> path.id) reg.paths
 
 let find reg ~vci = List.find_opt (fun p -> p.vci = vci) reg.paths
-
-let crossings path = Int.max 0 (List.length path.domains - 1)
 
 let active reg = reg.paths

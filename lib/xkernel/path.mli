@@ -7,17 +7,17 @@
     by the device driver."
 
     A path here records that binding: a stable id (the key fbuf pools are
-    cached under), the VCI the adaptor demultiplexes on, and the chain of
-    protection domains its messages traverse (driver → protocol server(s)
-    → application), which is what the fbuf transfer costs depend on. VCIs
-    are treated as an abundant resource: every connection gets one for its
-    lifetime. *)
+    cached under), the VCI the adaptor demultiplexes on, and how many
+    protection-domain boundaries its messages cross (driver → protocol
+    server(s) → application), which is what the fbuf transfer costs
+    depend on. VCIs are treated as an abundant resource: every connection
+    gets one for its lifetime. *)
 
 type t = {
   id : int;  (** stable identifier; the fbuf path-cache key *)
   vci : int;
-  domains : Osiris_os.Domain.t list;
-      (** protection domains the path crosses, in delivery order *)
+  crossings : int;
+      (** protection-domain boundaries a delivered message must cross *)
 }
 
 type registry
@@ -29,19 +29,17 @@ val create_registry : Demux.t -> registry
 val establish :
   registry ->
   name:string ->
-  domains:Osiris_os.Domain.t list ->
+  crossings:int ->
   handler:(t -> Msg.t -> unit) ->
   t
 (** Open a path: allocate a fresh VCI, bind the handler (which receives
-    the path itself, so it can consult [domains] for transfer costs), and
+    the path itself, so it can consult [crossings] for transfer costs), and
     register the path for its lifetime. *)
 
 val tear_down : registry -> t -> unit
 (** Release the path and its VCI. *)
 
 val find : registry -> vci:int -> t option
-val crossings : t -> int
-(** Protection-domain boundaries a delivered message must cross. *)
 
 val active : registry -> t list
 (** Currently established paths, most recent first. *)

@@ -238,6 +238,42 @@ let test_demux_scale_smoke () =
     && d.Osiris_classify.Table.p99_probe
        <= d.Osiris_classify.Table.max_probe)
 
+(* The measurement harness on synthetic peers: a ping nobody answers, an
+   echo a fixed 100 us after each ping, and a counter growing at a known
+   rate. *)
+let test_measure_unanswered () =
+  let eng = Osiris_sim.Engine.create () in
+  match Measure.rtt eng ~rounds:3 (fun _pong () -> ()) with
+  | _ -> Alcotest.fail "an unanswered ping-pong returned a mean"
+  | exception Failure _ -> ()
+
+let test_measure_fixed_echo () =
+  let eng = Osiris_sim.Engine.create () in
+  let pings = ref 0 in
+  let mean =
+    Measure.rtt eng ~rounds:5 (fun pong () ->
+        incr pings;
+        ignore (Osiris_sim.Engine.schedule eng ~delay:(Osiris_sim.Time.us 100) pong))
+  in
+  Alcotest.(check (float 0.0)) "mean RTT" 100.0 mean;
+  Alcotest.(check int) "4 warm-ups + rounds pings" 9 !pings
+
+let test_measure_window_rate () =
+  let eng = Osiris_sim.Engine.create () in
+  let count = ref 0 in
+  let rec tick () =
+    count := !count + 3;
+    ignore (Osiris_sim.Engine.schedule eng ~delay:(Osiris_sim.Time.us 1) tick)
+  in
+  tick ();
+  let c0, c1, ns =
+    Measure.window eng ~warmup:(Osiris_sim.Time.us 50)
+      ~span:(Osiris_sim.Time.us 200) (fun () -> !count)
+  in
+  Alcotest.(check int) "window length" (Osiris_sim.Time.us 200) ns;
+  Alcotest.(check (float 0.0)) "3 per us" 3.0
+    (float_of_int (c1 - c0) /. Osiris_sim.Time.to_float_us ns)
+
 let test_registry_complete () =
   let ids = Registry.ids () in
   List.iter
@@ -275,4 +311,9 @@ let suite =
       test_congestion_deterministic;
     Alcotest.test_case "registry sanity" `Quick test_registry_complete;
     Alcotest.test_case "demux_scale smoke" `Quick test_demux_scale_smoke;
+    Alcotest.test_case "measure: unanswered ping fails" `Quick
+      test_measure_unanswered;
+    Alcotest.test_case "measure: fixed 100 us echo" `Quick
+      test_measure_fixed_echo;
+    Alcotest.test_case "measure: window rate" `Quick test_measure_window_rate;
   ]

@@ -598,25 +598,19 @@ let test_plan_roundtrip () =
      coincide with the first toggle and the close). *)
   Alcotest.(check int) "flap storm boundary count" 51
     (List.length (Plan.boundaries f));
-  (* Fabric dimensions: port-flap storms and trunk-loss bursts. *)
-  let g = Plan.of_string "portflap#1@2ms-4ms=100us;trunkloss@1ms-3ms=0.2" in
-  Alcotest.(check string) "portflap/trunkloss round-trip" (Plan.to_string g)
-    (Plan.to_string (Plan.of_string (Plan.to_string g)));
-  Alcotest.(check (list int)) "port 1 down on an even half-period" [ 1 ]
-    (Plan.knobs_at g (Time.ms 2 + Time.us 20)).Plan.k_port_down;
-  Alcotest.(check (list int)) "port 1 up on an odd half-period" []
-    (Plan.knobs_at g (Time.ms 2 + Time.us 120)).Plan.k_port_down;
-  Alcotest.(check (float 1e-9)) "trunk loss active" 0.2
-    (Plan.knobs_at g (Time.ms 2)).Plan.k_trunk_loss;
-  Alcotest.(check (float 1e-9)) "trunk loss over" 0.0
-    (Plan.knobs_at g (Time.ms 3)).Plan.k_trunk_loss;
-  Alcotest.(check (list int)) "port restored after the storm" []
-    (Plan.knobs_at g (Time.ms 5)).Plan.k_port_down;
-  (* Topology dimensions: switch-addressed port storms and clean trunk
-     cuts over a generated fabric. *)
-  let h = Plan.of_string "swflap#3.2@2ms-4ms=100us;trunkdown#5@1ms-3ms" in
-  Alcotest.(check string) "swflap/trunkdown round-trip" (Plan.to_string h)
+  (* Topology dimensions: switch-addressed port storms, clean trunk
+     cuts and trunk-loss bursts over a generated fabric. *)
+  let h =
+    Plan.of_string
+      "swflap#3.2@2ms-4ms=100us;trunkdown#5@1ms-3ms;trunkloss@1ms-3ms=0.2"
+  in
+  Alcotest.(check string) "swflap/trunkdown/trunkloss round-trip"
+    (Plan.to_string h)
     (Plan.to_string (Plan.of_string (Plan.to_string h)));
+  Alcotest.(check (float 1e-9)) "trunk loss active" 0.2
+    (Plan.knobs_at h (Time.ms 2)).Plan.k_trunk_loss;
+  Alcotest.(check (float 1e-9)) "trunk loss over" 0.0
+    (Plan.knobs_at h (Time.ms 3)).Plan.k_trunk_loss;
   Alcotest.(check (list (pair int int)))
     "switch 3 port 2 down on an even half-period"
     [ (3, 2) ]
@@ -668,7 +662,6 @@ let qcheck_plan_roundtrip =
     list_size (0 -- 2) (pair (0 -- 5) burst) >>= fun irq_loss_ch ->
     windows >>= fun free_starve ->
     storms >>= fun flap ->
-    storms >>= fun port_flap ->
     bursts >>= fun trunk_loss ->
     list_size (0 -- 2) (quad (0 -- 5) (0 -- 5) window (time 10 500))
     >>= fun sw_flap ->
@@ -685,7 +678,6 @@ let qcheck_plan_roundtrip =
       irq_loss_ch;
       free_starve;
       flap;
-      port_flap;
       trunk_loss;
       sw_flap;
       trunk_down;

@@ -4,7 +4,6 @@ open Osiris_sim
 module Cpu = Osiris_os.Cpu
 module Irq = Osiris_os.Irq
 module Wiring = Osiris_os.Wiring
-module Domain = Osiris_os.Domain
 module Vspace = Osiris_mem.Vspace
 module Phys_mem = Osiris_mem.Phys_mem
 
@@ -115,8 +114,6 @@ let test_wiring_policies () =
 let test_domains () =
   let mem = Phys_mem.create ~size:(1 lsl 20) ~page_size:4096 () in
   let vs1 = Vspace.create mem and vs2 = Vspace.create mem in
-  let u = Domain.create ~name:"app" in
-  Alcotest.(check string) "name" "app" (Domain.name u);
   (* Separate address spaces: same vaddr can map different frames. *)
   let a1 = Vspace.alloc vs1 ~len:4096 and a2 = Vspace.alloc vs2 ~len:4096 in
   Alcotest.(check bool) "independent translations" true

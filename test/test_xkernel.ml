@@ -137,16 +137,14 @@ let test_demux () =
 let test_paths () =
   let d = Demux.create () in
   let reg = Osiris_xkernel.Path.create_registry d in
-  let driver = Osiris_os.Domain.create ~name:"driver" in
-  let app = Osiris_os.Domain.create ~name:"app" in
   let got = ref 0 in
   let p =
-    Osiris_xkernel.Path.establish reg ~name:"conn-1" ~domains:[ driver; app ]
+    Osiris_xkernel.Path.establish reg ~name:"conn-1" ~crossings:1
       ~handler:(fun path msg ->
-        got := Osiris_xkernel.Path.crossings path + Msg.length msg;
+        got := path.Osiris_xkernel.Path.crossings + Msg.length msg;
         Msg.dispose msg)
   in
-  Alcotest.(check int) "one boundary" 1 (Osiris_xkernel.Path.crossings p);
+  Alcotest.(check int) "one boundary" 1 p.Osiris_xkernel.Path.crossings;
   Alcotest.(check bool) "registered" true
     (Osiris_xkernel.Path.find reg ~vci:p.Osiris_xkernel.Path.vci <> None);
   let vs = mk_vs () in
@@ -154,7 +152,7 @@ let test_paths () =
     (Demux.deliver d ~vci:p.Osiris_xkernel.Path.vci (Msg.alloc vs ~len:10 ()));
   Alcotest.(check int) "handler saw crossings + len" 11 !got;
   let q =
-    Osiris_xkernel.Path.establish reg ~name:"conn-2" ~domains:[ driver ]
+    Osiris_xkernel.Path.establish reg ~name:"conn-2" ~crossings:0
       ~handler:(fun _ msg -> Msg.dispose msg)
   in
   Alcotest.(check bool) "fresh vci per path" true
