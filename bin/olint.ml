@@ -15,8 +15,9 @@ let () =
         "FILE policy file (default: olint.policy)" );
       ( "--typed",
         Arg.Set_string typed_root,
-        "DIR also run the typed passes (R5-R7, R9, R10) over .cmt files \
-         under DIR (e.g. _build/default)" );
+        "DIR also run the typed passes over .cmt files under DIR (e.g. \
+         _build/default): R5 hot-path allocation, R6 wall-clock ban, R7 \
+         counter coverage, R9 callers of exports, R10 readers of labels" );
       ( "--format",
         Arg.Symbol
           ([ "plain"; "github" ], fun s -> format := s),

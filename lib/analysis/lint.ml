@@ -37,7 +37,8 @@ let stdlib_min_max = function
       Some f
   | _ -> None
 
-let check_structure policy file structure =
+(* [declare] sees every record label the structure declares. *)
+let check_structure policy ~declare file structure =
   let violations = ref [] in
   let add ~loc rule message =
     violations := { rule; file; line = line_of_loc loc; message } :: !violations
@@ -96,7 +97,18 @@ let check_structure policy file structure =
     | _ -> ());
     Ast_iterator.default_iterator.module_expr it m
   in
-  let iterator = { Ast_iterator.default_iterator with expr; module_expr } in
+  let type_kind (it : Ast_iterator.iterator) (k : Parsetree.type_kind) =
+    (match k with
+    | Ptype_record lds ->
+        List.iter
+          (fun (ld : Parsetree.label_declaration) -> declare ld.pld_name.txt)
+          lds
+    | _ -> ());
+    Ast_iterator.default_iterator.type_kind it k
+  in
+  let iterator =
+    { Ast_iterator.default_iterator with expr; module_expr; type_kind }
+  in
   iterator.structure iterator structure;
   List.rev !violations
 
@@ -109,9 +121,9 @@ let parse_impl file =
       Location.init lexbuf file;
       Parse.implementation lexbuf)
 
-let check_file policy file =
+let lint_file policy ~declare file =
   match parse_impl file with
-  | structure -> check_structure policy file structure
+  | structure -> check_structure policy ~declare file structure
   | exception Syntaxerr.Error err ->
       let loc = Syntaxerr.location_of_error err in
       [
@@ -124,6 +136,8 @@ let check_file policy file =
       ]
   | exception Lexer.Error (_, loc) ->
       [ { rule = "R0"; file; line = line_of_loc loc; message = "lexer error" } ]
+
+let check_file policy file = lint_file policy ~declare:ignore file
 
 let rec walk dir =
   if not (Sys.is_directory dir) then if Filename.check_suffix dir ".ml" then [ dir ] else []
@@ -153,9 +167,33 @@ let check_missing_mli policy root =
 
 let check_tree policy roots =
   let by_file v = (v.file, v.line, v.rule) in
-  List.concat_map
-    (fun root ->
-      List.concat_map (check_file policy) (walk root)
-      @ check_missing_mli policy root)
-    roots
+  let declared = Hashtbl.create 256 in
+  let declare l = Hashtbl.replace declared l () in
+  let vs =
+    List.concat_map
+      (fun root ->
+        List.concat_map (lint_file policy ~declare) (walk root)
+        @ check_missing_mli policy root)
+      roots
+  in
+  (* An [own] or [shared] entry whose field no linted record declares
+     guards nothing: a stale entry, as a stale [hot] entry is for R5. *)
+  let stale kind field =
+    if Hashtbl.mem declared field then None
+    else
+      Some
+        {
+          rule = "R1";
+          file = String.concat " " roots;
+          line = 1;
+          message =
+            Printf.sprintf
+              "%s entry '%s': no record under the linted roots declares this \
+               field (stale policy entry); delete it"
+              kind field;
+        }
+  in
+  vs
+  @ List.filter_map (fun (f, _) -> stale "own" f) policy.Policy.own
+  @ List.filter_map (stale "shared") policy.Policy.shared
   |> List.sort (fun a b -> compare (by_file a) (by_file b))

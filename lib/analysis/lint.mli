@@ -6,7 +6,9 @@
       policy ([own]/[shared]) may be assigned ([<-]) only in its
       declared writer files. This is the paper's lock-free discipline
       (each descriptor-queue pointer has exactly one writer; the other
-      side reads a shadow) as machine-checked policy.
+      side reads a shadow) as machine-checked policy. An [own] or
+      [shared] entry whose field no record under the linted roots
+      declares is itself a violation: a stale entry guards nothing.
     - {b R2 no Obj} — no reference to the [Obj] module: unsafe casts
       could forge descriptors or silently break the ownership model.
     - {b R3 no catch-all / exit} — no [try ... with] arm whose pattern
@@ -38,5 +40,6 @@ val check_missing_mli : Policy.t -> string -> violation list
 
 val check_tree : Policy.t -> string list -> violation list
 (** All rules over the given roots (directories are walked recursively;
-    arguments naming a single [.ml] file are linted directly). Results
-    are sorted by file then line. *)
+    arguments naming a single [.ml] file are linted directly), stale
+    [own]/[shared] entries included. Results are sorted by file then
+    line. *)

@@ -6,9 +6,7 @@ type t = {
   allow : (string * string list) list;
   hot : (string * string) list;
   alloc_free : string list;
-  sim_time : string list;
   wall_clock : string list;
-  clock_conversion : string list;
   coverage_fns : string list;
   uncovered : string list;
 }
@@ -22,9 +20,7 @@ let empty =
     allow = [];
     hot = [];
     alloc_free = [];
-    sim_time = [];
     wall_clock = [];
-    clock_conversion = [];
     coverage_fns = [];
     uncovered = [];
   }
@@ -100,19 +96,15 @@ let of_string s =
       | [ "alloc-free"; name ] ->
           justified "alloc-free";
           { t with alloc_free = t.alloc_free @ [ name ] }
-      | [ "sim-time"; name ] -> { t with sim_time = t.sim_time @ [ name ] }
       | [ "wall-clock"; name ] ->
           { t with wall_clock = t.wall_clock @ [ name ] }
-      | [ "clock-conversion"; name ] ->
-          { t with clock_conversion = t.clock_conversion @ [ name ] }
       | [ "coverage-fn"; name ] ->
           { t with coverage_fns = t.coverage_fns @ [ name ] }
       | [ "uncovered"; name ] ->
           justified "uncovered";
           { t with uncovered = t.uncovered @ [ name ] }
       | (( "scan" | "own" | "shared" | "accessor" | "allow" | "hot"
-         | "alloc-free" | "sim-time" | "wall-clock" | "clock-conversion"
-         | "coverage-fn" | "uncovered" ) as w)
+         | "alloc-free" | "wall-clock" | "coverage-fn" | "uncovered" ) as w)
         :: _ ->
           failwith
             (Printf.sprintf "olint policy line %d: malformed '%s' directive" n
@@ -154,12 +146,5 @@ let exempt t ~rule ~file =
   match List.assoc_opt rule t.allow with
   | None -> false
   | Some files -> List.exists (fun p -> path_matches p file) files
-
-let hot_functions t ~file =
-  List.filter_map
-    (fun (f, fn) -> if path_matches f file then Some fn else None)
-    t.hot
-
-let is_hot t ~file ~fn = List.mem fn (hot_functions t ~file)
 
 let uncovered_ok t name = List.mem name t.uncovered

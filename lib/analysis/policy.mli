@@ -5,7 +5,7 @@
     the host/board shared state (paper §3.1's one-writer-per-pointer
     rule), which modules are the declared accessors of board-visible
     state, which directories are scanned, which functions form the
-    allocation-certified hot set, which names are clock-domain sources,
+    allocation-certified hot set, which functions read the wall clock,
     and the (normally empty) per-file exemption lists. New modules opt
     in by appearing under a [scan] root; new shared state opts in with
     [own]/[shared] lines — nothing is implicit.
@@ -20,9 +20,7 @@
                                    #   keys: catchall exit obj no-mli
     hot lib/sim/wheel.ml:add       # R5: must be transitively allocation-free
     alloc-free Metrics.incr        # R5: certified external callee (# why)
-    sim-time Engine.now            # R6: produces simulated time
-    wall-clock Unix.gettimeofday   # R6: produces wall-clock time
-    clock-conversion Time.to_float_s  # R6: named conversion, launders taint
+    wall-clock Unix.gettimeofday   # R6: no scanned unit may refer to it
     coverage-fn conservation       # R7: function counted as a conservation read
     uncovered sar.cells_pushed     # R7: counter exempt from coverage (# why)
     v}
@@ -43,10 +41,9 @@ type t = {
   alloc_free : string list;
       (** R5: external callees certified allocation-free (["Module.fn"]
           or bare operator names) *)
-  sim_time : string list;  (** R6: simulated-time sources (["Module.fn"]) *)
-  wall_clock : string list;  (** R6: wall-clock sources *)
-  clock_conversion : string list;
-      (** R6: named conversions whose application launders clock taint *)
+  wall_clock : string list;
+      (** R6: wall-clock functions (["Module.fn"]) no scanned unit may
+          refer to *)
   coverage_fns : string list;
       (** R7: function names whose bodies count as conservation reads *)
   uncovered : string list;
@@ -72,8 +69,6 @@ val owners : t -> string -> string list option
     about the field. *)
 
 val exempt : t -> rule:string -> file:string -> bool
-
-val is_hot : t -> file:string -> fn:string -> bool
 
 val uncovered_ok : t -> string -> bool
 (** Is the counter name exempt from R7 conservation coverage? *)

@@ -4,10 +4,9 @@
    these passes answer questions that need types and resolved paths:
 
    - R5: is this hot-path function transitively allocation-free?
-   - R6: does simulated time ever mix arithmetically with wall-clock
-     time without a named conversion?
+   - R6: does any scanned unit refer to a wall-clock function?
    - R7: is every registered metrics counter read by a conservation or
-     invariant check?
+     invariant check, and does every exemption name a counter?
    - R9: does every exported value have a caller in another unit, and
      does some call pass each of its optional parameters?
    - R10: does some unit read every label of an exported record type,
@@ -254,18 +253,9 @@ let builtin_alloc_free =
     "Float.of_int"; "Float.to_int";
   ]
 
-(* Normalize a resolved call path to ("Mod", "fn") / ("", "fn"),
-   resolving local [module M = ...] aliases and dropping library
-   wrapper components. *)
-let normalize_call (m : modul) elems =
-  let elems =
-    match elems with
-    | head :: rest -> (
-        match List.assoc_opt head m.m_aliases with
-        | Some target -> target @ rest
-        | None -> elems)
-    | [] -> []
-  in
+(* A resolved path as ("Mod", "fn") / ("", "fn"): its last module
+   component, library wrapper components and Stdlib dropped. *)
+let short_name elems =
   let rec split acc = function
     | [] -> (acc, "")
     | [ v ] -> (acc, v)
@@ -280,6 +270,17 @@ let normalize_call (m : modul) elems =
       mods
   in
   match List.rev mods with [] -> ("", v) | last :: _ -> (last, v)
+
+(* [short_name] of a call path, after resolving local [module M = ...]
+   aliases. *)
+let normalize_call (m : modul) elems =
+  short_name
+    (match elems with
+    | head :: rest -> (
+        match List.assoc_opt head m.m_aliases with
+        | Some target -> target @ rest
+        | None -> elems)
+    | [] -> [])
 
 let display_name (mk, v) = if mk = "" then v else mk ^ "." ^ v
 
@@ -505,142 +506,6 @@ let check_r5 idx =
   !missing @ !(st.r5_violations)
 
 (* ------------------------------------------------------------------ *)
-(* R6 — clock-domain taint. *)
-
-type domain = Sim | Wall
-
-let arith_ops =
-  [
-    "+"; "-"; "*"; "/"; "mod"; "+."; "-."; "*."; "/."; "min"; "max";
-    "Int.min"; "Int.max"; "=";
-    "<>"; "<"; ">"; "<="; ">="; "compare";
-    (* Numeric casts preserve the clock domain: they are how simulated
-       nanoseconds (int) and wall-clock seconds (float) end up in the
-       same numeric type in the first place. Single-argument, so they
-       can only propagate a domain, never themselves mix two. *)
-    "int_of_float"; "float_of_int"; "truncate"; "Float.of_int";
-    "Float.to_int"; "Int.of_float"; "Int.to_float";
-  ]
-
-type r6 = {
-  r6_policy : Policy.t;
-  r6_violations : violation list ref;
-  (* let-bound variables known to carry a clock domain, by Ident name;
-     scoping is approximated (a lint, not a proof) *)
-  env : (string, domain) Hashtbl.t;
-}
-
-let r6_source st (m : modul) elems =
-  let name = display_name (normalize_call m elems) in
-  if List.mem name st.r6_policy.Policy.sim_time then Some Sim
-  else if List.mem name st.r6_policy.Policy.wall_clock then Some Wall
-  else None
-
-let r6_is_conversion st m elems =
-  List.mem
-    (display_name (normalize_call m elems))
-    st.r6_policy.Policy.clock_conversion
-
-(* The clock domain an expression evaluates in, if the lint can tell. *)
-let rec r6_domain st m (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Typedtree.Texp_ident (Path.Pident id, _, _) ->
-      Hashtbl.find_opt st.env (Ident.name id)
-  | Typedtree.Texp_apply (f, args) -> (
-      match f.exp_desc with
-      | Typedtree.Texp_ident (path, _, _) -> (
-          let elems = path_elems path in
-          match r6_source st m elems with
-          | Some d -> Some d
-          | None ->
-              if r6_is_conversion st m elems then None
-              else
-                let name = display_name (normalize_call m elems) in
-                if List.mem name arith_ops then
-                  (* propagate through arithmetic *)
-                  List.fold_left
-                    (fun acc (_, a) ->
-                      match (acc, a) with
-                      | Some d, _ -> Some d
-                      | None, Some a -> r6_domain st m a
-                      | None, None -> None)
-                    None args
-                else None)
-      | _ -> None)
-  | Typedtree.Texp_let (_, _, body) -> r6_domain st m body
-  | Typedtree.Texp_sequence (_, e) -> r6_domain st m e
-  | _ -> None
-
-let r6_walk st (m : modul) fn_name body =
-  let add ~loc msg =
-    st.r6_violations :=
-      {
-        rule = "R6";
-        file = m.m_source;
-        line = line_of_loc loc;
-        message = Printf.sprintf "%s in `%s'" msg fn_name;
-      }
-      :: !(st.r6_violations)
-  in
-  let expr (it : Tast_iterator.iterator) (e : Typedtree.expression) =
-    match escape_hatch "osiris.clock_ok" e.exp_attributes with
-    | Some (Some _why) -> () (* justified mixing: subtree accepted *)
-    | Some None ->
-        add ~loc:e.exp_loc "[@osiris.clock_ok] without a justification string"
-    | None -> (
-        (match e.exp_desc with
-        | Typedtree.Texp_apply (f, args) -> (
-            match f.exp_desc with
-            | Typedtree.Texp_ident (path, _, _) ->
-                let name =
-                  display_name (normalize_call m (path_elems path))
-                in
-                if List.mem name arith_ops then begin
-                  let domains =
-                    List.filter_map
-                      (fun (_, a) -> Option.bind a (r6_domain st m))
-                      args
-                  in
-                  if List.mem Sim domains && List.mem Wall domains then
-                    add ~loc:e.exp_loc
-                      (Printf.sprintf
-                         "simulated time mixed arithmetically with \
-                          wall-clock time (`%s'); use a named \
-                          clock-conversion or [@osiris.clock_ok \"why\"]"
-                         name)
-                end
-            | _ -> ())
-        | Typedtree.Texp_let (_, vbs, _) ->
-            List.iter
-              (fun (vb : Typedtree.value_binding) ->
-                match vb.vb_pat.pat_desc with
-                | Typedtree.Tpat_var (id, _) -> (
-                    match r6_domain st m vb.vb_expr with
-                    | Some d -> Hashtbl.replace st.env (Ident.name id) d
-                    | None -> ())
-                | _ -> ())
-              vbs
-        | _ -> ());
-        Tast_iterator.default_iterator.expr it e)
-  in
-  let it = { Tast_iterator.default_iterator with expr } in
-  List.iter (it.expr it) (fn_bodies body)
-
-let check_r6 idx =
-  let st =
-    { r6_policy = idx.policy; r6_violations = ref []; env = Hashtbl.create 31 }
-  in
-  List.iter
-    (fun m ->
-      List.iter
-        (fun (fn, body) ->
-          Hashtbl.reset st.env;
-          r6_walk st m fn body)
-        m.m_fns)
-    idx.scanned;
-  !(st.r6_violations)
-
-(* ------------------------------------------------------------------ *)
 (* R7 — conservation coverage of registered counters. *)
 
 type counter_reg = { cr_name : string; cr_key : string; cr_m : modul;
@@ -780,32 +645,51 @@ let collect_coverage idx =
 let check_r7 idx =
   let regs = collect_counters idx in
   let reads = collect_coverage idx in
-  List.filter_map
-    (fun cr ->
-      let covered = cr.cr_key <> "" && Hashtbl.mem reads cr.cr_key in
-      let exempt =
-        Policy.uncovered_ok idx.policy cr.cr_name
-        || (cr.cr_key <> "" && Policy.uncovered_ok idx.policy cr.cr_key)
-      in
-      if covered || exempt then None
-      else
-        Some
-          {
-            rule = "R7";
-            file = cr.cr_m.m_source;
-            line = line_of_loc cr.cr_loc;
-            message =
-              Printf.sprintf
-                "counter '%s' is not read by any conservation/invariant \
-                 check (coverage-fn set: %s); add a check or an 'uncovered' \
-                 policy entry"
-                cr.cr_name
-                (String.concat ", " idx.policy.Policy.coverage_fns);
-          })
-    regs
+  let unread cr =
+    let covered = cr.cr_key <> "" && Hashtbl.mem reads cr.cr_key in
+    let exempt =
+      Policy.uncovered_ok idx.policy cr.cr_name
+      || (cr.cr_key <> "" && Policy.uncovered_ok idx.policy cr.cr_key)
+    in
+    if covered || exempt then None
+    else
+      Some
+        {
+          rule = "R7";
+          file = cr.cr_m.m_source;
+          line = line_of_loc cr.cr_loc;
+          message =
+            Printf.sprintf
+              "counter '%s' is not read by any conservation/invariant \
+               check (coverage-fn set: %s); add a check or an 'uncovered' \
+               policy entry"
+              cr.cr_name
+              (String.concat ", " idx.policy.Policy.coverage_fns);
+        }
+  in
+  (* An exemption that matches no registration has outlived its
+     counter: a stale entry, as a stale [hot] entry is for R5. *)
+  let stale u =
+    if List.exists (fun cr -> cr.cr_name = u || cr.cr_key = u) regs then None
+    else
+      Some
+        {
+          rule = "R7";
+          file = String.concat " " idx.policy.Policy.scan;
+          line = 1;
+          message =
+            Printf.sprintf
+              "uncovered entry '%s' matches no counter registered under the \
+               scan roots (stale policy entry); delete it"
+              u;
+        }
+  in
+  List.filter_map stale idx.policy.Policy.uncovered
+  @ List.filter_map unread regs
 
 (* ------------------------------------------------------------------ *)
-(* R9 — every export has a caller, every optional parameter a value.
+(* R6 — no scanned unit refers to a wall-clock function.
+   R9 — every export has a caller, every optional parameter a value.
    R10 — every exported record label is read, every exported mutable
    label assigned. *)
 
@@ -823,15 +707,16 @@ let unit_path units = function
   | u :: rest when rest <> [] && Hashtbl.mem units u -> Some (u, rest)
   | _ -> None
 
-(* Every reference of [m]: [note ~own key] for each value identifier,
-   [passed key label] for each optional argument a call supplies,
-   [read ty label] for each label a field access or record pattern
-   reads, and [assigned ty label] for each [r.label <- v]. An omitted
-   optional argument is filled in by the typechecker with a [None] at
-   [Location.none]; a supplied or forwarded one has the caller's
-   location. Construction, [{ r with ... }], [=] and [compare] read no
-   label. *)
-let scan_refs units (m : modul) ~note ~passed ~read ~assigned =
+(* Every reference of [m]: [ident path loc] for each value identifier,
+   its path resolved through aliases, [note ~own key] for each one that
+   names a unit's value, [passed key label] for each optional argument
+   a call supplies, [read ty label] for each label a field access or
+   record pattern reads, and [assigned ty label] for each
+   [r.label <- v]. An omitted optional argument is filled in by the
+   typechecker with a [None] at [Location.none]; a supplied or
+   forwarded one has the caller's location. Construction,
+   [{ r with ... }], [=] and [compare] read no label. *)
+let scan_refs units (m : modul) ~ident ~note ~passed ~read ~assigned =
   let aliases = Hashtbl.create 8 and top = Hashtbl.create 64 in
   List.iter
     (fun (item : Typedtree.structure_item) ->
@@ -876,6 +761,7 @@ let scan_refs units (m : modul) ~note ~passed ~read ~assigned =
   let expr it (e : Typedtree.expression) =
     (match e.exp_desc with
     | Typedtree.Texp_ident (p, _, _) ->
+        ident (elems p) e.exp_loc;
         Option.iter (fun (u, k) -> note ~own:(u = m.m_modname) k) (key p)
     | Typedtree.Texp_letmodule (id, _, _, me, _) -> alias id me
     | Typedtree.Texp_apply
@@ -975,7 +861,30 @@ let check_refs idx =
   let passed k l = Hashtbl.replace given (k, l) () in
   let read ty l = Hashtbl.replace reads (canon ty, l) () in
   let assigned ty l = Hashtbl.replace sets (canon ty, l) () in
-  List.iter (scan_refs units ~note ~passed ~read ~assigned) idx.mods;
+  (* A path resolved through aliases and opens: [open Unix] cannot hide
+     a wall-clock read. *)
+  let r6 = ref [] in
+  let ident (m : modul) =
+    if not (under_scan idx.policy m.m_source) then fun _ _ -> ()
+    else fun path loc ->
+      let name = display_name (short_name path) in
+      if List.mem name idx.policy.Policy.wall_clock then
+        r6 :=
+          {
+            rule = "R6";
+            file = m.m_source;
+            line = line_of_loc loc;
+            message =
+              Printf.sprintf
+                "reference to the wall-clock function `%s': simulated code \
+                 reads only the engine's clock"
+                name;
+          }
+          :: !r6
+  in
+  List.iter
+    (fun m -> scan_refs units m ~ident:(ident m) ~note ~passed ~read ~assigned)
+    idx.mods;
   let violation rule i loc fmt =
     Printf.ksprintf
       (fun message ->
@@ -1018,19 +927,20 @@ let check_refs idx =
           lds
     | _ -> []
   in
-  List.concat_map
-    (fun (i, rs) ->
-      List.concat_map
-        (function
-          | prefix, Typedtree.Tsig_value vd -> r9 i prefix vd | _ -> [])
-        (sig_items [] i.i_sig.sig_items)
-      @ List.concat_map (r10 i) rs)
-    records
+  !r6
+  @ List.concat_map
+      (fun (i, rs) ->
+        List.concat_map
+          (function
+            | prefix, Typedtree.Tsig_value vd -> r9 i prefix vd | _ -> [])
+          (sig_items [] i.i_sig.sig_items)
+        @ List.concat_map (r10 i) rs)
+      records
 
 (* ------------------------------------------------------------------ *)
 
 let check_tree policy ~cmt_root =
   let idx = build_index policy ~cmt_root in
   let by_file v = (v.file, v.line, v.rule) in
-  check_r5 idx @ check_r6 idx @ check_r7 idx @ check_refs idx
+  check_r5 idx @ check_r7 idx @ check_refs idx
   |> List.sort (fun a b -> compare (by_file a) (by_file b))

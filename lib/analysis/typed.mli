@@ -14,11 +14,11 @@
       in the policy, nor on the built-in primitive safe-list. The
       escape hatch is [[@osiris.alloc_ok "why"]] on the expression or
       binding — the justification string is mandatory.
-    - {b R6 — clock-domain taint.} Values produced by [sim-time]
-      sources (simulated microseconds) must not meet values produced by
-      [wall-clock] sources in an arithmetic or comparison operator
-      unless laundered through a [clock-conversion] function or
-      justified with [[@osiris.clock_ok "why"]].
+    - {b R6 — no wall clock.} No scanned unit may refer to a function
+      the policy lists as [wall-clock]: simulated code reads only the
+      engine's clock. A reference is resolved on R9's walk, through
+      aliases and [open]s, so [open Unix] cannot hide one. No escape
+      hatch.
     - {b R7 — conservation coverage.} Every [Metrics.counter]
       registration in the scanned tree must have its final name
       component read (as a record field or accessor call) inside at
@@ -41,7 +41,9 @@
       it reads [M.t]'s. No escape hatch.
 
     Stale-policy rot is itself an error: a [hot] entry naming a file or
-    function that no longer exists is reported as an R5 violation. *)
+    function that no longer exists is reported as an R5 violation, and
+    an [uncovered] entry that matches no registered counter as an R7
+    violation. *)
 
 type violation = Lint.violation = {
   rule : string;

@@ -48,16 +48,6 @@ val make :
     and the vci and seq must fit 16 bits. Hosts never set the congestion
     bit at origin; switches do. *)
 
-val serialize : t -> Bytes.t
-(** 53-byte wire image, including the header check byte. *)
-
-val parse : Bytes.t -> (t, string) result
-(** Parse a 53-byte wire image; fails on bad length or check byte. *)
-
 val corrupt : t -> byte:int -> t
 (** Copy of the cell with one data byte XORed with [0x5a] — the link-error
     injection primitive. [byte] is an index into [data]. *)
-
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

@@ -10,8 +10,6 @@ let of_pbuf ?(vci = 0) ?(eop = true) (b : Osiris_mem.Pbuf.t) =
   { addr = b.Osiris_mem.Pbuf.addr; len = b.Osiris_mem.Pbuf.len; vci; eop;
     marked = false }
 
-let to_pbuf t = Osiris_mem.Pbuf.v ~addr:t.addr ~len:t.len
-
 let rec sum_len chain acc =
   match chain with [] -> acc | d :: rest -> sum_len rest (acc + d.len)
 

@@ -23,8 +23,6 @@ val v :
     reassembled PDU's congestion bit: the receive processor sets it on the
     [eop] descriptor when any cell of the PDU arrived marked. *)
 
-val to_pbuf : t -> Osiris_mem.Pbuf.t
-
 val total_len : t list -> int
 (** Sum of the lengths of a chain: the bytes of the PDU it carries. *)
 

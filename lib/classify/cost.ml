@@ -6,13 +6,12 @@
    built by the experiments from [Machine.t] cache configs — this
    library stays below [Osiris_core] in the dependency order. *)
 
-type profile = { p_name : string; p_access_ns : float }
+(* A profile is the cost of one probe, in nanoseconds. *)
+type profile = float
 
-let of_cache ~name ~cpu_hz ~fill_overhead_cycles ~hit_cycles_per_word =
+let of_cache ~cpu_hz ~fill_overhead_cycles ~hit_cycles_per_word =
   if cpu_hz <= 0 then invalid_arg "Classify.Cost.of_cache: cpu_hz <= 0";
   let cycles = float_of_int (fill_overhead_cycles + hit_cycles_per_word) in
-  { p_name = name; p_access_ns = cycles *. 1e9 /. float_of_int cpu_hz }
+  cycles *. 1e9 /. float_of_int cpu_hz
 
-let name p = p.p_name
-let access_ns p = p.p_access_ns
-let lookup_ns p ~probes = probes *. p.p_access_ns
+let lookup_ns access_ns ~probes = probes *. access_ns

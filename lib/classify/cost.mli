@@ -6,16 +6,12 @@
 type profile
 
 val of_cache :
-  name:string ->
   cpu_hz:int ->
   fill_overhead_cycles:int ->
   hit_cycles_per_word:int ->
   profile
 (** One probe = one cache-line fill: [(fill_overhead_cycles +
     hit_cycles_per_word) / cpu_hz], in nanoseconds. *)
-
-val name : profile -> string
-val access_ns : profile -> float
 
 val lookup_ns : profile -> probes:float -> float
 (** Modeled lookup cost of [probes] (possibly an average) probes. *)

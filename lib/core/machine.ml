@@ -129,10 +129,3 @@ let dec3000_600 =
     rx_buffer_size = 16 * 1024;
     rx_pool_buffers = 63;
   }
-
-let all = [ ds5000_200; dec3000_600 ]
-
-let by_name n =
-  List.find_opt
-    (fun m -> String.lowercase_ascii m.name = String.lowercase_ascii n)
-    all

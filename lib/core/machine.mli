@@ -51,6 +51,3 @@ val ds5000_200 : t
 val dec3000_600 : t
 (** DEC 3000/600: 175 MHz Alpha, crossbar between TURBOchannel / memory /
     cache, DMA updates the cache. *)
-
-val by_name : string -> t option
-val all : t list

@@ -52,8 +52,7 @@ let linear_ns profile p =
 
 let profile_of machine =
   let c = machine.Machine.cache in
-  Cost.of_cache ~name:machine.Machine.name
-    ~cpu_hz:c.Data_cache.cpu_hz
+  Cost.of_cache ~cpu_hz:c.Data_cache.cpu_hz
     ~fill_overhead_cycles:c.Data_cache.fill_overhead_cycles
     ~hit_cycles_per_word:c.Data_cache.hit_cycles_per_word
 

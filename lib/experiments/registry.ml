@@ -166,5 +166,3 @@ let print_result = function
 let result_json = function
   | R_table t -> Report.table_json t
   | R_figure f -> Report.figure_json f
-
-let ids () = List.map (fun e -> e.id) all

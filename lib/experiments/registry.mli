@@ -24,5 +24,3 @@ val eval : entry -> result
 
 val print_result : result -> unit
 val result_json : result -> Osiris_obs.Json.t
-
-val ids : unit -> string list

@@ -39,12 +39,6 @@ let no_arrival =
     Cell.make ~vci:0 ~seq:0 ~eom:false ~last_of_pdu:false
       (Bytes.make Cell.data_size '\000') )
 
-let oc12_aggregate cfg =
-  float_of_int (cfg.nlinks * cfg.link_rate_bps)
-  /. 1e6
-  *. float_of_int Cell.data_size
-  /. float_of_int Cell.wire_size
-
 type stats = {
   cells_sent : int;
   cells_delivered : int;

@@ -46,10 +46,6 @@ val default_config : config
 (** 4 × 155.52 Mb/s, 10 µs propagation, no skew, no jitter, no errors,
     2-cell output FIFOs, 32-cell input FIFO. *)
 
-val oc12_aggregate : config -> float
-(** Aggregate user-data bandwidth in Mb/s: nlinks × rate × 44/53 — the
-    paper's "516 Mb/s data bandwidth in a 622 Mb/s link". *)
-
 type t
 
 val create : Osiris_sim.Engine.t -> Osiris_util.Rng.t -> config -> t

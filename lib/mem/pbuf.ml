@@ -5,10 +5,6 @@ let v ~addr ~len =
   if addr < 0 then invalid_arg "Pbuf.v: negative address";
   { addr; len }
 
-let split b ~at =
-  if at <= 0 || at >= b.len then invalid_arg "Pbuf.split: cut out of range";
-  ({ addr = b.addr; len = at }, { addr = b.addr + at; len = b.len - at })
-
 let total_len bufs = List.fold_left (fun acc b -> acc + b.len) 0 bufs
 
 let rec coalesce = function
@@ -16,5 +12,3 @@ let rec coalesce = function
       coalesce ({ addr = a.addr; len = a.len + b.len } :: rest)
   | a :: rest -> a :: coalesce rest
   | [] -> []
-
-let equal a b = a.addr = b.addr && a.len = b.len

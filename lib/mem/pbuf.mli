@@ -12,10 +12,6 @@ type t = { addr : int; len : int }
 val v : addr:int -> len:int -> t
 (** Construct; [len] must be positive and [addr] non-negative. *)
 
-val split : t -> at:int -> t * t
-(** [split b ~at] cuts [b] into a prefix of [at] bytes and the remainder.
-    [at] must satisfy [0 < at < b.len]. *)
-
 val total_len : t list -> int
 (** Sum of lengths of a buffer list (the PDU size it carries). *)
 
@@ -23,5 +19,3 @@ val coalesce : t list -> t list
 (** Merge physically adjacent buffers ([a.addr + a.len = b.addr]) in a list,
     preserving order. This is what a driver does to minimize descriptor
     count when luck (or a contiguous allocator) gives adjacent frames. *)
-
-val equal : t -> t -> bool

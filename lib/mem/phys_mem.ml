@@ -259,17 +259,6 @@ let blit_to_bytes t ~src ~dst ~dst_off ~len =
   check_bytes dst dst_off len;
   copy_out t ~src ~dst ~dst_off ~len
 
-(* A word may straddle two blocks; go through the byte-range copies. *)
-let read_u32 t addr =
-  let b = Bytes.create 4 in
-  blit_to_bytes t ~src:addr ~dst:b ~dst_off:0 ~len:4;
-  Bytes.get_int32_be b 0
-
-let write_u32 t addr v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_be b 0 v;
-  blit_from_bytes t ~src:b ~src_off:0 ~dst:addr ~len:4
-
 let bytes_of_region t ~addr ~len =
   check t addr len;
   let out = Bytes.create len in
@@ -325,11 +314,6 @@ let rec crc_in t crc ~addr ~len =
 let crc32 t crc ~addr ~len =
   check t addr len;
   crc_in t crc ~addr ~len
-
-(* Through a copy of the source, so overlapping ranges move like
-   [memmove]. *)
-let blit t ~src ~dst ~len =
-  blit_from_bytes t ~src:(bytes_of_region t ~addr:src ~len) ~src_off:0 ~dst ~len
 
 let fill t ~addr ~len c =
   check t addr len;

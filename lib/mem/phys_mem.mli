@@ -57,15 +57,12 @@ val free_frame : t -> int -> unit
 (** Raw access. Reads and writes take physical addresses; bounds are
     checked. These are the operations DMA and the CPU model perform — cost
     accounting lives in the bus/cache layers, not here. Any range may span
-    frames; [blit] of overlapping ranges behaves like [memmove]. *)
+    frames. *)
 
 val read_byte : t -> int -> int
 val write_byte : t -> int -> int -> unit
-val read_u32 : t -> int -> int32
-val write_u32 : t -> int -> int32 -> unit
 val blit_from_bytes : t -> src:Bytes.t -> src_off:int -> dst:int -> len:int -> unit
 val blit_to_bytes : t -> src:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
-val blit : t -> src:int -> dst:int -> len:int -> unit
 val fill : t -> addr:int -> len:int -> char -> unit
 
 val bytes_of_region : t -> addr:int -> len:int -> Bytes.t

@@ -14,14 +14,7 @@ val create : slots:int -> page_size:int -> t
 val loads : t -> int
 (** Cumulative number of slot loads, for cost accounting. *)
 
-val program : t -> Pbuf.t list -> int option
-(** Load mappings for the given physical buffers and return the map-virtual
-    base address the adaptor would use, or [None] when the buffer list needs
-    more slots than the map has. Each page of each buffer consumes a
-    slot. *)
-
-val translate : t -> int -> int
-(** Translate a map-virtual address programmed by {!program} into a physical
-    address. Raises [Invalid_argument] for an unprogrammed address. *)
-
-val clear : t -> unit
+val program : t -> Pbuf.t list -> bool
+(** Load mappings for the given physical buffers; [false] (nothing
+    loaded) when the buffer list needs more slots than the map has. Each
+    page of each buffer consumes a slot. *)

@@ -16,7 +16,7 @@
 
 module Stats = Osiris_util.Stats
 
-type counter = { c_name : string; mutable c : int }
+type counter = { mutable c : int }
 
 type handle =
   | Counter of counter
@@ -32,14 +32,13 @@ let register name h =
   | None -> Hashtbl.replace table name (ref [ h ])
 
 let counter name =
-  let c = { c_name = name; c = 0 } in
+  let c = { c = 0 } in
   register name (Counter c);
   c
 
 let add c n = c.c <- c.c + n
 let incr c = add c 1
 let counter_value c = c.c
-let counter_name c = c.c_name
 
 let dist name =
   let s = Stats.create () in

@@ -21,7 +21,6 @@ val counter : string -> counter
 val add : counter -> int -> unit
 val incr : counter -> unit
 val counter_value : counter -> int
-val counter_name : counter -> string
 
 val dist : string -> Osiris_util.Stats.t
 (** Register a streaming distribution; feed it with [Stats.add]. *)

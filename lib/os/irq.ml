@@ -4,7 +4,6 @@ type line_state = {
   name : string;
   handler : unit -> unit;
   mutable pending : bool;
-  mutable dispatched : int;
 }
 
 type t = {
@@ -23,7 +22,7 @@ let register t ~line ~name handler =
   if Hashtbl.mem t.lines line then
     invalid_arg "Irq.register: line already has a handler";
   Hashtbl.replace t.lines line
-    { name; handler; pending = false; dispatched = 0 }
+    { name; handler; pending = false }
 
 let assert_line t ~line =
   match Hashtbl.find_opt t.lines line with
@@ -35,16 +34,10 @@ let assert_line t ~line =
         Process.spawn t.eng ~name:("irq:" ^ st.name) (fun () ->
             Cpu.consume_interrupt t.cpu t.dispatch_cost;
             st.pending <- false;
-            st.dispatched <- st.dispatched + 1;
             t.total <- t.total + 1;
             st.handler ())
       end
 
 let count t = t.total
-
-let count_line t ~line =
-  match Hashtbl.find_opt t.lines line with
-  | None -> 0
-  | Some st -> st.dispatched
 
 let asserted t = t.asserts

@@ -27,7 +27,5 @@ val assert_line : t -> line:int -> unit
 val count : t -> int
 (** Total interrupts dispatched (after coalescing). *)
 
-val count_line : t -> line:int -> int
-
 val asserted : t -> int
 (** Total asserts requested (before coalescing). *)

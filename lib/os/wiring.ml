@@ -9,22 +9,13 @@ type costs = {
   low_per_page : Time.t;
 }
 
-let default_costs =
-  {
-    mach_fixed = Time.us 80;
-    mach_per_page = Time.us 45;
-    low_fixed = Time.us 4;
-    low_per_page = Time.us 3;
-  }
-
 type t = {
   cpu : Cpu.t;
   costs : costs;
   mutable policy : policy;
-  mutable calls : int;
 }
 
-let create cpu costs policy = { cpu; costs; policy; calls = 0 }
+let create cpu costs policy = { cpu; costs; policy }
 
 let set_policy t p = t.policy <- p
 
@@ -38,13 +29,9 @@ let pages_of vs ~vaddr ~len =
   ((vaddr + len - 1) / ps) - (vaddr / ps) + 1
 
 let wire t vs ~vaddr ~len =
-  t.calls <- t.calls + 1;
   Cpu.consume t.cpu (cost_of t ~pages:(pages_of vs ~vaddr ~len));
   Osiris_mem.Vspace.wire vs ~vaddr ~len
 
 let unwire t vs ~vaddr ~len =
-  t.calls <- t.calls + 1;
   Cpu.consume t.cpu (cost_of t ~pages:(pages_of vs ~vaddr ~len) / 2);
   Osiris_mem.Vspace.unwire vs ~vaddr ~len
-
-let calls t = t.calls

@@ -21,9 +21,6 @@ type costs = {
   low_per_page : Osiris_sim.Time.t;
 }
 
-val default_costs : costs
-(** Calibrated for the DECstation 5000/200 (see EXPERIMENTS.md). *)
-
 type t
 
 val create : Cpu.t -> costs -> policy -> t
@@ -38,5 +35,3 @@ val unwire : t -> Osiris_mem.Vspace.t -> vaddr:int -> len:int -> unit
 
 val cost_of : t -> pages:int -> Osiris_sim.Time.t
 (** Closed-form cost of wiring [pages] pages under the current policy. *)
-
-val calls : t -> int

@@ -13,15 +13,6 @@ type costs = {
   checksum_cycles_per_word : int;
 }
 
-let default_costs =
-  {
-    ip_output_per_fragment = Time.us 35;
-    ip_input_per_fragment = Time.us 30;
-    udp_output = Time.us 45;
-    udp_input = Time.us 40;
-    checksum_cycles_per_word = 3;
-  }
-
 type t = {
   cpu : Cpu.t;
   cache : Cache.t;

@@ -16,9 +16,6 @@ type costs = {
           cache-modelled load costs *)
 }
 
-val default_costs : costs
-(** DECstation 5000/200 calibration (see EXPERIMENTS.md). *)
-
 type t = {
   cpu : Osiris_os.Cpu.t;
   cache : Osiris_cache.Data_cache.t;

@@ -59,14 +59,14 @@ let shed = -1
 let pack port vci = (port lsl 16) lor vci
 
 type stats = {
-  mutable cells_in : int;
-  mutable forwarded : int;
-  mutable dropped_overflow : int;
-  mutable dropped_no_route : int;
-  mutable dropped_epd : int;
-  mutable max_occupancy : int;
-  mutable marked : int;
-  mutable marked_forwarded : int;
+  cells_in : int;
+  forwarded : int;
+  dropped_overflow : int;
+  dropped_no_route : int;
+  dropped_epd : int;
+  max_occupancy : int;
+  marked : int;
+  marked_forwarded : int;
 }
 
 type t = {
@@ -76,9 +76,12 @@ type t = {
   ports : port array;
   routes : int Ctable.t; (* pack in_port in_vci → pack out ... *)
   pdus : int Ctable.t; (* pack in_port in_vci → verdict *)
-  stats : stats;
   mutable queued : int; (* total logical occupancy, all output ports *)
+  mutable max_occupancy : int; (* high-water mark of [queued] *)
   mutable marked_queued : int; (* marked cells among [queued] *)
+  mutable marked_forwarded : int;
+  (* Registry handles: the switch's only tally of each cell event;
+     [stats t] reads them back. *)
   m_in : Metrics.counter;
   m_fwd : Metrics.counter;
   m_drop_ovf : Metrics.counter;
@@ -119,19 +122,10 @@ let create eng ?(name = "sw") cfg =
        empty sentinel lives in the key array. *)
     routes = Ctable.create ~dummy:0 32;
     pdus = Ctable.create ~dummy:0 32;
-    stats =
-      {
-        cells_in = 0;
-        forwarded = 0;
-        dropped_overflow = 0;
-        dropped_no_route = 0;
-        dropped_epd = 0;
-        max_occupancy = 0;
-        marked = 0;
-        marked_forwarded = 0;
-      };
     queued = 0;
+    max_occupancy = 0;
     marked_queued = 0;
+    marked_forwarded = 0;
     m_in = Metrics.counter "switch.cells_in";
     m_fwd = Metrics.counter "switch.forwarded";
     m_drop_ovf = Metrics.counter "switch.dropped_overflow";
@@ -142,8 +136,18 @@ let create eng ?(name = "sw") cfg =
   }
 
 let config t = t.cfg
-let name t = t.sw_name
-let stats t = t.stats
+
+let stats t =
+  {
+    cells_in = Metrics.counter_value t.m_in;
+    forwarded = Metrics.counter_value t.m_fwd;
+    dropped_overflow = Metrics.counter_value t.m_drop_ovf;
+    dropped_no_route = Metrics.counter_value t.m_drop_route;
+    dropped_epd = Metrics.counter_value t.m_drop_epd;
+    max_occupancy = t.max_occupancy;
+    marked = Metrics.counter_value t.m_marked;
+    marked_forwarded = t.marked_forwarded;
+  }
 
 let check_port t fn port =
   if port < 0 || port >= t.cfg.nports then
@@ -222,20 +226,18 @@ let enqueue t p ~out_vci cell =
          by in-flight deliveries; skipped when nothing changes"])
   in
   if cell.Cell.marked then begin
-    t.stats.marked <- t.stats.marked + 1;
     t.marked_queued <- t.marked_queued + 1;
     Metrics.incr t.m_marked
   end;
   ring_push p cell;
   t.queued <- t.queued + 1;
-  if t.queued > t.stats.max_occupancy then t.stats.max_occupancy <- t.queued;
+  if t.queued > t.max_occupancy then t.max_occupancy <- t.queued;
   (Signal.broadcast p.out_nonempty
   [@osiris.alloc_ok
     "waking the port scheduler resumes suspended processes (engine \
      handles); cost is per wakeup of a sleeping drain loop, not per cell"])
 
 let drop_overflow t out_port (cell : Cell.t) =
-  t.stats.dropped_overflow <- t.stats.dropped_overflow + 1;
   Metrics.incr t.m_drop_ovf;
   (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
      "%s: output queue %d full (%d cells), cell vci %d dropped" t.sw_name
@@ -244,7 +246,6 @@ let drop_overflow t out_port (cell : Cell.t) =
     "drop diagnostics: format value, off in benchmark runs"])
 
 let drop_epd t out_port (cell : Cell.t) ~why =
-  t.stats.dropped_epd <- t.stats.dropped_epd + 1;
   Metrics.incr t.m_drop_epd;
   (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
      "%s: %s on output queue %d, cell vci %d seq %d dropped" t.sw_name why
@@ -345,13 +346,11 @@ let ingress_cell_epd t ~in_port ~out_port ~out_vci (cell : Cell.t) =
 
 let ingress_cell t ~port cell =
   check_port t "ingress_cell" port;
-  t.stats.cells_in <- t.stats.cells_in + 1;
   Metrics.incr t.m_in;
   (* Hashed classification, cost-accounted: this probe sequence is what
      the demux_scale figure charges per forwarded cell. *)
   match Ctable.find_slot t.routes (pack port cell.Cell.vci) with
   | -1 ->
-      t.stats.dropped_no_route <- t.stats.dropped_no_route + 1;
       Metrics.incr t.m_drop_route;
       (Trace.emitf Trace.Link ~now:(Engine.now t.eng)
          "%s: no route for vci %d on port %d, cell dropped" t.sw_name
@@ -376,10 +375,9 @@ let ingress_cell t ~port cell =
    invariant. *)
 let commit_forward t (cell : Cell.t) =
   t.queued <- t.queued - 1;
-  t.stats.forwarded <- t.stats.forwarded + 1;
   if cell.Cell.marked then begin
     t.marked_queued <- t.marked_queued - 1;
-    t.stats.marked_forwarded <- t.stats.marked_forwarded + 1
+    t.marked_forwarded <- t.marked_forwarded + 1
   end;
   Metrics.incr t.m_fwd
 
@@ -484,19 +482,21 @@ let start t =
     t.ports
 
 let conservation t =
+  let s = stats t in
   [
-    ("forwarded", t.stats.forwarded);
+    ("forwarded", s.forwarded);
     ("queued", occupancy t);
-    ("dropped_overflow", t.stats.dropped_overflow);
-    ("dropped_no_route", t.stats.dropped_no_route);
-    ("dropped_epd", t.stats.dropped_epd);
+    ("dropped_overflow", s.dropped_overflow);
+    ("dropped_no_route", s.dropped_no_route);
+    ("dropped_epd", s.dropped_epd);
   ]
 
 (* Marked cells are admitted marked and can only leave forwarded (there
    is no drop-from-queue path), so at every instant
    marked = marked_forwarded + marked cells still queued. *)
 let mark_conservation t =
+  let s = stats t in
   [
-    ("marked_forwarded", t.stats.marked_forwarded);
+    ("marked_forwarded", s.marked_forwarded);
     ("marked_queued", t.marked_queued);
   ]

@@ -73,7 +73,6 @@ val create :
     (default ["sw"]) labels trace output. *)
 
 val config : t -> config
-val name : t -> string
 
 val attach_port :
   t -> port:int -> ingress:Osiris_link.Atm_link.t ->
@@ -145,24 +144,28 @@ val drain_one : t -> port:int -> Osiris_atm.Cell.t option
 (** {2 Accounting} *)
 
 type stats = {
-  mutable cells_in : int;  (** cells accepted from ingress links *)
-  mutable forwarded : int;  (** cells committed to an egress link *)
-  mutable dropped_overflow : int;  (** lost to a full output queue *)
-  mutable dropped_no_route : int;  (** no routing-table entry *)
-  mutable dropped_epd : int;
+  cells_in : int;  (** cells accepted from ingress links *)
+  forwarded : int;  (** cells committed to an egress link *)
+  dropped_overflow : int;  (** lost to a full output queue *)
+  dropped_no_route : int;  (** no routing-table entry *)
+  dropped_epd : int;
       (** cells shed by packet-discard admission ([epd_reserve] > 0):
           whole refused PDUs plus the cut-off tails of PDUs that outgrew
           their reservation *)
-  mutable max_occupancy : int;
+  max_occupancy : int;
       (** high-water mark of the total queued-cell count *)
-  mutable marked : int;
-      (** cells admitted with the congestion bit set (threshold marking;
-          counted under [switch.marked] in the metrics registry) *)
-  mutable marked_forwarded : int;
+  marked : int;
+      (** cells admitted with the congestion bit set (threshold marking) *)
+  marked_forwarded : int;
       (** marked cells committed to an egress link *)
 }
 
 val stats : t -> stats
+(** A snapshot. [cells_in], [forwarded], the three drops and [marked]
+    are read from this switch's registry handles ([switch.cells_in],
+    [switch.forwarded], [switch.dropped_overflow],
+    [switch.dropped_no_route], [switch.dropped_epd], [switch.marked]),
+    which are their only tally. *)
 
 val occupancy : t -> int
 (** Total cells currently queued across all output ports. *)

@@ -13,9 +13,3 @@ let validate = function
         invalid_arg "Topo.Spec: fat-tree radix must be even and >= 2";
       if hosts_per_edge < 1 || hosts_per_edge > k / 2 then
         invalid_arg "Topo.Spec: fat-tree hosts_per_edge out of [1, k/2]"
-
-let to_string = function
-  | Star { hosts } -> Printf.sprintf "star(%d)" hosts
-  | Chain { hosts } -> Printf.sprintf "chain(%d)" hosts
-  | Fat_tree { k; hosts_per_edge } ->
-      Printf.sprintf "fat-tree(k=%d, %d hosts/edge)" k hosts_per_edge

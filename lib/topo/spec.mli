@@ -23,5 +23,3 @@ val validate : t -> unit
 (** Raises [Invalid_argument] on dimensions outside the family's domain
     (fewer than 2 hosts, odd fat-tree radix, [hosts_per_edge] outside
     [1, k/2]). *)
-
-val to_string : t -> string

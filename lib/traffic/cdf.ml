@@ -6,19 +6,16 @@
    interpolation inside the bracketing segment, so [sample] is just the
    quantile of a uniform draw — the standard inverse-transform recipe.
 
-   The named distributions are coarse piecewise-linear approximations of
-   the web-search and data-mining workloads measured in production
-   datacenters (DCTCP / VL2); they are meant to exercise the demux with
-   realistic size dispersion, not to reproduce those papers' tails
-   digit-for-digit. *)
+   The named distribution is a coarse piecewise-linear approximation of
+   the web-search workload measured in production datacenters (DCTCP);
+   it is meant to exercise the demux with realistic size dispersion,
+   not to reproduce that paper's tail digit-for-digit. *)
 
 open Osiris_util
 
-type t = { name : string; xs : float array; ps : float array }
+type t = { xs : float array; ps : float array }
 
-let name t = t.name
-
-let of_points ~name points =
+let of_points points =
   let n = List.length points in
   if n < 2 then invalid_arg "Cdf.of_points: need at least two points";
   let xs = Array.make n 0. and ps = Array.make n 0. in
@@ -36,7 +33,7 @@ let of_points ~name points =
     if ps.(i) < ps.(i - 1) then
       invalid_arg "Cdf.of_points: probabilities decreasing"
   done;
-  { name; xs; ps }
+  { xs; ps }
 
 let quantile t u =
   if u <= 0. then t.xs.(0)
@@ -59,18 +56,8 @@ let sample t rng =
   let b = int_of_float (Float.round x) in
   if b < 1 then 1 else b
 
-(* Expectation of the piecewise-linear CDF: each segment contributes its
-   probability mass times the segment midpoint. *)
-let mean t =
-  let acc = ref 0. in
-  for i = 1 to Array.length t.xs - 1 do
-    acc :=
-      !acc +. ((t.ps.(i) -. t.ps.(i - 1)) *. (t.xs.(i) +. t.xs.(i - 1)) /. 2.)
-  done;
-  !acc
-
 let websearch =
-  of_points ~name:"websearch"
+  of_points
     [
       (1., 0.0);
       (10_000., 0.15);
@@ -85,38 +72,6 @@ let websearch =
       (10_000_000., 0.97);
       (30_000_000., 1.0);
     ]
-
-let datamining =
-  of_points ~name:"datamining"
-    [
-      (1., 0.0);
-      (300., 0.30);
-      (1_000., 0.50);
-      (2_000., 0.60);
-      (10_000., 0.80);
-      (100_000., 0.85);
-      (1_000_000., 0.90);
-      (10_000_000., 0.95);
-      (100_000_000., 0.99);
-      (1_000_000_000., 1.0);
-    ]
-
-let uniform ~lo ~hi =
-  if lo < 1 || hi <= lo then invalid_arg "Cdf.uniform: need 1 <= lo < hi";
-  of_points
-    ~name:(Printf.sprintf "uniform[%d,%d]" lo hi)
-    [ (float_of_int lo, 0.0); (float_of_int hi, 1.0) ]
-
-let fixed bytes =
-  if bytes < 1 then invalid_arg "Cdf.fixed: need a positive size";
-  (* a hair's width of support keeps the x axis strictly increasing *)
-  let b = float_of_int bytes in
-  of_points ~name:(Printf.sprintf "fixed[%d]" bytes) [ (b, 0.0); (b +. 1e-6, 1.0) ]
-
-let by_name = function
-  | "websearch" -> websearch
-  | "datamining" -> datamining
-  | s -> invalid_arg ("Cdf.by_name: unknown distribution " ^ s)
 
 (* Rescale the size axis so the distribution's shape survives at bench
    scale: demux experiments want thousands of flows per run, not
@@ -135,6 +90,4 @@ let scale t ~factor ~min_bytes ~max_bytes =
     last := x;
     pts := (x, t.ps.(i)) :: !pts
   done;
-  of_points
-    ~name:(Printf.sprintf "%s/%g" t.name factor)
-    (List.rev !pts)
+  of_points (List.rev !pts)

@@ -1,16 +1,14 @@
 (** Empirical flow-size distributions as piecewise-linear CDFs, sampled
     by inverse-transform: a flow size is the {!quantile} of a uniform
-    draw. The named workloads ({!websearch}, {!datamining}) are coarse
-    approximations of published datacenter measurements, there to give
-    experiments realistic size dispersion. *)
+    draw. The named workload ({!websearch}) is a coarse approximation of
+    published datacenter measurements, there to give experiments
+    realistic size dispersion. *)
 
 open Osiris_util
 
 type t
 
-val name : t -> string
-
-val of_points : name:string -> (float * float) list -> t
+val of_points : (float * float) list -> t
 (** [(size_bytes, cum_prob)] pairs: sizes strictly increasing,
     probabilities non-decreasing from exactly 0 to exactly 1.
     Raises [Invalid_argument] otherwise. *)
@@ -23,24 +21,9 @@ val sample : t -> Rng.t -> int
 (** One flow size in bytes (at least 1): [quantile] of a uniform draw,
     rounded to the nearest byte. *)
 
-val mean : t -> float
-(** Analytic expectation: segment mass times segment midpoint, summed.
-    The qcheck suite holds empirical means to this value. *)
-
 val websearch : t
 (** Web-search-like workload (DCTCP-flavored): mostly tens of kilobytes
     with a multi-megabyte tail. *)
-
-val datamining : t
-(** Data-mining-like workload (VL2-flavored): dominated by sub-2KB
-    flows, tail out to a gigabyte. *)
-
-val uniform : lo:int -> hi:int -> t
-val fixed : int -> t
-
-val by_name : string -> t
-(** ["websearch"] or ["datamining"]; raises [Invalid_argument] on
-    anything else. *)
 
 val scale : t -> factor:float -> min_bytes:int -> max_bytes:int -> t
 (** Rescale the size axis by [factor] and clamp the support into

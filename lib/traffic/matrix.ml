@@ -1,10 +1,9 @@
 (* Connection matrices: who talks to whom, how much, and when.
 
-   A matrix is just a start-time-ordered flow list; the generators pick
-   endpoint patterns (permutation, uniform random pairs, a single
-   many-flow pair for demux stress) and draw sizes from a {!Cdf} and
-   start times uniformly over a window, all from an explicit Rng so runs
-   reproduce. Experiments map each flow onto a VC via
+   A matrix is just a start-time-ordered flow list; the generator makes
+   a single many-flow pair for demux stress, drawing sizes from a {!Cdf}
+   and start times uniformly over a window, all from an explicit Rng so
+   runs reproduce. Experiments map each flow onto a VC via
    [Network.open_vc]. *)
 
 open Osiris_util
@@ -22,32 +21,6 @@ let start_in rng window =
 
 let flow rng cdf ~window ~src ~dst =
   { f_src = src; f_dst = dst; f_bytes = Cdf.sample cdf rng; f_start = start_in rng window }
-
-(* One flow per source to a distinct destination: a random derangement-ish
-   permutation (fixed points re-rolled by swapping with a neighbour). *)
-let permutation rng ~nhosts ~cdf ~window =
-  if nhosts < 2 then invalid_arg "Matrix.permutation: need at least 2 hosts";
-  let dst = Array.init nhosts (fun i -> i) in
-  Rng.shuffle rng dst;
-  for i = 0 to nhosts - 1 do
-    if dst.(i) = i then begin
-      let j = (i + 1) mod nhosts in
-      let tmp = dst.(i) in
-      dst.(i) <- dst.(j);
-      dst.(j) <- tmp
-    end
-  done;
-  by_start
-    (List.init nhosts (fun src -> flow rng cdf ~window ~src ~dst:dst.(src)))
-
-let random_pairs rng ~nhosts ~nflows ~cdf ~window =
-  if nhosts < 2 then invalid_arg "Matrix.random_pairs: need at least 2 hosts";
-  if nflows < 0 then invalid_arg "Matrix.random_pairs: negative flow count";
-  by_start
-    (List.init nflows (fun _ ->
-         let src = Rng.int rng nhosts in
-         let dst = (src + 1 + Rng.int rng (nhosts - 1)) mod nhosts in
-         flow rng cdf ~window ~src ~dst))
 
 (* The connection-dense demux workload: [flows] flows between one pair
    of hosts, each destined for its own VC at the receiver. *)

@@ -17,13 +17,6 @@ val by_start : flow list -> flow list
 
 val total_bytes : flow list -> int
 
-val permutation : Rng.t -> nhosts:int -> cdf:Cdf.t -> window:Time.t -> flow list
-(** One flow per source along a random fixed-point-free permutation. *)
-
-val random_pairs :
-  Rng.t -> nhosts:int -> nflows:int -> cdf:Cdf.t -> window:Time.t -> flow list
-(** [nflows] flows between uniformly random distinct pairs. *)
-
 val pair_burst :
   Rng.t -> src:int -> dst:int -> flows:int -> cdf:Cdf.t -> window:Time.t ->
   flow list

@@ -10,12 +10,12 @@ let rec words b i stop sum =
     words b (i + 4) stop
       (sum + (Int32.to_int (Bytes.get_int32_be b i) land 0xFFFFFFFF))
 
-let sum init b ~off ~len =
+let ones_complement_sum b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     (invalid_arg "Checksum: region out of bounds"
     [@osiris.alloc_ok "cold error path: raises, never returns"]);
   let stop = off + (len land lnot 3) in
-  let sum = words b off stop init in
+  let sum = words b off stop 0 in
   (* Up to three tail bytes: a whole 16-bit half, then an odd byte
      padded with zero, as per RFC 1071. *)
   let sum =
@@ -26,12 +26,8 @@ let sum init b ~off ~len =
     (if len land 1 <> 0 then sum + (Char.code (Bytes.get b (off + len - 1)) lsl 8)
      else sum)
 
-let ones_complement_sum ?(init = 0) b ~off ~len = sum init b ~off ~len
-
 let finish sum = lnot (fold sum) land 0xffff
 
 let compute b ~off ~len = finish (ones_complement_sum b ~off ~len)
 
 let verify b ~off ~len = fold (ones_complement_sum b ~off ~len) = 0xffff
-
-let combine a b = fold (a + b)

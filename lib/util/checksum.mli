@@ -5,7 +5,7 @@
     this catching stale cached data, which it does for any single corrupted
     region that does not happen to preserve the one's-complement sum. *)
 
-val ones_complement_sum : ?init:int -> Bytes.t -> off:int -> len:int -> int
+val ones_complement_sum : Bytes.t -> off:int -> len:int -> int
 (** Running 16-bit one's-complement sum of the region; odd trailing byte is
     padded with zero as per RFC 1071. The result is in [\[0, 0xffff\]]. *)
 
@@ -18,7 +18,3 @@ val compute : Bytes.t -> off:int -> len:int -> int
 
 val verify : Bytes.t -> off:int -> len:int -> bool
 (** True when a region that includes its checksum field sums to [0xffff]. *)
-
-val combine : int -> int -> int
-(** One's-complement addition of two running sums (e.g. header + payload
-    computed separately). *)

@@ -12,16 +12,12 @@ let bind t ~vci ~name handler =
     invalid_arg (Printf.sprintf "Demux.bind: VCI %d already bound" vci);
   Hashtbl.replace t.table vci (name, handler)
 
-let unbind t ~vci = Hashtbl.remove t.table vci
-
 let deliver t ~vci msg =
   match Hashtbl.find_opt t.table vci with
   | None -> false
   | Some (_, h) ->
       h ~vci msg;
       true
-
-let bound t ~vci = Hashtbl.mem t.table vci
 
 let fresh_vci t =
   while Hashtbl.mem t.table t.next_vci do

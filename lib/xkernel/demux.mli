@@ -16,13 +16,9 @@ val create : unit -> t
 val bind : t -> vci:int -> name:string -> handler -> unit
 (** Raises [Invalid_argument] if the VCI is already bound. *)
 
-val unbind : t -> vci:int -> unit
-
 val deliver : t -> vci:int -> Msg.t -> bool
 (** Upcall the handler bound to [vci]; [false] (message ignored) when
     unbound. *)
-
-val bound : t -> vci:int -> bool
 
 val fresh_vci : t -> int
 (** An unused VCI (abundant-resource allocation). *)

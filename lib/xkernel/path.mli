@@ -32,14 +32,6 @@ val establish :
   crossings:int ->
   handler:(t -> Msg.t -> unit) ->
   t
-(** Open a path: allocate a fresh VCI, bind the handler (which receives
-    the path itself, so it can consult [crossings] for transfer costs), and
-    register the path for its lifetime. *)
-
-val tear_down : registry -> t -> unit
-(** Release the path and its VCI. *)
-
-val find : registry -> vci:int -> t option
-
-val active : registry -> t list
-(** Currently established paths, most recent first. *)
+(** Open a path: allocate a fresh VCI and bind the handler (which
+    receives the path itself, so it can consult [crossings] for transfer
+    costs) for the path's lifetime. *)

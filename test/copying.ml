@@ -23,6 +23,13 @@ let bytes_of_pbufs mem bufs =
     bufs;
   out
 
+(* Concatenated copy of the buffers a descriptor chain names. *)
+let bytes_of_descs mem descs =
+  bytes_of_pbufs mem
+    (List.map
+       (fun (d : Osiris_board.Desc.t) -> Pbuf.v ~addr:d.addr ~len:d.len)
+       descs)
+
 (* Does memory hold these bytes? A copy of each side, then compared. *)
 let region_equals mem ~addr ~len b ~off =
   Bytes.equal (Phys_mem.bytes_of_region mem ~addr ~len) (Bytes.sub b off len)

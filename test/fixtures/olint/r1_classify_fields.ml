@@ -2,6 +2,12 @@
    have one writer (lib/classify/table.ml); these foreign assignments
    must be flagged. *)
 
+type 'a t = {
+  mutable c_count : int;
+  mutable c_maxd : int;
+  mutable c_lookups : int;
+}
+
 let poke t =
   t.c_count <- 0;
   t.c_maxd <- t.c_maxd + 1;

@@ -2,6 +2,8 @@
    bitmap have one writer (lib/lb/reps.ml); these foreign assignments
    must be flagged. *)
 
+type r = { mutable ent_head : int; mutable ent_tail : int; mutable cached : int }
+
 let poke r =
   r.ent_head <- 0;
   r.ent_tail <- r.ent_tail + 1;

@@ -2,6 +2,8 @@
    one writer (lib/switch/switch.ml); these foreign assignments must be
    flagged. *)
 
+type port = { mutable q_head : int; mutable reserved : int }
+
 let poke port =
   port.q_head <- 0;
   port.reserved <- port.reserved + 1

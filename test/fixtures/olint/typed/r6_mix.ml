@@ -1,14 +1,8 @@
-(* R6 fixture: simulated nanoseconds meet wall-clock-derived nanoseconds
-   in one subtraction without a named conversion ([skew], flagged), and
-   once with the justified escape hatch ([skew_ok], accepted). *)
+(* R6 fixture: two wall-clock reads, one qualified ([stamp]) and one
+   through [open Unix] ([stamp_opened]); both are flagged. *)
 
-module Engine = Osiris_sim.Engine
+let stamp () = Unix.gettimeofday ()
 
-let skew eng =
-  let wall_ns = int_of_float (Unix.gettimeofday () *. 1e9) in
-  Engine.now eng - wall_ns
-
-let skew_ok eng =
-  (let wall_ns = int_of_float (Unix.gettimeofday () *. 1e9) in
-   Engine.now eng - wall_ns)
-  [@osiris.clock_ok "fixture: deliberate cross-domain skew probe"]
+let stamp_opened () =
+  let open Unix in
+  gettimeofday ()

@@ -1,2 +1,2 @@
-val skew : Osiris_sim.Engine.t -> int
-val skew_ok : Osiris_sim.Engine.t -> int
+val stamp : unit -> float
+val stamp_opened : unit -> float

@@ -134,8 +134,6 @@ let test_hot_directive () =
     "hot entries"
     [ ("lib/sim/engine.ml", "push"); ("lib/atm/sar.ml", "push") ]
     p.Policy.hot;
-  Alcotest.(check bool) "is_hot" true
-    (Policy.is_hot p ~file:"lib/sim/engine.ml" ~fn:"push");
   match Policy.of_string "hot lib/sim/engine.ml\n" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "hot without :function accepted"
@@ -169,7 +167,9 @@ let test_check_tree_over_fixtures () =
   let vs = Lint.check_tree policy [ fixture_root ] in
   let count r = List.length (List.filter (fun v -> v.Lint.rule = r) vs) in
   Alcotest.(check int) "one R0" 1 (count "R0");
-  Alcotest.(check int) "R1 per foreign write" 12 (count "R1");
+  (* No fixture declares [irq_filter]: its [shared] entry is stale. *)
+  Alcotest.(check int) "R1 per foreign write, and the stale entry" 13
+    (count "R1");
   Alcotest.(check int) "one R2" 1 (count "R2");
   Alcotest.(check int) "two R3" 2 (count "R3");
   Alcotest.(check int) "R4 for every .mli-less fixture .ml" 10 (count "R4");
@@ -180,7 +180,11 @@ let test_check_tree_over_fixtures () =
   (* The grep-able one-line form carries file, line and rule. *)
   let printed =
     Format.asprintf "%a" Lint.pp_violation
-      (List.find (fun v -> v.Lint.rule = "R1") vs)
+      (List.find
+         (fun v ->
+           v.Lint.rule = "R1"
+           && Filename.basename v.Lint.file = "r1_bad_owner.ml")
+         vs)
   in
   Alcotest.(check bool)
     (Printf.sprintf "pp form (%s)" printed)
@@ -201,16 +205,19 @@ let typed_policy =
      hot test/fixtures/olint/typed/r5_transitive.ml:tick\n\
      hot test/fixtures/olint/typed/r5_hatch.ml:tick\n\
      hot test/fixtures/olint/typed/r5_classify.ml:lookup\n\
-     sim-time Engine.now\n\
      wall-clock Unix.gettimeofday\n\
-     coverage-fn accounting\n"
+     coverage-fn accounting\n\
+     own retired_field test/fixtures/olint/typed/r7_counter.ml\n\
+     shared retired_shared\n\
+     uncovered fixture.retired_cells # seeded stale entry\n"
 
 let test_typed_fixtures () =
   let vs = Typed.check_tree typed_policy ~cmt_root in
   let of_rule r = List.filter (fun v -> v.Lint.rule = r) vs in
   Alcotest.(check int) "four R5" 4 (List.length (of_rule "R5"));
-  Alcotest.(check int) "one R6" 1 (List.length (of_rule "R6"));
-  Alcotest.(check int) "one R7" 1 (List.length (of_rule "R7"));
+  Alcotest.(check int) "two R6" 2 (List.length (of_rule "R6"));
+  (* the unread counter, and the stale [uncovered] entry *)
+  Alcotest.(check int) "two R7" 2 (List.length (of_rule "R7"));
   let in_file name =
     List.filter (fun v -> Filename.basename v.Lint.file = name) vs
   in
@@ -241,13 +248,15 @@ let test_typed_fixtures () =
         (contains ~affix:"justification" v.Lint.message)
   | vs -> Alcotest.failf "r5_hatch: expected 1 violation, got %d"
             (List.length vs));
-  (match in_file "r6_mix.ml" with
-  | [ v ] ->
-      Alcotest.(check string) "rule" "R6" v.Lint.rule;
-      Alcotest.(check bool) "names the mixing operator" true
-        (contains ~affix:"wall-clock" v.Lint.message)
-  | vs -> Alcotest.failf "r6_mix: expected 1 violation, got %d"
-            (List.length vs));
+  Alcotest.(check (list (pair string int)))
+    "R6: the direct read and the read through open Unix"
+    [ ("R6", 4); ("R6", 8) ]
+    (List.map (fun v -> (v.Lint.rule, v.Lint.line)) (in_file "r6_mix.ml"));
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) "names the function" true
+        (contains ~affix:"Unix.gettimeofday" v.Lint.message))
+    (in_file "r6_mix.ml");
   match in_file "r7_counter.ml" with
   | [ v ] ->
       Alcotest.(check string) "rule" "R7" v.Lint.rule;
@@ -281,8 +290,8 @@ let test_r9_fixtures () =
       "r5_hatch.mli:1 nowhere R5_hatch.tick";
       "r5_transitive.mli:1 own R5_transitive.boxit";
       "r5_transitive.mli:2 nowhere R5_transitive.tick";
-      "r6_mix.mli:1 nowhere R6_mix.skew";
-      "r6_mix.mli:2 nowhere R6_mix.skew_ok";
+      "r6_mix.mli:1 nowhere R6_mix.stamp";
+      "r6_mix.mli:2 nowhere R6_mix.stamp_opened";
       "r7_counter.mli:1 nowhere R7_counter.make";
       "r7_counter.mli:2 nowhere R7_counter.bump";
       "r9_lib.mli:2 own R9_lib.own_only";
@@ -338,6 +347,37 @@ let test_typed_stale_hot_entry () =
         (contains ~affix:"hot entry" v.Lint.message))
     vs
 
+(* The same guard for the other entry kinds: an [own] or [shared] entry
+   whose field no linted record declares (R1), and an [uncovered] entry
+   that matches no registered counter (R7). The fixture policy seeds
+   one of each. *)
+let test_stale_policy_entries () =
+  let stale rule vs =
+    List.filter_map
+      (fun v ->
+        if
+          v.Lint.rule = rule
+          && contains ~affix:"stale policy entry" v.Lint.message
+        then Some v.Lint.message
+        else None)
+      vs
+  in
+  let names_each what msgs affixes =
+    Alcotest.(check int) (what ^ " count") (List.length affixes)
+      (List.length msgs);
+    List.iter
+      (fun affix ->
+        Alcotest.(check bool) (what ^ " names " ^ affix) true
+          (List.exists (contains ~affix) msgs))
+      affixes
+  in
+  names_each "R1"
+    (stale "R1" (Lint.check_tree typed_policy [ fixture "typed" ]))
+    [ "own entry 'retired_field'"; "shared entry 'retired_shared'" ];
+  names_each "R7"
+    (stale "R7" (Typed.check_tree typed_policy ~cmt_root))
+    [ "uncovered entry 'fixture.retired_cells'" ]
+
 let suite =
   [
     Alcotest.test_case "policy parses and answers queries" `Quick
@@ -362,6 +402,8 @@ let suite =
       `Quick test_typed_fixtures;
     Alcotest.test_case "R5: stale hot entries are violations" `Quick
       test_typed_stale_hot_entry;
+    Alcotest.test_case "R1/R7: stale own, shared and uncovered entries"
+      `Quick test_stale_policy_entries;
     Alcotest.test_case "R9: exports without callers, unpassed options"
       `Quick test_r9_fixtures;
     Alcotest.test_case "R10: exported labels unread or never assigned"

@@ -283,7 +283,7 @@ let board_loopback ?(dma_mode = Board.Double_cell) ?(pdu_len = 5000)
         if Engine.now eng > 1_000_000_000 then failwith "timeout"
       done;
       let framed =
-        Copying.bytes_of_pbufs mem (List.rev_map Desc.to_pbuf !chain)
+        Copying.bytes_of_descs mem (List.rev !chain)
       in
       result := Some (Copying.deframe framed));
   Engine.run ~until:2_000_000_000 eng;
@@ -1252,9 +1252,9 @@ let frame_chain_matches_oracle =
           let got = Board.frame_chain board ~vci ~nlinks descs in
           let want =
             Copying.segment ~vci ~nlinks
-              (Copying.bytes_of_pbufs mem (List.map Desc.to_pbuf descs))
+              (Copying.bytes_of_descs mem descs)
           in
-          List.equal Cell.equal (Array.to_list got) want)
+          List.equal ( = ) (Array.to_list got) want)
         [ c1; c2 ])
 
 let suite =

@@ -360,11 +360,6 @@ let test_long_descriptor_chains () =
       Alcotest.(check bool) "long chain intact" true (Bytes.equal want have))
     payloads got
 
-let test_machine_lookup () =
-  Alcotest.(check bool) "by_name finds" true
-    (Machine.by_name "dec 5000/200" <> None);
-  Alcotest.(check bool) "unknown" true (Machine.by_name "vax" = None)
-
 (* Bulk VC setup must be O(1) amortized: after the first circuit between
    a host pair, path discovery comes out of the topology's cache, so
    opening thousands of VCs costs thousands of table inserts — not
@@ -404,7 +399,7 @@ let test_fresh_hosts_not_resident () =
       in
       Alcotest.(check int) (machine.Machine.name ^ ": resident frames") 0
         (resident h))
-    Machine.all;
+    [ Machine.ds5000_200; Machine.dec3000_600 ];
   let _eng, topo = Network.star ~n:9 () in
   for i = 0 to Network.nhosts topo - 1 do
     Alcotest.(check int)
@@ -439,7 +434,7 @@ let test_fresh_host_live_heap () =
       if mb > bound_mb then
         Alcotest.failf "%s: a fresh host holds %.2f MB live (bound %.2f MB)"
           machine.Machine.name mb bound_mb)
-    Machine.all
+    [ Machine.ds5000_200; Machine.dec3000_600 ]
 
 (* Nothing process-global keeps a host alive: 200 DECstation pairs,
    each built, run for 1 ms and dropped, leave only their metrics
@@ -550,7 +545,7 @@ let trailer_check_matches_copying =
       let chain = place 0 0 cuts [] in
       let want =
         Copying.deframe_check
-          (Copying.bytes_of_pbufs mem (List.map Desc.to_pbuf chain))
+          (Copying.bytes_of_descs mem chain)
       in
       Driver.trailer_check mem chain = want
       &&
@@ -736,7 +731,6 @@ let suite =
       test_small_buffers_noncontiguous_pool;
     Alcotest.test_case "long descriptor chains reassemble" `Quick
       test_long_descriptor_chains;
-    Alcotest.test_case "machine profiles" `Quick test_machine_lookup;
     QCheck_alcotest.to_alcotest trailer_check_matches_copying;
     QCheck_alcotest.to_alcotest e2e_random_integrity;
     Alcotest.test_case "snapshot" `Quick test_snapshot;
@@ -750,10 +744,10 @@ let suite =
       test_udp_exchange_residency;
     Alcotest.test_case "two-way UDP checksums under lazy invalidation" `Quick
       test_two_way_lazy_pinned;
-    Alcotest.test_case "major-heap words per 16 KB datagram" `Quick
-      test_major_words_per_datagram;
     Alcotest.test_case "a fresh host's live heap" `Quick
       test_fresh_host_live_heap;
+    Alcotest.test_case "major-heap words per 16 KB datagram" `Quick
+      test_major_words_per_datagram;
     Alcotest.test_case "dropped pairs are freed" `Quick
       test_dropped_pairs_freed;
     Alcotest.test_case "two-way UDP checksums under lazy invalidation, 1.5 ms"

@@ -275,7 +275,7 @@ let test_measure_window_rate () =
     (float_of_int (c1 - c0) /. Osiris_sim.Time.to_float_us ns)
 
 let test_registry_complete () =
-  let ids = Registry.ids () in
+  let ids = List.map (fun e -> e.Registry.id) Registry.all in
   List.iter
     (fun required ->
       Alcotest.(check bool) (required ^ " registered") true

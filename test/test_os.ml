@@ -80,8 +80,7 @@ let test_irq_dispatch_and_coalescing () =
   (* A later assert dispatches again. *)
   Irq.assert_line irq ~line:3;
   Engine.run eng;
-  Alcotest.(check int) "second dispatch" 2 !handled;
-  Alcotest.(check int) "per line" 2 (Irq.count_line irq ~line:3)
+  Alcotest.(check int) "second dispatch" 2 !handled
 
 let test_irq_unregistered_line () =
   let eng = Engine.create () in
@@ -98,7 +97,10 @@ let test_wiring_policies () =
   let cpu = Cpu.create eng ~hz:25_000_000 in
   let mem = Phys_mem.create ~size:(1 lsl 20) ~page_size:4096 () in
   let vs = Vspace.create mem in
-  let w = Wiring.create cpu Wiring.default_costs Wiring.Mach_full in
+  let w =
+    Wiring.create cpu Osiris_core.Machine.ds5000_200.Osiris_core.Machine.wiring
+      Wiring.Mach_full
+  in
   let mach_4 = Wiring.cost_of w ~pages:4 in
   Wiring.set_policy w Wiring.Low_level;
   let low_4 = Wiring.cost_of w ~pages:4 in
@@ -108,8 +110,7 @@ let test_wiring_policies () =
       Wiring.wire w vs ~vaddr:v ~len:(4 * 4096));
   Engine.run eng;
   Alcotest.(check int) "pages wired" 4 (Vspace.wired_pages vs);
-  Alcotest.(check int) "time = cost_of" low_4 (Engine.now eng);
-  Alcotest.(check int) "calls counted" 1 (Wiring.calls w)
+  Alcotest.(check int) "time = cost_of" low_4 (Engine.now eng)
 
 let test_domains () =
   let mem = Phys_mem.create ~size:(1 lsl 20) ~page_size:4096 () in

@@ -38,7 +38,13 @@ let mk_world () =
         invalidate_cycles_per_word = 1;
       }
   in
-  { eng; vs; ctx = Ctx.create ~cpu ~cache Ctx.default_costs }
+  {
+    eng;
+    vs;
+    ctx =
+      Ctx.create ~cpu ~cache
+        Osiris_core.Machine.ds5000_200.Osiris_core.Machine.proto_costs;
+  }
 
 let run_in w f =
   let r = ref None in

@@ -19,6 +19,7 @@ module Explore = Osiris_check.Explore
 module Scenarios = Osiris_check.Scenarios
 module Incast = Osiris_experiments.Incast
 module Fault_soak = Osiris_experiments.Fault_soak
+module Metrics = Osiris_obs.Metrics
 
 let cell ?(vci = 10) ?(seq = 0) () =
   Cell.make ~vci ~seq ~eom:true ~last_of_pdu:true
@@ -212,10 +213,10 @@ let test_chain_across_trunk () =
   Engine.run ~until:(Time.ms 25) eng;
   Alcotest.(check int) "0 -> 3 across the trunk" 3 !there;
   Alcotest.(check int) "3 -> 0 across the trunk" 3 !back;
-  Array.iter
-    (fun sw ->
+  Array.iteri
+    (fun i sw ->
       Alcotest.(check int)
-        (Printf.sprintf "switch %s dropped nothing" (Switch.name sw))
+        (Printf.sprintf "switch %d dropped nothing" i)
         0
         ((Switch.stats sw).Switch.dropped_overflow
         + (Switch.stats sw).Switch.dropped_no_route);
@@ -473,16 +474,8 @@ let switch_scenario seed =
    so the hub's port drops cells; pinned on its deliveries with
    timestamps, every switch counter, the final clock and the event
    count. *)
-let overloaded_star () =
-  let eng, topo =
-    Network.star ~n:3
-      ~switch:
-        {
-          Switch.default_config with
-          Switch.queue_cells = 24;
-            }
-      ()
-  in
+let overloaded_star_run switch =
+  let eng, topo = Network.star ~n:3 ~switch () in
   let dst = Network.host topo 0 in
   let log = Buffer.create 1024 in
   List.iter
@@ -503,6 +496,12 @@ let overloaded_star () =
           done))
     [ 1; 2 ];
   Engine.run ~until:(Time.ms 15) eng;
+  (eng, topo, log)
+
+let overloaded_star () =
+  let eng, topo, log =
+    overloaded_star_run { Switch.default_config with Switch.queue_cells = 24 }
+  in
   let sw = topo.Network.switches.(0) in
   check_conservation sw;
   let s = Switch.stats sw in
@@ -516,6 +515,35 @@ let overloaded_star () =
        s.Switch.forwarded s.Switch.dropped_overflow s.Switch.max_occupancy
        (Engine.now eng) (Engine.events_dispatched eng));
   (Buffer.contents log, s.Switch.dropped_overflow)
+
+(* The registry handles are each switch's only tally of its cell
+   events: after a reset and the overloaded star run (with marking on),
+   every switch.* value equals its field summed over the switches. *)
+let test_registry_is_the_tally () =
+  Metrics.reset ();
+  let _eng, topo, _log =
+    overloaded_star_run
+      { Switch.default_config with Switch.queue_cells = 24; mark_threshold = 8 }
+  in
+  let sum f =
+    Array.fold_left (fun a sw -> a + f (Switch.stats sw)) 0 topo.Network.switches
+  in
+  List.iter
+    (fun (name, f) ->
+      match Metrics.find name with
+      | Some (Metrics.V_int v) -> Alcotest.(check int) name (sum f) v
+      | _ -> Alcotest.failf "%s is not a registered counter" name)
+    [
+      ("switch.cells_in", fun s -> s.Switch.cells_in);
+      ("switch.forwarded", fun s -> s.Switch.forwarded);
+      ("switch.dropped_overflow", fun s -> s.Switch.dropped_overflow);
+      ("switch.dropped_no_route", fun s -> s.Switch.dropped_no_route);
+      ("switch.dropped_epd", fun s -> s.Switch.dropped_epd);
+      ("switch.marked", fun s -> s.Switch.marked);
+    ];
+  Alcotest.(check bool) "the run drops and marks cells" true
+    (sum (fun s -> s.Switch.dropped_overflow) > 0
+    && sum (fun s -> s.Switch.marked) > 0)
 
 
 (* A port that goes down stops draining: the cell already in the
@@ -618,6 +646,8 @@ let suite =
       test_port_down_stops_draining;
     Alcotest.test_case "pinned scenarios: callback ports match" `Quick
       test_pinned_scenarios;
+    Alcotest.test_case "registry counters are the switches' tally" `Quick
+      test_registry_is_the_tally;
     Alcotest.test_case "pinned overloaded star" `Quick
       test_pinned_overloaded_star;
     Alcotest.test_case "fabric audit sees cells in flight" `Quick
