@@ -4,11 +4,18 @@
 open Osiris_atm
 module Rng = Osiris_util.Rng
 
+(* A wire cell is a 5-byte ATM header (four bytes of VCI and framing
+   bits, then the header check byte) ahead of the 48-byte payload; the
+   link charges every cell all 53 bytes. *)
+let test_cell_header_check () =
+  Alcotest.(check int) "header with its check byte" 5
+    (Cell.wire_size - Cell.payload_size);
+  Alcotest.(check int) "wire size" 53 Cell.wire_size
+
 let test_cell_sizes () =
   Alcotest.(check int) "payload" 48 Cell.payload_size;
   Alcotest.(check int) "data" 44 Cell.data_size;
-  Alcotest.(check int) "aal overhead" 4 Cell.aal_overhead;
-  Alcotest.(check int) "wire size" 53 Cell.wire_size
+  Alcotest.(check int) "aal overhead" 4 Cell.aal_overhead
 
 let test_framed_len () =
   Alcotest.(check int) "1 byte fits one cell" 44 (Sar.framed_len 1);
@@ -251,6 +258,7 @@ let test_link_finished () =
 
 let suite =
   [
+    Alcotest.test_case "cell: header check byte" `Quick test_cell_header_check;
     Alcotest.test_case "cell: sizes" `Quick test_cell_sizes;
     Alcotest.test_case "sar: framed length arithmetic" `Quick test_framed_len;
     QCheck_alcotest.to_alcotest frame_roundtrip;
