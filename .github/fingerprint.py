@@ -4,21 +4,27 @@ fingerprint. Two sets are fingerprinted, each in its own file under
 .github/, in one format: a JSON object from run name to an object of
 value name to value.
 
-perfbench (perfbench-fingerprint.json): per workload, sim.events,
-every model.* value and every deterministic per-layer count (link.*,
-switch.*, board.*, classify.*, transport.*, cache.*, proto.*, lb.*,
-driver.*) of a traced run at seed 11. Host times and allocation are not
-in it. Collect the runs from the repository root, then check them
-(exit 1 on any difference):
+perfbench (perfbench-fingerprint.json): per workload and seed,
+sim.events, every model.* value and every deterministic per-layer count
+(link.*, switch.*, board.*, classify.*, transport.*, cache.*, proto.*,
+lb.*, driver.*) of a traced run. Host times and allocation are not in
+it. A workload's run at seed 11 is named after the workload, its run at
+seed 9001 "<workload>@9001". Collect the runs from the repository root,
+then check them (exit 1 on any difference):
 
     for w in udp_bulk_pair star_small_pdu fattree_reps_mix; do
       python3 perfbench/run.py --workload $w --seed 11 --seconds 1 \\
         --trace 1 > perfbench-trace-$w.txt
+      python3 perfbench/run.py --workload $w --seed 9001 --seconds 1 \\
+        --trace 1 > perfbench-trace-$w@9001.txt
     done
     python3 .github/fingerprint.py perfbench check \\
       udp_bulk_pair=perfbench-trace-udp_bulk_pair.txt \\
+      udp_bulk_pair@9001=perfbench-trace-udp_bulk_pair@9001.txt \\
       star_small_pdu=perfbench-trace-star_small_pdu.txt \\
-      fattree_reps_mix=perfbench-trace-fattree_reps_mix.txt
+      star_small_pdu@9001=perfbench-trace-star_small_pdu@9001.txt \\
+      fattree_reps_mix=perfbench-trace-fattree_reps_mix.txt \\
+      fattree_reps_mix@9001=perfbench-trace-fattree_reps_mix@9001.txt
 
 figures (figures-fingerprint.json): per figure, every value of its
 BENCH.json "experiments" and "metrics", from one bench/main.exe run of
@@ -84,14 +90,18 @@ def figure_runs(args):
 
 
 def perfbench_regenerate(runs):
+    workloads = sorted({r.split("@")[0] for r in runs})
+    names = [n for w in workloads for n in (w, w + "@9001")]
     return [
-        "for w in %s; do python3 perfbench/run.py --workload $w "
-        "--seed 11 --seconds 1 --trace 1 > perfbench-trace-$w.txt; done"
-        % " ".join(sorted(runs)),
+        "for w in %s; do "
+        "python3 perfbench/run.py --workload $w --seed 11 --seconds 1 "
+        "--trace 1 > perfbench-trace-$w.txt; "
+        "python3 perfbench/run.py --workload $w --seed 9001 --seconds 1 "
+        "--trace 1 > perfbench-trace-$w@9001.txt; done"
+        % " ".join(workloads),
         "python3 %s perfbench write %s" % (
             os.path.relpath(__file__),
-            " ".join("%s=perfbench-trace-%s.txt" % (w, w)
-                     for w in sorted(runs))),
+            " ".join("%s=perfbench-trace-%s.txt" % (n, n) for n in names)),
     ]
 
 

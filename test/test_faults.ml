@@ -297,6 +297,15 @@ let test_duplicate_cells_harmless () =
   Alcotest.(check bool)
     (Printf.sprintf "flow survived (%d delivered)" !good)
     true (!good > 10);
+  (* The seeded outcome, exactly. *)
+  Test_link.check_stats "pinned link outcome"
+    [
+      ("cells_sent", 7480); ("cells_delivered", 7499); ("dropped_fifo", 0);
+      ("dropped_net", 0); ("corrupted", 0); ("reordered", 19);
+      ("duplicated", 19); ("header_corrupted", 0); ("dropped_link_down", 0);
+    ]
+    net.Network.a_to_b;
+  Alcotest.(check int) "pinned deliveries" 25 !good;
   Alcotest.(check int) "no residual reassemblies" 0
     (Board.reassemblies_in_progress b.Host.board);
   Invariants.assert_clean ~quiescent:true ~board:b.Host.board
@@ -329,6 +338,15 @@ let test_header_corruption_never_escapes () =
   Alcotest.(check bool)
     (Printf.sprintf "flow survived (%d delivered)" !good)
     true (!good > 10);
+  (* The seeded outcome, exactly. *)
+  Test_link.check_stats "pinned link outcome"
+    [
+      ("cells_sent", 7480); ("cells_delivered", 7480); ("dropped_fifo", 0);
+      ("dropped_net", 0); ("corrupted", 0); ("reordered", 0);
+      ("duplicated", 0); ("header_corrupted", 42); ("dropped_link_down", 0);
+    ]
+    net.Network.a_to_b;
+  Alcotest.(check int) "pinned deliveries" 23 !good;
   Invariants.assert_clean ~quiescent:true ~board:b.Host.board
     ~driver:b.Host.driver ()
 

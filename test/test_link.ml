@@ -26,6 +26,26 @@ let collect eng link n =
       done);
   out
 
+(* Every counter of [Atm_link.stats], named, so that a pinned outcome's
+   failure shows which one moved. *)
+let stats_fields (s : Atm_link.stats) =
+  [
+    ("cells_sent", s.cells_sent);
+    ("cells_delivered", s.cells_delivered);
+    ("dropped_fifo", s.dropped_fifo);
+    ("dropped_net", s.dropped_net);
+    ("corrupted", s.corrupted);
+    ("reordered", s.reordered);
+    ("duplicated", s.duplicated);
+    ("header_corrupted", s.header_corrupted);
+    ("dropped_link_down", s.dropped_link_down);
+  ]
+
+let check_stats msg want link =
+  Alcotest.(check (list (pair string int)))
+    msg want
+    (stats_fields (Atm_link.stats link))
+
 let test_no_skew_in_order () =
   let eng = Engine.create () in
   let link =
@@ -113,6 +133,15 @@ let test_corruption_injection () =
   Alcotest.(check int) "all corrupted"
     (List.length cells)
     (Atm_link.stats link).Atm_link.corrupted;
+  (* The seeded outcome, exactly: the byte each corruption flips is
+     drawn from the same stream. *)
+  check_stats "pinned outcome"
+    [
+      ("cells_sent", 3); ("cells_delivered", 3); ("dropped_fifo", 0);
+      ("dropped_net", 0); ("corrupted", 3); ("reordered", 0);
+      ("duplicated", 0); ("header_corrupted", 0); ("dropped_link_down", 0);
+    ]
+    link;
   (* Corruption touches payload bytes, never the header fields. *)
   List.iter
     (fun (_, (c : Cell.t)) ->
@@ -133,7 +162,16 @@ let test_drop_injection () =
   Alcotest.(check bool)
     (Printf.sprintf "drop fraction %.2f near 0.5" frac)
     true
-    (frac > 0.4 && frac < 0.6)
+    (frac > 0.4 && frac < 0.6);
+  (* The seeded outcome, exactly (no receiver: the 32-cell input FIFO
+     holds the first survivors and drops the rest). *)
+  check_stats "pinned outcome"
+    [
+      ("cells_sent", 92); ("cells_delivered", 32); ("dropped_fifo", 5);
+      ("dropped_net", 55); ("corrupted", 0); ("reordered", 0);
+      ("duplicated", 0); ("header_corrupted", 0); ("dropped_link_down", 0);
+    ]
+    link
 
 let suite =
   [
