@@ -36,10 +36,7 @@ let run_pipeline ~cached =
   in
   let cpu = Cpu.create eng ~hz:machine.Machine.cpu_hz in
   let kernel_vs = Vspace.create mem in
-  let fb =
-    Fbufs.create cpu kernel_vs Fbufs.default_costs ~max_cached_paths:16
-      ~bufs_per_path:4 ~buf_size:msg_size
-  in
+  let fb = Fbufs.create cpu kernel_vs in
   let demux = Demux.create () in
   let reg = Path.create_registry demux in
   let delivered = ref 0 and last_delivery = ref 0 in

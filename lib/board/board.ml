@@ -28,15 +28,9 @@ type config = {
   locking : Desc_queue.locking;
   reassembly : Sar.strategy;
   nlinks : int;
-  i960_hz : int;
   tx_cycles_per_cell : int;
   rx_cycles_per_cell : int;
   tx_combine_saving_cycles : int;
-  queue_word_cycles : int;
-  n_channels : int;
-  max_pdu_cells : int;
-  page_size : int;
-  rx_fifo_cells : int;
   reassembly_timeout : Time.t;
   irq_reassert : Time.t;
 }
@@ -55,21 +49,23 @@ let default_config =
     locking = Desc_queue.Lock_free;
     reassembly = Sar.Per_link 4;
     nlinks = 4;
-    i960_hz = 25_000_000;
     tx_cycles_per_cell = 27;
     rx_cycles_per_cell = 15;
     tx_combine_saving_cycles = 14;
-    queue_word_cycles = 2;
-    n_channels = 16;
-    max_pdu_cells = 8192;
-    page_size = 4096;
-    rx_fifo_cells = 32;
     (* Both recovery timers default off: enabling them leaves timer events
        in the engine heap, which would shift the quiescence clock of every
        seeded experiment that predates the fault layer. *)
     reassembly_timeout = 0;
     irq_reassert = 0;
   }
+
+(* The adaptor's fixed figures: one dual-port queue page per channel
+   and direction, 25 MHz i960s that spend two cycles on each dual-port
+   word, and a reassembly window of 8192 cells. *)
+let n_channels = 16
+let i960_hz = 25_000_000
+let queue_word_cycles = 2
+let max_pdu_cells = 8192
 
 type interrupt_reason =
   | Rx_nonempty of int
@@ -245,6 +241,7 @@ type t = {
   eng : Engine.t;
   bus : Tc.t;
   mem : Phys_mem.t;
+  page_size : int; (* the host's: DMA transactions never cross it *)
   cfg : config;
   on_interrupt : interrupt_reason -> unit;
   on_dma_write : addr:int -> len:int -> unit;
@@ -276,23 +273,19 @@ type t = {
   no_cmd : dma_cmd;
 }
 
-let i960_time t cycles =
-  ((cycles * 1_000_000_000) + t.cfg.i960_hz - 1) / t.cfg.i960_hz
+let i960_time cycles = ((cycles * 1_000_000_000) + i960_hz - 1) / i960_hz
 
 (* The host's accesses are PIO transactions on its bus; the board's are
    i960 cycles per dual-port word, which the board's agents sleep for. *)
-let make_hooks bus cfg =
+let make_hooks bus =
   {
     Desc_queue.host_pio_read = (fun n -> Tc.pio_read_words bus ~words:n);
     host_pio_write = (fun n -> Tc.pio_write_words bus ~words:n);
-    board_access =
-      (fun n ->
-        ((n * cfg.queue_word_cycles * 1_000_000_000) + cfg.i960_hz - 1)
-        / cfg.i960_hz);
+    board_access = (fun n -> i960_time (n * queue_word_cycles));
   }
 
 let make_channel eng bus cfg id =
-  let hooks = make_hooks bus cfg in
+  let hooks = make_hooks bus in
   let mk metrics_prefix direction =
     Desc_queue.create eng ~metrics_prefix ~size:cfg.queue_size ~direction
       ~locking:cfg.locking ~hooks ()
@@ -313,17 +306,14 @@ let make_channel eng bus cfg id =
 
 let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ())
     cfg =
-  if cfg.n_channels < 1 then invalid_arg "Board.create: need >= 1 channel";
-  let channels =
-    Array.init cfg.n_channels (fun id -> make_channel eng bus cfg id)
-  in
+  let channels = Array.init n_channels (fun id -> make_channel eng bus cfg id) in
   (* Fills the classification table's empty value slots; never returned
      by a lookup (its key is the empty sentinel). *)
   let dummy_vc =
     {
       vci = -1;
       channel = channels.(0);
-      sar = Sar.create cfg.reassembly ~max_cells:cfg.max_pdu_cells;
+      sar = Sar.create cfg.reassembly ~max_cells:max_pdu_cells;
       last_progress = 0;
       bufs = bufs_create ();
       buf_size = 0;
@@ -358,6 +348,7 @@ let create eng ~bus ~mem ~on_interrupt ?(on_dma_write = fun ~addr:_ ~len:_ -> ()
       eng;
       bus;
       mem;
+      page_size = Phys_mem.page_size mem;
       cfg;
       on_interrupt;
       on_dma_write;
@@ -454,7 +445,7 @@ let rec arm_reassert t ch =
 let kernel_channel t = t.channels.(0)
 
 let open_channel t ?(priority = 1) () =
-  if t.n_open >= t.cfg.n_channels then
+  if t.n_open >= n_channels then
     failwith "Board.open_channel: all queue pages in use";
   let ch = t.channels.(t.n_open) in
   t.n_open <- t.n_open + 1;
@@ -469,12 +460,12 @@ let set_allowed_pages ch allowed = ch.allowed <- allowed
 let set_priority ch p = ch.priority <- p
 
 let set_free_gate t ~ch gated =
-  if ch < 0 || ch >= t.cfg.n_channels then
+  if ch < 0 || ch >= n_channels then
     invalid_arg "Board.set_free_gate: channel out of range";
   t.channels.(ch).free_gated <- gated
 
 let free_gated t ~ch =
-  if ch < 0 || ch >= t.cfg.n_channels then
+  if ch < 0 || ch >= n_channels then
     invalid_arg "Board.free_gated: channel out of range";
   t.channels.(ch).free_gated
 
@@ -485,7 +476,7 @@ let bind_vci t ~vci ch =
     {
       vci;
       channel = ch;
-      sar = Sar.create t.rx_strategy ~max_cells:t.cfg.max_pdu_cells;
+      sar = Sar.create t.rx_strategy ~max_cells:max_pdu_cells;
       last_progress = 0;
       bufs = bufs_create ();
       buf_size = 0;
@@ -674,13 +665,13 @@ let rec tx_pass p =
   let in_progress =
     match t.cfg.tx_mux with
     | Cell_interleave -> -1
-    | Pdu_at_once -> last_loaded t (t.cfg.n_channels - 1)
+    | Pdu_at_once -> last_loaded t (n_channels - 1)
   in
   if in_progress >= 0 then tx_emit p t.channels.(in_progress)
   else begin
     p.best <- -1;
     p.idx <- t.rr_cursor;
-    p.left <- t.cfg.n_channels;
+    p.left <- n_channels;
     tx_scan p
   end
 
@@ -691,7 +682,7 @@ and tx_scan p =
   let t = p.tp_t in
   if p.left = 0 then tx_picked p
   else if p.idx >= t.n_open then begin
-    let n = t.cfg.n_channels in
+    let n = n_channels in
     let skip = Int.min p.left (n - p.idx) in
     p.left <- p.left - skip;
     p.idx <- (if p.idx + skip = n then 0 else p.idx + skip);
@@ -720,14 +711,14 @@ and tx_loaded p ok =
   tx_scan_next p
 
 and tx_scan_next p =
-  p.idx <- (if p.idx + 1 = p.tp_t.cfg.n_channels then 0 else p.idx + 1);
+  p.idx <- (if p.idx + 1 = n_channels then 0 else p.idx + 1);
   p.left <- p.left - 1;
   tx_scan p
 
 and tx_picked p =
   let t = p.tp_t in
   if p.best >= 0 then begin
-    t.rr_cursor <- (if p.best + 1 = t.cfg.n_channels then 0 else p.best + 1);
+    t.rr_cursor <- (if p.best + 1 = n_channels then 0 else p.best + 1);
     tx_emit p t.channels.(p.best)
   end
   else if t.tx_kicks = p.kicks then Signal.wait_then t.tx_work p.tp_a p.tp_pass
@@ -792,7 +783,7 @@ and tx_load p chain =
           data_len = Desc.total_len chain;
           nchain;
           tx_ch = ch;
-          piece_off = dma_plan ~page_size:t.cfg.page_size chain;
+          piece_off = dma_plan ~page_size:t.page_size chain;
           next = 0;
           cursor = 0;
         };
@@ -825,7 +816,7 @@ and tx_emit p ch =
       p.e_pdu <- pdu;
       p.e_first <- k;
       p.e_count <- n;
-      Process.sleep_then p.tp_a (i960_time t cycles) p.tp_emitted
+      Process.sleep_then p.tp_a (i960_time cycles) p.tp_emitted
 
 and tx_emitted p =
   let pdu = p.e_pdu and k = p.e_first and n = p.e_count in
@@ -1236,7 +1227,7 @@ and rx_handle r (phys_link, cell) =
   Metrics.incr t.m.m_cells_received;
   r.r_link <- phys_link;
   r.r_cell <- cell;
-  Process.sleep_then r.rp_a (i960_time t t.cfg.rx_cycles_per_cell) r.rp_decide
+  Process.sleep_then r.rp_a (i960_time t.cfg.rx_cycles_per_cell) r.rp_decide
 
 and rx_decide r =
   let t = r.rp_t and phys_link = r.r_link and cell = r.r_cell in
@@ -1388,7 +1379,7 @@ and rx_got_buf r = function
 and rx_submit r =
   let t = r.rp_t and vc = r.r_vc and p = r.r_place in
   let pieces =
-    placement_pieces vc ~page_size:t.cfg.page_size ~offset:p.Sar.offset
+    placement_pieces vc ~page_size:t.page_size ~offset:p.Sar.offset
       ~len:Cell.data_size
   in
   let posts =
@@ -1484,7 +1475,7 @@ and rx_dma_got d cmd1 =
   match
     if t.cfg.dma_mode = Double_cell then Mailbox.try_recv t.rx_dma_q else None
   with
-  | Some cmd2 when combinable cmd1 cmd2 ~page_size:t.cfg.page_size ->
+  | Some cmd2 when combinable cmd1 cmd2 ~page_size:t.page_size ->
       let len = cmd1.pieces.(1) + cmd2.pieces.(1) in
       Metrics.incr t.m.m_combined_dmas;
       Hist.add t.m.m_dma_bytes (float_of_int len);
@@ -1650,7 +1641,7 @@ let handle_rx_restripe t link =
           recycle_buffers vc;
           reset_vc vc
         end;
-        vc.sar <- Sar.create t.rx_strategy ~max_cells:t.cfg.max_pdu_cells;
+        vc.sar <- Sar.create t.rx_strategy ~max_cells:max_pdu_cells;
         if marker then vc :: acc else acc)
       t.vcs []
   in
@@ -1702,8 +1693,9 @@ let start_fictitious_source t ~pdus ?rate_mbps () =
              (Sar.segment ~vci ~nlinks:t.cfg.nlinks pdu))
          pdus)
   in
+  (* Staged in the same input FIFO a link fills. *)
   let mbox =
-    Mailbox.create t.eng ~capacity:t.cfg.rx_fifo_cells ~empty:(0, no_cell) ()
+    Mailbox.create t.eng ~capacity:Atm_link.rx_fifo_cells ~empty:(0, no_cell) ()
   in
   let a = Process.agent t.eng ~name:"fictitious-source" in
   (* Pace against an absolute schedule so transient FIFO backpressure

@@ -1,9 +1,11 @@
 (** The OSIRIS network adaptor.
 
-    Two mostly independent halves — send and receive — each controlled by an
-    Intel 80960 (modelled as a callback agent with a per-cell cycle
+    Two mostly independent halves — send and receive — each controlled by a
+    25 MHz Intel 80960 (modelled as a callback agent with a per-cell cycle
     budget), communicating with the host through descriptor queues in
-    dual-port memory and moving all network data by DMA ({!Osiris_bus}).
+    dual-port memory (two i960 cycles per word touched) and moving all
+    network data by DMA ({!Osiris_bus}). A PDU reassembles into at most
+    8192 cells.
 
     {2 Channels}
 
@@ -57,16 +59,10 @@ type config = {
   locking : Desc_queue.locking;
   reassembly : Sar.strategy;
   nlinks : int;  (** stripe width segmentation targets *)
-  i960_hz : int;
   tx_cycles_per_cell : int;  (** transmit processor work per cell *)
   rx_cycles_per_cell : int;  (** receive processor work per cell *)
   tx_combine_saving_cycles : int;
       (** transmit cycles saved on the second cell of a double-cell fetch *)
-  queue_word_cycles : int;  (** i960 cycles per dual-port word touched *)
-  n_channels : int;  (** 16 *)
-  max_pdu_cells : int;  (** reassembly window *)
-  page_size : int;  (** DMA transactions never cross this boundary *)
-  rx_fifo_cells : int;  (** input staging when fed by a generator *)
   reassembly_timeout : Osiris_sim.Time.t;
       (** abort a VC's reassembly after this much time without a placed
           cell (0 = disabled, the default): the recovery path for cells
@@ -79,6 +75,9 @@ type config = {
 }
 
 val default_config : config
+
+val n_channels : int
+(** Channels, one dual-port queue page each per direction: 16. *)
 
 type interrupt_reason =
   | Rx_nonempty of int  (** channel id *)
@@ -120,7 +119,8 @@ val create :
   config ->
   t
 (** [on_dma_write] is how the host's cache model observes receive DMA (to
-    leave stale lines or update them, per its coherence mode). *)
+    leave stale lines or update them, per its coherence mode). No DMA
+    transaction crosses a page of [mem]. *)
 
 val config : t -> config
 val engine : t -> Osiris_sim.Engine.t
@@ -155,8 +155,8 @@ val start_fictitious_source :
     of a striped OC-12), instead of reading the link — the paper's §4
     receive-side experiment. The source is the callback agent
     [fictitious-source], started at once; it waits while the board's
-    [rx_fifo_cells]-cell input FIFO is full. Must be called instead of
-    {!attach}. *)
+    input FIFO ({!Osiris_link.Atm_link.rx_fifo_cells} cells, as when a
+    link feeds it) is full. Must be called instead of {!attach}. *)
 
 (** {2 Channels} *)
 

@@ -2,58 +2,45 @@ open Osiris_sim
 
 type topology = Shared_bus | Crossbar
 
-type config = {
-  clock_hz : int;
-  width_bytes : int;
-  dma_read_overhead : int;
-  dma_write_overhead : int;
-  pio_read_cycles : int;
-  pio_write_cycles : int;
-  topology : topology;
-}
-
-let turbochannel_config topology =
-  {
-    clock_hz = 25_000_000;
-    width_bytes = 4;
-    dma_read_overhead = 13;
-    dma_write_overhead = 8;
-    pio_read_cycles = 15;
-    pio_write_cycles = 4;
-    topology;
-  }
+(* The TURBOchannel constants (§2.5.1): one 32-bit word per cycle at
+   25 MHz, 13 cycles of setup per DMA read (transmit) and 8 per DMA
+   write (receive); a programmed-I/O word read costs 15 cycles, a write
+   4. *)
+let clock_hz = 25_000_000
+let width_bytes = 4
+let dma_read_overhead = 13
+let dma_write_overhead = 8
+let pio_read_cycles = 15
+let pio_write_cycles = 4
 
 type t = {
-  cfg : config;
   io_port : Resource.t; (* DMA + PIO; also CPU traffic when Shared_bus *)
   mem_port : Resource.t; (* CPU traffic when Crossbar *)
 }
 
-let create eng cfg =
+let create eng topology =
   let io_port = Resource.create eng ~capacity:1 in
   let mem_port =
-    match cfg.topology with
+    match topology with
     | Shared_bus -> io_port
     | Crossbar -> Resource.create eng ~capacity:1
   in
-  { cfg; io_port; mem_port }
+  { io_port; mem_port }
 
-let cycle_ns t = 1_000_000_000 / t.cfg.clock_hz
+let cycle_ns _t = 1_000_000_000 / clock_hz
 
-let peak_mbps t =
-  float_of_int (t.cfg.width_bytes * 8) *. float_of_int t.cfg.clock_hz /. 1e6
+let peak_mbps _t = float_of_int (width_bytes * 8) *. float_of_int clock_hz /. 1e6
 
-let words_of_bytes t bytes = (bytes + t.cfg.width_bytes - 1) / t.cfg.width_bytes
+let words_of_bytes bytes = (bytes + width_bytes - 1) / width_bytes
 
 let cycles_ns t cycles = cycles * cycle_ns t
 
+let overhead = function
+  | `Read -> dma_read_overhead
+  | `Write -> dma_write_overhead
+
 let dma_transaction_ns t ~dir ~bytes =
-  let overhead =
-    match dir with
-    | `Read -> t.cfg.dma_read_overhead
-    | `Write -> t.cfg.dma_write_overhead
-  in
-  cycles_ns t (overhead + words_of_bytes t bytes)
+  cycles_ns t (overhead dir + words_of_bytes bytes)
 
 (* Arbitration: the DMA engines win the bus over CPU traffic (an adaptor
    that loses the bus overruns its input FIFO); neither preempts a
@@ -84,27 +71,19 @@ let dma_write_then t a ~bytes k =
     k
 
 let cpu_access t ~bytes ~overhead_cycles =
-  let duration = cycles_ns t (overhead_cycles + words_of_bytes t bytes) in
+  let duration = cycles_ns t (overhead_cycles + words_of_bytes bytes) in
   Resource.use t.mem_port ~priority:cpu_priority ~duration
 
 let pio_read_words t ~words =
   if words > 0 then
-    Resource.use t.io_port ~duration:(cycles_ns t (words * t.cfg.pio_read_cycles))
+    Resource.use t.io_port ~duration:(cycles_ns t (words * pio_read_cycles))
 
 let pio_write_words t ~words =
   if words > 0 then
-    Resource.use t.io_port
-      ~duration:(cycles_ns t (words * t.cfg.pio_write_cycles))
+    Resource.use t.io_port ~duration:(cycles_ns t (words * pio_write_cycles))
 
 let max_dma_mbps t ~dir ~burst =
-  let overhead =
-    match dir with
-    | `Read -> t.cfg.dma_read_overhead
-    | `Write -> t.cfg.dma_write_overhead
-  in
-  let words = words_of_bytes t burst in
-  float_of_int words
-  /. float_of_int (words + overhead)
-  *. peak_mbps t
+  let words = words_of_bytes burst in
+  float_of_int words /. float_of_int (words + overhead dir) *. peak_mbps t
 
 let busy_stats t = Resource.stats t.io_port

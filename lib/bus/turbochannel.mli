@@ -18,22 +18,13 @@
 
 type topology = Shared_bus | Crossbar
 
-type config = {
-  clock_hz : int;  (** bus cycle rate; 25 MHz for TURBOchannel *)
-  width_bytes : int;  (** bytes moved per cycle; 4 for TURBOchannel *)
-  dma_read_overhead : int;  (** cycles of setup per DMA read transaction *)
-  dma_write_overhead : int;  (** cycles of setup per DMA write transaction *)
-  pio_read_cycles : int;  (** cycles for one programmed-I/O word read *)
-  pio_write_cycles : int;  (** cycles for one programmed-I/O word write *)
-  topology : topology;
-}
-
-val turbochannel_config : topology -> config
-(** The TURBOchannel constants above with the given topology. *)
-
 type t
 
-val create : Osiris_sim.Engine.t -> config -> t
+val create : Osiris_sim.Engine.t -> topology -> t
+(** A TURBOchannel with the given arbitration topology. Its constants
+    are fixed: 25 MHz, 4 bytes per cycle, 13 and 8 cycles of setup per
+    DMA read and write (§2.5.1), and 15 and 4 cycles per programmed-I/O
+    word read and write. *)
 
 val cycle_ns : t -> int
 (** Duration of one bus cycle in nanoseconds. *)

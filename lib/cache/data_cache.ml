@@ -11,10 +11,13 @@ type config = {
   line_size : int;
   coherence : coherence;
   cpu_hz : int;
-  hit_cycles_per_word : int;
   fill_overhead_cycles : int;
-  invalidate_cycles_per_word : int;
 }
+
+let hit_cycles_per_word = 1
+
+(* §2.3: invalidation costs one CPU cycle per 32-bit word. *)
+let invalidate_cycles_per_word = 1
 
 type stats = {
   hits : int;
@@ -149,7 +152,7 @@ let touch_line t addr ~words_used =
     fill_line t i tag
   end;
   Process.sleep t.eng
-    (cpu_cycles_ns t (words_used * t.cfg.hit_cycles_per_word));
+    (cpu_cycles_ns t (words_used * hit_cycles_per_word));
   i
 
 let read_into t ~addr ~len ~dst ~dst_off =
@@ -202,7 +205,7 @@ let write t ~addr ~src =
 let invalidate t ~addr ~len =
   let words = (len + 3) / 4 in
   Process.sleep t.eng
-    (cpu_cycles_ns t (words * t.cfg.invalidate_cycles_per_word));
+    (cpu_cycles_ns t (words * invalidate_cycles_per_word));
   if len > 0 then
     for tag = line_tag t addr to line_tag t (addr + len - 1) do
       let i = line_index t tag in

@@ -30,10 +30,11 @@ type config = {
   line_size : int;  (** bytes per line *)
   coherence : coherence;
   cpu_hz : int;  (** CPU clock, for cycle-denominated costs *)
-  hit_cycles_per_word : int;  (** CPU cycles to consume one cached word *)
   fill_overhead_cycles : int;  (** bus setup cycles per line fill *)
-  invalidate_cycles_per_word : int;  (** §2.3: one cycle per 32-bit word *)
 }
+
+val hit_cycles_per_word : int
+(** CPU cycles to consume one cached word: 1 on both machines. *)
 
 type t
 
@@ -55,9 +56,8 @@ val write : t -> addr:int -> src:Bytes.t -> unit
     too. Takes simulated time for the write-through bus traffic. *)
 
 val invalidate : t -> addr:int -> len:int -> unit
-(** Explicitly invalidate all lines overlapping the range, at
-    [invalidate_cycles_per_word] of CPU time per word actually covered
-    (whether or not resident). *)
+(** Explicitly invalidate all lines overlapping the range, at one CPU
+    cycle per 32-bit word covered (§2.3), whether or not resident. *)
 
 val invalidate_all : t -> unit
 (** The "swap the whole cache" big hammer (paper §2.3 footnote): instant

@@ -31,7 +31,6 @@ type t = {
   ip : Ip.t;
   udp : Udp.t;
   addr : Ip.addr;
-  handlers : (int, unit -> unit) Hashtbl.t;
 }
 
 type config = {
@@ -84,6 +83,14 @@ let install_memory_load cpu bus cache fraction =
         let line_size = (Cache.config cache).Cache.line_size in
         Cache.pressure cache ~lines:(Int.min 4096 (total_cycles * 4 / line_size)))
 
+(* Route a channel's receive and transmit interrupts to its driver. *)
+let wire_channel irq ch drv =
+  let id = Board.channel_id ch in
+  Irq.set_handler irq ~line:(rx_irq_line id) (fun () ->
+      Driver.on_rx_nonempty drv);
+  Irq.set_handler irq ~line:(tx_irq_line id) (fun () ->
+      Driver.on_tx_half_empty drv)
+
 let create eng (machine : Machine.t) ~addr cfg =
   let rng = Rng.create ~seed:cfg.seed in
   let mem =
@@ -100,13 +107,6 @@ let create eng (machine : Machine.t) ~addr cfg =
     Wiring.create cpu machine.Machine.wiring machine.Machine.wiring_policy
   in
   let demux = Demux.create () in
-  let handlers : (int, unit -> unit) Hashtbl.t = Hashtbl.create 16 in
-  let dispatch line () =
-    match Hashtbl.find_opt handlers line with Some f -> f () | None -> ()
-  in
-  let board_cfg =
-    { cfg.board with Board.page_size = machine.Machine.page_size }
-  in
   let on_interrupt reason =
     let line =
       match reason with
@@ -119,18 +119,19 @@ let create eng (machine : Machine.t) ~addr cfg =
   let board =
     Board.create eng ~bus ~mem ~on_interrupt
       ~on_dma_write:(fun ~addr ~len -> Cache.dma_wrote cache ~addr ~len)
-      board_cfg
+      cfg.board
   in
-  for id = 0 to board_cfg.Board.n_channels - 1 do
+  (* Every line the board can raise is wired, to nothing until a driver
+     takes it: an interrupt on it still pays its dispatch. *)
+  for id = 0 to Board.n_channels - 1 do
     Irq.register irq ~line:(rx_irq_line id)
       ~name:(Printf.sprintf "rx%d" id)
-      (dispatch (rx_irq_line id));
+      ignore;
     Irq.register irq ~line:(tx_irq_line id)
       ~name:(Printf.sprintf "tx%d" id)
-      (dispatch (tx_irq_line id))
+      ignore
   done;
-  Irq.register irq ~line:violation_irq_line ~name:"violation"
-    (dispatch violation_irq_line);
+  Irq.register irq ~line:violation_irq_line ~name:"violation" ignore;
   let driver =
     Driver.create ~cpu ~cache ~wiring ~board ~channel:(Board.kernel_channel board)
       ~vs ~costs:machine.Machine.driver_costs ~demux
@@ -139,10 +140,7 @@ let create eng (machine : Machine.t) ~addr cfg =
       ~rx_pool_buffers:machine.Machine.rx_pool_buffers
       ~contiguous_buffers:cfg.contiguous_buffers ()
   in
-  Hashtbl.replace handlers (rx_irq_line 0) (fun () ->
-      Driver.on_rx_nonempty driver);
-  Hashtbl.replace handlers (tx_irq_line 0) (fun () ->
-      Driver.on_tx_half_empty driver);
+  wire_channel irq (Board.kernel_channel board) driver;
   let ctx = Ctx.create ~cpu ~cache machine.Machine.proto_costs in
   (* IP and UDP reference each other; tie the knot through a ref. *)
   let udp_ref = ref None in
@@ -176,22 +174,16 @@ let create eng (machine : Machine.t) ~addr cfg =
     ip;
     udp;
     addr;
-    handlers;
   }
+
+let register_channel (t : t) ch drv = wire_channel t.irq ch drv
 
 let start (t : t) =
   Board.start t.board;
   Driver.start t.driver
 
-let register_channel (t : t) ch drv =
-  let id = Board.channel_id ch in
-  Hashtbl.replace t.handlers (rx_irq_line id) (fun () ->
-      Driver.on_rx_nonempty drv);
-  Hashtbl.replace t.handlers (tx_irq_line id) (fun () ->
-      Driver.on_tx_half_empty drv)
-
 let set_violation_handler (t : t) f =
-  Hashtbl.replace t.handlers violation_irq_line f
+  Irq.set_handler t.irq ~line:violation_irq_line f
 
 let new_udp_test_receiver (t : t) ~port ~on_msg =
   Udp.bind t.udp ~port (fun ~src:_ ~src_port:_ msg ->

@@ -23,8 +23,6 @@ type t = {
   ip : Osiris_proto.Ip.t;
   udp : Osiris_proto.Udp.t;
   addr : Osiris_proto.Ip.addr;
-  handlers : (int, unit -> unit) Hashtbl.t;
-      (** interrupt-line dispatch table (internal; use {!register_channel}) *)
 }
 
 type config = {
@@ -37,9 +35,9 @@ type config = {
 }
 
 val default_config : config
-(** Paper defaults: 16 KB aligned MTU, UDP checksum off, lazy invalidation,
-    contiguous 16 KB receive buffers, double-cell DMA, per-link
-    reassembly. *)
+(** Paper defaults: the 16 KB IP MTU with fragment boundaries not
+    page-aligned, UDP checksum off, lazy invalidation, contiguous 16 KB
+    receive buffers, single-cell DMA, per-link reassembly. *)
 
 val create : Osiris_sim.Engine.t -> Machine.t -> addr:Osiris_proto.Ip.addr -> config -> t
 

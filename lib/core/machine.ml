@@ -17,7 +17,7 @@ type t = {
   cpu_hz : int;
   page_size : int;
   mem_size : int;
-  bus : Tc.config;
+  bus : Tc.topology;
   cache : Cache.config;
   interrupt_cost : Time.t;
   wiring : Osiris_os.Wiring.costs;
@@ -36,16 +36,14 @@ let ds5000_200 =
     cpu_hz;
     page_size = 4096;
     mem_size = 64 * 1024 * 1024;
-    bus = Tc.turbochannel_config Tc.Shared_bus;
+    bus = Tc.Shared_bus;
     cache =
       {
         Cache.size = 64 * 1024;
         line_size = 16;
         coherence = Cache.Software;
         cpu_hz;
-        hit_cycles_per_word = 1;
         fill_overhead_cycles = 13;
-        invalidate_cycles_per_word = 1;
       };
     (* Raw CPU occupancy; the memory-traffic fraction below stretches
        every executed slice by ~1.5x on this shared-bus machine, so the
@@ -88,16 +86,14 @@ let dec3000_600 =
     cpu_hz;
     page_size = 8192;
     mem_size = 128 * 1024 * 1024;
-    bus = Tc.turbochannel_config Tc.Crossbar;
+    bus = Tc.Crossbar;
     cache =
       {
         Cache.size = 2 * 1024 * 1024;
         line_size = 32;
         coherence = Cache.Hardware_update;
         cpu_hz;
-        hit_cycles_per_word = 1;
         fill_overhead_cycles = 2;
-        invalidate_cycles_per_word = 1;
       };
     interrupt_cost = Time.us 25;
     wiring = {

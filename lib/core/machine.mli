@@ -29,7 +29,7 @@ type t = {
   cpu_hz : int;
   page_size : int;
   mem_size : int;
-  bus : Osiris_bus.Turbochannel.config;
+  bus : Osiris_bus.Turbochannel.topology;
   cache : Osiris_cache.Data_cache.config;
   interrupt_cost : Osiris_sim.Time.t;  (** paper §2.1.2: 75 µs on the 5000/200 *)
   wiring : Osiris_os.Wiring.costs;

@@ -3,29 +3,16 @@ module Cpu = Osiris_os.Cpu
 module Irq = Osiris_os.Irq
 module Tc = Osiris_bus.Turbochannel
 
-type config = {
-  wire_bps : int;
-  frame_overhead : int;
-  mtu : int;
-  min_frame_payload : int;
-  ring_slots : int;
-  copy_cycles_per_word : int;
-  rx_frame_cost : Time.t;
-  rx_message_cost : Time.t;
-}
-
-let default_config =
-  {
-    wire_bps = 10_000_000;
-    (* preamble 8 + header 14 + FCS 4 + interframe gap 12 *)
-    frame_overhead = 38;
-    mtu = 1500;
-    min_frame_payload = 46;
-    ring_slots = 32;
-    copy_cycles_per_word = 3;
-    rx_frame_cost = Time.us 25;
-    rx_message_cost = Time.us 20;
-  }
+(* The interface's fixed figures (ether.mli). A frame's overhead is its
+   preamble 8 + header 14 + FCS 4 + interframe gap 12 bytes. *)
+let wire_bps = 10_000_000
+let frame_overhead = 38
+let mtu = 1500
+let min_frame_payload = 46
+let ring_slots = 32
+let copy_cycles_per_word = 3
+let rx_frame_cost = Time.us 25
+let rx_message_cost = Time.us 20
 
 (* A frame on the wire: payload plus "last fragment of message" marker
    (driver-level chunking for test messages above the MTU). *)
@@ -45,7 +32,6 @@ type t = {
   bus : Tc.t;
   irq : Irq.t;
   irq_line : int;
-  cfg : config;
   ring : frame Mailbox.t; (* receive descriptor ring *)
   mutable wire_busy_until : Time.t; (* shared with the peer *)
   mutable peer : t option;
@@ -54,7 +40,7 @@ type t = {
   stats : stats;
 }
 
-let create eng ~cpu ~bus ~irq ~irq_line cfg =
+let create eng ~cpu ~bus ~irq ~irq_line =
   let t =
     {
       eng;
@@ -62,9 +48,8 @@ let create eng ~cpu ~bus ~irq ~irq_line cfg =
       bus;
       irq;
       irq_line;
-      cfg;
       ring =
-        Mailbox.create eng ~capacity:cfg.ring_slots
+        Mailbox.create eng ~capacity:ring_slots
           ~empty:{ payload = Bytes.empty; last = false }
           ();
       wire_busy_until = 0;
@@ -92,15 +77,15 @@ let create eng ~cpu ~bus ~irq ~irq_line cfg =
         t.stats.frames_received <- t.stats.frames_received + 1;
         (* copy out of the receive buffer *)
         let words = (Bytes.length f.payload + 3) / 4 in
-        Cpu.consume t.cpu t.cfg.rx_frame_cost;
+        Cpu.consume t.cpu rx_frame_cost;
         Cpu.consume t.cpu
-          (Cpu.cycles_ns t.cpu (words * t.cfg.copy_cycles_per_word));
+          (Cpu.cycles_ns t.cpu (words * copy_cycles_per_word));
         t.stats.bytes_copied <- t.stats.bytes_copied + Bytes.length f.payload;
         t.reassembly <- f.payload :: t.reassembly;
         if f.last then begin
           let msg = Bytes.concat Bytes.empty (List.rev t.reassembly) in
           t.reassembly <- [];
-          Cpu.consume t.cpu t.cfg.rx_message_cost;
+          Cpu.consume t.cpu rx_message_cost;
           t.receiver msg
         end;
         loop ()
@@ -116,9 +101,9 @@ let set_receiver t f = t.receiver <- f
 
 let stats t = t.stats
 
-let wire_time t bytes =
-  let on_wire = Int.max bytes t.cfg.min_frame_payload + t.cfg.frame_overhead in
-  on_wire * 8 * 1_000_000_000 / t.cfg.wire_bps
+let wire_time bytes =
+  let on_wire = Int.max bytes min_frame_payload + frame_overhead in
+  on_wire * 8 * 1_000_000_000 / wire_bps
 
 (* Transmit one frame: DMA it from host memory across the I/O bus, then
    serialize it on the (shared, but effectively point-to-point) wire. *)
@@ -131,7 +116,7 @@ let send_frame t frame =
   Tc.dma_read t.bus ~bytes:(Bytes.length frame.payload);
   let now = Engine.now t.eng in
   let start = Int.max now t.wire_busy_until in
-  let finish = start + wire_time t (Bytes.length frame.payload) in
+  let finish = start + wire_time (Bytes.length frame.payload) in
   t.wire_busy_until <- finish;
   peer.wire_busy_until <- finish;
   t.stats.frames_sent <- t.stats.frames_sent + 1;
@@ -150,10 +135,10 @@ let send t msg =
   (* Driver queueing cost per message, then chunk at the MTU. *)
   Cpu.consume t.cpu (Time.us 15);
   let len = Bytes.length msg in
-  let nframes = Int.max 1 ((len + t.cfg.mtu - 1) / t.cfg.mtu) in
+  let nframes = Int.max 1 ((len + mtu - 1) / mtu) in
   for i = 0 to nframes - 1 do
-    let off = i * t.cfg.mtu in
-    let chunk = Int.min t.cfg.mtu (len - off) in
+    let off = i * mtu in
+    let chunk = Int.min mtu (len - off) in
     send_frame t
       { payload = Bytes.sub msg off (Int.max chunk 0); last = i = nframes - 1 }
   done

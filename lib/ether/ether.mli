@@ -12,23 +12,14 @@
     The model is deliberately simpler than the OSIRIS one — no cell
     framing, no striping — because it only has to reproduce the latency
     and throughput character of mid-90s Ethernet: ~10 Mb/s on the wire, a
-    per-frame interrupt tax, and a copy on every receive. *)
+    per-frame interrupt tax, and a copy on every receive.
 
-type config = {
-  wire_bps : int;  (** 10 Mb/s *)
-  frame_overhead : int;  (** preamble + header + FCS + gap, in bytes *)
-  mtu : int;  (** payload bytes per frame (1500) *)
-  min_frame_payload : int;  (** short frames are padded (46) *)
-  ring_slots : int;  (** receive descriptor ring size *)
-  copy_cycles_per_word : int;  (** driver receive-copy cost *)
-  rx_frame_cost : Osiris_sim.Time.t;  (** driver work per received frame *)
-  rx_message_cost : Osiris_sim.Time.t;
-      (** delivery work per reassembled message (comparable to the OSIRIS
-          driver's per-PDU cost, so Table 1's "identical conditions"
-          comparison is fair) *)
-}
-
-val default_config : config
+    Its figures are fixed: 10 Mb/s; 38 bytes of preamble, header, FCS and
+    gap per frame; short frames padded to 46 payload bytes; a 32-slot
+    receive ring; a receive copy of 3 CPU cycles per word; 25 µs of
+    driver work per received frame and 20 µs per reassembled message
+    (comparable to the OSIRIS driver's per-PDU cost, so Table 1's
+    "identical conditions" comparison is fair). *)
 
 type t
 
@@ -38,7 +29,6 @@ val create :
   bus:Osiris_bus.Turbochannel.t ->
   irq:Osiris_os.Irq.t ->
   irq_line:int ->
-  config ->
   t
 (** An interface on a host. Frames are DMA'd across the same I/O bus model
     the OSIRIS board uses; every received frame raises [irq_line]. *)

@@ -11,7 +11,7 @@ let mk_host eng (machine : Machine.t) =
   let cpu = Cpu.create eng ~hz:machine.Machine.cpu_hz in
   let bus = Tc.create eng machine.Machine.bus in
   let irq = Irq.create eng ~cpu ~dispatch_cost:machine.Machine.interrupt_cost in
-  let nic = Ether.create eng ~cpu ~bus ~irq ~irq_line:1 Ether.default_config in
+  let nic = Ether.create eng ~cpu ~bus ~irq ~irq_line:1 in
   (cpu, nic)
 
 let pair machine =

@@ -14,10 +14,7 @@ let with_alloc f =
   in
   let vs = Vspace.create mem in
   let cpu = Cpu.create eng ~hz:machine.Machine.cpu_hz in
-  let fb =
-    Fbufs.create cpu vs Fbufs.default_costs ~max_cached_paths:16
-      ~bufs_per_path:4 ~buf_size:(16 * 1024)
-  in
+  let fb = Fbufs.create cpu vs in
   let result = ref None in
   Process.spawn eng ~name:"fbufs" (fun () -> result := Some (f eng cpu fb));
   Engine.run eng;

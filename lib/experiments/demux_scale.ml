@@ -54,7 +54,7 @@ let profile_of machine =
   let c = machine.Machine.cache in
   Cost.of_cache ~cpu_hz:c.Data_cache.cpu_hz
     ~fill_overhead_cycles:c.Data_cache.fill_overhead_cycles
-    ~hit_cycles_per_word:c.Data_cache.hit_cycles_per_word
+    ~hit_cycles_per_word:Data_cache.hit_cycles_per_word
 
 let run ~nvcs () =
   let seed = 11 in

@@ -4,7 +4,7 @@ module Tc = Osiris_bus.Turbochannel
 (* Measure by actually running [n] back-to-back transactions. *)
 let measured ~dir ~burst =
   let eng = Engine.create () in
-  let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus = Tc.create eng Tc.Shared_bus in
   let n = 10_000 in
   Process.spawn eng ~name:"dma" (fun () ->
       for _ = 1 to n do
@@ -21,7 +21,7 @@ let paper =
 
 let table () =
   let eng = Engine.create () in
-  let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus = Tc.create eng Tc.Shared_bus in
   let rows =
     List.concat_map
       (fun burst ->

@@ -12,11 +12,10 @@ type t = {
   plan : Plan.t;
   link : Atm_link.t;
   board : Board.t option;
-  base : Atm_link.config;
   mutable irq_prob : float;
   irq_prob_ch : float array;
       (* per-channel interrupt-loss override, indexed by channel id
-         (length = the board's n_channels; empty without a board). An
+         (length = Board.n_channels; empty without a board). An
          array, not an assoc list: the lookup runs on every interrupt
          draw, and plans can target any of the 16 channels. *)
   mutable armed : bool;
@@ -29,19 +28,15 @@ type t = {
    are harmless. *)
 let apply t now =
   let k = Plan.knobs_at t.plan now in
-  Atm_link.set_drop_prob t.link (Float.max t.base.Atm_link.drop_prob k.Plan.k_drop);
-  Atm_link.set_corrupt_prob t.link
-    (Float.max t.base.Atm_link.corrupt_prob k.Plan.k_corrupt);
-  Atm_link.set_corrupt_header_prob t.link
-    (Float.max t.base.Atm_link.corrupt_header_prob k.Plan.k_header);
-  Atm_link.set_dup_prob t.link (Float.max t.base.Atm_link.dup_prob k.Plan.k_dup);
-  for l = 0 to t.base.Atm_link.nlinks - 1 do
+  Atm_link.set_drop_prob t.link k.Plan.k_drop;
+  Atm_link.set_corrupt_prob t.link k.Plan.k_corrupt;
+  Atm_link.set_corrupt_header_prob t.link k.Plan.k_header;
+  Atm_link.set_dup_prob t.link k.Plan.k_dup;
+  for l = 0 to (Atm_link.config t.link).Atm_link.nlinks - 1 do
     Atm_link.set_link_state t.link ~link:l (not (List.mem l k.Plan.k_down))
   done;
   Atm_link.set_rx_fifo_limit t.link
-    (match k.Plan.k_squeeze with
-    | Some cap -> cap
-    | None -> t.base.Atm_link.rx_fifo_cells);
+    (Option.value k.Plan.k_squeeze ~default:Atm_link.rx_fifo_cells);
   t.irq_prob <- k.Plan.k_irq_loss;
   Array.fill t.irq_prob_ch 0 (Array.length t.irq_prob_ch) 0.0;
   List.iter
@@ -52,7 +47,7 @@ let apply t now =
   match t.board with
   | None -> ()
   | Some b ->
-      for ch = 0 to (Board.config b).Board.n_channels - 1 do
+      for ch = 0 to Board.n_channels - 1 do
         Board.set_free_gate b ~ch (List.mem ch k.Plan.k_free_starve)
       done
 
@@ -64,11 +59,7 @@ let irq_loss_prob t ch =
   else t.irq_prob
 
 let inject eng ~plan ~link ?board () =
-  let n_ch =
-    match board with
-    | Some b -> (Board.config b).Board.n_channels
-    | None -> 0
-  in
+  let n_ch = if Option.is_some board then Board.n_channels else 0 in
   let t =
     {
       eng;
@@ -76,7 +67,6 @@ let inject eng ~plan ~link ?board () =
       plan;
       link;
       board;
-      base = Atm_link.config link;
       irq_prob = 0.0;
       irq_prob_ch = Array.make n_ch 0.0;
       armed = true;
@@ -120,18 +110,18 @@ let disarm t =
     t.armed <- false;
     t.irq_prob <- 0.0;
     Array.fill t.irq_prob_ch 0 (Array.length t.irq_prob_ch) 0.0;
-    Atm_link.set_drop_prob t.link t.base.Atm_link.drop_prob;
-    Atm_link.set_corrupt_prob t.link t.base.Atm_link.corrupt_prob;
-    Atm_link.set_corrupt_header_prob t.link t.base.Atm_link.corrupt_header_prob;
-    Atm_link.set_dup_prob t.link t.base.Atm_link.dup_prob;
-    Atm_link.set_rx_fifo_limit t.link t.base.Atm_link.rx_fifo_cells;
-    for l = 0 to t.base.Atm_link.nlinks - 1 do
+    Atm_link.set_drop_prob t.link 0.0;
+    Atm_link.set_corrupt_prob t.link 0.0;
+    Atm_link.set_corrupt_header_prob t.link 0.0;
+    Atm_link.set_dup_prob t.link 0.0;
+    Atm_link.set_rx_fifo_limit t.link Atm_link.rx_fifo_cells;
+    for l = 0 to (Atm_link.config t.link).Atm_link.nlinks - 1 do
       Atm_link.set_link_state t.link ~link:l true
     done;
     (match t.board with
     | None -> ()
     | Some b ->
-        for ch = 0 to (Board.config b).Board.n_channels - 1 do
+        for ch = 0 to Board.n_channels - 1 do
           Board.set_free_gate b ~ch false
         done);
     Trace.emitf Trace.Fault ~now:(Engine.now t.eng) "injector disarmed"
@@ -148,7 +138,6 @@ type topo = {
   t_plan : Plan.t;
   t_switches : Switch.t array;
   t_trunks : Atm_link.t array; (* two directed links per trunk, flat *)
-  t_trunk_base : float array;
   t_events : Metrics.counter;
 }
 
@@ -164,8 +153,7 @@ let apply_topology t now =
     t.t_switches;
   Array.iteri
     (fun i link ->
-      Atm_link.set_drop_prob link
-        (Float.max t.t_trunk_base.(i) k.Plan.k_trunk_loss);
+      Atm_link.set_drop_prob link k.Plan.k_trunk_loss;
       let up = not (List.mem (i / 2) k.Plan.k_trunk_down) in
       for l = 0 to (Atm_link.config link).Atm_link.nlinks - 1 do
         Atm_link.set_link_state link ~link:l up
@@ -178,8 +166,6 @@ let inject_topology eng ~plan ~switches ~trunks () =
       t_plan = plan;
       t_switches = switches;
       t_trunks = trunks;
-      t_trunk_base =
-        Array.map (fun l -> (Atm_link.config l).Atm_link.drop_prob) trunks;
       t_events = Metrics.counter "fault.topology_events";
     }
   in

@@ -34,9 +34,10 @@ val inject :
     is scheduled. Call from process context or an engine callback. *)
 
 val disarm : t -> unit
-(** Restore every knob to the link's configured baseline, raise all
-    carriers, zero the interrupt-loss probability and deactivate pending
-    boundary events. Used before measuring quiescence. *)
+(** Clear every link fault (loss, corruption and duplication back to 0,
+    the full receive FIFO), raise all carriers, zero the interrupt-loss
+    probability and deactivate pending boundary events. Used before
+    measuring quiescence. *)
 
 (** {2 Topology faults}
 

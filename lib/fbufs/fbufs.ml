@@ -2,22 +2,21 @@ open Osiris_sim
 module Cpu = Osiris_os.Cpu
 module Vspace = Osiris_mem.Vspace
 
-type costs = {
-  cached_transfer : Time.t;
-  remap_per_page : Time.t;
-  unmap_per_page : Time.t;
-  alloc_cost : Time.t;
-}
+(* The paper's 16 cached paths, each with a pool of four 16 KB
+   buffers. *)
+let max_cached_paths = 16
+let bufs_per_path = 4
+let buf_size = 16 * 1024
 
-let default_costs =
-  {
-    cached_transfer = Time.us 20;
-    remap_per_page = Time.us 60;
-    unmap_per_page = Time.us 30;
-    alloc_cost = Time.us 100;
-  }
+(* Mach VM costs: a hand-off per domain crossing of an already-mapped
+   fbuf, a page mapped into or unmapped from one domain, and a fresh
+   uncached fbuf allocated and cleared. *)
+let cached_transfer = Time.us 20
+let remap_per_page = Time.us 60
+let unmap_per_page = Time.us 30
+let alloc_cost = Time.us 100
 
-type fbuf = { vaddr : int; len : int; path : int option }
+type fbuf = { vaddr : int; path : int option }
 
 type pool = { path : int; bufs : int Queue.t; mutable last_use : int }
 
@@ -31,26 +30,16 @@ type stats = {
 type t = {
   cpu : Cpu.t;
   vs : Vspace.t;
-  costs : costs;
-  max_cached_paths : int;
-  bufs_per_path : int;
-  buf_size : int;
   pools : (int, pool) Hashtbl.t;
   mutable clock : int; (* LRU tick *)
   stats : stats;
 }
 
-let create cpu vs costs ~max_cached_paths ~bufs_per_path ~buf_size =
-  if max_cached_paths < 1 || bufs_per_path < 1 || buf_size < 1 then
-    invalid_arg "Fbufs.create";
+let create cpu vs =
   {
     cpu;
     vs;
-    costs;
-    max_cached_paths;
-    bufs_per_path;
-    buf_size;
-    pools = Hashtbl.create 16;
+    pools = Hashtbl.create max_cached_paths;
     clock = 0;
     stats =
       { cached_gets = 0; uncached_gets = 0; evictions = 0; transfers = 0 };
@@ -58,6 +47,9 @@ let create cpu vs costs ~max_cached_paths ~bufs_per_path ~buf_size =
 
 let vaddr (f : fbuf) = f.vaddr
 let is_cached (f : fbuf) = f.path <> None
+
+let pages_per_buf t =
+  (buf_size + Vspace.page_size t.vs - 1) / Vspace.page_size t.vs
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -88,16 +80,12 @@ let ensure_pool t ~path =
       p.last_use <- tick t;
       Some p
   | None ->
-      if Hashtbl.length t.pools >= t.max_cached_paths then evict_lru t;
+      if Hashtbl.length t.pools >= max_cached_paths then evict_lru t;
       let bufs = Queue.create () in
-      for _ = 1 to t.bufs_per_path do
-        Queue.add (Vspace.alloc t.vs ~len:t.buf_size) bufs
+      for _ = 1 to bufs_per_path do
+        Queue.add (Vspace.alloc t.vs ~len:buf_size) bufs
       done;
-      let pages_per_buf =
-        (t.buf_size + Vspace.page_size t.vs - 1) / Vspace.page_size t.vs
-      in
-      Cpu.consume t.cpu
-        (t.bufs_per_path * pages_per_buf * t.costs.remap_per_page);
+      Cpu.consume t.cpu (bufs_per_path * pages_per_buf t * remap_per_page);
       let p = { path; bufs; last_use = tick t } in
       Hashtbl.replace t.pools path p;
       Some p
@@ -106,23 +94,20 @@ let get t ~path =
   match ensure_pool t ~path with
   | Some p when not (Queue.is_empty p.bufs) ->
       t.stats.cached_gets <- t.stats.cached_gets + 1;
-      { vaddr = Queue.take p.bufs; len = t.buf_size; path = Some path }
+      { vaddr = Queue.take p.bufs; path = Some path }
   | _ ->
       (* Pool exhausted (or uncreatable): fall back to an uncached fbuf. *)
       t.stats.uncached_gets <- t.stats.uncached_gets + 1;
-      Cpu.consume t.cpu t.costs.alloc_cost;
-      { vaddr = Vspace.alloc t.vs ~len:t.buf_size; len = t.buf_size;
-        path = None }
+      Cpu.consume t.cpu alloc_cost;
+      { vaddr = Vspace.alloc t.vs ~len:buf_size; path = None }
 
 let transfer t (f : fbuf) ~domains =
   t.stats.transfers <- t.stats.transfers + 1;
   let eng = Cpu.engine t.cpu in
   let started = Engine.now eng in
-  let pages = (f.len + Vspace.page_size t.vs - 1) / Vspace.page_size t.vs in
   (match f.path with
-  | Some _ -> Cpu.consume t.cpu (domains * t.costs.cached_transfer)
-  | None ->
-      Cpu.consume t.cpu (domains * pages * t.costs.remap_per_page));
+  | Some _ -> Cpu.consume t.cpu (domains * cached_transfer)
+  | None -> Cpu.consume t.cpu (domains * pages_per_buf t * remap_per_page));
   Engine.now eng - started
 
 let release t (f : fbuf) =
@@ -132,10 +117,7 @@ let release t (f : fbuf) =
       | Some p -> Queue.add f.vaddr p.bufs
       | None -> Vspace.free t.vs f.vaddr (* pool was evicted meanwhile *))
   | None ->
-      let pages =
-        (f.len + Vspace.page_size t.vs - 1) / Vspace.page_size t.vs
-      in
-      Cpu.consume t.cpu (pages * t.costs.unmap_per_page);
+      Cpu.consume t.cpu (pages_per_buf t * unmap_per_page);
       Vspace.free t.vs f.vaddr
 
 let stats t = t.stats

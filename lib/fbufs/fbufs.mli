@@ -11,42 +11,28 @@
       domain as the data moves up, and unmapped afterwards, paying VM and
       TLB costs per page per domain.
 
-    The allocator keeps preallocated cached pools for the [max_cached_paths]
-    most recently used paths (the paper uses 16), evicting the
+    The allocator keeps preallocated cached pools of four 16 KB buffers
+    for the 16 most recently used paths (the paper's figure), evicting the
     least-recently-used path's pool when a new path appears. Early
     demultiplexing on the adaptor is what makes this work: the board learns
     (VCI → path) and can place incoming data in a buffer that is already
-    mapped end-to-end. *)
+    mapped end-to-end.
 
-type costs = {
-  cached_transfer : Osiris_sim.Time.t;
-      (** hand-off of an already-mapped fbuf, per domain crossing *)
-  remap_per_page : Osiris_sim.Time.t;
-      (** map one page into one domain (uncached path) *)
-  unmap_per_page : Osiris_sim.Time.t;
-  alloc_cost : Osiris_sim.Time.t;  (** allocate/clear a fresh uncached fbuf *)
-}
-
-val default_costs : costs
-(** Mach VM costs calibrated so cached/uncached differ by roughly an order
-    of magnitude for a 16 KB buffer, as the paper reports. *)
+    Its Mach VM costs are calibrated so cached and uncached transfers
+    differ by roughly an order of magnitude for a 16 KB buffer, as the
+    paper reports: 20 µs to hand an already-mapped fbuf across one domain
+    boundary; 60 µs to map and 30 µs to unmap one page in one domain; and
+    100 µs to allocate and clear a fresh uncached fbuf. *)
 
 type t
 type fbuf
 
-val create :
-  Osiris_os.Cpu.t ->
-  Osiris_mem.Vspace.t ->
-  costs ->
-  max_cached_paths:int ->
-  bufs_per_path:int ->
-  buf_size:int ->
-  t
+val create : Osiris_os.Cpu.t -> Osiris_mem.Vspace.t -> t
 
 val get : t -> path:int -> fbuf
 (** Take a buffer for the given path: from its cached pool when the path is
-    hot and the pool non-empty, else an uncached buffer (paying
-    [alloc_cost]). Using a path refreshes its LRU position and may evict
+    hot and the pool non-empty, else an uncached buffer (paying the
+    allocation cost). Using a path refreshes its LRU position and may evict
     another path's pool. *)
 
 val vaddr : fbuf -> int

@@ -4,34 +4,16 @@ module Rng = Osiris_util.Rng
 module Metrics = Osiris_obs.Metrics
 module Trace = Osiris_obs.Trace
 
-type config = {
-  nlinks : int;
-  link_rate_bps : int;
-  propagation_delay : Time.t;
-  skew : Time.t array;
-  jitter_mean : Time.t;
-  corrupt_prob : float;
-  drop_prob : float;
-  dup_prob : float;
-  corrupt_header_prob : float;
-  tx_fifo_cells : int;
-  rx_fifo_cells : int;
-}
+type config = { nlinks : int; link_rate_bps : int; skew : Time.t array }
 
 let default_config =
-  {
-    nlinks = 4;
-    link_rate_bps = 155_520_000;
-    propagation_delay = Time.us 1;
-    skew = [| 0; 0; 0; 0 |];
-    jitter_mean = 0;
-    corrupt_prob = 0.0;
-    drop_prob = 0.0;
-    dup_prob = 0.0;
-    corrupt_header_prob = 0.0;
-    tx_fifo_cells = 2;
-    rx_fifo_cells = 32;
-  }
+  { nlinks = 4; link_rate_bps = 155_520_000; skew = [| 0; 0; 0; 0 |] }
+
+(* A cell propagates for 1 us; each channel's output FIFO books two
+   cells ahead, and the receiving adaptor's input FIFO holds 32. *)
+let propagation_delay = Time.us 1
+let tx_fifo_cells = 2
+let rx_fifo_cells = 32
 
 (* Fills the receive mailbox's empty slots. *)
 let no_arrival =
@@ -78,9 +60,8 @@ type t = {
   busy_until : Time.t array; (* per-channel serializer booking *)
   last_delivery : Time.t array; (* per-channel FIFO enforcement *)
   inbox : (int * Cell.t) Mailbox.t;
-  (* Fault-injection state, adjustable at runtime (Osiris_fault.Injector).
-     Initialized from [cfg]; when every knob matches the config the RNG
-     draw sequence is identical to a build without fault support. *)
+  (* Fault-injection state, set at runtime (Osiris_fault.Injector); a
+     link starts with no faults. *)
   mutable drop_prob : float;
   mutable corrupt_prob : float;
   mutable dup_prob : float;
@@ -97,8 +78,6 @@ let create eng rng cfg =
   if cfg.nlinks < 1 then invalid_arg "Atm_link.create: nlinks must be >= 1";
   if Array.length cfg.skew <> cfg.nlinks then
     invalid_arg "Atm_link.create: skew array must have nlinks entries";
-  if cfg.tx_fifo_cells < 1 || cfg.rx_fifo_cells < 1 then
-    invalid_arg "Atm_link.create: FIFOs need at least one slot";
   let cell_time =
     Cell.wire_size * 8 * 1_000_000_000 / cfg.link_rate_bps
   in
@@ -112,14 +91,14 @@ let create eng rng cfg =
     max_delivered_seq = -1;
     busy_until = Array.make cfg.nlinks 0;
     last_delivery = Array.make cfg.nlinks 0;
-    inbox = Mailbox.create eng ~capacity:cfg.rx_fifo_cells ~empty:no_arrival ();
-    drop_prob = cfg.drop_prob;
-    corrupt_prob = cfg.corrupt_prob;
-    dup_prob = cfg.dup_prob;
-    corrupt_header_prob = cfg.corrupt_header_prob;
+    inbox = Mailbox.create eng ~capacity:rx_fifo_cells ~empty:no_arrival ();
+    drop_prob = 0.0;
+    corrupt_prob = 0.0;
+    dup_prob = 0.0;
+    corrupt_header_prob = 0.0;
     link_up = Array.make cfg.nlinks true;
     live = Array.init cfg.nlinks (fun i -> i);
-    rx_limit = cfg.rx_fifo_cells;
+    rx_limit = rx_fifo_cells;
     cell_filter = None;
     on_change = [];
     m =
@@ -148,7 +127,7 @@ let set_dup_prob t p = t.dup_prob <- p
 let set_corrupt_header_prob t p = t.corrupt_header_prob <- p
 
 let set_rx_fifo_limit t n =
-  t.rx_limit <- Int.max 1 (Int.min n t.cfg.rx_fifo_cells)
+  t.rx_limit <- Int.max 1 (Int.min n rx_fifo_cells)
 
 let set_cell_filter t f = t.cell_filter <- f
 let on_link_change t f = t.on_change <- f :: t.on_change
@@ -258,7 +237,7 @@ let send_wait t cell =
     t.tx_channel <- l;
     (* Backpressure: the channel's output FIFO lets us book at most
        [tx_fifo_cells] cell-times ahead of the present. *)
-    let horizon = Engine.now t.eng + (t.cfg.tx_fifo_cells * t.cell_time) in
+    let horizon = Engine.now t.eng + (tx_fifo_cells * t.cell_time) in
     if t.busy_until.(l) > horizon then t.busy_until.(l) - horizon else 0
   end
 
@@ -327,16 +306,7 @@ let book t cell =
           [@osiris.alloc_ok "fault injection: the mangled copy of the cell"])
         else cell
       in
-      let jitter =
-        if t.cfg.jitter_mean = 0 then 0
-        else
-          (Time.of_float_us
-             (Rng.exponential t.rng
-                ~mean:(Time.to_float_us t.cfg.jitter_mean))
-          [@osiris.alloc_ok
-            "the jitter draw: only when a config sets [jitter_mean]"])
-      in
-      let arrival = finish + t.cfg.propagation_delay + t.cfg.skew.(l) + jitter in
+      let arrival = finish + propagation_delay + t.cfg.skew.(l) in
       (* Cells on one channel arrive in order and no faster than the wire. *)
       let arrival = Int.max arrival (t.last_delivery.(l) + t.cell_time) in
       t.last_delivery.(l) <- arrival;

@@ -2,49 +2,39 @@
 
     OSIRIS reaches 622 Mb/s by striping cells round-robin over four 155.52
     Mb/s channels. Each channel delivers its own cells in FIFO order, but
-    the channels are mutually skewed by fixed path/multiplexing differences
-    and by per-cell queueing jitter — the paper's "skew" class of
-    misordering: cell [k] goes to link [k mod n]; relative order is
-    preserved within a link and arbitrary (within the configured bound)
-    across links.
+    the channels are mutually skewed by fixed path/multiplexing
+    differences — the paper's "skew" class of misordering: cell [k] goes
+    to link [k mod n]; relative order is preserved within a link and
+    arbitrary (within the configured per-channel skew) across links.
 
     A link object is unidirectional. Sending waits for
     serialization backpressure (each channel transmits one 53-byte cell at a
     time, with a small on-board output FIFO of bookable slots); delivery
     pushes cells into the receiving adaptor's input FIFO, dropping (and
-    counting) cells when that FIFO overflows.
+    counting) cells when that FIFO overflows. A cell arrives 1 µs of
+    propagation plus its channel's skew after it leaves the wire, and
+    each channel's output FIFO holds two cells.
 
-    Beyond the static error knobs in {!config}, every fault dimension is
-    adjustable at runtime (see [Osiris_fault.Injector]): loss, payload and
-    header corruption, duplication, per-channel carrier loss (the stripe
-    narrows to the surviving channels) and a receive-FIFO squeeze. All
-    runtime knobs default to the config values, and the random draw
-    sequence is unchanged while the extra fault features stay disabled —
-    seeded runs from before this layer existed replay identically. *)
+    Every fault is set at runtime (see [Osiris_fault.Injector]): loss,
+    payload and header corruption, duplication, per-channel carrier loss
+    (the stripe narrows to the surviving channels) and a receive-FIFO
+    squeeze. A link starts with none. While header corruption and
+    duplication stay at 0 they draw nothing from the link's RNG, so
+    seeded runs from before those faults existed replay identically. *)
 
 type config = {
   nlinks : int;  (** stripe width; 1 disables striping *)
   link_rate_bps : int;  (** line rate of each channel (155.52 Mb/s) *)
-  propagation_delay : Osiris_sim.Time.t;
   skew : Osiris_sim.Time.t array;
       (** fixed extra delay per channel (length [nlinks]); models path-length
           and multiplexing-equipment differences *)
-  jitter_mean : Osiris_sim.Time.t;
-      (** mean of exponential per-cell queueing jitter (switch ports); 0
-          disables *)
-  corrupt_prob : float;  (** per-cell probability of a flipped data byte *)
-  drop_prob : float;  (** per-cell probability of loss in the network *)
-  dup_prob : float;  (** per-cell probability of duplicate delivery *)
-  corrupt_header_prob : float;
-      (** per-cell probability of a flipped header field (VCI or AAL seq) —
-          misdelivery rather than payload damage *)
-  tx_fifo_cells : int;  (** bookable output slots per channel *)
-  rx_fifo_cells : int;  (** receiving adaptor's input FIFO capacity *)
 }
 
 val default_config : config
-(** 4 × 155.52 Mb/s, 10 µs propagation, no skew, no jitter, no errors,
-    2-cell output FIFOs, 32-cell input FIFO. *)
+(** 4 × 155.52 Mb/s, no skew. *)
+
+val rx_fifo_cells : int
+(** The receiving adaptor's input FIFO: 32 cells. *)
 
 type t
 
@@ -111,7 +101,7 @@ val on_link_change : t -> (unit -> unit) -> unit
 
 val set_rx_fifo_limit : t -> int -> unit
 (** Squeeze (or restore) the receive FIFO's effective capacity; clamped to
-    [1, rx_fifo_cells]. Arrivals beyond the limit count as
+    [1, {!rx_fifo_cells}]. Arrivals beyond the limit count as
     [dropped_fifo]. *)
 
 val set_cell_filter : t -> (int -> Osiris_atm.Cell.t -> bool) option -> unit

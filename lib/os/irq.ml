@@ -2,7 +2,7 @@ open Osiris_sim
 
 type line_state = {
   name : string;
-  handler : unit -> unit;
+  mutable handler : unit -> unit;
   mutable pending : bool;
 }
 
@@ -23,6 +23,11 @@ let register t ~line ~name handler =
     invalid_arg "Irq.register: line already has a handler";
   Hashtbl.replace t.lines line
     { name; handler; pending = false }
+
+let set_handler t ~line handler =
+  match Hashtbl.find_opt t.lines line with
+  | None -> invalid_arg "Irq.set_handler: no handler registered"
+  | Some st -> st.handler <- handler
 
 let assert_line t ~line =
   match Hashtbl.find_opt t.lines line with

@@ -20,6 +20,11 @@ val register : t -> line:int -> name:string -> (unit -> unit) -> unit
 (** Install the handler for an interrupt line. At most one handler per
     line. *)
 
+val set_handler : t -> line:int -> (unit -> unit) -> unit
+(** Replace a registered line's handler; an interrupt dispatched from
+    then on runs the new one. Raises [Invalid_argument] on a line with
+    no handler. *)
+
 val assert_line : t -> line:int -> unit
 (** Raise the line. Safe from any context. The handler is scheduled
     immediately; duplicate asserts before it runs are merged. *)

@@ -11,14 +11,15 @@ module Ctable = Osiris_classify.Table
 type config = {
   nports : int;
   queue_cells : int;
-  forward_latency : Time.t;
   mark_threshold : int;
   epd_reserve : int;
 }
 
+(* The per-cell switching latency, about one OC-3 cell time. *)
+let forward_latency = Time.us 2
+
 let default_config =
-  { nports = 4; queue_cells = 32; forward_latency = Time.us 2;
-    mark_threshold = 0; epd_reserve = 0 }
+  { nports = 4; queue_cells = 32; mark_threshold = 0; epd_reserve = 0 }
 
 (* Placeholder stored in vacated ring slots so forwarded cells are not
    pinned by the preallocated arrays. *)
@@ -446,7 +447,7 @@ let egress_step e =
     let cell = ring_take p in
     commit_forward e.e_sw cell;
     e.e_cell <- cell;
-    Process.sleep_then e.e_agent e.e_sw.cfg.forward_latency e.e_forward
+    Process.sleep_then e.e_agent forward_latency e.e_forward
   end
   else Signal.wait_then p.out_nonempty e.e_agent e.e_step
 

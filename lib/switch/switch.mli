@@ -8,7 +8,9 @@
     switch, one carrying cells {e out}), a per-input-port routing table maps
     [(in_port, in_vci)] to [(out_port, out_vci)] — rewriting the VCI as a
     real ATM switch does — and every output port owns a finite cell queue
-    drained at one cell per {!config.forward_latency}.
+    drained at one cell per 2 µs, the per-cell switching latency (about
+    one OC-3 cell time): the output scheduler holds each dequeued cell
+    that long before handing it to the egress link.
 
     Cells that arrive for a full output queue are dropped and counted
     ([dropped_overflow]), as are cells with no routing entry
@@ -27,9 +29,6 @@
 type config = {
   nports : int;  (** number of ports (each bidirectional) *)
   queue_cells : int;  (** per-output-port queue capacity, in cells *)
-  forward_latency : Osiris_sim.Time.t;
-      (** per-cell switching latency: the output scheduler holds each
-          dequeued cell this long before handing it to the egress link *)
   mark_threshold : int;
       (** ECN-like congestion marking (DCTCP-style, queue-occupancy
           threshold): a cell admitted to an output queue whose occupancy
@@ -56,14 +55,13 @@ type config = {
 }
 
 val default_config : config
-(** 4 ports, 32-cell output queues, 2 µs per-cell forwarding latency,
-    congestion marking off. One cell every 2 µs is about 212 Mb/s of
-    cells, slower than one host's 4-way striped sender, so a single
-    host PDU can overflow the default queue: on [Network.chain ~n:4]
-    one 6000 B PDU from host 0 to host 3 loses 31 of its 137 cells at
-    switch 0. A topology that carries host PDUs must size
-    [queue_cells] for its bursts, as every figure does, or shorten
-    [forward_latency], as the switch tests do (1 µs, 512 cells). *)
+(** 4 ports, 32-cell output queues, congestion marking off. One cell
+    every 2 µs is about 212 Mb/s of cells, slower than one host's 4-way
+    striped sender, so a single host PDU can overflow the default queue:
+    on [Network.chain ~n:4] one 6000 B PDU from host 0 to host 3 loses
+    31 of its 137 cells at switch 0. A topology that carries host PDUs
+    must size [queue_cells] for its bursts, as every figure and the
+    switch tests do. *)
 
 type t
 
@@ -138,8 +136,8 @@ val ingress_cell : t -> port:int -> Osiris_atm.Cell.t -> unit
 
 val drain_one : t -> port:int -> Osiris_atm.Cell.t option
 (** Dequeue the next cell from [port]'s output queue, counting it as
-    forwarded; [None] when the queue is empty. Does {e not} apply
-    [forward_latency] or touch the egress link. *)
+    forwarded; [None] when the queue is empty. Does {e not} apply the
+    switching latency or touch the egress link. *)
 
 (** {2 Accounting} *)
 

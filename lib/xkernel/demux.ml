@@ -8,9 +8,12 @@ type t = {
 let create () = { table = Hashtbl.create 32; next_vci = 32 }
 
 let bind t ~vci ~name handler =
-  if Hashtbl.mem t.table vci then
-    invalid_arg (Printf.sprintf "Demux.bind: VCI %d already bound" vci);
-  Hashtbl.replace t.table vci (name, handler)
+  match Hashtbl.find_opt t.table vci with
+  | Some (bound, _) ->
+      invalid_arg
+        (Printf.sprintf "Demux.bind: VCI %d is bound to %S, cannot bind %S"
+           vci bound name)
+  | None -> Hashtbl.replace t.table vci (name, handler)
 
 let deliver t ~vci msg =
   match Hashtbl.find_opt t.table vci with

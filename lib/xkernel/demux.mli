@@ -14,7 +14,8 @@ type handler = vci:int -> Msg.t -> unit
 val create : unit -> t
 
 val bind : t -> vci:int -> name:string -> handler -> unit
-(** Raises [Invalid_argument] if the VCI is already bound. *)
+(** Raises [Invalid_argument], naming the existing binding and [name],
+    if the VCI is already bound. *)
 
 val deliver : t -> vci:int -> Msg.t -> bool
 (** Upcall the handler bound to [vci]; [false] (message ignored) when

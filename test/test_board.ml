@@ -221,8 +221,8 @@ let board_loopback ?(dma_mode = Board.Double_cell) ?(pdu_len = 5000)
     ?(link_cfg = Atm_link.default_config) () =
   let eng = Engine.create () in
   let mem = Phys_mem.create ~size:(8 lsl 20) ~page_size:4096 () in
-  let bus_a = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
-  let bus_b = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus_a = Tc.create eng Tc.Shared_bus in
+  let bus_b = Tc.create eng Tc.Shared_bus in
   let cfg = { Board.default_config with Board.dma_mode } in
   let interrupts = ref [] in
   let board_a =
@@ -331,7 +331,7 @@ let test_double_cell_combines () =
      drains them: saturate a lone board with the fictitious source. *)
   let eng = Engine.create () in
   let mem = Phys_mem.create ~size:(8 lsl 20) ~page_size:4096 () in
-  let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus = Tc.create eng Tc.Shared_bus in
   let board =
     Board.create eng ~bus ~mem ~on_interrupt:ignore
       { Board.default_config with Board.dma_mode = Board.Double_cell }
@@ -571,8 +571,8 @@ type dma_run = {
 let run_dma_shape s =
   let eng = Engine.create () in
   let mem = Phys_mem.create ~size:(8 lsl 20) ~page_size:page () in
-  let bus_a = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
-  let bus_b = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus_a = Tc.create eng Tc.Shared_bus in
+  let bus_b = Tc.create eng Tc.Shared_bus in
   let dma_mode = if s.double then Board.Double_cell else Board.Single_cell in
   let cfg = { Board.default_config with Board.dma_mode } in
   (* The sender's i960 takes one cycle per cell, so cells arrive at link
@@ -724,8 +724,8 @@ let test_vci_buffer_preference () =
      queue is left empty. *)
   let eng = Engine.create () in
   let mem = Phys_mem.create ~size:(8 lsl 20) ~page_size:4096 () in
-  let bus_a = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
-  let bus_b = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus_a = Tc.create eng Tc.Shared_bus in
+  let bus_b = Tc.create eng Tc.Shared_bus in
   let cfg = Board.default_config in
   let board_a = Board.create eng ~bus:bus_a ~mem ~on_interrupt:ignore cfg in
   let board_b = Board.create eng ~bus:bus_b ~mem ~on_interrupt:ignore cfg in
@@ -924,10 +924,10 @@ let pin_digest eng log boards chans buses links =
 let pin_run p =
   let eng = Engine.create () in
   let mem = Phys_mem.create ~size:(16 lsl 20) ~page_size:page () in
-  let bus_a = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus_a = Tc.create eng Tc.Shared_bus in
   let bus_b =
     if p.one_bus then bus_a
-    else Tc.create eng (Tc.turbochannel_config Tc.Shared_bus)
+    else Tc.create eng Tc.Shared_bus
   in
   let log = Buffer.create 16384 in
   let note fmt = Printf.bprintf log fmt in
@@ -1025,7 +1025,7 @@ let pin_run p =
 let pin_fictitious () =
   let eng = Engine.create () in
   let mem = Phys_mem.create ~size:(16 lsl 20) ~page_size:page () in
-  let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus = Tc.create eng Tc.Shared_bus in
   let log = Buffer.create 16384 in
   let note fmt = Printf.bprintf log fmt in
   let p =
@@ -1184,7 +1184,7 @@ let test_stage_failure_named () =
   let mem = Phys_mem.create ~size:(8 lsl 20) ~page_size:page () in
   let board =
     Board.create eng
-      ~bus:(Tc.create eng (Tc.turbochannel_config Tc.Shared_bus))
+      ~bus:(Tc.create eng Tc.Shared_bus)
       ~mem ~on_interrupt:ignore Board.default_config
   in
   Board.bind_vci board ~vci:7 (Board.kernel_channel board);
@@ -1225,7 +1225,7 @@ let frame_chain_matches_oracle =
     (fun (c1, c2, nlinks, (start, seed)) ->
       let eng = Engine.create () in
       let mem = Phys_mem.create ~size:(2 * 1024 * 1024) ~page_size:4096 () in
-      let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+      let bus = Tc.create eng Tc.Shared_bus in
       let board =
         Board.create eng ~bus ~mem ~on_interrupt:ignore Board.default_config
       in

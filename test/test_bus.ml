@@ -4,7 +4,7 @@
 open Osiris_sim
 module Tc = Osiris_bus.Turbochannel
 
-let mk topology = Tc.create (Engine.create ()) (Tc.turbochannel_config topology)
+let mk topology = Tc.create (Engine.create ()) topology
 
 let test_paper_bounds () =
   let bus = mk Tc.Shared_bus in
@@ -40,7 +40,7 @@ let run_two eng f g =
 let test_shared_bus_contention () =
   (* On the shared bus, a CPU access and a DMA serialize. *)
   let eng = Engine.create () in
-  let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus = Tc.create eng Tc.Shared_bus in
   let t_dma, t_cpu =
     run_two eng
       (fun () -> Tc.dma_write bus ~bytes:44)
@@ -52,7 +52,7 @@ let test_shared_bus_contention () =
 let test_crossbar_concurrency () =
   (* On the crossbar, the same two transactions overlap. *)
   let eng = Engine.create () in
-  let bus = Tc.create eng (Tc.turbochannel_config Tc.Crossbar) in
+  let bus = Tc.create eng Tc.Crossbar in
   let t_dma, t_cpu =
     run_two eng
       (fun () -> Tc.dma_write bus ~bytes:44)
@@ -63,7 +63,7 @@ let test_crossbar_concurrency () =
 
 let test_pio_costs () =
   let eng = Engine.create () in
-  let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus = Tc.create eng Tc.Shared_bus in
   let t = ref 0 in
   Process.spawn eng ~name:"pio" (fun () ->
       Tc.pio_read_words bus ~words:10;
@@ -79,7 +79,7 @@ let dma_rate_matches_closed_form =
       let burst = cells * 44 in
       let dir = if write then `Write else `Read in
       let eng = Engine.create () in
-      let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+      let bus = Tc.create eng Tc.Shared_bus in
       let n = 500 in
       Process.spawn eng ~name:"dma" (fun () ->
           for _ = 1 to n do

@@ -9,7 +9,7 @@ module Tc = Osiris_bus.Turbochannel
 let setup ?(coherence = Cache.Software) () =
   let eng = Engine.create () in
   let mem = Phys_mem.create ~size:(1 lsl 20) ~page_size:4096 () in
-  let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus = Tc.create eng Tc.Shared_bus in
   let cache =
     Cache.create eng ~mem ~bus
       {
@@ -17,9 +17,7 @@ let setup ?(coherence = Cache.Software) () =
         line_size = 16;
         coherence;
         cpu_hz = 25_000_000;
-        hit_cycles_per_word = 1;
         fill_overhead_cycles = 13;
-        invalidate_cycles_per_word = 1;
       }
   in
   (eng, mem, cache)
@@ -246,7 +244,7 @@ let oracle_case coherence ~size ~line_size ~max_len ~max_pressure ~seed () =
   let mem_size = 8 * size in
   let eng = Engine.create () in
   let mem = Phys_mem.create ~size:mem_size ~page_size:4096 () in
-  let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus = Tc.create eng Tc.Shared_bus in
   let cache =
     Cache.create eng ~mem ~bus
       {
@@ -254,9 +252,7 @@ let oracle_case coherence ~size ~line_size ~max_len ~max_pressure ~seed () =
         line_size;
         coherence;
         cpu_hz = 25_000_000;
-        hit_cycles_per_word = 1;
         fill_overhead_cycles = 13;
-        invalidate_cycles_per_word = 1;
       }
   in
   let model =

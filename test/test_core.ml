@@ -177,16 +177,15 @@ let test_spinlock_configuration_works () =
   Alcotest.(check int) "spin-locked queues still correct" 5 !got
 
 let test_link_corruption_dropped_not_delivered () =
-  let link =
-    { Osiris_link.Atm_link.default_config with
-      Osiris_link.Atm_link.corrupt_prob = 0.002 }
-  in
   let eng = Engine.create () in
   let a = Host.create eng Machine.ds5000_200 ~addr:0x0a000001l
       Host.default_config in
   let b = Host.create eng Machine.ds5000_200 ~addr:0x0a000002l
       { Host.default_config with seed = 43 } in
-  ignore (Network.connect eng ~link a b);
+  let net = Network.connect eng a b in
+  List.iter
+    (fun l -> Osiris_link.Atm_link.set_corrupt_prob l 0.002)
+    [ net.Network.a_to_b; net.Network.b_to_a ];
   Board.bind_vci a.Host.board ~vci:raw_vci (Board.kernel_channel a.Host.board);
   Board.bind_vci b.Host.board ~vci:raw_vci (Board.kernel_channel b.Host.board);
   let good = ref 0 in

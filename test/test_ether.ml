@@ -16,7 +16,7 @@ let pair () =
     let irq =
       Irq.create eng ~cpu ~dispatch_cost:machine.Machine.interrupt_cost
     in
-    (Ether.create eng ~cpu ~bus ~irq ~irq_line:1 Ether.default_config, irq)
+    (Ether.create eng ~cpu ~bus ~irq ~irq_line:1, irq)
   in
   let a, _ = mk () and b, irq_b = mk () in
   Ether.connect a b;

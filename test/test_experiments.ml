@@ -10,9 +10,7 @@ open Osiris_experiments
 let test_dma_bounds_exact () =
   let eng = Osiris_sim.Engine.create () in
   let bus =
-    Osiris_bus.Turbochannel.create eng
-      (Osiris_bus.Turbochannel.turbochannel_config
-         Osiris_bus.Turbochannel.Shared_bus)
+    Osiris_bus.Turbochannel.create eng Osiris_bus.Turbochannel.Shared_bus
   in
   let chk label expect dir burst =
     Alcotest.(check (float 0.5)) label expect

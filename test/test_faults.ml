@@ -12,23 +12,34 @@ module Udp = Osiris_proto.Udp
 
 let raw_vci = 9
 
-let pair ?link ?(machine = Machine.ds5000_200) () =
+(* [faults] arms both directions of the link before the first cell. *)
+let pair ?link ?(faults = ignore) ?(machine = Machine.ds5000_200) () =
   let eng = Engine.create () in
   let a = Host.create eng machine ~addr:0x0a000001l Host.default_config in
   let b =
     Host.create eng machine ~addr:0x0a000002l
       { Host.default_config with seed = 43 }
   in
-  ignore (Network.connect eng ?link a b);
+  let net = Network.connect eng ?link a b in
+  faults net.Network.a_to_b;
+  faults net.Network.b_to_a;
   (eng, a, b)
+
+(* A link whose channels are skewed by fixed random delays of up to
+   12 us, drawn from [seed]. *)
+let randomly_skewed ~seed =
+  let rng = Osiris_util.Rng.create ~seed in
+  {
+    Atm_link.default_config with
+    Atm_link.skew = Array.init 4 (fun _ -> Osiris_util.Rng.int rng (Time.us 12));
+  }
 
 (* Heavy cell loss: most PDUs die, but every delivered byte is correct and
    the system keeps flowing (no buffer leaks, no reassembly wedge). *)
 let test_lossy_link_no_corruption () =
-  let link =
-    { Atm_link.default_config with Atm_link.drop_prob = 0.003 }
+  let eng, a, b =
+    pair ~faults:(fun l -> Atm_link.set_drop_prob l 0.003) ()
   in
-  let eng, a, b = pair ~link () in
   Board.bind_vci a.Host.board ~vci:raw_vci (Board.kernel_channel a.Host.board);
   Board.bind_vci b.Host.board ~vci:raw_vci (Board.kernel_channel b.Host.board);
   let template = Bytes.init 8192 (fun i -> Char.chr ((i * 7) land 0xff)) in
@@ -63,20 +74,17 @@ let test_lossy_link_no_corruption () =
          (Board.free_queue (Board.kernel_channel b.Host.board))
     > 40)
 
-(* Random per-cell queueing jitter (switch-port delays, §2.6's third cause
-   of skew): per-link order is preserved by construction, and per-link
-   reassembly keeps delivering intact PDUs. *)
+(* Random cross-link skew (path and multiplexing differences, §2.6):
+   per-link order is preserved by construction, and per-link reassembly
+   keeps delivering intact PDUs. *)
 let test_jittery_striping_end_to_end () =
-  let link =
-    { Atm_link.default_config with Atm_link.jitter_mean = Time.us 3 }
-  in
-  let eng, a, b = pair ~link () in
+  let eng, a, b = pair ~link:(randomly_skewed ~seed:3) () in
   Board.bind_vci a.Host.board ~vci:raw_vci (Board.kernel_channel a.Host.board);
   Board.bind_vci b.Host.board ~vci:raw_vci (Board.kernel_channel b.Host.board);
   let template = Bytes.init 12000 (fun i -> Char.chr ((i * 13) land 0xff)) in
   let good = ref 0 in
   Demux.bind b.Host.demux ~vci:raw_vci ~name:"sink" (fun ~vci:_ msg ->
-      Alcotest.(check bool) "intact under jitter" true
+      Alcotest.(check bool) "intact under random cross-link skew" true
         (Bytes.equal (Msg.read_all msg) template);
       incr good;
       Msg.dispose msg);
@@ -135,10 +143,9 @@ let test_concurrent_streams_isolation () =
 (* UDP checksum on over a corrupting link: corrupt datagrams are dropped
    by the CRC at the adaptor (never billed to UDP), clean ones verify. *)
 let test_udp_over_corrupting_link () =
-  let link =
-    { Atm_link.default_config with Atm_link.corrupt_prob = 0.001 }
+  let eng, a, b =
+    pair ~faults:(fun l -> Atm_link.set_corrupt_prob l 0.001) ()
   in
-  let eng, a, b = pair ~link () in
   let ok = ref 0 in
   Udp.bind b.Host.udp ~port:7 (fun ~src:_ ~src_port:_ msg ->
       incr ok;
@@ -161,11 +168,11 @@ let test_udp_over_corrupting_link () =
 (* Determinism: two identical runs produce byte-identical outcomes. *)
 let test_network_determinism () =
   let run () =
-    let link =
-      { Atm_link.default_config with
-        Atm_link.jitter_mean = Time.us 2; drop_prob = 0.002 }
+    let eng, a, b =
+      pair ~link:(randomly_skewed ~seed:2)
+        ~faults:(fun l -> Atm_link.set_drop_prob l 0.002)
+        ()
     in
-    let eng, a, b = pair ~link () in
     let n = ref 0 in
     Udp.bind b.Host.udp ~port:7 (fun ~src:_ ~src_port:_ msg ->
         incr n;
@@ -197,7 +204,7 @@ module Fault_soak = Osiris_experiments.Fault_soak
 
 (* Like [pair], but with recovery machinery configurable and the network
    record kept so tests can reach the links. *)
-let fault_pair ?link ?(board = Board.default_config)
+let fault_pair ?(faults = ignore) ?(board = Board.default_config)
     ?(machine = Machine.ds5000_200) () =
   let eng = Engine.create () in
   let cfg = { Host.default_config with Host.board } in
@@ -205,7 +212,9 @@ let fault_pair ?link ?(board = Board.default_config)
   let b =
     Host.create eng machine ~addr:0x0a000002l { cfg with Host.seed = 43 }
   in
-  let net = Network.connect eng ?link a b in
+  let net = Network.connect eng a b in
+  faults net.Network.a_to_b;
+  faults net.Network.b_to_a;
   Board.bind_vci a.Host.board ~vci:raw_vci (Board.kernel_channel a.Host.board);
   Board.bind_vci b.Host.board ~vci:raw_vci (Board.kernel_channel b.Host.board);
   (eng, a, b, net)
@@ -275,9 +284,9 @@ let test_dropped_framing_cell_times_out () =
 let test_duplicate_cells_harmless () =
   (* 0.003/cell: a 171-cell PDU survives duplication-free ~60% of the
      time, so losses and survivors are both well represented. *)
-  let link = { Atm.default_config with Atm.dup_prob = 0.003 } in
   let eng, a, b, net =
-    fault_pair ~link
+    fault_pair
+      ~faults:(fun l -> Atm.set_dup_prob l 0.003)
       ~board:{ Board.default_config with Board.reassembly_timeout = Time.ms 2 }
       ()
   in
@@ -316,9 +325,9 @@ let test_duplicate_cells_harmless () =
    corrupt delivery — and the timeout sweeps any reassembly a stray cell
    opened. *)
 let test_header_corruption_never_escapes () =
-  let link = { Atm.default_config with Atm.corrupt_header_prob = 0.005 } in
   let eng, a, b, net =
-    fault_pair ~link
+    fault_pair
+      ~faults:(fun l -> Atm.set_corrupt_header_prob l 0.005)
       ~board:{ Board.default_config with Board.reassembly_timeout = Time.ms 2 }
       ()
   in

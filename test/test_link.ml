@@ -93,14 +93,15 @@ let test_aggregate_rate () =
   (* 4 x 155.52 Mb/s: 1000 cells of 53 bytes take ~1000/4 cell times. *)
   let eng = Engine.create () in
   let link =
-    Atm_link.create eng (Rng.create ~seed:1)
-      { Atm_link.default_config with Atm_link.rx_fifo_cells = 2000 }
+    Atm_link.create eng (Rng.create ~seed:1) Atm_link.default_config
   in
   let pdu = Bytes.make 10000 'x' in
   let cells = Sar.segment ~vci:3 ~nlinks:4 pdu in
   let ncells = List.length cells in
+  let out = collect eng link ncells in
   Process.spawn eng ~name:"tx" (fun () -> List.iter (send eng link) cells);
   Engine.run eng;
+  Alcotest.(check int) "every cell received" ncells (List.length !out);
   (* Serialization finished; expected: ceil(n/4) cell times + pipeline. *)
   let cell_time = 53 * 8 * 1_000_000_000 / 155_520_000 in
   let expected = (((ncells + 3) / 4) + 2) * cell_time + 1000 in
@@ -111,8 +112,10 @@ let test_aggregate_rate () =
 
 let test_fifo_overflow_drops () =
   let eng = Engine.create () in
-  let cfg = { Atm_link.default_config with Atm_link.rx_fifo_cells = 4 } in
-  let link = Atm_link.create eng (Rng.create ~seed:1) cfg in
+  let link =
+    Atm_link.create eng (Rng.create ~seed:1) Atm_link.default_config
+  in
+  Atm_link.set_rx_fifo_limit link 4;
   let cells = cells_of_pdu ~n:4000 () in
   Process.spawn eng ~name:"tx" (fun () -> List.iter (send eng link) cells);
   (* no receiver: the 4-cell FIFO overflows *)
@@ -124,8 +127,10 @@ let test_fifo_overflow_drops () =
 
 let test_corruption_injection () =
   let eng = Engine.create () in
-  let cfg = { Atm_link.default_config with Atm_link.corrupt_prob = 1.0 } in
-  let link = Atm_link.create eng (Rng.create ~seed:1) cfg in
+  let link =
+    Atm_link.create eng (Rng.create ~seed:1) Atm_link.default_config
+  in
+  Atm_link.set_corrupt_prob link 1.0;
   let cells = cells_of_pdu ~n:100 () in
   let out = collect eng link (List.length cells) in
   Process.spawn eng ~name:"tx" (fun () -> List.iter (send eng link) cells);
@@ -133,8 +138,7 @@ let test_corruption_injection () =
   Alcotest.(check int) "all corrupted"
     (List.length cells)
     (Atm_link.stats link).Atm_link.corrupted;
-  (* The seeded outcome, exactly: the byte each corruption flips is
-     drawn from the same stream. *)
+  (* The seeded outcome, exactly. *)
   check_stats "pinned outcome"
     [
       ("cells_sent", 3); ("cells_delivered", 3); ("dropped_fifo", 0);
@@ -150,8 +154,10 @@ let test_corruption_injection () =
 
 let test_drop_injection () =
   let eng = Engine.create () in
-  let cfg = { Atm_link.default_config with Atm_link.drop_prob = 0.5 } in
-  let link = Atm_link.create eng (Rng.create ~seed:4) cfg in
+  let link =
+    Atm_link.create eng (Rng.create ~seed:4) Atm_link.default_config
+  in
+  Atm_link.set_drop_prob link 0.5;
   let cells = cells_of_pdu ~n:4000 () in
   Process.spawn eng ~name:"tx" (fun () -> List.iter (send eng link) cells);
   Engine.run ~until:1_000_000_000 eng;

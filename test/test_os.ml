@@ -92,6 +92,27 @@ let test_irq_unregistered_line () =
        false
      with Invalid_argument _ -> true)
 
+(* [set_handler] replaces a registered line's handler: the next
+   dispatch runs the new one, at the same cost. A line must be
+   registered before its handler can be replaced, and only once. *)
+let test_irq_set_handler () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~hz:25_000_000 in
+  let irq = Irq.create eng ~cpu ~dispatch_cost:75_000 in
+  let ran = ref [] in
+  Irq.register irq ~line:3 ~name:"rx" (fun () -> ran := "old" :: !ran);
+  Irq.set_handler irq ~line:3 (fun () -> ran := "new" :: !ran);
+  Irq.assert_line irq ~line:3;
+  Engine.run eng;
+  Alcotest.(check (list string)) "the replacement ran" [ "new" ] !ran;
+  Alcotest.(check int) "dispatch cost charged" 75_000 (Engine.now eng);
+  Alcotest.check_raises "unregistered line"
+    (Invalid_argument "Irq.set_handler: no handler registered") (fun () ->
+      Irq.set_handler irq ~line:9 ignore);
+  Alcotest.check_raises "a line registers once"
+    (Invalid_argument "Irq.register: line already has a handler") (fun () ->
+      Irq.register irq ~line:3 ~name:"again" ignore)
+
 let test_wiring_policies () =
   let eng = Engine.create () in
   let cpu = Cpu.create eng ~hz:25_000_000 in
@@ -134,4 +155,6 @@ let suite =
     Alcotest.test_case "wiring: policies & accounting" `Quick
       test_wiring_policies;
     Alcotest.test_case "domains" `Quick test_domains;
+    Alcotest.test_case "irq: set_handler replaces a handler" `Quick
+      test_irq_set_handler;
   ]

@@ -25,7 +25,7 @@ let mk_world () =
   let mem = Phys_mem.create ~size:(16 lsl 20) ~page_size () in
   let vs = Vspace.create mem in
   let cpu = Cpu.create eng ~hz:25_000_000 in
-  let bus = Tc.create eng (Tc.turbochannel_config Tc.Shared_bus) in
+  let bus = Tc.create eng Tc.Shared_bus in
   let cache =
     Cache.create eng ~mem ~bus
       {
@@ -33,9 +33,7 @@ let mk_world () =
         line_size = 16;
         coherence = Cache.Software;
         cpu_hz = 25_000_000;
-        hit_cycles_per_word = 1;
         fill_overhead_cycles = 13;
-        invalidate_cycles_per_word = 1;
       }
   in
   {

@@ -116,16 +116,12 @@ let test_overflow_drop_accounting () =
   check_conservation sw
 
 (* A star topology delivers byte-exact PDUs from every leaf to the hub
-   host, each on its own freshly allocated VC. *)
+   host, each on its own freshly allocated VC. The two senders' eight
+   PDUs back up to 520 cells at the hub's port. *)
 let test_star_end_to_end () =
   let eng, topo =
     Network.star ~n:3
-      ~switch:
-        {
-          Switch.default_config with
-          Switch.queue_cells = 512;
-          Switch.forward_latency = Time.us 1;
-        }
+      ~switch:{ Switch.default_config with Switch.queue_cells = 1024 }
       ()
   in
   let dst = Network.host topo 0 in
@@ -172,12 +168,7 @@ let test_star_end_to_end () =
 let test_chain_across_trunk () =
   let eng, topo =
     Network.chain ~n:4
-      ~switch:
-        {
-          Switch.default_config with
-          Switch.queue_cells = 512;
-          Switch.forward_latency = Time.us 1;
-        }
+      ~switch:{ Switch.default_config with Switch.queue_cells = 512 }
       ()
   in
   Alcotest.(check int) "four hosts" 4 (Network.nhosts topo);
@@ -230,12 +221,7 @@ let test_chain_across_trunk () =
 let test_audit_sees_cells_in_flight () =
   let eng, topo =
     Network.chain ~n:4
-      ~switch:
-        {
-          Switch.default_config with
-          Switch.queue_cells = 512;
-          Switch.forward_latency = Time.us 1;
-        }
+      ~switch:{ Switch.default_config with Switch.queue_cells = 512 }
       ()
   in
   let vc = Network.open_vc topo ~src:0 ~dst:3 in
@@ -324,13 +310,14 @@ let test_explore_switch_datapath () =
 (* Pinned switch behaviour. Each seed builds a random switch of 2 to 6
    ports with random routes and VCIs, feeds bursts of PDUs into small
    output queues (overflow drops, or EPD/PPD when packet discard is on),
-   with marking on or off, egress links whose output FIFO holds one
-   cell (so the port waits on backpressure), and random port flaps and
+   with marking on or off, over links of 1 to 4 skewed channels, some
+   lossy, each with a squeezed input FIFO, and random port flaps and
    channel flips. The digest covers every delivered cell (time, port,
    channel, VCI, seq, marked), every switch and link counter, and the
-   engine's event count. The digests were recorded on the fiber-based
-   ports, draining one cell per wakeup (the semantics the switch has
-   now): the callback ports must dispatch identically. *)
+   engine's event count. The digests were recorded from these
+   scenarios on code that took the switching latency, propagation delay
+   and FIFO depths as configuration, so the constants must reproduce
+   every dispatch. *)
 
 (* The library's link senders are callback agents; the test's fiber
    sources send through the same two halves and wait out backpressure
@@ -360,32 +347,28 @@ let switch_scenario seed =
     {
       Switch.nports;
       queue_cells;
-      forward_latency = 300 + int 3000;
       mark_threshold = (if int 2 = 0 then 1 + int queue_cells else 0);
       epd_reserve = (if epd then 1 + int queue_cells else 0);
     }
   in
   let sw = Switch.create eng ~name:"psw" cfg in
-  let make_link i ~tx_fifo =
+  let make_link i =
     let nlinks = 1 + int 4 in
-    Atm_link.create eng
-      (Rng.create ~seed:((seed * 100) + i))
-      {
-        Atm_link.default_config with
-        Atm_link.nlinks;
-        skew = Array.init nlinks (fun _ -> int 800);
-        propagation_delay = 200 + int 2000;
-        jitter_mean = (if int 3 = 0 then 100 + int 500 else 0);
-        drop_prob = (if int 4 = 0 then 0.01 else 0.0);
-        tx_fifo_cells = tx_fifo;
-        rx_fifo_cells = 4 + int 28;
-      }
+    let link =
+      Atm_link.create eng
+        (Rng.create ~seed:((seed * 100) + i))
+        {
+          Atm_link.default_config with
+          Atm_link.nlinks;
+          skew = Array.init nlinks (fun _ -> int 800);
+        }
+    in
+    if int 4 = 0 then Atm_link.set_drop_prob link 0.01;
+    Atm_link.set_rx_fifo_limit link (4 + int 28);
+    link
   in
-  let ingress = Array.init nports (fun i -> make_link i ~tx_fifo:(1 + int 3)) in
-  let egress =
-    Array.init nports (fun i ->
-        make_link (50 + i) ~tx_fifo:(if int 2 = 0 then 1 else 2 + int 2))
-  in
+  let ingress = Array.init nports make_link in
+  let egress = Array.init nports (fun i -> make_link (50 + i)) in
   Array.iteri
     (fun port ing -> Switch.attach_port sw ~port ~ingress:ing ~egress:egress.(port))
     ingress;
@@ -582,18 +565,18 @@ let test_port_down_stops_draining () =
 
 let pinned_scenarios =
   [
-    (1, "40b781e870cf07eef699ee94b76caedc");
-    (2, "e3404b880dd3e2219d7a7cbd2cb44987");
-    (3, "939a5e950b53db22ee3d3fbc381f45fc");
-    (4, "d0461acc2eeca526a9caafe368d2fb55");
-    (5, "a71c9a80453b75fb12b8d010454b01cb");
-    (6, "62179cc3de4e16c0e3bf59807dd17df2");
-    (7, "693df5a8701c21fa06617f3fee5b6364");
-    (8, "7f99bf383047a47d4a158402b718fd1f");
-    (9, "27cc54940743cccf3ce23e516d6a6268");
-    (10, "4fa99a1bc63f1e767f0c826fb27fdd89");
-    (11, "3b17c9c44b6e5da4fcd3cad736c88b79");
-    (12, "de1575035293ed7605e11d1cd57a7fc5");
+    (1, "c789841ccd2b96ddbd0d184726ee18db");
+    (2, "14bf179c0ff4f1e3f95114596a6172b6");
+    (3, "bfa28de4c293a9c75f49ab7b51c57ac1");
+    (4, "1077bd1d1433af00297bc06dccac6a82");
+    (5, "111b5160e1f8054784d4dd6ce53ecc98");
+    (6, "631332d10cba0ee2c57b953ab125d8e0");
+    (7, "8fd1f9ec530d0e7f0febab5644bf8d37");
+    (8, "2e903fbc1ebdb0065678d631295b2ae0");
+    (9, "fd3d436817ee34bfde960d34e10a5661");
+    (10, "f8935cf6ff1941c3ba7ae1fbb684402a");
+    (11, "386ab884bfd1951ed1d47770c135947e");
+    (12, "e8f1aa585252aefbfbdd83b2e76a0c24");
   ]
 
 let test_pinned_scenarios () =

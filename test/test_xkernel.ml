@@ -132,6 +132,17 @@ let test_demux () =
   let v2 = Demux.fresh_vci d in
   Alcotest.(check bool) "fresh vcis distinct" true (v1 <> v2)
 
+(* Binding a bound VCI again names both bindings, the one that holds
+   the VCI first. *)
+let test_demux_double_bind_names_both () =
+  let d = Demux.create () in
+  Demux.bind d ~vci:7 ~name:"first" (fun ~vci:_ m -> Msg.dispose m);
+  Alcotest.check_raises "message names the first binding"
+    (Invalid_argument
+       "Demux.bind: VCI 7 is bound to \"first\", cannot bind \"second\"")
+    (fun () ->
+      Demux.bind d ~vci:7 ~name:"second" (fun ~vci:_ m -> Msg.dispose m))
+
 let test_paths () =
   let d = Demux.create () in
   let reg = Osiris_xkernel.Path.create_registry d in
@@ -209,4 +220,6 @@ let suite =
     Alcotest.test_case "msg: dispose" `Quick test_dispose_frees_and_finalizes;
     Alcotest.test_case "demux table" `Quick test_demux;
     Alcotest.test_case "paths: establish/deliver" `Quick test_paths;
+    Alcotest.test_case "demux: a second bind names the first" `Quick
+      test_demux_double_bind_names_both;
   ]
