@@ -54,11 +54,6 @@ let bernoulli t p =
 
 let bool t = Int64.logand (next t) 1L = 1L
 
-let exponential t ~mean =
-  let u = float t 1.0 in
-  let u = if u <= 0.0 then 1e-300 else u in
-  -.mean *. log u
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

@@ -29,8 +29,5 @@ val bernoulli : t -> float -> bool
 
 val bool : t -> bool
 
-val exponential : t -> mean:float -> float
-(** Exponentially distributed with the given mean. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

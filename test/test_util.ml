@@ -246,8 +246,6 @@ let rng_stream_digest kind =
                 (Rng.int r bounds.(i mod Array.length bounds))
           | `Float -> Printf.bprintf buf "%h," (Rng.float r 3.5)
           | `Bool -> Buffer.add_char buf (if Rng.bool r then '1' else '0')
-          | `Exponential ->
-              Printf.bprintf buf "%h," (Rng.exponential r ~mean:1.5)
           | `Split ->
               let child = Rng.split r in
               Printf.bprintf buf "%Ld," (Rng.bits64 child)
@@ -265,7 +263,6 @@ let test_rng_streams_pinned () =
       ("int", `Int, "0df1eae5b16f80d247328de92f45842a");
       ("float", `Float, "072f03b6c3ad16daaeea62ef35c9d65a");
       ("bool", `Bool, "aca09bc24b5963e51c11f92b11593394");
-      ("exponential", `Exponential, "bcd4c1a7225c5d962d94e0633c308d9f");
       ("split", `Split, "f6864d7415d032f2e29c6d3c21d8563e");
       ("shuffle", `Shuffle, "2d4e982319c16b6ad35ee5eef5c339c9");
     ]
