@@ -26,10 +26,11 @@ val create : Osiris_sim.Engine.t -> topology -> t
     DMA read and write (§2.5.1), and 15 and 4 cycles per programmed-I/O
     word read and write. *)
 
-val cycle_ns : t -> int
-(** Duration of one bus cycle in nanoseconds. *)
+val cycle_ns : int
+(** Duration of one bus cycle in nanoseconds: 40. *)
 
-val peak_mbps : t -> float
+val peak_mbps : float
+(** 800 Mb/s: one word per cycle. *)
 
 (** The transaction operations below block the calling process for the
     transaction's duration, arbitrating per the topology. The adaptor's
@@ -62,10 +63,10 @@ val pio_read_words : t -> words:int -> unit
 
 val pio_write_words : t -> words:int -> unit
 
-val dma_transaction_ns : t -> dir:[ `Read | `Write ] -> bytes:int -> int
+val dma_transaction_ns : dir:[ `Read | `Write ] -> bytes:int -> int
 (** Duration of a single DMA transaction, without queueing. *)
 
-val max_dma_mbps : t -> dir:[ `Read | `Write ] -> burst:int -> float
+val max_dma_mbps : dir:[ `Read | `Write ] -> burst:int -> float
 (** Closed-form §2.5.1 bound: sustained data rate of back-to-back DMA
     transactions of [burst] bytes. *)
 

@@ -69,9 +69,9 @@ let ip_vci _t = kernel_ip_vci
 let install_memory_load cpu bus cache fraction =
   if fraction > 0.0 then
     Cpu.set_memory_load cpu (fun slice ->
-        let cycle = Tc.cycle_ns bus in
         let total_cycles =
-          int_of_float (fraction *. float_of_int slice /. float_of_int cycle)
+          int_of_float
+            (fraction *. float_of_int slice /. float_of_int Tc.cycle_ns)
         in
         let chunk_words = 64 in
         let nchunks = total_cycles / (chunk_words + 1) in

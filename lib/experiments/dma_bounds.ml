@@ -20,8 +20,6 @@ let paper =
     ((`Write, 88), 587.) ]
 
 let table () =
-  let eng = Engine.create () in
-  let bus = Tc.create eng Tc.Shared_bus in
   let rows =
     List.concat_map
       (fun burst ->
@@ -35,7 +33,7 @@ let table () =
             [
               Printf.sprintf "%dB (%d cells)" burst (burst / 44);
               dir_label;
-              Printf.sprintf "%.1f" (Tc.max_dma_mbps bus ~dir ~burst);
+              Printf.sprintf "%.1f" (Tc.max_dma_mbps ~dir ~burst);
               Printf.sprintf "%.1f" (measured ~dir ~burst);
               (match paper_label with
               | Some p -> Printf.sprintf "%.0f" p

@@ -652,7 +652,7 @@ let run_dma_shape s =
             ~len:(min s.rx_bs (framed - (i * s.rx_bs))))
         s.rx_bufs;
     fetch_ns;
-    fetch_cost = (fun bytes -> Tc.dma_transaction_ns bus_a ~dir:`Read ~bytes);
+    fetch_cost = (fun bytes -> Tc.dma_transaction_ns ~dir:`Read ~bytes);
   }
 
 let dma_plans_match_model =

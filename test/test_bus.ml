@@ -4,12 +4,9 @@
 open Osiris_sim
 module Tc = Osiris_bus.Turbochannel
 
-let mk topology = Tc.create (Engine.create ()) topology
-
 let test_paper_bounds () =
-  let bus = mk Tc.Shared_bus in
   let chk label expected dir burst =
-    Alcotest.(check (float 0.5)) label expected (Tc.max_dma_mbps bus ~dir ~burst)
+    Alcotest.(check (float 0.5)) label expected (Tc.max_dma_mbps ~dir ~burst)
   in
   chk "44B read = 367" 366.7 `Read 44;
   chk "44B write = 463" 463.2 `Write 44;
@@ -17,14 +14,13 @@ let test_paper_bounds () =
   chk "88B write = 587" 586.7 `Write 88
 
 let test_transaction_times () =
-  let bus = mk Tc.Shared_bus in
   (* 44 bytes = 11 words; read = 13 + 11 = 24 cycles at 40ns. *)
   Alcotest.(check int) "44B read ns" 960
-    (Tc.dma_transaction_ns bus ~dir:`Read ~bytes:44);
+    (Tc.dma_transaction_ns ~dir:`Read ~bytes:44);
   Alcotest.(check int) "44B write ns" 760
-    (Tc.dma_transaction_ns bus ~dir:`Write ~bytes:44);
-  Alcotest.(check int) "cycle" 40 (Tc.cycle_ns bus);
-  Alcotest.(check (float 0.01)) "peak" 800.0 (Tc.peak_mbps bus)
+    (Tc.dma_transaction_ns ~dir:`Write ~bytes:44);
+  Alcotest.(check int) "cycle" 40 Tc.cycle_ns;
+  Alcotest.(check (float 0.01)) "peak" 800.0 Tc.peak_mbps
 
 let run_two eng f g =
   let t_f = ref 0 and t_g = ref 0 in
@@ -91,7 +87,7 @@ let dma_rate_matches_closed_form =
       let measured =
         float_of_int (n * burst * 8) /. float_of_int (Engine.now eng) *. 1e3
       in
-      abs_float (measured -. Tc.max_dma_mbps bus ~dir ~burst) < 1.0)
+      abs_float (measured -. Tc.max_dma_mbps ~dir ~burst) < 1.0)
 
 let suite =
   [

@@ -8,13 +8,9 @@ module Board = Osiris_board.Board
 open Osiris_experiments
 
 let test_dma_bounds_exact () =
-  let eng = Osiris_sim.Engine.create () in
-  let bus =
-    Osiris_bus.Turbochannel.create eng Osiris_bus.Turbochannel.Shared_bus
-  in
   let chk label expect dir burst =
     Alcotest.(check (float 0.5)) label expect
-      (Osiris_bus.Turbochannel.max_dma_mbps bus ~dir ~burst)
+      (Osiris_bus.Turbochannel.max_dma_mbps ~dir ~burst)
   in
   chk "367" 366.7 `Read 44;
   chk "463" 463.2 `Write 44;
