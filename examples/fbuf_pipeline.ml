@@ -76,9 +76,9 @@ let run_pipeline ~cached =
      the rate is measured to the end of the last delivery. *)
   Engine.run ~until:(Time.s 5) eng;
   ( !delivered,
-    Osiris_util.Units.mbps
+    Osiris_experiments.Report.mbps
       ~bytes_count:(!delivered * msg_size)
-      ~seconds:(Time.to_float_s !last_delivery),
+      ~ns:!last_delivery,
     Fbufs.stats fb )
 
 let () =

@@ -76,8 +76,7 @@ let () =
          Format.fprintf fmt "mean %.0fus sd %.0fus max %.0fus"
            (Stats.mean s) (Stats.stddev s) (Stats.max s)) jitter);
   Printf.printf "  bulk: %.1f Mbps delivered, %d PDUs dropped on the board\n"
-    (Osiris_util.Units.mbps ~bytes_count:!bulk_bytes
-       ~seconds:(Time.to_float_s horizon))
+    (Osiris_experiments.Report.mbps ~bytes_count:!bulk_bytes ~ns:horizon)
     drops;
   Printf.printf
     "the board dropped overload before it cost the host anything; the \

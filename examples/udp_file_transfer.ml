@@ -93,8 +93,7 @@ let () =
   Printf.printf "transferred %d KB in %.2f ms simulated: %.1f Mbps goodput\n"
     (file_size / 1024)
     (Time.to_float_us elapsed /. 1000.)
-    (Osiris_util.Units.mbps ~bytes_count:file_size
-       ~seconds:(Time.to_float_s elapsed));
+    (Osiris_experiments.Report.mbps ~bytes_count:file_size ~ns:elapsed);
   Printf.printf "blocks: %d ok, %d missing, %d corrupt\n"
     (nblocks - missing) missing !corrupt;
   let sb = Board.stats b.Host.board in

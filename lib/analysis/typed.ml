@@ -1,12 +1,14 @@
-(* Typed analysis passes over the compiler's .cmt artifacts.
+(* olint's rules, all on the compiler's .cmt and .cmti artifacts.
 
-   The syntactic lint (R1–R4, {!Lint}) answers "who writes this field";
-   these passes answer questions that need types and resolved paths:
-
+   - R1: is each policy-owned record field assigned only by its writer?
+   - R2: does any scanned unit refer to [Obj]?
+   - R3: does any scanned unit catch every exception, or call [exit]?
+   - R4: does every scanned unit ship an interface?
    - R5: is this hot-path function transitively allocation-free?
    - R6: does any scanned unit refer to a wall-clock function?
    - R7: is every registered metrics counter read by a conservation or
      invariant check, and does every exemption name a counter?
+   - R8: does any scanned unit call Stdlib's polymorphic [min]/[max]?
    - R9: does every exported value have a caller in another unit, and
      does some call pass each of its optional parameters?
    - R10: does some unit read every label of an exported record type,
@@ -19,12 +21,10 @@
    escape hatches. Nothing here re-runs the typechecker — a .cmt is
    loaded, walked, and dropped. *)
 
-type violation = Lint.violation = {
-  rule : string;
-  file : string;
-  line : int;
-  message : string;
-}
+type violation = { rule : string; file : string; line : int; message : string }
+
+let pp_violation fmt v =
+  Format.fprintf fmt "%s:%d: [%s] %s" v.file v.line v.rule v.message
 
 (* ------------------------------------------------------------------ *)
 (* Module index: every loaded implementation .cmt, addressable by the
@@ -688,10 +688,9 @@ let check_r7 idx =
   @ List.filter_map unread regs
 
 (* ------------------------------------------------------------------ *)
-(* R6 — no scanned unit refers to a wall-clock function.
-   R9 — every export has a caller, every optional parameter a value.
-   R10 — every exported record label is read, every exported mutable
-   label assigned. *)
+(* The rules on one walk of every unit: R1–R3, R6 and R8 judge the
+   scanned units' references, assignments and handlers; R9 and R10
+   judge the interfaces by every unit's references. *)
 
 (* [W.M], [W__.M] and [W__M] all name unit [W__M] of dune's wrapped
    library [W]. *)
@@ -707,16 +706,19 @@ let unit_path units = function
   | u :: rest when rest <> [] && Hashtbl.mem units u -> Some (u, rest)
   | _ -> None
 
-(* Every reference of [m]: [ident path loc] for each value identifier,
-   its path resolved through aliases, [note ~own key] for each one that
-   names a unit's value, [passed key label] for each optional argument
-   a call supplies, [read ty label] for each label a field access or
-   record pattern reads, and [assigned ty label] for each
-   [r.label <- v]. An omitted optional argument is filled in by the
+(* Every reference of [m]: [ident path loc] for each value or module
+   identifier, its path resolved through aliases, [note ~own key] for
+   each one that names a unit's value, [passed key label] for each
+   optional argument a call supplies, [read ty label] for each label a
+   field access or record pattern reads, [assigned ty label] and
+   [setfield label loc] for each [r.label <- v], [handlers cases] for
+   each [try ... with], and [declare label] for each label of a record
+   type [m] declares. An omitted optional argument is filled in by the
    typechecker with a [None] at [Location.none]; a supplied or
    forwarded one has the caller's location. Construction,
    [{ r with ... }], [=] and [compare] read no label. *)
-let scan_refs units (m : modul) ~ident ~note ~passed ~read ~assigned =
+let scan_refs units (m : modul) ~ident ~note ~passed ~read ~assigned
+    ~setfield ~handlers ~declare =
   let aliases = Hashtbl.create 8 and top = Hashtbl.create 64 in
   List.iter
     (fun (item : Typedtree.structure_item) ->
@@ -777,7 +779,10 @@ let scan_refs units (m : modul) ~ident ~note ~passed ~read ~assigned =
               args)
           (key p)
     | Typedtree.Texp_field (_, _, lbl) -> label read lbl
-    | Typedtree.Texp_setfield (_, _, lbl, _) -> label assigned lbl
+    | Typedtree.Texp_setfield (_, lid, lbl, _) ->
+        label assigned lbl;
+        setfield lbl.lbl_name lid.loc
+    | Typedtree.Texp_try (_, cases) -> handlers cases
     | _ -> ());
     Tast_iterator.default_iterator.expr it e
   in
@@ -792,8 +797,30 @@ let scan_refs units (m : modul) ~ident ~note ~passed ~read ~assigned =
     alias mb.mb_id mb.mb_expr;
     Tast_iterator.default_iterator.module_binding it mb
   in
+  let module_expr it (me : Typedtree.module_expr) =
+    (match me.mod_desc with
+    | Typedtree.Tmod_ident (p, _) -> ident (elems p) me.mod_loc
+    | _ -> ());
+    Tast_iterator.default_iterator.module_expr it me
+  in
+  let type_kind it (k : Typedtree.type_kind) =
+    (match k with
+    | Typedtree.Ttype_record lds ->
+        List.iter
+          (fun (ld : Typedtree.label_declaration) -> declare ld.ld_name.txt)
+          lds
+    | _ -> ());
+    Tast_iterator.default_iterator.type_kind it k
+  in
   let it =
-    { Tast_iterator.default_iterator with expr; pat; module_binding }
+    {
+      Tast_iterator.default_iterator with
+      expr;
+      pat;
+      module_binding;
+      module_expr;
+      type_kind;
+    }
   in
   it.structure it m.m_structure
 
@@ -825,6 +852,15 @@ let sig_records i =
             decls
       | _ -> [])
     (sig_items [] i.i_sig.sig_items)
+
+(* Does this handler arm match every exception? A wildcard or a
+   variable, possibly under an alias or in an or-pattern. *)
+let rec matches_everything (p : Typedtree.pattern) =
+  match p.pat_desc with
+  | Typedtree.Tpat_any | Typedtree.Tpat_var _ -> true
+  | Typedtree.Tpat_alias (p, _, _) -> matches_everything p
+  | Typedtree.Tpat_or (a, b, _) -> matches_everything a || matches_everything b
+  | _ -> false
 
 let rec optional_labels ty =
   match Types.get_desc ty with
@@ -861,30 +897,92 @@ let check_refs idx =
   let passed k l = Hashtbl.replace given (k, l) () in
   let read ty l = Hashtbl.replace reads (canon ty, l) () in
   let assigned ty l = Hashtbl.replace sets (canon ty, l) () in
-  (* A path resolved through aliases and opens: [open Unix] cannot hide
-     a wall-clock read. *)
-  let r6 = ref [] in
-  let ident (m : modul) =
-    if not (under_scan idx.policy m.m_source) then fun _ _ -> ()
-    else fun path loc ->
-      let name = display_name (short_name path) in
-      if List.mem name idx.policy.Policy.wall_clock then
-        r6 :=
-          {
-            rule = "R6";
-            file = m.m_source;
-            line = line_of_loc loc;
-            message =
-              Printf.sprintf
-                "reference to the wall-clock function `%s': simulated code \
-                 reads only the engine's clock"
-                name;
-          }
-          :: !r6
+  let lint = ref [] and declared = Hashtbl.create 256 in
+  let flag (m : modul) rule loc fmt =
+    Printf.ksprintf
+      (fun message ->
+        lint :=
+          { rule; file = m.m_source; line = line_of_loc loc; message } :: !lint)
+      fmt
   in
+  let allowed (m : modul) rule =
+    Policy.exempt idx.policy ~rule ~file:m.m_source
+  in
+  (* A path resolved through aliases and opens: [open Unix] cannot hide
+     a wall-clock read, nor [module S = Stdlib] an [S.min]; a local
+     [min] is not Stdlib's. *)
+  let ident m path loc =
+    let name = display_name (short_name path) in
+    if List.mem name idx.policy.Policy.wall_clock then
+      flag m "R6" loc
+        "reference to the wall-clock function `%s': simulated code reads \
+         only the engine's clock"
+        name;
+    match path with
+    | ("Stdlib" :: "Obj" :: _ | "Stdlib__Obj" :: _) when not (allowed m "obj")
+      ->
+        flag m "R2" loc
+          "reference to %s: unsafe casts are banned in library code" name
+    | [ "Stdlib"; "exit" ] when not (allowed m "exit") ->
+        flag m "R3" loc
+          "call to exit in library code can swallow invariant violations"
+    | [ "Stdlib"; (("min" | "max") as f) ] ->
+        flag m "R8" loc
+          "Stdlib.%s compares polymorphically (a C call even on ints): use \
+           Int.%s, or write the float compare out"
+          f f
+    | _ -> ()
+  in
+  let setfield m field loc =
+    match Policy.owners idx.policy field with
+    | Some writers
+      when not (List.exists (fun w -> Policy.path_matches w m.m_source) writers)
+      ->
+        flag m "R1" loc
+          "field '%s' assigned outside its declared writer (policy allows: \
+           %s)"
+          field
+          (String.concat ", " writers)
+    | _ -> ()
+  in
+  let handlers m cases =
+    if not (allowed m "catchall") then
+      List.iter
+        (fun (c : Typedtree.value Typedtree.case) ->
+          if c.c_guard = None && matches_everything c.c_lhs then
+            flag m "R3" c.c_lhs.pat_loc
+              "catch-all exception handler (try ... with _): name the \
+               exceptions instead")
+        cases
+  in
+  let declare l = Hashtbl.replace declared l () in
+  let quiet _ _ = () in
   List.iter
-    (fun m -> scan_refs units m ~ident:(ident m) ~note ~passed ~read ~assigned)
+    (fun m ->
+      if under_scan idx.policy m.m_source then
+        scan_refs units m ~note ~passed ~read ~assigned ~ident:(ident m)
+          ~setfield:(setfield m) ~handlers:(handlers m) ~declare
+      else
+        scan_refs units m ~note ~passed ~read ~assigned ~ident:quiet
+          ~setfield:quiet ~handlers:ignore ~declare:ignore)
     idx.mods;
+  (* An [own] or [shared] entry whose field no scanned record declares
+     guards nothing: a stale entry, as a stale [hot] entry is for R5. *)
+  let stale kind field =
+    if Hashtbl.mem declared field then None
+    else
+      Some
+        {
+          rule = "R1";
+          file = String.concat " " idx.policy.Policy.scan;
+          line = 1;
+          message =
+            Printf.sprintf
+              "%s entry '%s': no record under the scan roots declares this \
+               field (stale policy entry); delete it"
+              kind field;
+        }
+  in
   let violation rule i loc fmt =
     Printf.ksprintf
       (fun message ->
@@ -927,7 +1025,9 @@ let check_refs idx =
           lds
     | _ -> []
   in
-  !r6
+  !lint
+  @ List.filter_map (fun (f, _) -> stale "own" f) idx.policy.Policy.own
+  @ List.filter_map (stale "shared") idx.policy.Policy.shared
   @ List.concat_map
       (fun (i, rs) ->
         List.concat_map
@@ -939,8 +1039,31 @@ let check_refs idx =
 
 (* ------------------------------------------------------------------ *)
 
+(* R4 — every scanned unit ships a .mli, so the abstraction boundary
+   the ownership rules rely on exists. Dune's generated library
+   wrappers have none to ship. *)
+let check_r4 idx =
+  List.filter_map
+    (fun m ->
+      if
+        Filename.check_suffix m.m_source ".ml-gen"
+        || List.exists (fun i -> i.i_modname = m.m_modname) idx.intfs
+        || Policy.exempt idx.policy ~rule:"no-mli" ~file:m.m_source
+      then None
+      else
+        Some
+          {
+            rule = "R4";
+            file = m.m_source;
+            line = 1;
+            message =
+              "module has no .mli: the ownership rules rely on explicit \
+               interfaces";
+          })
+    idx.scanned
+
 let check_tree policy ~cmt_root =
   let idx = build_index policy ~cmt_root in
   let by_file v = (v.file, v.line, v.rule) in
-  check_r5 idx @ check_r7 idx @ check_refs idx
+  check_r4 idx @ check_r5 idx @ check_r7 idx @ check_refs idx
   |> List.sort (fun a b -> compare (by_file a) (by_file b))

@@ -14,6 +14,7 @@ type config = {
   fill_overhead_cycles : int;
 }
 
+(* CPU cycles to consume one cached word: 1 on both machines. *)
 let hit_cycles_per_word = 1
 
 (* §2.3: invalidation costs one CPU cycle per 32-bit word. *)

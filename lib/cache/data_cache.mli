@@ -33,9 +33,6 @@ type config = {
   fill_overhead_cycles : int;  (** bus setup cycles per line fill *)
 }
 
-val hit_cycles_per_word : int
-(** CPU cycles to consume one cached word: 1 on both machines. *)
-
 type t
 
 val create :

@@ -9,9 +9,10 @@
 (* A profile is the cost of one probe, in nanoseconds. *)
 type profile = float
 
-let of_cache ~cpu_hz ~fill_overhead_cycles ~hit_cycles_per_word =
+(* The line fill, then the one-cycle word read of §2.3. *)
+let of_cache ~cpu_hz ~fill_overhead_cycles =
   if cpu_hz <= 0 then invalid_arg "Classify.Cost.of_cache: cpu_hz <= 0";
-  let cycles = float_of_int (fill_overhead_cycles + hit_cycles_per_word) in
+  let cycles = float_of_int (fill_overhead_cycles + 1) in
   cycles *. 1e9 /. float_of_int cpu_hz
 
 let lookup_ns access_ns ~probes = probes *. access_ns

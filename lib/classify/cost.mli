@@ -5,13 +5,9 @@
 
 type profile
 
-val of_cache :
-  cpu_hz:int ->
-  fill_overhead_cycles:int ->
-  hit_cycles_per_word:int ->
-  profile
-(** One probe = one cache-line fill: [(fill_overhead_cycles +
-    hit_cycles_per_word) / cpu_hz], in nanoseconds. *)
+val of_cache : cpu_hz:int -> fill_overhead_cycles:int -> profile
+(** One probe = one cache-line fill and a one-cycle word read:
+    [(fill_overhead_cycles + 1) / cpu_hz], in nanoseconds. *)
 
 val lookup_ns : profile -> probes:float -> float
 (** Modeled lookup cost of [probes] (possibly an average) probes. *)

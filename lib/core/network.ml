@@ -240,7 +240,8 @@ let audit_parts ~switches ~links ~hosts =
         ~total:st.Switch.cells_in ~parts:(Switch.conservation sw)
       @ Invariants.balance
           ~what:(Printf.sprintf "switch %d mark conservation" i)
-          ~total:st.Switch.marked ~parts:(Switch.mark_conservation sw))
+          ~total:st.Switch.marked ~parts:(Switch.mark_conservation sw)
+      @ List.map (Printf.sprintf "switch %d: %s" i) (Switch.route_check sw))
   @ each links (fun i l ->
         Invariants.balance
           ~what:(Printf.sprintf "link %d cell disposition" i)
@@ -248,7 +249,8 @@ let audit_parts ~switches ~links ~hosts =
   @ each hosts (fun i (h : Host.t) ->
         List.map (Printf.sprintf "host %d: %s" i)
           (Invariants.check ~quiescent:true ~board:h.Host.board
-             ~driver:h.Host.driver ()))
+             ~driver:h.Host.driver ()
+          @ Board.demux_check h.Host.board))
 
 let audit topo =
   let ends = topo.endpoints in

@@ -165,16 +165,19 @@ val open_vc_paths : topology -> src:int -> dst:int -> mvc
 
 val audit : topology -> string list
 (** Every conservation law of the fabric, as violation sentences
-    (empty = clean): each switch's cell and mark conservation
-    ([switch i ...], in {!topology.switches} order), each link's cell
-    disposition law — every offered cell delivered or dropped, so a
-    cell still on the wire reads as leaked — ([link i ...]: the hosts'
-    [to_fabric] links, then their [from_fabric] links, then
-    {!topology.trunks}), and {!Invariants.check} [~quiescent:true] on
-    every host ([host i: ...], in endpoint order). Meaningful once
-    traffic has stopped and recovery timers have swept. Connection
-    invariants are the caller's to add. *)
+    (empty = clean): each switch's cell and mark conservation and its
+    routing and packet-discard tables' structure
+    ({!Osiris_switch.Switch.route_check}) ([switch i ...], in
+    {!topology.switches} order), each link's cell disposition law —
+    every offered cell delivered or dropped, so a cell still on the
+    wire reads as leaked — ([link i ...]: the hosts' [to_fabric] links,
+    then their [from_fabric] links, then {!topology.trunks}), and
+    {!Invariants.check} [~quiescent:true] and the VC table's structure
+    ({!Osiris_board.Board.demux_check}) on every host ([host i: ...],
+    in endpoint order). Meaningful once traffic has stopped and
+    recovery timers have swept. Connection invariants are the caller's
+    to add. *)
 
 val audit_pair : t -> string list
 (** {!audit} for the back-to-back pair: [link 0] is [a_to_b], [link 1]
-    [b_to_a], then both hosts' invariants. *)
+    [b_to_a], then both hosts' invariants and VC tables. *)

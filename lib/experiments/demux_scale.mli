@@ -18,10 +18,9 @@ type point = {
 val run : nvcs:int -> unit -> point
 (** Open [nvcs] VCs between one DECstation 5000/200 pair, drive one
     web-search-CDF flow per VC, and audit the fabric
-    ({!Osiris_core.Network.audit}), both classification tables'
-    structure ({!Osiris_board.Board.demux_check},
-    {!Osiris_switch.Switch.route_check}), every flow's delivery, and
-    bulk-setup path-cache behavior. *)
+    ({!Osiris_core.Network.audit}, both classification tables'
+    structure included), every flow's delivery, and bulk-setup
+    path-cache behavior. *)
 
 val figure : unit -> Report.figure
 (** The BENCH figure: sweeps 64 to 8192 VCs, fails on any violation, on a

@@ -7,7 +7,6 @@ let ms n = n * 1_000_000
 let s n = n * 1_000_000_000
 let of_float_us x = int_of_float (Float.round (x *. 1e3))
 let to_float_us t = float_of_int t /. 1e3
-let to_float_s t = float_of_int t /. 1e9
 
 let pp fmt t =
   let f = float_of_int t in

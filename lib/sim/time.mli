@@ -28,8 +28,5 @@ val of_float_us : float -> t
 val to_float_us : t -> float
 (** [to_float_us t] is [t] expressed in microseconds. *)
 
-val to_float_s : t -> float
-(** [to_float_s t] is [t] expressed in seconds. *)
-
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit (ns, us, ms, s). *)

@@ -191,18 +191,13 @@ let probe_bound_holds =
 
 let test_cost_model () =
   (* One probe = one line fill: (13 + 1) cycles at 25 MHz = 560 ns. *)
-  let p =
-    Cost.of_cache ~cpu_hz:25_000_000 ~fill_overhead_cycles:13
-      ~hit_cycles_per_word:1
-  in
+  let p = Cost.of_cache ~cpu_hz:25_000_000 ~fill_overhead_cycles:13 in
   Alcotest.(check (float 1e-6)) "access" 560.0 (Cost.lookup_ns p ~probes:1.0);
   Alcotest.(check (float 1e-6)) "two probes" 1120.0
     (Cost.lookup_ns p ~probes:2.0);
   Alcotest.check_raises "bad hz" (Invalid_argument "Classify.Cost.of_cache: cpu_hz <= 0")
     (fun () ->
-      ignore
-        (Cost.of_cache ~cpu_hz:0 ~fill_overhead_cycles:1
-           ~hit_cycles_per_word:1))
+      ignore (Cost.of_cache ~cpu_hz:0 ~fill_overhead_cycles:1))
 
 let suite =
   [

@@ -289,7 +289,7 @@ let test_histogram_percentiles () =
 
 let test_units () =
   Alcotest.(check (float 1e-6)) "mbps" 8.0
-    (Units.mbps ~bytes_count:1_000_000 ~seconds:1.0)
+    (Osiris_experiments.Report.mbps ~bytes_count:1_000_000 ~ns:1_000_000_000)
 
 let suite =
   [
